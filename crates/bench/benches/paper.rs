@@ -15,9 +15,10 @@ const MB: u64 = 1024 * 1024;
 /// namespace-op + charge-RPC sequence `CofsFs` performs, so MDS
 /// refactors show up here without workload noise.
 fn mds_raw_ops(shards: usize) {
+    use cofs::batch::BatchedOp;
     use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
     use cofs::mds::Cred;
-    use cofs::mds_cluster::MdsCluster;
+    use cofs::mds_cluster::{MdsCluster, Shape};
     use netsim::ids::NodeId;
     use simcore::time::{SimDuration, SimTime};
     use vfs::path::vpath;
@@ -32,6 +33,9 @@ fn mds_raw_ops(shards: usize) {
     };
     let node = NodeId(0);
     let mut now = SimTime::ZERO;
+    let charge = |cluster: &mut MdsCluster, shape, ops, now| {
+        cluster.request(&cfg, &net, node, shape, &[BatchedOp::opaque(ops)], now)
+    };
     const DIRS: usize = 8;
     for d in 0..DIRS {
         let dir = vpath(&format!("/d{d}"));
@@ -40,7 +44,7 @@ fn mds_raw_ops(shards: usize) {
             .mkdir(cred, &dir, Mode::dir_default(), now)
             .unwrap();
         let shard = cluster.route(&dir);
-        now = cluster.rpc(&cfg, &net, node, shard, ops, now);
+        now = charge(&mut cluster, Shape::Sync(shard), ops, now);
     }
     for i in 0..256usize {
         let path = vpath(&format!("/d{}/f{i}", i % DIRS));
@@ -49,20 +53,21 @@ fn mds_raw_ops(shards: usize) {
             .create(cred, &path, Mode::file_default(), vpath("/.u/x"), now)
             .unwrap();
         let shard = cluster.route(&path);
-        now = cluster.rpc(&cfg, &net, node, shard, ops, now);
+        now = charge(&mut cluster, Shape::Sync(shard), ops, now);
         let (_, ops) = cluster.namespace().getattr(cred, &path).unwrap();
-        now = cluster.rpc(&cfg, &net, node, shard, ops, now);
+        now = charge(&mut cluster, Shape::Sync(shard), ops, now);
         let to = vpath(&format!("/d{}/g{i}", (i + 3) % DIRS));
         let ops = cluster
             .namespace_mut()
             .rename(cred, &path, &to, now)
             .unwrap();
         let (a, b) = (cluster.route(&path), cluster.route(&to));
-        now = if a == b {
-            cluster.rpc(&cfg, &net, node, a, ops, now)
+        let shape = if a == b {
+            Shape::Sync(a)
         } else {
-            cluster.rpc_cross(&cfg, &net, node, (a, b), ops, now)
+            Shape::TwoPhase(a, b)
         };
+        now = charge(&mut cluster, shape, ops, now);
     }
 }
 

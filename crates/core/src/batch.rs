@@ -18,7 +18,7 @@
 //! daemon buffers it; the client blocks only when it fills a batch
 //! while every pipeline slot is occupied (flow control), so the round
 //! trip and the shard's queueing leave the client's critical path. The
-//! shard half lives in [`crate::mds_cluster::MdsCluster::rpc_batch`]:
+//! shard half lives in [`crate::mds_cluster::MdsCluster::request`]:
 //! one RPC, one per-request CPU overhead, and one group-commit
 //! transaction for the whole batch's writes
 //! ([`metadb::cost::DbCostTracker::group_txn_cost`]).
@@ -61,7 +61,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// memoizable reads its resolution performed and the coalescable rows
 /// it writes. The read set rides along so the shard can price the batch
 /// by its *deduplicated* read set
-/// ([`crate::mds_cluster::MdsCluster::rpc_batch`]) when
+/// ([`crate::mds_cluster::MdsCluster::request`]) when
 /// [`BatchConfig::memoize_reads`] is on; the write set feeds
 /// [`coalesce_writes`] when write-behind journaling is on. With both
 /// knobs off the sets are carried but never consulted.
@@ -183,7 +183,7 @@ pub struct BatchConfig {
     /// Price each batch by its *deduplicated* read set: the shard
     /// charges one lookup per distinct ancestor-chain row per batch
     /// instead of once per operation
-    /// ([`crate::mds_cluster::MdsCluster::rpc_batch`]). Off by default
+    /// ([`crate::mds_cluster::MdsCluster::request`]). Off by default
     /// — with it off (or for a batch of one) pricing is bit-for-bit
     /// the unmemoized path.
     pub memoize_reads: bool,
@@ -323,7 +323,7 @@ struct NodeState {
 ///
 /// Owned by [`crate::fs::CofsFs`], which buffers every single-shard
 /// metadata mutation here and issues the closed batches through
-/// [`crate::mds_cluster::MdsCluster::rpc_batch`]. The handshake per
+/// [`crate::mds_cluster::MdsCluster::request`]. The handshake per
 /// node is strict: [`BatchPipeline::take_due`] hands out one batch,
 /// whose completion must be reported via
 /// [`BatchPipeline::record_completion`] before the next `take_due`, so

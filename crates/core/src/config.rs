@@ -5,7 +5,7 @@ use crate::batch::BatchConfig;
 use crate::client_cache::ClientCacheConfig;
 use crate::elastic::{ElasticConfig, ElasticPolicy};
 use crate::fault::{FaultPlan, RetryConfig};
-use crate::mds_cluster::{HashByParent, ShardId, ShardPolicy, SingleShard, SubtreePartition};
+use crate::mds_cluster::{ShardId, ShardPolicy};
 use metadb::cost::DbCostModel;
 use netsim::cluster::Cluster;
 use netsim::ids::NodeId;
@@ -13,11 +13,8 @@ use simcore::time::SimDuration;
 use std::collections::HashMap;
 use vfs::path::{vpath, VPath};
 
-/// Which namespace-partitioning policy a [`CofsConfig`] builds.
-///
-/// Custom [`ShardPolicy`] implementations can still be injected via
-/// [`crate::fs::CofsFs::with_shard_policy`]; this enum covers the
-/// built-in ones so configs stay `Clone`.
+/// Which namespace-partitioning [`ShardPolicy`] a [`CofsConfig`]
+/// builds (a plain tag, so configs stay `Clone`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPolicyKind {
     /// Everything on one shard (the paper's centralized service).
@@ -26,18 +23,16 @@ pub enum ShardPolicyKind {
     HashByParent,
     /// The first path component assigns its whole subtree to a shard.
     Subtree,
-    /// Load-adaptive: starts as [`HashByParent`] and splits hot
+    /// Load-adaptive: starts as hash-by-parent and splits hot
     /// directories across shards / merges them back as measured load
     /// moves (see [`crate::elastic`]); shaped by
     /// [`CofsConfig::elastic`].
-    ///
-    /// [`HashByParent`]: crate::mds_cluster::HashByParent
     Elastic,
 }
 
 /// Write-behind journaling knobs on [`CofsConfig`].
 ///
-/// With write-behind on, [`crate::mds_cluster::MdsCluster::rpc_batch`]
+/// With write-behind on, a [`crate::mds_cluster::Shape::Batch`] request
 /// acks a mutation batch once its ops are appended to the shard's
 /// journal (one sequential append per batch) and applies the rows off
 /// the critical path, after coalescing same-parent siblings
@@ -303,7 +298,8 @@ impl CofsConfig {
     }
 
     /// A copy of this config running `shards` metadata shards under
-    /// `policy` (a count of 1 always degenerates to [`SingleShard`]).
+    /// `policy` (one static shard always routes like
+    /// [`ShardPolicyKind::Single`]).
     ///
     /// # Panics
     ///
@@ -349,8 +345,8 @@ impl CofsConfig {
 
     /// A copy of this config with per-batch read memoization switched
     /// on: each distinct ancestor-chain row is charged once per batch
-    /// RPC instead of once per operation (see
-    /// [`crate::mds_cluster::MdsCluster::rpc_batch`]).
+    /// request instead of once per operation (see
+    /// [`crate::mds_cluster::MdsCluster::request`]).
     ///
     /// # Panics
     ///
@@ -446,18 +442,17 @@ impl CofsConfig {
         self.with_shards(shards, ShardPolicyKind::Elastic)
     }
 
-    /// Builds the shard policy this config describes.
-    pub fn build_shard_policy(&self) -> Box<dyn ShardPolicy> {
-        if self.mds_shards <= 1 && self.shard_policy != ShardPolicyKind::Elastic {
-            return Box::new(SingleShard);
-        }
+    /// Builds the shard policy this config describes. One static shard
+    /// is hash routing at one shard, whatever the kind.
+    pub fn build_shard_policy(&self) -> ShardPolicy {
         match self.shard_policy {
-            ShardPolicyKind::Single => Box::new(SingleShard),
-            ShardPolicyKind::HashByParent => Box::new(HashByParent::new(self.mds_shards)),
-            ShardPolicyKind::Subtree => Box::new(SubtreePartition::new(self.mds_shards)),
             ShardPolicyKind::Elastic => {
-                Box::new(ElasticPolicy::new(self.mds_shards, self.elastic.clone()))
+                ShardPolicy::Elastic(ElasticPolicy::new(self.mds_shards, self.elastic.clone()))
             }
+            _ if self.mds_shards <= 1 => ShardPolicy::hash(1),
+            ShardPolicyKind::Single => ShardPolicy::hash(1),
+            ShardPolicyKind::HashByParent => ShardPolicy::hash(self.mds_shards),
+            ShardPolicyKind::Subtree => ShardPolicy::subtree(self.mds_shards),
         }
     }
 }
@@ -618,7 +613,7 @@ mod tests {
     fn build_shard_policy_respects_count_and_kind() {
         let single = CofsConfig::default().build_shard_policy();
         assert_eq!(single.shard_count(), 1);
-        // A shard count of 1 degenerates to SingleShard whatever the kind.
+        // One static shard routes as "single" whatever the kind.
         let degenerate = CofsConfig::default()
             .with_shards(1, ShardPolicyKind::HashByParent)
             .build_shard_policy();
@@ -648,7 +643,7 @@ mod tests {
         assert_eq!(p.shard_count(), 8);
         assert!(p.as_elastic().is_some());
         // One elastic shard keeps its label (sweeps start at 1), while
-        // the static kinds still degenerate to SingleShard.
+        // the static kinds still degenerate to one hashed shard.
         let one = CofsConfig::default().with_elastic(1).build_shard_policy();
         assert_eq!(one.label(), "elastic");
         assert_eq!(one.shard_count(), 1);

@@ -1,11 +1,10 @@
 //! Load-adaptive ("elastic") namespace partitioning.
 //!
 //! The static policies each fail on skew in their own way:
-//! [`crate::mds_cluster::HashByParent`] pins a hot directory's whole
-//! entry set to one shard forever, and
-//! [`crate::mds_cluster::SubtreePartition`] collapses entire tenant
+//! [`ShardPolicy::Hash`] pins a hot directory's whole entry set to one
+//! shard forever, and [`ShardPolicy::Subtree`] collapses entire tenant
 //! trees onto single shards. [`ElasticPolicy`] starts exactly where
-//! `HashByParent` starts — every directory *homed* by the same parent
+//! hash routing starts — every directory *homed* by the same parent
 //! hash — and then adapts:
 //!
 //! - **Splitting** (GIGA+-style incremental hashing): per directory,
@@ -42,10 +41,12 @@
 //!
 //! Everything is driven by *virtual* time carried on the observed
 //! operations, so replays are byte-identical; with splitting frozen
-//! ([`ElasticConfig::frozen`]) the policy is bit-for-bit
-//! `HashByParent`.
+//! ([`ElasticConfig::frozen`]) the policy is bit-for-bit hash routing.
+//!
+//! [`ShardPolicy::Hash`]: crate::mds_cluster::ShardPolicy::Hash
+//! [`ShardPolicy::Subtree`]: crate::mds_cluster::ShardPolicy::Subtree
 
-use crate::mds_cluster::{ShardId, ShardPolicy};
+use crate::mds_cluster::{hash_shard, ShardId};
 use simcore::rng::stable_hash;
 use simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -154,7 +155,7 @@ impl Default for ElasticConfig {
 impl ElasticConfig {
     /// A config whose split threshold is unreachable: the policy then
     /// never reconfigures and routes bit-for-bit like
-    /// [`crate::mds_cluster::HashByParent`] (the regression pin).
+    /// [`crate::mds_cluster::ShardPolicy::Hash`] (the regression pin).
     pub fn frozen() -> Self {
         ElasticConfig {
             split_threshold: u64::MAX,
@@ -191,7 +192,7 @@ pub struct ShardTransfer {
 pub struct ElasticEvent {
     /// The directory whose bucket table changed.
     pub dir: VPath,
-    /// The directory's home shard (bucket 0, the `HashByParent` home).
+    /// The directory's home shard (bucket 0, the hash-routing home).
     pub home: ShardId,
     /// Split or merge.
     pub kind: ElasticEventKind,
@@ -230,12 +231,12 @@ struct DirState {
 ///
 /// ```
 /// use cofs::elastic::{ElasticConfig, ElasticPolicy};
-/// use cofs::mds_cluster::{HashByParent, ShardPolicy};
+/// use cofs::mds_cluster::ShardPolicy;
 /// use vfs::path::vpath;
 ///
-/// // Before any split, routing is exactly HashByParent.
+/// // Before any split, routing is exactly hash-by-parent.
 /// let p = ElasticPolicy::new(4, ElasticConfig::default());
-/// let h = HashByParent::new(4);
+/// let h = ShardPolicy::hash(4);
 /// assert_eq!(p.shard_of(&vpath("/d/f")), h.shard_of(&vpath("/d/f")));
 /// assert_eq!(p.depth_of(&vpath("/d")), 0);
 /// ```
@@ -280,13 +281,12 @@ impl ElasticPolicy {
         &self.cfg
     }
 
-    /// The directory's home shard — the [`HashByParent`] formula, so
-    /// an unsplit elastic namespace routes bit-for-bit like the static
-    /// hash policy.
-    ///
-    /// [`HashByParent`]: crate::mds_cluster::HashByParent
+    /// The directory's home shard — the
+    /// [`crate::mds_cluster::ShardPolicy::Hash`] formula, so an unsplit
+    /// elastic namespace routes bit-for-bit like the static hash
+    /// policy.
     fn home(&self, dir: &VPath) -> ShardId {
-        ShardId((stable_hash(dir.as_str().as_bytes()) % self.shards as u64) as usize)
+        hash_shard(dir, self.shards)
     }
 
     /// Current split depth of `dir` (0 = unsplit, single home shard).
@@ -464,12 +464,15 @@ impl ElasticPolicy {
     }
 }
 
-impl ShardPolicy for ElasticPolicy {
-    fn shard_count(&self) -> usize {
+impl ElasticPolicy {
+    /// Number of shards this policy routes across.
+    pub fn shard_count(&self) -> usize {
         self.shards
     }
 
-    fn shard_of(&self, path: &VPath) -> ShardId {
+    /// The shard owning `path`: the bucket its name hashes to when its
+    /// parent is split, the parent's home shard otherwise.
+    pub fn shard_of(&self, path: &VPath) -> ShardId {
         let dir = path.parent().unwrap_or_else(VPath::root);
         match (self.dirs.get(&dir), path.file_name()) {
             (Some(st), Some(name)) if st.depth > 0 => {
@@ -480,22 +483,11 @@ impl ShardPolicy for ElasticPolicy {
         }
     }
 
-    fn shard_of_entries(&self, dir: &VPath) -> ShardId {
-        // The directory's own row (and the authoritative entry count)
-        // stay on its home shard however far its dentries spread.
+    /// The shard charged for listing `dir`: the directory's own row
+    /// (and the authoritative entry count) stay on its home shard
+    /// however far its dentries spread.
+    pub fn shard_of_entries(&self, dir: &VPath) -> ShardId {
         self.home(dir)
-    }
-
-    fn label(&self) -> &'static str {
-        "elastic"
-    }
-
-    fn as_elastic(&self) -> Option<&ElasticPolicy> {
-        Some(self)
-    }
-
-    fn as_elastic_mut(&mut self) -> Option<&mut ElasticPolicy> {
-        Some(self)
     }
 }
 
@@ -570,7 +562,7 @@ fn split_gate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mds_cluster::HashByParent;
+    use crate::mds_cluster::ShardPolicy;
     use vfs::path::vpath;
 
     fn ms(n: u64) -> SimTime {
@@ -596,7 +588,7 @@ mod tests {
     #[test]
     fn unsplit_routing_is_hash_by_parent_bit_for_bit() {
         let p = ElasticPolicy::new(8, ElasticConfig::frozen());
-        let h = HashByParent::new(8);
+        let h = ShardPolicy::hash(8);
         for s in ["/a/b/c", "/a/b", "/x", "/", "/deep/er/still/more"] {
             let path = vpath(s);
             assert_eq!(p.shard_of(&path), h.shard_of(&path), "{s}");
@@ -648,7 +640,7 @@ mod tests {
         }
         assert!(seen.len() >= 4, "64 names over 8 buckets: {seen:?}");
         // Sibling dirs are untouched.
-        let h = HashByParent::new(8);
+        let h = ShardPolicy::hash(8);
         assert_eq!(p.shard_of(&vpath("/cold/f")), h.shard_of(&vpath("/cold/f")));
     }
 

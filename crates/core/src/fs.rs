@@ -11,9 +11,9 @@
 use crate::batch::{BatchPipeline, BatchStats, BatchedOp};
 use crate::client_cache::{CacheStats, ClientCache, EntryKind, LeaseKey};
 use crate::config::{CofsConfig, MdsNetwork};
-use crate::fault::{FaultSummary, RetryStats};
+use crate::fault::{FaultSummary, Nack, RetryStats};
 use crate::mds::{Cred, DbOps, Mds, ReadSet, WriteSet};
-use crate::mds_cluster::{MdsCluster, ShardPolicy, ShardUsage};
+use crate::mds_cluster::{MdsCluster, Shape, ShardId, ShardUsage};
 use crate::placement::{HashedPlacement, PlacementPolicy};
 use netsim::ids::NodeId;
 use simcore::prelude::*;
@@ -24,6 +24,20 @@ use vfs::path::VPath;
 use vfs::types::{
     DirEntry, FileAttr, FileHandle, FileType, FsStats, Gid, Mode, OpenFlags, SetAttr, Uid,
 };
+
+/// What a metadata operation charged by `CofsFs::charge` touches.
+#[derive(Debug, Clone, Copy)]
+enum Target<'a> {
+    /// A read of `path`'s attributes (for [`EntryKind::Dentry`], of its
+    /// entry list); `op` names it in errors.
+    Read {
+        op: &'static str,
+        kind: EntryKind,
+        path: &'a VPath,
+    },
+    /// A mutation of one name, or of two (`rename`, `link`).
+    Write(&'a VPath, Option<&'a VPath>),
+}
 
 #[derive(Debug, Clone)]
 struct CHandle {
@@ -114,40 +128,10 @@ impl<U: FileSystem> CofsFs<U> {
         net: MdsNetwork,
         placement: Box<dyn PlacementPolicy>,
     ) -> Self {
-        let shard_policy = cfg.build_shard_policy();
-        Self::assemble(under, cfg, net, placement, shard_policy)
-    }
-
-    /// Wraps `under` with a custom *shard* policy (anything
-    /// implementing [`ShardPolicy`]), overriding whatever the config's
-    /// `mds_shards`/`shard_policy` fields would build.
-    pub fn with_shard_policy(
-        under: U,
-        cfg: CofsConfig,
-        net: MdsNetwork,
-        seed: u64,
-        shard_policy: Box<dyn ShardPolicy>,
-    ) -> Self {
-        let placement: Box<dyn PlacementPolicy> = Box::new(HashedPlacement::new(
-            cfg.under_root.clone(),
-            cfg.dir_limit,
-            cfg.spread,
-            seed,
-        ));
-        Self::assemble(under, cfg, net, placement, shard_policy)
-    }
-
-    fn assemble(
-        under: U,
-        cfg: CofsConfig,
-        net: MdsNetwork,
-        placement: Box<dyn PlacementPolicy>,
-        shard_policy: Box<dyn ShardPolicy>,
-    ) -> Self {
-        let mut mds = MdsCluster::new(shard_policy);
-        // Default-off: an empty plan never arms, and every fault-aware
-        // branch below checks `fault_active()` first, so the fault-free
-        // configuration stays bit-for-bit the seed path.
+        let mut mds = MdsCluster::new(cfg.build_shard_policy());
+        // Default-off: an empty plan never arms, so the fault gate
+        // admits every request and the fault-free configuration stays
+        // bit-for-bit the seed path.
         if !cfg.fault.is_empty() {
             mds.arm_faults(cfg.fault.clone());
         }
@@ -338,20 +322,6 @@ impl<U: FileSystem> CofsFs<U> {
         }
     }
 
-    /// Charges one metadata-service RPC against `shard`: network round
-    /// trip to its host plus queueing at its CPU for the database work
-    /// performed.
-    fn rpc_at(
-        &mut self,
-        node: NodeId,
-        shard: crate::mds_cluster::ShardId,
-        ops: DbOps,
-        t: simcore::time::SimTime,
-    ) -> simcore::time::SimTime {
-        self.counters.bump("mds_rpcs");
-        self.mds.rpc(&self.cfg, &self.net, node, shard, ops, t)
-    }
-
     /// Feeds one operation on `path` into the elastic policy's
     /// per-directory load window (the *parent* is the observed
     /// directory). A guarded no-op under static policies so their
@@ -366,142 +336,105 @@ impl<U: FileSystem> CofsFs<U> {
         self.mds.observe_elastic(&self.cfg, &dir, t);
     }
 
-    /// [`Self::observe_parent`] for operations addressed to a
-    /// directory itself (`readdir`): the listed directory is the
-    /// observed one.
-    fn observe_dir(&mut self, dir: &VPath, t: simcore::time::SimTime) {
-        if !self.mds.is_elastic() {
-            return;
-        }
-        self.mds.observe_elastic(&self.cfg, dir, t);
-    }
-
-    /// Charges one metadata-service RPC against the shard owning
-    /// `path`, waiting out (with bounded retries) any fault window the
-    /// shard is inside.
-    fn rpc(
+    /// Charges one metadata operation.
+    ///
+    /// A [`Target::Read`] is one synchronous request, gated through the
+    /// retry driver ([`Self::admit`]) right before it is priced. A
+    /// [`Target::Write`] was gated before it changed the namespace
+    /// ([`Self::gate`]) and is priced here: a two-phase commit when its
+    /// names live on different shards (two-phase operations never batch:
+    /// distributed agreement needs both shards engaged synchronously),
+    /// otherwise buffered into the node's open batch for the shard when
+    /// batching is on — acknowledged as soon as the daemon accepts it,
+    /// the caller's clock advancing past the round trip only when flow
+    /// control makes it wait (see [`crate::batch`]) — and one
+    /// synchronous request when it is off.
+    ///
+    /// A batched op carries the row keys of its names' resolution
+    /// chains (deduped, so shared prefixes count once), clamped to the
+    /// rows the operation actually read so short-circuiting mutations
+    /// (pure size publication) advertise nothing; the shard then prices
+    /// the batch by its deduplicated read set. It also carries its
+    /// parents' rows for write-behind coalescing.
+    fn charge(
         &mut self,
         node: NodeId,
-        op: &'static str,
-        path: &VPath,
+        target: Target<'_>,
         ops: DbOps,
-        t: simcore::time::SimTime,
-    ) -> Result<simcore::time::SimTime, FsError> {
-        self.observe_parent(path, t);
-        let shard = self.mds.route(path);
-        let t = self.await_shard(node, shard, op, path.as_str(), t)?;
-        Ok(self.rpc_at(node, shard, ops, t))
-    }
-
-    /// Charges an operation spanning the shards of `a` and `b` — one
-    /// ordinary (batchable) RPC when both live on the same shard, an
-    /// explicit two-phase commit across both otherwise. Two-phase
-    /// operations never batch: distributed agreement needs both shards
-    /// engaged synchronously. A same-shard pair's read set merges both
-    /// names' resolution chains (deduped, so shared prefixes count
-    /// once).
-    fn rpc_pair(
-        &mut self,
-        node: NodeId,
-        a: &VPath,
-        b: &VPath,
-        ops: DbOps,
-        t: simcore::time::SimTime,
-    ) -> Result<simcore::time::SimTime, FsError> {
-        self.observe_parent(a, t);
-        self.observe_parent(b, t);
-        let sa = self.mds.route(a);
-        let sb = self.mds.route(b);
-        if sa == sb {
-            let read_set = if self.memoizing() {
-                let mut rs = ReadSet::resolution_chain(a);
-                rs.merge(&ReadSet::resolution_chain(b));
-                rs.truncated(ops.reads)
-            } else {
-                ReadSet::empty()
-            };
-            let write_set = if self.write_behind() {
-                let mut ws = WriteSet::parent_row(a);
-                ws.merge(&WriteSet::parent_row(b));
-                ws.truncated(ops.writes)
-            } else {
-                WriteSet::empty()
-            };
-            self.rpc_write_at(node, sa, ops, read_set, write_set, t)
-        } else {
-            // Two-phase commits rely on the caller's preflight: both
-            // shards were confirmed up when the mutation was admitted,
-            // and the residual crash-between window is accepted (the
-            // commit itself is atomic in the namespace either way).
-            self.counters.bump("mds_rpcs");
-            self.counters.bump("mds_two_phase");
-            Ok(self
-                .mds
-                .rpc_cross(&self.cfg, &self.net, node, (sa, sb), ops, t))
-        }
-    }
-
-    /// Charges a single-shard metadata *mutation*. With batching off
-    /// this is one synchronous RPC ([`Self::rpc_at`], the calibrated
-    /// path, bit for bit). With batching on, the op is buffered into
-    /// the node's open batch for the shard and acknowledged as soon as
-    /// the daemon accepts it — the caller's clock advances past the
-    /// round trip only when flow control (a full batch with every
-    /// pipeline slot occupied) makes it wait. See [`crate::batch`].
-    fn rpc_write_at(
-        &mut self,
-        node: NodeId,
-        shard: crate::mds_cluster::ShardId,
-        ops: DbOps,
-        read_set: ReadSet,
-        write_set: WriteSet,
-        t: simcore::time::SimTime,
-    ) -> Result<simcore::time::SimTime, FsError> {
-        if !self.batch.enabled() {
-            return Ok(self.rpc_at(node, shard, ops, t));
-        }
+        t: SimTime,
+    ) -> Result<SimTime, FsError> {
+        let (shape, t) = match target {
+            Target::Read { op, kind, path } => {
+                let shard = match kind {
+                    EntryKind::Attr | EntryKind::Negative => {
+                        self.observe_parent(path, t);
+                        self.mds.route(path)
+                    }
+                    EntryKind::Dentry => {
+                        // A listing observes the listed directory itself.
+                        self.mds.observe_elastic(&self.cfg, path, t);
+                        self.mds.route_entries(path)
+                    }
+                };
+                let t = self.admit(node, shard, t).map_err(|nack| {
+                    FsError::new(Errno::EIO, op, path.as_str()).with_end(nack.at)
+                })?;
+                (Shape::Sync(shard), t)
+            }
+            Target::Write(a, b) => {
+                self.observe_parent(a, t);
+                if let Some(b) = b {
+                    self.observe_parent(b, t);
+                }
+                let sa = self.mds.route(a);
+                let sb = b.map_or(sa, |b| self.mds.route(b));
+                if sa != sb {
+                    self.counters.bump("mds_two_phase");
+                    (Shape::TwoPhase(sa, sb), t)
+                } else if self.batch.enabled() {
+                    let mut read_set = ReadSet::empty();
+                    if self.memoizing() {
+                        read_set = ReadSet::resolution_chain(a);
+                        if let Some(b) = b {
+                            read_set.merge(&ReadSet::resolution_chain(b));
+                        }
+                        read_set = read_set.truncated(ops.reads);
+                    }
+                    let mut write_set = WriteSet::empty();
+                    if self.write_behind() {
+                        write_set = WriteSet::parent_row(a);
+                        if let Some(b) = b {
+                            write_set.merge(&WriteSet::parent_row(b));
+                        }
+                        write_set = write_set.truncated(ops.writes);
+                    }
+                    self.counters.bump("mds_rpcs");
+                    self.batch.enqueue(
+                        node,
+                        sa,
+                        BatchedOp {
+                            db: ops,
+                            read_set,
+                            write_set,
+                        },
+                        t,
+                    );
+                    self.pump(node, t)?;
+                    return Ok(self.batch.ack_time(node, t));
+                } else {
+                    (Shape::Sync(sa), t)
+                }
+            }
+        };
         self.counters.bump("mds_rpcs");
-        self.batch.enqueue(
+        Ok(self.mds.request(
+            &self.cfg,
+            &self.net,
             node,
-            shard,
-            BatchedOp {
-                db: ops,
-                read_set,
-                write_set,
-            },
+            shape,
+            &[BatchedOp::opaque(ops)],
             t,
-        );
-        self.pump(node, t)?;
-        Ok(self.batch.ack_time(node, t))
-    }
-
-    /// Charges a single-shard metadata mutation against the shard
-    /// owning `path` (batched when enabled). The op carries the row
-    /// keys of `path`'s resolution chain — clamped to the rows the
-    /// operation actually read, so short-circuiting mutations (pure
-    /// size publication) advertise nothing — which lets the shard
-    /// price the whole batch by its deduplicated read set
-    /// ([`crate::mds_cluster::MdsCluster::rpc_batch`]).
-    fn rpc_write(
-        &mut self,
-        node: NodeId,
-        path: &VPath,
-        ops: DbOps,
-        t: simcore::time::SimTime,
-    ) -> Result<simcore::time::SimTime, FsError> {
-        self.observe_parent(path, t);
-        let shard = self.mds.route(path);
-        let read_set = if self.memoizing() {
-            ReadSet::resolution_chain(path).truncated(ops.reads)
-        } else {
-            ReadSet::empty()
-        };
-        let write_set = if self.write_behind() {
-            WriteSet::parent_row(path).truncated(ops.writes)
-        } else {
-            WriteSet::empty()
-        };
-        self.rpc_write_at(node, shard, ops, read_set, write_set, t)
+        ))
     }
 
     /// True when batched ops should carry their resolution chains:
@@ -521,91 +454,42 @@ impl<U: FileSystem> CofsFs<U> {
 
     /// Puts every closed batch of `node` due by `horizon` on the wire,
     /// in close order, feeding each completion back into the pipeline's
-    /// slot accounting. With a fault plan armed, a refused or dropped
-    /// batch is retried with deterministic backoff; exhaustion records
-    /// the failure time as the batch's completion (the slot frees — the
+    /// slot accounting. A batch the retry driver gives up on records
+    /// the failure time as its completion (the slot frees — the
     /// pipeline never wedges) and surfaces `EIO`.
-    fn pump(&mut self, node: NodeId, horizon: simcore::time::SimTime) -> Result<(), FsError> {
+    fn pump(&mut self, node: NodeId, horizon: SimTime) -> Result<(), FsError> {
         while let Some(b) = self.batch.take_due(node, horizon) {
             self.counters.bump("mds_batches");
-            if !self.mds.fault_active() {
-                let done = self
-                    .mds
-                    .rpc_batch(&self.cfg, &self.net, node, b.shard, &b.ops, b.issue_at);
-                self.batch.record_completion(node, done);
-                continue;
-            }
-            let mut t = b.issue_at;
-            let mut attempt = 0u32;
-            loop {
-                match self
-                    .mds
-                    .rpc_batch_checked(&self.cfg, &self.net, node, b.shard, &b.ops, t)
-                {
-                    Ok(done) => {
-                        self.apply_fenced();
-                        self.batch.record_completion(node, done);
-                        break;
-                    }
-                    Err(nack) => {
-                        self.apply_fenced();
-                        self.retry.nacks += 1;
-                        if let Some(after) = nack.retry_after {
-                            // Server-scheduled wait (admission control):
-                            // arrive exactly when told instead of
-                            // climbing the backoff ladder — a scheduled
-                            // slot is not a failure escalation, and the
-                            // token bucket guarantees the schedule makes
-                            // progress.
-                            self.retry.retries += 1;
-                            t = nack.at.max(after);
-                            continue;
-                        }
-                        if attempt >= self.cfg.retry.max_retries {
-                            self.retry.exhausted += 1;
-                            self.retry.exhausted_ops += b.ops.len() as u64;
-                            *self.exhausted_by_node.entry(node).or_insert(0) += 1;
-                            self.batch.record_completion(node, nack.at);
-                            return Err(FsError::new(Errno::EIO, "batch", b.shard.to_string())
-                                .with_end(nack.at));
-                        }
-                        self.retry.retries += 1;
-                        let seq = self.retry_seq;
-                        self.retry_seq += 1;
-                        let delay = self.cfg.retry.backoff(node, seq, attempt);
-                        self.retry.backoff += delay;
-                        t = nack.at + delay;
-                        attempt += 1;
-                        self.retry.max_backoff_depth = self.retry.max_backoff_depth.max(attempt);
-                    }
+            let done = match self.admit(node, b.shard, b.issue_at) {
+                Ok(t) => {
+                    self.mds
+                        .request(&self.cfg, &self.net, node, Shape::Batch(b.shard), &b.ops, t)
                 }
-            }
+                Err(nack) => {
+                    self.retry.exhausted_ops += b.ops.len() as u64;
+                    self.batch.record_completion(node, nack.at);
+                    return Err(
+                        FsError::new(Errno::EIO, "batch", b.shard.to_string()).with_end(nack.at)
+                    );
+                }
+            };
+            self.batch.record_completion(node, done);
         }
         Ok(())
     }
 
-    /// Waits (in virtual time) until `shard` accepts requests again,
-    /// retrying with deterministic exponential backoff. A no-op — and
-    /// allocation-free — without an armed fault plan. Each refusal
-    /// costs the refused round trip plus the jittered backoff delay;
-    /// exhausting the budget surfaces `EIO` with an honest end time.
-    fn await_shard(
-        &mut self,
-        node: NodeId,
-        shard: crate::mds_cluster::ShardId,
-        op: &'static str,
-        subject: &str,
-        t: simcore::time::SimTime,
-    ) -> Result<simcore::time::SimTime, FsError> {
-        if !self.mds.fault_active() {
-            return Ok(t);
-        }
+    /// The retry driver: waits (in virtual time) until `shard` admits a
+    /// request from `node` ([`MdsCluster::admit`]) and returns when the
+    /// admitted attempt is issued. Free without an armed fault plan.
+    /// Each refused or dropped attempt costs its refusal time plus a
+    /// deterministic, jittered exponential backoff; a refusal quoting a
+    /// retry-after is honoured exactly instead. Exhausting the budget
+    /// returns the last refusal, whose `at` is the honest failure time.
+    fn admit(&mut self, node: NodeId, shard: ShardId, t: SimTime) -> Result<SimTime, Nack> {
         let mut now = t;
         let mut attempt = 0u32;
         loop {
-            let verdict = self
-                .mds
-                .shard_available(&self.cfg, &self.net, node, shard, now);
+            let verdict = self.mds.admit(&self.cfg, &self.net, node, shard, now);
             self.apply_fenced();
             let nack = match verdict {
                 Ok(()) => return Ok(now),
@@ -613,10 +497,11 @@ impl<U: FileSystem> CofsFs<U> {
             };
             self.retry.nacks += 1;
             if let Some(after) = nack.retry_after {
-                // Server-scheduled wait: the refusal quoted when the
-                // shard (or the admission bucket) will actually take
-                // us, so arrive then — no ladder, no jitter, and no
-                // attempt escalation (progress is guaranteed).
+                // Server-scheduled wait (admission control, or a
+                // supervisor quoting the restart): arrive exactly when
+                // told instead of climbing the backoff ladder — a
+                // scheduled slot is not a failure escalation, and the
+                // schedule guarantees progress.
                 self.retry.retries += 1;
                 now = nack.at.max(after);
                 continue;
@@ -624,7 +509,7 @@ impl<U: FileSystem> CofsFs<U> {
             if attempt >= self.cfg.retry.max_retries {
                 self.retry.exhausted += 1;
                 *self.exhausted_by_node.entry(node).or_insert(0) += 1;
-                return Err(FsError::new(Errno::EIO, op, subject.to_string()).with_end(nack.at));
+                return Err(nack);
             }
             self.retry.retries += 1;
             let seq = self.retry_seq;
@@ -642,18 +527,19 @@ impl<U: FileSystem> CofsFs<U> {
     /// retry-exhausted `EIO` can never leave the namespace changed —
     /// an op either completes (possibly via retries) or fails without
     /// effect, never both.
-    fn fault_preflight(
+    fn gate(
         &mut self,
         node: NodeId,
         op: &'static str,
         path: &VPath,
-        t: simcore::time::SimTime,
-    ) -> Result<simcore::time::SimTime, FsError> {
+        t: SimTime,
+    ) -> Result<SimTime, FsError> {
         if !self.mds.fault_active() {
             return Ok(t);
         }
         let shard = self.mds.route(path);
-        self.await_shard(node, shard, op, path.as_str(), t)
+        self.admit(node, shard, t)
+            .map_err(|nack| FsError::new(Errno::EIO, op, path.as_str()).with_end(nack.at))
     }
 
     /// Drains lease-fence notices queued by crash processing into the
@@ -705,18 +591,7 @@ impl<U: FileSystem> CofsFs<U> {
             }
             crate::client_cache::Lookup::Miss => {}
         }
-        let shard = match kind {
-            EntryKind::Attr | EntryKind::Negative => {
-                self.observe_parent(path, t);
-                self.mds.route(path)
-            }
-            EntryKind::Dentry => {
-                self.observe_dir(path, t);
-                self.mds.route_entries(path)
-            }
-        };
-        let t = self.await_shard(ctx.node, shard, op, path.as_str(), t)?;
-        let done = self.rpc_at(ctx.node, shard, ops, t);
+        let done = self.charge(ctx.node, Target::Read { op, kind, path }, ops, t)?;
         if self.cache.enabled() {
             self.counters.bump("cache_misses");
             if let Some(evicted) = self.cache.insert(ctx.node, kind, path.clone(), done) {
@@ -883,14 +758,14 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     fn mkdir(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<()> {
         self.counters.bump("op_mkdir");
         let t = self.fuse(ctx);
-        let t = self.fault_preflight(ctx.node, "mkdir", path, t)?;
+        let t = self.gate(ctx.node, "mkdir", path, t)?;
         // Directories are pure metadata: one service transaction, no
         // underlying filesystem involvement whatsoever.
         let ops = self
             .mds
             .namespace_mut()
             .mkdir(Self::cred(ctx), path, mode, ctx.now)?;
-        let t = self.rpc_write(ctx.node, path, ops, t)?;
+        let t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
         let t = self.recall(ctx.node, Self::creation_keys(path), t);
         Ok(Timed::new((), t))
     }
@@ -898,12 +773,12 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     fn rmdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<()> {
         self.counters.bump("op_rmdir");
         let t = self.fuse(ctx);
-        let t = self.fault_preflight(ctx.node, "rmdir", path, t)?;
+        let t = self.gate(ctx.node, "rmdir", path, t)?;
         let ops = self
             .mds
             .namespace_mut()
             .rmdir(Self::cred(ctx), path, ctx.now)?;
-        let t = self.rpc_write(ctx.node, path, ops, t)?;
+        let t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
         let mut keys = vec![
             (EntryKind::Attr, path.clone()),
             (EntryKind::Dentry, path.clone()),
@@ -916,7 +791,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     fn create(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<FileHandle> {
         self.counters.bump("op_create");
         let t = self.fuse(ctx);
-        let t = self.fault_preflight(ctx.node, "create", path, t)?;
+        let t = self.gate(ctx.node, "create", path, t)?;
         // Placement decides where the bits will really live.
         let parent = path.parent().unwrap_or_else(VPath::root);
         let name = path
@@ -935,7 +810,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             mapping.clone(),
             ctx.now,
         )?;
-        let mut t = self.rpc_write(ctx.node, path, ops, t)?;
+        let mut t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
         // Other clients caching the parent's listing (or its attrs)
         // must give their leases back before the create is done, and
         // pollers holding a negative lease on the name learn it exists.
@@ -987,9 +862,9 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
                 self.counters.bump("under_opens");
                 under_fh = Some(under.value);
                 t = under.end;
-                t = self.fault_preflight(ctx.node, "open", path, t)?;
+                t = self.gate(ctx.node, "open", path, t)?;
                 let ops = self.mds.namespace_mut().set_size(rec.ino, 0, ctx.now);
-                t = self.rpc_write(ctx.node, path, ops, t)?;
+                t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
                 t = self.recall(ctx.node, vec![(EntryKind::Attr, path.clone())], t);
             } else {
                 // The daemon defers the underlying open until the
@@ -1030,9 +905,9 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
                 let dctx = Self::daemon_ctx(ctx, t);
                 let size = self.under.stat(&dctx, mapping)?.value.size;
                 t = t.max(dctx.now);
-                t = self.fault_preflight(ctx.node, "close", &h.vpath, t)?;
+                t = self.gate(ctx.node, "close", &h.vpath, t)?;
                 let ops = self.mds.namespace_mut().set_size(h.vino, size, ctx.now);
-                t = self.rpc_write(ctx.node, &h.vpath, ops, t)?;
+                t = self.charge(ctx.node, Target::Write(&h.vpath, None), ops, t)?;
                 t = self.recall(ctx.node, vec![(EntryKind::Attr, h.vpath.clone())], t);
             }
         }
@@ -1105,12 +980,12 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     fn setattr(&mut self, ctx: &OpCtx, path: &VPath, set: SetAttr) -> FsResult<FileAttr> {
         self.counters.bump("op_setattr");
         let t = self.fuse(ctx);
-        let t = self.fault_preflight(ctx.node, "setattr", path, t)?;
+        let t = self.gate(ctx.node, "setattr", path, t)?;
         let (rec, ops) = self
             .mds
             .namespace_mut()
             .setattr(Self::cred(ctx), path, set, ctx.now)?;
-        let t = self.rpc_write(ctx.node, path, ops, t)?;
+        let t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
         let t = self.recall(ctx.node, vec![(EntryKind::Attr, path.clone())], t);
         Ok(Timed::new(rec.attr(), t))
     }
@@ -1131,12 +1006,12 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     fn unlink(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<()> {
         self.counters.bump("op_unlink");
         let t = self.fuse(ctx);
-        let t = self.fault_preflight(ctx.node, "unlink", path, t)?;
+        let t = self.gate(ctx.node, "unlink", path, t)?;
         let (gone, ops) = self
             .mds
             .namespace_mut()
             .unlink(Self::cred(ctx), path, ctx.now)?;
-        let mut t = self.rpc_write(ctx.node, path, ops, t)?;
+        let mut t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
         let mut keys = vec![(EntryKind::Attr, path.clone())];
         keys.extend(Self::parent_keys(path));
         t = self.recall(ctx.node, keys, t);
@@ -1154,8 +1029,8 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         let t = self.fuse(ctx);
         // Both ends' shards must admit the rename before the namespace
         // changes (a cross-shard rename is a two-phase commit).
-        let t = self.fault_preflight(ctx.node, "rename", from, t)?;
-        let t = self.fault_preflight(ctx.node, "rename", to, t)?;
+        let t = self.gate(ctx.node, "rename", from, t)?;
+        let t = self.gate(ctx.node, "rename", to, t)?;
         // If the rename will replace the last link of a regular file,
         // remember its mapping for underlying cleanup.
         let doomed = match self.mds.namespace().getattr(Self::cred(ctx), to) {
@@ -1178,7 +1053,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         }
         // Source and destination may live on different shards; the
         // cluster then charges an explicit two-phase commit.
-        let mut t = self.rpc_pair(ctx.node, from, to, ops, t)?;
+        let mut t = self.charge(ctx.node, Target::Write(from, Some(to)), ops, t)?;
         // The whole moved subtree changes identity, so every lease on
         // or below either name must come back, plus both parents'
         // listing/attr leases — on top of the two-phase commit when
@@ -1201,8 +1076,8 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     fn link(&mut self, ctx: &OpCtx, existing: &VPath, new: &VPath) -> FsResult<()> {
         self.counters.bump("op_link");
         let t = self.fuse(ctx);
-        let t = self.fault_preflight(ctx.node, "link", existing, t)?;
-        let t = self.fault_preflight(ctx.node, "link", new, t)?;
+        let t = self.gate(ctx.node, "link", existing, t)?;
+        let t = self.gate(ctx.node, "link", new, t)?;
         // Hard links are pure metadata in COFS — the underlying file
         // is untouched no matter which virtual directories share it.
         // The inode record and the new name may live on different
@@ -1211,7 +1086,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             .mds
             .namespace_mut()
             .link(Self::cred(ctx), existing, new, ctx.now)?;
-        let t = self.rpc_pair(ctx.node, existing, new, ops, t)?;
+        let t = self.charge(ctx.node, Target::Write(existing, Some(new)), ops, t)?;
         // The linked inode's nlink changed, the new parent gained an
         // entry, and the new name stopped being absent.
         let mut keys = vec![(EntryKind::Attr, existing.clone())];
@@ -1223,12 +1098,12 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     fn symlink(&mut self, ctx: &OpCtx, target: &str, new: &VPath) -> FsResult<()> {
         self.counters.bump("op_symlink");
         let t = self.fuse(ctx);
-        let t = self.fault_preflight(ctx.node, "symlink", new, t)?;
+        let t = self.gate(ctx.node, "symlink", new, t)?;
         let ops = self
             .mds
             .namespace_mut()
             .symlink(Self::cred(ctx), target, new, ctx.now)?;
-        let t = self.rpc_write(ctx.node, new, ops, t)?;
+        let t = self.charge(ctx.node, Target::Write(new, None), ops, t)?;
         let t = self.recall(ctx.node, Self::creation_keys(new), t);
         Ok(Timed::new((), t))
     }
@@ -1237,7 +1112,12 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         self.counters.bump("op_readlink");
         let t = self.fuse(ctx);
         let (target, ops) = self.mds.namespace().readlink(Self::cred(ctx), path)?;
-        let t = self.rpc(ctx.node, "readlink", path, ops, t)?;
+        let read = Target::Read {
+            op: "readlink",
+            kind: EntryKind::Attr,
+            path,
+        };
+        let t = self.charge(ctx.node, read, ops, t)?;
         Ok(Timed::new(target, t))
     }
 
@@ -1253,16 +1133,16 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         };
         // Directory count comes from the virtual namespace (charged
         // against the root's shard).
-        let t = self.rpc(
-            ctx.node,
-            "statfs",
-            &VPath::root(),
-            DbOps {
-                reads: 2,
-                writes: 0,
-            },
-            under.end,
-        )?;
+        let read = Target::Read {
+            op: "statfs",
+            kind: EntryKind::Attr,
+            path: &VPath::root(),
+        };
+        let ops = DbOps {
+            reads: 2,
+            writes: 0,
+        };
+        let t = self.charge(ctx.node, read, ops, under.end)?;
         Ok(Timed::new(stats, t))
     }
 }

@@ -73,8 +73,6 @@ pub mod prelude {
     pub use crate::fault::{FaultPlan, FaultStats, FaultSummary, RetryConfig, RetryStats};
     pub use crate::fs::CofsFs;
     pub use crate::mds::Mds;
-    pub use crate::mds_cluster::{
-        HashByParent, MdsCluster, ShardId, ShardPolicy, ShardUsage, SingleShard, SubtreePartition,
-    };
+    pub use crate::mds_cluster::{MdsCluster, Shape, ShardId, ShardPolicy, ShardUsage};
     pub use crate::placement::{HashedPlacement, PassthroughPlacement, PlacementPolicy};
 }

@@ -125,7 +125,7 @@ pub type RowKey = u64;
 /// which every other operation resolving through the same directories
 /// re-reads. A batch of creates into one directory resolves the same
 /// parent chain k times; carrying these keys lets the shard charge each
-/// distinct row once per batch ([`crate::mds_cluster::MdsCluster::rpc_batch`]).
+/// distinct row once per batch ([`crate::mds_cluster::MdsCluster::request`]).
 ///
 /// Keys identify rows for *pricing*, not for semantics: the unified
 /// namespace is still consulted synchronously for every operation.

@@ -6,7 +6,12 @@
 //! service can be split into independent shards. [`MdsCluster`] models
 //! exactly that: N shards, each with its own CPU queue, its own
 //! database cost state, and its own host (and therefore RTT), behind a
-//! pluggable [`ShardPolicy`] that partitions the namespace.
+//! [`ShardPolicy`] that partitions the namespace.
+//!
+//! Every request reaches the shards the same way: the client passes the
+//! fault gate ([`MdsCluster::admit`]), then the request is priced in
+//! one of three [`Shape`]s — synchronous, batch, or two-phase — by
+//! [`MdsCluster::request`].
 //!
 //! Semantics vs. cost: the *logical* namespace (the [`Mds`] tables) is
 //! kept unified so that every operation sequence produces bit-for-bit
@@ -23,6 +28,7 @@
 use crate::batch::{coalesce_writes, BatchedOp};
 use crate::client_cache::{EntryKind, LeaseKey};
 use crate::config::{CofsConfig, MdsNetwork, WriteBehindConfig};
+use crate::elastic::ElasticPolicy;
 use crate::fault::{FaultPlan, FaultStats, MessageDrop, Nack, ShardCrash, ShardPartition};
 use crate::mds::{DbOps, Mds, RowKey};
 use metadb::cost::DbCostTracker;
@@ -43,181 +49,150 @@ impl std::fmt::Display for ShardId {
 
 /// Partitions the virtual namespace across metadata shards.
 ///
-/// Implementations must be pure functions of the path *given the
-/// policy's current routing state*: the same path always routes to the
-/// same shard until the policy itself is reconfigured, and the static
-/// policies never reconfigure at all. [`crate::elastic::ElasticPolicy`]
-/// reconfigures only at deterministic virtual-time window boundaries
-/// (via [`MdsCluster::observe_elastic`]), so experiment runs stay
-/// exactly reproducible and a dentry has a single home at any instant.
-pub trait ShardPolicy: std::fmt::Debug {
-    /// Number of shards this policy routes across.
-    fn shard_count(&self) -> usize;
-
-    /// The shard owning the metadata for `path` (its directory entry
-    /// and inode record).
-    fn shard_of(&self, path: &VPath) -> ShardId;
-
-    /// The shard charged for scanning the *entry list* of directory
-    /// `dir`, so `readdir` lands where the children live. Where the
-    /// partitioning allows, keep this consistent with
-    /// [`Self::shard_of`]: `shard_of(p) == shard_of_entries(parent(p))`
-    /// (subtree partitioning necessarily splits the root's entries).
-    fn shard_of_entries(&self, dir: &VPath) -> ShardId;
-
-    /// A short label for reports and ablation tables.
-    fn label(&self) -> &'static str;
-
-    /// Downcast to the load-adaptive policy, if that is what this is.
-    /// The default (`None`) lets the cluster's observation hooks bail
-    /// in one branch for every static policy, keeping their paths
-    /// bit-for-bit untouched.
-    fn as_elastic(&self) -> Option<&crate::elastic::ElasticPolicy> {
-        None
-    }
-
-    /// Mutable counterpart of [`Self::as_elastic`].
-    fn as_elastic_mut(&mut self) -> Option<&mut crate::elastic::ElasticPolicy> {
-        None
-    }
-}
-
-/// Routes everything to shard 0 — bit-for-bit the single-MDS
-/// behavior the paper measured.
+/// Routing is a pure function of the path *given the policy's current
+/// routing state*: the same path always routes to the same shard until
+/// the policy itself is reconfigured, and the static policies never
+/// reconfigure at all. [`ShardPolicy::Elastic`] reconfigures only at
+/// deterministic virtual-time window boundaries (via
+/// [`MdsCluster::observe_elastic`]), so experiment runs stay exactly
+/// reproducible and a dentry has a single home at any instant.
 ///
 /// # Examples
 ///
 /// ```
-/// use cofs::mds_cluster::{ShardId, ShardPolicy, SingleShard};
+/// use cofs::mds_cluster::{ShardId, ShardPolicy};
 /// use vfs::path::vpath;
 ///
-/// let p = SingleShard;
+/// // One hashed shard is the paper's centralized service.
+/// let p = ShardPolicy::hash(1);
 /// assert_eq!(p.shard_count(), 1);
 /// assert_eq!(p.shard_of(&vpath("/any/where")), ShardId(0));
+/// assert_eq!(p.label(), "single");
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SingleShard;
-
-impl ShardPolicy for SingleShard {
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn shard_of(&self, _path: &VPath) -> ShardId {
-        ShardId(0)
-    }
-
-    fn shard_of_entries(&self, _dir: &VPath) -> ShardId {
-        ShardId(0)
-    }
-
-    fn label(&self) -> &'static str {
-        "single"
-    }
+#[derive(Debug)]
+pub enum ShardPolicy {
+    /// Hashes the *parent directory* of each path to a shard, so all
+    /// entries of one directory live together and directory-local
+    /// operations never cross shards. At one shard this is the paper's
+    /// centralized service.
+    ///
+    /// ```
+    /// use cofs::mds_cluster::ShardPolicy;
+    /// use vfs::path::vpath;
+    ///
+    /// let p = ShardPolicy::hash(4);
+    /// // Siblings share a shard…
+    /// assert_eq!(p.shard_of(&vpath("/d/a")), p.shard_of(&vpath("/d/b")));
+    /// ```
+    Hash {
+        /// Shards routed across (at least one).
+        shards: usize,
+    },
+    /// Subtree (prefix) partitioning: the first path component assigns
+    /// the *entire* subtree below it to one shard; root-level metadata
+    /// lives on shard 0. Deep operations then never cross shards, at the
+    /// price of whole-subtree hotspots.
+    ///
+    /// ```
+    /// use cofs::mds_cluster::ShardPolicy;
+    /// use vfs::path::vpath;
+    ///
+    /// let p = ShardPolicy::subtree(4);
+    /// // Everything under one top-level directory shares a shard.
+    /// assert_eq!(p.shard_of(&vpath("/proj/a/b")), p.shard_of(&vpath("/proj/z")));
+    /// ```
+    Subtree {
+        /// Shards routed across (at least one).
+        shards: usize,
+    },
+    /// Load-adaptive splitting and merging of hot directories (see
+    /// [`crate::elastic`]).
+    Elastic(ElasticPolicy),
 }
 
-/// Hashes the *parent directory* of each path to a shard, so all
-/// entries of one directory live together and directory-local
-/// operations never cross shards.
-///
-/// # Examples
-///
-/// ```
-/// use cofs::mds_cluster::{HashByParent, ShardPolicy};
-/// use vfs::path::vpath;
-///
-/// let p = HashByParent::new(4);
-/// // Siblings share a shard…
-/// assert_eq!(p.shard_of(&vpath("/d/a")), p.shard_of(&vpath("/d/b")));
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct HashByParent {
-    shards: usize,
-}
-
-impl HashByParent {
-    /// Creates the policy for `shards` shards.
+impl ShardPolicy {
+    /// Hash-by-parent routing across `shards` shards.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
-    pub fn new(shards: usize) -> Self {
+    pub fn hash(shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
-        HashByParent { shards }
-    }
-}
-
-impl ShardPolicy for HashByParent {
-    fn shard_count(&self) -> usize {
-        self.shards
+        ShardPolicy::Hash { shards }
     }
 
-    fn shard_of(&self, path: &VPath) -> ShardId {
-        self.shard_of_entries(&path.parent().unwrap_or_else(VPath::root))
-    }
-
-    fn shard_of_entries(&self, dir: &VPath) -> ShardId {
-        ShardId((stable_hash(dir.as_str().as_bytes()) % self.shards as u64) as usize)
-    }
-
-    fn label(&self) -> &'static str {
-        "hash-parent"
-    }
-}
-
-/// Subtree (prefix) partitioning: the first path component assigns the
-/// *entire* subtree below it to one shard; root-level metadata lives on
-/// shard 0. Deep operations then never cross shards, at the price of
-/// whole-subtree hotspots.
-///
-/// # Examples
-///
-/// ```
-/// use cofs::mds_cluster::{ShardPolicy, SubtreePartition};
-/// use vfs::path::vpath;
-///
-/// let p = SubtreePartition::new(4);
-/// // Everything under one top-level directory shares a shard.
-/// assert_eq!(p.shard_of(&vpath("/proj/a/b")), p.shard_of(&vpath("/proj/z")));
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct SubtreePartition {
-    shards: usize,
-}
-
-impl SubtreePartition {
-    /// Creates the policy for `shards` shards.
+    /// Subtree routing across `shards` shards.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
-    pub fn new(shards: usize) -> Self {
+    pub fn subtree(shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
-        SubtreePartition { shards }
-    }
-}
-
-impl ShardPolicy for SubtreePartition {
-    fn shard_count(&self) -> usize {
-        self.shards
+        ShardPolicy::Subtree { shards }
     }
 
-    fn shard_of(&self, path: &VPath) -> ShardId {
-        match path.components().next() {
-            None => ShardId(0),
-            Some(first) => ShardId((stable_hash(first.as_bytes()) % self.shards as u64) as usize),
+    /// Number of shards this policy routes across.
+    pub fn shard_count(&self) -> usize {
+        match self {
+            ShardPolicy::Hash { shards } | ShardPolicy::Subtree { shards } => *shards,
+            ShardPolicy::Elastic(p) => p.shard_count(),
         }
     }
 
-    fn shard_of_entries(&self, dir: &VPath) -> ShardId {
-        // A subtree is wholly owned, entry lists included; the root's
-        // entries stay on shard 0 with the root itself.
-        self.shard_of(dir)
+    /// The shard owning the metadata for `path` (its directory entry
+    /// and inode record).
+    pub fn shard_of(&self, path: &VPath) -> ShardId {
+        match self {
+            ShardPolicy::Hash { shards } => {
+                hash_shard(&path.parent().unwrap_or_else(VPath::root), *shards)
+            }
+            ShardPolicy::Subtree { shards } => match path.components().next() {
+                None => ShardId(0),
+                Some(first) => ShardId((stable_hash(first.as_bytes()) % *shards as u64) as usize),
+            },
+            ShardPolicy::Elastic(p) => p.shard_of(path),
+        }
     }
 
-    fn label(&self) -> &'static str {
-        "subtree"
+    /// The shard charged for scanning the *entry list* of directory
+    /// `dir`, so `readdir` lands where the children live. Consistent
+    /// with [`Self::shard_of`] (`shard_of(p) == shard_of_entries(parent(p))`)
+    /// except where the partitioning forbids it: subtree routing splits
+    /// the root's entries, and a split elastic directory spreads its
+    /// children while its entry count stays home.
+    pub fn shard_of_entries(&self, dir: &VPath) -> ShardId {
+        match self {
+            ShardPolicy::Hash { shards } => hash_shard(dir, *shards),
+            // A subtree is wholly owned, entry lists included; the
+            // root's entries stay on shard 0 with the root itself.
+            ShardPolicy::Subtree { .. } => self.shard_of(dir),
+            ShardPolicy::Elastic(p) => p.shard_of_entries(dir),
+        }
     }
+
+    /// A short label for reports and ablation tables.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ShardPolicy::Hash { shards: 1 } => "single",
+            ShardPolicy::Hash { .. } => "hash-parent",
+            ShardPolicy::Subtree { .. } => "subtree",
+            ShardPolicy::Elastic(_) => "elastic",
+        }
+    }
+
+    /// The load-adaptive policy's state, if that is what this is.
+    pub fn as_elastic(&self) -> Option<&ElasticPolicy> {
+        match self {
+            ShardPolicy::Elastic(p) => Some(p),
+            _ => None,
+        }
+    }
+}
+
+/// The hash-by-parent placement of directory `dir`'s entries — also the
+/// home shard of an unsplit elastic directory.
+pub(crate) fn hash_shard(dir: &VPath, shards: usize) -> ShardId {
+    ShardId((stable_hash(dir.as_str().as_bytes()) % shards as u64) as usize)
 }
 
 /// Per-shard load observed since the last reset (for scenario reports
@@ -239,8 +214,8 @@ pub struct ShardUsage {
     /// traffic of the client-side metadata cache; zero with the cache
     /// off).
     pub recalls: u64,
-    /// Batch RPCs served ([`MdsCluster::rpc_batch`]; each covers one
-    /// or more of the `rpcs` logical operations and group-commits their
+    /// Batch requests served ([`Shape::Batch`]; each covers one or
+    /// more of the `rpcs` logical operations and group-commits their
     /// writes). Zero with batching off.
     pub batches: u64,
     /// Row reads actually charged against the shard's database
@@ -276,8 +251,8 @@ pub struct ShardUsage {
 }
 
 /// One acked-but-unapplied batch in a shard's write-behind journal:
-/// the durability-window bookkeeping [`MdsCluster::rpc_batch`] keeps
-/// per shard. Ordered by ack time by construction (acks come off one
+/// the durability-window bookkeeping a write-behind [`Shape::Batch`]
+/// request keeps per shard. Ordered by ack time by construction (acks come off one
 /// CPU queue).
 #[derive(Debug, Clone)]
 struct UnappliedEntry {
@@ -336,8 +311,8 @@ struct FaultWindow {
 }
 
 /// Armed fault script: events fire in `(at, shard)` order as virtual
-/// time passes them (processing piggybacks on request entry points,
-/// like the periodic lease sweep).
+/// time passes them (processing piggybacks on the fault gate,
+/// [`MdsCluster::admit`], like the periodic lease sweep on requests).
 #[derive(Debug)]
 struct FaultState {
     crashes: Vec<ShardCrash>,
@@ -466,48 +441,195 @@ impl Shard {
         t
     }
 
-    /// Service demand of one request on this shard, advancing the
-    /// shard's commit log for the write portion.
-    fn service(&mut self, cfg: &CofsConfig, ops: DbOps) -> SimDuration {
-        let mut service = cfg.mds_service + self.tracker.query_cost_dedup(&cfg.db, ops.reads, 0);
-        if ops.writes > 0 {
-            service += self.tracker.txn_cost(&cfg.db, ops.writes);
+    /// Serves `ops` as one request arriving at `arrive` and returns when
+    /// the shard replies. The per-request CPU overhead is paid once,
+    /// each operation's row reads are charged individually, and every
+    /// operation's writes fold into one group commit
+    /// ([`DbCostTracker::group_txn_cost`]) — `txn_cost(writes = k)`
+    /// instead of `k` single-write transactions. A one-op request is
+    /// therefore exactly one transaction.
+    ///
+    /// With [`crate::batch::BatchConfig::memoize_reads`] on, reads are
+    /// priced by the request's *deduplicated* read set: each distinct
+    /// row key in the ops' [`crate::mds::ReadSet`]s is charged once
+    /// ([`DbCostTracker::query_cost_dedup`]) — a batch of creates into
+    /// one directory resolves the shared parent chain once instead of k
+    /// times. Keyless reads (op-private probes) are always charged, and
+    /// a one-op read set memoizes nothing (its keys are distinct by
+    /// construction).
+    ///
+    /// The shape decides the rest. Only a [`Shape::Batch`] counts in
+    /// `batches` and can take the write-behind ack
+    /// ([`Self::write_behind`]). A [`Shape::Sync`] pure read (`writes ==
+    /// 0`) with [`CofsConfig::read_priority`] on takes the CPU's
+    /// priority lane: it bypasses queued — but never in-service — work,
+    /// so a `stat` no longer waits out batch lumps ahead of it.
+    fn serve(
+        &mut self,
+        cfg: &CofsConfig,
+        shape: Shape,
+        ops: &[BatchedOp],
+        arrive: SimTime,
+        ship_to_standby: bool,
+    ) -> SimTime {
+        self.rpcs += ops.len() as u64;
+        let total_writes: u64 = ops.iter().map(|o| o.db.writes).sum();
+        let memoize = cfg.batch.memoize_reads;
+        let mut seen: HashSet<RowKey> = HashSet::new();
+        let mut service = cfg.mds_service;
+        for o in ops {
+            let memoized = if memoize {
+                o.read_set
+                    .keys()
+                    .iter()
+                    .filter(|&&k| !seen.insert(k))
+                    .count() as u64
+            } else {
+                0
+            };
+            service += self.tracker.query_cost_dedup(&cfg.db, o.db.reads, memoized);
         }
-        service
+        if let Shape::Batch(_) = shape {
+            self.batches += 1;
+            if cfg.write_behind.enabled && total_writes > 0 {
+                return self.write_behind(cfg, ops, arrive, service, total_writes, ship_to_standby);
+            }
+        }
+        let writes: Vec<u64> = ops.iter().map(|o| o.db.writes).filter(|&w| w > 0).collect();
+        if !writes.is_empty() {
+            service += self.tracker.group_txn_cost(&cfg.db, &writes);
+        }
+        if matches!(shape, Shape::Sync(_)) && cfg.read_priority && total_writes == 0 {
+            self.cpu.acquire_priority(arrive, service).end
+        } else {
+            self.cpu.acquire(arrive, service).end
+        }
     }
+
+    /// The write-behind ack path of a mutation batch whose reads cost
+    /// `service`: the batch is *acked at journal append* — its ack-path
+    /// service swaps the group commit for one sequential journal append
+    /// ([`DbCostTracker::journal_append_cost`]) — and its rows apply
+    /// right after the ack as deferred shard-CPU work: one group commit
+    /// over the batch's *coalesced* write set
+    /// ([`crate::batch::coalesce_writes`]: same-parent sibling rows fold
+    /// into one application per batch). Deferred applies still consume
+    /// shard CPU (later batches queue behind them), but no batch waits
+    /// for its own rows. Admission is bounded by the durability window
+    /// ([`Self::durability_clamp`]), exactly like `pipeline_depth` slot
+    /// backpressure. Read-your-writes stays exact for free: outcomes
+    /// always come from the unified namespace, so a read hitting a
+    /// not-yet-applied row is served from the journal at unchanged cost.
+    fn write_behind(
+        &mut self,
+        cfg: &CofsConfig,
+        ops: &[BatchedOp],
+        arrive: SimTime,
+        service: SimDuration,
+        total_writes: u64,
+        ship_to_standby: bool,
+    ) -> SimTime {
+        let arrive = self.durability_clamp(&cfg.write_behind, arrive, ops.len() as u64);
+        let service = service + self.tracker.journal_append_cost(&cfg.db, total_writes);
+        let acked = self.cpu.acquire(arrive, service).end;
+        let cw = coalesce_writes(ops);
+        self.rows_coalesced += cw.rows_coalesced;
+        let applied: Vec<u64> = cw.writes_per_op.into_iter().filter(|&w| w > 0).collect();
+        let apply_done = if applied.is_empty() {
+            acked
+        } else {
+            let apply_service = self.tracker.group_txn_cost(&cfg.db, &applied);
+            self.cpu.acquire(acked, apply_service).end
+        };
+        self.apply_lag = self.apply_lag.max(apply_done - acked);
+        let rows: u64 = applied.iter().sum();
+        self.unapplied.push(UnappliedEntry {
+            acked,
+            apply_done,
+            ops: ops.len() as u64,
+            rows,
+        });
+        if ship_to_standby {
+            // The append crosses the inter-shard link and is re-appended
+            // on the standby — entirely off the ack path, so the
+            // client-visible ack above is untouched. What the entry buys
+            // is the replication-lag bound: a crash before `ship_done`
+            // must replay this batch onto the promoted standby.
+            let ship_done =
+                acked + cfg.cross_shard_rtt / 2 + cfg.db.standby_append_cost(total_writes);
+            self.ship_tail.push(ShipEntry {
+                acked,
+                ship_done,
+                ops: ops.len() as u64,
+                rows,
+            });
+        }
+        acked
+    }
+
+    /// Phase 1 of two-phase request `shape` on this participant: the
+    /// prepare is served as a one-op request carrying this shard's half
+    /// of the row work.
+    fn prepare(&mut self, cfg: &CofsConfig, shape: Shape, db: DbOps, arrive: SimTime) -> SimTime {
+        self.two_phase += 1;
+        self.serve(cfg, shape, &[BatchedOp::opaque(db)], arrive, false)
+    }
+}
+
+/// The shape of one metadata request on the wire, which decides how
+/// [`MdsCluster::request`] prices it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// One synchronous operation on one shard.
+    Sync(ShardId),
+    /// A client daemon's batch of same-shard operations in one round
+    /// trip (group commit; write-behind when enabled).
+    Batch(ShardId),
+    /// One cross-shard operation committed with two-phase agreement;
+    /// the first shard coordinates.
+    TwoPhase(ShardId, ShardId),
 }
 
 /// N independent metadata shards behind a routing policy.
 ///
+/// Every request takes the same two calls. [`Self::admit`] is the fault
+/// gate: the client learns whether the shard would take a request now.
+/// [`Self::request`] prices the request in one of three [`Shape`]s. A
+/// synchronous mutation passes the gate *before* it changes the
+/// namespace and is priced after, so a refused op never leaves a trace.
+///
 /// # Examples
 ///
 /// ```
+/// use cofs::batch::BatchedOp;
 /// use cofs::config::{CofsConfig, MdsNetwork};
 /// use cofs::mds::DbOps;
-/// use cofs::mds_cluster::{HashByParent, MdsCluster};
+/// use cofs::mds_cluster::{MdsCluster, Shape, ShardPolicy};
 /// use netsim::ids::NodeId;
 /// use simcore::time::{SimDuration, SimTime};
 /// use vfs::path::vpath;
 ///
-/// let mut cluster = MdsCluster::new(Box::new(HashByParent::new(4)));
+/// let mut cluster = MdsCluster::new(ShardPolicy::hash(4));
 /// let cfg = CofsConfig::default();
 /// let net = MdsNetwork::uniform(SimDuration::from_micros(250));
 /// let shard = cluster.route(&vpath("/d/f"));
-/// let done = cluster.rpc(
+/// cluster.admit(&cfg, &net, NodeId(0), shard, SimTime::ZERO)?;
+/// let done = cluster.request(
 ///     &cfg,
 ///     &net,
 ///     NodeId(0),
-///     shard,
-///     DbOps { reads: 3, writes: 2 },
+///     Shape::Sync(shard),
+///     &[BatchedOp::opaque(DbOps { reads: 3, writes: 2 })],
 ///     SimTime::ZERO,
 /// );
 /// assert!(done > SimTime::ZERO);
+/// # Ok::<(), cofs::fault::Nack>(())
 /// ```
 #[derive(Debug)]
 pub struct MdsCluster {
     namespace: Mds,
     shards: Vec<Shard>,
-    policy: Box<dyn ShardPolicy>,
+    policy: ShardPolicy,
     sessions: BTreeSet<(NodeId, usize)>,
     /// Outstanding client-cache leases: which nodes may answer which
     /// `(kind, path)` reads locally, and until when. The shard owning
@@ -522,8 +644,8 @@ pub struct MdsCluster {
     /// Expired lease holders pruned by sweeps since the last
     /// [`Self::reset_time`].
     leases_swept: u64,
-    /// Armed fault script, if any. `None` (the empty-plan case) keeps
-    /// every fault-aware entry point on the calibrated path.
+    /// Armed fault script, if any. `None` (the empty-plan case) makes
+    /// the fault gate a no-op, keeping the calibrated path.
     faults: Option<FaultState>,
     /// `(holder, key)` pairs fenced by crashes and not yet drained by
     /// the client side ([`Self::take_fenced_cache_keys`]).
@@ -540,7 +662,7 @@ pub struct MdsCluster {
 impl MdsCluster {
     /// Creates a cluster with `policy.shard_count()` empty shards over
     /// a fresh (root-only) namespace.
-    pub fn new(policy: Box<dyn ShardPolicy>) -> Self {
+    pub fn new(policy: ShardPolicy) -> Self {
         let shards = (0..policy.shard_count()).map(Shard::new).collect();
         MdsCluster {
             namespace: Mds::new(),
@@ -566,8 +688,7 @@ impl MdsCluster {
     }
 
     /// Mutable access to the logical namespace — callers perform the
-    /// operation here, then charge its [`DbOps`] via [`Self::rpc`] or
-    /// [`Self::rpc_cross`].
+    /// operation here, then charge its [`DbOps`] via [`Self::request`].
     pub fn namespace_mut(&mut self) -> &mut Mds {
         &mut self.namespace
     }
@@ -578,247 +699,101 @@ impl MdsCluster {
     }
 
     /// The routing policy in use.
-    pub fn policy(&self) -> &dyn ShardPolicy {
-        self.policy.as_ref()
+    pub fn policy(&self) -> &ShardPolicy {
+        &self.policy
     }
 
     /// The shard owning `path` under the cluster's policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy routes outside its declared shard count.
     pub fn route(&self, path: &VPath) -> ShardId {
-        let s = self.policy.shard_of(path);
-        assert!(s.0 < self.shards.len(), "policy routed {path} to {s}");
-        s
+        self.policy.shard_of(path)
     }
 
     /// The shard charged for listing directory `dir`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy routes outside its declared shard count.
     pub fn route_entries(&self, dir: &VPath) -> ShardId {
-        let s = self.policy.shard_of_entries(dir);
-        assert!(s.0 < self.shards.len(), "policy routed {dir} to {s}");
-        s
+        self.policy.shard_of_entries(dir)
     }
 
-    /// Charges one single-shard metadata RPC: session establishment on
-    /// first contact, network round trip to the shard's host, and
-    /// queueing at the shard's CPU for the database work performed.
-    /// Returns when the response reaches the client.
+    /// Prices one metadata request from `node` issued at `t` and returns
+    /// when the response reaches the client. Every shape shares one
+    /// prologue: session establishment on first contact with each shard
+    /// involved, the periodic lease sweep, and the trip to the
+    /// (coordinating) shard. [`Shape::Sync`] and [`Shape::Batch`] are
+    /// then served by one service loop, so a one-op batch and a
+    /// synchronous mutation cost the same: the per-request overhead
+    /// once, each op's row reads (deduplicated across the batch when
+    /// memoizing), and every op's writes folded into one group commit —
+    /// or, for a write-behind batch, one journal append on the ack path.
     ///
-    /// With [`CofsConfig::read_priority`] on, pure reads (`writes ==
-    /// 0`) take the shard CPU's priority lane: they bypass queued —
-    /// but never in-service — work, so a synchronous `stat` no longer
-    /// waits out multi-op batch lumps ahead of it in the queue. Off by
-    /// default; with it off every request takes the FIFO lane, bit for
-    /// bit the calibrated discipline.
-    pub fn rpc(
-        &mut self,
-        cfg: &CofsConfig,
-        net: &MdsNetwork,
-        node: NodeId,
-        shard: ShardId,
-        ops: DbOps,
-        t: SimTime,
-    ) -> SimTime {
-        let (arrive, rtt) = self.request_prologue(cfg, net, node, shard, t);
-        let s = &mut self.shards[shard.0];
-        s.rpcs += 1;
-        let service = s.service(cfg, ops);
-        let done = if cfg.read_priority && ops.writes == 0 {
-            s.cpu.acquire_priority(arrive, service).end
-        } else {
-            s.cpu.acquire(arrive, service).end
-        };
-        done + rtt / 2
-    }
-
-    /// The shared front half of every single-shard request: session
-    /// establishment on first contact, the periodic lease sweep, and
-    /// the request's travel to the shard. Returns the arrival time at
-    /// the shard and the round trip it will pay coming back, so
-    /// [`Self::rpc`] and [`Self::rpc_batch`] can only ever differ in
-    /// how they price the *service*.
-    fn request_prologue(
-        &mut self,
-        cfg: &CofsConfig,
-        net: &MdsNetwork,
-        node: NodeId,
-        shard: ShardId,
-        t: SimTime,
-    ) -> (SimTime, SimDuration) {
-        let mut t = t;
-        if self.sessions.insert((node, shard.0)) {
-            t += cfg.session_cost;
-        }
-        self.maybe_sweep_leases(cfg, t);
-        let rtt = net.shard_rtt(node, shard);
-        (t + rtt / 2, rtt)
-    }
-
-    /// Charges one *batch* RPC: `ops` same-shard operations coalesced
-    /// by the client's daemon into a single round trip. The per-request
-    /// CPU overhead is paid once for the whole batch, each operation's
-    /// row reads are charged individually, and every operation's writes
-    /// are folded into one group-commit transaction
-    /// ([`DbCostTracker::group_txn_cost`]) — `txn_cost(writes = k)`
-    /// instead of `k` single-write transactions. A batch of one is
-    /// bit-for-bit [`Self::rpc`].
+    /// A [`Shape::TwoPhase`] request spans shards `(a, b)` with `a` as
+    /// coordinator: both shards prepare their half of the row work in
+    /// parallel, `b`'s vote crosses the inter-shard link, then both
+    /// commit and the coordinator replies. Atomicity of the *outcome*
+    /// is inherited from the unified namespace; what this models is the
+    /// price of distributed agreement.
     ///
-    /// With [`crate::batch::BatchConfig::memoize_reads`] on, the batch
-    /// is priced by its *deduplicated* read set: each distinct row key
-    /// in the ops' [`crate::mds::ReadSet`]s is charged once per batch
-    /// ([`DbCostTracker::query_cost_dedup`]) — a batch of creates into
-    /// one directory resolves the shared parent chain once instead of
-    /// k times. Keyless reads (op-private probes) are always charged.
-    /// Off by default, and a batch of one memoizes nothing (its keys
-    /// are distinct by construction), so the calibrated pricing is
-    /// reproduced bit-for-bit in both pinned regimes.
-    ///
-    /// With [`CofsConfig::write_behind`] enabled, a batch carrying
-    /// writes is *acked at journal append*: its ack-path service swaps
-    /// the group commit for one sequential journal append
-    /// ([`DbCostTracker::journal_append_cost`]), and the rows are
-    /// applied immediately after the ack as deferred shard-CPU work —
-    /// one group commit over the batch's *coalesced* write set
-    /// ([`crate::batch::coalesce_writes`]: same-parent sibling rows
-    /// fold into one application per batch). Deferred applies still
-    /// consume shard CPU (later batches queue behind them), but no
-    /// batch waits for its own rows. Admission is bounded by the
-    /// durability window — a batch that would push acked-but-unapplied
-    /// work past [`WriteBehindConfig::max_unapplied_ops`] or age the
-    /// oldest unapplied batch past
-    /// [`WriteBehindConfig::max_unapplied_window`] waits for older
-    /// applies, exactly like `pipeline_depth` slot backpressure.
-    /// Read-your-writes stays exact for free: outcomes always come from
-    /// the unified namespace, so a read hitting a not-yet-applied row
-    /// is served from the journal at unchanged cost. Off by default,
-    /// and the off path is textually the calibrated path — bit-for-bit
-    /// pinned.
+    /// The request does not consult the fault script: gate it with
+    /// [`Self::admit`] first.
     ///
     /// # Panics
     ///
-    /// Panics if `ops` is empty.
-    pub fn rpc_batch(
+    /// Panics if `ops` is empty, if a sync or two-phase request carries
+    /// more than one op, or if a two-phase request names one shard
+    /// twice.
+    pub fn request(
         &mut self,
         cfg: &CofsConfig,
         net: &MdsNetwork,
         node: NodeId,
-        shard: ShardId,
+        shape: Shape,
         ops: &[BatchedOp],
         t: SimTime,
     ) -> SimTime {
-        assert!(!ops.is_empty(), "a batch RPC carries at least one op");
-        let (arrive, rtt) = self.request_prologue(cfg, net, node, shard, t);
-        // Ship bookkeeping only matters when a crash could consult it;
-        // gating on an armed plan keeps fault-free runs allocation-flat.
-        let ship_to_standby = cfg.standby.enabled && self.faults.is_some();
-        let s = &mut self.shards[shard.0];
-        s.rpcs += ops.len() as u64;
-        s.batches += 1;
-        let total_writes: u64 = ops.iter().map(|o| o.db.writes).sum();
-        let write_behind = cfg.write_behind.enabled && total_writes > 0;
-        let arrive = if write_behind {
-            s.durability_clamp(&cfg.write_behind, arrive, ops.len() as u64)
-        } else {
-            arrive
-        };
-        let memoize = cfg.batch.memoize_reads;
-        let mut seen: HashSet<RowKey> = HashSet::new();
-        let mut service = cfg.mds_service;
-        for o in ops {
-            let memoized = if memoize {
-                o.read_set
-                    .keys()
-                    .iter()
-                    .filter(|&&k| !seen.insert(k))
-                    .count() as u64
-            } else {
-                0
-            };
-            service += s.tracker.query_cost_dedup(&cfg.db, o.db.reads, memoized);
-        }
-        if write_behind {
-            // Ack once the ops are journaled; apply the coalesced rows
-            // right behind the ack on the same CPU.
-            service += s.tracker.journal_append_cost(&cfg.db, total_writes);
-            let acked = s.cpu.acquire(arrive, service).end;
-            let cw = coalesce_writes(ops);
-            s.rows_coalesced += cw.rows_coalesced;
-            let applied: Vec<u64> = cw.writes_per_op.into_iter().filter(|&w| w > 0).collect();
-            let apply_done = if applied.is_empty() {
-                acked
-            } else {
-                let apply_service = s.tracker.group_txn_cost(&cfg.db, &applied);
-                s.cpu.acquire(acked, apply_service).end
-            };
-            s.apply_lag = s.apply_lag.max(apply_done - acked);
-            let rows: u64 = applied.iter().sum();
-            s.unapplied.push(UnappliedEntry {
-                acked,
-                apply_done,
-                ops: ops.len() as u64,
-                rows,
-            });
-            if ship_to_standby {
-                // The append crosses the inter-shard link and is
-                // re-appended on the standby — entirely off the ack
-                // path, so the client-visible times above are untouched
-                // (the standby-off pin). What the entry buys is the
-                // replication-lag bound: a crash before `ship_done`
-                // must replay this batch onto the promoted standby.
-                let ship_done =
-                    acked + cfg.cross_shard_rtt / 2 + cfg.db.standby_append_cost(total_writes);
-                s.ship_tail.push(ShipEntry {
-                    acked,
-                    ship_done,
-                    ops: ops.len() as u64,
-                    rows,
-                });
+        assert!(!ops.is_empty(), "a request carries at least one op");
+        let (a, b) = match shape {
+            Shape::Batch(s) => (s, None),
+            Shape::Sync(s) => {
+                assert_eq!(ops.len(), 1, "a sync request carries one op");
+                (s, None)
             }
-            return acked + rtt / 2;
-        }
-        let writes: Vec<u64> = ops.iter().map(|o| o.db.writes).filter(|&w| w > 0).collect();
-        if !writes.is_empty() {
-            service += s.tracker.group_txn_cost(&cfg.db, &writes);
-        }
-        let done = s.cpu.acquire(arrive, service).end;
-        done + rtt / 2
-    }
-
-    /// Charges a cross-shard operation spanning `shards = (a, b)` as a
-    /// two-phase commit with `a` as coordinator: both shards prepare
-    /// their half of the work in parallel, `b`'s vote crosses the
-    /// inter-shard link, then both commit and the coordinator replies.
-    /// Atomicity of the *outcome* is inherited from the unified
-    /// namespace; what this models is the price of distributed
-    /// agreement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b` — same-shard operations take [`Self::rpc`].
-    pub fn rpc_cross(
-        &mut self,
-        cfg: &CofsConfig,
-        net: &MdsNetwork,
-        node: NodeId,
-        shards: (ShardId, ShardId),
-        ops: DbOps,
-        t: SimTime,
-    ) -> SimTime {
-        let (a, b) = shards;
-        assert_ne!(a, b, "cross-shard rpc needs two distinct shards");
+            Shape::TwoPhase(a, b) => {
+                assert_eq!(ops.len(), 1, "a two-phase request carries one op");
+                assert_ne!(a, b, "a two-phase request needs two distinct shards");
+                (a, Some(b))
+            }
+        };
         let mut t = t;
-        for s in [a, b] {
+        for s in std::iter::once(a).chain(b) {
             if self.sessions.insert((node, s.0)) {
                 t += cfg.session_cost;
             }
         }
         self.maybe_sweep_leases(cfg, t);
         let rtt = net.shard_rtt(node, a);
+        let arrive = t + rtt / 2;
+        let done = match b {
+            Some(b) => self.two_phase(cfg, shape, (a, b), ops[0].db, arrive),
+            None => {
+                // Ship bookkeeping only matters when a crash could
+                // consult it; gating on an armed plan keeps fault-free
+                // runs allocation-flat.
+                let ship = cfg.standby.enabled && self.faults.is_some();
+                self.shards[a.0].serve(cfg, shape, ops, arrive, ship)
+            }
+        };
+        done + rtt / 2
+    }
+
+    /// The shard side of a two-phase request arriving at the
+    /// coordinator `a` at `arrive`; returns when the coordinator has
+    /// committed and heard `b`'s ack.
+    fn two_phase(
+        &mut self,
+        cfg: &CofsConfig,
+        shape: Shape,
+        (a, b): (ShardId, ShardId),
+        ops: DbOps,
+        arrive: SimTime,
+    ) -> SimTime {
         let cross = cfg.cross_shard_rtt;
         // Split the row work between the participants; the coordinator
         // keeps the larger half.
@@ -830,23 +805,9 @@ impl MdsCluster {
             reads: ops.reads - b_ops.reads,
             writes: ops.writes - b_ops.writes,
         };
-        let arrive_a = t + rtt / 2;
-        let arrive_b = arrive_a + cross / 2;
         // Phase 1: prepare on both shards.
-        let prep_a = {
-            let s = &mut self.shards[a.0];
-            s.rpcs += 1;
-            s.two_phase += 1;
-            let service = s.service(cfg, a_ops);
-            s.cpu.acquire(arrive_a, service).end
-        };
-        let prep_b = {
-            let s = &mut self.shards[b.0];
-            s.rpcs += 1;
-            s.two_phase += 1;
-            let service = s.service(cfg, b_ops);
-            s.cpu.acquire(arrive_b, service).end
-        };
+        let prep_a = self.shards[a.0].prepare(cfg, shape, a_ops, arrive);
+        let prep_b = self.shards[b.0].prepare(cfg, shape, b_ops, arrive + cross / 2);
         // b's vote travels back to the coordinator.
         let voted = prep_a.max(prep_b + cross / 2);
         // Phase 2: both shards process the commit decision.
@@ -856,15 +817,14 @@ impl MdsCluster {
             .cpu
             .acquire(voted + cross / 2, commit_service)
             .end;
-        // The coordinator replies once it has committed and heard b's ack.
-        commit_a.max(commit_b + cross / 2) + rtt / 2
+        commit_a.max(commit_b + cross / 2)
     }
 
     // ---- fault injection ---------------------------------------------
 
     /// Arms a fault script. An empty plan disarms the subsystem
-    /// entirely — every fault-aware entry point then short-circuits to
-    /// the calibrated path, bit-for-bit. Events are processed in
+    /// entirely — the fault gate ([`Self::admit`]) then always admits,
+    /// bit-for-bit the calibrated path. Events are processed in
     /// `(at, shard)` order as virtual time passes them.
     pub fn arm_faults(&mut self, plan: FaultPlan) {
         if plan.is_empty() {
@@ -993,8 +953,8 @@ impl MdsCluster {
         Ok(())
     }
 
-    /// Processes every scripted crash due by `now`. Piggybacks on
-    /// request entry points (like the periodic lease sweep), so fault
+    /// Processes every scripted crash due by `now`. Piggybacks on the
+    /// fault gate (like the periodic lease sweep on requests), so fault
     /// processing needs no external timer and stays deterministic.
     fn advance_faults(&mut self, cfg: &CofsConfig, now: SimTime) {
         loop {
@@ -1193,14 +1153,18 @@ impl MdsCluster {
         false
     }
 
-    /// Client-side availability probe: advances the fault script to the
-    /// request's predicted arrival and reports whether `shard` would
-    /// accept a request from `node`. A refusal carries the failed round
-    /// trip and any server-supplied retry-after, and counts as a
-    /// shard-side NACK; an admission grant consumed here is remembered,
-    /// so the op the probe admits does not pay twice. Always `Ok` (and
-    /// side-effect-free) with no plan armed.
-    pub fn shard_available(
+    /// The fault gate for a request from `node` to `shard` issued at
+    /// `t`. Always `Ok` (and side-effect-free) with no plan armed.
+    /// Otherwise it processes every scripted crash due by the issue
+    /// instant, lets a pending scripted drop swallow the request (the
+    /// client learns of it only when its timeout fires), advances the
+    /// script to the request's arrival, and asks the shard: a crashed
+    /// or partitioned shard refuses after
+    /// one round trip, and post-recovery admission may defer a node
+    /// that has no session yet. A refusal counts as a shard-side NACK;
+    /// an admission grant consumed here is remembered, so the request
+    /// it admits does not pay twice.
+    pub fn admit(
         &mut self,
         cfg: &CofsConfig,
         net: &MdsNetwork,
@@ -1211,73 +1175,19 @@ impl MdsCluster {
         if self.faults.is_none() {
             return Ok(());
         }
+        self.advance_faults(cfg, t);
+        if self.consume_drop(shard, t) {
+            self.shards[shard.0].drops_hit += 1;
+            return Err(Nack {
+                shard,
+                at: t + cfg.retry.timeout,
+                retry_after: None,
+            });
+        }
         let rtt = net.shard_rtt(node, shard);
         let arrive = t + rtt / 2;
         self.advance_faults(cfg, arrive);
         self.accept(cfg, node, shard, arrive, t + rtt)
-    }
-
-    /// [`Self::rpc`] with fault awareness: with no plan armed it *is*
-    /// `rpc`, bit-for-bit. Otherwise the request can be swallowed by a
-    /// scripted message drop (the client times out) or refused by a
-    /// down shard (fast NACK after one round trip).
-    pub fn rpc_checked(
-        &mut self,
-        cfg: &CofsConfig,
-        net: &MdsNetwork,
-        node: NodeId,
-        shard: ShardId,
-        ops: DbOps,
-        t: SimTime,
-    ) -> Result<SimTime, Nack> {
-        if self.faults.is_none() {
-            return Ok(self.rpc(cfg, net, node, shard, ops, t));
-        }
-        self.advance_faults(cfg, t);
-        if self.consume_drop(shard, t) {
-            self.shards[shard.0].drops_hit += 1;
-            return Err(Nack {
-                shard,
-                at: t + cfg.retry.timeout,
-                retry_after: None,
-            });
-        }
-        let rtt = net.shard_rtt(node, shard);
-        let arrive = t + rtt / 2;
-        self.advance_faults(cfg, arrive);
-        self.accept(cfg, node, shard, arrive, t + rtt)?;
-        Ok(self.rpc(cfg, net, node, shard, ops, t))
-    }
-
-    /// [`Self::rpc_batch`] with fault awareness — same contract as
-    /// [`Self::rpc_checked`]. In-flight and queued batches hitting a
-    /// crash window are NACKed; the client's pipeline retries them.
-    pub fn rpc_batch_checked(
-        &mut self,
-        cfg: &CofsConfig,
-        net: &MdsNetwork,
-        node: NodeId,
-        shard: ShardId,
-        ops: &[BatchedOp],
-        t: SimTime,
-    ) -> Result<SimTime, Nack> {
-        if self.faults.is_none() {
-            return Ok(self.rpc_batch(cfg, net, node, shard, ops, t));
-        }
-        self.advance_faults(cfg, t);
-        if self.consume_drop(shard, t) {
-            self.shards[shard.0].drops_hit += 1;
-            return Err(Nack {
-                shard,
-                at: t + cfg.retry.timeout,
-                retry_after: None,
-            });
-        }
-        let rtt = net.shard_rtt(node, shard);
-        let arrive = t + rtt / 2;
-        self.advance_faults(cfg, arrive);
-        self.accept(cfg, node, shard, arrive, t + rtt)?;
-        Ok(self.rpc_batch(cfg, net, node, shard, ops, t))
     }
 
     /// Drains the `(holder, key)` pairs fenced by crashes since the
@@ -1318,7 +1228,7 @@ impl MdsCluster {
     /// callers skip building observation arguments (parent paths) on
     /// the static-policy fast path.
     pub fn is_elastic(&self) -> bool {
-        self.policy.as_elastic().is_some()
+        matches!(self.policy, ShardPolicy::Elastic(_))
     }
 
     /// Feeds one observed operation under directory `dir` at virtual
@@ -1335,9 +1245,9 @@ impl MdsCluster {
     /// request does not await the migration, but later requests queue
     /// behind it on both CPUs — exactly like deferred journal applies.
     pub fn observe_elastic(&mut self, cfg: &CofsConfig, dir: &VPath, t: SimTime) {
-        let due = match self.policy.as_elastic_mut() {
-            Some(p) => p.record(dir, t),
-            None => return,
+        let due = match &mut self.policy {
+            ShardPolicy::Elastic(p) => p.record(dir, t),
+            _ => return,
         };
         if !due {
             return;
@@ -1371,11 +1281,10 @@ impl MdsCluster {
             cfg.mds_service
         };
         let entries = self.namespace.entry_count(dir);
-        let event = self
-            .policy
-            .as_elastic_mut()
-            .expect("due observation implies an elastic policy")
-            .rebalance(dir, t, &loads, service, entries);
+        let ShardPolicy::Elastic(p) = &mut self.policy else {
+            unreachable!("due observation implies an elastic policy");
+        };
+        let event = p.rebalance(dir, t, &loads, service, entries);
         if let Some(ev) = event {
             match ev.kind {
                 crate::elastic::ElasticEventKind::Split => self.shards[ev.home.0].splits += 1,
@@ -1495,7 +1404,7 @@ impl MdsCluster {
 
     /// Runs the periodic lease-registry sweep when
     /// `cfg.lease_sweep_interval` has lapsed since the last one.
-    /// Invoked from every RPC entry point, so a busy cluster prunes on
+    /// Invoked from every request, so a busy cluster prunes on
     /// its own cadence without an external timer.
     fn maybe_sweep_leases(&mut self, cfg: &CofsConfig, now: SimTime) {
         if cfg.lease_sweep_interval.is_zero() {
@@ -1648,7 +1557,7 @@ impl MdsCluster {
         // The elastic policy's observation windows are anchored in
         // virtual time and must rewind with it; its bucket tables
         // survive, like sessions and leases.
-        if let Some(p) = self.policy.as_elastic_mut() {
+        if let ShardPolicy::Elastic(p) = &mut self.policy {
             p.reset_time();
         }
     }
@@ -1667,18 +1576,67 @@ mod tests {
         MdsNetwork::uniform(SimDuration::from_micros(250))
     }
 
+    /// One synchronous single-op request.
+    fn sync(
+        cluster: &mut MdsCluster,
+        cfg: &CofsConfig,
+        net: &MdsNetwork,
+        node: NodeId,
+        shard: ShardId,
+        ops: DbOps,
+        t: SimTime,
+    ) -> SimTime {
+        let op = [BatchedOp::opaque(ops)];
+        cluster.request(cfg, net, node, Shape::Sync(shard), &op, t)
+    }
+
+    /// One batch request.
+    fn batched(
+        cluster: &mut MdsCluster,
+        cfg: &CofsConfig,
+        net: &MdsNetwork,
+        node: NodeId,
+        shard: ShardId,
+        ops: &[BatchedOp],
+        t: SimTime,
+    ) -> SimTime {
+        cluster.request(cfg, net, node, Shape::Batch(shard), ops, t)
+    }
+
+    /// A synchronous request behind the fault gate.
+    fn checked(
+        cluster: &mut MdsCluster,
+        cfg: &CofsConfig,
+        net: &MdsNetwork,
+        node: NodeId,
+        shard: ShardId,
+        ops: DbOps,
+        t: SimTime,
+    ) -> Result<SimTime, Nack> {
+        cluster.admit(cfg, net, node, shard, t)?;
+        Ok(sync(cluster, cfg, net, node, shard, ops, t))
+    }
+
     #[test]
     fn single_shard_matches_legacy_rpc_math() {
         // Replicate the pre-cluster arithmetic by hand and require
         // bit-for-bit agreement.
         let c = cfg();
         let n = net();
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
         let ops = DbOps {
             reads: 4,
             writes: 3,
         };
-        let got = cluster.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO);
+        let got = sync(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::ZERO,
+        );
         let mut cpu = FifoResource::new("legacy");
         let mut tracker = DbCostTracker::new();
         let t = SimTime::ZERO + c.session_cost;
@@ -1695,18 +1653,42 @@ mod tests {
     fn session_cost_paid_once_per_node_per_shard() {
         let c = cfg();
         let n = net();
-        let mut cluster = MdsCluster::new(Box::new(HashByParent::new(2)));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(2));
         let ops = DbOps {
             reads: 1,
             writes: 0,
         };
-        let first = cluster.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO);
+        let first = sync(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::ZERO,
+        );
         cluster.reset_time();
-        let second = cluster.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO);
+        let second = sync(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::ZERO,
+        );
         assert_eq!(first, second + c.session_cost);
         // A different shard is a different session.
         cluster.reset_time();
-        let other = cluster.rpc(&c, &n, NodeId(0), ShardId(1), ops, SimTime::ZERO);
+        let other = sync(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(1),
+            ops,
+            SimTime::ZERO,
+        );
         assert_eq!(other, first);
     }
 
@@ -1720,11 +1702,10 @@ mod tests {
             vpath("/deep/er/still/more"),
         ];
         for shards in [1usize, 2, 4, 7] {
-            let policies: Vec<Box<dyn ShardPolicy>> = vec![
-                Box::new(SingleShard),
-                Box::new(HashByParent::new(shards)),
-                Box::new(SubtreePartition::new(shards)),
-                Box::new(crate::elastic::ElasticPolicy::new(
+            let policies = [
+                ShardPolicy::hash(shards),
+                ShardPolicy::subtree(shards),
+                ShardPolicy::Elastic(ElasticPolicy::new(
                     shards,
                     crate::elastic::ElasticConfig::default(),
                 )),
@@ -1741,7 +1722,7 @@ mod tests {
 
     #[test]
     fn hash_by_parent_keeps_siblings_together_and_spreads_dirs() {
-        let p = HashByParent::new(4);
+        let p = ShardPolicy::hash(4);
         assert_eq!(p.shard_of(&vpath("/d0/a")), p.shard_of(&vpath("/d0/b")));
         // Many distinct parents must not all collapse onto one shard.
         let mut seen = HashSet::new();
@@ -1756,7 +1737,7 @@ mod tests {
 
     #[test]
     fn subtree_keeps_whole_trees_together() {
-        let p = SubtreePartition::new(4);
+        let p = ShardPolicy::subtree(4);
         let top = p.shard_of(&vpath("/proj"));
         assert_eq!(p.shard_of(&vpath("/proj/a")), top);
         assert_eq!(p.shard_of(&vpath("/proj/a/b/c")), top);
@@ -1771,9 +1752,10 @@ mod tests {
             reads: 6,
             writes: 5,
         };
-        let mut one = MdsCluster::new(Box::new(SingleShard));
+        let mut one = MdsCluster::new(ShardPolicy::hash(1));
         // Burn the session costs first so the comparison is steady-state.
-        one.rpc(
+        sync(
+            &mut one,
             &c,
             &n,
             NodeId(0),
@@ -1782,10 +1764,11 @@ mod tests {
             SimTime::ZERO,
         );
         one.reset_time();
-        let single = one.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO);
+        let single = sync(&mut one, &c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO);
 
-        let mut two = MdsCluster::new(Box::new(HashByParent::new(2)));
-        two.rpc(
+        let mut two = MdsCluster::new(ShardPolicy::hash(2));
+        sync(
+            &mut two,
             &c,
             &n,
             NodeId(0),
@@ -1793,7 +1776,8 @@ mod tests {
             DbOps::default(),
             SimTime::ZERO,
         );
-        two.rpc(
+        sync(
+            &mut two,
             &c,
             &n,
             NodeId(0),
@@ -1802,12 +1786,12 @@ mod tests {
             SimTime::ZERO,
         );
         two.reset_time();
-        let cross = two.rpc_cross(
+        let cross = two.request(
             &c,
             &n,
             NodeId(0),
-            (ShardId(0), ShardId(1)),
-            ops,
+            Shape::TwoPhase(ShardId(0), ShardId(1)),
+            &[BatchedOp::opaque(ops)],
             SimTime::ZERO,
         );
         assert!(
@@ -1823,7 +1807,7 @@ mod tests {
     fn recalls_charge_remote_holders_only() {
         let c = cfg();
         let n = net();
-        let mut cluster = MdsCluster::new(Box::new(HashByParent::new(2)));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(2));
         let key = (EntryKind::Attr, vpath("/d/f"));
         let far = SimTime::from_secs(10);
         cluster.grant_lease(NodeId(0), key.clone(), far);
@@ -1848,7 +1832,7 @@ mod tests {
 
     #[test]
     fn release_and_subtree_key_scan() {
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
         let far = SimTime::from_secs(10);
         for p in ["/a/x", "/a/y/z", "/b/x"] {
             cluster.grant_lease(NodeId(0), (EntryKind::Attr, vpath(p)), far);
@@ -1864,25 +1848,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_of_one_matches_rpc_bit_for_bit() {
-        let c = cfg();
-        let n = net();
-        let mut plain = MdsCluster::new(Box::new(HashByParent::new(2)));
-        let mut batched = MdsCluster::new(Box::new(HashByParent::new(2)));
-        let mut tp = SimTime::ZERO;
-        let mut tb = SimTime::ZERO;
-        for (reads, writes) in [(3u64, 2u64), (1, 0), (5, 4), (0, 1)] {
-            let ops = DbOps { reads, writes };
-            tp = plain.rpc(&c, &n, NodeId(0), ShardId(1), ops, tp);
-            tb = batched.rpc_batch(&c, &n, NodeId(0), ShardId(1), &[BatchedOp::opaque(ops)], tb);
-            assert_eq!(tp, tb, "singleton batches must reprice nothing");
-        }
-        assert_eq!(plain.usage()[1].rpcs, batched.usage()[1].rpcs);
-        assert_eq!(batched.usage()[1].batches, 4);
-        assert_eq!(plain.usage()[1].batches, 0);
-    }
-
-    #[test]
     fn batch_amortizes_per_rpc_overhead_and_commit() {
         let c = cfg();
         let n = net();
@@ -1892,14 +1857,15 @@ mod tests {
         };
         let k = 4usize;
         // k sequential single-op RPCs (client waits for each response).
-        let mut seq = MdsCluster::new(Box::new(SingleShard));
+        let mut seq = MdsCluster::new(ShardPolicy::hash(1));
         let mut t = SimTime::ZERO;
         for _ in 0..k {
-            t = seq.rpc(&c, &n, NodeId(0), ShardId(0), ops, t);
+            t = sync(&mut seq, &c, &n, NodeId(0), ShardId(0), ops, t);
         }
         // One k-op batch RPC.
-        let mut grp = MdsCluster::new(Box::new(SingleShard));
-        let batched = grp.rpc_batch(
+        let mut grp = MdsCluster::new(ShardPolicy::hash(1));
+        let batched = batched(
+            &mut grp,
             &c,
             &n,
             NodeId(0),
@@ -1943,10 +1909,26 @@ mod tests {
             ..BatchedOp::default()
         };
         let batch = vec![op; 4];
-        let mut plain = MdsCluster::new(Box::new(SingleShard));
-        let mut memo = MdsCluster::new(Box::new(SingleShard));
-        let t_plain = plain.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
-        let t_memo = memo.rpc_batch(&memo_cfg, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        let mut plain = MdsCluster::new(ShardPolicy::hash(1));
+        let mut memo = MdsCluster::new(ShardPolicy::hash(1));
+        let t_plain = batched(
+            &mut plain,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            &batch,
+            SimTime::ZERO,
+        );
+        let t_memo = batched(
+            &mut memo,
+            &memo_cfg,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            &batch,
+            SimTime::ZERO,
+        );
         // Three repeat resolutions of the 2-row chain are absorbed.
         let saved = c.db.lookup * 2 * 3;
         assert_eq!(t_plain, t_memo + saved);
@@ -1956,9 +1938,10 @@ mod tests {
         assert_eq!(plain.usage()[0].reads_charged, 20);
         // A memoized batch of one reprices nothing: its keys are
         // distinct by construction.
-        let mut one_memo = MdsCluster::new(Box::new(SingleShard));
-        let mut one_plain = MdsCluster::new(Box::new(SingleShard));
-        let a = one_memo.rpc_batch(
+        let mut one_memo = MdsCluster::new(ShardPolicy::hash(1));
+        let mut one_plain = MdsCluster::new(ShardPolicy::hash(1));
+        let a = batched(
+            &mut one_memo,
             &memo_cfg,
             &n,
             NodeId(0),
@@ -1966,7 +1949,15 @@ mod tests {
             &batch[..1],
             SimTime::ZERO,
         );
-        let b = one_plain.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch[..1], SimTime::ZERO);
+        let b = batched(
+            &mut one_plain,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            &batch[..1],
+            SimTime::ZERO,
+        );
         assert_eq!(a, b);
         assert_eq!(one_memo.usage()[0].reads_memoized, 0);
     }
@@ -1998,8 +1989,16 @@ mod tests {
         let c = wb_cfg();
         let n = net();
         let batch: Vec<BatchedOp> = (0..4).map(|_| create_op(42)).collect();
-        let mut wb = MdsCluster::new(Box::new(SingleShard));
-        let ack = wb.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        let mut wb = MdsCluster::new(ShardPolicy::hash(1));
+        let ack = batched(
+            &mut wb,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            &batch,
+            SimTime::ZERO,
+        );
         // Hand arithmetic: session + half RTT, then service = per-batch
         // overhead + 4 keyless 2-row reads + one journal append of the
         // 12-record write set. The group commit is NOT in the ack.
@@ -2020,12 +2019,20 @@ mod tests {
         // The shard CPU still did the apply work (busy includes it).
         assert_eq!(u.busy, service + apply);
         // And the ack beats the synchronous group-commit pricing.
-        let mut sync = MdsCluster::new(Box::new(SingleShard));
+        let mut sync = MdsCluster::new(ShardPolicy::hash(1));
         let base = CofsConfig {
             batch: c.batch.clone(),
             ..cfg()
         };
-        let done = sync.rpc_batch(&base, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        let done = batched(
+            &mut sync,
+            &base,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            &batch,
+            SimTime::ZERO,
+        );
         assert!(ack < done, "{ack:?} vs {done:?}");
         assert_eq!(sync.usage()[0].journal_appends, 0);
         assert_eq!(sync.usage()[0].rows_coalesced, 0);
@@ -2047,10 +2054,26 @@ mod tests {
             });
             5
         ];
-        let mut wb = MdsCluster::new(Box::new(SingleShard));
-        let mut plain = MdsCluster::new(Box::new(SingleShard));
-        let a = wb.rpc_batch(&c, &n, NodeId(0), ShardId(0), &reads, SimTime::ZERO);
-        let b = plain.rpc_batch(&base, &n, NodeId(0), ShardId(0), &reads, SimTime::ZERO);
+        let mut wb = MdsCluster::new(ShardPolicy::hash(1));
+        let mut plain = MdsCluster::new(ShardPolicy::hash(1));
+        let a = batched(
+            &mut wb,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            &reads,
+            SimTime::ZERO,
+        );
+        let b = batched(
+            &mut plain,
+            &base,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            &reads,
+            SimTime::ZERO,
+        );
         assert_eq!(a, b, "nothing to journal, nothing to defer");
         assert_eq!(wb.usage()[0].journal_appends, 0);
         assert_eq!(wb.apply_horizon(a), a);
@@ -2062,11 +2085,11 @@ mod tests {
         c.write_behind.max_unapplied_ops = 4; // exactly one batch
         let n = net();
         let batch: Vec<BatchedOp> = (0..4).map(|_| create_op(7)).collect();
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
         let mut t = SimTime::ZERO;
         let mut acks = Vec::new();
         for _ in 0..6 {
-            t = cluster.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, t);
+            t = batched(&mut cluster, &c, &n, NodeId(0), ShardId(0), &batch, t);
             acks.push(t);
             let acked_at = t - SimDuration::from_micros(125);
             assert!(
@@ -2098,10 +2121,10 @@ mod tests {
         c.write_behind.max_unapplied_ops = 2;
         let n = net();
         let batch: Vec<BatchedOp> = (0..8).map(|_| create_op(9)).collect();
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
         let mut t = SimTime::ZERO;
         for _ in 0..3 {
-            t = cluster.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, t);
+            t = batched(&mut cluster, &c, &n, NodeId(0), ShardId(0), &batch, t);
         }
         assert!(t > SimTime::ZERO);
     }
@@ -2126,13 +2149,37 @@ mod tests {
             writes: 0,
         };
         let run = |cfg: &CofsConfig| {
-            let mut cluster = MdsCluster::new(Box::new(SingleShard));
+            let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
             // Two 16-op lumps from node 0: one in service, one queued.
-            cluster.rpc_batch(cfg, &n, NodeId(0), ShardId(0), &lump, SimTime::ZERO);
-            cluster.rpc_batch(cfg, &n, NodeId(0), ShardId(0), &lump, SimTime::ZERO);
+            batched(
+                &mut cluster,
+                cfg,
+                &n,
+                NodeId(0),
+                ShardId(0),
+                &lump,
+                SimTime::ZERO,
+            );
+            batched(
+                &mut cluster,
+                cfg,
+                &n,
+                NodeId(0),
+                ShardId(0),
+                &lump,
+                SimTime::ZERO,
+            );
             // Node 1's stat arrives while the first lump is in service.
             // (Session establishment shifts its arrival, not the queue.)
-            let done = cluster.rpc(cfg, &n, NodeId(1), ShardId(0), read, SimTime::ZERO);
+            let done = sync(
+                &mut cluster,
+                cfg,
+                &n,
+                NodeId(1),
+                ShardId(0),
+                read,
+                SimTime::ZERO,
+            );
             (done, cluster.usage()[0].read_bypasses)
         };
         let (fifo_done, fifo_bypasses) = run(&fifo_cfg);
@@ -2160,13 +2207,13 @@ mod tests {
             reads: 2,
             writes: 1,
         };
-        let mut a = MdsCluster::new(Box::new(SingleShard));
-        let mut b = MdsCluster::new(Box::new(SingleShard));
+        let mut a = MdsCluster::new(ShardPolicy::hash(1));
+        let mut b = MdsCluster::new(ShardPolicy::hash(1));
         let mut ta = SimTime::ZERO;
         let mut tb = SimTime::ZERO;
         for _ in 0..4 {
-            ta = a.rpc(&cfg(), &n, NodeId(0), ShardId(0), w, ta);
-            tb = b.rpc(&prio_cfg, &n, NodeId(0), ShardId(0), w, tb);
+            ta = sync(&mut a, &cfg(), &n, NodeId(0), ShardId(0), w, ta);
+            tb = sync(&mut b, &prio_cfg, &n, NodeId(0), ShardId(0), w, tb);
         }
         assert_eq!(ta, tb, "mutations always take the FIFO lane");
         assert_eq!(b.usage()[0].read_bypasses, 0);
@@ -2177,11 +2224,11 @@ mod tests {
     fn empty_batch_rpc_panics() {
         let c = cfg();
         let n = net();
-        MdsCluster::new(Box::new(SingleShard)).rpc_batch(
+        MdsCluster::new(ShardPolicy::hash(1)).request(
             &c,
             &n,
             NodeId(0),
-            ShardId(0),
+            Shape::Batch(ShardId(0)),
             &[],
             SimTime::ZERO,
         );
@@ -2189,7 +2236,7 @@ mod tests {
 
     #[test]
     fn lease_sweep_prunes_expired_holders_only() {
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
         let live = SimTime::from_secs(100);
         for i in 0..10u32 {
             cluster.grant_lease(
@@ -2215,7 +2262,7 @@ mod tests {
     fn periodic_sweep_fires_on_rpc_cadence() {
         let c = cfg(); // default: 10s sweep interval
         let n = net();
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
         for i in 0..50u32 {
             cluster.grant_lease(
                 NodeId(i),
@@ -2228,25 +2275,65 @@ mod tests {
             writes: 0,
         };
         // Before the interval lapses nothing is swept.
-        cluster.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_secs(5));
+        sync(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::from_secs(5),
+        );
         assert_eq!(cluster.lease_holder_count(), 50);
         // The first RPC past the interval prunes the lapsed grants.
-        cluster.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_secs(11));
+        sync(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::from_secs(11),
+        );
         assert_eq!(cluster.lease_holder_count(), 0);
         assert_eq!(cluster.leases_swept(), 50);
         // Sweeping is timing-neutral: the same RPC on a sweep-free
         // cluster completes at the identical virtual time.
-        let mut quiet = MdsCluster::new(Box::new(SingleShard));
-        quiet.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_secs(5));
-        let a = cluster.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_secs(12));
-        let b = quiet.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_secs(12));
+        let mut quiet = MdsCluster::new(ShardPolicy::hash(1));
+        sync(
+            &mut quiet,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::from_secs(5),
+        );
+        let a = sync(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::from_secs(12),
+        );
+        let b = sync(
+            &mut quiet,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::from_secs(12),
+        );
         assert_eq!(a, b);
     }
 
     #[test]
     fn observe_elastic_is_a_no_op_under_static_policies() {
         let c = cfg();
-        let mut cluster = MdsCluster::new(Box::new(HashByParent::new(4)));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(4));
         assert!(!cluster.is_elastic());
         for i in 0..1000u64 {
             cluster.observe_elastic(&c, &vpath("/hot"), SimTime::from_micros(i));
@@ -2261,7 +2348,7 @@ mod tests {
         use crate::elastic::{ElasticConfig, ElasticPolicy};
 
         let c = cfg();
-        let mut cluster = MdsCluster::new(Box::new(ElasticPolicy::new(
+        let mut cluster = MdsCluster::new(ShardPolicy::Elastic(ElasticPolicy::new(
             4,
             ElasticConfig {
                 split_threshold: 8,
@@ -2301,13 +2388,21 @@ mod tests {
     fn usage_reports_per_shard_load() {
         let c = cfg();
         let n = net();
-        let mut cluster = MdsCluster::new(Box::new(HashByParent::new(2)));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(2));
         let ops = DbOps {
             reads: 2,
             writes: 1,
         };
         for _ in 0..5 {
-            cluster.rpc(&c, &n, NodeId(0), ShardId(1), ops, SimTime::ZERO);
+            sync(
+                &mut cluster,
+                &c,
+                &n,
+                NodeId(0),
+                ShardId(1),
+                ops,
+                SimTime::ZERO,
+            );
         }
         let usage = cluster.usage();
         assert_eq!(usage.len(), 2);
@@ -2319,40 +2414,6 @@ mod tests {
     }
 
     #[test]
-    fn checked_entry_points_with_no_plan_are_bit_for_bit() {
-        let c = cfg();
-        let n = net();
-        let ops = DbOps {
-            reads: 3,
-            writes: 2,
-        };
-        let mut a = MdsCluster::new(Box::new(SingleShard));
-        a.arm_faults(FaultPlan::default()); // empty plan never arms
-        assert!(!a.fault_active());
-        let mut b = MdsCluster::new(Box::new(SingleShard));
-        let ta = a
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO)
-            .unwrap();
-        let tb = b.rpc(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO);
-        assert_eq!(ta, tb);
-        let batch: Vec<BatchedOp> = vec![
-            BatchedOp::opaque(DbOps {
-                reads: 2,
-                writes: 1,
-            });
-            4
-        ];
-        let ba = a
-            .rpc_batch_checked(&c, &n, NodeId(0), ShardId(0), &batch, ta)
-            .unwrap();
-        let bb = b.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, tb);
-        assert_eq!(ba, bb);
-        assert!(a.shard_available(&c, &n, NodeId(0), ShardId(0), ba).is_ok());
-        assert_eq!(a.fault_stats(), b.fault_stats());
-        assert_eq!(a.epoch(ShardId(0)), 1);
-    }
-
-    #[test]
     fn crash_bumps_epoch_nacks_requests_and_refences_sessions() {
         let c = CofsConfig::default().with_fault_plan(FaultPlan::default().crash(
             ShardId(0),
@@ -2360,21 +2421,35 @@ mod tests {
             SimDuration::from_millis(5),
         ));
         let n = net();
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
         cluster.arm_faults(c.fault.clone());
         let ops = DbOps {
             reads: 1,
             writes: 0,
         };
-        let first = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO)
-            .unwrap();
+        let first = checked(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::ZERO,
+        )
+        .unwrap();
         assert!(first > SimTime::ZERO);
         assert_eq!(cluster.epoch(ShardId(0)), 1);
         // A request inside the window is refused after one round trip.
-        let nack = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_millis(12))
-            .unwrap_err();
+        let nack = checked(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::from_millis(12),
+        )
+        .unwrap_err();
         assert_eq!(nack.shard, ShardId(0));
         assert_eq!(
             nack.at,
@@ -2383,19 +2458,35 @@ mod tests {
         assert_eq!(cluster.epoch(ShardId(0)), 2);
         // After recovery the shard serves again; the node's session was
         // fenced at the crash, so it re-pays establishment.
-        let after = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_millis(20))
-            .unwrap();
+        let after = checked(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::from_millis(20),
+        )
+        .unwrap();
         let f = cluster.fault_stats();
         assert_eq!(f.crashes, 1);
         assert_eq!(f.nacks, 1);
         assert_eq!(f.fenced_sessions, 1);
         assert_eq!(f.lost_acked_ops, 0);
         assert!(f.downtime >= SimDuration::from_millis(5));
-        let mut quiet = MdsCluster::new(Box::new(SingleShard));
+        let mut quiet = MdsCluster::new(ShardPolicy::hash(1));
         let qc = cfg();
-        quiet.rpc(&qc, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO);
-        let quiet_after = quiet.rpc(
+        sync(
+            &mut quiet,
+            &qc,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::ZERO,
+        );
+        let quiet_after = sync(
+            &mut quiet,
             &qc,
             &n,
             NodeId(0),
@@ -2415,7 +2506,7 @@ mod tests {
         );
         let c = CofsConfig::default().with_fault_plan(plan.clone());
         let n = net();
-        let mut cluster = MdsCluster::new(Box::new(HashByParent::new(2)));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(2));
         cluster.arm_faults(plan);
         let mut on1 = None;
         let mut on0 = None;
@@ -2438,7 +2529,7 @@ mod tests {
         assert_eq!(cluster.lease_holder_count(), 3);
         // Any probe past the crash time processes the script.
         assert!(cluster
-            .shard_available(&c, &n, NodeId(0), ShardId(0), SimTime::from_millis(6))
+            .admit(&c, &n, NodeId(0), ShardId(0), SimTime::from_millis(6))
             .is_ok());
         let fenced = cluster.take_fenced_cache_keys();
         assert_eq!(fenced.len(), 2, "both shard-1 leases fence: {fenced:?}");
@@ -2463,8 +2554,16 @@ mod tests {
         let c = wb_cfg();
         let n = net();
         let batch: Vec<BatchedOp> = (0..8).map(|_| create_op(42)).collect();
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
-        let ack = cluster.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
+        let ack = batched(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            &batch,
+            SimTime::ZERO,
+        );
         let acked_server = ack - SimDuration::from_micros(125); // minus rtt/2
         let horizon = cluster.apply_horizon(SimTime::ZERO);
         assert!(horizon > acked_server, "apply must trail the ack");
@@ -2472,7 +2571,7 @@ mod tests {
         let restart = SimDuration::from_millis(1);
         cluster.arm_faults(FaultPlan::default().crash(ShardId(0), crash_at, restart));
         assert!(cluster
-            .shard_available(
+            .admit(
                 &c,
                 &n,
                 NodeId(0),
@@ -2481,7 +2580,7 @@ mod tests {
             )
             .is_err());
         assert!(cluster
-            .shard_available(
+            .admit(
                 &c,
                 &n,
                 NodeId(0),
@@ -2504,22 +2603,25 @@ mod tests {
         let plan = FaultPlan::default().drop_messages(ShardId(0), SimTime::ZERO, 2);
         let c = CofsConfig::default().with_fault_plan(plan.clone());
         let n = net();
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
         cluster.arm_faults(plan);
         let ops = DbOps {
             reads: 1,
             writes: 0,
         };
-        let e1 = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO)
-            .unwrap_err();
+        let e1 = checked(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::ZERO,
+        )
+        .unwrap_err();
         assert_eq!(e1.at, SimTime::ZERO + c.retry.timeout);
-        let e2 = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, e1.at)
-            .unwrap_err();
-        let ok = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, e2.at)
-            .unwrap();
+        let e2 = checked(&mut cluster, &c, &n, NodeId(0), ShardId(0), ops, e1.at).unwrap_err();
+        let ok = checked(&mut cluster, &c, &n, NodeId(0), ShardId(0), ops, e2.at).unwrap();
         assert!(ok > e2.at);
         let f = cluster.fault_stats();
         assert_eq!(f.drops, 2);
@@ -2537,7 +2639,7 @@ mod tests {
             SimDuration::from_micros(100),
         );
         let c = CofsConfig::default().with_fault_plan(plan.clone());
-        let mut cluster = MdsCluster::new(Box::new(ElasticPolicy::new(
+        let mut cluster = MdsCluster::new(ShardPolicy::Elastic(ElasticPolicy::new(
             4,
             ElasticConfig {
                 split_threshold: 8,
@@ -2575,22 +2677,36 @@ mod tests {
         );
         let c = CofsConfig::default().with_fault_plan(plan.clone());
         let n = net();
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
         cluster.arm_faults(plan);
         let ops = DbOps {
             reads: 1,
             writes: 0,
         };
-        let e1 = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_millis(1))
-            .unwrap_err();
+        let e1 = checked(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::from_millis(1),
+        )
+        .unwrap_err();
         assert_eq!(cluster.epoch(ShardId(0)), 2);
         cluster.reset_time();
         assert_eq!(cluster.epoch(ShardId(0)), 1);
         assert_eq!(cluster.fault_stats(), FaultStats::default());
-        let e2 = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_millis(1))
-            .unwrap_err();
+        let e2 = checked(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::from_millis(1),
+        )
+        .unwrap_err();
         assert_eq!(e1, e2, "the script replays identically after reset");
         assert_eq!(cluster.epoch(ShardId(0)), 2);
     }
@@ -2601,8 +2717,16 @@ mod tests {
     fn shipped_batch_times(c: &CofsConfig) -> (SimTime, SimTime) {
         let n = net();
         let batch: Vec<BatchedOp> = (0..8).map(|_| create_op(42)).collect();
-        let mut probe = MdsCluster::new(Box::new(SingleShard));
-        let ack = probe.rpc_batch(c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        let mut probe = MdsCluster::new(ShardPolicy::hash(1));
+        let ack = batched(
+            &mut probe,
+            c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            &batch,
+            SimTime::ZERO,
+        );
         let acked = ack - SimDuration::from_micros(125); // minus rtt/2
         let ship_done = acked + SimDuration::from_micros(125) + c.db.standby_append_cost(24);
         (acked, ship_done)
@@ -2621,17 +2745,25 @@ mod tests {
         let crash_at = acked + (ship_done - acked) / 2;
         let restart = SimDuration::from_millis(10);
         let plan = FaultPlan::default().crash(ShardId(0), crash_at, restart);
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
         cluster.arm_faults(plan);
         let batch: Vec<BatchedOp> = (0..8).map(|_| create_op(42)).collect();
-        let ack = cluster.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        let ack = batched(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            &batch,
+            SimTime::ZERO,
+        );
         assert_eq!(
             ack,
             acked + SimDuration::from_micros(125),
             "shipping stays off the ack path"
         );
         assert!(cluster
-            .shard_available(
+            .admit(
                 &c,
                 &n,
                 NodeId(0),
@@ -2655,7 +2787,7 @@ mod tests {
         assert_eq!(cluster.epoch(ShardId(0)), 2);
         assert_eq!(f.fenced_sessions, 1);
         assert!(cluster
-            .shard_available(&c, &n, NodeId(0), ShardId(0), crash_at + f.downtime)
+            .admit(&c, &n, NodeId(0), ShardId(0), crash_at + f.downtime)
             .is_ok());
     }
 
@@ -2668,12 +2800,20 @@ mod tests {
         let (_, ship_done) = shipped_batch_times(&c);
         let crash_at = ship_done + SimDuration::from_micros(1);
         let plan = FaultPlan::default().crash(ShardId(0), crash_at, SimDuration::from_millis(10));
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
         cluster.arm_faults(plan);
         let batch: Vec<BatchedOp> = (0..8).map(|_| create_op(42)).collect();
-        cluster.rpc_batch(&c, &n, NodeId(0), ShardId(0), &batch, SimTime::ZERO);
+        batched(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            &batch,
+            SimTime::ZERO,
+        );
         assert!(cluster
-            .shard_available(
+            .admit(
                 &c,
                 &n,
                 NodeId(0),
@@ -2704,24 +2844,20 @@ mod tests {
             .with_fault_plan(plan.clone())
             .with_admission();
         let n = net();
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
         cluster.arm_faults(plan);
         // While the shard is down, the supervisor quotes the scheduled
         // resume as retry-after (admission control is on).
         let down = cluster
-            .shard_available(&c, &n, NodeId(0), ShardId(0), SimTime::from_millis(1))
+            .admit(&c, &n, NodeId(0), ShardId(0), SimTime::from_millis(1))
             .unwrap_err();
         let resume = down.retry_after.expect("supervisor quotes the restart");
         // The first `sessions_per_window` nodes are re-admitted...
-        assert!(cluster
-            .shard_available(&c, &n, NodeId(0), ShardId(0), resume)
-            .is_ok());
-        assert!(cluster
-            .shard_available(&c, &n, NodeId(1), ShardId(0), resume)
-            .is_ok());
+        assert!(cluster.admit(&c, &n, NodeId(0), ShardId(0), resume).is_ok());
+        assert!(cluster.admit(&c, &n, NodeId(1), ShardId(0), resume).is_ok());
         // ...the next is deferred to the following window start.
         let deferred = cluster
-            .shard_available(&c, &n, NodeId(2), ShardId(0), resume)
+            .admit(&c, &n, NodeId(2), ShardId(0), resume)
             .unwrap_err();
         let after = deferred
             .retry_after
@@ -2729,16 +2865,12 @@ mod tests {
         assert_eq!(after, resume + c.admission.window);
         // A probe-granted node re-probes without burning a second
         // token: node 0 stays admitted while node 3 is still deferred.
+        assert!(cluster.admit(&c, &n, NodeId(0), ShardId(0), resume).is_ok());
         assert!(cluster
-            .shard_available(&c, &n, NodeId(0), ShardId(0), resume)
-            .is_ok());
-        assert!(cluster
-            .shard_available(&c, &n, NodeId(3), ShardId(0), resume)
+            .admit(&c, &n, NodeId(3), ShardId(0), resume)
             .is_err());
         // Honoring the quoted retry-after lands node 2 in window 1.
-        assert!(cluster
-            .shard_available(&c, &n, NodeId(2), ShardId(0), after)
-            .is_ok());
+        assert!(cluster.admit(&c, &n, NodeId(2), ShardId(0), after).is_ok());
         let f = cluster.fault_stats();
         assert_eq!(f.admission_defers, 2, "nodes 2 and 3 each deferred once");
         assert_eq!(f.nacks, 1 + 2, "the down NACK plus both defers");
@@ -2756,18 +2888,32 @@ mod tests {
         );
         let c = CofsConfig::default().with_fault_plan(plan.clone());
         let n = net();
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
         cluster.arm_faults(plan);
         let ops = DbOps {
             reads: 1,
             writes: 0,
         };
-        assert!(cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::ZERO)
-            .is_ok());
-        let e = cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_millis(1))
-            .unwrap_err();
+        assert!(checked(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::ZERO
+        )
+        .is_ok());
+        let e = checked(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::from_millis(1),
+        )
+        .unwrap_err();
         assert_eq!(
             e.retry_after, None,
             "no supervisor answers across a severed link"
@@ -2780,9 +2926,16 @@ mod tests {
         assert_eq!(cluster.epoch(ShardId(0)), 1);
         // After the heal the same session keeps working — it was never
         // evicted.
-        assert!(cluster
-            .rpc_checked(&c, &n, NodeId(0), ShardId(0), ops, SimTime::from_millis(3))
-            .is_ok());
+        assert!(checked(
+            &mut cluster,
+            &c,
+            &n,
+            NodeId(0),
+            ShardId(0),
+            ops,
+            SimTime::from_millis(3)
+        )
+        .is_ok());
         let f = cluster.fault_stats();
         assert_eq!(f.partition_nacks, 1);
         assert_eq!(f.nacks, 1);
@@ -2808,10 +2961,10 @@ mod tests {
         );
         let c = CofsConfig::default().with_fault_plan(plan.clone());
         let n = net();
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
         cluster.arm_faults(plan);
         // One probe far in the future drives every scripted flap.
-        let _ = cluster.shard_available(&c, &n, NodeId(0), ShardId(0), SimTime::from_secs(1));
+        let _ = cluster.admit(&c, &n, NodeId(0), ShardId(0), SimTime::from_secs(1));
         let f = cluster.fault_stats();
         assert_eq!(f.crashes, 3);
         // Empty replay: each window is restart + the journal-tail scan,

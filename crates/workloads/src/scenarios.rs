@@ -468,9 +468,9 @@ impl HotStatStorm {
 /// A multi-tenant metadata storm with one pathologically hot tenant:
 /// every node creates files across the tenant directories, but a
 /// configurable majority of them land in `/tenant0`. This is the
-/// workload where both static shard policies lose — `SubtreePartition`
+/// workload where both static shard policies lose — subtree routing
 /// pins each whole tenant to one shard (so the hot tenant saturates
-/// it), and `HashByParent` pins the hot *directory* to one shard just
+/// it), and hash routing pins the hot *directory* to one shard just
 /// the same — while an elastic policy can split the hot directory's
 /// dentries across shards once its measured rate crosses the split
 /// threshold.

@@ -10,7 +10,7 @@ use cofs::batch::{BatchConfig, BatchPipeline, BatchedOp};
 use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
 use cofs::fs::CofsFs;
 use cofs::mds::DbOps;
-use cofs::mds_cluster::{HashByParent, ShardPolicy};
+use cofs::mds_cluster::ShardPolicy;
 use netsim::ids::NodeId;
 use simcore::time::{SimDuration, SimTime};
 use vfs::fs::{FileSystem, OpCtx};
@@ -212,7 +212,7 @@ mod order_props {
             delay_us in 1u64..2_000,
         ) {
             let mut rng = simcore::rng::SimRng::seed_from(seed);
-            let policy = HashByParent::new(4);
+            let policy = ShardPolicy::hash(4);
             let mut p = BatchPipeline::new(BatchConfig::enabled(
                 max_ops,
                 SimDuration::from_micros(delay_us),

@@ -210,7 +210,6 @@ fn sample_paths() -> Vec<VPath> {
 
 mod prop {
     use super::*;
-    use cofs::mds_cluster::HashByParent;
     use proptest::prelude::*;
 
     proptest! {
@@ -218,14 +217,14 @@ mod prop {
 
         /// Totality: whatever reconfiguration history the policy has,
         /// every path routes to exactly one in-range shard, and the
-        /// directory row itself never leaves the `HashByParent` home.
+        /// directory row itself never leaves its hash-routing home.
         #[test]
         fn every_path_routes_to_exactly_one_shard(
             seed in 0u64..10_000,
             shards in 1usize..9,
         ) {
             let (p, _) = drive(seed, shards, 400);
-            let reference = HashByParent::new(shards);
+            let reference = ShardPolicy::hash(shards);
             for path in sample_paths() {
                 let s = p.shard_of(&path);
                 prop_assert!(s.0 < shards, "{path} routed to {s}");

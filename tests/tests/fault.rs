@@ -148,6 +148,29 @@ fn acked_but_unapplied_rows_replay_after_crash() {
     assert!(f.recovery_ms > 0.0, "replay is priced, not free");
 }
 
+#[test]
+fn scripted_drops_reach_unbatched_requests() {
+    // Synchronous requests pass the same fault gate as batch flushes,
+    // so a scripted drop swallows them too: the client times out,
+    // retries, and every op still completes.
+    let plan = FaultPlan::default().drop_messages(ShardId(0), SimTime::ZERO, 2);
+    let mut fs = stack(CofsConfig::default().with_fault_plan(plan));
+    let ctx = OpCtx::test(NodeId(0));
+    let mut t = SimTime::ZERO;
+    for i in 0..3 {
+        let d = vpath(&format!("/d{i}"));
+        t = fs
+            .mkdir(&ctx.at(t), &d, Mode::dir_default())
+            .expect("mkdir completes despite the drops")
+            .end;
+        t = fs.stat(&ctx.at(t), &d).expect("stat completes").end;
+    }
+    let f = fs.fault_summary().expect("armed plan");
+    assert_eq!(f.drops, 2, "both scripted drops must hit: {f:?}");
+    assert!(f.retries >= 2, "each drop costs a retry: {f:?}");
+    assert_eq!(f.exhausted, 0);
+}
+
 /// The write-behind storm stack of the cascade sweep (shape of
 /// `cofs_bench::cofs_cascade` with both knobs off).
 fn cascade_cfg() -> CofsConfig {

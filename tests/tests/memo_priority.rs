@@ -11,7 +11,7 @@ use cofs::batch::BatchedOp;
 use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
 use cofs::fs::CofsFs;
 use cofs::mds::{DbOps, ReadSet};
-use cofs::mds_cluster::{MdsCluster, ShardId, SingleShard};
+use cofs::mds_cluster::{MdsCluster, Shape, ShardId, ShardPolicy};
 use netsim::ids::NodeId;
 use simcore::time::{SimDuration, SimTime};
 use vfs::memfs::MemFs;
@@ -215,7 +215,7 @@ fn memoization_and_priority_compose() {
 }
 
 /// Pricing properties of the memoized batch path, driven straight
-/// through [`MdsCluster::rpc_batch`] on synthetic batches.
+/// through [`MdsCluster::request`] on synthetic batches.
 mod pricing_props {
     use super::*;
     use proptest::prelude::*;
@@ -231,8 +231,15 @@ mod pricing_props {
     /// Prices one batch on a fresh single-shard cluster and returns
     /// (client completion time, shard busy time).
     fn price(cfg: &CofsConfig, ops: &[BatchedOp]) -> (SimTime, SimDuration) {
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
-        let done = cluster.rpc_batch(cfg, &net(), NodeId(0), ShardId(0), ops, SimTime::ZERO);
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
+        let done = cluster.request(
+            cfg,
+            &net(),
+            NodeId(0),
+            Shape::Batch(ShardId(0)),
+            ops,
+            SimTime::ZERO,
+        );
         (done, cluster.usage()[0].busy)
     }
 

@@ -80,14 +80,14 @@ mod placement_props {
 
 mod shard_policy_props {
     use super::*;
-    use cofs::mds_cluster::{HashByParent, ShardPolicy, SingleShard, SubtreePartition};
+    use cofs::mds_cluster::ShardPolicy;
     use vfs::path::VPath;
 
-    fn policies(shards: usize) -> Vec<Box<dyn ShardPolicy>> {
-        vec![
-            Box::new(SingleShard),
-            Box::new(HashByParent::new(shards)),
-            Box::new(SubtreePartition::new(shards)),
+    fn policies(shards: usize) -> [ShardPolicy; 3] {
+        [
+            ShardPolicy::hash(1),
+            ShardPolicy::hash(shards),
+            ShardPolicy::subtree(shards),
         ]
     }
 
@@ -127,7 +127,7 @@ mod shard_policy_props {
             shards in 1usize..16,
         ) {
             let dir = VPath::new(&dir).unwrap();
-            let policy = HashByParent::new(shards);
+            let policy = ShardPolicy::hash(shards);
             let sa = policy.shard_of(&dir.join(&a));
             let sb = policy.shard_of(&dir.join(&b));
             prop_assert_eq!(sa, sb);
@@ -145,7 +145,7 @@ mod shard_policy_props {
         ) {
             let root = VPath::new(&top).unwrap();
             let deep = VPath::new(&format!("{top}{rest}")).unwrap();
-            let policy = SubtreePartition::new(shards);
+            let policy = ShardPolicy::subtree(shards);
             let home = policy.shard_of(&root);
             prop_assert_eq!(policy.shard_of(&deep), home);
             prop_assert_eq!(policy.shard_of_entries(&deep), home);

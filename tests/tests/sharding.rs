@@ -2,7 +2,7 @@
 //!
 //! Three pinned properties:
 //!
-//! 1. `SingleShard` is *bit-for-bit* the centralized MDS the paper
+//! 1. One shard is *bit-for-bit* the centralized MDS the paper
 //!    measured — same virtual timings, so the fig4/fig5 calibration
 //!    suite keeps passing unchanged against the default config.
 //! 2. Under the shared-directory storm, create throughput improves
@@ -55,7 +55,7 @@ fn storm_throughput_improves_monotonically_with_shards() {
     let storm = SharedDirStorm::default();
     let mut prev_makespan = None;
     for shards in [1usize, 2, 4] {
-        // A count of 1 degenerates to SingleShard inside the config.
+        // A count of 1 degenerates to one hashed shard inside the config.
         let mut fs = cofs_over_memfs_sharded(shards);
         let r = storm.run(&mut fs);
         if let Some(prev) = prev_makespan {

@@ -14,7 +14,7 @@ use cofs::batch::BatchedOp;
 use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind, WriteBehindConfig};
 use cofs::fs::CofsFs;
 use cofs::mds::{DbOps, ReadSet, WriteSet};
-use cofs::mds_cluster::{MdsCluster, ShardId, SingleShard};
+use cofs::mds_cluster::{MdsCluster, Shape, ShardId, ShardPolicy};
 use netsim::ids::NodeId;
 use simcore::time::{SimDuration, SimTime};
 use vfs::memfs::MemFs;
@@ -84,7 +84,7 @@ fn journal_knobbed_but_off_is_bit_for_bit_the_seed_storm() {
 fn journal_off_rpc_is_bit_for_bit_the_seed_rpc() {
     // The same calibration guard one layer down: a mutation batch
     // priced with the journal knobbed-but-off must reproduce the seed
-    // `rpc_batch` exactly, ack and busy time both.
+    // batch pricing exactly, ack and busy time both.
     let ops: Vec<BatchedOp> = (0..4)
         .map(|_| BatchedOp {
             db: DbOps {
@@ -106,8 +106,15 @@ fn journal_off_rpc_is_bit_for_bit_the_seed_rpc() {
         max_unapplied_window: SimDuration::from_micros(1),
     };
     let price = |cfg: &CofsConfig| {
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
-        let done = cluster.rpc_batch(cfg, &net(), NodeId(0), ShardId(0), &ops, SimTime::ZERO);
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
+        let done = cluster.request(
+            cfg,
+            &net(),
+            NodeId(0),
+            Shape::Batch(ShardId(0)),
+            &ops,
+            SimTime::ZERO,
+        );
         (
             done,
             cluster.usage()[0].busy,
@@ -201,7 +208,7 @@ fn degenerate_durability_window_backpressures_but_completes() {
 }
 
 /// Pricing properties of the journaled batch path, driven straight
-/// through [`MdsCluster::rpc_batch`] on synthetic batches.
+/// through [`MdsCluster::request`] on synthetic batches.
 mod pricing_props {
     use super::*;
     use proptest::prelude::*;
@@ -243,8 +250,15 @@ mod pricing_props {
     /// Prices one batch on a fresh single-shard cluster and returns
     /// (client completion time, shard busy time, rows coalesced).
     fn price(cfg: &CofsConfig, ops: &[BatchedOp]) -> (SimTime, SimDuration, u64) {
-        let mut cluster = MdsCluster::new(Box::new(SingleShard));
-        let done = cluster.rpc_batch(cfg, &net(), NodeId(0), ShardId(0), ops, SimTime::ZERO);
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
+        let done = cluster.request(
+            cfg,
+            &net(),
+            NodeId(0),
+            Shape::Batch(ShardId(0)),
+            ops,
+            SimTime::ZERO,
+        );
         let u = &cluster.usage()[0];
         (done, u.busy, u.rows_coalesced)
     }
@@ -297,12 +311,12 @@ mod pricing_props {
             let mut cfg = wb_cfg();
             cfg.write_behind.max_unapplied_ops = 6;
             cfg.write_behind.max_unapplied_window = SimDuration::from_micros(200);
-            let mut cluster = MdsCluster::new(Box::new(SingleShard));
+            let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
             let mut now = SimTime::ZERO;
             for r in 0..rounds {
                 let batch = gen_batch(seed.wrapping_add(r as u64), 4);
                 let acked =
-                    cluster.rpc_batch(&cfg, &net(), NodeId(0), ShardId(0), &batch, now);
+                    cluster.request(&cfg, &net(), NodeId(0), Shape::Batch(ShardId(0)), &batch, now);
                 // The invariant the durability window promises, checked
                 // from outside (the cluster's debug_assert checks it
                 // from inside on every clamp).
