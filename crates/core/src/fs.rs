@@ -610,16 +610,18 @@ impl<U: FileSystem> CofsFs<U> {
     /// at `t`: the owning shards message each remote holder (in
     /// parallel, RTT-costed), the recalled entries leave the holders'
     /// caches, and the mutator's own copies are dropped for free.
+    /// `keys` runs only with the client cache on; with it off there
+    /// are no leases, and building the keys would only clone paths.
     fn recall(
         &mut self,
         node: NodeId,
-        keys: Vec<LeaseKey>,
+        keys: impl FnOnce() -> Vec<LeaseKey>,
         t: simcore::time::SimTime,
     ) -> simcore::time::SimTime {
         if !self.cache.enabled() {
             return t;
         }
-        let (done, dropped) = self.mds.recall_leases(&self.net, node, &keys, t);
+        let (done, dropped) = self.mds.recall_leases(&self.net, node, &keys(), t);
         let msgs = dropped.iter().filter(|(h, _)| *h != node).count() as u64;
         if msgs > 0 {
             self.counters.add("lease_recalls", msgs);
@@ -766,7 +768,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             .namespace_mut()
             .mkdir(Self::cred(ctx), path, mode, ctx.now)?;
         let t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
-        let t = self.recall(ctx.node, Self::creation_keys(path), t);
+        let t = self.recall(ctx.node, || Self::creation_keys(path), t);
         Ok(Timed::new((), t))
     }
 
@@ -779,11 +781,14 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             .namespace_mut()
             .rmdir(Self::cred(ctx), path, ctx.now)?;
         let t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
-        let mut keys = vec![
-            (EntryKind::Attr, path.clone()),
-            (EntryKind::Dentry, path.clone()),
-        ];
-        keys.extend(Self::parent_keys(path));
+        let keys = || {
+            let mut keys = vec![
+                (EntryKind::Attr, path.clone()),
+                (EntryKind::Dentry, path.clone()),
+            ];
+            keys.extend(Self::parent_keys(path));
+            keys
+        };
         let t = self.recall(ctx.node, keys, t);
         Ok(Timed::new((), t))
     }
@@ -814,7 +819,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         // Other clients caching the parent's listing (or its attrs)
         // must give their leases back before the create is done, and
         // pollers holding a negative lease on the name learn it exists.
-        t = self.recall(ctx.node, Self::creation_keys(path), t);
+        t = self.recall(ctx.node, || Self::creation_keys(path), t);
         // Materialize the underlying file in its private directory.
         t = self.ensure_under_dir(ctx, &dir, t)?;
         let dctx = Self::daemon_ctx(ctx, t);
@@ -865,7 +870,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
                 t = self.gate(ctx.node, "open", path, t)?;
                 let ops = self.mds.namespace_mut().set_size(rec.ino, 0, ctx.now);
                 t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
-                t = self.recall(ctx.node, vec![(EntryKind::Attr, path.clone())], t);
+                t = self.recall(ctx.node, || vec![(EntryKind::Attr, path.clone())], t);
             } else {
                 // The daemon defers the underlying open until the
                 // first read/write; an open/close cycle with no I/O
@@ -908,7 +913,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
                 t = self.gate(ctx.node, "close", &h.vpath, t)?;
                 let ops = self.mds.namespace_mut().set_size(h.vino, size, ctx.now);
                 t = self.charge(ctx.node, Target::Write(&h.vpath, None), ops, t)?;
-                t = self.recall(ctx.node, vec![(EntryKind::Attr, h.vpath.clone())], t);
+                t = self.recall(ctx.node, || vec![(EntryKind::Attr, h.vpath.clone())], t);
             }
         }
         Ok(Timed::new((), t))
@@ -986,7 +991,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             .namespace_mut()
             .setattr(Self::cred(ctx), path, set, ctx.now)?;
         let t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
-        let t = self.recall(ctx.node, vec![(EntryKind::Attr, path.clone())], t);
+        let t = self.recall(ctx.node, || vec![(EntryKind::Attr, path.clone())], t);
         Ok(Timed::new(rec.attr(), t))
     }
 
@@ -1012,8 +1017,11 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             .namespace_mut()
             .unlink(Self::cred(ctx), path, ctx.now)?;
         let mut t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
-        let mut keys = vec![(EntryKind::Attr, path.clone())];
-        keys.extend(Self::parent_keys(path));
+        let keys = || {
+            let mut keys = vec![(EntryKind::Attr, path.clone())];
+            keys.extend(Self::parent_keys(path));
+            keys
+        };
         t = self.recall(ctx.node, keys, t);
         if let Some(mapping) = gone {
             // Last link went away: remove the real bits.
@@ -1063,7 +1071,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             keys.extend(self.mds.lease_keys_under(to));
             keys.extend(Self::parent_keys(from));
             keys.extend(Self::parent_keys(to));
-            t = self.recall(ctx.node, keys, t);
+            t = self.recall(ctx.node, || keys, t);
         }
         if let Some(mapping) = doomed {
             let dctx = Self::daemon_ctx(ctx, t);
@@ -1089,8 +1097,11 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         let t = self.charge(ctx.node, Target::Write(existing, Some(new)), ops, t)?;
         // The linked inode's nlink changed, the new parent gained an
         // entry, and the new name stopped being absent.
-        let mut keys = vec![(EntryKind::Attr, existing.clone())];
-        keys.extend(Self::creation_keys(new));
+        let keys = || {
+            let mut keys = vec![(EntryKind::Attr, existing.clone())];
+            keys.extend(Self::creation_keys(new));
+            keys
+        };
         let t = self.recall(ctx.node, keys, t);
         Ok(Timed::new((), t))
     }
@@ -1104,7 +1115,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             .namespace_mut()
             .symlink(Self::cred(ctx), target, new, ctx.now)?;
         let t = self.charge(ctx.node, Target::Write(new, None), ops, t)?;
-        let t = self.recall(ctx.node, Self::creation_keys(new), t);
+        let t = self.recall(ctx.node, || Self::creation_keys(new), t);
         Ok(Timed::new((), t))
     }
 

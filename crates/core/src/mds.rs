@@ -8,14 +8,19 @@
 //! the underlying filesystem, reachable through each file's `mapping`
 //! path.
 //!
+//! Inode numbers are handed out sequentially and never reused, so the
+//! inode table is a dense vector indexed by number. The entry table is
+//! one ordered map keyed by `(parent, name)`; each entry carries its
+//! child's type, so listing a directory reads no child inode.
+//!
 //! The service is deliberately *state only*: every operation returns
 //! the [`DbOps`] it performed (rows read, rows written) and the
 //! composite filesystem charges virtual time for them against the
 //! service's CPU queue and the network.
 
-use metadb::table::{Record, Table};
 use simcore::rng::{stable_hash, stable_hash_combine};
 use simcore::time::SimTime;
+use std::collections::BTreeMap;
 use vfs::error::{Errno, FsError};
 use vfs::path::VPath;
 use vfs::types::{DirEntry, FileAttr, FileType, Gid, Ino, Mode, SetAttr, Uid, MAX_NAME_LEN};
@@ -58,13 +63,6 @@ pub struct InodeRec {
     pub mapping: Option<VPath>,
 }
 
-impl Record for InodeRec {
-    type Key = u64;
-    fn key(&self) -> u64 {
-        self.ino
-    }
-}
-
 impl InodeRec {
     /// The `stat`-visible attributes of this record.
     pub fn attr(&self) -> FileAttr {
@@ -89,22 +87,13 @@ impl InodeRec {
     }
 }
 
-/// A row in the directory-entry table: (parent ino, name) → child ino.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DentryRec {
-    /// Containing directory's virtual inode.
-    pub parent: u64,
-    /// Component name.
-    pub name: String,
-    /// Referenced virtual inode.
-    pub ino: u64,
-}
-
-impl Record for DentryRec {
-    type Key = (u64, String);
-    fn key(&self) -> (u64, String) {
-        (self.parent, self.name.clone())
-    }
+/// A row in the directory-entry table, keyed by `(parent ino, name)`.
+/// The child's type rides along (an inode never changes type), so a
+/// listing needs no inode lookups.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Dentry {
+    ino: u64,
+    ftype: FileType,
 }
 
 /// Database work performed by one service call.
@@ -377,46 +366,43 @@ pub struct Cred {
 
 const ROOT_INO: u64 = 1;
 
-/// The metadata service state: two tables and an inode allocator.
+/// The metadata service state: the inode and directory-entry tables.
 #[derive(Debug)]
 pub struct Mds {
-    inodes: Table<InodeRec>,
-    dentries: Table<DentryRec>,
-    next_ino: u64,
+    /// Inode rows indexed by inode number; `None` for number 0 and for
+    /// freed inodes. The next number to hand out is the length.
+    inodes: Vec<Option<InodeRec>>,
+    dentries: BTreeMap<(u64, String), Dentry>,
 }
 
 impl Mds {
     /// Creates a service with an empty (root-only) namespace. The root
     /// is world-writable like a scratch filesystem.
     pub fn new() -> Self {
-        let mut inodes = Table::new("inodes");
-        inodes
-            .insert(InodeRec {
-                ino: ROOT_INO,
-                ftype: FileType::Directory,
-                mode: Mode::new(0o777),
-                uid: Uid(0),
-                gid: Gid(0),
-                nlink: 2,
-                size: 0,
-                entries: 0,
-                atime: SimTime::ZERO,
-                mtime: SimTime::ZERO,
-                ctime: SimTime::ZERO,
-                target: None,
-                mapping: None,
-            })
-            .expect("fresh table");
+        let root = InodeRec {
+            ino: ROOT_INO,
+            ftype: FileType::Directory,
+            mode: Mode::new(0o777),
+            uid: Uid(0),
+            gid: Gid(0),
+            nlink: 2,
+            size: 0,
+            entries: 0,
+            atime: SimTime::ZERO,
+            mtime: SimTime::ZERO,
+            ctime: SimTime::ZERO,
+            target: None,
+            mapping: None,
+        };
         Mds {
-            inodes,
-            dentries: Table::new("dentries"),
-            next_ino: 2,
+            inodes: vec![None, Some(root)],
+            dentries: BTreeMap::new(),
         }
     }
 
     /// Number of virtual inodes (including the root).
     pub fn inode_count(&self) -> u64 {
-        self.inodes.len() as u64
+        self.inodes.iter().flatten().count() as u64
     }
 
     /// Number of directory entries.
@@ -437,20 +423,46 @@ impl Mds {
                 None => return 0,
             }
         }
-        match self.inodes.get(&cur) {
-            Some(rec) if rec.ftype == FileType::Directory => rec.entries,
-            _ => 0,
+        let rec = self.get(cur);
+        if rec.ftype == FileType::Directory {
+            rec.entries
+        } else {
+            0
         }
     }
 
     fn get(&self, ino: u64) -> &InodeRec {
-        self.inodes.get(&ino).expect("dangling virtual inode")
+        self.inodes[ino as usize]
+            .as_ref()
+            .expect("dangling virtual inode")
     }
 
-    fn alloc_ino(&mut self) -> u64 {
-        let ino = self.next_ino;
-        self.next_ino += 1;
-        ino
+    fn get_mut(&mut self, ino: u64) -> &mut InodeRec {
+        self.inodes[ino as usize]
+            .as_mut()
+            .expect("dangling virtual inode")
+    }
+
+    fn free_inode(&mut self, ino: u64) {
+        self.inodes[ino as usize]
+            .take()
+            .expect("dangling virtual inode");
+    }
+
+    /// Inserts the `(parent, name)` entry for `ino`, copying its type.
+    fn link_entry(&mut self, parent: u64, name: String, ino: u64) {
+        let entry = Dentry {
+            ino,
+            ftype: self.get(ino).ftype,
+        };
+        let prev = self.dentries.insert((parent, name), entry);
+        debug_assert!(prev.is_none(), "caller checked the name was free");
+    }
+
+    fn unlink_entry(&mut self, parent: u64, name: String) {
+        self.dentries
+            .remove(&(parent, name))
+            .expect("entry existed");
     }
 
     /// Resolves a path to an inode record, following intermediate
@@ -561,13 +573,10 @@ impl Mds {
     }
 
     fn touch_parent(&mut self, pino: u64, now: SimTime, entry_delta: i64, ops: &mut DbOps) {
-        self.inodes
-            .update(&pino, |r| {
-                r.mtime = now;
-                r.ctime = now;
-                r.entries = (r.entries as i64 + entry_delta).max(0) as u64;
-            })
-            .expect("parent exists");
+        let r = self.get_mut(pino);
+        r.mtime = now;
+        r.ctime = now;
+        r.entries = (r.entries as i64 + entry_delta).max(0) as u64;
         ops.write(1);
     }
 
@@ -580,24 +589,22 @@ impl Mds {
         target: Option<String>,
         mapping: Option<VPath>,
     ) -> u64 {
-        let ino = self.alloc_ino();
-        self.inodes
-            .insert(InodeRec {
-                ino,
-                ftype,
-                mode,
-                uid: cred.uid,
-                gid: cred.gid,
-                nlink: if ftype == FileType::Directory { 2 } else { 1 },
-                size: 0,
-                entries: 0,
-                atime: now,
-                mtime: now,
-                ctime: now,
-                target,
-                mapping,
-            })
-            .expect("fresh inode number");
+        let ino = self.inodes.len() as u64;
+        self.inodes.push(Some(InodeRec {
+            ino,
+            ftype,
+            mode,
+            uid: cred.uid,
+            gid: cred.gid,
+            nlink: if ftype == FileType::Directory { 2 } else { 1 },
+            size: 0,
+            entries: 0,
+            atime: now,
+            mtime: now,
+            ctime: now,
+            target,
+            mapping,
+        }));
         ino
     }
 
@@ -646,18 +653,12 @@ impl Mds {
         let mut ops = DbOps::default();
         let (pino, name) = self.resolve_parent(cred, path, "create", &mut ops)?;
         self.check_parent_write(cred, pino, "create", path)?;
-        if self.dentries.contains(&(pino, name.clone())) {
+        if self.dentries.contains_key(&(pino, name.clone())) {
             return Err(FsError::new(Errno::EEXIST, "create", path.as_str()));
         }
         ops.read(1);
         let ino = self.new_inode(cred, FileType::Regular, mode, now, None, Some(mapping));
-        self.dentries
-            .insert(DentryRec {
-                parent: pino,
-                name,
-                ino,
-            })
-            .expect("checked for duplicates");
+        self.link_entry(pino, name, ino);
         ops.write(2);
         self.touch_parent(pino, now, 1, &mut ops);
         Ok((self.get(ino).clone(), ops))
@@ -679,22 +680,14 @@ impl Mds {
         let mut ops = DbOps::default();
         let (pino, name) = self.resolve_parent(cred, path, "mkdir", &mut ops)?;
         self.check_parent_write(cred, pino, "mkdir", path)?;
-        if self.dentries.contains(&(pino, name.clone())) {
+        if self.dentries.contains_key(&(pino, name.clone())) {
             return Err(FsError::new(Errno::EEXIST, "mkdir", path.as_str()));
         }
         ops.read(1);
         let ino = self.new_inode(cred, FileType::Directory, mode, now, None, None);
-        self.dentries
-            .insert(DentryRec {
-                parent: pino,
-                name,
-                ino,
-            })
-            .expect("checked for duplicates");
+        self.link_entry(pino, name, ino);
         ops.write(2);
-        self.inodes
-            .update(&pino, |r| r.nlink += 1)
-            .expect("parent exists");
+        self.get_mut(pino).nlink += 1;
         ops.write(1);
         self.touch_parent(pino, now, 1, &mut ops);
         Ok(ops)
@@ -712,11 +705,10 @@ impl Mds {
         let mut ops = DbOps::default();
         let (pino, name) = self.resolve_parent(cred, path, "rmdir", &mut ops)?;
         self.check_parent_write(cred, pino, "rmdir", path)?;
-        let dent = self
+        let dent = *self
             .dentries
             .get(&(pino, name.clone()))
-            .ok_or_else(|| FsError::new(Errno::ENOENT, "rmdir", path.as_str()))?
-            .clone();
+            .ok_or_else(|| FsError::new(Errno::ENOENT, "rmdir", path.as_str()))?;
         ops.read(1);
         let node = self.get(dent.ino);
         if node.ftype != FileType::Directory {
@@ -725,11 +717,9 @@ impl Mds {
         if node.entries > 0 {
             return Err(FsError::new(Errno::ENOTEMPTY, "rmdir", path.as_str()));
         }
-        self.dentries.delete(&(pino, name)).expect("entry existed");
-        self.inodes.delete(&dent.ino).expect("inode existed");
-        self.inodes
-            .update(&pino, |r| r.nlink -= 1)
-            .expect("parent exists");
+        self.unlink_entry(pino, name);
+        self.free_inode(dent.ino);
+        self.get_mut(pino).nlink -= 1;
         ops.write(3);
         self.touch_parent(pino, now, -1, &mut ops);
         Ok(ops)
@@ -750,34 +740,27 @@ impl Mds {
         let mut ops = DbOps::default();
         let (pino, name) = self.resolve_parent(cred, path, "unlink", &mut ops)?;
         self.check_parent_write(cred, pino, "unlink", path)?;
-        let dent = self
+        let dent = *self
             .dentries
             .get(&(pino, name.clone()))
-            .ok_or_else(|| FsError::new(Errno::ENOENT, "unlink", path.as_str()))?
-            .clone();
+            .ok_or_else(|| FsError::new(Errno::ENOENT, "unlink", path.as_str()))?;
         ops.read(1);
-        if self.get(dent.ino).ftype == FileType::Directory {
+        if dent.ftype == FileType::Directory {
             return Err(FsError::new(Errno::EISDIR, "unlink", path.as_str()));
         }
-        self.dentries.delete(&(pino, name)).expect("entry existed");
+        self.unlink_entry(pino, name);
         ops.write(1);
-        self.inodes
-            .update(&dent.ino, |r| {
-                r.nlink -= 1;
-                r.ctime = now;
-            })
-            .expect("inode exists");
+        let rec = self.get_mut(dent.ino);
+        rec.nlink -= 1;
+        rec.ctime = now;
         ops.write(1);
-        let gone = {
-            let rec = self.get(dent.ino);
-            if rec.nlink == 0 {
-                let mapping = rec.mapping.clone();
-                self.inodes.delete(&dent.ino).expect("inode exists");
-                ops.write(1);
-                mapping
-            } else {
-                None
-            }
+        let gone = if rec.nlink == 0 {
+            let mapping = rec.mapping.take();
+            self.free_inode(dent.ino);
+            ops.write(1);
+            mapping
+        } else {
+            None
         };
         self.touch_parent(pino, now, -1, &mut ops);
         Ok((gone, ops))
@@ -823,30 +806,27 @@ impl Mds {
         if set.size.is_some() && node.ftype != FileType::Regular {
             return Err(FsError::new(Errno::EISDIR, "setattr", path.as_str()));
         }
-        self.inodes
-            .update(&ino, |r| {
-                if let Some(m) = set.mode {
-                    r.mode = m;
-                }
-                if let Some(u) = set.uid {
-                    r.uid = u;
-                }
-                if let Some(g) = set.gid {
-                    r.gid = g;
-                }
-                if let Some(s) = set.size {
-                    r.size = s;
-                    r.mtime = now;
-                }
-                if let Some(t) = set.atime {
-                    r.atime = t;
-                }
-                if let Some(t) = set.mtime {
-                    r.mtime = t;
-                }
-                r.ctime = now;
-            })
-            .expect("inode exists");
+        let r = self.get_mut(ino);
+        if let Some(m) = set.mode {
+            r.mode = m;
+        }
+        if let Some(u) = set.uid {
+            r.uid = u;
+        }
+        if let Some(g) = set.gid {
+            r.gid = g;
+        }
+        if let Some(s) = set.size {
+            r.size = s;
+            r.mtime = now;
+        }
+        if let Some(t) = set.atime {
+            r.atime = t;
+        }
+        if let Some(t) = set.mtime {
+            r.mtime = t;
+        }
+        r.ctime = now;
         ops.write(1);
         Ok((self.get(ino).clone(), ops))
     }
@@ -855,14 +835,9 @@ impl Mds {
     /// since writes never contact the service).
     pub fn set_size(&mut self, ino: u64, size: u64, now: SimTime) -> DbOps {
         let mut ops = DbOps::default();
-        if self
-            .inodes
-            .update(&ino, |r| {
-                r.size = size;
-                r.mtime = now;
-            })
-            .is_ok()
-        {
+        if let Some(Some(r)) = self.inodes.get_mut(ino as usize) {
+            r.size = size;
+            r.mtime = now;
             ops.write(1);
         }
         ops
@@ -894,17 +869,15 @@ impl Mds {
         }
         let list: Vec<DirEntry> = self
             .dentries
-            .scan((ino, String::new())..(ino + 1, String::new()))
-            .map(|d| DirEntry {
-                name: d.name.clone(),
+            .range((ino, String::new())..(ino + 1, String::new()))
+            .map(|((_, name), d)| DirEntry {
+                name: name.clone(),
                 ino: Ino(d.ino),
-                ftype: self.get(d.ino).ftype,
+                ftype: d.ftype,
             })
             .collect();
         ops.read(list.len() as u64 + 1);
-        self.inodes
-            .update(&ino, |r| r.atime = now)
-            .expect("inode exists");
+        self.get_mut(ino).atime = now;
         ops.write(1);
         Ok((list, ops))
     }
@@ -929,23 +902,14 @@ impl Mds {
         }
         let (pino, name) = self.resolve_parent(cred, new, "link", &mut ops)?;
         self.check_parent_write(cred, pino, "link", new)?;
-        if self.dentries.contains(&(pino, name.clone())) {
+        if self.dentries.contains_key(&(pino, name.clone())) {
             return Err(FsError::new(Errno::EEXIST, "link", new.as_str()));
         }
         ops.read(1);
-        self.dentries
-            .insert(DentryRec {
-                parent: pino,
-                name,
-                ino,
-            })
-            .expect("checked for duplicates");
-        self.inodes
-            .update(&ino, |r| {
-                r.nlink += 1;
-                r.ctime = now;
-            })
-            .expect("inode exists");
+        self.link_entry(pino, name, ino);
+        let r = self.get_mut(ino);
+        r.nlink += 1;
+        r.ctime = now;
         ops.write(2);
         self.touch_parent(pino, now, 1, &mut ops);
         Ok(ops)
@@ -966,7 +930,7 @@ impl Mds {
         let mut ops = DbOps::default();
         let (pino, name) = self.resolve_parent(cred, new, "symlink", &mut ops)?;
         self.check_parent_write(cred, pino, "symlink", new)?;
-        if self.dentries.contains(&(pino, name.clone())) {
+        if self.dentries.contains_key(&(pino, name.clone())) {
             return Err(FsError::new(Errno::EEXIST, "symlink", new.as_str()));
         }
         ops.read(1);
@@ -980,13 +944,7 @@ impl Mds {
             Some(target.to_string()),
             None,
         );
-        self.dentries
-            .insert(DentryRec {
-                parent: pino,
-                name,
-                ino,
-            })
-            .expect("checked for duplicates");
+        self.link_entry(pino, name, ino);
         ops.write(2);
         self.touch_parent(pino, now, 1, &mut ops);
         Ok(ops)
@@ -1034,79 +992,54 @@ impl Mds {
         self.check_parent_write(cred, from_pino, "rename", from)?;
         let (to_pino, to_name) = self.resolve_parent(cred, to, "rename", &mut ops)?;
         self.check_parent_write(cred, to_pino, "rename", to)?;
-        let src = self
+        let src = *self
             .dentries
             .get(&(from_pino, from_name.clone()))
-            .ok_or_else(|| FsError::new(Errno::ENOENT, "rename", from.as_str()))?
-            .clone();
+            .ok_or_else(|| FsError::new(Errno::ENOENT, "rename", from.as_str()))?;
         ops.read(1);
-        let src_is_dir = self.get(src.ino).ftype == FileType::Directory;
-        if let Some(dst) = self.dentries.get(&(to_pino, to_name.clone())).cloned() {
+        let src_is_dir = src.ftype == FileType::Directory;
+        if let Some(dst) = self.dentries.get(&(to_pino, to_name.clone())).copied() {
             ops.read(1);
-            let dst_rec = self.get(dst.ino).clone();
-            match (src_is_dir, dst_rec.ftype == FileType::Directory) {
+            match (src_is_dir, dst.ftype == FileType::Directory) {
                 (true, false) => return Err(FsError::new(Errno::ENOTDIR, "rename", to.as_str())),
                 (false, true) => return Err(FsError::new(Errno::EISDIR, "rename", to.as_str())),
                 (true, true) => {
-                    if dst_rec.entries > 0 {
+                    if self.get(dst.ino).entries > 0 {
                         return Err(FsError::new(Errno::ENOTEMPTY, "rename", to.as_str()));
                     }
-                    self.dentries
-                        .delete(&(to_pino, to_name.clone()))
-                        .expect("entry existed");
-                    self.inodes.delete(&dst.ino).expect("inode existed");
-                    self.inodes
-                        .update(&to_pino, |r| r.nlink -= 1)
-                        .expect("parent exists");
+                    self.unlink_entry(to_pino, to_name.clone());
+                    self.free_inode(dst.ino);
+                    self.get_mut(to_pino).nlink -= 1;
                     self.touch_parent(to_pino, now, -1, &mut ops);
                     ops.write(3);
                 }
                 (false, false) => {
-                    self.dentries
-                        .delete(&(to_pino, to_name.clone()))
-                        .expect("entry existed");
-                    self.inodes
-                        .update(&dst.ino, |r| {
-                            r.nlink -= 1;
-                            r.ctime = now;
-                        })
-                        .expect("inode exists");
-                    if self.get(dst.ino).nlink == 0 {
+                    self.unlink_entry(to_pino, to_name.clone());
+                    let r = self.get_mut(dst.ino);
+                    r.nlink -= 1;
+                    r.ctime = now;
+                    if r.nlink == 0 {
                         // Underlying cleanup is the caller's business;
                         // rename replacing a file returns no mapping in
                         // the current API, so the layer re-checks.
-                        self.inodes.delete(&dst.ino).expect("inode exists");
+                        self.free_inode(dst.ino);
                     }
                     self.touch_parent(to_pino, now, -1, &mut ops);
                     ops.write(2);
                 }
             }
         }
-        self.dentries
-            .delete(&(from_pino, from_name))
-            .expect("source entry existed");
-        self.dentries
-            .insert(DentryRec {
-                parent: to_pino,
-                name: to_name,
-                ino: src.ino,
-            })
-            .expect("target slot cleared");
+        self.unlink_entry(from_pino, from_name);
+        self.dentries.insert((to_pino, to_name), src);
         ops.write(2);
         if src_is_dir && from_pino != to_pino {
-            self.inodes
-                .update(&from_pino, |r| r.nlink -= 1)
-                .expect("parent exists");
-            self.inodes
-                .update(&to_pino, |r| r.nlink += 1)
-                .expect("parent exists");
+            self.get_mut(from_pino).nlink -= 1;
+            self.get_mut(to_pino).nlink += 1;
             ops.write(2);
         }
         self.touch_parent(from_pino, now, -1, &mut ops);
         self.touch_parent(to_pino, now, 1, &mut ops);
-        self.inodes
-            .update(&src.ino, |r| r.ctime = now)
-            .expect("inode exists");
+        self.get_mut(src.ino).ctime = now;
         ops.write(1);
         Ok(ops)
     }
@@ -1257,6 +1190,53 @@ mod tests {
             .getattr(cred(), &vpath("/a/f"))
             .unwrap_err()
             .is(Errno::ENOENT));
+    }
+
+    /// Each entry carries its child's type, so the type must follow the
+    /// entry through every way a name can move or multiply.
+    #[test]
+    fn readdir_types_follow_renames_links_and_symlinks() {
+        let mut mds = Mds::new();
+        for d in ["/a", "/a/sub", "/b", "/b/empty"] {
+            mds.mkdir(cred(), &vpath(d), Mode::dir_default(), t(1))
+                .unwrap();
+        }
+        for (f, m) in [("/a/f", "/.u/f"), ("/b/victim", "/.u/v")] {
+            mds.create(cred(), &vpath(f), Mode::file_default(), vpath(m), t(2))
+                .unwrap();
+        }
+        // A directory renamed across parents, over an empty directory.
+        mds.rename(cred(), &vpath("/a/sub"), &vpath("/b/empty"), t(3))
+            .unwrap();
+        // A file renamed over another file.
+        mds.rename(cred(), &vpath("/a/f"), &vpath("/b/victim"), t(4))
+            .unwrap();
+        mds.link(cred(), &vpath("/b/victim"), &vpath("/a/hard"), t(5))
+            .unwrap();
+        mds.symlink(cred(), "/b/empty", &vpath("/a/ln"), t(6))
+            .unwrap();
+        let listed = |mds: &mut Mds, dir: &str| -> Vec<(String, FileType)> {
+            let (list, _) = mds.readdir(cred(), &vpath(dir), t(7)).unwrap();
+            for e in &list {
+                let (rec, _) = mds.getattr(cred(), &vpath(dir).join(&e.name)).unwrap();
+                assert_eq!((rec.ino, rec.ftype), (e.ino.0, e.ftype), "{dir}/{}", e.name);
+            }
+            list.into_iter().map(|e| (e.name, e.ftype)).collect()
+        };
+        assert_eq!(
+            listed(&mut mds, "/a"),
+            vec![
+                ("hard".to_string(), FileType::Regular),
+                ("ln".to_string(), FileType::Symlink),
+            ]
+        );
+        assert_eq!(
+            listed(&mut mds, "/b"),
+            vec![
+                ("empty".to_string(), FileType::Directory),
+                ("victim".to_string(), FileType::Regular),
+            ]
+        );
     }
 
     #[test]

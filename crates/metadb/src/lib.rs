@@ -1,42 +1,41 @@
-//! # metadb — transactional in-memory table store (Mnesia substitute)
+//! # metadb — metadata-database cost model (Mnesia substitute)
 //!
 //! The paper implements the COFS metadata service on the Mnesia
 //! database from Erlang/OTP: "metadata is maintained as a small set of
 //! database tables having the information about files and directories,
 //! and pure metadata operations are translated to the appropriate
-//! database queries." Mnesia is unavailable here, so this crate
-//! provides the equivalent capability in Rust:
+//! database queries." Mnesia is unavailable here. What the simulator
+//! needs from it is its *price*:
 //!
-//! - [`table::Table`] — typed, ordered record tables with
-//!   closure-scoped transactions and automatic rollback (Mnesia's
-//!   `transaction/1`);
 //! - [`cost::DbCostModel`] — virtual-time service demands mirroring
 //!   Mnesia disc-copies (memory reads, log-append writes, periodic
-//!   fsync to the locally attached ext3 disk).
+//!   fsync to the locally attached ext3 disk);
+//! - [`cost::DbCostTracker`] — the commit counter that lands the
+//!   periodic fsync deterministically, plus group-commit, memoization
+//!   and journal accounting.
 //!
-//! The COFS metadata service (`cofs::mds`) composes several tables
-//! (inodes, directory entries) and charges costs through a queueing
-//! resource so the service's CPU is a proper bottleneck at scale.
+//! The COFS metadata service (`cofs::mds`) keeps its two tables itself
+//! (a dense inode vector and an ordered directory-entry map), counts
+//! the rows each operation reads and writes, and charges those counts
+//! through this cost model against a queueing resource, so the
+//! service's CPU is a proper bottleneck at scale.
+//!
+//! [`table::Table`], a typed record table with closure-scoped
+//! transactions, no longer backs the service and has no user in the
+//! workspace; it is kept only until its removal.
 //!
 //! # Examples
 //!
 //! ```
-//! use metadb::table::{Record, Table};
+//! use metadb::cost::{DbCostModel, DbCostTracker};
 //!
-//! #[derive(Clone, Debug)]
-//! struct Dentry { parent: u64, name: String, ino: u64 }
-//! impl Record for Dentry {
-//!     type Key = (u64, String);
-//!     fn key(&self) -> (u64, String) { (self.parent, self.name.clone()) }
-//! }
-//!
-//! let mut dentries = Table::new("dentries");
-//! dentries.insert(Dentry { parent: 1, name: "out.dat".into(), ino: 7 })?;
-//! let hits: Vec<_> = dentries
-//!     .scan((1, String::new())..(2, String::new()))
-//!     .collect();
-//! assert_eq!(hits.len(), 1);
-//! # Ok::<(), metadb::error::DbError>(())
+//! let model = DbCostModel::default();
+//! let mut tracker = DbCostTracker::new();
+//! // A create resolving four rows and writing three:
+//! let read = tracker.query_cost(&model, 4);
+//! let write = tracker.txn_cost(&model, 3);
+//! assert_eq!(read, model.lookup * 4);
+//! assert_eq!(write, model.commit + model.write * 3);
 //! ```
 
 #![forbid(unsafe_code)]

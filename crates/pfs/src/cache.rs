@@ -201,9 +201,15 @@ pub struct NodeCache {
     /// Cached inode attributes (the stat cache), keyed by inode number.
     pub attr_entries: LruSet<u64>,
     /// Inodes with local dirty attributes (flushed on revoke).
-    /// Ordered: flush-victim selection iterates this set, and the
-    /// chosen block must not depend on hasher state (lint rule D003).
-    pub dirty_attr: BTreeSet<u64>,
+    /// Ordered: flushes iterate this set, and what they flush must not
+    /// depend on hasher state (lint rule D003). Changed only through
+    /// [`Self::mark_attr_dirty`] and [`Self::clean_attr`], which keep
+    /// `dirty_attr_blocks` in step.
+    dirty_attr: BTreeSet<u64>,
+    /// How many `dirty_attr` inodes each packed inode block holds
+    /// (blocks with none are absent). Ordered: the write-behind
+    /// throttle flushes the first block.
+    dirty_attr_blocks: BTreeMap<u64, usize>,
     /// Cached directory entry blocks, keyed by (dir ino, block index,
     /// block-count generation).
     pub dir_blocks: LruSet<(u64, u64, u64)>,
@@ -234,6 +240,7 @@ impl NodeCache {
         NodeCache {
             attr_entries: LruSet::new(attr_cache_entries),
             dirty_attr: BTreeSet::new(),
+            dirty_attr_blocks: BTreeMap::new(),
             dir_blocks: LruSet::new(dir_cache_blocks),
             dirty_dir: BTreeMap::new(),
             recent_dir_dirty: BTreeMap::new(),
@@ -243,6 +250,55 @@ impl NodeCache {
             dirty_data_total: 0,
             attached_dirs: HashSet::new(),
         }
+    }
+
+    /// Marks inode `ino`, packed in inode block `block`, as holding
+    /// dirty attributes.
+    pub fn mark_attr_dirty(&mut self, ino: u64, block: u64) {
+        if self.dirty_attr.insert(ino) {
+            *self.dirty_attr_blocks.entry(block).or_insert(0) += 1;
+        }
+    }
+
+    /// Cleans inode `ino`, packed in inode block `block`; true if its
+    /// attributes were dirty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ino` is dirty but was marked under another block.
+    pub fn clean_attr(&mut self, ino: u64, block: u64) -> bool {
+        if !self.dirty_attr.remove(&ino) {
+            return false;
+        }
+        let n = self
+            .dirty_attr_blocks
+            .get_mut(&block)
+            .expect("a dirty inode is counted in its packed block");
+        *n -= 1;
+        if *n == 0 {
+            self.dirty_attr_blocks.remove(&block);
+        }
+        true
+    }
+
+    /// Inodes with dirty attributes, in inode order.
+    pub fn dirty_attrs(&self) -> &BTreeSet<u64> {
+        &self.dirty_attr
+    }
+
+    /// Dirty inodes per packed inode block, in block order.
+    pub fn dirty_attr_blocks(&self) -> &BTreeMap<u64, usize> {
+        &self.dirty_attr_blocks
+    }
+
+    /// Forgets every dirty attribute, directory block and data byte
+    /// (the background flushers have drained them).
+    pub fn clear_dirty(&mut self) {
+        self.dirty_attr.clear();
+        self.dirty_attr_blocks.clear();
+        self.dirty_dir.clear();
+        self.dirty_data.clear();
+        self.dirty_data_total = 0;
     }
 
     /// Count of dirty metadata blocks (attr + dir).
@@ -368,7 +424,7 @@ mod tests {
     #[test]
     fn node_cache_dirty_meta_count() {
         let mut nc = NodeCache::new(4, 4, 1000);
-        nc.dirty_attr.insert(3);
+        nc.mark_attr_dirty(3, 0);
         nc.dirty_dir.entry(1).or_default().insert((0, 1));
         nc.dirty_dir.entry(1).or_default().insert((1, 1));
         assert_eq!(nc.dirty_meta_blocks(), 3);

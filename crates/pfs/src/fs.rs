@@ -207,10 +207,7 @@ impl PfsFs {
     /// between metarates phases lets the daemons drain.
     pub fn quiesce(&mut self) {
         for cache in self.caches.values_mut() {
-            cache.dirty_attr.clear();
-            cache.dirty_dir.clear();
-            cache.dirty_data.clear();
-            cache.dirty_data_total = 0;
+            cache.clear_dirty();
         }
         self.reset_time();
     }
@@ -351,7 +348,8 @@ impl PfsFs {
                     }
                 }
                 // The directory's own attributes may be dirty too.
-                if self.cache_of(holder).dirty_attr.remove(&dir) {
+                let b = self.packed_block_of(dir);
+                if self.cache_of(holder).clean_attr(dir, b) {
                     now = self.writeback_meta(holder, dir, now);
                     self.counters.bump("revoke_flushes");
                 }
@@ -373,17 +371,8 @@ impl PfsFs {
             Scope::InodeBlock(b) => {
                 // Flush every dirty inode the holder keeps in this
                 // packed block — the false-sharing cost.
-                let dirty: Vec<u64> = {
-                    let all: Vec<u64> = self.cache_of(holder).dirty_attr.iter().copied().collect();
-                    all.into_iter()
-                        .filter(|&i| self.packed_block_of(i) == b)
-                        .collect()
-                };
-                if dirty.is_empty() {
+                if !self.clean_attr_block(holder, b) {
                     return t;
-                }
-                for i in &dirty {
-                    self.cache_of(holder).dirty_attr.remove(i);
                 }
                 self.counters.bump("revoke_flushes");
                 // One block writeback covers all packed inodes.
@@ -534,12 +523,10 @@ impl PfsFs {
         let mut now = self.acquire(node, Scope::InodeBlock(ib), mode, t);
         if fresh {
             if let Some(victim) = self.cache_of(node).attr_entries.touch(ino) {
-                if self.cache_of(node).dirty_attr.remove(&victim) {
-                    now = self.flush_evicted_attr(node, victim, now);
-                }
+                now = self.evict_attr(node, victim, now);
             }
             if dirty {
-                self.cache_of(node).dirty_attr.insert(ino);
+                self.cache_of(node).mark_attr_dirty(ino, ib);
             }
             return now;
         }
@@ -550,21 +537,43 @@ impl PfsFs {
             now = self.fetch_meta(node, ino, now);
             self.counters.bump("attr_misses");
             if let Some(victim) = self.cache_of(node).attr_entries.touch(ino) {
-                // Evicting a dirty attribute queues a writeback. The
-                // token is retained (GPFS keeps tokens beyond cache
-                // residency), so re-access misses pay only the fetch.
-                if self.cache_of(node).dirty_attr.remove(&victim) {
-                    now = self.flush_evicted_attr(node, victim, now);
-                }
+                now = self.evict_attr(node, victim, now);
             }
         } else {
             self.cache_of(node).attr_entries.touch(ino);
             self.counters.bump("attr_hits");
         }
         if dirty {
-            self.cache_of(node).dirty_attr.insert(ino);
+            self.cache_of(node).mark_attr_dirty(ino, ib);
         }
         now
+    }
+
+    /// Handles the attribute cache evicting `victim`: a dirty victim
+    /// queues a writeback. The token is retained (GPFS keeps tokens
+    /// beyond cache residency), so re-access misses pay only the fetch.
+    fn evict_attr(&mut self, node: NodeId, victim: u64, t: SimTime) -> SimTime {
+        let b = self.packed_block_of(victim);
+        if self.cache_of(node).clean_attr(victim, b) {
+            self.flush_evicted_attr(node, victim, t)
+        } else {
+            t
+        }
+    }
+
+    /// Cleans every inode `node` holds dirty in packed block `b`; true
+    /// if there was one.
+    fn clean_attr_block(&mut self, node: NodeId, b: u64) -> bool {
+        if !self.cache_of(node).dirty_attr_blocks().contains_key(&b) {
+            return false;
+        }
+        let inos: Vec<u64> = self.cache_of(node).dirty_attrs().iter().copied().collect();
+        for i in inos {
+            if self.packed_block_of(i) == b {
+                self.cache_of(node).clean_attr(i, b);
+            }
+        }
+        true
     }
 
     /// Ensures the node has the directory-entry block for `name` in
@@ -640,30 +649,17 @@ impl PfsFs {
     /// granularity), the mutating operation synchronously flushes one
     /// block before proceeding.
     fn throttle_dirty_meta(&mut self, node: NodeId, t: SimTime) -> SimTime {
-        // Ordered set: the flush victim below is "first dirty block",
-        // which must be the same block on every platform.
-        let dirty_attr_blocks: std::collections::BTreeSet<u64> = {
-            let inos: Vec<u64> = self.cache_of(node).dirty_attr.iter().copied().collect();
-            inos.iter().map(|&i| self.packed_block_of(i)).collect()
-        };
-        let dirty_dir_blocks: usize = self
-            .cache_of(node)
-            .dirty_dir
-            .values()
-            .map(|s| s.len())
-            .sum();
-        if dirty_attr_blocks.len() + dirty_dir_blocks <= self.cfg.dirty_block_limit {
+        let limit = self.cfg.dirty_block_limit;
+        let cache = self.cache_of(node);
+        let dirty_dir_blocks: usize = cache.dirty_dir.values().map(|s| s.len()).sum();
+        if cache.dirty_attr_blocks().len() + dirty_dir_blocks <= limit {
             return t;
         }
         self.counters.bump("dirty_throttle_flushes");
-        // Flush one whole attribute block if any, else one dir block.
-        if let Some(&b) = dirty_attr_blocks.iter().next() {
-            let inos: Vec<u64> = self.cache_of(node).dirty_attr.iter().copied().collect();
-            for i in inos {
-                if self.packed_block_of(i) == b {
-                    self.cache_of(node).dirty_attr.remove(&i);
-                }
-            }
+        // Flush one whole attribute block if any (the first, so the
+        // victim is the same on every platform), else one dir block.
+        if let Some(&b) = self.cache_of(node).dirty_attr_blocks().keys().next() {
+            self.clean_attr_block(node, b);
             return self.writeback_meta_async(node, b, t);
         }
         let victim = self
@@ -1400,6 +1396,71 @@ mod tests {
         // Resources rewound: a new op at t=0 is served immediately.
         let t = fs.stat(&ctx, &vpath("/d/f0")).unwrap().end;
         assert!(t < SimTime::from_millis(50));
+    }
+
+    /// The throttle reads its dirty attribute block count from running
+    /// per-block counts; they must always equal the blocks recomputed
+    /// from the dirty inode set.
+    #[test]
+    fn dirty_attr_block_counts_match_the_dirty_set() {
+        fn assert_counts(fs: &PfsFs) {
+            for cache in fs.caches.values() {
+                let mut want: BTreeMap<u64, usize> = BTreeMap::new();
+                for &ino in cache.dirty_attrs() {
+                    *want.entry(fs.packed_block_of(ino)).or_insert(0) += 1;
+                }
+                assert_eq!(cache.dirty_attr_blocks(), &want);
+            }
+        }
+        let cluster = ClusterBuilder::new().clients(3).servers(2).build();
+        // A tiny attribute cache evicts, a low limit throttles, and
+        // small packed blocks are shared between files.
+        let cfg = PfsConfig {
+            attr_cache_entries: 8,
+            dirty_block_limit: 4,
+            inodes_per_block: 4,
+            ..quick_cfg()
+        };
+        let mut fs = PfsFs::new(cluster, cfg);
+        fs.mkdir(&OpCtx::test(NodeId(0)), &vpath("/d"), Mode::dir_default())
+            .unwrap();
+        let mut rng = SimRng::seed_from(3);
+        let mut files: Vec<VPath> = Vec::new();
+        let mut now = SimTime::ZERO;
+        for i in 0..600 {
+            if i == 300 {
+                fs.quiesce();
+                now = SimTime::ZERO;
+            }
+            let ctx = OpCtx::test(NodeId(rng.below(3) as u32)).at(now);
+            let pick = if files.is_empty() { 0 } else { rng.below(6) };
+            now = match pick {
+                0..=2 => {
+                    let path = vpath(&format!("/d/f{i}"));
+                    let t = fs.create(&ctx, &path, Mode::file_default()).unwrap();
+                    files.push(path);
+                    fs.close(&ctx.at(t.end), t.value).unwrap().end
+                }
+                3 => {
+                    let path = rng.choose(&files).clone();
+                    fs.utime(&ctx, &path, now, now).unwrap().end
+                }
+                4 => {
+                    let path = rng.choose(&files).clone();
+                    fs.stat(&ctx, &path).unwrap().end
+                }
+                _ => {
+                    let path = files.swap_remove(rng.below(files.len() as u64) as usize);
+                    fs.unlink(&ctx, &path).unwrap().end
+                }
+            };
+            assert_counts(&fs);
+        }
+        // Every path the counts follow actually ran.
+        let c = fs.counters();
+        assert!(c.get("dirty_throttle_flushes") > 0, "no throttle flush");
+        assert!(c.get("revoke_flushes") > 0, "no revoke flush");
+        assert!(c.get("attr_misses") > 0, "no attribute cache miss");
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! client owns a private clock; the driver (in the `vfs` crate) always
 //! executes the next operation of the client with the smallest clock,
 //! so shared resources observe arrivals in global time order and FIFO
-//! queueing is faithful.
+//! queueing is faithful. Equal clocks run in client-index order, which
+//! makes the order, and with it every queueing delay, a function of
+//! the scripts alone. The driver keeps runnable clients in a heap
+//! ordered by `(clock, index)`, so picking the next one costs
+//! O(log n) in the number of clients.
 //!
 //! # Examples
 //!

@@ -7,19 +7,28 @@
 //! filesystem observe arrivals in global time order, FIFO queueing and
 //! token contention are faithful.
 //!
+//! Clients whose clocks tie run in client-index order. That tie-break
+//! is part of the contract, not an accident of the implementation: on
+//! a shared queue it decides who waits, so it fixes every latency a run
+//! reports. Runnable clients sit in a binary heap keyed by
+//! `(clock, index)`, so one step costs O(log n) in the number of
+//! clients rather than a scan of all of them.
+//!
 //! Scripts may contain [`Action::Barrier`] steps; a barrier releases
 //! when every *running* client has arrived, and all arrivals leave with
 //! the maximum arrival clock — exactly how MPI benchmarks like
-//! metarates synchronize their phases.
+//! metarates synchronize their phases. Clients that have finished
+//! their scripts do not hold a barrier up.
 
-use crate::error::FsError;
+use crate::error::{Errno, FsError};
 use crate::fs::{FileSystem, OpCtx};
 use crate::path::VPath;
-use crate::types::{Gid, Mode, OpenFlags, Uid};
+use crate::types::{FileHandle, Gid, Mode, OpenFlags, Uid};
 use netsim::ids::{NodeId, Pid};
 use simcore::stats::Summary;
 use simcore::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// One scripted filesystem action.
 ///
@@ -218,9 +227,7 @@ struct ClientState {
     script: ClientScript,
     next_step: usize,
     clock: SimTime,
-    slots: Vec<Option<crate::types::FileHandle>>,
-    at_barrier: bool,
-    finished: bool,
+    slots: Vec<Option<FileHandle>>,
 }
 
 /// Runs a set of client scripts against a filesystem, starting all
@@ -266,13 +273,20 @@ pub fn run<F: FileSystem>(fs: &mut F, scripts: Vec<ClientScript>) -> RunReport {
                 next_step: 0,
                 clock: SimTime::ZERO,
                 slots: vec![None; max_slot],
-                at_barrier: false,
-                finished: script.steps.is_empty(),
                 script,
             }
         })
         .collect();
 
+    // Runnable clients, smallest `(clock, index)` on top. A client is in
+    // exactly one place until it finishes: here, or in `waiting`.
+    let mut ready: BinaryHeap<Reverse<(SimTime, usize)>> = clients
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| !c.script.steps.is_empty())
+        .map(|(i, _)| Reverse((SimTime::ZERO, i)))
+        .collect();
+    let mut waiting: Vec<usize> = Vec::new();
     let mut per_label: BTreeMap<&'static str, Summary> = BTreeMap::new();
     let mut errors = Vec::new();
     // Debug-build invariant: the min-clock dispatch order is the
@@ -283,25 +297,19 @@ pub fn run<F: FileSystem>(fs: &mut F, scripts: Vec<ClientScript>) -> RunReport {
     let mut dispatch_watermark = SimTime::ZERO;
 
     loop {
-        // Release a barrier if every unfinished client is waiting at one.
-        let unfinished = clients.iter().filter(|c| !c.finished).count();
-        if unfinished == 0 {
-            break;
-        }
-        let waiting = clients.iter().filter(|c| c.at_barrier).count();
-        if waiting == unfinished {
-            let release = clients
-                .iter()
-                .filter(|c| c.at_barrier)
-                .map(|c| c.clock)
-                .max()
-                .unwrap_or(SimTime::ZERO);
-            for c in clients.iter_mut().filter(|c| c.at_barrier) {
+        let Some(Reverse((now, idx))) = ready.pop() else {
+            // Nobody can run: either everyone finished, or every
+            // unfinished client waits at a barrier, which releases all
+            // of them at the latest arrival clock.
+            let Some(release) = waiting.iter().map(|&i| clients[i].clock).max() else {
+                break;
+            };
+            for i in waiting.drain(..) {
+                let c = &mut clients[i];
                 c.clock = release;
-                c.at_barrier = false;
                 c.next_step += 1;
-                if c.next_step >= c.script.steps.len() {
-                    c.finished = true;
+                if c.next_step < c.script.steps.len() {
+                    ready.push(Reverse((release, i)));
                 }
             }
             // A release starts a new monotonicity epoch: a client that
@@ -313,122 +321,57 @@ pub fn run<F: FileSystem>(fs: &mut F, scripts: Vec<ClientScript>) -> RunReport {
                 dispatch_watermark = release;
             }
             continue;
-        }
-
-        // Pick the runnable client with the smallest clock.
-        let Some(idx) = clients
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.finished && !c.at_barrier)
-            .min_by_key(|(i, c)| (c.clock, *i))
-            .map(|(i, _)| i)
-        else {
-            // Everyone left is at a barrier or finished; loop handles it.
-            continue;
         };
         #[cfg(debug_assertions)]
         {
             debug_assert!(
-                clients[idx].clock >= dispatch_watermark,
-                "virtual time regressed: dispatching at {:?} after {:?}",
-                clients[idx].clock,
-                dispatch_watermark
+                now >= dispatch_watermark,
+                "virtual time regressed: dispatching at {now:?} after {dispatch_watermark:?}"
             );
-            dispatch_watermark = clients[idx].clock;
+            dispatch_watermark = now;
         }
 
-        let step_idx = clients[idx].next_step;
-        let step = clients[idx].script.steps[step_idx].clone();
+        let c = &mut clients[idx];
+        let step_idx = c.next_step;
+        let step = &c.script.steps[step_idx];
         if matches!(step.action, Action::Barrier) {
-            clients[idx].at_barrier = true;
+            waiting.push(idx);
             continue;
         }
-
         let ctx = OpCtx {
-            node: clients[idx].script.node,
-            pid: clients[idx].script.pid,
-            uid: clients[idx].script.uid,
-            gid: clients[idx].script.gid,
-            now: clients[idx].clock,
+            node: c.script.node,
+            pid: c.script.pid,
+            uid: c.script.uid,
+            gid: c.script.gid,
+            now,
         };
-
-        let outcome: Result<SimTime, FsError> = match &step.action {
-            Action::Mkdir(path, mode) => fs.mkdir(&ctx, path, *mode).map(|t| t.end),
-            Action::Create { path, mode, slot } => fs.create(&ctx, path, *mode).map(|t| {
-                clients[idx].slots[*slot] = Some(t.value);
-                t.end
-            }),
-            Action::Open { path, flags, slot } => fs.open(&ctx, path, *flags).map(|t| {
-                clients[idx].slots[*slot] = Some(t.value);
-                t.end
-            }),
-            Action::Close { slot } => match clients[idx].slots[*slot].take() {
-                Some(fh) => fs.close(&ctx, fh).map(|t| t.end),
-                None => Err(FsError::new(
-                    crate::error::Errno::EBADF,
-                    "close",
-                    format!("slot {slot}"),
-                )),
-            },
-            Action::OpenClose(path, flags) => fs.open(&ctx, path, *flags).and_then(|t| {
-                let ctx2 = ctx.at(t.end);
-                fs.close(&ctx2, t.value).map(|t2| t2.end)
-            }),
-            Action::Read { slot, offset, len } => match clients[idx].slots[*slot] {
-                Some(fh) => fs.read(&ctx, fh, *offset, *len).map(|t| t.end),
-                None => Err(FsError::new(
-                    crate::error::Errno::EBADF,
-                    "read",
-                    format!("slot {slot}"),
-                )),
-            },
-            Action::Write { slot, offset, len } => match clients[idx].slots[*slot] {
-                Some(fh) => fs.write(&ctx, fh, *offset, *len).map(|t| t.end),
-                None => Err(FsError::new(
-                    crate::error::Errno::EBADF,
-                    "write",
-                    format!("slot {slot}"),
-                )),
-            },
-            Action::Stat(path) => fs.stat(&ctx, path).map(|t| t.end),
-            Action::Utime(path) => fs.utime(&ctx, path, ctx.now, ctx.now).map(|t| t.end),
-            Action::Readdir(path) => fs.readdir(&ctx, path).map(|t| t.end),
-            Action::Unlink(path) => fs.unlink(&ctx, path).map(|t| t.end),
-            Action::Rmdir(path) => fs.rmdir(&ctx, path).map(|t| t.end),
-            Action::Barrier => unreachable!("handled above"),
-        };
-
-        match outcome {
+        match perform(fs, &ctx, &step.action, &mut c.slots) {
             Ok(end) => {
-                debug_assert!(end >= ctx.now, "operations never complete in the past");
+                debug_assert!(end >= now, "operations never complete in the past");
                 if let Some(label) = step.label {
                     per_label
                         .entry(label)
                         .or_insert_with(|| Summary::new(label))
-                        .record(end.saturating_since(ctx.now));
+                        .record(end.saturating_since(now));
                 }
-                clients[idx].clock = end;
+                c.clock = end;
             }
             Err(error) => {
                 // A failure that reports when it was known (e.g. an
                 // ENOENT that cost a real round trip) advances the
                 // clock honestly; otherwise the nominal penalty keeps a
                 // broken script from spinning forever.
-                let end = error
-                    .end()
-                    .unwrap_or(clients[idx].clock + ERROR_COST)
-                    .max(clients[idx].clock);
+                c.clock = error.end().unwrap_or(now + ERROR_COST).max(now);
                 errors.push(RunError {
                     client: idx,
                     step: step_idx,
                     error,
                 });
-                clients[idx].clock = end;
             }
         }
-        clients[idx].next_step += 1;
-        if clients[idx].next_step >= clients[idx].script.steps.len() {
-            clients[idx].finished = true;
+        c.next_step += 1;
+        if c.next_step < c.script.steps.len() {
+            ready.push(Reverse((c.clock, idx)));
         }
     }
 
@@ -438,6 +381,49 @@ pub fn run<F: FileSystem>(fs: &mut F, scripts: Vec<ClientScript>) -> RunReport {
         errors,
         makespan: client_end.iter().copied().max().unwrap_or(SimTime::ZERO),
         client_end,
+    }
+}
+
+/// Performs one non-barrier action, filling or emptying `slots`.
+fn perform<F: FileSystem>(
+    fs: &mut F,
+    ctx: &OpCtx,
+    action: &Action,
+    slots: &mut [Option<FileHandle>],
+) -> Result<SimTime, FsError> {
+    let empty = |op, slot| FsError::new(Errno::EBADF, op, format!("slot {slot}"));
+    match action {
+        Action::Mkdir(path, mode) => fs.mkdir(ctx, path, *mode).map(|t| t.end),
+        Action::Create { path, mode, slot } => fs.create(ctx, path, *mode).map(|t| {
+            slots[*slot] = Some(t.value);
+            t.end
+        }),
+        Action::Open { path, flags, slot } => fs.open(ctx, path, *flags).map(|t| {
+            slots[*slot] = Some(t.value);
+            t.end
+        }),
+        Action::Close { slot } => match slots[*slot].take() {
+            Some(fh) => fs.close(ctx, fh).map(|t| t.end),
+            None => Err(empty("close", slot)),
+        },
+        Action::OpenClose(path, flags) => fs.open(ctx, path, *flags).and_then(|t| {
+            let ctx2 = ctx.at(t.end);
+            fs.close(&ctx2, t.value).map(|t2| t2.end)
+        }),
+        Action::Read { slot, offset, len } => match slots[*slot] {
+            Some(fh) => fs.read(ctx, fh, *offset, *len).map(|t| t.end),
+            None => Err(empty("read", slot)),
+        },
+        Action::Write { slot, offset, len } => match slots[*slot] {
+            Some(fh) => fs.write(ctx, fh, *offset, *len).map(|t| t.end),
+            None => Err(empty("write", slot)),
+        },
+        Action::Stat(path) => fs.stat(ctx, path).map(|t| t.end),
+        Action::Utime(path) => fs.utime(ctx, path, ctx.now, ctx.now).map(|t| t.end),
+        Action::Readdir(path) => fs.readdir(ctx, path).map(|t| t.end),
+        Action::Unlink(path) => fs.unlink(ctx, path).map(|t| t.end),
+        Action::Rmdir(path) => fs.rmdir(ctx, path).map(|t| t.end),
+        Action::Barrier => unreachable!("the driver parks barrier steps itself"),
     }
 }
 

@@ -110,11 +110,14 @@ impl VPath {
             !name.is_empty() && !name.contains('/'),
             "join expects a single non-empty component, got {name:?}"
         );
-        if self.is_root() {
-            VPath(format!("/{name}"))
-        } else {
-            VPath(format!("{}/{name}", self.0))
-        }
+        // One exact-size allocation: placement and path resolution
+        // join on every create.
+        let sep = if self.is_root() { "" } else { "/" };
+        let mut joined = String::with_capacity(self.0.len() + sep.len() + name.len());
+        joined.push_str(&self.0);
+        joined.push_str(sep);
+        joined.push_str(name);
+        VPath(joined)
     }
 
     /// Iterates over the components (excluding the root).
