@@ -285,7 +285,7 @@ impl ElasticPolicy {
     /// [`crate::mds_cluster::ShardPolicy::Hash`] formula, so an unsplit
     /// elastic namespace routes bit-for-bit like the static hash
     /// policy.
-    fn home(&self, dir: &VPath) -> ShardId {
+    fn home(&self, dir: &str) -> ShardId {
         hash_shard(dir, self.shards)
     }
 
@@ -304,10 +304,15 @@ impl ElasticPolicy {
         self.merge_events
     }
 
-    /// Records one observed operation under `dir` at virtual time `t`.
-    /// Returns `true` when the directory's observation window has
-    /// lapsed and [`Self::rebalance`] should be consulted.
-    pub fn record(&mut self, dir: &VPath, t: SimTime) -> bool {
+    /// Records one observed operation under `dir` (normalized path
+    /// text) at virtual time `t`. Returns `true` when the directory's
+    /// observation window has lapsed and [`Self::rebalance`] should be
+    /// consulted. Only a directory's first observation allocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dir` is not an absolute path.
+    pub fn record(&mut self, dir: &str, t: SimTime) -> bool {
         if let Some(st) = self.dirs.get_mut(dir) {
             st.ops += 1;
             t >= st.window_start + self.cfg.window
@@ -315,7 +320,7 @@ impl ElasticPolicy {
             let home = self.home(dir);
             self.bucket_counts[home.0] += 1;
             self.dirs.insert(
-                dir.clone(),
+                dir_path(dir),
                 DirState {
                     depth: 0,
                     buckets: vec![home],
@@ -345,7 +350,7 @@ impl ElasticPolicy {
     /// observation sequence, same decisions.
     pub fn rebalance(
         &mut self,
-        dir: &VPath,
+        dir: &str,
         t: SimTime,
         loads: &[SimDuration],
         service: SimDuration,
@@ -417,7 +422,7 @@ impl ElasticPolicy {
             st.depth += 1;
             self.split_events += 1;
             Some(ElasticEvent {
-                dir: dir.clone(),
+                dir: dir_path(dir),
                 home: st.buckets[0],
                 kind: ElasticEventKind::Split,
                 depth: st.depth,
@@ -440,7 +445,7 @@ impl ElasticPolicy {
             st.depth -= 1;
             self.merge_events += 1;
             Some(ElasticEvent {
-                dir: dir.clone(),
+                dir: dir_path(dir),
                 home: st.buckets[0],
                 kind: ElasticEventKind::Merge,
                 depth: st.depth,
@@ -473,13 +478,13 @@ impl ElasticPolicy {
     /// The shard owning `path`: the bucket its name hashes to when its
     /// parent is split, the parent's home shard otherwise.
     pub fn shard_of(&self, path: &VPath) -> ShardId {
-        let dir = path.parent().unwrap_or_else(VPath::root);
-        match (self.dirs.get(&dir), path.file_name()) {
+        let dir = path.parent_str().unwrap_or("/");
+        match (self.dirs.get(dir), path.file_name()) {
             (Some(st), Some(name)) if st.depth > 0 => {
                 let mask = (1u64 << st.depth) - 1;
                 st.buckets[(bucket_hash(name) & mask) as usize]
             }
-            _ => self.home(&dir),
+            _ => self.home(dir),
         }
     }
 
@@ -487,8 +492,14 @@ impl ElasticPolicy {
     /// (and the authoritative entry count) stay on its home shard
     /// however far its dentries spread.
     pub fn shard_of_entries(&self, dir: &VPath) -> ShardId {
-        self.home(dir)
+        self.home(dir.as_str())
     }
+}
+
+/// The owned path of an observed directory's text, built only when the
+/// policy first keeps the directory or reports an event on it.
+fn dir_path(dir: &str) -> VPath {
+    VPath::new(dir).expect("observed directories are absolute paths")
 }
 
 /// The utilization gates on splitting, judged on window-local load:
@@ -580,7 +591,7 @@ mod tests {
     fn saturate(p: &mut ElasticPolicy, dir: &VPath, t0: SimTime, ops: u64) -> bool {
         let mut due = false;
         for i in 0..ops {
-            due = p.record(dir, t0 + SimDuration::from_micros(2 * i));
+            due = p.record(dir.as_str(), t0 + SimDuration::from_micros(2 * i));
         }
         due
     }
@@ -602,7 +613,7 @@ mod tests {
         let dir = vpath("/hot");
         for w in 0..20u64 {
             if saturate(&mut p, &dir, ms(10 * w), 500) {
-                let ev = p.rebalance(&dir, ms(10 * w + 5), &[], SVC, 1000);
+                let ev = p.rebalance(dir.as_str(), ms(10 * w + 5), &[], SVC, 1000);
                 assert!(ev.is_none(), "frozen threshold must never split");
             }
         }
@@ -617,7 +628,7 @@ mod tests {
         assert!(saturate(&mut p, &dir, SimTime::ZERO, 3000));
         let loads = vec![SimDuration::ZERO; 8];
         let ev = p
-            .rebalance(&dir, ms(3), &loads, SVC, 256)
+            .rebalance(dir.as_str(), ms(3), &loads, SVC, 256)
             .expect("must split");
         assert_eq!(ev.kind, ElasticEventKind::Split);
         assert_eq!(ev.depth, 1);
@@ -631,7 +642,7 @@ mod tests {
         // Two more splits reach depth 3 = 8 buckets.
         for w in 2..4u64 {
             assert!(saturate(&mut p, &dir, ms(3 * w), 3000));
-            p.rebalance(&dir, ms(3 * w + 3), &loads, SVC, 256)
+            p.rebalance(dir.as_str(), ms(3 * w + 3), &loads, SVC, 256)
                 .expect("still hot");
         }
         assert_eq!(p.depth_of(&dir), 3);
@@ -658,7 +669,7 @@ mod tests {
         let cold = ShardId((home.0 + 2) % 4);
         loads[cold.0] = SimDuration::ZERO;
         let ev = p
-            .rebalance(&dir, ms(3), &loads, SVC, 64)
+            .rebalance(dir.as_str(), ms(3), &loads, SVC, 64)
             .expect("must split");
         assert_eq!(ev.transfers.len(), 1);
         assert_eq!(ev.transfers[0].from, home);
@@ -680,7 +691,7 @@ mod tests {
             }
             assert!(saturate(&mut p, &dir, ms(10 * w), 3000));
             assert!(
-                p.rebalance(&dir, ms(10 * w + 7), &loads, SVC, 256)
+                p.rebalance(dir.as_str(), ms(10 * w + 7), &loads, SVC, 256)
                     .is_none(),
                 "balanced shards must not split"
             );
@@ -694,7 +705,9 @@ mod tests {
             *l += SimDuration::from_millis(if i == home.0 { 20 } else { 5 });
         }
         assert!(saturate(&mut p, &dir, ms(100), 3000));
-        assert!(p.rebalance(&dir, ms(107), &loads, SVC, 256).is_some());
+        assert!(p
+            .rebalance(dir.as_str(), ms(107), &loads, SVC, 256)
+            .is_some());
         assert_eq!(p.depth_of(&dir), 1);
     }
 
@@ -711,7 +724,7 @@ mod tests {
         let mut loads = vec![SimDuration::from_millis(3); 4];
         loads[home.0] = SimDuration::from_millis(7);
         assert!(
-            p.rebalance(&dir, ms(4), &loads, SVC, 256).is_none(),
+            p.rebalance(dir.as_str(), ms(4), &loads, SVC, 256).is_none(),
             "no headroom, no split"
         );
         assert_eq!(p.depth_of(&dir), 0);
@@ -721,7 +734,9 @@ mod tests {
         let mut loads2 = loads.clone();
         loads2[home.0] = loads[home.0] + SimDuration::from_millis(3);
         assert!(saturate(&mut p, &dir, ms(10), 3000));
-        assert!(p.rebalance(&dir, ms(16), &loads2, SVC, 256).is_some());
+        assert!(p
+            .rebalance(dir.as_str(), ms(16), &loads2, SVC, 256)
+            .is_some());
         assert_eq!(p.depth_of(&dir), 1);
     }
 
@@ -732,15 +747,20 @@ mod tests {
         let loads = vec![SimDuration::ZERO; 8];
         for w in 0..2u64 {
             assert!(saturate(&mut p, &dir, ms(3 * w), 3000));
-            p.rebalance(&dir, ms(3 * w + 3), &loads, SVC, 64).unwrap();
+            p.rebalance(dir.as_str(), ms(3 * w + 3), &loads, SVC, 64)
+                .unwrap();
         }
         assert_eq!(p.depth_of(&dir), 2);
         let home = p.shard_of_entries(&dir);
         // Two cold windows undo both levels, one at a time.
         for w in 10..12u64 {
-            assert!(p.record(&dir, ms(5 * w)) || { p.record(&dir, ms(5 * w) + p.config().window) });
+            assert!(
+                p.record(dir.as_str(), ms(5 * w)) || {
+                    p.record(dir.as_str(), ms(5 * w) + p.config().window)
+                }
+            );
             let ev = p
-                .rebalance(&dir, ms(5 * w + 4), &loads, SVC, 64)
+                .rebalance(dir.as_str(), ms(5 * w + 4), &loads, SVC, 64)
                 .expect("cold window must merge");
             assert_eq!(ev.kind, ElasticEventKind::Merge);
             assert_eq!(ev.home, home);
@@ -764,7 +784,7 @@ mod tests {
                 let dir = vpath(if w % 2 == 0 { "/a" } else { "/b" });
                 let ops = if w < 4 { 2000 } else { 1 };
                 if saturate(&mut p, &dir, ms(3 * w), ops) {
-                    if let Some(ev) = p.rebalance(&dir, ms(3 * w + 2), &loads, SVC, 100) {
+                    if let Some(ev) = p.rebalance(dir.as_str(), ms(3 * w + 2), &loads, SVC, 100) {
                         log.push(format!("{ev:?}"));
                     }
                 }
@@ -783,7 +803,7 @@ mod tests {
         let dir = vpath("/hot");
         assert!(saturate(&mut p, &dir, SimTime::ZERO, 3000));
         assert!(p
-            .rebalance(&dir, ms(3), &[SimDuration::ZERO], SVC, 64)
+            .rebalance(dir.as_str(), ms(3), &[SimDuration::ZERO], SVC, 64)
             .is_none());
         assert_eq!(p.shard_of(&vpath("/hot/f")), ShardId(0));
     }
@@ -793,7 +813,7 @@ mod tests {
         let mut p = ElasticPolicy::new(8, ElasticConfig::default());
         let dir = vpath("/hot");
         assert!(saturate(&mut p, &dir, SimTime::ZERO, 3000));
-        p.rebalance(&dir, ms(3), &[SimDuration::ZERO; 8], SVC, 64)
+        p.rebalance(dir.as_str(), ms(3), &[SimDuration::ZERO; 8], SVC, 64)
             .unwrap();
         let routed: Vec<ShardId> = (0..8)
             .map(|i| p.shard_of(&vpath(&format!("/hot/f{i}"))))
@@ -805,7 +825,7 @@ mod tests {
             .collect();
         assert_eq!(routed, after);
         // The first post-reset window opens from zero: not immediately due.
-        assert!(!p.record(&dir, SimTime::ZERO));
-        assert!(!p.record(&dir, SimTime::ZERO + SimDuration::from_micros(10)));
+        assert!(!p.record(dir.as_str(), SimTime::ZERO));
+        assert!(!p.record(dir.as_str(), SimTime::ZERO + SimDuration::from_micros(10)));
     }
 }

@@ -324,16 +324,12 @@ impl<U: FileSystem> CofsFs<U> {
 
     /// Feeds one operation on `path` into the elastic policy's
     /// per-directory load window (the *parent* is the observed
-    /// directory). A guarded no-op under static policies so their
-    /// paths stay allocation-free and bit-for-bit untouched;
-    /// observation itself never charges time (see
+    /// directory, passed as borrowed text). A no-op under static
+    /// policies; observation itself never charges time (see
     /// [`crate::mds_cluster::MdsCluster::observe_elastic`]).
     fn observe_parent(&mut self, path: &VPath, t: simcore::time::SimTime) {
-        if !self.mds.is_elastic() {
-            return;
-        }
-        let dir = path.parent().unwrap_or_else(VPath::root);
-        self.mds.observe_elastic(&self.cfg, &dir, t);
+        let dir = path.parent_str().unwrap_or("/");
+        self.mds.observe_elastic(&self.cfg, dir, t);
     }
 
     /// Charges one metadata operation.
@@ -372,7 +368,7 @@ impl<U: FileSystem> CofsFs<U> {
                     }
                     EntryKind::Dentry => {
                         // A listing observes the listed directory itself.
-                        self.mds.observe_elastic(&self.cfg, path, t);
+                        self.mds.observe_elastic(&self.cfg, path.as_str(), t);
                         self.mds.route_entries(path)
                     }
                 };
@@ -815,6 +811,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             mapping.clone(),
             ctx.now,
         )?;
+        let vino = rec.ino;
         let mut t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
         // Other clients caching the parent's listing (or its attrs)
         // must give their leases back before the create is done, and
@@ -826,7 +823,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         let under = self.under.create(&dctx, &mapping, Mode::new(0o644))?;
         self.counters.bump("under_creates");
         let fh = self.alloc_fh(CHandle {
-            vino: rec.ino,
+            vino,
             vpath: path.clone(),
             under_fh: Some(under.value),
             mapping: Some(mapping),
@@ -845,30 +842,29 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         if rec.ftype == FileType::Directory && (flags.write || flags.truncate) {
             return Err(FsError::new(Errno::EISDIR, "open", path.as_str()));
         }
-        let a = rec.attr();
-        if flags.read && !a.mode.allows_read(ctx.uid, ctx.gid, a.uid, a.gid) {
+        if flags.read && !rec.mode.allows_read(ctx.uid, ctx.gid, rec.uid, rec.gid) {
             return Err(FsError::new(Errno::EACCES, "open", path.as_str()));
         }
-        if flags.write && !a.mode.allows_write(ctx.uid, ctx.gid, a.uid, a.gid) {
+        if flags.write && !rec.mode.allows_write(ctx.uid, ctx.gid, rec.uid, rec.gid) {
             return Err(FsError::new(Errno::EACCES, "open", path.as_str()));
         }
+        let (vino, ftype, mapping) = (rec.ino, rec.ftype, rec.mapping.clone());
         let mut t = self.cached_read(ctx, EntryKind::Attr, "open", path, ops, t)?;
         let mut under_fh = None;
         let mut lazy = false;
-        if rec.ftype == FileType::Regular {
+        if ftype == FileType::Regular {
             if flags.truncate {
                 // Truncation must reach the real bits immediately.
-                let mapping = rec
-                    .mapping
-                    .clone()
+                let under_path = mapping
+                    .as_ref()
                     .ok_or_else(|| FsError::new(Errno::EINVAL, "open", path.as_str()))?;
                 let dctx = Self::daemon_ctx(ctx, t);
-                let under = self.under.open(&dctx, &mapping, flags)?;
+                let under = self.under.open(&dctx, under_path, flags)?;
                 self.counters.bump("under_opens");
                 under_fh = Some(under.value);
                 t = under.end;
                 t = self.gate(ctx.node, "open", path, t)?;
-                let ops = self.mds.namespace_mut().set_size(rec.ino, 0, ctx.now);
+                let ops = self.mds.namespace_mut().set_size(vino, 0, ctx.now);
                 t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
                 t = self.recall(ctx.node, || vec![(EntryKind::Attr, path.clone())], t);
             } else {
@@ -879,10 +875,10 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             }
         }
         let fh = self.alloc_fh(CHandle {
-            vino: rec.ino,
+            vino,
             vpath: path.clone(),
             under_fh,
-            mapping: rec.mapping.clone(),
+            mapping,
             flags,
             written: false,
             lazy,
@@ -971,8 +967,9 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         // repeats hit a lease-covered negative entry.
         match self.mds.namespace().getattr(Self::cred(ctx), path) {
             Ok((rec, ops)) => {
+                let attr = rec.attr();
                 let t = self.cached_read(ctx, EntryKind::Attr, "stat", path, ops, t)?;
-                Ok(Timed::new(rec.attr(), t))
+                Ok(Timed::new(attr, t))
             }
             Err(e) if e.is(Errno::ENOENT) => {
                 let t = self.negative_probe(ctx, path, t)?;
@@ -990,9 +987,10 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             .mds
             .namespace_mut()
             .setattr(Self::cred(ctx), path, set, ctx.now)?;
+        let attr = rec.attr();
         let t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
         let t = self.recall(ctx.node, || vec![(EntryKind::Attr, path.clone())], t);
-        Ok(Timed::new(rec.attr(), t))
+        Ok(Timed::new(attr, t))
     }
 
     fn readdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<Vec<DirEntry>> {
@@ -1043,7 +1041,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         // remember its mapping for underlying cleanup.
         let doomed = match self.mds.namespace().getattr(Self::cred(ctx), to) {
             Ok((rec, _)) if rec.ftype == FileType::Regular && rec.nlink == 1 && from != to => {
-                rec.mapping
+                rec.mapping.clone()
             }
             _ => None,
         };
@@ -1240,8 +1238,22 @@ mod tests {
             .namespace()
             .getattr(CofsFs::<MemFs>::cred(&b), &vpath("/d/y"))
             .unwrap();
-        let hx = rx.mapping.unwrap().parent().unwrap().parent().unwrap();
-        let hy = ry.mapping.unwrap().parent().unwrap().parent().unwrap();
+        let hx = rx
+            .mapping
+            .as_ref()
+            .unwrap()
+            .parent()
+            .unwrap()
+            .parent()
+            .unwrap();
+        let hy = ry
+            .mapping
+            .as_ref()
+            .unwrap()
+            .parent()
+            .unwrap()
+            .parent()
+            .unwrap();
         assert_ne!(hx, hy);
     }
 

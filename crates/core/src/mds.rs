@@ -10,8 +10,14 @@
 //!
 //! Inode numbers are handed out sequentially and never reused, so the
 //! inode table is a dense vector indexed by number. The entry table is
-//! one ordered map keyed by `(parent, name)`; each entry carries its
-//! child's type, so listing a directory reads no child inode.
+//! one ordered map per directory, kept in a second vector indexed the
+//! same way and keyed by name. Path resolution walks the path's text
+//! and probes each directory's map with the borrowed component, so a
+//! lookup allocates nothing; a name is copied only when it is inserted.
+//! Each entry carries its child's type, so listing a directory is one
+//! map iteration that reads no child inode, and a walk spots a symlink
+//! without reading its inode. Reads return borrowed records
+//! ([`Mds::getattr`], [`Mds::lookup`]); callers copy what they keep.
 //!
 //! The service is deliberately *state only*: every operation returns
 //! the [`DbOps`] it performed (rows read, rows written) and the
@@ -22,7 +28,7 @@ use simcore::rng::{stable_hash, stable_hash_combine};
 use simcore::time::SimTime;
 use std::collections::BTreeMap;
 use vfs::error::{Errno, FsError};
-use vfs::path::VPath;
+use vfs::path::{splice_link, walk, VPath};
 use vfs::types::{DirEntry, FileAttr, FileType, Gid, Ino, Mode, SetAttr, Uid, MAX_NAME_LEN};
 
 /// Maximum symlink indirections during resolution (matches `MemFs`).
@@ -87,8 +93,8 @@ impl InodeRec {
     }
 }
 
-/// A row in the directory-entry table, keyed by `(parent ino, name)`.
-/// The child's type rides along (an inode never changes type), so a
+/// A row in the directory-entry table, keyed by name in its parent's
+/// map. The child's type rides along (an inode never changes type), so a
 /// listing needs no inode lookups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Dentry {
@@ -175,25 +181,23 @@ impl ReadSet {
     /// the rows shared by every mutation under the same parent.
     pub fn resolution_chain(path: &VPath) -> Self {
         let mut keys = Vec::new();
-        if let Some(parent) = path.parent() {
-            let mut prefix = VPath::root();
-            for comp in parent.components() {
-                keys.push(Self::inode_key(&prefix));
-                prefix = prefix.join(comp);
-                keys.push(Self::dentry_key(&prefix));
+        if let Some(parent) = path.parent_str() {
+            for (dir, _, rest) in walk(parent) {
+                keys.push(Self::inode_key(dir));
+                keys.push(Self::dentry_key(&parent[..parent.len() - rest.len()]));
             }
         }
         ReadSet { keys }
     }
 
     /// Key of a directory's inode row.
-    fn inode_key(dir: &VPath) -> RowKey {
-        stable_hash_combine(1, stable_hash(dir.as_str().as_bytes()))
+    fn inode_key(dir: &str) -> RowKey {
+        stable_hash_combine(1, stable_hash(dir.as_bytes()))
     }
 
     /// Key of the dentry row resolving the last component of `path`.
-    fn dentry_key(path: &VPath) -> RowKey {
-        stable_hash_combine(2, stable_hash(path.as_str().as_bytes()))
+    fn dentry_key(path: &str) -> RowKey {
+        stable_hash_combine(2, stable_hash(path.as_bytes()))
     }
 
     /// Merges another chain in, skipping keys already present (rename
@@ -299,11 +303,8 @@ impl WriteSet {
     /// memoize/coalesce across each other.
     pub fn parent_row(path: &VPath) -> Self {
         let mut out = WriteSet::default();
-        if let Some(parent) = path.parent() {
-            out.push_unique(stable_hash_combine(
-                3,
-                stable_hash(parent.as_str().as_bytes()),
-            ));
+        if let Some(parent) = path.parent_str() {
+            out.push_unique(stable_hash_combine(3, stable_hash(parent.as_bytes())));
         }
         out
     }
@@ -372,7 +373,9 @@ pub struct Mds {
     /// Inode rows indexed by inode number; `None` for number 0 and for
     /// freed inodes. The next number to hand out is the length.
     inodes: Vec<Option<InodeRec>>,
-    dentries: BTreeMap<(u64, String), Dentry>,
+    /// Directory-entry rows: one map per directory, indexed like
+    /// `inodes` (empty for every other inode).
+    dentries: Vec<BTreeMap<String, Dentry>>,
 }
 
 impl Mds {
@@ -396,7 +399,7 @@ impl Mds {
         };
         Mds {
             inodes: vec![None, Some(root)],
-            dentries: BTreeMap::new(),
+            dentries: vec![BTreeMap::new(), BTreeMap::new()],
         }
     }
 
@@ -407,18 +410,20 @@ impl Mds {
 
     /// Number of directory entries.
     pub fn dentry_count(&self) -> u64 {
-        self.dentries.len() as u64
+        self.dentries.iter().map(|d| d.len() as u64).sum()
     }
 
     /// Uncharged child count of the directory at `path` — statistics
     /// plumbing for the elastic shard policy, not a metadata operation:
     /// no permission checks, no symlink traversal, no [`DbOps`] (the
     /// operations that populated the policy's window already paid).
-    /// Missing paths and non-directories count zero.
-    pub fn entry_count(&self, path: &VPath) -> u64 {
+    /// Missing paths and non-directories count zero. `dir` is
+    /// normalized path text (a [`VPath`]'s, or a parent's borrowed
+    /// text).
+    pub fn entry_count(&self, dir: &str) -> u64 {
         let mut cur = ROOT_INO;
-        for comp in path.components() {
-            match self.dentries.get(&(cur, comp.to_string())) {
+        for (_, comp, _) in walk(dir) {
+            match self.dentries[cur as usize].get(comp) {
                 Some(d) => cur = d.ino,
                 None => return 0,
             }
@@ -449,107 +454,84 @@ impl Mds {
             .expect("dangling virtual inode");
     }
 
+    /// The entry `name` in directory `parent`, if any.
+    fn entry(&self, parent: u64, name: &str) -> Option<Dentry> {
+        self.dentries[parent as usize].get(name).copied()
+    }
+
     /// Inserts the `(parent, name)` entry for `ino`, copying its type.
-    fn link_entry(&mut self, parent: u64, name: String, ino: u64) {
+    fn link_entry(&mut self, parent: u64, name: &str, ino: u64) {
         let entry = Dentry {
             ino,
             ftype: self.get(ino).ftype,
         };
-        let prev = self.dentries.insert((parent, name), entry);
+        let prev = self.dentries[parent as usize].insert(name.to_string(), entry);
         debug_assert!(prev.is_none(), "caller checked the name was free");
     }
 
-    fn unlink_entry(&mut self, parent: u64, name: String) {
-        self.dentries
-            .remove(&(parent, name))
-            .expect("entry existed");
+    fn unlink_entry(&mut self, parent: u64, name: &str) -> Dentry {
+        self.dentries[parent as usize]
+            .remove(name)
+            .expect("entry existed")
     }
 
-    /// Resolves a path to an inode record, following intermediate
-    /// symlinks (and the final one when `follow_last`).
+    /// Resolves normalized path text to an inode number, following
+    /// intermediate symlinks (and the final one when `follow_last`).
     fn resolve(
         &self,
         cred: Cred,
-        path: &VPath,
+        path: &str,
         op: &'static str,
         follow_last: bool,
         depth: u32,
         ops: &mut DbOps,
     ) -> Result<u64, FsError> {
         let mut cur = ROOT_INO;
-        let comps: Vec<&str> = path.components().collect();
-        for (i, comp) in comps.iter().enumerate() {
+        for (dir, comp, rest) in walk(path) {
             let node = self.get(cur);
             ops.read(1);
             if node.ftype != FileType::Directory {
-                return Err(FsError::new(Errno::ENOTDIR, op, path.as_str()));
+                return Err(FsError::new(Errno::ENOTDIR, op, path));
             }
             if !node
                 .mode
                 .allows_exec(cred.uid, cred.gid, node.uid, node.gid)
             {
-                return Err(FsError::new(Errno::EACCES, op, path.as_str()));
+                return Err(FsError::new(Errno::EACCES, op, path));
             }
             let dent = self
-                .dentries
-                .get(&(cur, comp.to_string()))
-                .ok_or_else(|| FsError::new(Errno::ENOENT, op, path.as_str()))?;
+                .entry(cur, comp)
+                .ok_or_else(|| FsError::new(Errno::ENOENT, op, path))?;
             ops.read(1);
-            let next = dent.ino;
-            let is_last = i == comps.len() - 1;
-            let child = self.get(next);
-            if child.ftype == FileType::Symlink && (!is_last || follow_last) {
+            if dent.ftype == FileType::Symlink && (!rest.is_empty() || follow_last) {
                 if depth >= MAX_SYMLINK_DEPTH {
-                    return Err(FsError::new(Errno::EINVAL, op, path.as_str()));
+                    return Err(FsError::new(Errno::EINVAL, op, path));
                 }
-                let target = child.target.clone().expect("symlink has target");
-                let base = if target.starts_with('/') {
-                    VPath::new(&target)?
-                } else {
-                    let mut prefix = VPath::root();
-                    for c in comps.iter().take(i) {
-                        prefix = prefix.join(c);
-                    }
-                    let mut p = prefix;
-                    for part in target.split('/').filter(|c| !c.is_empty()) {
-                        match part {
-                            "." => {}
-                            ".." => p = p.parent().unwrap_or_else(VPath::root),
-                            c => p = p.join(c),
-                        }
-                    }
-                    p
-                };
-                let mut full = base;
-                for c in comps.iter().skip(i + 1) {
-                    full = full.join(c);
-                }
-                return self.resolve(cred, &full, op, follow_last, depth + 1, ops);
+                let target = self.get(dent.ino).target.as_deref();
+                let full = splice_link(dir, target.expect("symlink has target"), rest)?;
+                return self.resolve(cred, full.as_str(), op, follow_last, depth + 1, ops);
             }
-            cur = next;
+            cur = dent.ino;
         }
         Ok(cur)
     }
 
-    /// Resolves the parent of `path` and validates the final name.
-    fn resolve_parent(
+    /// Resolves the parent of `path` and validates the final name,
+    /// which is borrowed from `path`.
+    fn resolve_parent<'p>(
         &self,
         cred: Cred,
-        path: &VPath,
+        path: &'p VPath,
         op: &'static str,
         ops: &mut DbOps,
-    ) -> Result<(u64, String), FsError> {
-        let parent = path
-            .parent()
-            .ok_or_else(|| FsError::new(Errno::EINVAL, op, path.as_str()))?;
-        let name = path
-            .file_name()
-            .ok_or_else(|| FsError::new(Errno::EINVAL, op, path.as_str()))?
-            .to_string();
+    ) -> Result<(u64, &'p str), FsError> {
+        let (Some(parent), Some(name)) = (path.parent_str(), path.file_name()) else {
+            return Err(FsError::new(Errno::EINVAL, op, path.as_str()));
+        };
         if name.len() > MAX_NAME_LEN {
             return Err(FsError::new(Errno::ENAMETOOLONG, op, path.as_str()));
         }
-        let pino = self.resolve(cred, &parent, op, true, 0, ops)?;
+        let pino = self.resolve(cred, parent, op, true, 0, ops)?;
         if self.get(pino).ftype != FileType::Directory {
             return Err(FsError::new(Errno::ENOTDIR, op, path.as_str()));
         }
@@ -590,6 +572,7 @@ impl Mds {
         mapping: Option<VPath>,
     ) -> u64 {
         let ino = self.inodes.len() as u64;
+        self.dentries.push(BTreeMap::new());
         self.inodes.push(Some(InodeRec {
             ino,
             ftype,
@@ -615,11 +598,11 @@ impl Mds {
     /// # Errors
     ///
     /// Lookup errors (`ENOENT`, `ENOTDIR`, `EACCES`).
-    pub fn getattr(&self, cred: Cred, path: &VPath) -> Result<(InodeRec, DbOps), FsError> {
+    pub fn getattr(&self, cred: Cred, path: &VPath) -> Result<(&InodeRec, DbOps), FsError> {
         let mut ops = DbOps::default();
-        let ino = self.resolve(cred, path, "stat", false, 0, &mut ops)?;
+        let ino = self.resolve(cred, path.as_str(), "stat", false, 0, &mut ops)?;
         ops.read(1);
-        Ok((self.get(ino).clone(), ops))
+        Ok((self.get(ino), ops))
     }
 
     /// Looks up a regular file (following symlinks) and returns its
@@ -629,11 +612,11 @@ impl Mds {
     ///
     /// Lookup errors; `EISDIR` guarding is left to the caller, which
     /// knows the open flags.
-    pub fn lookup(&self, cred: Cred, path: &VPath) -> Result<(InodeRec, DbOps), FsError> {
+    pub fn lookup(&self, cred: Cred, path: &VPath) -> Result<(&InodeRec, DbOps), FsError> {
         let mut ops = DbOps::default();
-        let ino = self.resolve(cred, path, "open", true, 0, &mut ops)?;
+        let ino = self.resolve(cred, path.as_str(), "open", true, 0, &mut ops)?;
         ops.read(1);
-        Ok((self.get(ino).clone(), ops))
+        Ok((self.get(ino), ops))
     }
 
     /// Creates a regular file mapped to `mapping` in the underlying
@@ -649,11 +632,11 @@ impl Mds {
         mode: Mode,
         mapping: VPath,
         now: SimTime,
-    ) -> Result<(InodeRec, DbOps), FsError> {
+    ) -> Result<(&InodeRec, DbOps), FsError> {
         let mut ops = DbOps::default();
         let (pino, name) = self.resolve_parent(cred, path, "create", &mut ops)?;
         self.check_parent_write(cred, pino, "create", path)?;
-        if self.dentries.contains_key(&(pino, name.clone())) {
+        if self.entry(pino, name).is_some() {
             return Err(FsError::new(Errno::EEXIST, "create", path.as_str()));
         }
         ops.read(1);
@@ -661,7 +644,7 @@ impl Mds {
         self.link_entry(pino, name, ino);
         ops.write(2);
         self.touch_parent(pino, now, 1, &mut ops);
-        Ok((self.get(ino).clone(), ops))
+        Ok((self.get(ino), ops))
     }
 
     /// Creates a virtual directory (no underlying presence at all —
@@ -680,7 +663,7 @@ impl Mds {
         let mut ops = DbOps::default();
         let (pino, name) = self.resolve_parent(cred, path, "mkdir", &mut ops)?;
         self.check_parent_write(cred, pino, "mkdir", path)?;
-        if self.dentries.contains_key(&(pino, name.clone())) {
+        if self.entry(pino, name).is_some() {
             return Err(FsError::new(Errno::EEXIST, "mkdir", path.as_str()));
         }
         ops.read(1);
@@ -705,9 +688,8 @@ impl Mds {
         let mut ops = DbOps::default();
         let (pino, name) = self.resolve_parent(cred, path, "rmdir", &mut ops)?;
         self.check_parent_write(cred, pino, "rmdir", path)?;
-        let dent = *self
-            .dentries
-            .get(&(pino, name.clone()))
+        let dent = self
+            .entry(pino, name)
             .ok_or_else(|| FsError::new(Errno::ENOENT, "rmdir", path.as_str()))?;
         ops.read(1);
         let node = self.get(dent.ino);
@@ -740,9 +722,8 @@ impl Mds {
         let mut ops = DbOps::default();
         let (pino, name) = self.resolve_parent(cred, path, "unlink", &mut ops)?;
         self.check_parent_write(cred, pino, "unlink", path)?;
-        let dent = *self
-            .dentries
-            .get(&(pino, name.clone()))
+        let dent = self
+            .entry(pino, name)
             .ok_or_else(|| FsError::new(Errno::ENOENT, "unlink", path.as_str()))?;
         ops.read(1);
         if dent.ftype == FileType::Directory {
@@ -778,9 +759,9 @@ impl Mds {
         path: &VPath,
         set: SetAttr,
         now: SimTime,
-    ) -> Result<(InodeRec, DbOps), FsError> {
+    ) -> Result<(&InodeRec, DbOps), FsError> {
         let mut ops = DbOps::default();
-        let ino = self.resolve(cred, path, "setattr", true, 0, &mut ops)?;
+        let ino = self.resolve(cred, path.as_str(), "setattr", true, 0, &mut ops)?;
         let node = self.get(ino);
         ops.read(1);
         let is_owner = cred.uid == Uid(0) || cred.uid == node.uid;
@@ -828,7 +809,7 @@ impl Mds {
         }
         r.ctime = now;
         ops.write(1);
-        Ok((self.get(ino).clone(), ops))
+        Ok((self.get(ino), ops))
     }
 
     /// Records a file's size (called by the layer on close-after-write,
@@ -855,7 +836,7 @@ impl Mds {
         now: SimTime,
     ) -> Result<(Vec<DirEntry>, DbOps), FsError> {
         let mut ops = DbOps::default();
-        let ino = self.resolve(cred, path, "readdir", true, 0, &mut ops)?;
+        let ino = self.resolve(cred, path.as_str(), "readdir", true, 0, &mut ops)?;
         let node = self.get(ino);
         ops.read(1);
         if node.ftype != FileType::Directory {
@@ -867,10 +848,9 @@ impl Mds {
         {
             return Err(FsError::new(Errno::EACCES, "readdir", path.as_str()));
         }
-        let list: Vec<DirEntry> = self
-            .dentries
-            .range((ino, String::new())..(ino + 1, String::new()))
-            .map(|((_, name), d)| DirEntry {
+        let list: Vec<DirEntry> = self.dentries[ino as usize]
+            .iter()
+            .map(|(name, d)| DirEntry {
                 name: name.clone(),
                 ino: Ino(d.ino),
                 ftype: d.ftype,
@@ -896,13 +876,13 @@ impl Mds {
         now: SimTime,
     ) -> Result<DbOps, FsError> {
         let mut ops = DbOps::default();
-        let ino = self.resolve(cred, existing, "link", true, 0, &mut ops)?;
+        let ino = self.resolve(cred, existing.as_str(), "link", true, 0, &mut ops)?;
         if self.get(ino).ftype == FileType::Directory {
             return Err(FsError::new(Errno::EPERM, "link", existing.as_str()));
         }
         let (pino, name) = self.resolve_parent(cred, new, "link", &mut ops)?;
         self.check_parent_write(cred, pino, "link", new)?;
-        if self.dentries.contains_key(&(pino, name.clone())) {
+        if self.entry(pino, name).is_some() {
             return Err(FsError::new(Errno::EEXIST, "link", new.as_str()));
         }
         ops.read(1);
@@ -930,7 +910,7 @@ impl Mds {
         let mut ops = DbOps::default();
         let (pino, name) = self.resolve_parent(cred, new, "symlink", &mut ops)?;
         self.check_parent_write(cred, pino, "symlink", new)?;
-        if self.dentries.contains_key(&(pino, name.clone())) {
+        if self.entry(pino, name).is_some() {
             return Err(FsError::new(Errno::EEXIST, "symlink", new.as_str()));
         }
         ops.read(1);
@@ -957,7 +937,7 @@ impl Mds {
     /// `EINVAL` if the object is not a symlink, plus lookup errors.
     pub fn readlink(&self, cred: Cred, path: &VPath) -> Result<(String, DbOps), FsError> {
         let mut ops = DbOps::default();
-        let ino = self.resolve(cred, path, "readlink", false, 0, &mut ops)?;
+        let ino = self.resolve(cred, path.as_str(), "readlink", false, 0, &mut ops)?;
         ops.read(1);
         match &self.get(ino).target {
             Some(t) => Ok((t.clone(), ops)),
@@ -982,7 +962,7 @@ impl Mds {
         let mut ops = DbOps::default();
         if from == to {
             // POSIX: same-name rename succeeds only if the name exists.
-            self.resolve(cred, from, "rename", false, 0, &mut ops)?;
+            self.resolve(cred, from.as_str(), "rename", false, 0, &mut ops)?;
             return Ok(ops);
         }
         if to.starts_with(from) {
@@ -992,13 +972,12 @@ impl Mds {
         self.check_parent_write(cred, from_pino, "rename", from)?;
         let (to_pino, to_name) = self.resolve_parent(cred, to, "rename", &mut ops)?;
         self.check_parent_write(cred, to_pino, "rename", to)?;
-        let src = *self
-            .dentries
-            .get(&(from_pino, from_name.clone()))
+        let src = self
+            .entry(from_pino, from_name)
             .ok_or_else(|| FsError::new(Errno::ENOENT, "rename", from.as_str()))?;
         ops.read(1);
         let src_is_dir = src.ftype == FileType::Directory;
-        if let Some(dst) = self.dentries.get(&(to_pino, to_name.clone())).copied() {
+        if let Some(dst) = self.entry(to_pino, to_name) {
             ops.read(1);
             match (src_is_dir, dst.ftype == FileType::Directory) {
                 (true, false) => return Err(FsError::new(Errno::ENOTDIR, "rename", to.as_str())),
@@ -1007,14 +986,14 @@ impl Mds {
                     if self.get(dst.ino).entries > 0 {
                         return Err(FsError::new(Errno::ENOTEMPTY, "rename", to.as_str()));
                     }
-                    self.unlink_entry(to_pino, to_name.clone());
+                    self.unlink_entry(to_pino, to_name);
                     self.free_inode(dst.ino);
                     self.get_mut(to_pino).nlink -= 1;
                     self.touch_parent(to_pino, now, -1, &mut ops);
                     ops.write(3);
                 }
                 (false, false) => {
-                    self.unlink_entry(to_pino, to_name.clone());
+                    self.unlink_entry(to_pino, to_name);
                     let r = self.get_mut(dst.ino);
                     r.nlink -= 1;
                     r.ctime = now;
@@ -1030,7 +1009,7 @@ impl Mds {
             }
         }
         self.unlink_entry(from_pino, from_name);
-        self.dentries.insert((to_pino, to_name), src);
+        self.dentries[to_pino as usize].insert(to_name.to_string(), src);
         ops.write(2);
         if src_is_dir && from_pino != to_pino {
             self.get_mut(from_pino).nlink -= 1;
@@ -1079,6 +1058,7 @@ mod tests {
                 t(1),
             )
             .unwrap();
+        let rec = rec.clone();
         assert_eq!(rec.ftype, FileType::Regular);
         assert_eq!(rec.mapping, Some(vpath("/.u/f")));
         assert!(ops.writes >= 2);
@@ -1377,6 +1357,7 @@ mod tests {
                 t(1),
             )
             .unwrap();
+        let rec = rec.clone();
         mds.set_size(rec.ino, 4096, t(2));
         let (got, _) = mds.getattr(cred(), &vpath("/f")).unwrap();
         assert_eq!(got.attr().size, 4096);

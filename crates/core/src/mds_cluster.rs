@@ -143,9 +143,7 @@ impl ShardPolicy {
     /// and inode record).
     pub fn shard_of(&self, path: &VPath) -> ShardId {
         match self {
-            ShardPolicy::Hash { shards } => {
-                hash_shard(&path.parent().unwrap_or_else(VPath::root), *shards)
-            }
+            ShardPolicy::Hash { shards } => hash_shard(path.parent_str().unwrap_or("/"), *shards),
             ShardPolicy::Subtree { shards } => match path.components().next() {
                 None => ShardId(0),
                 Some(first) => ShardId((stable_hash(first.as_bytes()) % *shards as u64) as usize),
@@ -162,7 +160,7 @@ impl ShardPolicy {
     /// children while its entry count stays home.
     pub fn shard_of_entries(&self, dir: &VPath) -> ShardId {
         match self {
-            ShardPolicy::Hash { shards } => hash_shard(dir, *shards),
+            ShardPolicy::Hash { shards } => hash_shard(dir.as_str(), *shards),
             // A subtree is wholly owned, entry lists included; the
             // root's entries stay on shard 0 with the root itself.
             ShardPolicy::Subtree { .. } => self.shard_of(dir),
@@ -190,9 +188,11 @@ impl ShardPolicy {
 }
 
 /// The hash-by-parent placement of directory `dir`'s entries — also the
-/// home shard of an unsplit elastic directory.
-pub(crate) fn hash_shard(dir: &VPath, shards: usize) -> ShardId {
-    ShardId((stable_hash(dir.as_str().as_bytes()) % shards as u64) as usize)
+/// home shard of an unsplit elastic directory. `dir` is the directory's
+/// normalized path text, so routing a name needs only its borrowed
+/// [`VPath::parent_str`].
+pub(crate) fn hash_shard(dir: &str, shards: usize) -> ShardId {
+    ShardId((stable_hash(dir.as_bytes()) % shards as u64) as usize)
 }
 
 /// Per-shard load observed since the last reset (for scenario reports
@@ -630,7 +630,9 @@ pub struct MdsCluster {
     namespace: Mds,
     shards: Vec<Shard>,
     policy: ShardPolicy,
-    sessions: BTreeSet<(NodeId, usize)>,
+    /// Open client sessions: one row per shard, indexed by node, grown
+    /// on first contact. A crash takes its shard's row.
+    sessions: Vec<Vec<bool>>,
     /// Outstanding client-cache leases: which nodes may answer which
     /// `(kind, path)` reads locally, and until when. The shard owning
     /// the path recalls these on conflicting mutations. Ordered maps
@@ -667,8 +669,8 @@ impl MdsCluster {
         MdsCluster {
             namespace: Mds::new(),
             shards,
+            sessions: vec![Vec::new(); policy.shard_count()],
             policy,
-            sessions: BTreeSet::new(),
             leases: BTreeMap::new(),
             last_sweep: SimTime::ZERO,
             lease_sweeps: 0,
@@ -763,7 +765,7 @@ impl MdsCluster {
         };
         let mut t = t;
         for s in std::iter::once(a).chain(b) {
-            if self.sessions.insert((node, s.0)) {
+            if self.open_session(node, s) {
                 t += cfg.session_cost;
             }
         }
@@ -781,6 +783,23 @@ impl MdsCluster {
             }
         };
         done + rtt / 2
+    }
+
+    /// True when `node` holds a session with `shard`.
+    fn has_session(&self, node: NodeId, shard: ShardId) -> bool {
+        self.sessions[shard.0]
+            .get(node.index())
+            .copied()
+            .unwrap_or(false)
+    }
+
+    /// Opens `node`'s session with `shard`; true if it was not open.
+    fn open_session(&mut self, node: NodeId, shard: ShardId) -> bool {
+        let row = &mut self.sessions[shard.0];
+        if row.len() <= node.index() {
+            row.resize(node.index() + 1, false);
+        }
+        !std::mem::replace(&mut row[node.index()], true)
     }
 
     /// The shard side of a two-phase request arriving at the
@@ -929,7 +948,7 @@ impl MdsCluster {
                 retry_after: None,
             });
         }
-        if !self.sessions.contains(&(node, shard.0)) {
+        if !self.has_session(node, shard) {
             if let Some(adm) = self.shards[shard.0].admission.as_mut() {
                 if !adm.admitted.contains(&node) {
                     match adm.bucket.admit(arrive) {
@@ -1004,9 +1023,8 @@ impl MdsCluster {
             .map_or(crash.at, |w| crash.at.max(w.resume_at));
         self.shards[shard.0].crashes += 1;
         self.shards[shard.0].epoch += 1;
-        let before = self.sessions.len();
-        self.sessions.retain(|&(_, sh)| sh != shard.0);
-        self.fenced_sessions += (before - self.sessions.len()) as u64;
+        let evicted = std::mem::take(&mut self.sessions[shard.0]);
+        self.fenced_sessions += evicted.iter().filter(|&&open| open).count() as u64;
         // Fence every lease this shard granted: the key routes to the
         // crashed shard, so its holders can no longer trust their grant
         // and must revalidate. BTreeMap iteration keeps the order
@@ -1224,14 +1242,8 @@ impl MdsCluster {
 
     // ---- elastic load observation ------------------------------------
 
-    /// True when the routing policy is the load-adaptive one — lets
-    /// callers skip building observation arguments (parent paths) on
-    /// the static-policy fast path.
-    pub fn is_elastic(&self) -> bool {
-        matches!(self.policy, ShardPolicy::Elastic(_))
-    }
-
-    /// Feeds one observed operation under directory `dir` at virtual
+    /// Feeds one observed operation under directory `dir` (normalized
+    /// path text, typically a borrowed [`VPath::parent_str`]) at virtual
     /// time `t` into the elastic policy, and prices any split or merge
     /// it decides. A no-op (and allocation-free) under static policies,
     /// so every pinned path is bit-for-bit untouched.
@@ -1244,7 +1256,7 @@ impl MdsCluster {
     /// destination's CPU (the write-behind pricing). The triggering
     /// request does not await the migration, but later requests queue
     /// behind it on both CPUs — exactly like deferred journal applies.
-    pub fn observe_elastic(&mut self, cfg: &CofsConfig, dir: &VPath, t: SimTime) {
+    pub fn observe_elastic(&mut self, cfg: &CofsConfig, dir: &str, t: SimTime) {
         let due = match &mut self.policy {
             ShardPolicy::Elastic(p) => p.record(dir, t),
             _ => return,
@@ -2334,9 +2346,9 @@ mod tests {
     fn observe_elastic_is_a_no_op_under_static_policies() {
         let c = cfg();
         let mut cluster = MdsCluster::new(ShardPolicy::hash(4));
-        assert!(!cluster.is_elastic());
+        assert!(cluster.policy().as_elastic().is_none());
         for i in 0..1000u64 {
-            cluster.observe_elastic(&c, &vpath("/hot"), SimTime::from_micros(i));
+            cluster.observe_elastic(&c, "/hot", SimTime::from_micros(i));
         }
         let u = cluster.usage();
         assert!(u.iter().all(|s| s.splits == 0 && s.migrations == 0));
@@ -2356,11 +2368,11 @@ mod tests {
                 ..ElasticConfig::default()
             },
         )));
-        assert!(cluster.is_elastic());
+        assert!(cluster.policy().as_elastic().is_some());
         let dir = vpath("/hot");
         let before = cluster.route(&vpath("/hot/f0"));
         for i in 0..200u64 {
-            cluster.observe_elastic(&c, &dir, SimTime::from_micros(i));
+            cluster.observe_elastic(&c, dir.as_str(), SimTime::from_micros(i));
         }
         let p = cluster.policy().as_elastic().unwrap();
         assert!(p.depth_of(&dir) > 0, "hot window must have split");
@@ -2650,7 +2662,7 @@ mod tests {
         cluster.arm_faults(plan);
         let dir = vpath("/hot");
         for i in 0..400u64 {
-            cluster.observe_elastic(&c, &dir, SimTime::from_micros(i));
+            cluster.observe_elastic(&c, dir.as_str(), SimTime::from_micros(i));
         }
         let f = cluster.fault_stats();
         assert!(

@@ -63,12 +63,21 @@ pub struct HashedPlacement {
     dir_limit: u32,
     spread: u32,
     rng: SimRng,
-    /// Entries currently placed in each underlying directory.
-    counts: HashMap<VPath, u32>,
+    /// Every slot directory opened so far, keyed by `(node, hash,
+    /// slot)` — the three numbers its path spells out.
+    slot_dirs: HashMap<(u32, u64, u32), SlotDir>,
     /// Next fresh slot number per hash directory.
     next_slot: HashMap<u64, u32>,
     /// Active slot per (hash dir, spread lane).
     lanes: HashMap<(u64, u32), u32>,
+}
+
+/// One underlying slot directory: its path, built once when the slot
+/// opens, and the entries placed in it so far.
+#[derive(Debug)]
+struct SlotDir {
+    path: VPath,
+    entries: u32,
 }
 
 impl HashedPlacement {
@@ -85,7 +94,7 @@ impl HashedPlacement {
             dir_limit,
             spread,
             rng: SimRng::seed_from(seed),
-            counts: HashMap::new(),
+            slot_dirs: HashMap::new(),
             next_slot: HashMap::new(),
             lanes: HashMap::new(),
         }
@@ -98,7 +107,25 @@ impl HashedPlacement {
 
     /// Entries placed so far in `dir` (for tests and invariants).
     pub fn entries_in(&self, dir: &VPath) -> u32 {
-        self.counts.get(dir).copied().unwrap_or(0)
+        self.slot_key(dir)
+            .and_then(|key| self.slot_dirs.get(&key))
+            .filter(|slot| slot.path == *dir)
+            .map_or(0, |slot| slot.entries)
+    }
+
+    /// The `(node, hash, slot)` key spelled by `dir` if it has the
+    /// shape `<root>/n<node>/h<hash>/d<slot>`.
+    fn slot_key(&self, dir: &VPath) -> Option<(u32, u64, u32)> {
+        let rest = if self.root.is_root() {
+            dir.as_str()
+        } else {
+            dir.as_str().strip_prefix(self.root.as_str())?
+        };
+        let mut parts = rest.strip_prefix('/')?.split('/');
+        let node = parts.next()?.strip_prefix('n')?.parse().ok()?;
+        let hash = u64::from_str_radix(parts.next()?.strip_prefix('h')?, 16).ok()?;
+        let slot = parts.next()?.strip_prefix('d')?.parse().ok()?;
+        parts.next().is_none().then_some((node, hash, slot))
     }
 
     /// The configured per-directory limit.
@@ -110,10 +137,6 @@ impl HashedPlacement {
 impl PlacementPolicy for HashedPlacement {
     fn place(&mut self, node: NodeId, pid: Pid, vparent: &VPath, _name: &str) -> VPath {
         let h = Self::hash_of(node, pid, vparent);
-        let hdir = self
-            .root
-            .join(&format!("n{}", node.index()))
-            .join(&format!("h{h:016x}"));
         // Randomization level: pick a lane, use its active slot; retire
         // the slot when it reaches the limit.
         let lane = self.rng.below(self.spread as u64) as u32;
@@ -123,17 +146,26 @@ impl PlacementPolicy for HashedPlacement {
             *s += 1;
             v
         });
-        let dir = hdir.join(&format!("d{slot}"));
-        let count = self.counts.entry(dir.clone()).or_insert(0);
-        *count += 1;
-        if *count >= self.dir_limit {
+        let dir = self
+            .slot_dirs
+            .entry((node.0, h, slot))
+            .or_insert_with(|| SlotDir {
+                path: self
+                    .root
+                    .join(&format!("n{}", node.index()))
+                    .join(&format!("h{h:016x}"))
+                    .join(&format!("d{slot}")),
+                entries: 0,
+            });
+        dir.entries += 1;
+        if dir.entries >= self.dir_limit {
             // Retire this slot: the lane gets a fresh directory next time.
             let s = self.next_slot.entry(h).or_insert(0);
             let fresh = *s;
             *s += 1;
             self.lanes.insert((h, lane), fresh);
         }
-        dir
+        dir.path.clone()
     }
 
     fn label(&self) -> &'static str {

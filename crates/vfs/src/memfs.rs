@@ -13,10 +13,16 @@
 //! - `open` follows trailing symlinks.
 //! - `utime`/`setattr` of times requires ownership or write access.
 //! - `chmod`/`chown` require ownership (or root).
+//!
+//! Inode numbers are handed out sequentially and never reused, so the
+//! inode table is a dense vector indexed by number. Path resolution
+//! walks the path's text and probes each directory's ordered entry map
+//! with the borrowed component; a name is copied only when it is
+//! inserted.
 
 use crate::error::{Errno, FsError};
 use crate::fs::{FileSystem, FsResult, OpCtx, Timed};
-use crate::path::VPath;
+use crate::path::{splice_link, walk, VPath};
 use crate::types::{
     DirEntry, FileAttr, FileHandle, FileType, FsStats, Gid, Ino, Mode, OpenFlags, SetAttr, Uid,
     MAX_NAME_LEN,
@@ -102,11 +108,11 @@ struct Handle {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemFs {
-    // Ordered so statfs and any future whole-namespace sweep visit
-    // inodes in a platform-independent order (lint rule D003).
-    inodes: BTreeMap<Ino, Inode>,
+    /// Inodes indexed by number; `None` for number 0 and for freed
+    /// inodes. The next number to hand out is the length, and sweeps
+    /// such as statfs visit inodes in number order (lint rule D003).
+    inodes: Vec<Option<Inode>>,
     handles: HashMap<FileHandle, Handle>,
-    next_ino: u64,
     next_fh: u64,
     /// Fixed cost charged per operation (local memory speed).
     op_cost: SimDuration,
@@ -119,36 +125,39 @@ impl MemFs {
     /// world-writable (like a freshly formatted scratch filesystem),
     /// so unprivileged test contexts can populate it.
     pub fn new() -> Self {
-        let mut inodes = BTreeMap::new();
-        inodes.insert(
-            ROOT_INO,
-            Inode {
-                ftype: FileType::Directory,
-                mode: Mode::new(0o777),
-                uid: Uid(0),
-                gid: Gid(0),
-                nlink: 2,
-                atime: SimTime::ZERO,
-                mtime: SimTime::ZERO,
-                ctime: SimTime::ZERO,
-                payload: Payload::Dir {
-                    entries: BTreeMap::new(),
-                },
+        let root = Inode {
+            ftype: FileType::Directory,
+            mode: Mode::new(0o777),
+            uid: Uid(0),
+            gid: Gid(0),
+            nlink: 2,
+            atime: SimTime::ZERO,
+            mtime: SimTime::ZERO,
+            ctime: SimTime::ZERO,
+            payload: Payload::Dir {
+                entries: BTreeMap::new(),
             },
-        );
+        };
         MemFs {
-            inodes,
+            // Number 0 is never handed out; the root is `ROOT_INO`.
+            inodes: vec![None, Some(root)],
             handles: HashMap::new(),
-            next_ino: 2,
             next_fh: 1,
             op_cost: SimDuration::from_nanos(500),
         }
     }
 
-    fn alloc_ino(&mut self) -> Ino {
-        let ino = Ino(self.next_ino);
-        self.next_ino += 1;
+    /// Stores `inode` under the next inode number.
+    fn insert_inode(&mut self, inode: Inode) -> Ino {
+        let ino = Ino(self.inodes.len() as u64);
+        self.inodes.push(Some(inode));
         ino
+    }
+
+    fn free_inode(&mut self, ino: Ino) {
+        self.inodes[ino.0 as usize]
+            .take()
+            .expect("dangling inode reference");
     }
 
     fn alloc_fh(&mut self) -> FileHandle {
@@ -158,74 +167,50 @@ impl MemFs {
     }
 
     fn node(&self, ino: Ino) -> &Inode {
-        self.inodes.get(&ino).expect("dangling inode reference")
+        self.inodes[ino.0 as usize]
+            .as_ref()
+            .expect("dangling inode reference")
     }
 
     fn node_mut(&mut self, ino: Ino) -> &mut Inode {
-        self.inodes.get_mut(&ino).expect("dangling inode reference")
+        self.inodes[ino.0 as usize]
+            .as_mut()
+            .expect("dangling inode reference")
     }
 
-    /// Resolves a path to an inode. `follow_last` controls trailing
-    /// symlink behaviour (true for open, false for stat/unlink).
+    /// Resolves normalized path text to an inode. `follow_last`
+    /// controls trailing symlink behaviour (true for open, false for
+    /// stat/unlink).
     fn resolve(
         &self,
         ctx: &OpCtx,
-        path: &VPath,
+        path: &str,
         op: &'static str,
         follow_last: bool,
-        mut depth: u32,
+        depth: u32,
     ) -> Result<Ino, FsError> {
         let mut cur = ROOT_INO;
-        let comps: Vec<&str> = path.components().collect();
-        for (i, comp) in comps.iter().enumerate() {
+        for (dir, comp, rest) in walk(path) {
             let node = self.node(cur);
             let entries = node
                 .entries()
-                .ok_or_else(|| FsError::new(Errno::ENOTDIR, op, path.as_str()))?;
+                .ok_or_else(|| FsError::new(Errno::ENOTDIR, op, path))?;
             if !node.mode.allows_exec(ctx.uid, ctx.gid, node.uid, node.gid) {
-                return Err(FsError::new(Errno::EACCES, op, path.as_str()));
+                return Err(FsError::new(Errno::EACCES, op, path));
             }
             let next = *entries
-                .get(*comp)
-                .ok_or_else(|| FsError::new(Errno::ENOENT, op, path.as_str()))?;
-            let is_last = i == comps.len() - 1;
-            let child = self.node(next);
-            if child.ftype == FileType::Symlink && (!is_last || follow_last) {
-                if depth >= MAX_SYMLINK_DEPTH {
-                    return Err(FsError::new(Errno::EINVAL, op, path.as_str()));
-                }
-                depth += 1;
-                let target = match &child.payload {
-                    Payload::Symlink { target } => target.clone(),
-                    _ => unreachable!("symlink payload"),
-                };
-                // Resolve the link target (absolute or relative to the
-                // link's directory), then continue with the remaining
-                // components.
-                let base = if target.starts_with('/') {
-                    VPath::new(&target)?
-                } else {
-                    // `cur` is the parent dir of the link; rebuild its
-                    // path from the prefix walked so far.
-                    let mut prefix = VPath::root();
-                    for c in comps.iter().take(i) {
-                        prefix = prefix.join(c);
+                .get(comp)
+                .ok_or_else(|| FsError::new(Errno::ENOENT, op, path))?;
+            if let Payload::Symlink { target } = &self.node(next).payload {
+                if !rest.is_empty() || follow_last {
+                    if depth >= MAX_SYMLINK_DEPTH {
+                        return Err(FsError::new(Errno::EINVAL, op, path));
                     }
-                    let mut p = prefix;
-                    for part in target.split('/').filter(|c| !c.is_empty()) {
-                        match part {
-                            "." => {}
-                            ".." => p = p.parent().unwrap_or_else(VPath::root),
-                            c => p = p.join(c),
-                        }
-                    }
-                    p
-                };
-                let mut full = base;
-                for c in comps.iter().skip(i + 1) {
-                    full = full.join(c);
+                    // Continue on the link target (absolute, or relative
+                    // to the link's directory) plus what is left.
+                    let full = splice_link(dir, target, rest)?;
+                    return self.resolve(ctx, full.as_str(), op, follow_last, depth + 1);
                 }
-                return self.resolve(ctx, &full, op, follow_last, depth);
             }
             cur = next;
         }
@@ -233,24 +218,21 @@ impl MemFs {
     }
 
     /// Resolves the parent directory of `path` and returns
-    /// `(parent_ino, final_name)`, validating the name length.
-    fn resolve_parent(
+    /// `(parent_ino, final_name)`, validating the name length. The name
+    /// is borrowed from `path`.
+    fn resolve_parent<'p>(
         &self,
         ctx: &OpCtx,
-        path: &VPath,
+        path: &'p VPath,
         op: &'static str,
-    ) -> Result<(Ino, String), FsError> {
-        let parent = path
-            .parent()
-            .ok_or_else(|| FsError::new(Errno::EINVAL, op, path.as_str()))?;
-        let name = path
-            .file_name()
-            .ok_or_else(|| FsError::new(Errno::EINVAL, op, path.as_str()))?
-            .to_string();
+    ) -> Result<(Ino, &'p str), FsError> {
+        let (Some(parent), Some(name)) = (path.parent_str(), path.file_name()) else {
+            return Err(FsError::new(Errno::EINVAL, op, path.as_str()));
+        };
         if name.len() > MAX_NAME_LEN {
             return Err(FsError::new(Errno::ENAMETOOLONG, op, path.as_str()));
         }
-        let pino = self.resolve(ctx, &parent, op, true, 0)?;
+        let pino = self.resolve(ctx, parent, op, true, 0)?;
         let pnode = self.node(pino);
         if pnode.ftype != FileType::Directory {
             return Err(FsError::new(Errno::ENOTDIR, op, path.as_str()));
@@ -303,13 +285,13 @@ impl MemFs {
     /// Drops an inode if its link count reached zero (files/symlinks).
     fn maybe_free(&mut self, ino: Ino) {
         if self.node(ino).nlink == 0 {
-            self.inodes.remove(&ino);
+            self.free_inode(ino);
         }
     }
 
     /// Number of live inodes (for tests).
     pub fn inode_count(&self) -> usize {
-        self.inodes.len()
+        self.inodes.iter().flatten().count()
     }
 
     /// Number of currently open handles (for leak tests).
@@ -332,32 +314,28 @@ impl FileSystem for MemFs {
             .node(pino)
             .entries()
             .expect("parent is dir")
-            .contains_key(&name)
+            .contains_key(name)
         {
             return Err(FsError::new(Errno::EEXIST, "mkdir", path.as_str()));
         }
-        let ino = self.alloc_ino();
-        self.inodes.insert(
-            ino,
-            Inode {
-                ftype: FileType::Directory,
-                mode,
-                uid: ctx.uid,
-                gid: ctx.gid,
-                nlink: 2,
-                atime: ctx.now,
-                mtime: ctx.now,
-                ctime: ctx.now,
-                payload: Payload::Dir {
-                    entries: BTreeMap::new(),
-                },
+        let ino = self.insert_inode(Inode {
+            ftype: FileType::Directory,
+            mode,
+            uid: ctx.uid,
+            gid: ctx.gid,
+            nlink: 2,
+            atime: ctx.now,
+            mtime: ctx.now,
+            ctime: ctx.now,
+            payload: Payload::Dir {
+                entries: BTreeMap::new(),
             },
-        );
+        });
         let parent = self.node_mut(pino);
         parent
             .entries_mut()
             .expect("parent is dir")
-            .insert(name, ino);
+            .insert(name.to_string(), ino);
         parent.nlink += 1; // the child's ".." entry
         self.touch_parent(pino, ctx.now);
         self.done(ctx, ())
@@ -373,7 +351,7 @@ impl FileSystem for MemFs {
             .node(pino)
             .entries()
             .expect("parent is dir")
-            .get(&name)
+            .get(name)
             .ok_or_else(|| FsError::new(Errno::ENOENT, "rmdir", path.as_str()))?;
         let node = self.node(ino);
         match node.entries() {
@@ -386,9 +364,9 @@ impl FileSystem for MemFs {
         self.node_mut(pino)
             .entries_mut()
             .expect("parent is dir")
-            .remove(&name);
+            .remove(name);
         self.node_mut(pino).nlink -= 1;
-        self.inodes.remove(&ino);
+        self.free_inode(ino);
         self.touch_parent(pino, ctx.now);
         self.done(ctx, ())
     }
@@ -400,29 +378,25 @@ impl FileSystem for MemFs {
             .node(pino)
             .entries()
             .expect("parent is dir")
-            .contains_key(&name)
+            .contains_key(name)
         {
             return Err(FsError::new(Errno::EEXIST, "create", path.as_str()));
         }
-        let ino = self.alloc_ino();
-        self.inodes.insert(
-            ino,
-            Inode {
-                ftype: FileType::Regular,
-                mode,
-                uid: ctx.uid,
-                gid: ctx.gid,
-                nlink: 1,
-                atime: ctx.now,
-                mtime: ctx.now,
-                ctime: ctx.now,
-                payload: Payload::File { size: 0 },
-            },
-        );
+        let ino = self.insert_inode(Inode {
+            ftype: FileType::Regular,
+            mode,
+            uid: ctx.uid,
+            gid: ctx.gid,
+            nlink: 1,
+            atime: ctx.now,
+            mtime: ctx.now,
+            ctime: ctx.now,
+            payload: Payload::File { size: 0 },
+        });
         self.node_mut(pino)
             .entries_mut()
             .expect("parent is dir")
-            .insert(name, ino);
+            .insert(name.to_string(), ino);
         self.touch_parent(pino, ctx.now);
         let fh = self.alloc_fh();
         self.handles.insert(
@@ -436,7 +410,7 @@ impl FileSystem for MemFs {
     }
 
     fn open(&mut self, ctx: &OpCtx, path: &VPath, flags: OpenFlags) -> FsResult<FileHandle> {
-        let ino = self.resolve(ctx, path, "open", true, 0)?;
+        let ino = self.resolve(ctx, path.as_str(), "open", true, 0)?;
         let node = self.node(ino);
         if node.ftype == FileType::Directory && (flags.write || flags.truncate) {
             return Err(FsError::new(Errno::EISDIR, "open", path.as_str()));
@@ -504,13 +478,13 @@ impl FileSystem for MemFs {
     }
 
     fn stat(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<FileAttr> {
-        let ino = self.resolve(ctx, path, "stat", false, 0)?;
+        let ino = self.resolve(ctx, path.as_str(), "stat", false, 0)?;
         let attr = self.attr_of(ino);
         self.done(ctx, attr)
     }
 
     fn setattr(&mut self, ctx: &OpCtx, path: &VPath, set: SetAttr) -> FsResult<FileAttr> {
-        let ino = self.resolve(ctx, path, "setattr", true, 0)?;
+        let ino = self.resolve(ctx, path.as_str(), "setattr", true, 0)?;
         let node = self.node(ino);
         let is_owner = ctx.uid == Uid(0) || ctx.uid == node.uid;
         if (set.mode.is_some() || set.uid.is_some() || set.gid.is_some()) && !is_owner {
@@ -559,7 +533,7 @@ impl FileSystem for MemFs {
     }
 
     fn readdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<Vec<DirEntry>> {
-        let ino = self.resolve(ctx, path, "readdir", true, 0)?;
+        let ino = self.resolve(ctx, path.as_str(), "readdir", true, 0)?;
         let node = self.node(ino);
         if !node.mode.allows_read(ctx.uid, ctx.gid, node.uid, node.gid) {
             return Err(FsError::new(Errno::EACCES, "readdir", path.as_str()));
@@ -586,7 +560,7 @@ impl FileSystem for MemFs {
             .node(pino)
             .entries()
             .expect("parent is dir")
-            .get(&name)
+            .get(name)
             .ok_or_else(|| FsError::new(Errno::ENOENT, "unlink", path.as_str()))?;
         if self.node(ino).ftype == FileType::Directory {
             return Err(FsError::new(Errno::EISDIR, "unlink", path.as_str()));
@@ -594,7 +568,7 @@ impl FileSystem for MemFs {
         self.node_mut(pino)
             .entries_mut()
             .expect("parent is dir")
-            .remove(&name);
+            .remove(name);
         let n = self.node_mut(ino);
         n.nlink -= 1;
         n.ctime = ctx.now;
@@ -607,7 +581,7 @@ impl FileSystem for MemFs {
         if from == to {
             // POSIX: renaming a name onto itself succeeds only if it
             // exists (resolution errors still apply).
-            self.resolve(ctx, from, "rename", false, 0)?;
+            self.resolve(ctx, from.as_str(), "rename", false, 0)?;
             return self.done(ctx, ());
         }
         if to.starts_with(from) {
@@ -621,7 +595,7 @@ impl FileSystem for MemFs {
             .node(from_pino)
             .entries()
             .expect("parent is dir")
-            .get(&from_name)
+            .get(from_name)
             .ok_or_else(|| FsError::new(Errno::ENOENT, "rename", from.as_str()))?;
         let src_is_dir = self.node(src_ino).ftype == FileType::Directory;
         // Handle an existing target.
@@ -629,7 +603,7 @@ impl FileSystem for MemFs {
             .node(to_pino)
             .entries()
             .expect("parent is dir")
-            .get(&to_name)
+            .get(to_name)
         {
             let dst = self.node(dst_ino);
             match (src_is_dir, dst.ftype == FileType::Directory) {
@@ -642,15 +616,15 @@ impl FileSystem for MemFs {
                     self.node_mut(to_pino)
                         .entries_mut()
                         .expect("parent is dir")
-                        .remove(&to_name);
+                        .remove(to_name);
                     self.node_mut(to_pino).nlink -= 1;
-                    self.inodes.remove(&dst_ino);
+                    self.free_inode(dst_ino);
                 }
                 (false, false) => {
                     self.node_mut(to_pino)
                         .entries_mut()
                         .expect("parent is dir")
-                        .remove(&to_name);
+                        .remove(to_name);
                     let d = self.node_mut(dst_ino);
                     d.nlink -= 1;
                     d.ctime = ctx.now;
@@ -661,11 +635,11 @@ impl FileSystem for MemFs {
         self.node_mut(from_pino)
             .entries_mut()
             .expect("parent is dir")
-            .remove(&from_name);
+            .remove(from_name);
         self.node_mut(to_pino)
             .entries_mut()
             .expect("parent is dir")
-            .insert(to_name, src_ino);
+            .insert(to_name.to_string(), src_ino);
         if src_is_dir && from_pino != to_pino {
             self.node_mut(from_pino).nlink -= 1;
             self.node_mut(to_pino).nlink += 1;
@@ -677,7 +651,7 @@ impl FileSystem for MemFs {
     }
 
     fn link(&mut self, ctx: &OpCtx, existing: &VPath, new: &VPath) -> FsResult<()> {
-        let ino = self.resolve(ctx, existing, "link", true, 0)?;
+        let ino = self.resolve(ctx, existing.as_str(), "link", true, 0)?;
         if self.node(ino).ftype == FileType::Directory {
             return Err(FsError::new(Errno::EPERM, "link", existing.as_str()));
         }
@@ -687,14 +661,14 @@ impl FileSystem for MemFs {
             .node(pino)
             .entries()
             .expect("parent is dir")
-            .contains_key(&name)
+            .contains_key(name)
         {
             return Err(FsError::new(Errno::EEXIST, "link", new.as_str()));
         }
         self.node_mut(pino)
             .entries_mut()
             .expect("parent is dir")
-            .insert(name, ino);
+            .insert(name.to_string(), ino);
         let n = self.node_mut(ino);
         n.nlink += 1;
         n.ctime = ctx.now;
@@ -709,37 +683,33 @@ impl FileSystem for MemFs {
             .node(pino)
             .entries()
             .expect("parent is dir")
-            .contains_key(&name)
+            .contains_key(name)
         {
             return Err(FsError::new(Errno::EEXIST, "symlink", new.as_str()));
         }
-        let ino = self.alloc_ino();
-        self.inodes.insert(
-            ino,
-            Inode {
-                ftype: FileType::Symlink,
-                mode: Mode::new(0o777),
-                uid: ctx.uid,
-                gid: ctx.gid,
-                nlink: 1,
-                atime: ctx.now,
-                mtime: ctx.now,
-                ctime: ctx.now,
-                payload: Payload::Symlink {
-                    target: target.to_string(),
-                },
+        let ino = self.insert_inode(Inode {
+            ftype: FileType::Symlink,
+            mode: Mode::new(0o777),
+            uid: ctx.uid,
+            gid: ctx.gid,
+            nlink: 1,
+            atime: ctx.now,
+            mtime: ctx.now,
+            ctime: ctx.now,
+            payload: Payload::Symlink {
+                target: target.to_string(),
             },
-        );
+        });
         self.node_mut(pino)
             .entries_mut()
             .expect("parent is dir")
-            .insert(name, ino);
+            .insert(name.to_string(), ino);
         self.touch_parent(pino, ctx.now);
         self.done(ctx, ())
     }
 
     fn readlink(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<String> {
-        let ino = self.resolve(ctx, path, "readlink", false, 0)?;
+        let ino = self.resolve(ctx, path.as_str(), "readlink", false, 0)?;
         match &self.node(ino).payload {
             Payload::Symlink { target } => {
                 let t = target.clone();
@@ -750,11 +720,9 @@ impl FileSystem for MemFs {
     }
 
     fn statfs(&mut self, ctx: &OpCtx) -> FsResult<FsStats> {
-        let mut stats = FsStats {
-            inodes: self.inodes.len() as u64,
-            ..FsStats::default()
-        };
-        for node in self.inodes.values() {
+        let mut stats = FsStats::default();
+        for node in self.inodes.iter().flatten() {
+            stats.inodes += 1;
             match &node.payload {
                 Payload::Dir { .. } => stats.directories += 1,
                 Payload::File { size } => stats.bytes_used += size,

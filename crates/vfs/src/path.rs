@@ -5,8 +5,16 @@
 //! (C-VALIDATE) means every other layer — the COFS placement driver in
 //! particular, which hashes parent paths — can treat equal paths as
 //! equal strings.
+//!
+//! That is also the contract behind `impl Borrow<str> for VPath`: a
+//! path compares, orders and hashes exactly like its text, so a map
+//! keyed by `VPath` can be probed with a borrowed `&str` — for example
+//! [`VPath::parent_str`], the parent's text without building a parent
+//! path. Every constructor and [`VPath::join`] keep the text
+//! normalized; a probe with non-normalized text simply finds nothing.
 
 use crate::error::{Errno, FsError};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// An absolute, normalized path in a virtual filesystem.
@@ -89,12 +97,30 @@ impl VPath {
 
     /// The containing directory, or `None` for the root.
     pub fn parent(&self) -> Option<VPath> {
+        self.parent_str().map(|p| VPath(p.to_string()))
+    }
+
+    /// The containing directory's text, borrowed from this path, or
+    /// `None` for the root. Equal to `parent()` as a string, without
+    /// the allocation: routing and observation probe `VPath`-keyed maps
+    /// with it (see the module docs).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vfs::path::{vpath, VPath};
+    ///
+    /// assert_eq!(vpath("/a/b/c").parent_str(), Some("/a/b"));
+    /// assert_eq!(vpath("/a").parent_str(), Some("/"));
+    /// assert_eq!(VPath::root().parent_str(), None);
+    /// ```
+    pub fn parent_str(&self) -> Option<&str> {
         if self.is_root() {
             return None;
         }
         match self.0.rfind('/') {
-            Some(0) => Some(VPath::root()),
-            Some(i) => Some(VPath(self.0[..i].to_string())),
+            Some(0) => Some("/"),
+            Some(i) => Some(&self.0[..i]),
             None => None,
         }
     }
@@ -103,11 +129,13 @@ impl VPath {
     ///
     /// # Panics
     ///
-    /// Panics if `name` is empty or contains `/` — component names come
-    /// from directory entries, which can never contain separators.
+    /// Panics if `name` is empty, `.` or `..`, or contains `/` —
+    /// component names come from directory entries, which are never
+    /// any of those, and joining one would break the normalized form
+    /// every path-keyed map relies on.
     pub fn join(&self, name: &str) -> VPath {
         assert!(
-            !name.is_empty() && !name.contains('/'),
+            !name.is_empty() && name != "." && name != ".." && !name.contains('/'),
             "join expects a single non-empty component, got {name:?}"
         );
         // One exact-size allocation: placement and path resolution
@@ -182,6 +210,82 @@ impl AsRef<str> for VPath {
     }
 }
 
+/// Sound because `VPath`'s `Eq`, `Ord` and `Hash` are derived from its
+/// one `String` field, so they agree with `str`'s on the text.
+impl Borrow<str> for VPath {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+/// Walks normalized path text (a [`VPath`]'s, or a
+/// [`VPath::parent_str`]) one component at a time without allocating.
+/// Each step yields `(dir, name, rest)`: the text of the directory that
+/// holds `name`, the name, and the text still to walk after it (empty
+/// after the last name). The root yields nothing.
+///
+/// # Examples
+///
+/// ```
+/// use vfs::path::walk;
+///
+/// let steps: Vec<_> = walk("/a/b").collect();
+/// assert_eq!(steps, vec![("/", "a", "/b"), ("/a", "b", "")]);
+/// assert_eq!(walk("/").count(), 0);
+/// ```
+pub fn walk(path: &str) -> impl Iterator<Item = (&str, &str, &str)> {
+    let mut start = 1;
+    std::iter::from_fn(move || {
+        if start >= path.len() {
+            return None;
+        }
+        let end = path[start..].find('/').map_or(path.len(), |i| start + i);
+        let dir = if start == 1 { "/" } else { &path[..start - 1] };
+        let step = (dir, &path[start..end], &path[end..]);
+        start = end + 1;
+        Some(step)
+    })
+}
+
+/// The path a resolver continues on after meeting a symlink in `dir`
+/// whose target is `target`, with `rest` (as yielded by [`walk`]) still
+/// to walk. An absolute target replaces `dir`; a relative one is taken
+/// from `dir`, its `.` and `..` parts resolving lexically and never
+/// above the root.
+///
+/// # Errors
+///
+/// `EINVAL` if an absolute target is not a valid path.
+///
+/// # Examples
+///
+/// ```
+/// use vfs::path::splice_link;
+///
+/// assert_eq!(splice_link("/a/b", "../c", "/f")?.as_str(), "/a/c/f");
+/// assert_eq!(splice_link("/a/b", "/x", "")?.as_str(), "/x");
+/// # Ok::<(), vfs::error::FsError>(())
+/// ```
+pub fn splice_link(dir: &str, target: &str, rest: &str) -> Result<VPath, FsError> {
+    let mut full = if target.starts_with('/') {
+        VPath::new(target)?
+    } else {
+        let mut p = VPath(dir.to_string());
+        for part in target.split('/').filter(|c| !c.is_empty()) {
+            match part {
+                "." => {}
+                ".." => p = p.parent().unwrap_or_else(VPath::root),
+                c => p = p.join(c),
+            }
+        }
+        p
+    };
+    for c in rest.split('/').filter(|c| !c.is_empty()) {
+        full = full.join(c);
+    }
+    Ok(full)
+}
+
 /// Shorthand for `VPath::new(s).expect(..)` in tests and examples
 /// where the literal is known valid.
 ///
@@ -232,6 +336,75 @@ mod tests {
     #[should_panic(expected = "single non-empty component")]
     fn join_rejects_separators() {
         vpath("/a").join("b/c");
+    }
+
+    #[test]
+    #[should_panic(expected = "single non-empty component")]
+    fn join_rejects_dot_dot() {
+        vpath("/a").join("..");
+    }
+
+    #[test]
+    #[should_panic(expected = "single non-empty component")]
+    fn join_rejects_dot() {
+        vpath("/a").join(".");
+    }
+
+    #[test]
+    fn parent_str_matches_parent() {
+        for p in ["/a", "/a/b/c/d/e", "/x/y"] {
+            let p = vpath(p);
+            assert_eq!(p.parent_str(), p.parent().as_ref().map(VPath::as_str));
+        }
+        assert_eq!(vpath("/a").parent_str(), Some("/"));
+        assert_eq!(vpath("/a/b/c/d/e").parent_str(), Some("/a/b/c/d"));
+        assert_eq!(VPath::root().parent_str(), None);
+        assert_eq!(VPath::root().parent(), None);
+    }
+
+    /// A borrowed-text probe must find exactly what a path probe finds,
+    /// in ordered and hashed maps alike.
+    #[test]
+    fn str_probes_find_what_path_probes_find() {
+        use std::collections::{BTreeMap, HashSet};
+        let stored = ["/", "/a", "/a/b", "/ab", "/a/b/c", "/b"];
+        let map: BTreeMap<VPath, usize> = stored
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (vpath(p), i))
+            .collect();
+        let set: HashSet<VPath> = stored.iter().map(|p| vpath(p)).collect();
+        let probes = [
+            "/", "/a", "/a/b", "/ab", "/a/b/c", "/b", "/c", "/a/c", "a", "/a/",
+        ];
+        for probe in probes {
+            let as_path = VPath::new(probe).ok();
+            let by_path = as_path.as_ref().and_then(|p| map.get(p));
+            let by_str = map.get(probe);
+            if probe.ends_with('/') && probe != "/" || !probe.starts_with('/') {
+                // Non-normalized text is no path's text: it finds
+                // nothing, even where the normalized path is stored.
+                assert_eq!(by_str, None, "{probe}");
+                continue;
+            }
+            assert_eq!(by_str, by_path, "{probe}");
+            assert_eq!(
+                set.contains(probe),
+                as_path.as_ref().is_some_and(|p| set.contains(p)),
+                "{probe}"
+            );
+        }
+        // Range scans agree with the paths' own order.
+        use std::ops::Bound::{Excluded, Included};
+        let from_str: Vec<usize> = map
+            .range::<str, _>((Included("/a"), Excluded("/b")))
+            .map(|(_, &i)| i)
+            .collect();
+        let from_path: Vec<usize> = map
+            .range(vpath("/a")..vpath("/b"))
+            .map(|(_, &i)| i)
+            .collect();
+        assert_eq!(from_str, from_path);
     }
 
     #[test]

@@ -202,3 +202,103 @@ mod prop {
         }
     }
 }
+
+/// Symlink resolution on a fixed script. Generated scripts never reach
+/// a live link (their targets at the root are never created), so this
+/// walks absolute and relative targets, `.` and `..` in a target
+/// (including `..` past the root), links to links, and a link as the
+/// first, a middle and the last component (`stat` does not follow a
+/// trailing link, `open` does), plus the failures: a dangling link, a
+/// loop, and a link to a file used as a directory. Every outcome on
+/// `CofsFs` over `MemFs` at 1 and 4 shards and over GPFS must match
+/// `MemFs`, and `MemFs` must answer what each step expects.
+#[test]
+fn symlink_resolution_matches_memfs() {
+    use cofs_tests::{GenOp, Outcome};
+    use vfs::error::Errno::{self, EINVAL, ENOENT, ENOTDIR};
+    use vfs::path::vpath;
+    use GenOp::*;
+
+    let link = |target: &str, at: &str| Symlink(target.to_string(), vpath(at));
+    let stat = |p: &str| Stat(vpath(p));
+    let open = |p: &str| OpenRead(vpath(p), 4096);
+    // Each step with the errno the reference must fail it with, if any.
+    let script: Vec<(GenOp, Option<Errno>)> = vec![
+        (Mkdir(vpath("/a")), None),
+        (Mkdir(vpath("/a/sub")), None),
+        (Mkdir(vpath("/b")), None),
+        (CreateWrite(vpath("/a/sub/f"), 100), None),
+        (CreateWrite(vpath("/a/g"), 7), None),
+        (link("/a/sub", "/abs"), None),
+        (link("sub", "/a/rel"), None),
+        (link("../a/sub", "/b/up"), None),
+        (link("../../../a", "/b/deep"), None),
+        (link("./sub/f", "/a/dotf"), None),
+        (link("/abs", "/chain"), None),
+        (link("/a/g", "/a/filelink"), None),
+        (link("/nowhere", "/dangling"), None),
+        (link("/loop2", "/loop1"), None),
+        (link("/loop1", "/loop2"), None),
+        // The link as the first component.
+        (stat("/abs/f"), None),
+        (open("/abs/f"), None),
+        (Readdir(vpath("/abs")), None),
+        // The link as a middle component, relative and through `..`.
+        (stat("/a/rel/f"), None),
+        (open("/a/rel/f"), None),
+        (stat("/b/up/f"), None),
+        (stat("/b/deep/g"), None),
+        (stat("/chain/f"), None),
+        (Readdir(vpath("/a/rel")), None),
+        // The link as the last component: lstat versus open.
+        (stat("/a/dotf"), None),
+        (open("/a/dotf"), None),
+        (stat("/a/filelink"), None),
+        (open("/a/filelink"), None),
+        (stat("/chain"), None),
+        // Mutations through links land in the target directory.
+        (CreateWrite(vpath("/abs/new"), 5), None),
+        (Mkdir(vpath("/a/rel/d2")), None),
+        (Rename(vpath("/a/rel/new"), vpath("/b/up/moved")), None),
+        (Readdir(vpath("/a/sub")), None),
+        (Unlink(vpath("/chain/moved")), None),
+        (Utime(vpath("/b/up/f")), None),
+        (stat("/a/sub/f"), None),
+        // Failures.
+        (stat("/dangling"), None),
+        (open("/dangling"), Some(ENOENT)),
+        (stat("/dangling/x"), Some(ENOENT)),
+        (open("/loop1"), Some(EINVAL)),
+        (stat("/loop1/x"), Some(EINVAL)),
+        (stat("/loop2"), None),
+        (stat("/a/filelink/x"), Some(ENOTDIR)),
+        (open("/a/filelink/x"), Some(ENOTDIR)),
+        (CreateWrite(vpath("/a/filelink/new"), 1), Some(ENOTDIR)),
+        (Mkdir(vpath("/a/filelink/d")), Some(ENOTDIR)),
+    ];
+
+    let mut reference = MemFs::new();
+    let mut cofs_mem = cofs_over_memfs();
+    let mut cofs_mem_4s = cofs_over_memfs_sharded(4);
+    let mut cofs_gpfs = cofs_over_gpfs(2);
+    for (i, (op, fails)) in script.iter().enumerate() {
+        let node = NodeId((i % 2) as u32);
+        let now = simcore::time::SimTime::ZERO + SimDuration::from_micros(100) * i as u64;
+        let expect = apply_at(&mut reference, node, now, op);
+        match (fails, &expect) {
+            (None, Outcome::Ok(_)) => {}
+            (Some(want), Outcome::Err(got)) if want == got => {}
+            _ => panic!("step {i} ({op:?}): MemFs answered {expect:?}, expected {fails:?}"),
+        }
+        for (label, got) in [
+            ("cofs/memfs", apply_at(&mut cofs_mem, node, now, op)),
+            (
+                "cofs/memfs 4 shards",
+                apply_at(&mut cofs_mem_4s, node, now, op),
+            ),
+            ("cofs/gpfs", apply_at(&mut cofs_gpfs, node, now, op)),
+        ] {
+            assert_eq!(got, expect, "step {i} ({op:?}) diverged on {label}");
+        }
+    }
+}

@@ -185,12 +185,18 @@ fn drive(seed: u64, shards: usize, steps: usize) -> (ElasticPolicy, Vec<String>)
     for _ in 0..steps {
         t += SimDuration::from_micros(rng.range(10, 400));
         let dir = rng.choose(&dirs).clone();
-        if p.record(&dir, t) {
+        if p.record(dir.as_str(), t) {
             for l in loads.iter_mut() {
                 *l += SimDuration::from_micros(rng.range(0, 200));
             }
             let entries = rng.range(1, 500);
-            if let Some(ev) = p.rebalance(&dir, t, &loads, SimDuration::from_micros(77), entries) {
+            if let Some(ev) = p.rebalance(
+                dir.as_str(),
+                t,
+                &loads,
+                SimDuration::from_micros(77),
+                entries,
+            ) {
                 log.push(format!("{ev:?}"));
             }
         }
@@ -252,7 +258,7 @@ mod prop {
             let far = SimTime::ZERO + SimDuration::from_secs(60);
             for i in 0..200u64 {
                 let dir = vpath(["/a", "/b", "/c"][(rng.below(3)) as usize]);
-                p.record(&dir, far + SimDuration::from_micros(i));
+                p.record(dir.as_str(), far + SimDuration::from_micros(i));
             }
             let after: Vec<_> = paths.iter().map(|pa| p.shard_of(pa)).collect();
             prop_assert_eq!(&snapshot, &after);
@@ -260,11 +266,11 @@ mod prop {
             // neither branch fires) leaves routing untouched too.
             let dir = vpath("/a");
             for j in 0..3u64 {
-                p.record(&dir, far + SimDuration::from_millis(10 + j));
+                p.record(dir.as_str(), far + SimDuration::from_millis(10 + j));
             }
             let loads = vec![SimDuration::ZERO; shards];
             let ev = p.rebalance(
-                &dir,
+                dir.as_str(),
                 far + SimDuration::from_millis(14),
                 &loads,
                 SimDuration::from_micros(77),
