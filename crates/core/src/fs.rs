@@ -1238,22 +1238,9 @@ mod tests {
             .namespace()
             .getattr(CofsFs::<MemFs>::cred(&b), &vpath("/d/y"))
             .unwrap();
-        let hx = rx
-            .mapping
-            .as_ref()
-            .unwrap()
-            .parent()
-            .unwrap()
-            .parent()
-            .unwrap();
-        let hy = ry
-            .mapping
-            .as_ref()
-            .unwrap()
-            .parent()
-            .unwrap()
-            .parent()
-            .unwrap();
+        let (rx, ry) = (rx.clone(), ry.clone());
+        let hx = rx.mapping.unwrap().parent().unwrap().parent().unwrap();
+        let hy = ry.mapping.unwrap().parent().unwrap().parent().unwrap();
         assert_ne!(hx, hy);
     }
 

@@ -469,10 +469,10 @@ impl Mds {
         debug_assert!(prev.is_none(), "caller checked the name was free");
     }
 
-    fn unlink_entry(&mut self, parent: u64, name: &str) -> Dentry {
+    fn unlink_entry(&mut self, parent: u64, name: &str) {
         self.dentries[parent as usize]
             .remove(name)
-            .expect("entry existed")
+            .expect("entry existed");
     }
 
     /// Resolves normalized path text to an inode number, following
@@ -1009,7 +1009,7 @@ impl Mds {
             }
         }
         self.unlink_entry(from_pino, from_name);
-        self.dentries[to_pino as usize].insert(to_name.to_string(), src);
+        self.link_entry(to_pino, to_name, src.ino);
         ops.write(2);
         if src_is_dir && from_pino != to_pino {
             self.get_mut(from_pino).nlink -= 1;

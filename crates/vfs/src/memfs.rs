@@ -15,7 +15,7 @@
 //! - `chmod`/`chown` require ownership (or root).
 //!
 //! Inode numbers are handed out sequentially and never reused, so the
-//! inode table is a dense vector indexed by number. Path resolution
+//! inode table is a dense vector of boxed inodes indexed by number. Path resolution
 //! walks the path's text and probes each directory's ordered entry map
 //! with the borrowed component; a name is copied only when it is
 //! inserted.
@@ -111,7 +111,9 @@ pub struct MemFs {
     /// Inodes indexed by number; `None` for number 0 and for freed
     /// inodes. The next number to hand out is the length, and sweeps
     /// such as statfs visit inodes in number order (lint rule D003).
-    inodes: Vec<Option<Inode>>,
+    /// Boxed, so growing the vector moves one pointer per number rather
+    /// than whole inodes, which keeps peak memory flat on large runs.
+    inodes: Vec<Option<Box<Inode>>>,
     handles: HashMap<FileHandle, Handle>,
     next_fh: u64,
     /// Fixed cost charged per operation (local memory speed).
@@ -140,7 +142,7 @@ impl MemFs {
         };
         MemFs {
             // Number 0 is never handed out; the root is `ROOT_INO`.
-            inodes: vec![None, Some(root)],
+            inodes: vec![None, Some(Box::new(root))],
             handles: HashMap::new(),
             next_fh: 1,
             op_cost: SimDuration::from_nanos(500),
@@ -150,7 +152,7 @@ impl MemFs {
     /// Stores `inode` under the next inode number.
     fn insert_inode(&mut self, inode: Inode) -> Ino {
         let ino = Ino(self.inodes.len() as u64);
-        self.inodes.push(Some(inode));
+        self.inodes.push(Some(Box::new(inode)));
         ino
     }
 
@@ -168,13 +170,13 @@ impl MemFs {
 
     fn node(&self, ino: Ino) -> &Inode {
         self.inodes[ino.0 as usize]
-            .as_ref()
+            .as_deref()
             .expect("dangling inode reference")
     }
 
     fn node_mut(&mut self, ino: Ino) -> &mut Inode {
         self.inodes[ino.0 as usize]
-            .as_mut()
+            .as_deref_mut()
             .expect("dangling inode reference")
     }
 

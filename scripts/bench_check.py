@@ -72,7 +72,16 @@ Cells are printed at two decimals, so comparisons allow one unit of
 rounding slack (0.011 ms / 1 create/s). Stdlib only; exit status 0 on
 success, 1 on any failed check.
 
+With ``--golden`` the script instead compares a regenerated report with
+the committed golden and names every cell that moved, as section title,
+row key, column header, and old -> new. It also lists sections, rows and
+headers that were added or removed. A row's key is its shortest run of
+leading cells that tells the section's rows apart in both reports
+(``shards=2, policy=elastic``). Exit status 0 when the reports match,
+1 otherwise.
+
 Usage: bench_check.py [path/to/BENCH_scaling.json]
+       bench_check.py --golden <committed.json> <regenerated.json>
 """
 
 import json
@@ -613,7 +622,97 @@ def check_cascade(report):
         )
 
 
+def key_width(headers, *row_lists):
+    """Shortest leading-cell count that keys every row list uniquely."""
+    for width in range(1, len(headers) + 1):
+        if all(
+            len({tuple(r[:width]) for r in rows}) == len(rows) for rows in row_lists
+        ):
+            return width
+    return len(headers)
+
+
+def row_label(headers, key):
+    return ", ".join(f"{h}={v}" for h, v in zip(headers, key))
+
+
+def diff_reports(old, new):
+    """Lists every difference between two reports, one line each."""
+    lines = []
+    for field in ("bench", "smoke"):
+        if old.get(field) != new.get(field):
+            lines.append(f"{field}: {old.get(field)!r} -> {new.get(field)!r}")
+    old_secs = {s["title"]: s for s in old["sections"]}
+    new_secs = {s["title"]: s for s in new["sections"]}
+    for title in old_secs:
+        if title not in new_secs:
+            lines.append(f"section removed: {title!r}")
+    for title in new_secs:
+        if title not in old_secs:
+            lines.append(f"section added: {title!r}")
+    for title, o in old_secs.items():
+        n = new_secs.get(title)
+        if n is None:
+            continue
+        if o["headers"] != n["headers"]:
+            lines.append(f"{title!r}: headers {o['headers']} -> {n['headers']}")
+            continue
+        headers = o["headers"]
+        width = key_width(headers, o["rows"], n["rows"])
+        old_rows = {tuple(r[:width]): r for r in o["rows"]}
+        new_rows = {tuple(r[:width]): r for r in n["rows"]}
+        for key in old_rows:
+            if key not in new_rows:
+                lines.append(f"{title!r}: row removed: {row_label(headers, key)}")
+        for key in new_rows:
+            if key not in old_rows:
+                lines.append(f"{title!r}: row added: {row_label(headers, key)}")
+        for key, orow in old_rows.items():
+            nrow = new_rows.get(key)
+            if nrow is None:
+                continue
+            for h, a, b in zip(headers, orow, nrow):
+                # 1 and 1.0 are different cells in the file.
+                if (type(a), a) != (type(b), b):
+                    lines.append(
+                        f"{title!r}, row {row_label(headers, key)}, column {h!r}: {a} -> {b}"
+                    )
+    return lines
+
+
+def golden_main(golden_path, fresh_path):
+    texts = []
+    for path in (golden_path, fresh_path):
+        try:
+            with open(path, encoding="utf-8") as f:
+                texts.append(f.read())
+        except OSError as e:
+            print(f"cannot read {path}: {e}")
+            return 1
+    try:
+        lines = diff_reports(*(json.loads(t) for t in texts))
+    except json.JSONDecodeError as e:
+        print(f"cannot parse a report: {e}")
+        return 1
+    print(f"comparing {fresh_path} with the golden {golden_path}")
+    for line in lines:
+        print(f"  {line}")
+    if lines:
+        print(f"\n{len(lines)} difference(s)")
+        return 1
+    if texts[0] != texts[1]:
+        print("\nno cell differs, but the files' layout does")
+        return 1
+    print("\nreports match")
+    return 0
+
+
 def main():
+    if len(sys.argv) > 1 and sys.argv[1] == "--golden":
+        if len(sys.argv) != 4:
+            print("usage: bench_check.py --golden <committed.json> <regenerated.json>")
+            return 2
+        return golden_main(sys.argv[2], sys.argv[3])
     path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_scaling.json"
     try:
         with open(path, encoding="utf-8") as f:

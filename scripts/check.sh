@@ -18,6 +18,25 @@ if cargo run -q -p cofs-analyze --release -- --strict crates/analyze/fixtures >/
     exit 1
 fi
 
+echo "==> bench_check.py --golden self-check (must name an edited cell)"
+edited="$(mktemp)"
+python3 - BENCH_ablation.json "$edited" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+report["sections"][0]["rows"][1][1] = 99.99
+json.dump(report, open(sys.argv[2], "w"), indent=2)
+EOF
+if report="$(python3 scripts/bench_check.py --golden BENCH_ablation.json "$edited")"; then
+    echo "bench_check.py --golden passed an edited report" >&2
+    exit 1
+fi
+rm -f "$edited"
+if ! grep -qF "'placement ablations', row variant=no randomization (spread 1), column 'create (ms)': 1.21 -> 99.99" <<<"$report"; then
+    echo "bench_check.py --golden did not name the edited cell:" >&2
+    echo "$report" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
