@@ -20,18 +20,25 @@ fi
 
 echo "==> bench_check.py --golden self-check (must name an edited cell)"
 edited="$(mktemp)"
-python3 - BENCH_ablation.json "$edited" <<'EOF'
+# Edits the second row's second cell of the first section and prints
+# the line the diff must report for it.
+expected="$(python3 - BENCH_ablation.json "$edited" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
-report["sections"][0]["rows"][1][1] = 99.99
+sec = report["sections"][0]
+row = sec["rows"][1]
+print(f"{sec['title']!r}, row {sec['headers'][0]}={row[0]}, column {sec['headers'][1]!r}: {row[1]} -> 99.99")
+row[1] = 99.99
 json.dump(report, open(sys.argv[2], "w"), indent=2)
 EOF
-if report="$(python3 scripts/bench_check.py --golden BENCH_ablation.json "$edited")"; then
+)"
+report="$(python3 scripts/bench_check.py --golden BENCH_ablation.json "$edited")" && passed=1 || passed=0
+rm -f "$edited"
+if [ "$passed" = 1 ]; then
     echo "bench_check.py --golden passed an edited report" >&2
     exit 1
 fi
-rm -f "$edited"
-if ! grep -qF "'placement ablations', row variant=no randomization (spread 1), column 'create (ms)': 1.21 -> 99.99" <<<"$report"; then
+if ! grep -qF "$expected" <<<"$report"; then
     echo "bench_check.py --golden did not name the edited cell:" >&2
     echo "$report" >&2
     exit 1
