@@ -117,6 +117,59 @@ fn bench_client_cache(c: &mut Criterion) {
     });
 }
 
+/// Entries in the directory the `listing_` pair lists.
+const LISTED: usize = 2560;
+
+/// One `LISTED`-entry directory on a 4-shard COFS over MemFs with the
+/// client cache on, and a context at the clock after its creates.
+fn listing_dir() -> (
+    cofs::fs::CofsFs<vfs::memfs::MemFs>,
+    vfs::path::VPath,
+    vfs::fs::OpCtx,
+) {
+    use cofs::config::ShardPolicyKind;
+    use simcore::time::SimDuration;
+    use vfs::fs::{FileSystem, OpCtx};
+    use vfs::types::Mode;
+
+    let mut fs = cofs_bench::cofs_mds_limit_cached(
+        4,
+        ShardPolicyKind::HashByParent,
+        SimDuration::from_secs(10),
+    );
+    let dir = vfs::path::vpath("/d");
+    let ctx = OpCtx::test(netsim::ids::NodeId(0));
+    let mut now = fs.mkdir(&ctx, &dir, Mode::dir_default()).unwrap().end;
+    for i in 0..LISTED {
+        let fh = fs
+            .create(
+                &ctx.at(now),
+                &dir.join(&format!("f{i}")),
+                Mode::file_default(),
+            )
+            .unwrap();
+        now = fs.close(&ctx.at(fh.end), fh.value).unwrap().end;
+    }
+    (fs, dir, ctx.at(now))
+}
+
+/// One listing of the `LISTED`-entry directory through `readdir`, which
+/// copies every name, and through `readdir_count`, which prices the
+/// same listing without building it — the host cost scripted clients
+/// save on every `Action::Readdir`.
+fn bench_listing(c: &mut Criterion) {
+    use vfs::fs::FileSystem;
+
+    c.bench_function("listing_readdir_2560", |b| {
+        let (mut fs, dir, ctx) = listing_dir();
+        b.iter(|| fs.readdir(&ctx, &dir).unwrap().value.len())
+    });
+    c.bench_function("listing_count_2560", |b| {
+        let (mut fs, dir, ctx) = listing_dir();
+        b.iter(|| fs.readdir_count(&ctx, &dir).unwrap().value)
+    });
+}
+
 /// A bursty create storm in the metadata-service limit, with and
 /// without the batch/pipeline layer — measures the simulator's
 /// wall-clock cost of the batching bookkeeping (the *virtual*-time win
@@ -425,6 +478,6 @@ fn bench_table1(c: &mut Criterion) {
 criterion_group! {
     name = paper;
     config = Criterion::default().sample_size(10);
-    targets = bench_fig1, bench_fig2, bench_fig4, bench_fig5, bench_fig6, bench_table1, bench_mds, bench_client_cache, bench_batching, bench_memoization, bench_write_behind, bench_read_priority, bench_elastic, bench_fault, bench_cascade
+    targets = bench_fig1, bench_fig2, bench_fig4, bench_fig5, bench_fig6, bench_table1, bench_mds, bench_client_cache, bench_batching, bench_memoization, bench_write_behind, bench_read_priority, bench_elastic, bench_fault, bench_cascade, bench_listing
 }
 criterion_main!(paper);

@@ -738,6 +738,24 @@ impl<U: FileSystem> CofsFs<U> {
         Ok((under.value, under.end))
     }
 
+    /// The one listing path behind `readdir` and `readdir_count`: the
+    /// service resolves and checks `path`, stamps its atime and prices
+    /// the scan, and the read is charged like any lease-eligible one.
+    /// Returns the listed directory's inode number; only `readdir` goes
+    /// on to copy its names.
+    fn list(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<u64> {
+        self.counters.bump("op_readdir");
+        let t = self.fuse(ctx);
+        let (dir, ops) = self
+            .mds
+            .namespace_mut()
+            .readdir(Self::cred(ctx), path, ctx.now)?;
+        // The entry list lives with the children, not with the
+        // directory's own dentry; a live dentry lease lists locally.
+        let t = self.cached_read(ctx, EntryKind::Dentry, "readdir", path, ops, t)?;
+        Ok(Timed::new(dir, t))
+    }
+
     fn handle(&self, fh: FileHandle, op: &'static str) -> Result<&CHandle, FsError> {
         self.handles
             .get(&fh.0)
@@ -994,16 +1012,13 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn readdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<Vec<DirEntry>> {
-        self.counters.bump("op_readdir");
-        let t = self.fuse(ctx);
-        let (list, ops) = self
-            .mds
-            .namespace_mut()
-            .readdir(Self::cred(ctx), path, ctx.now)?;
-        // The entry list lives with the children, not with the
-        // directory's own dentry; a live dentry lease lists locally.
-        let t = self.cached_read(ctx, EntryKind::Dentry, "readdir", path, ops, t)?;
-        Ok(Timed::new(list, t))
+        let t = self.list(ctx, path)?;
+        Ok(t.map(|dir| self.mds().entries(dir)))
+    }
+
+    fn readdir_count(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<u64> {
+        let t = self.list(ctx, path)?;
+        Ok(t.map(|dir| self.mds().entry_len(dir)))
     }
 
     fn unlink(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<()> {

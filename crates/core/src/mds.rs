@@ -824,7 +824,12 @@ impl Mds {
         ops
     }
 
-    /// Lists a virtual directory straight from the dentry table.
+    /// Lists a virtual directory straight from the dentry table:
+    /// resolves `path`, checks that it is a directory the caller may
+    /// read, prices the scan of its entries and stamps its atime.
+    /// Returns the directory's inode number, whose entries
+    /// [`Self::entries`] copies and [`Self::entry_len`] counts, both
+    /// uncharged.
     ///
     /// # Errors
     ///
@@ -834,7 +839,7 @@ impl Mds {
         cred: Cred,
         path: &VPath,
         now: SimTime,
-    ) -> Result<(Vec<DirEntry>, DbOps), FsError> {
+    ) -> Result<(u64, DbOps), FsError> {
         let mut ops = DbOps::default();
         let ino = self.resolve(cred, path.as_str(), "readdir", true, 0, &mut ops)?;
         let node = self.get(ino);
@@ -848,18 +853,27 @@ impl Mds {
         {
             return Err(FsError::new(Errno::EACCES, "readdir", path.as_str()));
         }
-        let list: Vec<DirEntry> = self.dentries[ino as usize]
+        ops.read(self.entry_len(ino) + 1);
+        self.get_mut(ino).atime = now;
+        ops.write(1);
+        Ok((ino, ops))
+    }
+
+    /// The entries of directory `dir`, in name order.
+    pub fn entries(&self, dir: u64) -> Vec<DirEntry> {
+        self.dentries[dir as usize]
             .iter()
             .map(|(name, d)| DirEntry {
                 name: name.clone(),
                 ino: Ino(d.ino),
                 ftype: d.ftype,
             })
-            .collect();
-        ops.read(list.len() as u64 + 1);
-        self.get_mut(ino).atime = now;
-        ops.write(1);
-        Ok((list, ops))
+            .collect()
+    }
+
+    /// How many entries directory `dir` has.
+    pub fn entry_len(&self, dir: u64) -> u64 {
+        self.dentries[dir as usize].len() as u64
     }
 
     /// Creates a hard link — pure metadata in COFS, regardless of
@@ -1138,9 +1152,11 @@ mod tests {
             )
             .unwrap();
         }
-        let (list, ops) = mds.readdir(cred(), &vpath("/d"), t(3)).unwrap();
+        let (dir, ops) = mds.readdir(cred(), &vpath("/d"), t(3)).unwrap();
+        let list = mds.entries(dir);
         let names: Vec<&str> = list.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, vec!["a", "b", "c"]);
+        assert_eq!(mds.entry_len(dir), 3);
         assert!(ops.reads >= 4);
         // Directory size attr reflects entries.
         let (d, _) = mds.getattr(cred(), &vpath("/d")).unwrap();
@@ -1196,7 +1212,8 @@ mod tests {
         mds.symlink(cred(), "/b/empty", &vpath("/a/ln"), t(6))
             .unwrap();
         let listed = |mds: &mut Mds, dir: &str| -> Vec<(String, FileType)> {
-            let (list, _) = mds.readdir(cred(), &vpath(dir), t(7)).unwrap();
+            let (ino, _) = mds.readdir(cred(), &vpath(dir), t(7)).unwrap();
+            let list = mds.entries(ino);
             for e in &list {
                 let (rec, _) = mds.getattr(cred(), &vpath(dir).join(&e.name)).unwrap();
                 assert_eq!((rec.ino, rec.ftype), (e.ino.0, e.ftype), "{dir}/{}", e.name);

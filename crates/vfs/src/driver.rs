@@ -19,6 +19,11 @@
 //! the maximum arrival clock — exactly how MPI benchmarks like
 //! metarates synchronize their phases. Clients that have finished
 //! their scripts do not hold a barrier up.
+//!
+//! Scripted clients time each step and read nothing it returns, so an
+//! [`Action::Readdir`] lists through [`FileSystem::readdir_count`]: the
+//! listing is checked, priced and applied exactly as `readdir` would
+//! do it, without building the names.
 
 use crate::error::{Errno, FsError};
 use crate::fs::{FileSystem, OpCtx};
@@ -87,7 +92,7 @@ pub enum Action {
     Stat(VPath),
     /// `utime(path)` with both times set to the current virtual time.
     Utime(VPath),
-    /// `readdir(path)`.
+    /// `readdir(path)`, listed through [`FileSystem::readdir_count`].
     Readdir(VPath),
     /// `unlink(path)`.
     Unlink(VPath),
@@ -420,7 +425,7 @@ fn perform<F: FileSystem>(
         },
         Action::Stat(path) => fs.stat(ctx, path).map(|t| t.end),
         Action::Utime(path) => fs.utime(ctx, path, ctx.now, ctx.now).map(|t| t.end),
-        Action::Readdir(path) => fs.readdir(ctx, path).map(|t| t.end),
+        Action::Readdir(path) => fs.readdir_count(ctx, path).map(|t| t.end),
         Action::Unlink(path) => fs.unlink(ctx, path).map(|t| t.end),
         Action::Rmdir(path) => fs.rmdir(ctx, path).map(|t| t.end),
         Action::Barrier => unreachable!("the driver parks barrier steps itself"),

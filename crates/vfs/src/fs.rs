@@ -164,8 +164,53 @@ pub trait FileSystem {
     /// # Errors
     ///
     /// `ENOTDIR` if `path` is not a directory, `EACCES` without read
-    /// permission, plus lookup errors.
+    /// permission (the type is checked first), plus lookup errors.
     fn readdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<Vec<DirEntry>>;
+
+    /// Lists a directory without building the list: returns how many
+    /// entries [`FileSystem::readdir`] would return.
+    ///
+    /// It is the same operation as `readdir` on the same state: the
+    /// same checks and errors, the same completion time, the same atime
+    /// update on the listed directory, and the same lease taken or hit
+    /// where the implementation caches. Only the names are not built.
+    /// Callers that time a listing without reading it, such as the
+    /// scripted clients of [`crate::driver`], list through this. The
+    /// default delegates to `readdir`; an implementation that can price
+    /// a listing without copying its names overrides it.
+    ///
+    /// # Errors
+    ///
+    /// As for `readdir`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use netsim::ids::NodeId;
+    /// use vfs::error::Errno;
+    /// use vfs::fs::{FileSystem, OpCtx};
+    /// use vfs::memfs::MemFs;
+    /// use vfs::path::vpath;
+    /// use vfs::types::Mode;
+    ///
+    /// let mut fs = MemFs::new();
+    /// let ctx = OpCtx::test(NodeId(0));
+    /// let dir = vpath("/d");
+    /// fs.mkdir(&ctx, &dir, Mode::dir_default())?;
+    /// for name in ["a", "b", "c"] {
+    ///     fs.mkdir(&ctx, &dir.join(name), Mode::dir_default())?;
+    /// }
+    /// let listed = fs.readdir(&ctx, &dir)?;
+    /// let counted = fs.readdir_count(&ctx, &dir)?;
+    /// assert_eq!(counted.value, listed.value.len() as u64);
+    /// assert_eq!(counted.end, listed.end);
+    /// let missing = fs.readdir_count(&ctx, &vpath("/nope")).unwrap_err();
+    /// assert!(missing.is(Errno::ENOENT));
+    /// # Ok::<(), vfs::error::FsError>(())
+    /// ```
+    fn readdir_count(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<u64> {
+        self.readdir(ctx, path).map(|t| t.map(|v| v.len() as u64))
+    }
 
     /// Removes a name; the inode is freed when its link count reaches
     /// zero.

@@ -537,12 +537,14 @@ impl FileSystem for MemFs {
     fn readdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<Vec<DirEntry>> {
         let ino = self.resolve(ctx, path.as_str(), "readdir", true, 0)?;
         let node = self.node(ino);
-        if !node.mode.allows_read(ctx.uid, ctx.gid, node.uid, node.gid) {
-            return Err(FsError::new(Errno::EACCES, "readdir", path.as_str()));
-        }
+        // The type is checked before the permission, as Linux's
+        // `open(O_DIRECTORY)` does: an unreadable file is `ENOTDIR`.
         let entries = node
             .entries()
             .ok_or_else(|| FsError::new(Errno::ENOTDIR, "readdir", path.as_str()))?;
+        if !node.mode.allows_read(ctx.uid, ctx.gid, node.uid, node.gid) {
+            return Err(FsError::new(Errno::EACCES, "readdir", path.as_str()));
+        }
         let list: Vec<DirEntry> = entries
             .iter()
             .map(|(name, &ino)| DirEntry {

@@ -302,3 +302,108 @@ fn symlink_resolution_matches_memfs() {
         }
     }
 }
+
+/// Listing errors on a fixed script, through both `readdir` and
+/// `readdir_count`. Generated scripts never make an unreadable file or
+/// a directory the caller cannot read or search, so this does: the
+/// owner lists an unreadable file and a readable one (`ENOTDIR`: the
+/// type is checked before the permission), a directory without read
+/// permission (`EACCES`), a directory under one without search
+/// permission (`EACCES`), a missing name (`ENOENT`) and a readable
+/// directory. Every outcome on bare GPFS, on `CofsFs` over `MemFs` at
+/// 1 and 4 shards and on `CofsFs` over GPFS must match `MemFs`, and
+/// `MemFs` must answer what each case expects.
+#[test]
+fn readdir_errors_match_memfs() {
+    use cofs_tests::Outcome;
+    use simcore::time::SimTime;
+    use vfs::error::Errno::{self, EACCES, ENOENT, ENOTDIR};
+    use vfs::fs::{FileSystem, OpCtx, Timed};
+    use vfs::path::vpath;
+    use vfs::types::{DirEntry, Mode, SetAttr};
+
+    // Each listed path with the errno the reference must fail it with,
+    // if any.
+    let cases: [(&str, Option<Errno>); 6] = [
+        ("/secret", Some(ENOTDIR)),
+        ("/plain", Some(ENOTDIR)),
+        ("/noread", Some(EACCES)),
+        ("/nosearch/d", Some(EACCES)),
+        ("/missing", Some(ENOENT)),
+        ("/open", None),
+    ];
+
+    /// Builds the fixture as its owner, then lists every case through
+    /// both entry points; returns `(readdir, readdir_count)` outcomes.
+    fn probe<F: FileSystem>(
+        fs: &mut F,
+        cases: &[(&str, Option<Errno>)],
+    ) -> Vec<(Outcome, Outcome)> {
+        let mut now = SimTime::ZERO;
+        let mut ctx = || {
+            now += SimDuration::from_millis(1);
+            OpCtx::test(NodeId(0)).at(now)
+        };
+        let chmod = |bits| SetAttr {
+            mode: Some(Mode::new(bits)),
+            ..SetAttr::default()
+        };
+        for dir in ["/noread", "/nosearch", "/nosearch/d", "/open", "/open/a"] {
+            fs.mkdir(&ctx(), &vpath(dir), Mode::dir_default()).unwrap();
+        }
+        for file in ["/secret", "/plain", "/open/b"] {
+            let fh = fs
+                .create(&ctx(), &vpath(file), Mode::file_default())
+                .unwrap();
+            fs.close(&ctx(), fh.value).unwrap();
+        }
+        for (path, bits) in [("/secret", 0o000), ("/noread", 0o300), ("/nosearch", 0o600)] {
+            fs.setattr(&ctx(), &vpath(path), chmod(bits)).unwrap();
+        }
+        let outcome = |r: Result<String, vfs::error::FsError>| match r {
+            Ok(s) => Outcome::Ok(s),
+            Err(e) => Outcome::Err(e.errno()),
+        };
+        cases
+            .iter()
+            .map(|(path, _)| {
+                let p = vpath(path);
+                let listed = fs.readdir(&ctx(), &p);
+                let counted = fs.readdir_count(&ctx(), &p);
+                if let (Ok(l), Ok(c)) = (&listed, &counted) {
+                    assert_eq!(l.value.len() as u64, c.value, "{path}: count");
+                }
+                let names = |t: Timed<Vec<DirEntry>>| {
+                    let names: Vec<String> = t.value.into_iter().map(|e| e.name).collect();
+                    names.join(",")
+                };
+                (
+                    outcome(listed.map(names)),
+                    outcome(counted.map(|t| t.value.to_string())),
+                )
+            })
+            .collect()
+    }
+
+    let expect = probe(&mut MemFs::new(), &cases);
+    for ((path, fails), (listed, counted)) in cases.iter().zip(&expect) {
+        match (fails, listed, counted) {
+            (None, Outcome::Ok(l), Outcome::Ok(_)) => assert_eq!(l, "a,b", "{path}"),
+            (Some(want), Outcome::Err(l), Outcome::Err(c)) if want == l && want == c => {}
+            _ => panic!("{path}: MemFs answered {listed:?} / {counted:?}, expected {fails:?}"),
+        }
+    }
+    for (label, got) in [
+        ("gpfs", probe(&mut gpfs(2), &cases)),
+        ("cofs/memfs", probe(&mut cofs_over_memfs(), &cases)),
+        (
+            "cofs/memfs 4 shards",
+            probe(&mut cofs_over_memfs_sharded(4), &cases),
+        ),
+        ("cofs/gpfs", probe(&mut cofs_over_gpfs(2), &cases)),
+    ] {
+        for ((path, _), (got, want)) in cases.iter().zip(got.iter().zip(&expect)) {
+            assert_eq!(got, want, "{path} diverged on {label}");
+        }
+    }
+}

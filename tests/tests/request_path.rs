@@ -9,12 +9,19 @@
 //! and retry accounting, must match `golden/request_path.txt` exactly,
 //! so any change to how a request is gated or priced shows up as a diff.
 //!
+//! Every stack runs twice: once listing through `readdir`, once through
+//! `readdir_count`. Both passes must reproduce the golden file, each
+//! count must equal the list length, and the two passes must end with
+//! the same cache and layer counters and the same attributes, atime
+//! included, on every listed directory that still exists.
+//!
 //! After an intended change to the numbers, regenerate the file with
 //! `COFS_BLESS=1 cargo test -p cofs-tests --test request_path`.
 
 use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
 use cofs::fault::FaultPlan;
 use cofs::fs::CofsFs;
+use cofs::mds::Cred;
 use cofs::mds_cluster::ShardId;
 use netsim::ids::NodeId;
 use simcore::time::{SimDuration, SimTime};
@@ -23,9 +30,16 @@ use vfs::error::{Errno, FsError};
 use vfs::fs::{FileSystem, OpCtx};
 use vfs::memfs::MemFs;
 use vfs::path::{vpath, VPath};
-use vfs::types::{FileHandle, Mode, OpenFlags, SetAttr};
+use vfs::types::{FileAttr, FileHandle, Mode, OpenFlags, SetAttr};
 
 const NODES: usize = 4;
+
+/// Which entry point a pass lists directories through.
+#[derive(Debug, Clone, Copy)]
+enum Listing {
+    Readdir,
+    Count,
+}
 
 /// One step of a node's script. `Write` and `Close` act on the handle
 /// the node's last `Create` or `OpenTrunc` returned.
@@ -102,13 +116,16 @@ fn script(i: usize) -> Vec<Op> {
 }
 
 /// Applies `op` for `node` at `now`; returns the completion time
-/// (a failure's own end time when it carries one).
+/// (a failure's own end time when it carries one). A successful
+/// listing appends its entry count to `listed`.
 fn apply(
     fs: &mut CofsFs<MemFs>,
     node: usize,
     now: SimTime,
     op: &Op,
     fh: &mut Option<FileHandle>,
+    listing: Listing,
+    listed: &mut Vec<u64>,
 ) -> Result<SimTime, FsError> {
     let ctx = OpCtx::test(NodeId(node as u32)).at(now);
     // A failed open leaves no handle: the dependent step fails too.
@@ -122,7 +139,14 @@ fn apply(
         Op::Write(len) => fs.write(&ctx, open(*fh)?, 0, *len).map(|t| t.end),
         Op::Close => fs.close(&ctx, open(fh.take())?).map(|t| t.end),
         Op::Stat(p) => fs.stat(&ctx, p).map(|t| t.end),
-        Op::Readdir(p) => fs.readdir(&ctx, p).map(|t| t.end),
+        Op::Readdir(p) => {
+            let t = match listing {
+                Listing::Readdir => fs.readdir(&ctx, p).map(|t| t.map(|v| v.len() as u64)),
+                Listing::Count => fs.readdir_count(&ctx, p),
+            }?;
+            listed.push(t.value);
+            Ok(t.end)
+        }
         Op::Chmod(p) => fs
             .setattr(
                 &ctx,
@@ -151,17 +175,19 @@ fn apply(
 
 /// Runs every node's script round-robin, one step per node per round,
 /// each node on its own clock, and appends one line per op plus the
-/// final accounting to `out`.
-fn run(name: &str, fs: &mut CofsFs<MemFs>, out: &mut String) {
+/// final accounting to `out`. Returns each successful listing's entry
+/// count, in order.
+fn run(name: &str, fs: &mut CofsFs<MemFs>, listing: Listing, out: &mut String) -> Vec<u64> {
     let scripts: Vec<Vec<Op>> = (0..NODES).map(script).collect();
     let mut clock = [SimTime::ZERO; NODES];
     let mut handles: [Option<FileHandle>; NODES] = [None; NODES];
+    let mut listed = Vec::new();
     let steps = scripts[0].len();
     for step in 0..steps {
         for (node, script) in scripts.iter().enumerate() {
             let op = &script[step];
             let now = clock[node];
-            let outcome = apply(fs, node, now, op, &mut handles[node]);
+            let outcome = apply(fs, node, now, op, &mut handles[node], listing, &mut listed);
             let (end, what) = match &outcome {
                 Ok(end) => (Some(*end), "ok".to_string()),
                 Err(e) => (e.end(), format!("{:?}", e.errno())),
@@ -177,6 +203,7 @@ fn run(name: &str, fs: &mut CofsFs<MemFs>, out: &mut String) {
         }
     }
     finish(name, fs, out);
+    listed
 }
 
 fn finish(name: &str, fs: &mut CofsFs<MemFs>, out: &mut String) {
@@ -289,11 +316,25 @@ fn stacks() -> Vec<(&'static str, CofsFs<MemFs>)> {
     ]
 }
 
-#[test]
-fn request_path_matches_golden() {
+/// What a pass leaves that the golden file does not record, per stack.
+#[derive(Debug, PartialEq)]
+struct Tail {
+    stack: &'static str,
+    /// Each successful listing's entry count, in order.
+    listed: Vec<u64>,
+    cache: cofs::client_cache::CacheStats,
+    counters: Vec<(&'static str, u64)>,
+    /// Every listed directory that still exists, with its attributes.
+    dirs: Vec<(VPath, FileAttr)>,
+}
+
+/// Runs every stack with `listing`; returns the golden text and each
+/// stack's [`Tail`].
+fn pass(listing: Listing) -> (String, Vec<Tail>) {
     let mut out = String::new();
+    let mut tails = Vec::new();
     for (name, mut fs) in stacks() {
-        run(name, &mut fs, &mut out);
+        let listed = run(name, &mut fs, listing, &mut out);
         let usage = fs.shard_usage();
         let two_phase: u64 = usage.iter().map(|u| u.two_phase).sum();
         let splits: u64 = usage.iter().map(|u| u.splits).sum();
@@ -313,15 +354,64 @@ fn request_path_matches_golden() {
             let f = fs.fault_summary().expect("plan armed");
             assert_eq!(f.drops, 2, "g: both late drops must hit the flush");
         }
+        // Read straight from the service's tables: a `stat` would
+        // charge, and take leases, in the state being compared.
+        let ctx = OpCtx::test(NodeId(0));
+        let cred = Cred {
+            uid: ctx.uid,
+            gid: ctx.gid,
+        };
+        let mut dirs: Vec<VPath> = (0..NODES)
+            .flat_map(script)
+            .filter_map(|op| match op {
+                Op::Readdir(p) => Some(p),
+                _ => None,
+            })
+            .collect();
+        dirs.sort();
+        dirs.dedup();
+        let dirs: Vec<(VPath, FileAttr)> = dirs
+            .into_iter()
+            .filter_map(|p| {
+                let attr = fs.mds().getattr(cred, &p).ok()?.0.attr();
+                Some((p, attr))
+            })
+            .collect();
+        assert!(!dirs.is_empty(), "{name}: no listed directory survives");
+        tails.push(Tail {
+            stack: name,
+            listed,
+            cache: fs.cache_stats(),
+            counters: fs.counters().iter().collect(),
+            dirs,
+        });
     }
+    (out, tails)
+}
+
+#[test]
+fn request_path_matches_golden() {
+    let (out, by_readdir) = pass(Listing::Readdir);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/request_path.txt");
     if std::env::var_os("COFS_BLESS").is_some() {
         std::fs::write(path, &out).expect("write golden file");
         return;
     }
     let golden = std::fs::read_to_string(path).expect("golden file exists");
-    for (i, (got, want)) in out.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "first difference at line {}", i + 1);
+    let (counted_out, by_count) = pass(Listing::Count);
+    for (listing, out) in [(Listing::Readdir, &out), (Listing::Count, &counted_out)] {
+        for (i, (got, want)) in out.lines().zip(golden.lines()).enumerate() {
+            assert_eq!(got, want, "{listing:?}: first difference at line {}", i + 1);
+        }
+        assert_eq!(
+            out.lines().count(),
+            golden.lines().count(),
+            "{listing:?}: line count"
+        );
     }
-    assert_eq!(out.lines().count(), golden.lines().count(), "line count");
+    assert_eq!(by_readdir.len(), by_count.len());
+    for (a, b) in by_readdir.iter().zip(&by_count) {
+        assert!(!a.listed.is_empty(), "{}: no listing succeeded", a.stack);
+        assert_eq!(a, b, "{}: the two listing passes diverged", a.stack);
+    }
 }
