@@ -3,12 +3,23 @@
 //! regenerating each experiment; the `fig*`/`table1` binaries print
 //! the paper-scale rows).
 
-use cofs_bench::{cofs_over_gpfs, gpfs};
+use cofs::config::{CofsConfig, ShardPolicyKind};
+use cofs_bench::{cofs_over_gpfs, gpfs, mds_limit, SWEEP_BATCH_DELAY, SWEEP_PIPELINE_DEPTH};
 use criterion::{criterion_group, criterion_main, Criterion};
 use workloads::ior::{run_ior_op, Access, FileMode, IoOp, IorConfig};
 use workloads::metarates::{run_phase, MetaOp, MetaratesConfig};
 
 const MB: u64 = 1024 * 1024;
+
+/// `shards` hash-by-parent shards.
+fn hashed(shards: usize) -> CofsConfig {
+    CofsConfig::default().with_shards(shards, ShardPolicyKind::HashByParent)
+}
+
+/// [`hashed`] batching at `max_batch_ops` in the sweeps' shape.
+fn hashed_batched(shards: usize, max_batch_ops: usize) -> CofsConfig {
+    hashed(shards).with_batching(max_batch_ops, SWEEP_BATCH_DELAY, SWEEP_PIPELINE_DEPTH)
+}
 
 /// Raw MDS op throughput: drives an [`cofs::mds_cluster::MdsCluster`]
 /// directly (no underlying filesystem, no driver) through the same
@@ -16,7 +27,7 @@ const MB: u64 = 1024 * 1024;
 /// refactors show up here without workload noise.
 fn mds_raw_ops(shards: usize) {
     use cofs::batch::BatchedOp;
-    use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
+    use cofs::config::MdsNetwork;
     use cofs::mds::Cred;
     use cofs::mds_cluster::{MdsCluster, Shape};
     use netsim::ids::NodeId;
@@ -24,7 +35,7 @@ fn mds_raw_ops(shards: usize) {
     use vfs::path::vpath;
     use vfs::types::{Gid, Mode, Uid};
 
-    let cfg = CofsConfig::default().with_shards(shards, ShardPolicyKind::HashByParent);
+    let cfg = hashed(shards);
     let net = MdsNetwork::uniform(SimDuration::from_micros(250));
     let mut cluster = MdsCluster::new(cfg.build_shard_policy());
     let cred = Cred {
@@ -85,7 +96,6 @@ fn bench_mds(c: &mut Criterion) {
 /// cache bookkeeping itself (the *virtual*-time win is asserted by the
 /// integration tests; here we make sure lease tracking stays cheap).
 fn client_cache_storm(cached: bool) {
-    use cofs::config::ShardPolicyKind;
     use simcore::time::SimDuration;
     use workloads::scenarios::HotStatStorm;
 
@@ -96,16 +106,12 @@ fn client_cache_storm(cached: bool) {
         rounds: 4,
         ..HotStatStorm::default()
     };
-    let mut fs = if cached {
-        cofs_bench::cofs_mds_limit_cached(
-            2,
-            ShardPolicyKind::HashByParent,
-            SimDuration::from_secs(10),
-        )
+    let cfg = if cached {
+        hashed(2).with_client_cache(4096, SimDuration::from_secs(10))
     } else {
-        cofs_bench::cofs_mds_limit(2, ShardPolicyKind::HashByParent)
+        hashed(2)
     };
-    storm.run(&mut fs);
+    storm.run(&mut mds_limit(cfg));
 }
 
 fn bench_client_cache(c: &mut Criterion) {
@@ -127,16 +133,11 @@ fn listing_dir() -> (
     vfs::path::VPath,
     vfs::fs::OpCtx,
 ) {
-    use cofs::config::ShardPolicyKind;
     use simcore::time::SimDuration;
     use vfs::fs::{FileSystem, OpCtx};
     use vfs::types::Mode;
 
-    let mut fs = cofs_bench::cofs_mds_limit_cached(
-        4,
-        ShardPolicyKind::HashByParent,
-        SimDuration::from_secs(10),
-    );
+    let mut fs = mds_limit(hashed(4).with_client_cache(4096, SimDuration::from_secs(10)));
     let dir = vfs::path::vpath("/d");
     let ctx = OpCtx::test(netsim::ids::NodeId(0));
     let mut now = fs.mkdir(&ctx, &dir, Mode::dir_default()).unwrap().end;
@@ -176,7 +177,6 @@ fn bench_listing(c: &mut Criterion) {
 /// is asserted by the integration tests; here we make sure the
 /// pipeline's buffering and slot accounting stay cheap).
 fn batch_storm(max_batch_ops: Option<usize>) {
-    use cofs::config::ShardPolicyKind;
     use workloads::scenarios::SharedDirStorm;
 
     let storm = SharedDirStorm {
@@ -187,9 +187,11 @@ fn batch_storm(max_batch_ops: Option<usize>) {
         burst: 8,
         ..SharedDirStorm::default()
     };
-    let mut fs =
-        cofs_bench::cofs_mds_limit_maybe_batched(2, ShardPolicyKind::HashByParent, max_batch_ops);
-    storm.run(&mut fs);
+    let cfg = match max_batch_ops {
+        Some(k) => hashed_batched(2, k),
+        None => hashed(2),
+    };
+    storm.run(&mut mds_limit(cfg));
 }
 
 fn bench_batching(c: &mut Criterion) {
@@ -204,7 +206,6 @@ fn bench_batching(c: &mut Criterion) {
 /// cost of the read-set plumbing and the per-batch key dedup (the
 /// *virtual*-time win is asserted by the integration tests).
 fn memo_storm(memoize: bool) {
-    use cofs::config::ShardPolicyKind;
     use workloads::scenarios::SharedDirStorm;
 
     let storm = SharedDirStorm {
@@ -215,9 +216,12 @@ fn memo_storm(memoize: bool) {
         burst: 8,
         ..SharedDirStorm::default()
     };
-    let mut fs =
-        cofs_bench::cofs_mds_limit_tuned(2, ShardPolicyKind::HashByParent, Some(8), memoize, false);
-    storm.run(&mut fs);
+    let cfg = if memoize {
+        hashed_batched(2, 8).with_read_memoization()
+    } else {
+        hashed_batched(2, 8)
+    };
+    storm.run(&mut mds_limit(cfg));
 }
 
 fn bench_memoization(c: &mut Criterion) {
@@ -230,18 +234,15 @@ fn bench_memoization(c: &mut Criterion) {
 /// segment bookkeeping (the stat-tail win is asserted by the
 /// integration tests).
 fn prio_storm(priority: bool) {
-    use cofs::config::ShardPolicyKind;
     use workloads::scenarios::SharedDirStorm;
 
     let storm = SharedDirStorm::mixed(4, 16);
-    let mut fs = cofs_bench::cofs_mds_limit_tuned(
-        2,
-        ShardPolicyKind::HashByParent,
-        Some(8),
-        false,
-        priority,
-    );
-    storm.run(&mut fs);
+    let cfg = if priority {
+        hashed_batched(2, 8).with_read_priority()
+    } else {
+        hashed_batched(2, 8)
+    };
+    storm.run(&mut mds_limit(cfg));
 }
 
 /// The bursty create storm on a memoized 8-op batched stack, with and
@@ -250,7 +251,6 @@ fn prio_storm(priority: bool) {
 /// coalescing pass, and the unapplied-entry window bookkeeping (the
 /// *virtual*-time win is asserted by the integration tests).
 fn journal_storm(write_behind: bool) {
-    use cofs::config::ShardPolicyKind;
     use workloads::scenarios::SharedDirStorm;
 
     let storm = SharedDirStorm {
@@ -261,12 +261,13 @@ fn journal_storm(write_behind: bool) {
         burst: 8,
         ..SharedDirStorm::default()
     };
-    let mut fs = if write_behind {
-        cofs_bench::cofs_mds_limit_write_behind(2, ShardPolicyKind::HashByParent, 8, true)
+    let memoized = hashed_batched(2, 8).with_read_memoization();
+    let cfg = if write_behind {
+        memoized.with_write_behind()
     } else {
-        cofs_bench::cofs_mds_limit_tuned(2, ShardPolicyKind::HashByParent, Some(8), true, false)
+        memoized
     };
-    storm.run(&mut fs);
+    storm.run(&mut mds_limit(cfg));
 }
 
 fn bench_write_behind(c: &mut Criterion) {
@@ -289,7 +290,6 @@ fn bench_read_priority(c: &mut Criterion) {
 /// migration costing; the *virtual*-time win is asserted by the
 /// integration tests and gated by `scripts/bench_check.py`).
 fn elastic_storm(elastic: bool) {
-    use cofs::config::ShardPolicyKind;
     use workloads::scenarios::SkewedTenantStorm;
 
     let storm = SkewedTenantStorm {
@@ -298,12 +298,12 @@ fn elastic_storm(elastic: bool) {
         files_per_node: 16,
         ..SkewedTenantStorm::default()
     };
-    let mut fs = if elastic {
-        cofs_bench::cofs_mds_limit_elastic(2)
+    let cfg = if elastic {
+        CofsConfig::default().with_elastic(2)
     } else {
-        cofs_bench::cofs_mds_limit(2, ShardPolicyKind::HashByParent)
+        hashed(2)
     };
-    storm.run(&mut fs);
+    storm.run(&mut mds_limit(cfg));
 }
 
 fn bench_elastic(c: &mut Criterion) {
@@ -343,8 +343,7 @@ fn failover_storm(crash: bool) {
     } else {
         FaultPlan::default()
     };
-    let mut fs = cofs_bench::cofs_failover(4, plan, false);
-    storm.run(&mut fs);
+    storm.run(&mut mds_limit(hashed(4).with_fault_plan(plan)));
 }
 
 fn bench_fault(c: &mut Criterion) {
@@ -388,8 +387,16 @@ fn cascade_storm(standby: bool, admission: bool) {
             SimTime::from_millis(2),
             SimDuration::from_millis(10),
         );
-    let mut fs = cofs_bench::cofs_cascade(4, plan, standby, admission);
-    storm.run(&mut fs);
+    let mut cfg = hashed_batched(4, 16)
+        .with_write_behind()
+        .with_fault_plan(plan);
+    if standby {
+        cfg = cfg.with_standby();
+    }
+    if admission {
+        cfg = cfg.with_admission();
+    }
+    storm.run(&mut mds_limit(cfg));
 }
 
 fn bench_cascade(c: &mut Criterion) {

@@ -38,8 +38,8 @@ use workloads::report::{batch_cells, cache_cells, ms, Table, BATCH_COLUMNS, CACH
 use workloads::scenarios::{HotStatStorm, SharedDirStorm};
 
 use cofs_bench::{
-    cofs_mds_limit, cofs_mds_limit_cached, cofs_mds_limit_maybe_batched, cofs_mds_limit_tuned,
-    cofs_mds_limit_write_behind, smoke_files, smoke_mode, smoke_nodes, smoke_or, write_bench_json,
+    mds_limit, smoke_files, smoke_mode, smoke_nodes, smoke_or, write_bench_json, SWEEP_BATCH_DELAY,
+    SWEEP_PIPELINE_DEPTH,
 };
 
 fn stack(cfg: CofsConfig, placement: Box<dyn PlacementPolicy>) -> CofsFs<PfsFs> {
@@ -115,7 +115,11 @@ fn main() {
     );
     let mut shard_table = Table::new(vec!["variant", "create (ms)", "makespan (ms)"]);
     for (shards, policy, label) in [
-        (1, ShardPolicyKind::Single, "1 shard (paper, centralized)"),
+        (
+            1,
+            ShardPolicyKind::HashByParent,
+            "1 shard (paper, centralized)",
+        ),
         (2, ShardPolicyKind::HashByParent, "2 shards, hash-by-parent"),
         (4, ShardPolicyKind::HashByParent, "4 shards, hash-by-parent"),
         // All storm dirs share the top-level /storm subtree, so this
@@ -127,8 +131,9 @@ fn main() {
         // own static starting point.
         (4, ShardPolicyKind::Elastic, "4 shards, elastic"),
     ] {
-        let mut fs = cofs_mds_limit(shards, policy);
-        let r = storm.run(&mut fs);
+        let r = storm.run(&mut mds_limit(
+            CofsConfig::default().with_shards(shards, policy),
+        ));
         shard_table.row(vec![
             label.into(),
             ms(r.mean_create_ms),
@@ -165,7 +170,7 @@ fn main() {
         "migr",
     ]);
     for policy in [ShardPolicyKind::HashByParent, ShardPolicyKind::Elastic] {
-        let mut fs = cofs_mds_limit(4, policy);
+        let mut fs = mds_limit(CofsConfig::default().with_shards(4, policy));
         let r = shifting.run(&mut fs);
         let splits: u64 = r.per_shard.iter().map(|u| u.splits).sum();
         let merges: u64 = r.per_shard.iter().map(|u| u.merges).sum();
@@ -218,10 +223,13 @@ fn main() {
             Some(SimDuration::from_secs(10)),
         ],
     );
+    let two_shards = || CofsConfig::default().with_shards(2, ShardPolicyKind::HashByParent);
     for ttl in &ttls {
-        let build = || match ttl {
-            None => cofs_mds_limit(2, ShardPolicyKind::HashByParent),
-            Some(ttl) => cofs_mds_limit_cached(2, ShardPolicyKind::HashByParent, *ttl),
+        let build = || {
+            mds_limit(match ttl {
+                None => two_shards(),
+                Some(ttl) => two_shards().with_client_cache(4096, *ttl),
+            })
         };
         let ttl_label = ttl.map_or("off".to_string(), |t| format!("{:.0}ms", t.as_millis_f64()));
         let r = hot.run(&mut build());
@@ -272,8 +280,11 @@ fn main() {
         (&round_robin, "round-robin"),
     ] {
         for max_ops in [None, Some(8)] {
-            let mut fs = cofs_mds_limit_maybe_batched(2, ShardPolicyKind::HashByParent, max_ops);
-            let r = storm.run(&mut fs);
+            let cfg = match max_ops {
+                None => two_shards(),
+                Some(k) => two_shards().with_batching(k, SWEEP_BATCH_DELAY, SWEEP_PIPELINE_DEPTH),
+            };
+            let r = storm.run(&mut mds_limit(cfg));
             let mut row = vec![
                 wl.to_string(),
                 max_ops.map_or("off".into(), |k| k.to_string()),
@@ -306,9 +317,14 @@ fn main() {
         "bypasses",
     ]);
     for (memo, priority) in [(false, false), (true, false), (false, true), (true, true)] {
-        let mut fs =
-            cofs_mds_limit_tuned(2, ShardPolicyKind::HashByParent, Some(8), memo, priority);
-        let r = mixed.run(&mut fs);
+        let mut cfg = two_shards().with_batching(8, SWEEP_BATCH_DELAY, SWEEP_PIPELINE_DEPTH);
+        if memo {
+            cfg = cfg.with_read_memoization();
+        }
+        if priority {
+            cfg = cfg.with_read_priority();
+        }
+        let r = mixed.run(&mut mds_limit(cfg));
         let memoized: u64 = r.per_shard.iter().map(|u| u.reads_memoized).sum();
         let bypasses: u64 = r.per_shard.iter().map(|u| u.read_bypasses).sum();
         mp_table.row(vec![
@@ -361,12 +377,14 @@ fn main() {
         (1, true, false),
         (1, true, true),
     ] {
-        let mut fs = if behind {
-            cofs_mds_limit_write_behind(2, ShardPolicyKind::HashByParent, k, memo)
-        } else {
-            cofs_mds_limit_tuned(2, ShardPolicyKind::HashByParent, Some(k), memo, false)
-        };
-        let r = wstorm.run(&mut fs);
+        let mut cfg = two_shards().with_batching(k, SWEEP_BATCH_DELAY, SWEEP_PIPELINE_DEPTH);
+        if memo {
+            cfg = cfg.with_read_memoization();
+        }
+        if behind {
+            cfg = cfg.with_write_behind();
+        }
+        let r = wstorm.run(&mut mds_limit(cfg));
         let appends: u64 = r.per_shard.iter().map(|u| u.journal_appends).sum();
         let coalesced: u64 = r.per_shard.iter().map(|u| u.rows_coalesced).sum();
         let lag = r

@@ -26,13 +26,18 @@
 //!    multi-tenant storm where one tenant takes ~75 % of the load —
 //!    the shape both static policies lose to a single hot shard.
 //! 7. Failover axis: the same create/stat storm with one scripted
-//!    shard crash, swept over crash timing × recovery cost (plain vs
-//!    write-behind journal, whose acked-but-unapplied rows recovery
-//!    must replay) × shard count. Reports the availability gap,
-//!    recovery CPU, retry/NACK counts, lost-acked ops (gated at zero),
-//!    and the stat tail through the fault window — next to a
-//!    fault-free baseline row from the *same* factory, which must
-//!    match the plain storm bit-for-bit.
+//!    shard crash, swept over crash timing × journal (plain vs
+//!    write-behind, batched) × shard count. Reports the availability
+//!    gap, recovery CPU, retry/NACK counts and backoff depth, lost-acked
+//!    ops (gated at zero), and the stat tail through the fault window —
+//!    next to a fault-free baseline row from the *same* config, which
+//!    must match the plain storm bit-for-bit. No swept crash finds
+//!    acked-but-unapplied rows: every row reads 0 for `replayed`,
+//!    `lag rows`, `fenced`, `errors`, `cut off` and `eio nodes`, so
+//!    recovery is a boot plus an empty journal-tail scan and the
+//!    journal rows measure the retry traffic under batching, not
+//!    replay cost. Rows that reach replay, fencing and retry exhaustion
+//!    are ROADMAP item 2.
 //! 8. Cascade axis: correlated failures (a crash-loop on one shard
 //!    plus a simultaneous rack-partner crash) against the survival
 //!    knobs — hot-standby promotion × post-recovery admission control
@@ -45,12 +50,11 @@
 //! (see [`cofs_bench::write_bench_json`]) for machine consumption;
 //! `scripts/bench_check.py` gates CI on its monotonicity claims.
 
-use cofs::config::ShardPolicyKind;
+use cofs::config::{CofsConfig, ShardPolicyKind};
 use cofs::fault::FaultPlan;
 use cofs_bench::{
-    cofs_mds_limit, cofs_mds_limit_cached, cofs_mds_limit_elastic, cofs_mds_limit_maybe_batched,
-    cofs_mds_limit_tuned, cofs_mds_limit_write_behind, cofs_over_gpfs_on, gpfs_on, smoke_files,
-    smoke_or, write_bench_json,
+    cofs_over_gpfs_on, gpfs_on, mds_limit, smoke_files, smoke_or, write_bench_json,
+    SWEEP_BATCH_DELAY, SWEEP_PIPELINE_DEPTH,
 };
 use netsim::topology::Topology;
 use simcore::time::{SimDuration, SimTime};
@@ -62,6 +66,20 @@ use workloads::report::{
 use workloads::scenarios::{
     CascadeStorm, FailoverStorm, HotStatStorm, SharedDirStorm, SkewedTenantStorm,
 };
+
+/// `shards` hash-by-parent shards (one shard is the paper's single MDS).
+fn hashed(shards: usize) -> CofsConfig {
+    CofsConfig::default().with_shards(shards, ShardPolicyKind::HashByParent)
+}
+
+/// `cfg` batching at `max_ops` in the sweeps' shape; `None` leaves it
+/// fully synchronous.
+fn batched(cfg: CofsConfig, max_ops: Option<usize>) -> CofsConfig {
+    match max_ops {
+        Some(k) => cfg.with_batching(k, SWEEP_BATCH_DELAY, SWEEP_PIPELINE_DEPTH),
+        None => cfg,
+    }
+}
 
 fn main() {
     let fpn = smoke_files(256);
@@ -135,17 +153,8 @@ fn main() {
     let shard_counts = smoke_or(vec![1, 2], vec![1, 2, 4, 8, 16]);
     let mut last_usage = None;
     for shards in shard_counts.clone() {
-        let static_policy = if shards == 1 {
-            ShardPolicyKind::Single
-        } else {
-            ShardPolicyKind::HashByParent
-        };
-        for elastic in [false, true] {
-            let mut fs = if elastic {
-                cofs_mds_limit_elastic(shards)
-            } else {
-                cofs_mds_limit(shards, static_policy)
-            };
+        for kind in [ShardPolicyKind::HashByParent, ShardPolicyKind::Elastic] {
+            let mut fs = mds_limit(CofsConfig::default().with_shards(shards, kind));
             let r = storm.run(&mut fs);
             let mut row = vec![
                 shards.to_string(),
@@ -157,7 +166,7 @@ fn main() {
             ];
             row.extend(read_latency_cells(r.stat_p50_p99_ms));
             shards_table.row(row);
-            if elastic {
+            if kind == ShardPolicyKind::Elastic {
                 last_usage = Some((r.per_shard, r.makespan));
             }
         }
@@ -196,12 +205,12 @@ fn main() {
         "skew",
     ]);
     for shards in smoke_or(vec![2], vec![2, 4, 8, 16]) {
-        for kind in ["hash-parent", "subtree", "elastic"] {
-            let mut fs = match kind {
-                "hash-parent" => cofs_mds_limit(shards, ShardPolicyKind::HashByParent),
-                "subtree" => cofs_mds_limit(shards, ShardPolicyKind::Subtree),
-                _ => cofs_mds_limit_elastic(shards),
-            };
+        for kind in [
+            ShardPolicyKind::HashByParent,
+            ShardPolicyKind::Subtree,
+            ShardPolicyKind::Elastic,
+        ] {
+            let mut fs = mds_limit(CofsConfig::default().with_shards(shards, kind));
             let r = skewed.run(&mut fs);
             skew_table.row(vec![
                 shards.to_string(),
@@ -244,17 +253,12 @@ fn main() {
         ],
     );
     for shards in shard_counts {
-        let policy = if shards == 1 {
-            ShardPolicyKind::Single
-        } else {
-            ShardPolicyKind::HashByParent
-        };
         for ttl in &ttls {
-            let mut fs = match ttl {
-                None => cofs_mds_limit(shards, policy),
-                Some(ttl) => cofs_mds_limit_cached(shards, policy, *ttl),
+            let cfg = match ttl {
+                None => hashed(shards),
+                Some(ttl) => hashed(shards).with_client_cache(4096, *ttl),
             };
-            let r = hot.run(&mut fs);
+            let r = hot.run(&mut mds_limit(cfg));
             let mut row = vec![
                 shards.to_string(),
                 ttl.map_or("off".into(), |t| format!("{:.0}ms", t.as_millis_f64())),
@@ -296,8 +300,7 @@ fn main() {
     headers.extend(BATCH_COLUMNS);
     let mut batch_table = Table::new(headers);
     for max_ops in [None, Some(1), Some(4), Some(16)] {
-        let mut fs = cofs_mds_limit_maybe_batched(2, ShardPolicyKind::HashByParent, max_ops);
-        let r = bstorm.run(&mut fs);
+        let r = bstorm.run(&mut mds_limit(batched(hashed(2), max_ops)));
         let mut row = vec![
             max_ops.map_or("off".into(), |k| k.to_string()),
             ms(r.mean_create_ms),
@@ -331,9 +334,11 @@ fn main() {
             if memo && max_ops.is_none() {
                 continue; // memoization dedupes within batches only
             }
-            let mut fs =
-                cofs_mds_limit_tuned(2, ShardPolicyKind::HashByParent, max_ops, memo, false);
-            let r = bstorm.run(&mut fs);
+            let mut cfg = batched(hashed(2), max_ops);
+            if memo {
+                cfg = cfg.with_read_memoization();
+            }
+            let r = bstorm.run(&mut mds_limit(cfg));
             let charged: u64 = r.per_shard.iter().map(|u| u.reads_charged).sum();
             let memoized: u64 = r.per_shard.iter().map(|u| u.reads_memoized).sum();
             let mut row = vec![
@@ -382,15 +387,13 @@ fn main() {
     headers.extend(READ_LAT_COLUMNS);
     headers.extend(["journal", "coalesced", "apply lag (ms)", "apply tail (ms)"]);
     let mut wb_table = Table::new(headers);
-    for max_ops in [Some(4), Some(8), Some(16)] {
+    for k in [4, 8, 16] {
         for behind in [false, true] {
-            let k = max_ops.expect("write-behind axis always batches");
-            let mut fs = if behind {
-                cofs_mds_limit_write_behind(2, ShardPolicyKind::HashByParent, k, true)
-            } else {
-                cofs_mds_limit_tuned(2, ShardPolicyKind::HashByParent, max_ops, true, false)
-            };
-            let r = bstorm.run(&mut fs);
+            let mut cfg = batched(hashed(2), Some(k)).with_read_memoization();
+            if behind {
+                cfg = cfg.with_write_behind();
+            }
+            let r = bstorm.run(&mut mds_limit(cfg));
             let appends: u64 = r.per_shard.iter().map(|u| u.journal_appends).sum();
             let coalesced: u64 = r.per_shard.iter().map(|u| u.rows_coalesced).sum();
             let lag = r
@@ -438,9 +441,11 @@ fn main() {
     let mut prio_table = Table::new(headers);
     for max_ops in [None, Some(4), Some(16)] {
         for priority in [false, true] {
-            let mut fs =
-                cofs_mds_limit_tuned(2, ShardPolicyKind::HashByParent, max_ops, false, priority);
-            let r = mstorm.run(&mut fs);
+            let mut cfg = batched(hashed(2), max_ops);
+            if priority {
+                cfg = cfg.with_read_priority();
+            }
+            let r = mstorm.run(&mut mds_limit(cfg));
             let bypasses: u64 = r.per_shard.iter().map(|u| u.read_bypasses).sum();
             let mut row = vec![
                 max_ops.map_or("off".into(), |k| k.to_string()),
@@ -481,7 +486,7 @@ fn main() {
     let mut nonwin_table = Table::new(headers);
     for max_ops in [None, Some(16)] {
         let label = max_ops.map_or("off".to_string(), |k| k.to_string());
-        let stack = || cofs_mds_limit_maybe_batched(4, ShardPolicyKind::HashByParent, max_ops);
+        let stack = || mds_limit(batched(hashed(4), max_ops));
         for (wl, r) in [
             ("sparse creates", sparse.run(&mut stack())),
             ("hot-stat (read-only)", hot_nw.run(&mut stack())),
@@ -497,18 +502,20 @@ fn main() {
     }
     println!("{}", nonwin_table.render());
 
-    // ---- failover axis: crash timing × recovery cost × shard count --
-    // One scripted crash of shard 0 mid-storm. The client rides it out
-    // on bounded retries (nothing wedges, `errors` counts the rare
-    // retry-exhausted steps), crashes fence every lease the shard
-    // granted, and with the write-behind journal on, recovery must
-    // replay the acked-but-unapplied rows before serving — priced as
-    // the "recovery (ms)" column on top of the scripted "down" window.
-    // `scripts/bench_check.py` gates lost-acked at zero on every row,
-    // nacks > 0 on every crash row, and the crashed makespan against
-    // baseline + gap + recovery slack. The apply-lag/tail columns make
-    // the post-crash durability window machine-checkable alongside the
-    // write-behind axis above.
+    // ---- failover axis: crash timing × journal × shard count --------
+    // One scripted crash of d0's shard mid-storm. The client rides it
+    // out on bounded retries (nothing wedges); the shard serves again
+    // after the scripted "down" window plus its priced recovery work,
+    // the "recovery (ms)" column. No swept crash finds acked-but-
+    // unapplied rows and these stacks cache nothing, so `replayed`,
+    // `lag rows`, `fenced`, `errors`, `cut off` and `eio nodes` read 0
+    // on every row: the journal rows measure retries and the stat tail
+    // under batching, not replay cost (ROADMAP item 2 adds rows that
+    // reach it). `scripts/bench_check.py` gates lost-acked at zero on
+    // every row, nacks > 0 on every crash row, and the crashed makespan
+    // against baseline + gap + recovery slack. The apply-lag/tail
+    // columns make the post-crash durability window machine-checkable
+    // alongside the write-behind axis above.
     let fstorm = FailoverStorm {
         nodes: cofs_bench::smoke_nodes(8),
         files_per_node: smoke_files(16),
@@ -549,17 +556,21 @@ fn main() {
         // `ShardId(0)` can end up dirless under hash-by-parent at wider
         // shard counts, and an unobserved crash would make the row a
         // silent baseline.
-        let victim = cofs_bench::cofs_failover(shards, FaultPlan::default(), false)
-            .mds_cluster()
-            .route(&vfs::path::vpath("/failover/d0/f"));
+        let victim = hashed(shards)
+            .shard_policy
+            .shard_of(&vfs::path::vpath("/failover/d0/f"));
         for journal in [false, true] {
+            let cfg = if journal {
+                batched(hashed(shards), Some(16)).with_write_behind()
+            } else {
+                hashed(shards)
+            };
             for window in &crash_windows {
                 let plan = match window {
                     None => FaultPlan::default(),
                     Some((at, down)) => FaultPlan::default().crash(victim, *at, *down),
                 };
-                let mut fs = cofs_bench::cofs_failover(shards, plan, journal);
-                let r = fstorm.run(&mut fs);
+                let r = fstorm.run(&mut mds_limit(cfg.clone().with_fault_plan(plan)));
                 let lag = r
                     .per_shard
                     .iter()
@@ -623,25 +634,20 @@ fn main() {
     headers.extend(FAULT_COLUMNS);
     let mut cascade_table = Table::new(headers);
     for shards in smoke_or(vec![2], vec![2, 4, 8]) {
-        let probe = cofs_bench::cofs_cascade(shards, FaultPlan::default(), false, false);
-        let v0 = probe
-            .mds_cluster()
-            .route(&vfs::path::vpath("/cascade/d0/f"));
-        let v1 = probe
-            .mds_cluster()
-            .route(&vfs::path::vpath("/cascade/d1/f"));
+        let cascade = batched(hashed(shards), Some(16)).with_write_behind();
+        let v0 = cascade
+            .shard_policy
+            .shard_of(&vfs::path::vpath("/cascade/d0/f"));
+        let v1 = cascade
+            .shard_policy
+            .shard_of(&vfs::path::vpath("/cascade/d1/f"));
         // The rack partner is d1's shard when it differs from d0's —
         // under hash-by-parent at narrow counts they can coincide,
         // leaving a pure crash-loop row.
         let partner = if v1 == v0 { vec![] } else { vec![v1] };
-        // Fault-free baseline from the same factory: the makespan
+        // Fault-free baseline from the same config: the makespan
         // anchor the stretch gates divide by.
-        let base = cstorm.run(&mut cofs_bench::cofs_cascade(
-            shards,
-            FaultPlan::default(),
-            false,
-            false,
-        ));
+        let base = cstorm.run(&mut mds_limit(cascade.clone()));
         let mut row = vec![
             shards.to_string(),
             "-".into(),
@@ -665,8 +671,14 @@ fn main() {
                             loops,
                         )
                         .rack(&partner, SimTime::from_millis(2), down);
-                    let mut fs = cofs_bench::cofs_cascade(shards, plan, standby, admission);
-                    let r = cstorm.run(&mut fs);
+                    let mut cfg = cascade.clone().with_fault_plan(plan);
+                    if standby {
+                        cfg = cfg.with_standby();
+                    }
+                    if admission {
+                        cfg = cfg.with_admission();
+                    }
+                    let r = cstorm.run(&mut mds_limit(cfg));
                     let mut row = vec![
                         shards.to_string(),
                         loops.to_string(),

@@ -13,20 +13,22 @@
 //! | `scaling` | extension — node-count sweep 4→64 |
 //! | `ablation` | extension — placement/limit ablations |
 //!
-//! This library holds the factories shared by the binaries, the
-//! Criterion micro-benches, and the integration tests: standard ways
-//! to build the bare-GPFS stack and the COFS-over-GPFS stack on a
-//! given cluster size.
+//! This library holds the factories shared by the binaries and the
+//! Criterion micro-benches: standard ways to build the bare-GPFS stack
+//! and the COFS-over-GPFS stack on a given cluster size, and
+//! [`mds_limit`], the one COFS-over-MemFs stack every sweep configures
+//! through a [`CofsConfig`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
+use cofs::config::{CofsConfig, MdsNetwork};
 use cofs::fs::CofsFs;
 use netsim::cluster::ClusterBuilder;
 use netsim::topology::Topology;
 use pfs::config::PfsConfig;
 use pfs::fs::PfsFs;
+use simcore::time::SimDuration;
 
 /// Builds the paper's primary testbed: `nodes` blades, two file
 /// servers, one blade-center switch, bare GPFS.
@@ -65,202 +67,30 @@ pub fn cofs_over_gpfs_on(nodes: usize, topology: Topology) -> CofsFs<PfsFs> {
     CofsFs::new(under, CofsConfig::default(), net, 0xC0F5)
 }
 
-/// Builds a sharded COFS in the *metadata-service limit*: the
-/// underlying filesystem is `MemFs` (local-memory cost), so the MDS is
-/// the only queueing server and a shard-count sweep measures the
-/// metadata service itself. Over real GPFS the native filesystem's
-/// ~ms-scale creates bound throughput long before the MDS does — the
-/// very bottleneck shift the paper predicts — so that stack cannot
-/// resolve MDS scaling.
-pub fn cofs_mds_limit(shards: usize, policy: ShardPolicyKind) -> CofsFs<vfs::memfs::MemFs> {
-    cofs_mds_limit_tuned(shards, policy, None, false, false)
-}
-
-/// [`cofs_mds_limit`] with the client-side metadata cache switched on
-/// (capacity 4096 entries/node) at the given lease TTL — the stack the
-/// cache axis of the `scaling`/`ablation` binaries sweeps.
-pub fn cofs_mds_limit_cached(
-    shards: usize,
-    policy: ShardPolicyKind,
-    lease_ttl: simcore::time::SimDuration,
-) -> CofsFs<vfs::memfs::MemFs> {
-    let cfg = CofsConfig::default()
-        .with_shards(shards, policy)
-        .with_client_cache(4096, lease_ttl);
+/// Builds COFS in the *metadata-service limit*: the underlying
+/// filesystem is `MemFs` (local-memory cost) behind a uniform 250 µs
+/// round trip, so the MDS is the only queueing server and a sweep over
+/// `cfg` measures the metadata service itself. Over real GPFS the
+/// native filesystem's ~ms-scale creates bound throughput long before
+/// the MDS does — the very bottleneck shift the paper predicts — so
+/// that stack cannot resolve MDS scaling. Every `scaling`/`ablation`
+/// stack over MemFs is one `cfg` passed here.
+pub fn mds_limit(cfg: CofsConfig) -> CofsFs<vfs::memfs::MemFs> {
     CofsFs::new(
         vfs::memfs::MemFs::new(),
         cfg,
-        MdsNetwork::uniform(simcore::time::SimDuration::from_micros(250)),
+        MdsNetwork::uniform(SimDuration::from_micros(250)),
         0xC0F5,
     )
 }
 
-/// [`cofs_mds_limit`] with metadata-RPC batching switched on at the
-/// given batch size (delay window 5 ms virtual, pipeline depth 4) —
-/// the stack the batching axis of the `scaling`/`ablation` binaries
-/// sweeps. `max_batch_ops == 1` still pipelines (asynchronous
-/// singleton batches); use [`cofs_mds_limit`] for the fully
-/// synchronous baseline.
-pub fn cofs_mds_limit_batched(
-    shards: usize,
-    policy: ShardPolicyKind,
-    max_batch_ops: usize,
-) -> CofsFs<vfs::memfs::MemFs> {
-    cofs_mds_limit_tuned(shards, policy, Some(max_batch_ops), false, false)
-}
+/// The delay window of every batched sweep stack: a batch closes at
+/// `max_batch_ops` operations or this much virtual time after it
+/// opened.
+pub const SWEEP_BATCH_DELAY: SimDuration = SimDuration::from_millis(5);
 
-/// The batching axis's stack selector: [`cofs_mds_limit`] when
-/// `max_batch_ops` is `None` (fully synchronous baseline),
-/// [`cofs_mds_limit_batched`] otherwise.
-pub fn cofs_mds_limit_maybe_batched(
-    shards: usize,
-    policy: ShardPolicyKind,
-    max_batch_ops: Option<usize>,
-) -> CofsFs<vfs::memfs::MemFs> {
-    cofs_mds_limit_tuned(shards, policy, max_batch_ops, false, false)
-}
-
-/// [`cofs_mds_limit_tuned`] plus write-behind dentry journaling: the
-/// shard acks a mutation batch at journal append and applies the
-/// (sibling-coalesced) rows behind the ack — the stack the journal
-/// axis of the `scaling`/`ablation` binaries sweeps against its
-/// journal-OFF twin.
-///
-/// # Panics
-///
-/// Panics if `max_batch_ops == 0` — write-behind requires batching.
-pub fn cofs_mds_limit_write_behind(
-    shards: usize,
-    policy: ShardPolicyKind,
-    max_batch_ops: usize,
-    memoize_reads: bool,
-) -> CofsFs<vfs::memfs::MemFs> {
-    let mut cfg = CofsConfig::default()
-        .with_shards(shards, policy)
-        .with_batching(max_batch_ops, simcore::time::SimDuration::from_millis(5), 4);
-    if memoize_reads {
-        cfg = cfg.with_read_memoization();
-    }
-    cfg = cfg.with_write_behind();
-    CofsFs::new(
-        vfs::memfs::MemFs::new(),
-        cfg,
-        MdsNetwork::uniform(simcore::time::SimDuration::from_micros(250)),
-        0xC0F5,
-    )
-}
-
-/// [`cofs_mds_limit`] with the elastic shard policy: per-directory
-/// load tracking in virtual time, radix splitting of hot directories
-/// across shards, and lazy migration back to single-shard affinity
-/// when load subsides — the stack the elastic axis of the
-/// `scaling`/`ablation` binaries sweeps against the static policies.
-/// Split/merge thresholds come from [`cofs::elastic::ElasticConfig`]'s
-/// defaults.
-pub fn cofs_mds_limit_elastic(shards: usize) -> CofsFs<vfs::memfs::MemFs> {
-    let cfg = CofsConfig::default().with_elastic(shards);
-    CofsFs::new(
-        vfs::memfs::MemFs::new(),
-        cfg,
-        MdsNetwork::uniform(simcore::time::SimDuration::from_micros(250)),
-        0xC0F5,
-    )
-}
-
-/// [`cofs_mds_limit`] with a deterministic fault plan armed: the stack
-/// the failover axis of the `scaling` binary sweeps. An *empty* plan is
-/// never armed, so the same factory produces the fault-free baseline
-/// row bit-for-bit identical to [`cofs_mds_limit`]. With
-/// `write_behind` the stack also batches (16-op windows) and journals,
-/// so a crash leaves acked-but-unapplied rows for recovery to replay —
-/// the recovery-cost axis of the sweep.
-pub fn cofs_failover(
-    shards: usize,
-    plan: cofs::fault::FaultPlan,
-    write_behind: bool,
-) -> CofsFs<vfs::memfs::MemFs> {
-    let mut cfg = CofsConfig::default().with_shards(shards, ShardPolicyKind::HashByParent);
-    if write_behind {
-        cfg = cfg
-            .with_batching(16, simcore::time::SimDuration::from_millis(5), 4)
-            .with_write_behind();
-    }
-    cfg = cfg.with_fault_plan(plan);
-    CofsFs::new(
-        vfs::memfs::MemFs::new(),
-        cfg,
-        MdsNetwork::uniform(simcore::time::SimDuration::from_micros(250)),
-        0xC0F5,
-    )
-}
-
-/// [`cofs_failover`] at the correlated-failure corner: write-behind
-/// journaling always on (standby promotion ships journal appends, so
-/// it requires the journal), plus the two survival knobs the cascade
-/// axis of the `scaling` binary sweeps — hot-standby promotion and
-/// post-recovery admission control. With both knobs off this is
-/// exactly `cofs_failover(shards, plan, true)` — the knobs-off pins
-/// the fault suite asserts bit-for-bit.
-pub fn cofs_cascade(
-    shards: usize,
-    plan: cofs::fault::FaultPlan,
-    standby: bool,
-    admission: bool,
-) -> CofsFs<vfs::memfs::MemFs> {
-    let mut cfg = CofsConfig::default()
-        .with_shards(shards, ShardPolicyKind::HashByParent)
-        .with_batching(16, simcore::time::SimDuration::from_millis(5), 4)
-        .with_write_behind();
-    if standby {
-        cfg = cfg.with_standby();
-    }
-    if admission {
-        cfg = cfg.with_admission();
-    }
-    cfg = cfg.with_fault_plan(plan);
-    CofsFs::new(
-        vfs::memfs::MemFs::new(),
-        cfg,
-        MdsNetwork::uniform(simcore::time::SimDuration::from_micros(250)),
-        0xC0F5,
-    )
-}
-
-/// The full service-discipline selector every `cofs_mds_limit_*`
-/// batching factory funnels through: optional batching at
-/// `max_batch_ops` (delay window 5 ms, pipeline depth 4), per-batch
-/// read memoization, and the shard CPUs' read-priority lane, each
-/// independently switchable. With everything `None`/`false` this is
-/// exactly [`cofs_mds_limit`].
-///
-/// # Panics
-///
-/// Panics if `memoize_reads` is requested without batching —
-/// memoization dedupes *within* a batch.
-pub fn cofs_mds_limit_tuned(
-    shards: usize,
-    policy: ShardPolicyKind,
-    max_batch_ops: Option<usize>,
-    memoize_reads: bool,
-    read_priority: bool,
-) -> CofsFs<vfs::memfs::MemFs> {
-    let mut cfg = CofsConfig::default().with_shards(shards, policy);
-    if let Some(k) = max_batch_ops {
-        cfg = cfg.with_batching(k, simcore::time::SimDuration::from_millis(5), 4);
-    }
-    if memoize_reads {
-        cfg = cfg.with_read_memoization();
-    }
-    if read_priority {
-        cfg = cfg.with_read_priority();
-    }
-    CofsFs::new(
-        vfs::memfs::MemFs::new(),
-        cfg,
-        MdsNetwork::uniform(simcore::time::SimDuration::from_micros(250)),
-        0xC0F5,
-    )
-}
+/// Batches each node keeps outstanding on every batched sweep stack.
+pub const SWEEP_PIPELINE_DEPTH: usize = 4;
 
 /// The files-per-node sweep of Figs 4 and 5.
 pub const FILES_PER_NODE_SWEEP: [usize; 9] = [32, 64, 128, 256, 512, 1024, 2048, 4096, 8192];
@@ -404,6 +234,7 @@ pub fn write_bench_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cofs::config::ShardPolicyKind;
     use vfs::fs::FileSystem;
     use vfs::fs::OpCtx;
     use vfs::path::vpath;
@@ -430,49 +261,66 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Two hash-by-parent shards, the shape most sweep stacks start from.
+    fn two_shards() -> CofsConfig {
+        CofsConfig::default().with_shards(2, ShardPolicyKind::HashByParent)
+    }
+
+    /// [`two_shards`] batching at `k` ops in the sweeps' shape.
+    fn two_shards_batched(k: usize) -> CofsConfig {
+        two_shards().with_batching(k, SWEEP_BATCH_DELAY, SWEEP_PIPELINE_DEPTH)
+    }
+
     #[test]
     fn cached_factory_enables_the_cache() {
-        let fs = cofs_mds_limit_cached(
-            2,
-            ShardPolicyKind::HashByParent,
-            simcore::time::SimDuration::from_secs(1),
-        );
+        let fs = mds_limit(two_shards().with_client_cache(4096, SimDuration::from_secs(1)));
         assert!(fs.client_cache().enabled());
         assert_eq!(fs.mds_cluster().shard_count(), 2);
     }
 
     #[test]
     fn batched_factory_enables_batching() {
-        let fs = cofs_mds_limit_batched(2, ShardPolicyKind::HashByParent, 16);
+        let fs = mds_limit(two_shards_batched(16));
         assert!(fs.batch_pipeline().enabled());
-        assert_eq!(fs.batch_pipeline().config().max_batch_ops, 16);
+        let batch = fs.batch_pipeline().config();
+        assert_eq!(batch.max_batch_ops, 16);
+        assert_eq!(batch.max_batch_delay, SWEEP_BATCH_DELAY);
+        assert_eq!(batch.pipeline_depth, SWEEP_PIPELINE_DEPTH);
         assert_eq!(fs.mds_cluster().shard_count(), 2);
     }
 
     #[test]
     fn tuned_factory_sets_every_discipline_knob() {
-        let all = cofs_mds_limit_tuned(2, ShardPolicyKind::HashByParent, Some(8), true, true);
+        let all = mds_limit(
+            two_shards_batched(8)
+                .with_read_memoization()
+                .with_read_priority(),
+        );
         assert!(all.batch_pipeline().enabled());
         assert!(all.batch_pipeline().config().memoize_reads);
         assert!(all.config().read_priority);
-        let none = cofs_mds_limit_tuned(2, ShardPolicyKind::HashByParent, None, false, false);
+        let none = mds_limit(two_shards());
         assert!(!none.batch_pipeline().enabled());
         assert!(!none.config().read_priority);
     }
 
     #[test]
     fn write_behind_factory_enables_journal_and_batching() {
-        let fs = cofs_mds_limit_write_behind(2, ShardPolicyKind::HashByParent, 16, true);
+        let fs = mds_limit(
+            two_shards_batched(16)
+                .with_read_memoization()
+                .with_write_behind(),
+        );
         assert!(fs.batch_pipeline().enabled());
         assert!(fs.batch_pipeline().config().memoize_reads);
         assert!(fs.config().write_behind.enabled);
-        let plain = cofs_mds_limit_tuned(2, ShardPolicyKind::HashByParent, Some(16), true, false);
+        let plain = mds_limit(two_shards_batched(16).with_read_memoization());
         assert!(!plain.config().write_behind.enabled);
     }
 
     #[test]
     fn elastic_factory_routes_and_reports_elastic() {
-        let mut fs = cofs_mds_limit_elastic(4);
+        let mut fs = mds_limit(CofsConfig::default().with_elastic(4));
         assert_eq!(fs.mds_cluster().shard_count(), 4);
         assert_eq!(fs.mds_cluster().policy().label(), "elastic");
         let ctx = OpCtx::test(netsim::ids::NodeId(0));
@@ -489,9 +337,9 @@ mod tests {
     fn failover_factory_arms_only_nonempty_plans() {
         use cofs::fault::FaultPlan;
         use cofs::mds_cluster::ShardId;
-        use simcore::time::{SimDuration, SimTime};
+        use simcore::time::SimTime;
 
-        let off = cofs_failover(2, FaultPlan::default(), false);
+        let off = mds_limit(two_shards().with_fault_plan(FaultPlan::default()));
         assert!(
             off.fault_summary().is_none(),
             "empty plan must stay disarmed"
@@ -502,7 +350,11 @@ mod tests {
             SimTime::from_millis(1),
             SimDuration::from_millis(2),
         );
-        let on = cofs_failover(2, plan, true);
+        let on = mds_limit(
+            two_shards_batched(16)
+                .with_write_behind()
+                .with_fault_plan(plan),
+        );
         assert!(on.fault_summary().is_some());
         assert!(on.batch_pipeline().enabled());
         assert!(on.config().write_behind.enabled);

@@ -13,20 +13,18 @@ use simcore::time::SimDuration;
 use std::collections::HashMap;
 use vfs::path::{vpath, VPath};
 
-/// Which namespace-partitioning [`ShardPolicy`] a [`CofsConfig`]
-/// builds (a plain tag, so configs stay `Clone`).
+/// The partitioning [`CofsConfig::with_shards`] builds a
+/// [`ShardPolicy`] with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPolicyKind {
-    /// Everything on one shard (the paper's centralized service).
-    Single,
     /// Hash of the parent directory picks the shard.
     HashByParent,
     /// The first path component assigns its whole subtree to a shard.
     Subtree,
     /// Load-adaptive: starts as hash-by-parent and splits hot
     /// directories across shards / merges them back as measured load
-    /// moves (see [`crate::elastic`]); shaped by
-    /// [`CofsConfig::elastic`].
+    /// moves (see [`crate::elastic`]), with the default
+    /// [`ElasticConfig`] thresholds.
     Elastic,
 }
 
@@ -194,21 +192,17 @@ pub struct CofsConfig {
     /// One-time per-node (per-shard) session establishment with the
     /// service.
     pub session_cost: SimDuration,
-    /// Number of metadata shards (1 = the paper's centralized MDS).
-    pub mds_shards: usize,
-    /// How the namespace is partitioned across shards.
-    pub shard_policy: ShardPolicyKind,
+    /// The shard layout the metadata cluster starts from: shard count,
+    /// partitioning and, for [`ShardPolicy::Elastic`], the split/merge
+    /// thresholds. One hashed shard (the paper's centralized MDS) by
+    /// default. The cluster runs on a clone; the live, possibly split
+    /// policy is [`crate::mds_cluster::MdsCluster::policy`].
+    pub shard_policy: ShardPolicy,
     /// Round trip between two shard hosts (they share the blade
     /// center, like the servers in the paper's testbed); paid by the
     /// prepare/vote and commit/ack exchanges of cross-shard two-phase
     /// operations.
     pub cross_shard_rtt: SimDuration,
-
-    /// How often (virtual time) each shard prunes expired entries from
-    /// its lease registry, bounding its memory under churn. Sweeping is
-    /// timing-neutral (expired leases are never messaged anyway), so it
-    /// defaults on; zero disables it.
-    pub lease_sweep_interval: SimDuration,
 
     // ---- client-side metadata cache ----
     /// Per-client attribute/dentry caching with lease-based coherence
@@ -229,14 +223,6 @@ pub struct CofsConfig {
     /// default so the paper-calibrated numbers are reproduced
     /// bit-for-bit.
     pub write_behind: WriteBehindConfig,
-
-    // ---- elastic namespace ----
-    /// Split/merge thresholds and observation window of the
-    /// load-adaptive shard policy. Only consulted when
-    /// [`Self::shard_policy`] is [`ShardPolicyKind::Elastic`]; every
-    /// other policy ignores it entirely, so the defaults change
-    /// nothing.
-    pub elastic: ElasticConfig,
 
     // ---- shard service discipline ----
     /// Serve read RPCs from a priority lane on each shard CPU: reads
@@ -274,14 +260,11 @@ impl Default for CofsConfig {
             db: DbCostModel::default(),
             mds_service: SimDuration::from_micros(15),
             session_cost: SimDuration::from_millis(2),
-            mds_shards: 1,
-            shard_policy: ShardPolicyKind::Single,
+            shard_policy: ShardPolicy::hash(1),
             cross_shard_rtt: SimDuration::from_micros(220),
-            lease_sweep_interval: SimDuration::from_secs(10),
             client_cache: ClientCacheConfig::default(),
             batch: BatchConfig::default(),
             write_behind: WriteBehindConfig::default(),
-            elastic: ElasticConfig::default(),
             read_priority: false,
             fault: FaultPlan::default(),
             retry: RetryConfig::default(),
@@ -297,24 +280,23 @@ impl CofsConfig {
         SimDuration::from_secs_f64(len as f64 / self.fuse_copy_bytes_per_sec as f64)
     }
 
-    /// A copy of this config running `shards` metadata shards under
-    /// `policy` (one static shard always routes like
-    /// [`ShardPolicyKind::Single`]).
+    /// A copy of this config running `shards` metadata shards
+    /// partitioned by `kind`. One static shard of any kind is
+    /// [`ShardPolicy::hash`]`(1)`, labelled `single`; one elastic shard
+    /// stays elastic, because the elastic sweeps start at one.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero, or if [`ShardPolicyKind::Single`]
-    /// is paired with more than one shard — that would provision hosts
-    /// the policy can never route to.
-    pub fn with_shards(mut self, shards: usize, policy: ShardPolicyKind) -> Self {
-        assert!(shards > 0, "need at least one metadata shard");
-        assert!(
-            shards == 1 || policy != ShardPolicyKind::Single,
-            "ShardPolicyKind::Single routes everything to one shard; \
-             pick a partitioning policy for {shards} shards"
-        );
-        self.mds_shards = shards;
-        self.shard_policy = policy;
+    /// Panics if `shards` is zero.
+    pub fn with_shards(mut self, shards: usize, kind: ShardPolicyKind) -> Self {
+        self.shard_policy = match kind {
+            ShardPolicyKind::Elastic => {
+                ShardPolicy::Elastic(ElasticPolicy::new(shards, ElasticConfig::default()))
+            }
+            _ if shards == 1 => ShardPolicy::hash(1),
+            ShardPolicyKind::HashByParent => ShardPolicy::hash(shards),
+            ShardPolicyKind::Subtree => ShardPolicy::subtree(shards),
+        };
         self
     }
 
@@ -432,8 +414,8 @@ impl CofsConfig {
     }
 
     /// A copy of this config running `shards` shards under the
-    /// load-adaptive elastic policy with the default thresholds (tune
-    /// by assigning [`Self::elastic`] fields afterwards).
+    /// load-adaptive elastic policy with the default thresholds. Other
+    /// thresholds go in through [`Self::shard_policy`].
     ///
     /// # Panics
     ///
@@ -442,18 +424,9 @@ impl CofsConfig {
         self.with_shards(shards, ShardPolicyKind::Elastic)
     }
 
-    /// Builds the shard policy this config describes. One static shard
-    /// is hash routing at one shard, whatever the kind.
+    /// A fresh copy of the shard policy the cluster starts from.
     pub fn build_shard_policy(&self) -> ShardPolicy {
-        match self.shard_policy {
-            ShardPolicyKind::Elastic => {
-                ShardPolicy::Elastic(ElasticPolicy::new(self.mds_shards, self.elastic.clone()))
-            }
-            _ if self.mds_shards <= 1 => ShardPolicy::hash(1),
-            ShardPolicyKind::Single => ShardPolicy::hash(1),
-            ShardPolicyKind::HashByParent => ShardPolicy::hash(self.mds_shards),
-            ShardPolicyKind::Subtree => ShardPolicy::subtree(self.mds_shards),
-        }
+        self.shard_policy.clone()
     }
 }
 
@@ -549,8 +522,8 @@ mod tests {
         assert_eq!(c.dir_limit, 512);
         assert!(c.spread > 1);
         assert_eq!(c.under_root.as_str(), "/.cofs");
-        assert_eq!(c.mds_shards, 1);
-        assert_eq!(c.shard_policy, ShardPolicyKind::Single);
+        assert_eq!(c.shard_policy.shard_count(), 1);
+        assert_eq!(c.shard_policy.label(), "single");
     }
 
     #[test]
@@ -559,7 +532,6 @@ mod tests {
         assert!(!c.batch.enabled);
         assert!(!c.batch.memoize_reads);
         assert!(!c.read_priority);
-        assert!(!c.lease_sweep_interval.is_zero());
         let b = CofsConfig::default().with_batching(16, SimDuration::from_millis(2), 4);
         assert!(b.batch.enabled);
         assert_eq!(b.batch.max_batch_ops, 16);
@@ -627,21 +599,25 @@ mod tests {
             .with_shards(2, ShardPolicyKind::Subtree)
             .build_shard_policy();
         assert_eq!(subtree.label(), "subtree");
+        let one_subtree = CofsConfig::default()
+            .with_shards(1, ShardPolicyKind::Subtree)
+            .build_shard_policy();
+        assert_eq!(one_subtree.label(), "single");
+        assert_eq!(one_subtree.shard_count(), 1);
     }
 
     #[test]
     fn elastic_defaults_off_and_builder_enables() {
         let c = CofsConfig::default();
-        assert_eq!(c.shard_policy, ShardPolicyKind::Single);
-        assert!(c.elastic.split_threshold > 0);
-        assert!(!c.elastic.window.is_zero());
+        assert!(c.shard_policy.as_elastic().is_none());
         let e = CofsConfig::default().with_elastic(8);
-        assert_eq!(e.mds_shards, 8);
-        assert_eq!(e.shard_policy, ShardPolicyKind::Elastic);
         let p = e.build_shard_policy();
         assert_eq!(p.label(), "elastic");
         assert_eq!(p.shard_count(), 8);
-        assert!(p.as_elastic().is_some());
+        let thresholds = p.as_elastic().expect("elastic policy").config();
+        assert_eq!(thresholds, &ElasticConfig::default());
+        assert!(thresholds.split_threshold > 0);
+        assert!(!thresholds.window.is_zero());
         // One elastic shard keeps its label (sweeps start at 1), while
         // the static kinds still degenerate to one hashed shard.
         let one = CofsConfig::default().with_elastic(1).build_shard_policy();

@@ -71,9 +71,10 @@ pub fn bucket_hash(name: &str) -> u64 {
     h ^ (h >> 33)
 }
 
-/// Knobs of the elastic policy, carried on
-/// [`crate::config::CofsConfig::elastic`]. Selecting
-/// [`crate::config::ShardPolicyKind::Elastic`] is the opt-in; these
+/// Knobs of the elastic policy, carried inside
+/// [`crate::mds_cluster::ShardPolicy::Elastic`] on
+/// [`crate::config::CofsConfig::shard_policy`].
+/// [`crate::config::CofsConfig::with_elastic`] is the opt-in; these
 /// defaults only shape how eagerly an elastic cluster adapts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElasticConfig {
@@ -240,7 +241,7 @@ struct DirState {
 /// assert_eq!(p.shard_of(&vpath("/d/f")), h.shard_of(&vpath("/d/f")));
 /// assert_eq!(p.depth_of(&vpath("/d")), 0);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ElasticPolicy {
     shards: usize,
     cfg: ElasticConfig,

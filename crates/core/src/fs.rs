@@ -1150,13 +1150,14 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         let t = self.fuse(ctx);
         let dctx = Self::daemon_ctx(ctx, t);
         let under = self.under.statfs(&dctx)?;
+        let namespace = self.mds.namespace();
         let stats = FsStats {
-            inodes: self.mds.namespace().inode_count(),
-            directories: 0, // recomputed below
+            inodes: namespace.inode_count(),
+            directories: namespace.directory_count(),
             bytes_used: under.value.bytes_used,
         };
-        // Directory count comes from the virtual namespace (charged
-        // against the root's shard).
+        // Inode and directory counts come from the virtual namespace
+        // (charged against the root's shard).
         let read = Target::Read {
             op: "statfs",
             kind: EntryKind::Attr,
@@ -1504,6 +1505,7 @@ mod tests {
         fs.close(&ctx, fh).unwrap();
         let stats = fs.statfs(&ctx).unwrap().value;
         assert_eq!(stats.inodes, 3); // root + /d + file
+        assert_eq!(stats.directories, 2); // root + /d
         assert_eq!(stats.bytes_used, 777);
     }
 

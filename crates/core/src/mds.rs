@@ -408,6 +408,15 @@ impl Mds {
         self.inodes.iter().flatten().count() as u64
     }
 
+    /// Number of virtual directories (including the root).
+    pub fn directory_count(&self) -> u64 {
+        self.inodes
+            .iter()
+            .flatten()
+            .filter(|r| r.ftype == FileType::Directory)
+            .count() as u64
+    }
+
     /// Number of directory entries.
     pub fn dentry_count(&self) -> u64 {
         self.dentries.iter().map(|d| d.len() as u64).sum()

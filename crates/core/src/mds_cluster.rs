@@ -37,6 +37,11 @@ use simcore::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use vfs::path::VPath;
 
+/// How often (virtual time) the cluster prunes expired entries from its
+/// lease registry, bounding its memory under churn. Sweeping is
+/// timing-neutral: expired leases are never messaged anyway.
+pub const LEASE_SWEEP_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
 /// Identifies one shard within an [`MdsCluster`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShardId(pub usize);
@@ -69,7 +74,7 @@ impl std::fmt::Display for ShardId {
 /// assert_eq!(p.shard_of(&vpath("/any/where")), ShardId(0));
 /// assert_eq!(p.label(), "single");
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum ShardPolicy {
     /// Hashes the *parent directory* of each path to a shard, so all
     /// entries of one directory live together and directory-local
@@ -769,7 +774,7 @@ impl MdsCluster {
                 t += cfg.session_cost;
             }
         }
-        self.maybe_sweep_leases(cfg, t);
+        self.maybe_sweep_leases(t);
         let rtt = net.shard_rtt(node, a);
         let arrive = t + rtt / 2;
         let done = match b {
@@ -1415,14 +1420,11 @@ impl MdsCluster {
     }
 
     /// Runs the periodic lease-registry sweep when
-    /// `cfg.lease_sweep_interval` has lapsed since the last one.
+    /// [`LEASE_SWEEP_INTERVAL`] has lapsed since the last one.
     /// Invoked from every request, so a busy cluster prunes on
     /// its own cadence without an external timer.
-    fn maybe_sweep_leases(&mut self, cfg: &CofsConfig, now: SimTime) {
-        if cfg.lease_sweep_interval.is_zero() {
-            return;
-        }
-        if now < self.last_sweep + cfg.lease_sweep_interval {
+    fn maybe_sweep_leases(&mut self, now: SimTime) {
+        if now < self.last_sweep + LEASE_SWEEP_INTERVAL {
             return;
         }
         self.last_sweep = now;
@@ -1522,34 +1524,9 @@ impl MdsCluster {
     /// Outstanding leases survive too (they are client state, like
     /// sessions); only the traffic counters rewind.
     pub fn reset_time(&mut self) {
-        for s in &mut self.shards {
-            s.cpu.reset();
-            s.tracker.reset();
-            s.rpcs = 0;
-            s.two_phase = 0;
-            s.recalls = 0;
-            s.batches = 0;
-            s.rows_coalesced = 0;
-            s.apply_lag = SimDuration::ZERO;
-            s.unapplied.clear();
-            s.splits = 0;
-            s.merges = 0;
-            s.migrations = 0;
-            s.epoch = 1;
-            s.windows.clear();
-            s.crashes = 0;
-            s.nacks = 0;
-            s.drops_hit = 0;
-            s.replayed_ops = 0;
-            s.lost_acked_ops = 0;
-            s.downtime = SimDuration::ZERO;
-            s.recovery_busy = SimDuration::ZERO;
-            s.ship_tail.clear();
-            s.promotions = 0;
-            s.lag_replayed_rows = 0;
-            s.partition_nacks = 0;
-            s.admission_defers = 0;
-            s.admission = None;
+        // Every `Shard` field is per-phase state, so each is rebuilt.
+        for (i, s) in self.shards.iter_mut().enumerate() {
+            *s = Shard::new(i);
         }
         self.last_sweep = SimTime::ZERO;
         self.lease_sweeps = 0;

@@ -6,6 +6,25 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> full-mode scaling + ablation match the committed goldens"
+fresh="$(mktemp -d)"
+for b in scaling ablation; do
+    env -u COFS_SMOKE COFS_BENCH_OUT="$fresh" cargo run -q --release -p cofs-bench --bin "$b" >/dev/null
+done
+drifted=0
+for b in scaling ablation; do
+    if ! cmp "$fresh/BENCH_$b.json" "BENCH_$b.json"; then
+        # Name every cell that moved before failing.
+        python3 scripts/bench_check.py --golden "BENCH_$b.json" "$fresh/BENCH_$b.json" || true
+        drifted=1
+    fi
+done
+rm -rf "$fresh"
+if [ "$drifted" = 1 ]; then
+    echo "full-mode sweeps no longer match BENCH_scaling.json / BENCH_ablation.json" >&2
+    exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -3,16 +3,21 @@
 //!
 //! The actual tests live in `tests/`; this library only hosts shared
 //! helpers: building the GPFS and COFS-over-GPFS stacks the same way
-//! the benchmark binaries do, and a deterministic random-operation
-//! generator for differential testing.
+//! the benchmark binaries do, [`cofs_over_memfs`], the one
+//! COFS-over-MemFs stack every test configures through a
+//! [`CofsConfig`], and a deterministic random-operation generator for
+//! differential testing.
 
 use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
+use cofs::elastic::{ElasticConfig, ElasticPolicy};
 use cofs::fs::CofsFs;
+use cofs::mds_cluster::ShardPolicy;
 use netsim::cluster::ClusterBuilder;
 use netsim::ids::{NodeId, Pid};
 use pfs::config::PfsConfig;
 use pfs::fs::PfsFs;
 use simcore::rng::SimRng;
+use simcore::time::SimDuration;
 use vfs::fs::{FileSystem, OpCtx};
 use vfs::memfs::MemFs;
 use vfs::path::{vpath, VPath};
@@ -41,181 +46,36 @@ pub fn cofs_over_gpfs(nodes: usize) -> CofsFs<PfsFs> {
     )
 }
 
-/// COFS over the plain reference filesystem.
-pub fn cofs_over_memfs() -> CofsFs<MemFs> {
-    CofsFs::new(
-        MemFs::new(),
-        CofsConfig::default(),
-        MdsNetwork::uniform(simcore::time::SimDuration::from_micros(250)),
-        7,
-    )
-}
-
-/// COFS over the reference filesystem with a sharded metadata service
-/// (hash-by-parent partitioning) — used by the differential suite to
-/// pin that shard count is invisible in user-visible outcomes.
-pub fn cofs_over_memfs_sharded(shards: usize) -> CofsFs<MemFs> {
-    CofsFs::new(
-        MemFs::new(),
-        CofsConfig::default().with_shards(shards, ShardPolicyKind::HashByParent),
-        MdsNetwork::uniform(simcore::time::SimDuration::from_micros(250)),
-        7,
-    )
-}
-
-/// COFS over the reference filesystem with the client-side metadata
-/// cache on (`shards` may be 1) — used by the differential suite to
-/// pin that caching, like sharding, is invisible in user-visible
-/// outcomes for any TTL and capacity.
-pub fn cofs_over_memfs_cached(
-    shards: usize,
-    capacity: usize,
-    lease_ttl: simcore::time::SimDuration,
-) -> CofsFs<MemFs> {
-    let cfg = if shards > 1 {
-        CofsConfig::default().with_shards(shards, ShardPolicyKind::HashByParent)
-    } else {
-        CofsConfig::default()
-    };
-    CofsFs::new(
-        MemFs::new(),
-        cfg.with_client_cache(capacity, lease_ttl),
-        MdsNetwork::uniform(simcore::time::SimDuration::from_micros(250)),
-        7,
-    )
-}
-
-/// COFS over the reference filesystem with metadata-RPC batching on
-/// (`shards` may be 1) — used by the differential suite to pin that
-/// batching, like sharding and caching, is invisible in user-visible
-/// outcomes for any batch size, delay, and pipeline depth.
-pub fn cofs_over_memfs_batched(
-    shards: usize,
-    max_batch_ops: usize,
-    max_batch_delay: simcore::time::SimDuration,
-    pipeline_depth: usize,
-) -> CofsFs<MemFs> {
-    let cfg = if shards > 1 {
-        CofsConfig::default().with_shards(shards, ShardPolicyKind::HashByParent)
-    } else {
-        CofsConfig::default()
-    };
-    CofsFs::new(
-        MemFs::new(),
-        cfg.with_batching(max_batch_ops, max_batch_delay, pipeline_depth),
-        MdsNetwork::uniform(simcore::time::SimDuration::from_micros(250)),
-        7,
-    )
-}
-
-/// Batching *and* caching stacked (the full cost-model tower) over the
-/// reference filesystem.
-pub fn cofs_over_memfs_batched_cached(
-    shards: usize,
-    max_batch_ops: usize,
-    lease_ttl: simcore::time::SimDuration,
-) -> CofsFs<MemFs> {
-    let cfg = if shards > 1 {
-        CofsConfig::default().with_shards(shards, ShardPolicyKind::HashByParent)
-    } else {
-        CofsConfig::default()
-    };
-    CofsFs::new(
-        MemFs::new(),
-        cfg.with_batching(max_batch_ops, simcore::time::SimDuration::from_millis(1), 2)
-            .with_client_cache(4096, lease_ttl),
-        MdsNetwork::uniform(simcore::time::SimDuration::from_micros(250)),
-        7,
-    )
-}
-
-/// Batching with per-batch read memoization over the reference
-/// filesystem — used by the differential suite to pin that memoized
-/// batch *pricing* is invisible in user-visible outcomes.
-pub fn cofs_over_memfs_memoized(shards: usize, max_batch_ops: usize) -> CofsFs<MemFs> {
-    let cfg = if shards > 1 {
-        CofsConfig::default().with_shards(shards, ShardPolicyKind::HashByParent)
-    } else {
-        CofsConfig::default()
-    };
-    CofsFs::new(
-        MemFs::new(),
-        cfg.with_batching(max_batch_ops, simcore::time::SimDuration::from_millis(5), 4)
-            .with_read_memoization(),
-        MdsNetwork::uniform(simcore::time::SimDuration::from_micros(250)),
-        7,
-    )
-}
-
-/// Batching with the write-behind dentry journal on — acks at journal
-/// append, sibling-coalesced deferred apply — at a deliberately tiny
-/// durability window so the backpressure clamp fires constantly. The
-/// differential suite pins that neither the deferred application nor
-/// the window is visible in user-visible outcomes (read-your-writes
-/// stays exact: reads consult the journaled namespace).
-pub fn cofs_over_memfs_write_behind(shards: usize, max_batch_ops: usize) -> CofsFs<MemFs> {
-    let cfg = if shards > 1 {
-        CofsConfig::default().with_shards(shards, ShardPolicyKind::HashByParent)
-    } else {
-        CofsConfig::default()
-    };
-    let mut cfg = cfg
-        .with_batching(max_batch_ops, simcore::time::SimDuration::from_millis(5), 4)
-        .with_read_memoization()
-        .with_write_behind();
-    cfg.write_behind.max_unapplied_ops = 2;
-    cfg.write_behind.max_unapplied_window = simcore::time::SimDuration::from_micros(50);
+/// COFS over the plain reference filesystem, configured by `cfg` —
+/// the one constructor behind every COFS-over-MemFs stack the tests
+/// build (uniform 250 µs round trip, placement seed 7).
+pub fn cofs_over_memfs(cfg: CofsConfig) -> CofsFs<MemFs> {
     CofsFs::new(
         MemFs::new(),
         cfg,
-        MdsNetwork::uniform(simcore::time::SimDuration::from_micros(250)),
+        MdsNetwork::uniform(SimDuration::from_micros(250)),
         7,
     )
 }
 
-/// COFS over the reference filesystem with the load-adaptive elastic
-/// shard policy at a deliberately hair-trigger configuration — splits
-/// after a handful of ops in a tiny window, skew gate wide open,
-/// merges on any cold window — so the differential suite exercises
-/// live splits, migrations, and merges mid-sequence and pins that
-/// none of that routing churn is visible in user-visible outcomes.
-pub fn cofs_over_memfs_elastic(shards: usize) -> CofsFs<MemFs> {
-    let mut cfg = CofsConfig::default().with_elastic(shards);
-    cfg.elastic.split_threshold = 4;
-    cfg.elastic.merge_threshold = 1;
-    cfg.elastic.window = simcore::time::SimDuration::from_millis(2);
-    cfg.elastic.split_skew_pct = 0;
-    cfg.elastic.split_contrib_pct = 0;
-    cfg.elastic.headroom_pct = u64::MAX;
-    CofsFs::new(
-        MemFs::new(),
-        cfg,
-        MdsNetwork::uniform(simcore::time::SimDuration::from_micros(250)),
-        7,
-    )
-}
-
-/// The complete cost-model tower: sharded, batched, memoized,
-/// journaled, cached, and with the shard CPUs' read-priority lane on —
-/// every performance knob this repository has, stacked. The
-/// differential suite pins that outcomes are invariant to all of them
-/// at once.
-pub fn cofs_over_memfs_full_stack(shards: usize) -> CofsFs<MemFs> {
-    let cfg = if shards > 1 {
-        CofsConfig::default().with_shards(shards, ShardPolicyKind::HashByParent)
-    } else {
-        CofsConfig::default()
+/// `shards` shards under the elastic policy at a deliberately
+/// hair-trigger configuration — splits after a handful of ops in a
+/// tiny window, skew gate wide open, merges on any cold window — so a
+/// short op sequence already sees live splits, migrations and merges.
+pub fn hair_trigger_elastic(shards: usize) -> CofsConfig {
+    let thresholds = ElasticConfig {
+        split_threshold: 4,
+        merge_threshold: 1,
+        window: SimDuration::from_millis(2),
+        split_skew_pct: 0,
+        split_contrib_pct: 0,
+        headroom_pct: u64::MAX,
+        ..ElasticConfig::default()
     };
-    CofsFs::new(
-        MemFs::new(),
-        cfg.with_batching(8, simcore::time::SimDuration::from_millis(1), 2)
-            .with_read_memoization()
-            .with_read_priority()
-            .with_write_behind()
-            .with_client_cache(4096, simcore::time::SimDuration::from_secs(60)),
-        MdsNetwork::uniform(simcore::time::SimDuration::from_micros(250)),
-        7,
-    )
+    CofsConfig {
+        shard_policy: ShardPolicy::Elastic(ElasticPolicy::new(shards, thresholds)),
+        ..CofsConfig::default()
+    }
 }
 
 /// COFS over GPFS with `shards` metadata blades and the given
@@ -314,7 +174,7 @@ pub enum Outcome {
 
 /// Applies one generated op to a filesystem and returns the
 /// normalized outcome.
-pub fn apply<F: FileSystem>(fs: &mut F, node: NodeId, op: &GenOp) -> Outcome {
+pub fn apply<F: FileSystem + ?Sized>(fs: &mut F, node: NodeId, op: &GenOp) -> Outcome {
     apply_at(fs, node, simcore::time::SimTime::ZERO, op)
 }
 
@@ -322,7 +182,7 @@ pub fn apply<F: FileSystem>(fs: &mut F, node: NodeId, op: &GenOp) -> Outcome {
 /// across a sequence is what lets time-windowed machinery (client-cache
 /// TTLs, journal durability windows, elastic observation windows) fire
 /// mid-sequence; outcomes must be invariant to it regardless.
-pub fn apply_at<F: FileSystem>(
+pub fn apply_at<F: FileSystem + ?Sized>(
     fs: &mut F,
     node: NodeId,
     now: simcore::time::SimTime,

@@ -7,10 +7,11 @@
 //! batching never reorders conflicting same-path operations.
 
 use cofs::batch::{BatchConfig, BatchPipeline, BatchedOp};
-use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
+use cofs::config::{CofsConfig, ShardPolicyKind};
 use cofs::fs::CofsFs;
 use cofs::mds::DbOps;
 use cofs::mds_cluster::ShardPolicy;
+use cofs_tests::cofs_over_memfs;
 use netsim::ids::NodeId;
 use simcore::time::{SimDuration, SimTime};
 use vfs::fs::{FileSystem, OpCtx};
@@ -20,16 +21,10 @@ use workloads::scenarios::{HotStatStorm, ScenarioResult, SharedDirStorm};
 
 fn mds_limit(batch: Option<usize>) -> CofsFs<MemFs> {
     let cfg = CofsConfig::default().with_shards(2, ShardPolicyKind::HashByParent);
-    let cfg = match batch {
+    cofs_over_memfs(match batch {
         None => cfg,
         Some(k) => cfg.with_batching(k, SimDuration::from_millis(5), 4),
-    };
-    CofsFs::new(
-        MemFs::new(),
-        cfg,
-        MdsNetwork::uniform(SimDuration::from_micros(250)),
-        7,
-    )
+    })
 }
 
 /// The bursty create storm the scaling sweep's batching axis runs
@@ -117,27 +112,17 @@ fn default_config_reproduces_unbatched_times_bit_for_bit() {
         files_per_node: 8,
         ..SharedDirStorm::default()
     };
-    let mut default_fs = CofsFs::new(
-        MemFs::new(),
-        CofsConfig::default(),
-        MdsNetwork::uniform(SimDuration::from_micros(250)),
-        7,
-    );
-    let mut knobbed = CofsFs::new(
-        MemFs::new(),
-        CofsConfig {
-            batch: BatchConfig {
-                enabled: false,
-                max_batch_ops: 32,
-                max_batch_delay: SimDuration::from_secs(1),
-                pipeline_depth: 8,
-                memoize_reads: true,
-            },
-            ..CofsConfig::default()
+    let mut default_fs = cofs_over_memfs(CofsConfig::default());
+    let mut knobbed = cofs_over_memfs(CofsConfig {
+        batch: BatchConfig {
+            enabled: false,
+            max_batch_ops: 32,
+            max_batch_delay: SimDuration::from_secs(1),
+            pipeline_depth: 8,
+            memoize_reads: true,
         },
-        MdsNetwork::uniform(SimDuration::from_micros(250)),
-        7,
-    );
+        ..CofsConfig::default()
+    });
     let a = storm.run(&mut default_fs);
     let b = storm.run(&mut knobbed);
     assert_eq!(a.makespan, b.makespan);

@@ -12,9 +12,9 @@
 //!    the per-shard usage — while outcomes stay identical.
 //! 4. TTL orders hit rates: a longer lease can only hit more.
 
-use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
+use cofs::config::{CofsConfig, ShardPolicyKind};
 use cofs::fs::CofsFs;
-use cofs_tests::cofs_over_memfs_cached;
+use cofs_tests::cofs_over_memfs;
 use netsim::ids::NodeId;
 use simcore::time::SimDuration;
 use vfs::fs::{FileSystem, OpCtx};
@@ -24,31 +24,22 @@ use workloads::metarates::{run_phase, MetaOp, MetaratesConfig};
 use workloads::scenarios::{HotStatStorm, SharedDirStorm};
 use workloads::target::BenchTarget;
 
-fn mds_limit(cfg: CofsConfig) -> CofsFs<MemFs> {
-    CofsFs::new(
-        MemFs::new(),
-        cfg,
-        MdsNetwork::uniform(SimDuration::from_micros(250)),
-        7,
-    )
-}
-
 #[test]
 fn cache_off_is_bit_for_bit_the_pre_cache_stack() {
     // A config whose cache knobs are set but *disabled* must charge
     // exactly what the default (knob-free) config charges, op for op.
-    let mut knobless = mds_limit(CofsConfig::default());
+    let mut knobless = cofs_over_memfs(CofsConfig::default());
     let mut disabled_cfg = CofsConfig::default();
     disabled_cfg.client_cache.capacity = 7;
     disabled_cfg.client_cache.lease_ttl = SimDuration::from_micros(3);
     assert!(!disabled_cfg.client_cache.enabled);
-    let mut with_knobs = mds_limit(disabled_cfg);
+    let mut with_knobs = cofs_over_memfs(disabled_cfg);
 
     let cfg = MetaratesConfig::new(4, 64);
     for op in [MetaOp::Create, MetaOp::Stat, MetaOp::OpenClose] {
-        let a = run_phase(&mut mds_limit(CofsConfig::default()), &cfg, op);
+        let a = run_phase(&mut cofs_over_memfs(CofsConfig::default()), &cfg, op);
         let b = run_phase(
-            &mut mds_limit({
+            &mut cofs_over_memfs({
                 let mut c = CofsConfig::default();
                 c.client_cache.capacity = 1;
                 c
@@ -83,18 +74,9 @@ fn hot_stat_storm_wins_at_every_shard_count() {
         ..HotStatStorm::default()
     };
     for shards in [1usize, 2, 4] {
-        let policy = if shards == 1 {
-            ShardPolicyKind::Single
-        } else {
-            ShardPolicyKind::HashByParent
-        };
-        let base = if shards == 1 {
-            CofsConfig::default()
-        } else {
-            CofsConfig::default().with_shards(shards, policy)
-        };
-        let mut plain = mds_limit(base.clone());
-        let mut cached = mds_limit(base.with_client_cache(4096, SimDuration::from_secs(30)));
+        let base = CofsConfig::default().with_shards(shards, ShardPolicyKind::HashByParent);
+        let mut plain = cofs_over_memfs(base.clone());
+        let mut cached = cofs_over_memfs(base.with_client_cache(4096, SimDuration::from_secs(30)));
         let r_plain = storm.run(&mut plain);
         let r_cached = storm.run(&mut cached);
         assert!(
@@ -119,8 +101,8 @@ fn write_sharing_shows_recalls_and_identical_outcomes() {
         ..SharedDirStorm::default()
     };
     let base = CofsConfig::default().with_shards(2, ShardPolicyKind::HashByParent);
-    let mut plain = mds_limit(base.clone());
-    let mut cached = mds_limit(base.with_client_cache(4096, SimDuration::from_secs(30)));
+    let mut plain = cofs_over_memfs(base.clone());
+    let mut cached = cofs_over_memfs(base.with_client_cache(4096, SimDuration::from_secs(30)));
     let r_plain = storm.run(&mut plain);
     let r_cached = storm.run(&mut cached);
 
@@ -170,7 +152,11 @@ fn longer_leases_hit_no_less() {
         SimDuration::from_millis(5),
         SimDuration::from_secs(30),
     ] {
-        let mut fs = cofs_over_memfs_cached(2, 4096, ttl);
+        let mut fs = cofs_over_memfs(
+            CofsConfig::default()
+                .with_shards(2, ShardPolicyKind::HashByParent)
+                .with_client_cache(4096, ttl),
+        );
         let r = storm.run(&mut fs);
         let rate = r.cache.expect("cache on").hit_rate();
         assert!(
@@ -186,7 +172,11 @@ fn longer_leases_hit_no_less() {
 fn capacity_one_cache_still_produces_correct_outcomes() {
     // Eviction thrash: every insert evicts; lease release + recall
     // bookkeeping must stay consistent and outcomes correct.
-    let mut fs = cofs_over_memfs_cached(2, 1, SimDuration::from_secs(30));
+    let mut fs = cofs_over_memfs(
+        CofsConfig::default()
+            .with_shards(2, ShardPolicyKind::HashByParent)
+            .with_client_cache(1, SimDuration::from_secs(30)),
+    );
     let ctx = OpCtx::test(NodeId(0));
     fs.mkdir(&ctx, &vpath("/d"), vfs::types::Mode::dir_default())
         .unwrap();

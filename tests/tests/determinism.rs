@@ -11,14 +11,13 @@
 //! here owns freshly seeded hash maps, so any surviving
 //! iteration-order dependence shows up as a byte-level report diff.
 
-use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
-use cofs::fs::CofsFs;
+use cofs::config::{CofsConfig, ShardPolicyKind};
+use cofs_tests::cofs_over_memfs;
 use netsim::ids::{NodeId, Pid};
 use proptest::prelude::*;
 use simcore::time::SimDuration;
 use vfs::driver::{run, Action, ClientScript};
 use vfs::fs::{FileSystem, OpCtx};
-use vfs::memfs::MemFs;
 use vfs::path::vpath;
 use vfs::types::Mode;
 use workloads::report::shard_utilization_table;
@@ -28,26 +27,20 @@ use workloads::target::BenchTarget;
 /// Every subsystem on at once: sharded MDS, client metadata cache,
 /// batched+pipelined RPCs, shard-side read memoization, and the
 /// read-priority lane — the widest surface for order-dependent state.
-fn full_stack() -> CofsFs<MemFs> {
-    let cfg = CofsConfig::default()
+fn full_stack() -> CofsConfig {
+    CofsConfig::default()
         .with_shards(4, ShardPolicyKind::HashByParent)
         .with_client_cache(256, SimDuration::from_millis(50))
         .with_batching(8, SimDuration::from_millis(5), 4)
         .with_read_memoization()
-        .with_read_priority();
-    CofsFs::new(
-        MemFs::new(),
-        cfg,
-        MdsNetwork::uniform(SimDuration::from_micros(250)),
-        7,
-    )
+        .with_read_priority()
 }
 
 #[test]
 fn mixed_storm_replays_byte_identical_within_one_process() {
     let storm = SharedDirStorm::mixed(8, 32);
-    let a = storm.run(&mut full_stack());
-    let b = storm.run(&mut full_stack());
+    let a = storm.run(&mut cofs_over_memfs(full_stack()));
+    let b = storm.run(&mut cofs_over_memfs(full_stack()));
     // The whole report — makespan, per-op means, stat tail, per-shard
     // counters, cache and batch stats — must match byte for byte.
     assert_eq!(
@@ -101,7 +94,7 @@ fn storm_scripts(order: &[usize], files: usize) -> Vec<ClientScript> {
 /// makespan, every client's final clock, every latency summary, and
 /// the shard table.
 fn run_once(order: &[usize]) -> String {
-    let mut fs = full_stack();
+    let mut fs = cofs_over_memfs(full_stack());
     let setup = OpCtx::test(NodeId(0));
     fs.mkdir(&setup, &vpath("/storm"), Mode::dir_default())
         .expect("setup mkdir");

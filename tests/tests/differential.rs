@@ -9,7 +9,8 @@
 //! a hair-trigger configuration — directories split, migrate, and
 //! merge live mid-sequence — alone and stacked with everything else),
 //! on bare GPFS (`PfsFs`), and on COFS-over-GPFS (centralized and at
-//! 2 and 4 shards).
+//! 2 and 4 shards). Each random sequence ends with every stack's
+//! `statfs` counts compared against the reference's.
 //!
 //! This is the strongest POSIX-compliance evidence in the repository:
 //! the virtualization layer reorganizes the physical layout — the
@@ -20,123 +21,127 @@
 //! Shard counts, cache settings, and batch knobs are distinguishable
 //! only by simulated time, never by outcome.
 
-use cofs::config::ShardPolicyKind;
+use cofs::config::{CofsConfig, ShardPolicyKind};
 use cofs_tests::{
-    apply_at, cofs_over_gpfs, cofs_over_gpfs_sharded, cofs_over_memfs, cofs_over_memfs_batched,
-    cofs_over_memfs_batched_cached, cofs_over_memfs_cached, cofs_over_memfs_elastic,
-    cofs_over_memfs_full_stack, cofs_over_memfs_memoized, cofs_over_memfs_sharded,
-    cofs_over_memfs_write_behind, gen_ops, gpfs,
+    apply_at, cofs_over_gpfs, cofs_over_gpfs_sharded, cofs_over_memfs, gen_ops, gpfs,
+    hair_trigger_elastic,
 };
 use netsim::ids::NodeId;
-use simcore::time::SimDuration;
+use simcore::time::{SimDuration, SimTime};
+use vfs::fs::{FileSystem, OpCtx};
 use vfs::memfs::MemFs;
+
+/// `shards` hash-by-parent shards (one shard is the centralized MDS).
+fn hashed(shards: usize) -> CofsConfig {
+    CofsConfig::default().with_shards(shards, ShardPolicyKind::HashByParent)
+}
 
 fn run_differential(seed: u64, n_ops: usize) {
     let ops = gen_ops(seed, n_ops);
     let mut reference = MemFs::new();
-    let mut cofs_mem = cofs_over_memfs();
-    let mut cofs_mem_2s = cofs_over_memfs_sharded(2);
-    let mut cofs_mem_4s = cofs_over_memfs_sharded(4);
-    // Cache extremes: a generous cache that hits constantly, a
-    // 1-entry cache that evicts constantly, and a 1µs TTL that expires
-    // constantly — none may be observable in outcomes.
-    let mut cofs_mem_cached = cofs_over_memfs_cached(1, 4096, SimDuration::from_secs(60));
-    let mut cofs_mem_cached_4s = cofs_over_memfs_cached(4, 1, SimDuration::from_secs(60));
-    let mut cofs_mem_cached_ttl = cofs_over_memfs_cached(2, 4096, SimDuration::from_micros(1));
-    // Batching extremes: a deep pipeline with big slow batches, a
-    // degenerate 1-op/depth-1 pipeline, and batching stacked under the
-    // client cache — all must be invisible in outcomes too.
-    let mut cofs_mem_batched = cofs_over_memfs_batched(1, 16, SimDuration::from_millis(10), 4);
-    let mut cofs_mem_batched_4s = cofs_over_memfs_batched(4, 1, SimDuration::from_micros(1), 1);
-    let mut cofs_mem_batched_cached =
-        cofs_over_memfs_batched_cached(2, 8, SimDuration::from_secs(60));
-    // Memoized batch pricing, alone and stacked with the priority lane
-    // and the client cache — pricing and scheduling knobs must never
-    // leak into outcomes.
-    let mut cofs_mem_memoized = cofs_over_memfs_memoized(2, 16);
+    // Elastic sharding at a hair-trigger configuration: directories
+    // split, migrate, and merge live mid-sequence, yet the routing
+    // churn must never be observable in outcomes.
+    let mut elastic = cofs_over_memfs(hair_trigger_elastic(4));
     // Write-behind journaling at a deliberately tiny durability window
     // (2 ops / 50µs, so the backpressure clamp fires constantly) —
     // deferred row application must stay invisible: reads consult the
     // journaled namespace, so read-your-writes is exact.
-    let mut cofs_mem_journal = cofs_over_memfs_write_behind(2, 16);
-    // Elastic sharding at a hair-trigger configuration: directories
-    // split, migrate, and merge live mid-sequence, yet the routing
-    // churn must never be observable in outcomes.
-    let mut cofs_mem_elastic = cofs_over_memfs_elastic(4);
-    let mut cofs_mem_full = cofs_over_memfs_full_stack(4);
-    let mut bare_gpfs = gpfs(2);
-    let mut cofs_gpfs = cofs_over_gpfs(2);
-    let mut cofs_gpfs_2s = cofs_over_gpfs_sharded(2, 2, ShardPolicyKind::HashByParent);
-    let mut cofs_gpfs_4s = cofs_over_gpfs_sharded(2, 4, ShardPolicyKind::HashByParent);
+    let mut journal = hashed(2)
+        .with_batching(16, SimDuration::from_millis(5), 4)
+        .with_read_memoization()
+        .with_write_behind();
+    journal.write_behind.max_unapplied_ops = 2;
+    journal.write_behind.max_unapplied_window = SimDuration::from_micros(50);
+    let memfs = |cfg| Box::new(cofs_over_memfs(cfg)) as Box<dyn FileSystem>;
+    let mut boxed: Vec<(&str, Box<dyn FileSystem>)> = vec![
+        ("cofs/memfs", memfs(CofsConfig::default())),
+        ("cofs/memfs 2 shards", memfs(hashed(2))),
+        ("cofs/memfs 4 shards", memfs(hashed(4))),
+        // Cache extremes: a generous cache that hits constantly, a
+        // 1-entry cache that evicts constantly, and a 1µs TTL that
+        // expires constantly — none may be observable in outcomes.
+        (
+            "cofs/memfs cached",
+            memfs(hashed(1).with_client_cache(4096, SimDuration::from_secs(60))),
+        ),
+        (
+            "cofs/memfs cached 4 shards cap 1",
+            memfs(hashed(4).with_client_cache(1, SimDuration::from_secs(60))),
+        ),
+        (
+            "cofs/memfs cached ttl 1us",
+            memfs(hashed(2).with_client_cache(4096, SimDuration::from_micros(1))),
+        ),
+        // Batching extremes: a deep pipeline with big slow batches, a
+        // degenerate 1-op/depth-1 pipeline, and batching stacked under
+        // the client cache — all must be invisible in outcomes too.
+        (
+            "cofs/memfs batched 16x4",
+            memfs(hashed(1).with_batching(16, SimDuration::from_millis(10), 4)),
+        ),
+        (
+            "cofs/memfs batched degenerate 4 shards",
+            memfs(hashed(4).with_batching(1, SimDuration::from_micros(1), 1)),
+        ),
+        (
+            "cofs/memfs batched+cached 2 shards",
+            memfs(
+                hashed(2)
+                    .with_batching(8, SimDuration::from_millis(1), 2)
+                    .with_client_cache(4096, SimDuration::from_secs(60)),
+            ),
+        ),
+        // Memoized batch pricing, alone and stacked with the priority
+        // lane and the client cache — pricing and scheduling knobs must
+        // never leak into outcomes.
+        (
+            "cofs/memfs memoized 2 shards",
+            memfs(
+                hashed(2)
+                    .with_batching(16, SimDuration::from_millis(5), 4)
+                    .with_read_memoization(),
+            ),
+        ),
+        ("cofs/memfs write-behind tiny window", memfs(journal)),
+        // The complete cost-model tower: every performance knob at once.
+        (
+            "cofs/memfs memo+prio+journal+cached 4 shards",
+            memfs(
+                hashed(4)
+                    .with_batching(8, SimDuration::from_millis(1), 2)
+                    .with_read_memoization()
+                    .with_read_priority()
+                    .with_write_behind()
+                    .with_client_cache(4096, SimDuration::from_secs(60)),
+            ),
+        ),
+        ("gpfs", Box::new(gpfs(2))),
+        ("cofs/gpfs", Box::new(cofs_over_gpfs(2))),
+        (
+            "cofs/gpfs 2 shards",
+            Box::new(cofs_over_gpfs_sharded(2, 2, ShardPolicyKind::HashByParent)),
+        ),
+        (
+            "cofs/gpfs 4 shards",
+            Box::new(cofs_over_gpfs_sharded(2, 4, ShardPolicyKind::HashByParent)),
+        ),
+    ];
+    let mut stacks: Vec<(&str, &mut dyn FileSystem)> = boxed
+        .iter_mut()
+        .map(|(label, fs)| (*label, fs.as_mut() as &mut dyn FileSystem))
+        .collect();
+    stacks.push(("cofs/memfs elastic hair-trigger 4 shards", &mut elastic));
+    // The issuers' clocks advance 100 µs per op, so time-windowed
+    // machinery (cache TTLs, journal windows, elastic observation
+    // windows) genuinely fires mid-sequence; outcomes must be invariant
+    // to all of it.
+    let clock = |i: usize| SimTime::ZERO + SimDuration::from_micros(100) * i as u64;
     for (i, op) in ops.iter().enumerate() {
         let node = NodeId((i % 2) as u32);
-        // The issuers' clocks advance 100 µs per op, so time-windowed
-        // machinery (cache TTLs, journal windows, elastic observation
-        // windows) genuinely fires mid-sequence; outcomes must be
-        // invariant to all of it.
-        let now = simcore::time::SimTime::ZERO + SimDuration::from_micros(100) * i as u64;
-        let expect = apply_at(&mut reference, node, now, op);
-        for (label, got) in [
-            ("cofs/memfs", apply_at(&mut cofs_mem, node, now, op)),
-            (
-                "cofs/memfs 2 shards",
-                apply_at(&mut cofs_mem_2s, node, now, op),
-            ),
-            (
-                "cofs/memfs 4 shards",
-                apply_at(&mut cofs_mem_4s, node, now, op),
-            ),
-            (
-                "cofs/memfs cached",
-                apply_at(&mut cofs_mem_cached, node, now, op),
-            ),
-            (
-                "cofs/memfs cached 4 shards cap 1",
-                apply_at(&mut cofs_mem_cached_4s, node, now, op),
-            ),
-            (
-                "cofs/memfs cached ttl 1us",
-                apply_at(&mut cofs_mem_cached_ttl, node, now, op),
-            ),
-            (
-                "cofs/memfs batched 16x4",
-                apply_at(&mut cofs_mem_batched, node, now, op),
-            ),
-            (
-                "cofs/memfs batched degenerate 4 shards",
-                apply_at(&mut cofs_mem_batched_4s, node, now, op),
-            ),
-            (
-                "cofs/memfs batched+cached 2 shards",
-                apply_at(&mut cofs_mem_batched_cached, node, now, op),
-            ),
-            (
-                "cofs/memfs memoized 2 shards",
-                apply_at(&mut cofs_mem_memoized, node, now, op),
-            ),
-            (
-                "cofs/memfs write-behind tiny window",
-                apply_at(&mut cofs_mem_journal, node, now, op),
-            ),
-            (
-                "cofs/memfs elastic hair-trigger 4 shards",
-                apply_at(&mut cofs_mem_elastic, node, now, op),
-            ),
-            (
-                "cofs/memfs memo+prio+journal+cached 4 shards",
-                apply_at(&mut cofs_mem_full, node, now, op),
-            ),
-            ("gpfs", apply_at(&mut bare_gpfs, node, now, op)),
-            ("cofs/gpfs", apply_at(&mut cofs_gpfs, node, now, op)),
-            (
-                "cofs/gpfs 2 shards",
-                apply_at(&mut cofs_gpfs_2s, node, now, op),
-            ),
-            (
-                "cofs/gpfs 4 shards",
-                apply_at(&mut cofs_gpfs_4s, node, now, op),
-            ),
-        ] {
+        let expect = apply_at(&mut reference, node, clock(i), op);
+        for (label, fs) in stacks.iter_mut() {
+            let got = apply_at(*fs, node, clock(i), op);
             assert_eq!(
                 got, expect,
                 "seed {seed} op {i} ({op:?}) diverged on {label}: \
@@ -144,12 +149,20 @@ fn run_differential(seed: u64, n_ops: usize) {
             );
         }
     }
+    // The aggregate view must agree too: inode, directory and byte
+    // counts after the whole sequence.
+    let ctx = OpCtx::test(NodeId(0)).at(clock(n_ops));
+    let expect = reference.statfs(&ctx).expect("statfs").value;
+    for (label, fs) in stacks.iter_mut() {
+        let got = fs.statfs(&ctx).expect("statfs").value;
+        assert_eq!(got, expect, "seed {seed}: statfs diverged on {label}");
+    }
     // The elastic row must not pass vacuously: on the long runs the
     // hair-trigger config has to have actually reorganized directories
     // mid-sequence (the advancing clocks above are what close its
     // observation windows).
     if n_ops >= 300 {
-        let policy = cofs_mem_elastic
+        let policy = elastic
             .mds_cluster()
             .policy()
             .as_elastic()
@@ -278,12 +291,12 @@ fn symlink_resolution_matches_memfs() {
     ];
 
     let mut reference = MemFs::new();
-    let mut cofs_mem = cofs_over_memfs();
-    let mut cofs_mem_4s = cofs_over_memfs_sharded(4);
+    let mut cofs_mem = cofs_over_memfs(CofsConfig::default());
+    let mut cofs_mem_4s = cofs_over_memfs(hashed(4));
     let mut cofs_gpfs = cofs_over_gpfs(2);
     for (i, (op, fails)) in script.iter().enumerate() {
         let node = NodeId((i % 2) as u32);
-        let now = simcore::time::SimTime::ZERO + SimDuration::from_micros(100) * i as u64;
+        let now = SimTime::ZERO + SimDuration::from_micros(100) * i as u64;
         let expect = apply_at(&mut reference, node, now, op);
         match (fails, &expect) {
             (None, Outcome::Ok(_)) => {}
@@ -316,9 +329,8 @@ fn symlink_resolution_matches_memfs() {
 #[test]
 fn readdir_errors_match_memfs() {
     use cofs_tests::Outcome;
-    use simcore::time::SimTime;
     use vfs::error::Errno::{self, EACCES, ENOENT, ENOTDIR};
-    use vfs::fs::{FileSystem, OpCtx, Timed};
+    use vfs::fs::Timed;
     use vfs::path::vpath;
     use vfs::types::{DirEntry, Mode, SetAttr};
 
@@ -395,10 +407,13 @@ fn readdir_errors_match_memfs() {
     }
     for (label, got) in [
         ("gpfs", probe(&mut gpfs(2), &cases)),
-        ("cofs/memfs", probe(&mut cofs_over_memfs(), &cases)),
+        (
+            "cofs/memfs",
+            probe(&mut cofs_over_memfs(CofsConfig::default()), &cases),
+        ),
         (
             "cofs/memfs 4 shards",
-            probe(&mut cofs_over_memfs_sharded(4), &cases),
+            probe(&mut cofs_over_memfs(hashed(4)), &cases),
         ),
         ("cofs/gpfs", probe(&mut cofs_over_gpfs(2), &cases)),
     ] {

@@ -19,28 +19,17 @@
 //!    replayed observation sequence is byte-identical in both events
 //!    and routes.
 
-use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
+use cofs::config::{CofsConfig, ShardPolicyKind};
 use cofs::elastic::{ElasticConfig, ElasticPolicy};
-use cofs::fs::CofsFs;
 use cofs::mds_cluster::ShardPolicy;
-use cofs_tests::cofs_over_memfs_elastic;
+use cofs_tests::{cofs_over_memfs, hair_trigger_elastic};
 use netsim::ids::NodeId;
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use vfs::fs::{FileSystem, OpCtx};
-use vfs::memfs::MemFs;
 use vfs::path::{vpath, VPath};
 use vfs::types::Mode;
 use workloads::scenarios::SharedDirStorm;
-
-fn storm_fs(cfg: CofsConfig) -> CofsFs<MemFs> {
-    CofsFs::new(
-        MemFs::new(),
-        cfg,
-        MdsNetwork::uniform(SimDuration::from_micros(250)),
-        7,
-    )
-}
 
 #[test]
 fn frozen_elastic_is_bit_for_bit_hash_by_parent_under_storm() {
@@ -50,10 +39,12 @@ fn frozen_elastic_is_bit_for_bit_hash_by_parent_under_storm() {
         files_per_node: 8,
         ..SharedDirStorm::default()
     };
-    let mut fixed = storm_fs(CofsConfig::default().with_shards(8, ShardPolicyKind::HashByParent));
-    let mut frozen_cfg = CofsConfig::default().with_elastic(8);
-    frozen_cfg.elastic = ElasticConfig::frozen();
-    let mut frozen = storm_fs(frozen_cfg);
+    let mut fixed =
+        cofs_over_memfs(CofsConfig::default().with_shards(8, ShardPolicyKind::HashByParent));
+    let mut frozen = cofs_over_memfs(CofsConfig {
+        shard_policy: ShardPolicy::Elastic(ElasticPolicy::new(8, ElasticConfig::frozen())),
+        ..CofsConfig::default()
+    });
     let a = storm.run(&mut fixed);
     let b = storm.run(&mut frozen);
     assert_eq!(a.makespan, b.makespan, "off-path timing must be pinned");
@@ -75,7 +66,7 @@ fn frozen_elastic_is_bit_for_bit_hash_by_parent_under_storm() {
 /// again — which must now be single-shard.
 #[test]
 fn rename_two_phase_cost_drops_after_migration_home() {
-    let mut fs = cofs_over_memfs_elastic(4);
+    let mut fs = cofs_over_memfs(hair_trigger_elastic(4));
     let at = |now: SimTime| OpCtx::test(NodeId(0)).at(now);
     let mut now = SimTime::ZERO;
     let tick = |step: u64, now: &mut SimTime| {

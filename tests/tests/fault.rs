@@ -12,10 +12,11 @@
 //! *crashing* run is as replayable as a clean one: the same plan on the
 //! same storm prices to the same virtual nanosecond every time.
 
-use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
+use cofs::config::{CofsConfig, ShardPolicyKind};
 use cofs::fault::{FaultPlan, RetryConfig};
 use cofs::fs::CofsFs;
 use cofs::mds_cluster::ShardId;
+use cofs_tests::cofs_over_memfs;
 use netsim::ids::NodeId;
 use proptest::prelude::*;
 use simcore::time::{SimDuration, SimTime};
@@ -25,15 +26,6 @@ use vfs::memfs::MemFs;
 use vfs::path::vpath;
 use vfs::types::Mode;
 use workloads::scenarios::{CascadeStorm, FailoverStorm};
-
-fn stack(cfg: CofsConfig) -> CofsFs<MemFs> {
-    CofsFs::new(
-        MemFs::new(),
-        cfg,
-        MdsNetwork::uniform(SimDuration::from_micros(250)),
-        7,
-    )
-}
 
 /// The storm stack of the failover sweep: sharded MDS plus the client
 /// cache (so fencing has leases to fence), with the given plan.
@@ -57,8 +49,8 @@ fn empty_fault_plan_is_bit_for_bit_at_storm_level() {
     let plain = CofsConfig::default()
         .with_shards(4, ShardPolicyKind::HashByParent)
         .with_client_cache(256, SimDuration::from_millis(50));
-    let a = storm.run(&mut stack(plain));
-    let b = storm.run(&mut stack(storm_cfg(FaultPlan::default())));
+    let a = storm.run(&mut cofs_over_memfs(plain));
+    let b = storm.run(&mut cofs_over_memfs(storm_cfg(FaultPlan::default())));
     assert_eq!(
         format!("{a:?}"),
         format!("{b:?}"),
@@ -80,8 +72,8 @@ fn crashing_storm_replays_byte_identical() {
         files_per_node: 8,
         ..FailoverStorm::default()
     };
-    let a = storm.run(&mut stack(storm_cfg(plan.clone())));
-    let b = storm.run(&mut stack(storm_cfg(plan)));
+    let a = storm.run(&mut cofs_over_memfs(storm_cfg(plan.clone())));
+    let b = storm.run(&mut cofs_over_memfs(storm_cfg(plan)));
     assert_eq!(
         format!("{a:?}"),
         format!("{b:?}"),
@@ -103,7 +95,6 @@ fn acked_but_unapplied_rows_replay_after_crash() {
     // lost.
     let wb_cfg = || {
         CofsConfig::default()
-            .with_shards(1, ShardPolicyKind::Single)
             .with_batching(4, SimDuration::from_millis(5), 4)
             .with_write_behind()
     };
@@ -119,7 +110,7 @@ fn acked_but_unapplied_rows_replay_after_crash() {
             fs.close(&ctx, fh).expect("close");
         }
     };
-    let mut probe = stack(wb_cfg());
+    let mut probe = cofs_over_memfs(wb_cfg());
     run_ops(&mut probe);
     let ack_tail = probe.drain_batches().expect("batches were buffered");
     let horizon = probe.apply_horizon(ack_tail);
@@ -127,7 +118,7 @@ fn acked_but_unapplied_rows_replay_after_crash() {
     let crash_at = ack_tail + (horizon - ack_tail) / 2;
 
     let plan = FaultPlan::default().crash(ShardId(0), crash_at, SimDuration::from_millis(2));
-    let mut fs = stack(wb_cfg().with_fault_plan(plan));
+    let mut fs = cofs_over_memfs(wb_cfg().with_fault_plan(plan));
     run_ops(&mut fs);
     // Drain the pipeline, then look again from well past recovery:
     // every acked create must still be there.
@@ -154,7 +145,7 @@ fn scripted_drops_reach_unbatched_requests() {
     // so a scripted drop swallows them too: the client times out,
     // retries, and every op still completes.
     let plan = FaultPlan::default().drop_messages(ShardId(0), SimTime::ZERO, 2);
-    let mut fs = stack(CofsConfig::default().with_fault_plan(plan));
+    let mut fs = cofs_over_memfs(CofsConfig::default().with_fault_plan(plan));
     let ctx = OpCtx::test(NodeId(0));
     let mut t = SimTime::ZERO;
     for i in 0..3 {
@@ -171,8 +162,8 @@ fn scripted_drops_reach_unbatched_requests() {
     assert_eq!(f.exhausted, 0);
 }
 
-/// The write-behind storm stack of the cascade sweep (shape of
-/// `cofs_bench::cofs_cascade` with both knobs off).
+/// The write-behind storm stack of the cascade sweep, with both
+/// survival knobs off.
 fn cascade_cfg() -> CofsConfig {
     CofsConfig::default()
         .with_shards(4, ShardPolicyKind::HashByParent)
@@ -202,8 +193,8 @@ fn empty_cascade_plan_is_bit_for_bit_even_with_knobs_on() {
             0,
         );
     assert!(empty.is_empty(), "no-op builders must compose to empty");
-    let a = storm.run(&mut stack(cascade_cfg()));
-    let b = storm.run(&mut stack(
+    let a = storm.run(&mut cofs_over_memfs(cascade_cfg()));
+    let b = storm.run(&mut cofs_over_memfs(
         cascade_cfg()
             .with_standby()
             .with_admission()
@@ -252,8 +243,8 @@ fn cascading_storm_replays_byte_identical_with_knobs_on() {
             .with_admission()
             .with_fault_plan(plan.clone())
     };
-    let a = storm.run(&mut stack(cfg()));
-    let b = storm.run(&mut stack(cfg()));
+    let a = storm.run(&mut cofs_over_memfs(cfg()));
+    let b = storm.run(&mut cofs_over_memfs(cfg()));
     assert_eq!(
         format!("{a:?}"),
         format!("{b:?}"),
@@ -284,9 +275,10 @@ proptest! {
     ) {
         // Crash the shard that serves the hot directory's entries, so
         // the window is actually contested whatever the hash layout.
-        let victim = stack(CofsConfig::default().with_shards(2, ShardPolicyKind::HashByParent))
-            .mds_cluster()
-            .route(&vpath("/d/f0"));
+        let victim = CofsConfig::default()
+            .with_shards(2, ShardPolicyKind::HashByParent)
+            .shard_policy
+            .shard_of(&vpath("/d/f0"));
         let plan = FaultPlan::default().crash(
             victim,
             SimTime::from_micros(crash_us),
@@ -296,7 +288,7 @@ proptest! {
             .with_shards(2, ShardPolicyKind::HashByParent)
             .with_fault_plan(plan)
             .with_retry(RetryConfig { max_retries, ..RetryConfig::default() });
-        let mut fs = stack(cfg);
+        let mut fs = cofs_over_memfs(cfg);
         let ctx = OpCtx::test(NodeId(0));
         fs.mkdir(&ctx, &vpath("/d"), Mode::dir_default())
             .expect("mkdir at t=0 precedes the earliest crash");
@@ -352,9 +344,10 @@ proptest! {
         admission in prop::bool::ANY,
         max_retries in 0u32..5,
     ) {
-        let victim = stack(CofsConfig::default().with_shards(2, ShardPolicyKind::HashByParent))
-            .mds_cluster()
-            .route(&vpath("/d/f0"));
+        let victim = CofsConfig::default()
+            .with_shards(2, ShardPolicyKind::HashByParent)
+            .shard_policy
+            .shard_of(&vpath("/d/f0"));
         let plan = FaultPlan::default().crash_loop(
             victim,
             SimTime::from_micros(first_us),
@@ -369,7 +362,7 @@ proptest! {
         if admission {
             cfg = cfg.with_admission();
         }
-        let mut fs = stack(cfg);
+        let mut fs = cofs_over_memfs(cfg);
         let ctx = OpCtx::test(NodeId(0));
         fs.mkdir(&ctx, &vpath("/d"), Mode::dir_default())
             .expect("mkdir at t=0 precedes the earliest crash");
@@ -421,7 +414,7 @@ proptest! {
         standby in prop::bool::ANY,
         admission in prop::bool::ANY,
     ) {
-        let victim = stack(cascade_cfg()).mds_cluster().route(&vpath("/d/f0"));
+        let victim = cascade_cfg().shard_policy.shard_of(&vpath("/d/f0"));
         let plan = FaultPlan::default().crash_loop(
             victim,
             SimTime::from_micros(first_us),
@@ -436,7 +429,7 @@ proptest! {
         if admission {
             cfg = cfg.with_admission();
         }
-        let mut fs = stack(cfg);
+        let mut fs = cofs_over_memfs(cfg);
         let ctx = OpCtx::test(NodeId(0));
         fs.mkdir(&ctx, &vpath("/d"), Mode::dir_default())
             .expect("mkdir at t=0 precedes the earliest crash");

@@ -12,6 +12,7 @@ use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
 use cofs::fs::CofsFs;
 use cofs::mds::{DbOps, ReadSet};
 use cofs::mds_cluster::{MdsCluster, Shape, ShardId, ShardPolicy};
+use cofs_tests::cofs_over_memfs;
 use netsim::ids::NodeId;
 use simcore::time::{SimDuration, SimTime};
 use vfs::memfs::MemFs;
@@ -32,7 +33,7 @@ fn stack(max_batch_ops: Option<usize>, memoize: bool, priority: bool) -> CofsFs<
     if priority {
         cfg = cfg.with_read_priority();
     }
-    CofsFs::new(MemFs::new(), cfg, net(), 7)
+    cofs_over_memfs(cfg)
 }
 
 /// The bursty create storm of the scaling sweep's memoization axis
@@ -111,21 +112,16 @@ fn all_defaults_off_reproduces_pr4_storm_bit_for_bit() {
         stats_per_create: 2,
         ..SharedDirStorm::default()
     };
-    let mut default_fs = CofsFs::new(MemFs::new(), CofsConfig::default(), net(), 7);
-    let mut knobbed = CofsFs::new(
-        MemFs::new(),
-        CofsConfig {
-            read_priority: false,
-            batch: cofs::batch::BatchConfig {
-                enabled: false,
-                memoize_reads: true,
-                ..cofs::batch::BatchConfig::default()
-            },
-            ..CofsConfig::default()
+    let mut default_fs = cofs_over_memfs(CofsConfig::default());
+    let mut knobbed = cofs_over_memfs(CofsConfig {
+        read_priority: false,
+        batch: cofs::batch::BatchConfig {
+            enabled: false,
+            memoize_reads: true,
+            ..cofs::batch::BatchConfig::default()
         },
-        net(),
-        7,
-    );
+        ..CofsConfig::default()
+    });
     let a = storm.run(&mut default_fs);
     let b = storm.run(&mut knobbed);
     assert_eq!(a.makespan, b.makespan);
@@ -141,13 +137,10 @@ fn priority_off_mixed_storm_matches_default_bit_for_bit() {
     // two-lane resource swap.
     let storm = SharedDirStorm::mixed(4, 32);
     let fifo = storm.run(&mut stack(Some(8), false, false));
-    let default_cfg = storm.run(&mut CofsFs::new(
-        MemFs::new(),
+    let default_cfg = storm.run(&mut cofs_over_memfs(
         CofsConfig::default()
             .with_shards(2, ShardPolicyKind::HashByParent)
             .with_batching(8, SimDuration::from_millis(5), 4),
-        net(),
-        7,
     ));
     assert_eq!(fifo.makespan, default_cfg.makespan);
     assert_eq!(fifo.stat_p50_p99_ms, default_cfg.stat_p50_p99_ms);

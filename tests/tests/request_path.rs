@@ -18,11 +18,12 @@
 //! After an intended change to the numbers, regenerate the file with
 //! `COFS_BLESS=1 cargo test -p cofs-tests --test request_path`.
 
-use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
+use cofs::config::{CofsConfig, ShardPolicyKind};
 use cofs::fault::FaultPlan;
 use cofs::fs::CofsFs;
 use cofs::mds::Cred;
 use cofs::mds_cluster::ShardId;
+use cofs_tests::{cofs_over_memfs, hair_trigger_elastic};
 use netsim::ids::NodeId;
 use simcore::time::{SimDuration, SimTime};
 use std::fmt::Write as _;
@@ -216,15 +217,6 @@ fn finish(name: &str, fs: &mut CofsFs<MemFs>, out: &mut String) {
     writeln!(out, "{name} {:?}", fs.retry_stats()).unwrap();
 }
 
-fn stack(cfg: CofsConfig) -> CofsFs<MemFs> {
-    CofsFs::new(
-        MemFs::new(),
-        cfg,
-        MdsNetwork::uniform(SimDuration::from_micros(250)),
-        7,
-    )
-}
-
 fn hash4() -> CofsConfig {
     CofsConfig::default().with_shards(4, ShardPolicyKind::HashByParent)
 }
@@ -235,17 +227,7 @@ fn hash4() -> CofsConfig {
 const LATE: SimTime = SimTime::from_secs(1);
 
 fn stacks() -> Vec<(&'static str, CofsFs<MemFs>)> {
-    let late_shard = hash4().build_shard_policy().shard_of(&vpath("/late"));
-    let elastic = {
-        let mut cfg = CofsConfig::default().with_elastic(4);
-        cfg.elastic.split_threshold = 4;
-        cfg.elastic.merge_threshold = 1;
-        cfg.elastic.window = SimDuration::from_millis(2);
-        cfg.elastic.split_skew_pct = 0;
-        cfg.elastic.split_contrib_pct = 0;
-        cfg.elastic.headroom_pct = u64::MAX;
-        cfg
-    };
+    let late_shard = hash4().shard_policy.shard_of(&vpath("/late"));
     let crash = FaultPlan::default().crash(
         ShardId(0),
         SimTime::from_millis(6),
@@ -271,11 +253,11 @@ fn stacks() -> Vec<(&'static str, CofsFs<MemFs>)> {
         )
         .drop_messages(late_shard, LATE + SimDuration::from_millis(1), 2);
     vec![
-        ("a", stack(CofsConfig::default())),
-        ("b", stack(hash4().with_read_priority())),
+        ("a", cofs_over_memfs(CofsConfig::default())),
+        ("b", cofs_over_memfs(hash4().with_read_priority())),
         (
             "c",
-            stack(
+            cofs_over_memfs(
                 hash4()
                     .with_batching(16, SimDuration::from_millis(5), 4)
                     .with_read_memoization()
@@ -286,16 +268,16 @@ fn stacks() -> Vec<(&'static str, CofsFs<MemFs>)> {
         ),
         (
             "d",
-            stack(
+            cofs_over_memfs(
                 CofsConfig::default()
                     .with_shards(4, ShardPolicyKind::Subtree)
                     .with_batching(8, SimDuration::from_millis(1), 2),
             ),
         ),
-        ("e", stack(elastic)),
+        ("e", cofs_over_memfs(hair_trigger_elastic(4))),
         (
             "f",
-            stack(
+            cofs_over_memfs(
                 hash4()
                     .with_client_cache(256, SimDuration::from_millis(50))
                     .with_fault_plan(crash),
@@ -303,7 +285,7 @@ fn stacks() -> Vec<(&'static str, CofsFs<MemFs>)> {
         ),
         (
             "g",
-            stack(
+            cofs_over_memfs(
                 hash4()
                     .with_batching(4, SimDuration::from_millis(2), 2)
                     .with_write_behind()

@@ -11,8 +11,8 @@
 //! 3. Cross-shard rename/link pays an explicit two-phase cost, and
 //!    per-shard usage makes partition skew visible.
 
-use cofs::config::ShardPolicyKind;
-use cofs_tests::{cofs_over_gpfs, cofs_over_gpfs_sharded, cofs_over_memfs_sharded};
+use cofs::config::{CofsConfig, ShardPolicyKind};
+use cofs_tests::{cofs_over_gpfs, cofs_over_gpfs_sharded, cofs_over_memfs};
 use netsim::ids::NodeId;
 use vfs::fs::{FileSystem, OpCtx};
 use vfs::path::{vpath, VPath};
@@ -20,13 +20,18 @@ use vfs::types::Mode;
 use workloads::metarates::{run_phase, MetaOp, MetaratesConfig};
 use workloads::scenarios::SharedDirStorm;
 
+/// `shards` hash-by-parent shards (one shard is the centralized MDS).
+fn hashed(shards: usize) -> CofsConfig {
+    CofsConfig::default().with_shards(shards, ShardPolicyKind::HashByParent)
+}
+
 #[test]
 fn single_shard_is_bit_for_bit_the_centralized_mds() {
     let cfg = MetaratesConfig::new(4, 128);
     for op in [MetaOp::Create, MetaOp::Stat] {
         let legacy = run_phase(&mut cofs_over_gpfs(4), &cfg, op);
         let sharded = run_phase(
-            &mut cofs_over_gpfs_sharded(4, 1, ShardPolicyKind::Single),
+            &mut cofs_over_gpfs_sharded(4, 1, ShardPolicyKind::HashByParent),
             &cfg,
             op,
         );
@@ -56,7 +61,7 @@ fn storm_throughput_improves_monotonically_with_shards() {
     let mut prev_makespan = None;
     for shards in [1usize, 2, 4] {
         // A count of 1 degenerates to one hashed shard inside the config.
-        let mut fs = cofs_over_memfs_sharded(shards);
+        let mut fs = cofs_over_memfs(hashed(shards));
         let r = storm.run(&mut fs);
         if let Some(prev) = prev_makespan {
             assert!(
@@ -79,7 +84,7 @@ fn full_stack_storm_is_underlying_bound() {
         files_per_node: 8,
         ..SharedDirStorm::default()
     };
-    let mut one = cofs_over_gpfs_sharded(storm.nodes, 1, ShardPolicyKind::Single);
+    let mut one = cofs_over_gpfs_sharded(storm.nodes, 1, ShardPolicyKind::HashByParent);
     let mut four = cofs_over_gpfs_sharded(storm.nodes, 4, ShardPolicyKind::HashByParent);
     let r1 = storm.run(&mut one);
     let r4 = storm.run(&mut four);
@@ -106,7 +111,7 @@ fn two_cross_shard_dirs<F: FileSystem>(fs: &cofs::fs::CofsFs<F>) -> (VPath, VPat
 
 #[test]
 fn cross_shard_rename_and_link_pay_two_phase() {
-    let mut fs = cofs_over_memfs_sharded(2);
+    let mut fs = cofs_over_memfs(hashed(2));
     let ctx = OpCtx::test(NodeId(0));
     let (da, db) = two_cross_shard_dirs(&fs);
     fs.mkdir(&ctx, &da, Mode::dir_default()).unwrap();
@@ -140,7 +145,7 @@ fn cross_shard_rename_and_link_pay_two_phase() {
 fn rename_reroutes_open_handles_to_the_new_owner() {
     // A file renamed across shards while open must publish its size
     // (on close-after-write) to the shard that *now* owns it.
-    let mut fs = cofs_over_memfs_sharded(2);
+    let mut fs = cofs_over_memfs(hashed(2));
     let ctx = OpCtx::test(NodeId(0));
     let (da, db) = two_cross_shard_dirs(&fs);
     fs.mkdir(&ctx, &da, Mode::dir_default()).unwrap();
@@ -163,7 +168,7 @@ fn rename_reroutes_open_handles_to_the_new_owner() {
 
 #[test]
 fn a_single_hot_directory_skews_onto_one_shard() {
-    let mut fs = cofs_over_memfs_sharded(4);
+    let mut fs = cofs_over_memfs(hashed(4));
     let ctx = OpCtx::test(NodeId(0));
     fs.mkdir(&ctx, &vpath("/hot"), Mode::dir_default()).unwrap();
     fs.reset_time();
@@ -192,8 +197,8 @@ fn shard_count_changes_time_but_not_outcomes() {
         dirs: 8,
         ..SharedDirStorm::default()
     };
-    let mut one = cofs_over_memfs_sharded(1);
-    let mut four = cofs_over_memfs_sharded(4);
+    let mut one = cofs_over_memfs(hashed(1));
+    let mut four = cofs_over_memfs(hashed(4));
     let r1 = storm.run(&mut one);
     let r4 = storm.run(&mut four);
     assert!(r4.makespan < r1.makespan);

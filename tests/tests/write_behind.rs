@@ -15,6 +15,7 @@ use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind, WriteBehindConfig};
 use cofs::fs::CofsFs;
 use cofs::mds::{DbOps, ReadSet, WriteSet};
 use cofs::mds_cluster::{MdsCluster, Shape, ShardId, ShardPolicy};
+use cofs_tests::cofs_over_memfs;
 use netsim::ids::NodeId;
 use simcore::time::{SimDuration, SimTime};
 use vfs::memfs::MemFs;
@@ -32,7 +33,7 @@ fn stack(max_batch_ops: usize, write_behind: bool) -> CofsFs<MemFs> {
     if write_behind {
         cfg = cfg.with_write_behind();
     }
-    CofsFs::new(MemFs::new(), cfg, net(), 7)
+    cofs_over_memfs(cfg)
 }
 
 /// The bursty create storm of the scaling sweep's journal axis
@@ -66,7 +67,7 @@ fn journal_knobbed_but_off_is_bit_for_bit_the_seed_storm() {
         max_unapplied_ops: 1,
         max_unapplied_window: SimDuration::from_micros(1),
     };
-    let knobbed = storm.run(&mut CofsFs::new(MemFs::new(), cfg, net(), 7));
+    let knobbed = storm.run(&mut cofs_over_memfs(cfg));
     assert_eq!(seed.makespan, knobbed.makespan);
     assert_eq!(seed.mean_create_ms, knobbed.mean_create_ms);
     assert_eq!(seed.apply_tail_ms, knobbed.apply_tail_ms);
@@ -201,7 +202,7 @@ fn degenerate_durability_window_backpressures_but_completes() {
         .with_write_behind();
     cfg.write_behind.max_unapplied_ops = 2;
     cfg.write_behind.max_unapplied_window = SimDuration::from_micros(50);
-    let tight = storm.run(&mut CofsFs::new(MemFs::new(), cfg, net(), 7));
+    let tight = storm.run(&mut cofs_over_memfs(cfg));
     assert!(tight.makespan >= open.makespan);
     let appends: u64 = tight.per_shard.iter().map(|u| u.journal_appends).sum();
     assert!(appends > 0);
