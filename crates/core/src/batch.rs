@@ -51,7 +51,7 @@
 //!   synchronous in virtual time while only the durability path is
 //!   deferred.
 
-use crate::mds::{DbOps, ReadSet, RowKey, WriteSet};
+use crate::mds::{DbOps, RowSet};
 use crate::mds_cluster::ShardId;
 use netsim::ids::NodeId;
 use simcore::time::{SimDuration, SimTime};
@@ -70,9 +70,9 @@ pub struct BatchedOp {
     /// Rows read and written by the operation.
     pub db: DbOps,
     /// Keys of the ancestor-chain rows among `db.reads`.
-    pub read_set: ReadSet,
+    pub read_set: RowSet,
     /// Keys of the coalescable (shared-parent) rows among `db.writes`.
-    pub write_set: WriteSet,
+    pub write_set: RowSet,
 }
 
 impl BatchedOp {
@@ -81,8 +81,8 @@ impl BatchedOp {
     pub fn opaque(db: DbOps) -> Self {
         BatchedOp {
             db,
-            read_set: ReadSet::empty(),
-            write_set: WriteSet::empty(),
+            read_set: RowSet::empty(),
+            write_set: RowSet::empty(),
         }
     }
 }
@@ -115,12 +115,12 @@ pub struct CoalescedWrites {
 ///
 /// ```
 /// use cofs::batch::{coalesce_writes, BatchedOp};
-/// use cofs::mds::{DbOps, WriteSet};
+/// use cofs::mds::{DbOps, RowSet};
 /// use vfs::path::vpath;
 ///
 /// let creat = |name: &str| BatchedOp {
 ///     db: DbOps { reads: 2, writes: 3 },
-///     write_set: WriteSet::parent_row(&vpath(name)),
+///     write_set: RowSet::parent_row(&vpath(name)),
 ///     ..BatchedOp::default()
 /// };
 /// let batch = [creat("/shared/a"), creat("/shared/b"), creat("/shared/c")];
@@ -130,24 +130,12 @@ pub struct CoalescedWrites {
 /// assert_eq!(cw.rows_coalesced, 2);
 /// ```
 pub fn coalesce_writes(ops: &[BatchedOp]) -> CoalescedWrites {
-    let mut seen: Vec<RowKey> = Vec::new();
+    let mut seen = RowSet::empty();
     let mut writes_per_op = Vec::with_capacity(ops.len());
     let mut rows_coalesced = 0u64;
     for o in ops {
-        let dups = o
-            .write_set
-            .keys()
-            .iter()
-            .filter(|&&k| {
-                if seen.contains(&k) {
-                    true
-                } else {
-                    seen.push(k);
-                    false
-                }
-            })
-            .count() as u64;
-        // The WriteSet invariant (len <= db.writes) makes this
+        let dups = seen.merge(&o.write_set);
+        // The RowSet invariant (len <= db.writes) makes this
         // subtraction safe; min() keeps hand-built harness ops sane.
         let applied = o.db.writes - dups.min(o.db.writes);
         rows_coalesced += o.db.writes - applied;
@@ -615,6 +603,7 @@ impl BatchPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mds::RowKey;
 
     fn on(max_ops: usize, delay_us: u64, depth: usize) -> BatchPipeline {
         BatchPipeline::new(BatchConfig::enabled(
@@ -634,7 +623,7 @@ mod tests {
     fn keyed(writes: u64, keys: &[RowKey]) -> BatchedOp {
         BatchedOp {
             db: DbOps { reads: 0, writes },
-            write_set: WriteSet::from_keys(keys.iter().copied()),
+            write_set: RowSet::from_keys(keys.iter().copied()),
             ..BatchedOp::default()
         }
     }

@@ -12,7 +12,7 @@ use crate::batch::{BatchPipeline, BatchStats, BatchedOp};
 use crate::client_cache::{CacheStats, ClientCache, EntryKind, LeaseKey};
 use crate::config::{CofsConfig, MdsNetwork};
 use crate::fault::{FaultSummary, Nack, RetryStats};
-use crate::mds::{Cred, DbOps, Mds, ReadSet, WriteSet};
+use crate::mds::{Cred, DbOps, Mds, RowSet};
 use crate::mds_cluster::{MdsCluster, Shape, ShardId, ShardUsage};
 use crate::placement::{HashedPlacement, PlacementPolicy};
 use netsim::ids::NodeId;
@@ -388,22 +388,20 @@ impl<U: FileSystem> CofsFs<U> {
                     self.counters.bump("mds_two_phase");
                     (Shape::TwoPhase(sa, sb), t)
                 } else if self.batch.enabled() {
-                    let mut read_set = ReadSet::empty();
-                    if self.memoizing() {
-                        read_set = ReadSet::resolution_chain(a);
-                        if let Some(b) = b {
-                            read_set.merge(&ReadSet::resolution_chain(b));
+                    // Both names' rows, each shared row once, clamped to
+                    // the rows the op touched.
+                    let rows = |on: bool, of: fn(&VPath) -> RowSet, max: u64| {
+                        let mut set = RowSet::empty();
+                        if on {
+                            set = of(a);
+                            if let Some(b) = b {
+                                set.merge(&of(b));
+                            }
                         }
-                        read_set = read_set.truncated(ops.reads);
-                    }
-                    let mut write_set = WriteSet::empty();
-                    if self.write_behind() {
-                        write_set = WriteSet::parent_row(a);
-                        if let Some(b) = b {
-                            write_set.merge(&WriteSet::parent_row(b));
-                        }
-                        write_set = write_set.truncated(ops.writes);
-                    }
+                        set.truncated(max)
+                    };
+                    let read_set = rows(self.memoizing(), RowSet::resolution_chain, ops.reads);
+                    let write_set = rows(self.write_behind(), RowSet::parent_row, ops.writes);
                     self.counters.bump("mds_rpcs");
                     self.batch.enqueue(
                         node,
@@ -576,7 +574,6 @@ impl<U: FileSystem> CofsFs<U> {
                 // shard is down — exactly the availability a cache
                 // buys through a fault window (fenced leases were
                 // already invalidated at crash time).
-                self.counters.bump("cache_hits");
                 return Ok(t);
             }
             crate::client_cache::Lookup::Expired => {
@@ -589,7 +586,6 @@ impl<U: FileSystem> CofsFs<U> {
         }
         let done = self.charge(ctx.node, Target::Read { op, kind, path }, ops, t)?;
         if self.cache.enabled() {
-            self.counters.bump("cache_misses");
             if let Some(evicted) = self.cache.insert(ctx.node, kind, path.clone(), done) {
                 self.mds.release_lease(ctx.node, &evicted);
             }
@@ -620,7 +616,6 @@ impl<U: FileSystem> CofsFs<U> {
         let (done, dropped) = self.mds.recall_leases(&self.net, node, &keys(), t);
         let msgs = dropped.iter().filter(|(h, _)| *h != node).count() as u64;
         if msgs > 0 {
-            self.counters.add("lease_recalls", msgs);
             self.cache.note_recall_messages(msgs);
         }
         for (holder, (kind, path)) in &dropped {
@@ -744,7 +739,6 @@ impl<U: FileSystem> CofsFs<U> {
     /// Returns the listed directory's inode number; only `readdir` goes
     /// on to copy its names.
     fn list(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<u64> {
-        self.counters.bump("op_readdir");
         let t = self.fuse(ctx);
         let (dir, ops) = self
             .mds
@@ -772,7 +766,6 @@ impl<U: FileSystem> CofsFs<U> {
 
 impl<U: FileSystem> FileSystem for CofsFs<U> {
     fn mkdir(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<()> {
-        self.counters.bump("op_mkdir");
         let t = self.fuse(ctx);
         let t = self.gate(ctx.node, "mkdir", path, t)?;
         // Directories are pure metadata: one service transaction, no
@@ -787,7 +780,6 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn rmdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<()> {
-        self.counters.bump("op_rmdir");
         let t = self.fuse(ctx);
         let t = self.gate(ctx.node, "rmdir", path, t)?;
         let ops = self
@@ -808,7 +800,6 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn create(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<FileHandle> {
-        self.counters.bump("op_create");
         let t = self.fuse(ctx);
         let t = self.gate(ctx.node, "create", path, t)?;
         // Placement decides where the bits will really live.
@@ -853,7 +844,6 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn open(&mut self, ctx: &OpCtx, path: &VPath, flags: OpenFlags) -> FsResult<FileHandle> {
-        self.counters.bump("op_open");
         let t = self.fuse(ctx);
         let (rec, ops) = self.mds.namespace().lookup(Self::cred(ctx), path)?;
         // Virtual permission checks (the service stores the truth).
@@ -905,7 +895,6 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn close(&mut self, ctx: &OpCtx, fh: FileHandle) -> FsResult<()> {
-        self.counters.bump("op_close");
         let h = self
             .handles
             .remove(&fh.0)
@@ -934,7 +923,6 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn read(&mut self, ctx: &OpCtx, fh: FileHandle, offset: u64, len: u64) -> FsResult<u64> {
-        self.counters.bump("op_read");
         let h = self.handle(fh, "read")?.clone();
         if !h.flags.read {
             return Err(FsError::new(Errno::EBADF, "read", fh.to_string()));
@@ -953,7 +941,6 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn write(&mut self, ctx: &OpCtx, fh: FileHandle, offset: u64, len: u64) -> FsResult<u64> {
-        self.counters.bump("op_write");
         let h = self.handle(fh, "write")?.clone();
         if !h.flags.write && (h.under_fh.is_some() || h.lazy) {
             // `create` handles are RDWR; plain opens need the flag.
@@ -975,7 +962,6 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn stat(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<FileAttr> {
-        self.counters.bump("op_stat");
         let t = self.fuse(ctx);
         // Pure metadata: answered entirely from the service's tables.
         // No underlying-filesystem tokens are touched at all. With the
@@ -998,7 +984,6 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn setattr(&mut self, ctx: &OpCtx, path: &VPath, set: SetAttr) -> FsResult<FileAttr> {
-        self.counters.bump("op_setattr");
         let t = self.fuse(ctx);
         let t = self.gate(ctx.node, "setattr", path, t)?;
         let (rec, ops) = self
@@ -1022,7 +1007,6 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn unlink(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<()> {
-        self.counters.bump("op_unlink");
         let t = self.fuse(ctx);
         let t = self.gate(ctx.node, "unlink", path, t)?;
         let (gone, ops) = self
@@ -1046,7 +1030,6 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn rename(&mut self, ctx: &OpCtx, from: &VPath, to: &VPath) -> FsResult<()> {
-        self.counters.bump("op_rename");
         let t = self.fuse(ctx);
         // Both ends' shards must admit the rename before the namespace
         // changes (a cross-shard rename is a two-phase commit).
@@ -1095,7 +1078,6 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn link(&mut self, ctx: &OpCtx, existing: &VPath, new: &VPath) -> FsResult<()> {
-        self.counters.bump("op_link");
         let t = self.fuse(ctx);
         let t = self.gate(ctx.node, "link", existing, t)?;
         let t = self.gate(ctx.node, "link", new, t)?;
@@ -1120,7 +1102,6 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn symlink(&mut self, ctx: &OpCtx, target: &str, new: &VPath) -> FsResult<()> {
-        self.counters.bump("op_symlink");
         let t = self.fuse(ctx);
         let t = self.gate(ctx.node, "symlink", new, t)?;
         let ops = self
@@ -1133,7 +1114,6 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn readlink(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<String> {
-        self.counters.bump("op_readlink");
         let t = self.fuse(ctx);
         let (target, ops) = self.mds.namespace().readlink(Self::cred(ctx), path)?;
         let read = Target::Read {
@@ -1146,7 +1126,6 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn statfs(&mut self, ctx: &OpCtx) -> FsResult<FsStats> {
-        self.counters.bump("op_statfs");
         let t = self.fuse(ctx);
         let dctx = Self::daemon_ctx(ctx, t);
         let under = self.under.statfs(&dctx)?;
@@ -1562,7 +1541,7 @@ mod tests {
         let with_recall = fs.setattr(&b, &vpath("/f"), set).unwrap().end;
         assert_eq!(fs.mds_cluster().recall_count(), 1);
         assert!(fs.cache_stats().invalidations >= 2);
-        assert_eq!(fs.counters().get("lease_recalls"), 1);
+        assert_eq!(fs.cache_stats().recall_messages, 1);
         // The same chmod with nobody holding a lease costs exactly one
         // recall round trip less.
         fs.reset_time();

@@ -112,226 +112,146 @@ pub struct DbOps {
 }
 
 /// Stable identifier of one database row in the cost model's eyes —
-/// what per-batch read memoization dedupes on.
+/// what per-batch read memoization and write coalescing dedupe on.
 pub type RowKey = u64;
 
-/// The row keys of an operation's *memoizable* reads: the
-/// ancestor-chain inode and dentry rows its path resolution walks,
-/// which every other operation resolving through the same directories
-/// re-reads. A batch of creates into one directory resolves the same
-/// parent chain k times; carrying these keys lets the shard charge each
-/// distinct row once per batch ([`crate::mds_cluster::MdsCluster::request`]).
+/// The keys of the rows an operation shares with other operations in
+/// its batch. An op carries two sets: the *memoizable* rows its path
+/// resolution reads ([`Self::resolution_chain`]) and the *coalescable*
+/// row it writes ([`Self::parent_row`]). The shard charges each
+/// distinct read row once per batch
+/// ([`crate::mds_cluster::MdsCluster::request`]) and, under
+/// write-behind, applies each distinct written row once
+/// ([`crate::batch::coalesce_writes`]); both count repeats with
+/// [`Self::merge`].
 ///
 /// Keys identify rows for *pricing*, not for semantics: the unified
-/// namespace is still consulted synchronously for every operation.
-/// Invariant: a `ReadSet` never names more rows than its operation's
-/// [`DbOps::reads`] (op-private probes — the duplicate-name check, the
-/// final attribute read — carry no key and are always charged), and its
-/// keys are distinct, so a batch of one memoizes nothing.
-///
-/// # Examples
-///
-/// ```
-/// use cofs::mds::ReadSet;
-/// use vfs::path::vpath;
-///
-/// // Resolving /shared/out walks inode(/) and dentry(/shared):
-/// let rs = ReadSet::resolution_chain(&vpath("/shared/out"));
-/// assert_eq!(rs.len(), 2);
-/// // Siblings share the whole chain:
-/// assert_eq!(rs, ReadSet::resolution_chain(&vpath("/shared/log")));
-/// // A file in the root has no chain to share.
-/// assert!(ReadSet::resolution_chain(&vpath("/f")).is_empty());
-/// ```
+/// namespace is still consulted synchronously for every operation, so
+/// neither can change an outcome byte. Invariant: a set never names
+/// more rows than its operation's matching [`DbOps`] count
+/// (op-private rows — the duplicate-name probe, the final attribute
+/// read, the child inode, the new dentry — carry no key and are always
+/// charged), and its keys are distinct, so a batch of one memoizes and
+/// coalesces nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReadSet {
+pub struct RowSet {
     keys: Vec<RowKey>,
 }
 
-impl ReadSet {
-    /// A read set naming no memoizable rows (every read is charged).
+impl RowSet {
+    /// A set naming no rows (every read charged, every write applied).
     pub fn empty() -> Self {
-        ReadSet::default()
+        RowSet::default()
     }
 
-    /// A read set over explicit keys (harnesses and property tests);
+    /// A set over explicit keys (harnesses and property tests);
     /// duplicates are dropped, preserving first-occurrence order, so
     /// the distinct-keys invariant holds however the keys were drawn.
     pub fn from_keys(keys: impl IntoIterator<Item = RowKey>) -> Self {
-        let mut out = ReadSet::default();
+        let mut out = RowSet::default();
         for k in keys {
             out.push_unique(k);
         }
         out
     }
 
-    /// Appends `key` unless already present — the single home of the
-    /// distinct-keys invariant (chains are a handful of rows, so the
-    /// linear scan beats hashing).
-    fn push_unique(&mut self, key: RowKey) {
-        if !self.keys.contains(&key) {
+    /// Appends `key` unless already present and returns whether it was
+    /// new — the single home of the distinct-keys invariant (sets are a
+    /// handful of rows, so the linear scan beats hashing).
+    fn push_unique(&mut self, key: RowKey) -> bool {
+        let new = !self.keys.contains(&key);
+        if new {
             self.keys.push(key);
         }
+        new
     }
 
     /// The ancestor-chain rows read while resolving the *parent* of
     /// `path` — exactly the rows the service's path resolution touches
-    /// before the final component: the inode of each directory the walk passes
-    /// through and the dentry of each component it follows. These are
-    /// the rows shared by every mutation under the same parent.
+    /// before the final component: the inode of each directory the walk
+    /// passes through and the dentry of each component it follows.
+    /// Every mutation under the same parent re-reads them.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cofs::mds::RowSet;
+    /// use vfs::path::vpath;
+    ///
+    /// // Resolving /shared/out walks inode(/) and dentry(/shared):
+    /// let rs = RowSet::resolution_chain(&vpath("/shared/out"));
+    /// assert_eq!(rs.len(), 2);
+    /// // Siblings share the whole chain:
+    /// assert_eq!(rs, RowSet::resolution_chain(&vpath("/shared/log")));
+    /// // A file in the root has no chain to share.
+    /// assert!(RowSet::resolution_chain(&vpath("/f")).is_empty());
+    /// ```
     pub fn resolution_chain(path: &VPath) -> Self {
         let mut keys = Vec::new();
         if let Some(parent) = path.parent_str() {
             for (dir, _, rest) in walk(parent) {
-                keys.push(Self::inode_key(dir));
-                keys.push(Self::dentry_key(&parent[..parent.len() - rest.len()]));
+                keys.push(stable_hash_combine(1, stable_hash(dir.as_bytes())));
+                let followed = &parent[..parent.len() - rest.len()];
+                keys.push(stable_hash_combine(2, stable_hash(followed.as_bytes())));
             }
         }
-        ReadSet { keys }
-    }
-
-    /// Key of a directory's inode row.
-    fn inode_key(dir: &str) -> RowKey {
-        stable_hash_combine(1, stable_hash(dir.as_bytes()))
-    }
-
-    /// Key of the dentry row resolving the last component of `path`.
-    fn dentry_key(path: &str) -> RowKey {
-        stable_hash_combine(2, stable_hash(path.as_bytes()))
-    }
-
-    /// Merges another chain in, skipping keys already present (rename
-    /// and link resolve two chains whose prefixes overlap; each shared
-    /// row must appear once so a batch of one still memoizes nothing).
-    pub fn merge(&mut self, other: &ReadSet) {
-        for &k in &other.keys {
-            self.push_unique(k);
-        }
-    }
-
-    /// Keeps at most the first `max` keys — the chain rows are the
-    /// *first* reads a resolution performs, so clamping to the op's
-    /// actual read count preserves the `len() <= reads` invariant for
-    /// operations that short-circuit (e.g. pure size publication reads
-    /// nothing).
-    pub fn truncated(mut self, max: u64) -> Self {
-        self.keys.truncate(max as usize);
-        self
-    }
-
-    /// The row keys, in resolution order.
-    pub fn keys(&self) -> &[RowKey] {
-        &self.keys
-    }
-
-    /// Number of memoizable rows named.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when no rows are named.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-}
-
-/// The row keys of an operation's *coalescable* writes: rows that
-/// sibling mutations in the same batch also write and that the
-/// write-behind journal can fold into one application per batch. Today
-/// that is exactly the parent directory's inode row — every create,
-/// unlink, or rename under a directory touches the parent's
-/// entry-count/mtime row, so a 16-create burst into one directory
-/// writes it 16 times where once suffices
-/// ([`crate::batch::coalesce_writes`]).
-///
-/// Like [`ReadSet`], keys identify rows for *pricing* only: semantics
-/// always come from the unified namespace, so coalescing can never
-/// change an outcome byte. Invariant: a `WriteSet` never names more
-/// rows than its operation's [`DbOps::writes`] (op-private rows — the
-/// child inode, the new dentry — carry no key and are always applied),
-/// and its keys are distinct.
-///
-/// # Examples
-///
-/// ```
-/// use cofs::mds::WriteSet;
-/// use vfs::path::vpath;
-///
-/// // Sibling creates share their parent row:
-/// let a = WriteSet::parent_row(&vpath("/shared/out"));
-/// let b = WriteSet::parent_row(&vpath("/shared/log"));
-/// assert_eq!(a, b);
-/// assert_eq!(a.len(), 1);
-/// // Different parents do not:
-/// assert_ne!(a, WriteSet::parent_row(&vpath("/other/out")));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WriteSet {
-    keys: Vec<RowKey>,
-}
-
-impl WriteSet {
-    /// A write set naming no coalescable rows (every write is applied).
-    pub fn empty() -> Self {
-        WriteSet::default()
-    }
-
-    /// A write set over explicit keys (harnesses and property tests);
-    /// duplicates are dropped, preserving first-occurrence order.
-    pub fn from_keys(keys: impl IntoIterator<Item = RowKey>) -> Self {
-        let mut out = WriteSet::default();
-        for k in keys {
-            out.push_unique(k);
-        }
-        out
-    }
-
-    /// Appends `key` unless already present (same rationale as
-    /// [`ReadSet::push_unique`]: sets are tiny, linear scan wins).
-    fn push_unique(&mut self, key: RowKey) {
-        if !self.keys.contains(&key) {
-            self.keys.push(key);
-        }
+        RowSet { keys }
     }
 
     /// The parent directory's inode row of `path` — the row
     /// `touch_parent` updates on every mutation beneath it, and the one
     /// row sibling mutations share. Empty for the root itself (no
-    /// parent to touch). Distinct from [`ReadSet`]'s inode keys (tag 3
-    /// vs. 1): reading a directory's inode and rewriting its
-    /// entry-count are different kinds of row work and must never
+    /// parent to touch). Tagged apart from the chain's inode keys (3
+    /// vs. 1): reading a directory's inode and rewriting its entry
+    /// count are different kinds of row work and must never
     /// memoize/coalesce across each other.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cofs::mds::RowSet;
+    /// use vfs::path::vpath;
+    ///
+    /// // Sibling creates share their parent row:
+    /// let a = RowSet::parent_row(&vpath("/shared/out"));
+    /// let b = RowSet::parent_row(&vpath("/shared/log"));
+    /// assert_eq!(a, b);
+    /// assert_eq!(a.len(), 1);
+    /// // Different parents do not:
+    /// assert_ne!(a, RowSet::parent_row(&vpath("/other/out")));
+    /// ```
     pub fn parent_row(path: &VPath) -> Self {
-        let mut out = WriteSet::default();
-        if let Some(parent) = path.parent_str() {
-            out.push_unique(stable_hash_combine(3, stable_hash(parent.as_bytes())));
-        }
-        out
-    }
-
-    /// Merges another write set in, skipping keys already present
-    /// (rename touches two parent rows; a same-directory rename touches
-    /// one, which must appear once).
-    pub fn merge(&mut self, other: &WriteSet) {
-        for &k in &other.keys {
-            self.push_unique(k);
+        let key = |parent: &str| stable_hash_combine(3, stable_hash(parent.as_bytes()));
+        RowSet {
+            keys: path.parent_str().map(key).into_iter().collect(),
         }
     }
 
-    /// Keeps at most the first `max` keys, preserving the
-    /// `len() <= writes` invariant for operations that short-circuit
-    /// before touching their parent.
+    /// Merges `other` in, skipping keys already present, and returns
+    /// how many of its keys were — the one repeat count behind read
+    /// memoization and write coalescing: merging a batch's sets into an
+    /// empty one in batch order counts, per op, the keys an earlier op
+    /// already named. Rename and link merge two sets whose rows overlap;
+    /// each shared row appears once.
+    pub fn merge(&mut self, other: &RowSet) -> u64 {
+        other.keys.iter().filter(|&&k| !self.push_unique(k)).count() as u64
+    }
+
+    /// Keeps at most the first `max` keys — chain rows are the *first*
+    /// reads a resolution performs, so clamping to the op's actual row
+    /// count preserves the invariant for operations that short-circuit
+    /// (e.g. pure size publication reads nothing).
     pub fn truncated(mut self, max: u64) -> Self {
         self.keys.truncate(max as usize);
         self
     }
 
-    /// The row keys, in write order.
+    /// The row keys, in resolution (or write) order.
     pub fn keys(&self) -> &[RowKey] {
         &self.keys
     }
 
-    /// Number of coalescable rows named.
+    /// Number of rows named.
     pub fn len(&self) -> usize {
         self.keys.len()
     }
@@ -1411,7 +1331,7 @@ mod tests {
                 t(2),
             )
             .unwrap();
-        let chain = ReadSet::resolution_chain(&vpath("/a/b/f"));
+        let chain = RowSet::resolution_chain(&vpath("/a/b/f"));
         assert_eq!(chain.len(), 4);
         assert!((chain.len() as u64) < ops.reads, "{ops:?}");
         // Distinct keys, shared bit-for-bit by a sibling.
@@ -1419,17 +1339,17 @@ mod tests {
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), chain.len());
-        assert_eq!(chain, ReadSet::resolution_chain(&vpath("/a/b/g")));
+        assert_eq!(chain, RowSet::resolution_chain(&vpath("/a/b/g")));
         // A different directory shares only the common prefix rows.
-        let other = ReadSet::resolution_chain(&vpath("/a/c/f"));
+        let other = RowSet::resolution_chain(&vpath("/a/c/f"));
         let shared = other.keys().iter().filter(|k| chain.keys().contains(k));
         assert_eq!(shared.count(), 3, "inode(/), dent(/a), inode(/a)");
     }
 
     #[test]
     fn read_set_merge_dedupes_and_truncate_clamps() {
-        let mut a = ReadSet::resolution_chain(&vpath("/a/b/f"));
-        let b = ReadSet::resolution_chain(&vpath("/a/c/f"));
+        let mut a = RowSet::resolution_chain(&vpath("/a/b/f"));
+        let b = RowSet::resolution_chain(&vpath("/a/c/f"));
         let before = a.len();
         a.merge(&b);
         // 4 + 4 keys, 3 shared → 5 distinct.
@@ -1438,8 +1358,8 @@ mod tests {
         assert_eq!(a.len(), before + 1, "merging twice adds nothing");
         assert_eq!(a.clone().truncated(2).len(), 2);
         assert_eq!(a.clone().truncated(0).len(), 0);
-        assert!(ReadSet::empty().is_empty());
-        assert!(ReadSet::resolution_chain(&VPath::root()).is_empty());
+        assert!(RowSet::empty().is_empty());
+        assert!(RowSet::resolution_chain(&VPath::root()).is_empty());
     }
 
     #[test]
@@ -1458,33 +1378,33 @@ mod tests {
                 t(2),
             )
             .unwrap();
-        let ws = WriteSet::parent_row(&vpath("/a/f"));
+        let ws = RowSet::parent_row(&vpath("/a/f"));
         assert_eq!(ws.len(), 1);
         assert!((ws.len() as u64) < ops.writes, "{ops:?}");
         // Siblings share the row; cousins do not; the root has none.
-        assert_eq!(ws, WriteSet::parent_row(&vpath("/a/g")));
-        assert_ne!(ws, WriteSet::parent_row(&vpath("/f")));
-        assert!(WriteSet::parent_row(&VPath::root()).is_empty());
+        assert_eq!(ws, RowSet::parent_row(&vpath("/a/g")));
+        assert_ne!(ws, RowSet::parent_row(&vpath("/f")));
+        assert!(RowSet::parent_row(&VPath::root()).is_empty());
         // Write keys never collide with read keys for the same
         // directory (distinct tag spaces).
-        let rs = ReadSet::resolution_chain(&vpath("/a/f"));
+        let rs = RowSet::resolution_chain(&vpath("/a/f"));
         assert!(ws.keys().iter().all(|k| !rs.keys().contains(k)));
     }
 
     #[test]
     fn write_set_merge_dedupes_and_truncate_clamps() {
         // Cross-directory rename touches two parent rows...
-        let mut ws = WriteSet::parent_row(&vpath("/a/f"));
-        ws.merge(&WriteSet::parent_row(&vpath("/b/f")));
+        let mut ws = RowSet::parent_row(&vpath("/a/f"));
+        ws.merge(&RowSet::parent_row(&vpath("/b/f")));
         assert_eq!(ws.len(), 2);
         // ...while a same-directory rename touches one, once.
-        let mut same = WriteSet::parent_row(&vpath("/a/f"));
-        same.merge(&WriteSet::parent_row(&vpath("/a/g")));
+        let mut same = RowSet::parent_row(&vpath("/a/f"));
+        same.merge(&RowSet::parent_row(&vpath("/a/g")));
         assert_eq!(same.len(), 1);
         assert_eq!(ws.clone().truncated(1).len(), 1);
         assert_eq!(ws.truncated(0).len(), 0);
-        assert!(WriteSet::empty().is_empty());
-        assert_eq!(WriteSet::from_keys([7, 7, 9]).len(), 2);
+        assert!(RowSet::empty().is_empty());
+        assert_eq!(RowSet::from_keys([7, 7, 9]).len(), 2);
     }
 
     #[test]

@@ -30,11 +30,11 @@ use crate::client_cache::{EntryKind, LeaseKey};
 use crate::config::{CofsConfig, MdsNetwork, WriteBehindConfig};
 use crate::elastic::ElasticPolicy;
 use crate::fault::{FaultPlan, FaultStats, MessageDrop, Nack, ShardCrash, ShardPartition};
-use crate::mds::{DbOps, Mds, RowKey};
+use crate::mds::{DbOps, Mds, RowSet};
 use metadb::cost::DbCostTracker;
 use netsim::ids::NodeId;
 use simcore::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use vfs::path::VPath;
 
 /// How often (virtual time) the cluster prunes expired entries from its
@@ -202,7 +202,7 @@ pub(crate) fn hash_shard(dir: &str, shards: usize) -> ShardId {
 
 /// Per-shard load observed since the last reset (for scenario reports
 /// and skew diagnostics).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardUsage {
     /// Which shard.
     pub shard: usize,
@@ -334,34 +334,19 @@ struct FaultState {
 struct Shard {
     cpu: TwoLaneResource,
     tracker: DbCostTracker,
-    rpcs: u64,
-    two_phase: u64,
-    recalls: u64,
-    batches: u64,
-    rows_coalesced: u64,
-    apply_lag: SimDuration,
+    /// The shard's load counters. The figures the CPU and the tracker
+    /// own (`busy`, `mean_wait`, `read_bypasses`, `reads_charged`,
+    /// `reads_memoized`, `journal_appends`) stay zero here;
+    /// [`MdsCluster::usage`] fills them in.
+    usage: ShardUsage,
     unapplied: Vec<UnappliedEntry>,
-    splits: u64,
-    merges: u64,
-    migrations: u64,
     /// Fencing epoch: bumps on every crash; stale holders (leases,
     /// in-flight rebalances) compare epochs and abort.
     epoch: u64,
     windows: Vec<FaultWindow>,
-    crashes: u64,
-    nacks: u64,
-    drops_hit: u64,
-    replayed_ops: u64,
-    lost_acked_ops: u64,
-    downtime: SimDuration,
-    recovery_busy: SimDuration,
     /// Journal appends shipped to the hot standby and not yet settled
     /// by a crash (standby mode only; empty otherwise).
     ship_tail: Vec<ShipEntry>,
-    promotions: u64,
-    lag_replayed_rows: u64,
-    partition_nacks: u64,
-    admission_defers: u64,
     /// Post-recovery admission gate; `None` until a crash resumes with
     /// admission control enabled.
     admission: Option<ShardAdmission>,
@@ -372,30 +357,14 @@ impl Shard {
         Shard {
             cpu: TwoLaneResource::new(format!("cofs-mds-{idx}")),
             tracker: DbCostTracker::new(),
-            rpcs: 0,
-            two_phase: 0,
-            recalls: 0,
-            batches: 0,
-            rows_coalesced: 0,
-            apply_lag: SimDuration::ZERO,
+            usage: ShardUsage {
+                shard: idx,
+                ..ShardUsage::default()
+            },
             unapplied: Vec::new(),
-            splits: 0,
-            merges: 0,
-            migrations: 0,
             epoch: 1,
             windows: Vec::new(),
-            crashes: 0,
-            nacks: 0,
-            drops_hit: 0,
-            replayed_ops: 0,
-            lost_acked_ops: 0,
-            downtime: SimDuration::ZERO,
-            recovery_busy: SimDuration::ZERO,
             ship_tail: Vec::new(),
-            promotions: 0,
-            lag_replayed_rows: 0,
-            partition_nacks: 0,
-            admission_defers: 0,
             admission: None,
         }
     }
@@ -456,7 +425,7 @@ impl Shard {
     ///
     /// With [`crate::batch::BatchConfig::memoize_reads`] on, reads are
     /// priced by the request's *deduplicated* read set: each distinct
-    /// row key in the ops' [`crate::mds::ReadSet`]s is charged once
+    /// row key in the ops' [`BatchedOp::read_set`]s is charged once
     /// ([`DbCostTracker::query_cost_dedup`]) — a batch of creates into
     /// one directory resolves the shared parent chain once instead of k
     /// times. Keyless reads (op-private probes) are always charged, and
@@ -477,25 +446,17 @@ impl Shard {
         arrive: SimTime,
         ship_to_standby: bool,
     ) -> SimTime {
-        self.rpcs += ops.len() as u64;
+        self.usage.rpcs += ops.len() as u64;
         let total_writes: u64 = ops.iter().map(|o| o.db.writes).sum();
         let memoize = cfg.batch.memoize_reads;
-        let mut seen: HashSet<RowKey> = HashSet::new();
+        let mut seen = RowSet::empty();
         let mut service = cfg.mds_service;
         for o in ops {
-            let memoized = if memoize {
-                o.read_set
-                    .keys()
-                    .iter()
-                    .filter(|&&k| !seen.insert(k))
-                    .count() as u64
-            } else {
-                0
-            };
+            let memoized = if memoize { seen.merge(&o.read_set) } else { 0 };
             service += self.tracker.query_cost_dedup(&cfg.db, o.db.reads, memoized);
         }
         if let Shape::Batch(_) = shape {
-            self.batches += 1;
+            self.usage.batches += 1;
             if cfg.write_behind.enabled && total_writes > 0 {
                 return self.write_behind(cfg, ops, arrive, service, total_writes, ship_to_standby);
             }
@@ -538,7 +499,7 @@ impl Shard {
         let service = service + self.tracker.journal_append_cost(&cfg.db, total_writes);
         let acked = self.cpu.acquire(arrive, service).end;
         let cw = coalesce_writes(ops);
-        self.rows_coalesced += cw.rows_coalesced;
+        self.usage.rows_coalesced += cw.rows_coalesced;
         let applied: Vec<u64> = cw.writes_per_op.into_iter().filter(|&w| w > 0).collect();
         let apply_done = if applied.is_empty() {
             acked
@@ -546,7 +507,7 @@ impl Shard {
             let apply_service = self.tracker.group_txn_cost(&cfg.db, &applied);
             self.cpu.acquire(acked, apply_service).end
         };
-        self.apply_lag = self.apply_lag.max(apply_done - acked);
+        self.usage.apply_lag = self.usage.apply_lag.max(apply_done - acked);
         let rows: u64 = applied.iter().sum();
         self.unapplied.push(UnappliedEntry {
             acked,
@@ -576,7 +537,7 @@ impl Shard {
     /// prepare is served as a one-op request carrying this shard's half
     /// of the row work.
     fn prepare(&mut self, cfg: &CofsConfig, shape: Shape, db: DbOps, arrive: SimTime) -> SimTime {
-        self.two_phase += 1;
+        self.usage.two_phase += 1;
         self.serve(cfg, shape, &[BatchedOp::opaque(db)], arrive, false)
     }
 }
@@ -657,13 +618,9 @@ pub struct MdsCluster {
     /// `(holder, key)` pairs fenced by crashes and not yet drained by
     /// the client side ([`Self::take_fenced_cache_keys`]).
     fenced_pending: Vec<(NodeId, LeaseKey)>,
-    /// Leases fenced by crashes since the last [`Self::reset_time`].
-    fenced_leases: u64,
-    /// Sessions evicted by crashes since the last [`Self::reset_time`].
-    fenced_sessions: u64,
-    /// Elastic rebalances aborted by crash windows since the last
-    /// [`Self::reset_time`].
-    elastic_aborts: u64,
+    /// Fault and recovery accounting since the last
+    /// [`Self::reset_time`], counted where each event happens.
+    fault_stats: FaultStats,
 }
 
 impl MdsCluster {
@@ -682,9 +639,7 @@ impl MdsCluster {
             leases_swept: 0,
             faults: None,
             fenced_pending: Vec::new(),
-            fenced_leases: 0,
-            fenced_sessions: 0,
-            elastic_aborts: 0,
+            fault_stats: FaultStats::default(),
         }
     }
 
@@ -936,7 +891,7 @@ impl MdsCluster {
             } else {
                 None
             };
-            self.shards[shard.0].nacks += 1;
+            self.fault_stats.nacks += 1;
             return Err(Nack {
                 shard,
                 at: reply_at,
@@ -944,9 +899,8 @@ impl MdsCluster {
             });
         }
         if self.is_isolated(shard, arrive) {
-            let s = &mut self.shards[shard.0];
-            s.nacks += 1;
-            s.partition_nacks += 1;
+            self.fault_stats.nacks += 1;
+            self.fault_stats.partition_nacks += 1;
             return Err(Nack {
                 shard,
                 at: reply_at,
@@ -961,9 +915,8 @@ impl MdsCluster {
                             adm.admitted.insert(node);
                         }
                         Admit::RetryAt(after) => {
-                            let s = &mut self.shards[shard.0];
-                            s.nacks += 1;
-                            s.admission_defers += 1;
+                            self.fault_stats.nacks += 1;
+                            self.fault_stats.admission_defers += 1;
                             return Err(Nack {
                                 shard,
                                 at: reply_at,
@@ -1026,10 +979,10 @@ impl MdsCluster {
             .windows
             .last()
             .map_or(crash.at, |w| crash.at.max(w.resume_at));
-        self.shards[shard.0].crashes += 1;
+        self.fault_stats.crashes += 1;
         self.shards[shard.0].epoch += 1;
         let evicted = std::mem::take(&mut self.sessions[shard.0]);
-        self.fenced_sessions += evicted.iter().filter(|&&open| open).count() as u64;
+        self.fault_stats.fenced_sessions += evicted.iter().filter(|&&open| open).count() as u64;
         // Fence every lease this shard granted: the key routes to the
         // crashed shard, so its holders can no longer trust their grant
         // and must revalidate. BTreeMap iteration keeps the order
@@ -1053,7 +1006,7 @@ impl MdsCluster {
             let mut holder_list: Vec<NodeId> = holders.into_keys().collect();
             holder_list.sort();
             for holder in holder_list {
-                self.fenced_leases += 1;
+                self.fault_stats.fenced_leases += 1;
                 self.fenced_pending.push((holder, key.clone()));
             }
         }
@@ -1111,15 +1064,16 @@ impl MdsCluster {
             service += s.tracker.group_txn_cost(&cfg.db, &replay_rows);
         }
         let resume_at = s.cpu.acquire(restart_at, service).end;
-        s.recovery_busy += service;
-        s.replayed_ops += replay_ops;
+        let f = &mut self.fault_stats;
+        f.recovery_busy += service;
+        f.replayed_ops += replay_ops;
         if promote {
-            s.promotions += 1;
-            s.lag_replayed_rows += replay_rows.iter().sum::<u64>();
+            f.promotions += 1;
+            f.lag_replayed_rows += replay_rows.iter().sum::<u64>();
             // Every batch acked by the crash is either on the standby
             // (fully shipped, applied there) or replayed from the
             // durable journal tail — the canary stays structural.
-            s.lost_acked_ops += acked_at_crash - covered_ops - replay_ops;
+            f.lost_acked_ops += acked_at_crash - covered_ops - replay_ops;
             // Batches acked by this crash are settled: shipped ones
             // live on the new primary, the lag suffix was just
             // replayed, and the next standby bootstraps from the full
@@ -1129,17 +1083,17 @@ impl MdsCluster {
             // Canary for the bench gate: the replay set is exactly the
             // acked-but-unapplied window, so nothing journal-acked is
             // lost.
-            s.lost_acked_ops += acked_at_crash - replay_ops;
+            f.lost_acked_ops += acked_at_crash - replay_ops;
         }
-        let mut max_lag = s.apply_lag;
+        f.downtime += resume_at - at;
+        let mut max_lag = s.usage.apply_lag;
         for e in s.unapplied.iter_mut() {
             if e.acked <= at && e.apply_done > at {
                 e.apply_done = resume_at;
                 max_lag = max_lag.max(resume_at - e.acked);
             }
         }
-        s.apply_lag = max_lag;
-        s.downtime += resume_at - at;
+        s.usage.apply_lag = max_lag;
         s.windows.push(FaultWindow {
             crashed_at: at,
             resume_at,
@@ -1200,7 +1154,7 @@ impl MdsCluster {
         }
         self.advance_faults(cfg, t);
         if self.consume_drop(shard, t) {
-            self.shards[shard.0].drops_hit += 1;
+            self.fault_stats.drops += 1;
             return Err(Nack {
                 shard,
                 at: t + cfg.retry.timeout,
@@ -1220,29 +1174,10 @@ impl MdsCluster {
         std::mem::take(&mut self.fenced_pending)
     }
 
-    /// Aggregated fault/recovery accounting since the last
+    /// Fault/recovery accounting over all shards since the last
     /// [`Self::reset_time`].
     pub fn fault_stats(&self) -> FaultStats {
-        let mut f = FaultStats {
-            fenced_leases: self.fenced_leases,
-            fenced_sessions: self.fenced_sessions,
-            elastic_aborts: self.elastic_aborts,
-            ..FaultStats::default()
-        };
-        for s in &self.shards {
-            f.crashes += s.crashes;
-            f.nacks += s.nacks;
-            f.drops += s.drops_hit;
-            f.replayed_ops += s.replayed_ops;
-            f.lost_acked_ops += s.lost_acked_ops;
-            f.promotions += s.promotions;
-            f.lag_replayed_rows += s.lag_replayed_rows;
-            f.admission_defers += s.admission_defers;
-            f.partition_nacks += s.partition_nacks;
-            f.downtime += s.downtime;
-            f.recovery_busy += s.recovery_busy;
-        }
-        f
+        self.fault_stats
     }
 
     // ---- elastic load observation ------------------------------------
@@ -1281,7 +1216,7 @@ impl MdsCluster {
             let blocked = (0..self.shards.len())
                 .any(|i| self.shards[i].epoch != pre[i] || self.is_down(ShardId(i), t));
             if blocked {
-                self.elastic_aborts += 1;
+                self.fault_stats.elastic_aborts += 1;
                 return;
             }
         }
@@ -1290,7 +1225,7 @@ impl MdsCluster {
         // per-op service time — database work rides on top of the base
         // RPC service charge, so `mds_service` alone would
         // underestimate a directory's busy contribution several-fold.
-        let rpcs: u64 = self.shards.iter().map(|s| s.rpcs).sum();
+        let rpcs: u64 = self.shards.iter().map(|s| s.usage.rpcs).sum();
         let service = if rpcs > 0 {
             let busy = loads.iter().fold(SimDuration::ZERO, |acc, &b| acc + b);
             (busy / rpcs).max(cfg.mds_service)
@@ -1304,14 +1239,14 @@ impl MdsCluster {
         let event = p.rebalance(dir, t, &loads, service, entries);
         if let Some(ev) = event {
             match ev.kind {
-                crate::elastic::ElasticEventKind::Split => self.shards[ev.home.0].splits += 1,
-                crate::elastic::ElasticEventKind::Merge => self.shards[ev.home.0].merges += 1,
+                crate::elastic::ElasticEventKind::Split => self.shards[ev.home.0].usage.splits += 1,
+                crate::elastic::ElasticEventKind::Merge => self.shards[ev.home.0].usage.merges += 1,
             }
             for tr in &ev.transfers {
                 // Source side: scan the moving dentry rows.
                 let read_done = {
                     let s = &mut self.shards[tr.from.0];
-                    s.migrations += 1;
+                    s.usage.migrations += 1;
                     let service = cfg.mds_service + s.tracker.query_cost_dedup(&cfg.db, tr.rows, 0);
                     s.cpu.acquire(t, service).end
                 };
@@ -1321,7 +1256,7 @@ impl MdsCluster {
                 // `rows` writes pays.
                 let arrive = read_done + cfg.cross_shard_rtt / 2;
                 let s = &mut self.shards[tr.to.0];
-                s.migrations += 1;
+                s.usage.migrations += 1;
                 let service = cfg.mds_service
                     + s.tracker.journal_append_cost(&cfg.db, tr.rows)
                     + s.tracker.group_txn_cost(&cfg.db, &[tr.rows]);
@@ -1405,7 +1340,7 @@ impl MdsCluster {
                     }
                     continue;
                 }
-                self.shards[shard.0].recalls += 1;
+                self.shards[shard.0].usage.recalls += 1;
                 done = done.max(t + net.shard_rtt(holder, shard));
                 dropped.push((holder, key.clone()));
             }
@@ -1416,7 +1351,7 @@ impl MdsCluster {
     /// Total recall messages sent by all shards since the last
     /// [`Self::reset_time`].
     pub fn recall_count(&self) -> u64 {
-        self.shards.iter().map(|s| s.recalls).sum()
+        self.shards.iter().map(|s| s.usage.recalls).sum()
     }
 
     /// Runs the periodic lease-registry sweep when
@@ -1470,24 +1405,14 @@ impl MdsCluster {
     pub fn usage(&self) -> Vec<ShardUsage> {
         self.shards
             .iter()
-            .enumerate()
-            .map(|(i, s)| ShardUsage {
-                shard: i,
-                rpcs: s.rpcs,
+            .map(|s| ShardUsage {
                 busy: s.cpu.busy_time(),
                 mean_wait: s.cpu.mean_wait(),
-                two_phase: s.two_phase,
-                recalls: s.recalls,
-                batches: s.batches,
+                read_bypasses: s.cpu.priority_bypasses(),
                 reads_charged: s.tracker.reads_charged(),
                 reads_memoized: s.tracker.reads_memoized(),
-                read_bypasses: s.cpu.priority_bypasses(),
                 journal_appends: s.tracker.journal_appends(),
-                rows_coalesced: s.rows_coalesced,
-                apply_lag: s.apply_lag,
-                splits: s.splits,
-                merges: s.merges,
-                migrations: s.migrations,
+                ..s.usage.clone()
             })
             .collect()
     }
@@ -1534,9 +1459,7 @@ impl MdsCluster {
         // The fault script is anchored in virtual time: re-arm it so
         // plans written against the measured phase replay from zero.
         self.fenced_pending.clear();
-        self.fenced_leases = 0;
-        self.fenced_sessions = 0;
-        self.elastic_aborts = 0;
+        self.fault_stats = FaultStats::default();
         if let Some(f) = self.faults.as_mut() {
             f.next_crash = 0;
             for (_, taken) in f.drops.iter_mut() {
@@ -1555,6 +1478,8 @@ impl MdsCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mds::RowKey;
+    use std::collections::HashSet;
     use vfs::path::vpath;
 
     fn cfg() -> CofsConfig {
@@ -1876,7 +1801,7 @@ mod tests {
 
     #[test]
     fn memoized_batch_charges_each_distinct_row_once() {
-        use crate::mds::ReadSet;
+        use crate::mds::RowSet;
 
         let c = cfg();
         let memo_cfg = CofsConfig {
@@ -1887,7 +1812,7 @@ mod tests {
         let n = net();
         // Four creates into the same parent: each reads the 2-row chain
         // of /d plus 3 private rows (5 reads total, 2 keyed).
-        let chain = ReadSet::resolution_chain(&vpath("/d/f"));
+        let chain = RowSet::resolution_chain(&vpath("/d/f"));
         assert_eq!(chain.len(), 2);
         let op = BatchedOp {
             db: DbOps {
@@ -1968,7 +1893,7 @@ mod tests {
                 reads: 2,
                 writes: 3,
             },
-            write_set: crate::mds::WriteSet::from_keys([parent]),
+            write_set: RowSet::from_keys([parent]),
             ..BatchedOp::default()
         }
     }

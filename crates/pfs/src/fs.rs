@@ -185,8 +185,8 @@ impl PfsFs {
         &self.cfg
     }
 
-    /// Protocol counters (`token_acquires`, `block_fetches`,
-    /// `block_writebacks`, `revoke_flushes`, …).
+    /// Protocol counters (`block_fetches`, `block_writebacks`,
+    /// `revoke_flushes`, …). Token counts live in [`Self::token_stats`].
     pub fn counters(&self) -> &Counters {
         &self.counters
     }
@@ -297,7 +297,6 @@ impl PfsFs {
         if outcome.already_held {
             return t;
         }
-        self.counters.bump("token_acquires");
         let msg = self.cfg.msg_bytes;
         // Request to the token manager.
         let mut now = self.cluster.send(node, self.tm_node, msg, t);
@@ -305,7 +304,6 @@ impl PfsFs {
         // Revoke conflicting holders, serially (the requester waits for
         // all of them).
         for r in &outcome.revocations {
-            self.counters.bump("revocations");
             let mut rt = self.cluster.send(self.tm_node, r.holder, msg, now);
             // A holder cannot process a revoke before its own grant
             // completed.
@@ -424,7 +422,6 @@ impl PfsFs {
     /// (write-behind throttling); otherwise the cost lands on the
     /// server queues asynchronously.
     fn writeback_meta_async(&mut self, node: NodeId, block_key: u64, t: SimTime) -> SimTime {
-        self.counters.bump("block_writebacks_async");
         let idx = self.server_index_for(block_key);
         let server = self.server_node(idx);
         let sent = self.cluster.send(node, server, self.cfg.block_bytes, t);
@@ -475,20 +472,11 @@ impl PfsFs {
         let idx = self.server_index_for(block_key);
         let server = self.server_node(idx);
         let sent = self.cluster.send(node, server, self.cfg.msg_bytes, t);
-        self.counters
-            .add("w_req_us", sent.saturating_since(t).as_micros());
         let cpu = self.server_cpu[idx]
             .acquire(sent, self.cfg.server_service)
             .end;
-        self.counters
-            .add("w_cpu_us", cpu.saturating_since(sent).as_micros());
         let media = self.server_media[idx].acquire(cpu, self.cfg.media_read).end;
-        self.counters
-            .add("w_media_us", media.saturating_since(cpu).as_micros());
-        let resp = self.cluster.send(server, node, self.cfg.block_bytes, media);
-        self.counters
-            .add("w_resp_us", resp.saturating_since(media).as_micros());
-        resp
+        self.cluster.send(server, node, self.cfg.block_bytes, media)
     }
 
     /// Ensures the node has the inode block of `ino` cached under a
@@ -797,7 +785,6 @@ impl FileSystem for PfsFs {
     fn mkdir(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<()> {
         let (pino, entries) = self.parent_info(ctx, path)?;
         self.ns.mkdir(ctx, path, mode)?;
-        self.counters.bump("op_mkdir");
         let mut t = self.base(ctx);
         t = self.attach(ctx.node, pino, t);
         t = self.acquire(ctx.node, Scope::DirInode(pino), TokenMode::Exclusive, t);
@@ -816,7 +803,6 @@ impl FileSystem for PfsFs {
         let (pino, entries) = self.parent_info(ctx, path)?;
         let ino = self.ns.stat(ctx, path)?.value.ino.0;
         self.ns.rmdir(ctx, path)?;
-        self.counters.bump("op_rmdir");
         let mut t = self.base(ctx);
         t = self.acquire(ctx.node, Scope::DirInode(pino), TokenMode::Exclusive, t);
         let name = path.file_name().expect("rmdir target has a name");
@@ -831,7 +817,6 @@ impl FileSystem for PfsFs {
         let fh = self.ns.create(ctx, path, mode)?.value;
         let ino = self.ns.stat(ctx, path)?.value.ino.0;
         self.sizes.insert(ino, 0);
-        self.counters.bump("op_create");
         let mut t = self.base(ctx);
         t = self.attach(ctx.node, pino, t);
         // Parent-directory serialization: the expensive token under
@@ -860,7 +845,6 @@ impl FileSystem for PfsFs {
         if flags.truncate {
             self.sizes.insert(ino, 0);
         }
-        self.counters.bump("op_open");
         let mut t = self.base(ctx);
         t = self.attach(ctx.node, pino, t);
         // Opening checks permissions: the inode's attributes must be
@@ -878,7 +862,6 @@ impl FileSystem for PfsFs {
     fn close(&mut self, ctx: &OpCtx, fh: FileHandle) -> FsResult<()> {
         let h = self.handles.remove(&fh.0);
         self.ns.close(ctx, fh)?;
-        self.counters.bump("op_close");
         let mut t = self.base(ctx);
         // POSIX close flushes this file's write-behind data.
         if let Some(h) = h {
@@ -892,7 +875,6 @@ impl FileSystem for PfsFs {
 
     fn read(&mut self, ctx: &OpCtx, fh: FileHandle, offset: u64, len: u64) -> FsResult<u64> {
         let got = self.ns.read(ctx, fh, offset, len)?.value;
-        self.counters.bump("op_read");
         let h = *self
             .handles
             .get(&fh.0)
@@ -939,7 +921,6 @@ impl FileSystem for PfsFs {
 
     fn write(&mut self, ctx: &OpCtx, fh: FileHandle, offset: u64, len: u64) -> FsResult<u64> {
         let wrote = self.ns.write(ctx, fh, offset, len)?.value;
-        self.counters.bump("op_write");
         let h = *self
             .handles
             .get(&fh.0)
@@ -989,7 +970,6 @@ impl FileSystem for PfsFs {
 
     fn stat(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<FileAttr> {
         let attr = self.ns.stat(ctx, path)?.value;
-        self.counters.bump("op_stat");
         let mut t = self.base(ctx);
         let (pino, _) = self.parent_info(ctx, path)?;
         t = self.attach(ctx.node, pino, t);
@@ -1002,7 +982,6 @@ impl FileSystem for PfsFs {
         if let Some(sz) = set.size {
             self.sizes.insert(attr.ino.0, sz);
         }
-        self.counters.bump("op_setattr");
         let mut t = self.base(ctx);
         let (pino, _) = self.parent_info(ctx, path)?;
         t = self.attach(ctx.node, pino, t);
@@ -1015,7 +994,6 @@ impl FileSystem for PfsFs {
 
     fn readdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<Vec<DirEntry>> {
         let entries = self.ns.readdir(ctx, path)?.value;
-        self.counters.bump("op_readdir");
         let dattr = self.ns.stat(ctx, path)?.value;
         let dir = dattr.ino.0;
         let mut t = self.base(ctx);
@@ -1038,7 +1016,6 @@ impl FileSystem for PfsFs {
         let (pino, entries) = self.parent_info(ctx, path)?;
         let ino = self.ns.stat(ctx, path)?.value.ino.0;
         self.ns.unlink(ctx, path)?;
-        self.counters.bump("op_unlink");
         let mut t = self.base(ctx);
         t = self.acquire(ctx.node, Scope::DirInode(pino), TokenMode::Exclusive, t);
         let name = path.file_name().expect("unlink target has a name");
@@ -1059,7 +1036,6 @@ impl FileSystem for PfsFs {
         let (from_pino, from_entries) = self.parent_info(ctx, from)?;
         let (to_pino, to_entries) = self.parent_info(ctx, to)?;
         self.ns.rename(ctx, from, to)?;
-        self.counters.bump("op_rename");
         let mut t = self.base(ctx);
         t = self.acquire(
             ctx.node,
@@ -1098,7 +1074,6 @@ impl FileSystem for PfsFs {
         let (pino, entries) = self.parent_info(ctx, new)?;
         let ino = self.ns.stat(ctx, existing)?.value.ino.0;
         self.ns.link(ctx, existing, new)?;
-        self.counters.bump("op_link");
         let mut t = self.base(ctx);
         t = self.acquire(ctx.node, Scope::DirInode(pino), TokenMode::Exclusive, t);
         let name = new.file_name().expect("link target has a name");
@@ -1110,7 +1085,6 @@ impl FileSystem for PfsFs {
     fn symlink(&mut self, ctx: &OpCtx, target: &str, new: &VPath) -> FsResult<()> {
         let (pino, entries) = self.parent_info(ctx, new)?;
         self.ns.symlink(ctx, target, new)?;
-        self.counters.bump("op_symlink");
         let ino = self.ns.stat(ctx, new)?.value.ino.0;
         self.assign_packed_block(ctx.node, ino);
         let mut t = self.base(ctx);
@@ -1123,7 +1097,6 @@ impl FileSystem for PfsFs {
 
     fn readlink(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<String> {
         let target = self.ns.readlink(ctx, path)?.value;
-        self.counters.bump("op_readlink");
         let attr = self.ns.stat(ctx, path)?.value;
         let mut t = self.base(ctx);
         t = self.touch_inode_block(ctx.node, attr.ino.0, TokenMode::Shared, false, t);
@@ -1132,7 +1105,6 @@ impl FileSystem for PfsFs {
 
     fn statfs(&mut self, ctx: &OpCtx) -> FsResult<FsStats> {
         let stats = self.ns.statfs(ctx)?.value;
-        self.counters.bump("op_statfs");
         // One round trip to a server.
         let server = self.server_node(0);
         let t = self

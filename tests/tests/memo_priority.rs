@@ -10,7 +10,7 @@
 use cofs::batch::BatchedOp;
 use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
 use cofs::fs::CofsFs;
-use cofs::mds::{DbOps, ReadSet};
+use cofs::mds::{DbOps, RowSet};
 use cofs::mds_cluster::{MdsCluster, Shape, ShardId, ShardPolicy};
 use cofs_tests::cofs_over_memfs;
 use netsim::ids::NodeId;
@@ -253,7 +253,7 @@ mod pricing_props {
                 // from_keys dedupes, so len() <= n_keys <= reads holds.
                 BatchedOp {
                     db: DbOps { reads, writes },
-                    read_set: ReadSet::from_keys(keys),
+                    read_set: RowSet::from_keys(keys),
                     ..BatchedOp::default()
                 }
             })

@@ -13,7 +13,7 @@
 use cofs::batch::BatchedOp;
 use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind, WriteBehindConfig};
 use cofs::fs::CofsFs;
-use cofs::mds::{DbOps, ReadSet, WriteSet};
+use cofs::mds::{DbOps, RowSet};
 use cofs::mds_cluster::{MdsCluster, Shape, ShardId, ShardPolicy};
 use cofs_tests::cofs_over_memfs;
 use netsim::ids::NodeId;
@@ -92,8 +92,8 @@ fn journal_off_rpc_is_bit_for_bit_the_seed_rpc() {
                 reads: 2,
                 writes: 3,
             },
-            read_set: ReadSet::from_keys(vec![1, 2]),
-            write_set: WriteSet::from_keys(vec![77]),
+            read_set: RowSet::from_keys(vec![1, 2]),
+            write_set: RowSet::from_keys(vec![77]),
         })
         .collect();
     let seed_cfg = CofsConfig {
@@ -241,8 +241,8 @@ mod pricing_props {
                 // from_keys dedupes, so len() <= n_keys <= writes holds.
                 BatchedOp {
                     db: DbOps { reads, writes },
-                    read_set: ReadSet::empty(),
-                    write_set: WriteSet::from_keys(keys),
+                    read_set: RowSet::empty(),
+                    write_set: RowSet::from_keys(keys),
                 }
             })
             .collect()
