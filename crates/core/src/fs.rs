@@ -991,6 +991,16 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             .namespace_mut()
             .setattr(Self::cred(ctx), path, set, ctx.now)?;
         let attr = rec.attr();
+        let resize = match (set.size, &rec.mapping) {
+            (Some(size), Some(mapping)) => Some((size, mapping.clone())),
+            _ => None,
+        };
+        let mut t = t;
+        if let Some((size, mapping)) = resize {
+            // A size change must reach the real bits, like `open(O_TRUNC)`.
+            let dctx = Self::daemon_ctx(ctx, t);
+            t = self.under.truncate(&dctx, &mapping, size)?.end;
+        }
         let t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
         let t = self.recall(ctx.node, || vec![(EntryKind::Attr, path.clone())], t);
         Ok(Timed::new(attr, t))

@@ -922,6 +922,11 @@ impl Mds {
         let src_is_dir = src.ftype == FileType::Directory;
         if let Some(dst) = self.entry(to_pino, to_name) {
             ops.read(1);
+            if dst.ino == src.ino {
+                // POSIX: both names link the same file, so the rename
+                // succeeds and changes nothing.
+                return Ok(ops);
+            }
             match (src_is_dir, dst.ftype == FileType::Directory) {
                 (true, false) => return Err(FsError::new(Errno::ENOTDIR, "rename", to.as_str())),
                 (false, true) => return Err(FsError::new(Errno::EISDIR, "rename", to.as_str())),
@@ -1163,6 +1168,39 @@ mod tests {
                 ("victim".to_string(), FileType::Regular),
             ]
         );
+    }
+
+    #[test]
+    fn rename_between_links_of_one_file_is_a_no_op() {
+        let mut mds = Mds::new();
+        mds.mkdir(cred(), &vpath("/d"), Mode::dir_default(), t(1))
+            .unwrap();
+        mds.create(
+            cred(),
+            &vpath("/d/a"),
+            Mode::file_default(),
+            vpath("/.u/a"),
+            t(2),
+        )
+        .unwrap();
+        mds.link(cred(), &vpath("/d/a"), &vpath("/d/b"), t(3))
+            .unwrap();
+        let before = mds.getattr(cred(), &vpath("/d/a")).unwrap().0.clone();
+        let dir = mds.getattr(cred(), &vpath("/d")).unwrap().0.clone();
+        let ops = mds
+            .rename(cred(), &vpath("/d/a"), &vpath("/d/b"), t(4))
+            .unwrap();
+        assert_eq!(ops.writes, 0, "{ops:?}");
+        // Both names survive, and nothing was rewritten.
+        for name in ["/d/a", "/d/b"] {
+            assert_eq!(
+                mds.getattr(cred(), &vpath(name)).unwrap().0,
+                &before,
+                "{name}"
+            );
+        }
+        assert_eq!(mds.getattr(cred(), &vpath("/d")).unwrap().0, &dir);
+        assert_eq!(mds.entry_count("/d"), 2);
     }
 
     #[test]

@@ -609,6 +609,11 @@ impl FileSystem for MemFs {
             .expect("parent is dir")
             .get(to_name)
         {
+            if dst_ino == src_ino {
+                // POSIX: both names link the same file, so the rename
+                // succeeds and changes nothing.
+                return self.done(ctx, ());
+            }
             let dst = self.node(dst_ino);
             match (src_is_dir, dst.ftype == FileType::Directory) {
                 (true, false) => return Err(FsError::new(Errno::ENOTDIR, "rename", to.as_str())),
@@ -942,6 +947,23 @@ mod tests {
         fs.rename(&ctx, &vpath("/a"), &vpath("/b")).unwrap();
         assert!(fs.stat(&ctx, &vpath("/a")).unwrap_err().is(Errno::ENOENT));
         assert_eq!(fs.stat(&ctx, &vpath("/b")).unwrap().value.size, 7);
+    }
+
+    #[test]
+    fn rename_between_links_of_one_file_is_a_no_op() {
+        let (mut fs, ctx) = fs_and_ctx();
+        fs.create(&ctx, &vpath("/a"), Mode::file_default()).unwrap();
+        fs.link(&ctx, &vpath("/a"), &vpath("/b")).unwrap();
+        let before = fs.stat(&ctx, &vpath("/a")).unwrap().value;
+        let later = ctx.at(SimTime::from_secs(9));
+        fs.rename(&later, &vpath("/a"), &vpath("/b")).unwrap();
+        // Both names survive, untouched down to the timestamps.
+        for name in ["/a", "/b"] {
+            assert_eq!(fs.stat(&ctx, &vpath(name)).unwrap().value, before, "{name}");
+        }
+        let root = fs.stat(&ctx, &VPath::root()).unwrap().value;
+        assert_eq!(root.size, 2 * DIR_ENTRY_SIZE);
+        assert!(root.mtime < later.now);
     }
 
     #[test]

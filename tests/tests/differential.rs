@@ -422,3 +422,149 @@ fn readdir_errors_match_memfs() {
         }
     }
 }
+
+/// Truncation through `setattr` on a fixed script. Generated scripts
+/// never change a size by path, so this writes 4096 bytes through a
+/// handle it keeps open, truncates the file down by path, stats it,
+/// reads and writes through the handle, closes it and stats again, then
+/// truncates up and reads the file back. Every outcome on bare GPFS, on
+/// `CofsFs` over `MemFs` at 1 and 4 shards and on `CofsFs` over GPFS
+/// must match `MemFs`, and `MemFs` must answer the sizes POSIX gives.
+#[test]
+fn truncate_matches_memfs() {
+    use vfs::path::vpath;
+    use vfs::types::{Mode, OpenFlags};
+
+    /// Runs the script; returns one line per step.
+    fn probe<F: FileSystem>(fs: &mut F) -> Vec<String> {
+        let mut now = SimTime::ZERO;
+        let mut ctx = || {
+            now += SimDuration::from_millis(1);
+            OpCtx::test(NodeId(0)).at(now)
+        };
+        let f = vpath("/f");
+        let mut out = Vec::new();
+        let mut step = |what: &str, r: Result<u64, vfs::error::FsError>| {
+            out.push(match r {
+                Ok(v) => format!("{what} {v}"),
+                Err(e) => format!("{what} {:?}", e.errno()),
+            });
+        };
+        let fh = fs.create(&ctx(), &f, Mode::file_default()).unwrap().value;
+        step("write", fs.write(&ctx(), fh, 0, 4096).map(|t| t.value));
+        step("truncate", fs.truncate(&ctx(), &f, 100).map(|_| 100));
+        step("stat", fs.stat(&ctx(), &f).map(|t| t.value.size));
+        step("read", fs.read(&ctx(), fh, 0, 4096).map(|t| t.value));
+        step("write", fs.write(&ctx(), fh, 100, 10).map(|t| t.value));
+        step("close", fs.close(&ctx(), fh).map(|_| 0));
+        step("stat", fs.stat(&ctx(), &f).map(|t| t.value.size));
+        step("truncate", fs.truncate(&ctx(), &f, 8192).map(|_| 8192));
+        step("stat", fs.stat(&ctx(), &f).map(|t| t.value.size));
+        let fh = fs.open(&ctx(), &f, OpenFlags::RDONLY).unwrap().value;
+        step("read", fs.read(&ctx(), fh, 0, 16384).map(|t| t.value));
+        step("close", fs.close(&ctx(), fh).map(|_| 0));
+        out
+    }
+
+    let expect = probe(&mut MemFs::new());
+    assert_eq!(
+        expect,
+        [
+            "write 4096",
+            "truncate 100",
+            "stat 100",
+            "read 100",
+            "write 10",
+            "close 0",
+            "stat 110",
+            "truncate 8192",
+            "stat 8192",
+            "read 8192",
+            "close 0",
+        ]
+    );
+    for (label, got) in [
+        ("gpfs", probe(&mut gpfs(2))),
+        (
+            "cofs/memfs",
+            probe(&mut cofs_over_memfs(CofsConfig::default())),
+        ),
+        (
+            "cofs/memfs 4 shards",
+            probe(&mut cofs_over_memfs(hashed(4))),
+        ),
+        ("cofs/gpfs", probe(&mut cofs_over_gpfs(2))),
+    ] {
+        assert_eq!(got, expect, "diverged on {label}");
+    }
+}
+
+/// Renaming one hard link of a file onto another on a fixed script.
+/// POSIX says that when both names refer to the same file, `rename`
+/// succeeds and does nothing, so both names survive with `nlink` 2 and
+/// both stay listed; generated scripts never line this up. Covers a
+/// same-directory and a cross-directory pair, then unlinks one name of
+/// each pair and reads the file through the other. Every outcome on
+/// bare GPFS, on `CofsFs` over `MemFs` at 1 and 4 shards and on
+/// `CofsFs` over GPFS must match `MemFs`, and `MemFs` must answer what
+/// each step expects.
+#[test]
+fn rename_between_links_matches_memfs() {
+    use cofs_tests::{GenOp, Outcome};
+    use vfs::path::vpath;
+    use GenOp::*;
+
+    let file = |nlink: u32| format!("Regular mode=644 nlink={nlink} size=5");
+    let stat = |p: &str| Stat(vpath(p));
+    let rename = |a: &str, b: &str| Rename(vpath(a), vpath(b));
+    // Each step with the reference's expected payload.
+    let script: Vec<(GenOp, String)> = vec![
+        (Mkdir(vpath("/d")), "ok".into()),
+        (Mkdir(vpath("/e")), "ok".into()),
+        (CreateWrite(vpath("/d/a"), 5), "wrote 5".into()),
+        (CreateWrite(vpath("/d/x"), 5), "wrote 5".into()),
+        (Link(vpath("/d/a"), vpath("/d/b")), "ok".into()),
+        (Link(vpath("/d/x"), vpath("/e/y")), "ok".into()),
+        (rename("/d/a", "/d/b"), "ok".into()),
+        (rename("/e/y", "/d/x"), "ok".into()),
+        (stat("/d/a"), file(2)),
+        (stat("/d/b"), file(2)),
+        (stat("/d/x"), file(2)),
+        (stat("/e/y"), file(2)),
+        (Readdir(vpath("/d")), "a:file,b:file,x:file".into()),
+        (Readdir(vpath("/e")), "y:file".into()),
+        (Unlink(vpath("/d/a")), "ok".into()),
+        (Unlink(vpath("/e/y")), "ok".into()),
+        (stat("/d/b"), file(1)),
+        (stat("/d/x"), file(1)),
+        (OpenRead(vpath("/d/b"), 4096), "read 5".into()),
+        (OpenRead(vpath("/d/x"), 4096), "read 5".into()),
+    ];
+
+    let mut reference = MemFs::new();
+    let mut bare_gpfs = gpfs(2);
+    let mut cofs_mem = cofs_over_memfs(CofsConfig::default());
+    let mut cofs_mem_4s = cofs_over_memfs(hashed(4));
+    let mut cofs_gpfs = cofs_over_gpfs(2);
+    for (i, (op, want)) in script.iter().enumerate() {
+        let node = NodeId((i % 2) as u32);
+        let now = SimTime::ZERO + SimDuration::from_micros(100) * i as u64;
+        let expect = apply_at(&mut reference, node, now, op);
+        assert_eq!(
+            expect,
+            Outcome::Ok(want.clone()),
+            "step {i} ({op:?}) on MemFs"
+        );
+        for (label, got) in [
+            ("gpfs", apply_at(&mut bare_gpfs, node, now, op)),
+            ("cofs/memfs", apply_at(&mut cofs_mem, node, now, op)),
+            (
+                "cofs/memfs 4 shards",
+                apply_at(&mut cofs_mem_4s, node, now, op),
+            ),
+            ("cofs/gpfs", apply_at(&mut cofs_gpfs, node, now, op)),
+        ] {
+            assert_eq!(got, expect, "step {i} ({op:?}) diverged on {label}");
+        }
+    }
+}
