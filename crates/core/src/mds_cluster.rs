@@ -1801,8 +1801,6 @@ mod tests {
 
     #[test]
     fn memoized_batch_charges_each_distinct_row_once() {
-        use crate::mds::RowSet;
-
         let c = cfg();
         let memo_cfg = CofsConfig {
             batch: crate::batch::BatchConfig::enabled(16, SimDuration::from_millis(5), 4)

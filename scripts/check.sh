@@ -25,6 +25,14 @@ if [ "$drifted" = 1 ]; then
     exit 1
 fi
 
+echo "==> bench_check.py gates the full-mode BENCH_scaling.json"
+# CI's smoke sweep reaches 2 shards; the 4- to 16-shard claims only
+# run against the full-mode golden, which the cmp above pins.
+if ! report="$(python3 scripts/bench_check.py BENCH_scaling.json)"; then
+    echo "$report" >&2
+    exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 
