@@ -326,13 +326,15 @@ fn failover_storm(crash: bool) {
     use cofs::fault::FaultPlan;
     use cofs::mds_cluster::ShardId;
     use simcore::time::{SimDuration, SimTime};
-    use workloads::scenarios::FailoverStorm;
+    use workloads::scenarios::SharedDirStorm;
 
-    let storm = FailoverStorm {
+    let storm = SharedDirStorm {
         nodes: 4,
         dirs: 8,
         files_per_node: 8,
-        ..FailoverStorm::default()
+        stats_per_create: 2,
+        root: vfs::path::vpath("/failover"),
+        ..SharedDirStorm::default()
     };
     let plan = if crash {
         FaultPlan::default().crash(
@@ -366,13 +368,15 @@ fn cascade_storm(standby: bool, admission: bool) {
     use cofs::fault::FaultPlan;
     use cofs::mds_cluster::ShardId;
     use simcore::time::{SimDuration, SimTime};
-    use workloads::scenarios::CascadeStorm;
+    use workloads::scenarios::SharedDirStorm;
 
-    let storm = CascadeStorm {
+    let storm = SharedDirStorm {
         nodes: 4,
         dirs: 8,
         files_per_node: 8,
-        ..CascadeStorm::default()
+        stats_per_create: 2,
+        root: vfs::path::vpath("/cascade"),
+        ..SharedDirStorm::default()
     };
     let plan = FaultPlan::default()
         .crash_loop(

@@ -58,14 +58,13 @@ use cofs_bench::{
 };
 use netsim::topology::Topology;
 use simcore::time::{SimDuration, SimTime};
+use vfs::path::vpath;
 use workloads::metarates::{run_phase, MetaOp, MetaratesConfig};
 use workloads::report::{
     batch_cells, cache_cells, fault_cells, ms, read_latency_cells, shard_skew,
     shard_utilization_table, Table, BATCH_COLUMNS, CACHE_COLUMNS, FAULT_COLUMNS, READ_LAT_COLUMNS,
 };
-use workloads::scenarios::{
-    CascadeStorm, FailoverStorm, HotStatStorm, SharedDirStorm, SkewedTenantStorm,
-};
+use workloads::scenarios::{HotStatStorm, SharedDirStorm, SkewedTenantStorm};
 
 /// `shards` hash-by-parent shards (one shard is the paper's single MDS).
 fn hashed(shards: usize) -> CofsConfig {
@@ -150,9 +149,8 @@ fn main() {
     ];
     headers.extend(READ_LAT_COLUMNS);
     let mut shards_table = Table::new(headers);
-    let shard_counts = smoke_or(vec![1, 2], vec![1, 2, 4, 8, 16]);
     let mut last_usage = None;
-    for shards in shard_counts.clone() {
+    for shards in smoke_or(vec![1, 2], vec![1, 2, 4, 8, 16]) {
         for kind in [ShardPolicyKind::HashByParent, ShardPolicyKind::Elastic] {
             let mut fs = mds_limit(CofsConfig::default().with_shards(shards, kind));
             let r = storm.run(&mut fs);
@@ -229,7 +227,9 @@ fn main() {
     // leases the RTT is paid once per (node, path) per TTL window, so
     // makespan collapses toward the FUSE dispatch floor whatever the
     // shard count — and the shard sweep shows caching and sharding
-    // compose (hits bypass the shard queues entirely).
+    // compose (hits bypass the shard queues entirely). The tree has 4
+    // directories, so hash-by-parent never spreads it over more than
+    // 4 shards: wider rows would repeat the 4-shard ones.
     let hot = HotStatStorm {
         nodes: cofs_bench::smoke_nodes(16),
         rounds: if cofs_bench::smoke_mode() { 3 } else { 8 },
@@ -252,7 +252,7 @@ fn main() {
             Some(SimDuration::from_secs(10)),
         ],
     );
-    for shards in shard_counts {
+    for shards in smoke_or(vec![1, 2], vec![1, 2, 4]) {
         for ttl in &ttls {
             let cfg = match ttl {
                 None => hashed(shards),
@@ -516,10 +516,13 @@ fn main() {
     // against baseline + gap + recovery slack. The apply-lag/tail
     // columns make the post-crash durability window machine-checkable
     // alongside the write-behind axis above.
-    let fstorm = FailoverStorm {
+    let fstorm = SharedDirStorm {
         nodes: cofs_bench::smoke_nodes(8),
+        dirs: 8,
         files_per_node: smoke_files(16),
-        ..FailoverStorm::default()
+        stats_per_create: 2,
+        root: vpath("/failover"),
+        ..SharedDirStorm::default()
     };
     println!(
         "== Scaling: failover storm vs crash timing, recovery cost, shard count \
@@ -558,7 +561,7 @@ fn main() {
         // silent baseline.
         let victim = hashed(shards)
             .shard_policy
-            .shard_of(&vfs::path::vpath("/failover/d0/f"));
+            .shard_of(&vpath("/failover/d0/f"));
         for journal in [false, true] {
             let cfg = if journal {
                 batched(hashed(shards), Some(16)).with_write_behind()
@@ -605,10 +608,10 @@ fn main() {
     // floor; admission strictly shrinks the post-recovery makespan on
     // the convoy-visible (standby-off) rows; lost-acked stays zero on
     // every row.
-    let cstorm = CascadeStorm {
-        nodes: cofs_bench::smoke_nodes(8),
-        files_per_node: smoke_files(16),
-        ..CascadeStorm::default()
+    // The failover storm's traffic, under a root of its own.
+    let cstorm = SharedDirStorm {
+        root: vpath("/cascade"),
+        ..fstorm.clone()
     };
     let down = SimDuration::from_millis(10);
     println!(
@@ -635,12 +638,8 @@ fn main() {
     let mut cascade_table = Table::new(headers);
     for shards in smoke_or(vec![2], vec![2, 4, 8]) {
         let cascade = batched(hashed(shards), Some(16)).with_write_behind();
-        let v0 = cascade
-            .shard_policy
-            .shard_of(&vfs::path::vpath("/cascade/d0/f"));
-        let v1 = cascade
-            .shard_policy
-            .shard_of(&vfs::path::vpath("/cascade/d1/f"));
+        let v0 = cascade.shard_policy.shard_of(&vpath("/cascade/d0/f"));
+        let v1 = cascade.shard_policy.shard_of(&vpath("/cascade/d1/f"));
         // The rack partner is d1's shard when it differs from d0's —
         // under hash-by-parent at narrow counts they can coincide,
         // leaving a pure crash-loop row.

@@ -862,16 +862,18 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         let mut lazy = false;
         if ftype == FileType::Regular {
             if flags.truncate {
-                // Truncation must reach the real bits immediately.
+                // Truncation must reach the real bits immediately, so
+                // the gate admits it first: a refused open leaves the
+                // file whole.
                 let under_path = mapping
                     .as_ref()
                     .ok_or_else(|| FsError::new(Errno::EINVAL, "open", path.as_str()))?;
+                t = self.gate(ctx.node, "open", path, t)?;
                 let dctx = Self::daemon_ctx(ctx, t);
                 let under = self.under.open(&dctx, under_path, flags)?;
                 self.counters.bump("under_opens");
                 under_fh = Some(under.value);
                 t = under.end;
-                t = self.gate(ctx.node, "open", path, t)?;
                 let ops = self.mds.namespace_mut().set_size(vino, 0, ctx.now);
                 t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
                 t = self.recall(ctx.node, || vec![(EntryKind::Attr, path.clone())], t);
@@ -1940,6 +1942,53 @@ mod tests {
         // name is still absent — a failed create has no partial effect.
         let after = ctx.at(SimTime::from_secs(2));
         assert!(fs.stat(&after, &vpath("/f")).unwrap_err().is(Errno::ENOENT));
+    }
+
+    #[test]
+    fn refused_truncating_open_leaves_the_file_whole() {
+        let plan = crate::fault::FaultPlan::default().crash(
+            crate::mds_cluster::ShardId(0),
+            SimTime::from_millis(5),
+            SimDuration::from_millis(100),
+        );
+        let retry = crate::fault::RetryConfig {
+            max_retries: 0,
+            ..crate::fault::RetryConfig::default()
+        };
+        let mut fs = CofsFs::new(
+            MemFs::new(),
+            CofsConfig::default()
+                .with_client_cache(1024, SimDuration::from_secs(60))
+                .with_fault_plan(plan)
+                .with_retry(retry),
+            MdsNetwork::uniform(SimDuration::from_micros(250)),
+            7,
+        );
+        let ctx = OpCtx::test(NodeId(0));
+        let fh = fs
+            .create(&ctx, &vpath("/f"), Mode::file_default())
+            .unwrap()
+            .value;
+        fs.write(&ctx, fh, 0, 4096).unwrap();
+        fs.close(&ctx, fh).unwrap();
+        fs.stat(&ctx, &vpath("/f")).unwrap(); // install the lease
+                                              // Inside the crash window the lease answers the lookup, and the
+                                              // gate refuses the size update.
+        let late = ctx.at(SimTime::from_millis(6));
+        let e = fs
+            .open(&late, &vpath("/f"), OpenFlags::RDWR.with_truncate())
+            .unwrap_err();
+        assert!(e.is(Errno::EIO));
+        // The refused open had no effect: no underlying handle, and
+        // once the shard recovers both the size and the bytes remain.
+        assert_eq!(fs.under().open_handles(), 0);
+        let after = ctx.at(SimTime::from_secs(2));
+        assert_eq!(fs.stat(&after, &vpath("/f")).unwrap().value.size, 4096);
+        let fh = fs
+            .open(&after, &vpath("/f"), OpenFlags::RDONLY)
+            .unwrap()
+            .value;
+        assert_eq!(fs.read(&after, fh, 0, 4096).unwrap().value, 4096);
     }
 
     #[test]

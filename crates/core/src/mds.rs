@@ -337,11 +337,6 @@ impl Mds {
             .count() as u64
     }
 
-    /// Number of directory entries.
-    pub fn dentry_count(&self) -> u64 {
-        self.dentries.iter().map(|d| d.len() as u64).sum()
-    }
-
     /// Uncharged child count of the directory at `path` — statistics
     /// plumbing for the elastic shard policy, not a metadata operation:
     /// no permission checks, no symlink traversal, no [`DbOps`] (the

@@ -20,9 +20,8 @@
 //! through this cost model against a queueing resource, so the
 //! service's CPU is a proper bottleneck at scale.
 //!
-//! [`table::Table`], a typed record table with closure-scoped
-//! transactions, no longer backs the service and has no user in the
-//! workspace; it is kept only until its removal.
+//! [`table::Table`], a typed record table, no longer backs the service
+//! and has no user in the workspace; it is kept only until its removal.
 //!
 //! # Examples
 //!
@@ -49,5 +48,5 @@ pub mod table;
 pub mod prelude {
     pub use crate::cost::{DbCostModel, DbCostTracker};
     pub use crate::error::{DbError, DbErrorKind};
-    pub use crate::table::{Record, Table, TxnView};
+    pub use crate::table::{Record, Table};
 }

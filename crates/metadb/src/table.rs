@@ -1,10 +1,9 @@
-//! Transactional record tables.
+//! Record tables.
 //!
 //! The paper's COFS metadata service keeps its state "as a small set of
 //! database tables having the information about files and directories"
 //! backed by Erlang/Mnesia. [`Table`] is the Rust substitute: a typed,
-//! ordered record store with insert/lookup/update/delete/range-scan
-//! plus closure-scoped transactions with automatic rollback.
+//! ordered record store with insert/lookup/update/delete/range-scan.
 
 use crate::error::{DbError, DbErrorKind};
 use simcore::stats::Counters;
@@ -153,154 +152,9 @@ impl<R: Record> Table<R> {
         &self.name
     }
 
-    /// Write counters (`writes`, `txns`, `aborts`).
+    /// Write counters (`writes`).
     pub fn stats(&self) -> &Counters {
         &self.stats
-    }
-
-    /// Runs `f` against a transactional view; if `f` returns `Err`,
-    /// every mutation made through the view is rolled back.
-    ///
-    /// This mirrors Mnesia's `transaction/1`: the closure either
-    /// commits atomically or leaves no trace.
-    ///
-    /// # Errors
-    ///
-    /// Whatever error `f` returns, unchanged.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use metadb::table::{Record, Table};
-    /// # #[derive(Clone, Debug)]
-    /// # struct U { id: u64 }
-    /// # impl Record for U { type Key = u64; fn key(&self) -> u64 { self.id } }
-    /// let mut t: Table<U> = Table::new("u");
-    /// let r: Result<(), &str> = t.txn(|view| {
-    ///     view.insert(U { id: 1 }).map_err(|_| "dup")?;
-    ///     Err("abort")
-    /// });
-    /// assert!(r.is_err());
-    /// assert!(t.is_empty()); // rolled back
-    /// ```
-    pub fn txn<T, E>(
-        &mut self,
-        f: impl FnOnce(&mut TxnView<'_, R>) -> Result<T, E>,
-    ) -> Result<T, E> {
-        let mut view = TxnView {
-            table: self,
-            undo: Vec::new(),
-        };
-        match f(&mut view) {
-            Ok(v) => {
-                view.table.stats.bump("txns");
-                Ok(v)
-            }
-            Err(e) => {
-                // Roll back in reverse order.
-                let undo = std::mem::take(&mut view.undo);
-                for entry in undo.into_iter().rev() {
-                    match entry {
-                        Undo::Remove(key) => {
-                            view.table.rows.remove(&key);
-                        }
-                        Undo::Restore(record) => {
-                            view.table.rows.insert(record.key(), record);
-                        }
-                    }
-                }
-                view.table.stats.bump("aborts");
-                Err(e)
-            }
-        }
-    }
-}
-
-enum Undo<R: Record> {
-    /// Remove a row that the transaction inserted.
-    Remove(R::Key),
-    /// Restore a row the transaction overwrote or deleted.
-    Restore(R),
-}
-
-/// A transactional view over a [`Table`]; mutations are undone if the
-/// enclosing [`Table::txn`] closure fails.
-pub struct TxnView<'a, R: Record> {
-    table: &'a mut Table<R>,
-    undo: Vec<Undo<R>>,
-}
-
-impl<R: Record> TxnView<'_, R> {
-    /// As [`Table::insert`], with rollback on abort.
-    ///
-    /// # Errors
-    ///
-    /// [`DbErrorKind::DuplicateKey`] if the key is already present.
-    pub fn insert(&mut self, record: R) -> Result<(), DbError> {
-        let key = record.key();
-        self.table.insert(record)?;
-        self.undo.push(Undo::Remove(key));
-        Ok(())
-    }
-
-    /// As [`Table::upsert`], with rollback on abort.
-    pub fn upsert(&mut self, record: R) -> Option<R> {
-        let key = record.key();
-        let prev = self.table.upsert(record);
-        match &prev {
-            Some(p) => self.undo.push(Undo::Restore(p.clone())),
-            None => self.undo.push(Undo::Remove(key)),
-        }
-        prev
-    }
-
-    /// As [`Table::get`].
-    pub fn get(&self, key: &R::Key) -> Option<&R> {
-        self.table.get(key)
-    }
-
-    /// As [`Table::contains`].
-    pub fn contains(&self, key: &R::Key) -> bool {
-        self.table.contains(key)
-    }
-
-    /// As [`Table::update`], with rollback on abort.
-    ///
-    /// # Errors
-    ///
-    /// [`DbErrorKind::NotFound`] if the key is absent.
-    pub fn update(&mut self, key: &R::Key, f: impl FnOnce(&mut R)) -> Result<(), DbError> {
-        let prev = self.table.get(key).cloned();
-        self.table.update(key, f)?;
-        self.undo
-            .push(Undo::Restore(prev.expect("update succeeded, row existed")));
-        Ok(())
-    }
-
-    /// As [`Table::delete`], with rollback on abort.
-    ///
-    /// # Errors
-    ///
-    /// [`DbErrorKind::NotFound`] if the key is absent.
-    pub fn delete(&mut self, key: &R::Key) -> Result<R, DbError> {
-        let removed = self.table.delete(key)?;
-        self.undo.push(Undo::Restore(removed.clone()));
-        Ok(removed)
-    }
-
-    /// As [`Table::scan`].
-    pub fn scan<B: RangeBounds<R::Key>>(&self, range: B) -> impl Iterator<Item = &R> {
-        self.table.scan(range)
-    }
-
-    /// As [`Table::len`].
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// True if the table has no records.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
     }
 }
 
@@ -380,78 +234,6 @@ mod tests {
         assert_eq!(keys, vec![3, 5, 7]);
         let all: Vec<u64> = t.iter().map(|r| r.k).collect();
         assert_eq!(all, vec![1, 3, 5, 7, 9]);
-    }
-
-    #[test]
-    fn txn_commits_on_ok() {
-        let mut t = Table::new("t");
-        let r: Result<u64, DbError> = t.txn(|view| {
-            view.insert(kv(1, "a"))?;
-            view.insert(kv(2, "b"))?;
-            Ok(view.len() as u64)
-        });
-        assert_eq!(r.unwrap(), 2);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.stats().get("txns"), 1);
-    }
-
-    #[test]
-    fn txn_rolls_back_inserts() {
-        let mut t = Table::new("t");
-        t.insert(kv(1, "keep")).unwrap();
-        let r: Result<(), &str> = t.txn(|view| {
-            view.insert(kv(2, "gone")).map_err(|_| "dup")?;
-            Err("boom")
-        });
-        assert!(r.is_err());
-        assert_eq!(t.len(), 1);
-        assert!(t.contains(&1));
-        assert_eq!(t.stats().get("aborts"), 1);
-    }
-
-    #[test]
-    fn txn_rolls_back_updates_and_deletes() {
-        let mut t = Table::new("t");
-        t.insert(kv(1, "orig")).unwrap();
-        t.insert(kv(2, "victim")).unwrap();
-        let r: Result<(), &str> = t.txn(|view| {
-            view.update(&1, |r| r.v = "mutated".into())
-                .map_err(|_| "nf")?;
-            view.delete(&2).map_err(|_| "nf")?;
-            assert!(!view.contains(&2));
-            Err("abort")
-        });
-        assert!(r.is_err());
-        assert_eq!(t.get(&1).unwrap().v, "orig");
-        assert_eq!(t.get(&2).unwrap().v, "victim");
-    }
-
-    #[test]
-    fn txn_rolls_back_upsert_chain() {
-        let mut t = Table::new("t");
-        t.insert(kv(1, "v0")).unwrap();
-        let r: Result<(), &str> = t.txn(|view| {
-            view.upsert(kv(1, "v1"));
-            view.upsert(kv(1, "v2"));
-            view.upsert(kv(3, "new"));
-            Err("abort")
-        });
-        assert!(r.is_err());
-        assert_eq!(t.get(&1).unwrap().v, "v0");
-        assert!(!t.contains(&3));
-    }
-
-    #[test]
-    fn nested_mutations_commit_in_order() {
-        let mut t = Table::new("t");
-        let _: Result<(), DbError> = t.txn(|view| {
-            view.insert(kv(1, "a"))?;
-            view.update(&1, |r| r.v = "b".into())?;
-            view.delete(&1)?;
-            view.insert(kv(1, "c"))?;
-            Ok(())
-        });
-        assert_eq!(t.get(&1).unwrap().v, "c");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use cofs::fault::FaultSummary;
 use cofs::mds_cluster::ShardUsage;
 use netsim::ids::{NodeId, Pid};
 use simcore::time::SimTime;
-use vfs::driver::{run, Action, ClientScript, RunReport};
+use vfs::driver::{run, Action, ClientScript};
 use vfs::error::Errno;
 use vfs::fs::OpCtx;
 use vfs::path::{vpath, VPath};
@@ -61,7 +61,9 @@ pub struct ScenarioResult {
     /// blocking of synchronous reads behind batch service lumps; these
     /// tail columns expose it per storm.
     pub stat_p50_p99_ms: Option<(f64, f64)>,
-    /// Total files created.
+    /// Files the scenario covers: the creates its scripts attempt (some
+    /// may fail under a fault plan), or the tree a read-only storm
+    /// polls.
     pub files: usize,
     /// Per-shard metadata-service load during the measured phase
     /// (empty when the target has no sharded MDS).
@@ -82,8 +84,15 @@ pub struct ScenarioResult {
     pub apply_tail_ms: f64,
     /// Fault/recovery accounting (`None` without an armed fault plan,
     /// so fault-free results stay byte-identical to the pre-fault
-    /// shape). Filled by [`FailoverStorm`] — including the count of
-    /// retry-exhausted steps the driver recorded as errors.
+    /// shape).
+    ///
+    /// The target, not the scenario, decides which step errors a run
+    /// may carry. Without an armed plan every scripted step must
+    /// succeed. With one, a step whose retries ran out fails with
+    /// `EIO`, and a step that depended on it fails with `EBADF`
+    /// (closing its empty slot) or `ENOENT` (the missing name); the
+    /// `EIO` count lands in [`FaultSummary::errors`]. Every scenario's
+    /// `run` panics on any other step error.
     pub fault: Option<FaultSummary>,
 }
 
@@ -104,12 +113,13 @@ impl CheckpointStorm {
     ///
     /// # Panics
     ///
-    /// Panics if any scripted operation fails.
+    /// Panics if a setup operation fails, or on a step error the
+    /// target's fault plan does not explain (see
+    /// [`ScenarioResult::fault`]).
     pub fn run<F: BenchTarget>(&self, fs: &mut F) -> ScenarioResult {
         let setup = OpCtx::test(NodeId(0));
         fs.mkdir(&setup, &self.dir, Mode::dir_default())
             .expect("setup mkdir");
-        fs.phase_reset();
         let chunk = 1024 * 1024;
         let mut scripts = Vec::new();
         for n in 0..self.nodes {
@@ -138,9 +148,7 @@ impl CheckpointStorm {
             }
             scripts.push(s);
         }
-        let report = run(fs, scripts);
-        report.expect_clean();
-        summarize(report, self.nodes * self.rounds, fs)
+        measure(fs, scripts, self.nodes * self.rounds)
     }
 }
 
@@ -177,12 +185,13 @@ impl JobBundle {
     ///
     /// # Panics
     ///
-    /// Panics if any scripted operation fails.
+    /// Panics if a setup operation fails, or on a step error the
+    /// target's fault plan does not explain (see
+    /// [`ScenarioResult::fault`]).
     pub fn run<F: BenchTarget>(&self, fs: &mut F) -> ScenarioResult {
         let setup = OpCtx::test(NodeId(0));
         fs.mkdir(&setup, &self.dir, Mode::dir_default())
             .expect("setup mkdir");
-        fs.phase_reset();
         let mut scripts = Vec::new();
         for n in 0..self.nodes {
             for j in 0..self.jobs_per_node {
@@ -208,10 +217,11 @@ impl JobBundle {
                 scripts.push(s);
             }
         }
-        let files = self.nodes * self.jobs_per_node * self.files_per_job;
-        let report = run(fs, scripts);
-        report.expect_clean();
-        summarize(report, files, fs)
+        measure(
+            fs,
+            scripts,
+            self.nodes * self.jobs_per_node * self.files_per_job,
+        )
     }
 }
 
@@ -222,6 +232,14 @@ impl JobBundle {
 /// shard-count scaling study sweeps — at the default intensity a
 /// single metadata server saturates and serializes the storm, while
 /// partitioned shards split the hot directories between them.
+///
+/// The failover and correlated-failure studies run this same storm (8
+/// dirs, 2 stats per create, under `/failover` and `/cascade`) on
+/// targets whose config scripts the crashes
+/// (`CofsConfig::with_fault_plan`). `phase_reset` re-arms the plan, so
+/// scripted fault times count from the measured phase, and the run
+/// rides the faults out under the error policy of
+/// [`ScenarioResult::fault`].
 #[derive(Debug, Clone)]
 pub struct SharedDirStorm {
     /// Nodes issuing creates.
@@ -299,7 +317,9 @@ impl SharedDirStorm {
     ///
     /// # Panics
     ///
-    /// Panics if any scripted operation fails.
+    /// Panics if a setup operation fails, or on a step error the
+    /// target's fault plan does not explain (see
+    /// [`ScenarioResult::fault`]).
     pub fn run<F: BenchTarget>(&self, fs: &mut F) -> ScenarioResult {
         let setup = OpCtx::test(NodeId(0));
         fs.mkdir(&setup, &self.root, Mode::dir_default())
@@ -312,7 +332,6 @@ impl SharedDirStorm {
             )
             .expect("setup mkdir");
         }
-        fs.phase_reset();
         let mut scripts = Vec::new();
         for n in 0..self.nodes {
             let mut s = ClientScript::new(NodeId(n as u32), Pid(1));
@@ -362,9 +381,7 @@ impl SharedDirStorm {
             }
             scripts.push(s);
         }
-        let report = run(fs, scripts);
-        report.expect_clean();
-        summarize(report, self.nodes * self.files_per_node, fs)
+        measure(fs, scripts, self.nodes * self.files_per_node)
     }
 }
 
@@ -414,7 +431,9 @@ impl HotStatStorm {
     ///
     /// # Panics
     ///
-    /// Panics if any scripted operation fails.
+    /// Panics if a setup operation fails, or on a step error the
+    /// target's fault plan does not explain (see
+    /// [`ScenarioResult::fault`]).
     pub fn run<F: BenchTarget>(&self, fs: &mut F) -> ScenarioResult {
         let setup = OpCtx::test(NodeId(0));
         fs.mkdir(&setup, &self.root, Mode::dir_default())
@@ -437,7 +456,6 @@ impl HotStatStorm {
                     .end;
             }
         }
-        fs.phase_reset();
         let mut scripts = Vec::new();
         for n in 0..self.nodes {
             let mut s = ClientScript::new(NodeId(n as u32), Pid(1));
@@ -459,9 +477,7 @@ impl HotStatStorm {
             }
             scripts.push(s);
         }
-        let report = run(fs, scripts);
-        report.expect_clean();
-        summarize(report, self.files(), fs)
+        measure(fs, scripts, self.files())
     }
 }
 
@@ -509,8 +525,10 @@ impl SkewedTenantStorm {
     ///
     /// # Panics
     ///
-    /// Panics if any scripted operation fails, or if the configuration
-    /// has fewer than two tenants or a zero `hot_stride`.
+    /// Panics if the configuration has fewer than two tenants or a zero
+    /// `hot_stride`, if a setup operation fails, or on a step error the
+    /// target's fault plan does not explain (see
+    /// [`ScenarioResult::fault`]).
     pub fn run<F: BenchTarget>(&self, fs: &mut F) -> ScenarioResult {
         assert!(self.tenants >= 2, "skew needs a hot and a cold tenant");
         assert!(self.hot_stride >= 1, "hot_stride must be at least 1");
@@ -519,7 +537,6 @@ impl SkewedTenantStorm {
             fs.mkdir(&setup, &vpath(&format!("/tenant{t}")), Mode::dir_default())
                 .expect("setup mkdir");
         }
-        fs.phase_reset();
         let mut scripts = Vec::new();
         for n in 0..self.nodes {
             let mut s = ClientScript::new(NodeId(n as u32), Pid(1));
@@ -548,9 +565,7 @@ impl SkewedTenantStorm {
             }
             scripts.push(s);
         }
-        let report = run(fs, scripts);
-        report.expect_clean();
-        summarize(report, self.nodes * self.files_per_node, fs)
+        measure(fs, scripts, self.nodes * self.files_per_node)
     }
 }
 
@@ -612,7 +627,9 @@ impl ShiftingHotspotStorm {
     ///
     /// # Panics
     ///
-    /// Panics if any scripted operation fails or `dirs` is zero.
+    /// Panics if `dirs` is zero, if a setup operation fails, or on a
+    /// step error the target's fault plan does not explain (see
+    /// [`ScenarioResult::fault`]).
     pub fn run<F: BenchTarget>(&self, fs: &mut F) -> ScenarioResult {
         assert!(self.dirs >= 1, "need at least one directory");
         let setup = OpCtx::test(NodeId(0));
@@ -626,7 +643,6 @@ impl ShiftingHotspotStorm {
             )
             .expect("setup mkdir");
         }
-        fs.phase_reset();
         let mut scripts = Vec::new();
         for n in 0..self.nodes {
             let mut s = ClientScript::new(NodeId(n as u32), Pid(1));
@@ -686,183 +702,18 @@ impl ShiftingHotspotStorm {
             }
             scripts.push(s);
         }
-        let report = run(fs, scripts);
-        report.expect_clean();
-        summarize(report, self.files(), fs)
+        measure(fs, scripts, self.files())
     }
 }
 
-/// The failover study: a shared-directory create/stat storm driven
-/// *through* scripted shard crashes. Unlike every other storm it does
-/// not require a clean run — clients ride out fault windows with
-/// bounded retries, and the rare step that exhausts its budget fails
-/// with `EIO` (asserted: no other errno may surface) and is counted in
-/// [`FaultSummary::errors`] rather than wedging or panicking the run.
-///
-/// The fault script itself lives in the *target's* config
-/// (`CofsConfig::with_fault_plan`): the storm re-arms it via
-/// `phase_reset`, so scripted crash times are relative to the measured
-/// phase. Run on a fault-free target the storm degenerates to a plain
-/// create/stat storm with `fault: None` — the baseline row of the
-/// failover sweep.
-#[derive(Debug, Clone)]
-pub struct FailoverStorm {
-    /// Nodes issuing creates.
-    pub nodes: usize,
-    /// Hot shared directories (`<root>/d0` … `<root>/d{dirs-1}`).
-    pub dirs: usize,
-    /// Files each node creates (spread round-robin over the dirs).
-    pub files_per_node: usize,
-    /// `stat` calls issued after each create (the polling traffic whose
-    /// tail latency the fault window stretches).
-    pub stats_per_create: usize,
-    /// Parent of the shared directories.
-    pub root: VPath,
-}
-
-impl Default for FailoverStorm {
-    fn default() -> Self {
-        FailoverStorm {
-            nodes: 8,
-            dirs: 8,
-            files_per_node: 16,
-            stats_per_create: 2,
-            root: vpath("/failover"),
-        }
-    }
-}
-
-impl FailoverStorm {
-    /// Runs the storm. `ScenarioResult::files` reports *attempted*
-    /// creates; with an armed plan, `fault` carries the crash/retry
-    /// accounting including the count of retry-exhausted steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any scripted operation fails with anything other than
-    /// the `EIO` that bounded retry exhaustion surfaces — crashes may
-    /// slow a step or fail it honestly, never corrupt it.
-    pub fn run<F: BenchTarget>(&self, fs: &mut F) -> ScenarioResult {
-        let setup = OpCtx::test(NodeId(0));
-        fs.mkdir(&setup, &self.root, Mode::dir_default())
-            .expect("setup mkdir");
-        for d in 0..self.dirs {
-            fs.mkdir(
-                &setup,
-                &self.root.join(&format!("d{d}")),
-                Mode::dir_default(),
-            )
-            .expect("setup mkdir");
-        }
-        // Re-arms the fault plan: scripted crash times are measured
-        // from here, not from the unmeasured setup above.
-        fs.phase_reset();
-        let mut scripts = Vec::new();
-        for n in 0..self.nodes {
-            let mut s = ClientScript::new(NodeId(n as u32), Pid(1));
-            s.push(Action::Barrier);
-            for i in 0..self.files_per_node {
-                let d = (n + i) % self.dirs;
-                let path = self.root.join(&format!("d{d}")).join(&format!("f.{n}.{i}"));
-                s.push_measured(
-                    "create",
-                    Action::Create {
-                        path: path.clone(),
-                        mode: Mode::file_default(),
-                        slot: 0,
-                    },
-                );
-                s.push(Action::Close { slot: 0 });
-                for _ in 0..self.stats_per_create {
-                    s.push_measured("stat", Action::Stat(path.clone()));
-                }
-            }
-            scripts.push(s);
-        }
-        let report = run(fs, scripts);
-        // Retry exhaustion surfaces `EIO`; a step that depended on an
-        // exhausted create cascades deterministically (`EBADF` closing
-        // its empty slot, `ENOENT` statting the never-created name).
-        // Anything else is a real bug, not failover behavior.
-        for e in &report.errors {
-            assert!(
-                e.error.is(Errno::EIO) || e.error.is(Errno::EBADF) || e.error.is(Errno::ENOENT),
-                "unexpected failover error: {}",
-                e.error
-            );
-        }
-        let exhausted_steps = report
-            .errors
-            .iter()
-            .filter(|e| e.error.is(Errno::EIO))
-            .count() as u64;
-        let clean = report.errors.is_empty();
-        let mut r = summarize(report, self.nodes * self.files_per_node, fs);
-        match r.fault.as_mut() {
-            Some(f) => f.errors = exhausted_steps,
-            None => assert!(clean, "step errors from a target with no fault plan"),
-        }
-        r
-    }
-}
-
-/// The correlated-failure study: the [`FailoverStorm`] traffic shape
-/// pointed at a target whose plan scripts *multiple* overlapping
-/// faults — rack crashes, crash-loops, partitions. The survival
-/// machinery under test (hot-standby promotion, post-recovery
-/// admission control) lives entirely in the target's config; the storm
-/// pins the traffic shape so swept rows stay comparable. What the
-/// cascade rows expose that the single-crash failover rows cannot:
-/// repeat crashes hammer the same re-established sessions (the
-/// crash-loop convoy admission control paces), and simultaneous rack
-/// crashes multiply the promotion/restart gap difference.
-#[derive(Debug, Clone)]
-pub struct CascadeStorm {
-    /// Nodes issuing creates.
-    pub nodes: usize,
-    /// Hot shared directories (`<root>/d0` … `<root>/d{dirs-1}`).
-    pub dirs: usize,
-    /// Files each node creates (spread round-robin over the dirs).
-    pub files_per_node: usize,
-    /// `stat` calls issued after each create.
-    pub stats_per_create: usize,
-    /// Parent of the shared directories.
-    pub root: VPath,
-}
-
-impl Default for CascadeStorm {
-    fn default() -> Self {
-        CascadeStorm {
-            nodes: 8,
-            dirs: 8,
-            files_per_node: 16,
-            stats_per_create: 2,
-            root: vpath("/cascade"),
-        }
-    }
-}
-
-impl CascadeStorm {
-    /// Runs the storm; same contract as [`FailoverStorm::run`] — only
-    /// `EIO` (retry exhaustion) and its deterministic `EBADF`/`ENOENT`
-    /// cascade may surface, counted in [`FaultSummary::errors`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other errno.
-    pub fn run<F: BenchTarget>(&self, fs: &mut F) -> ScenarioResult {
-        FailoverStorm {
-            nodes: self.nodes,
-            dirs: self.dirs,
-            files_per_node: self.files_per_node,
-            stats_per_create: self.stats_per_create,
-            root: self.root.clone(),
-        }
-        .run(fs)
-    }
-}
-
-fn summarize<F: BenchTarget>(report: RunReport, files: usize, fs: &mut F) -> ScenarioResult {
+/// Measures one scenario phase, everything a scenario does after its
+/// unmeasured setup: `phase_reset` rewinds the target and re-arms any
+/// fault plan (so scripted fault times count from here), the driver
+/// runs the scripts, and the error policy of [`ScenarioResult::fault`]
+/// judges the step errors.
+fn measure<F: BenchTarget>(fs: &mut F, scripts: Vec<ClientScript>, files: usize) -> ScenarioResult {
+    fs.phase_reset();
+    let report = run(fs, scripts);
     // Pipelined batching acknowledges mutations before their wire
     // completion; the phase is not over until the tail drains.
     let makespan = match fs.drain_outstanding() {
@@ -876,6 +727,24 @@ fn summarize<F: BenchTarget>(report: RunReport, files: usize, fs: &mut F) -> Sce
         )
     });
     let apply_tail_ms = (fs.apply_horizon(makespan) - makespan).as_millis_f64();
+    let mut fault = fs.fault_summary();
+    match fault.as_mut() {
+        None => report.expect_clean(),
+        Some(f) => {
+            for e in &report.errors {
+                assert!(
+                    e.error.is(Errno::EIO) || e.error.is(Errno::EBADF) || e.error.is(Errno::ENOENT),
+                    "step error no fault explains: {}",
+                    e.error
+                );
+            }
+            f.errors = report
+                .errors
+                .iter()
+                .filter(|e| e.error.is(Errno::EIO))
+                .count() as u64;
+        }
+    }
     ScenarioResult {
         makespan,
         mean_create_ms: report.mean_millis("create"),
@@ -886,7 +755,7 @@ fn summarize<F: BenchTarget>(report: RunReport, files: usize, fs: &mut F) -> Sce
         cache: fs.cache_stats(),
         batch: fs.batch_stats(),
         apply_tail_ms,
-        fault: fs.fault_summary(),
+        fault,
     }
 }
 
@@ -1157,12 +1026,13 @@ mod tests {
 
     #[test]
     fn failover_storm_without_faults_is_a_plain_storm() {
-        let storm = FailoverStorm {
+        let storm = SharedDirStorm {
             nodes: 2,
             dirs: 2,
             files_per_node: 4,
             stats_per_create: 1,
-            ..FailoverStorm::default()
+            root: vpath("/failover"),
+            ..SharedDirStorm::default()
         };
         let mut fs = MemFs::new();
         let r = storm.run(&mut fs);
@@ -1179,12 +1049,13 @@ mod tests {
         use cofs::mds_cluster::ShardId;
         use simcore::time::SimDuration;
 
-        let storm = FailoverStorm {
+        let storm = SharedDirStorm {
             nodes: 4,
             dirs: 8,
             files_per_node: 8,
             stats_per_create: 2,
-            ..FailoverStorm::default()
+            root: vpath("/failover"),
+            ..SharedDirStorm::default()
         };
         let plan = FaultPlan::default().crash(
             ShardId(1),
@@ -1232,12 +1103,13 @@ mod tests {
         use cofs::mds_cluster::ShardId;
         use simcore::time::SimDuration;
 
-        let storm = CascadeStorm {
+        let storm = SharedDirStorm {
             nodes: 4,
             dirs: 8,
             files_per_node: 8,
             stats_per_create: 2,
-            ..CascadeStorm::default()
+            root: vpath("/cascade"),
+            ..SharedDirStorm::default()
         };
         // A three-flap crash loop on one shard plus a simultaneous
         // partner crash — the correlated shape the cascade axis sweeps.
@@ -1289,6 +1161,49 @@ mod tests {
                 .len();
         }
         assert_eq!(listed, r.files, "nothing half-created across the cascade");
+    }
+
+    #[test]
+    fn hot_stat_storm_rides_a_fault_plan() {
+        use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
+        use cofs::fault::{FaultPlan, RetryConfig};
+        use cofs::fs::CofsFs;
+        use simcore::time::SimDuration;
+
+        // The error policy comes from the target, not the storm type: a
+        // cached read-only storm rides a crash too. The crash fences
+        // the leases its shard granted, and with no retry budget every
+        // read that then misses on the down shard fails with `EIO`.
+        let storm = HotStatStorm {
+            nodes: 4,
+            rounds: 4,
+            ..HotStatStorm::default()
+        };
+        let base = CofsConfig::default().with_shards(4, ShardPolicyKind::HashByParent);
+        let victim = base.shard_policy.shard_of(&vpath("/hot/d0/f0"));
+        let cfg = base
+            .with_client_cache(4096, SimDuration::from_secs(10))
+            .with_retry(RetryConfig {
+                max_retries: 0,
+                ..RetryConfig::default()
+            })
+            .with_fault_plan(FaultPlan::default().crash(
+                victim,
+                SimTime::from_millis(20),
+                SimDuration::from_millis(50),
+            ));
+        let mut fs = CofsFs::new(
+            MemFs::new(),
+            cfg,
+            MdsNetwork::uniform(SimDuration::from_micros(250)),
+            7,
+        );
+        let r = storm.run(&mut fs);
+        let f = r.fault.expect("plan armed");
+        assert_eq!(f.crashes, 1);
+        assert_eq!(f.fenced_leases, 64, "{f:?}");
+        assert_eq!(f.errors, 256, "{f:?}");
+        assert_eq!(r.files, 64);
     }
 
     #[test]

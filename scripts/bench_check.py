@@ -68,6 +68,15 @@ and fails when a structural performance claim regressed:
    strictly shrink the post-recovery makespan (retry-after pacing
    replaces backoff overshoot).
 
+Claims 1-9 run on the ``scaling`` report only. Any full-mode report
+(``"smoke": false``, so also ``BENCH_ablation.json``) gets one more:
+
+10. **No sweep row repeats another by accident** — when two rows of a
+    section match in every cell outside CONFIG_COLUMNS, the setting
+    that tells them apart changed nothing measured. Such a repeat fails
+    unless DECLARED_REPEATS names the pair with its reason, and a
+    declared pair that no longer repeats fails too.
+
 Cells are printed at two decimals, so comparisons allow one unit of
 rounding slack (0.011 ms / 1 create/s). Stdlib only; exit status 0 on
 success, 1 on any failed check.
@@ -80,7 +89,7 @@ leading cells that tells the section's rows apart in both reports
 (``shards=2, policy=elastic``). Exit status 0 when the reports match,
 1 otherwise.
 
-Usage: bench_check.py [path/to/BENCH_scaling.json]
+Usage: bench_check.py [path/to/BENCH_scaling.json | path/to/BENCH_ablation.json]
        bench_check.py --golden <committed.json> <regenerated.json>
 """
 
@@ -101,6 +110,73 @@ TAIL_GROWTH_CAP = 2.0
 # worst observed ratio is ~1.53 (no-journal, late crash, narrow
 # shards); 1.7 leaves ~10% headroom without re-admitting a wedge.
 FAILOVER_SLACK = 1.7
+# Columns that configure a sweep row rather than measure it.
+CONFIG_COLUMNS = {
+    "shards",
+    "policy",
+    "cache ttl",
+    "batching",
+    "memo",
+    "write-behind",
+    "lane",
+    "workload",
+    "journal",
+    "crash at (ms)",
+    "down (ms)",
+    "loops",
+    "standby",
+    "admission",
+    "variant",
+    "nodes",
+    "shard",
+}
+NO_SPLIT = "no split fires, so elastic places every directory as hash-by-parent does"
+# Full-mode rows that repeat an earlier row of their section by
+# construction, by section title: (row, earlier row) by configuration
+# cells, with why.
+DECLARED_REPEATS = {
+    "shared-directory storm vs shard count": {
+        ("shards=1, policy=elastic", "shards=1, policy=single"): NO_SPLIT,
+        ("shards=2, policy=elastic", "shards=2, policy=hash-parent"): NO_SPLIT,
+        ("shards=4, policy=elastic", "shards=4, policy=hash-parent"): NO_SPLIT,
+        ("shards=8, policy=elastic", "shards=8, policy=hash-parent"): NO_SPLIT,
+    },
+    "hot-stat storm vs client cache": {
+        (
+            "shards=1, cache ttl=50ms",
+            "shards=1, cache ttl=2ms",
+        ): "on one shard a round outlasts both TTLs, so no lease lives into the next round",
+    },
+    "bursty storm vs read memoization": {
+        ("batching=1, memo=on", "batching=1, memo=off"): "a one-op batch memoizes nothing",
+    },
+    "cascade storm vs correlated failures": {
+        (
+            f"shards={n}, loops=1, standby=on, admission=on, down (ms)=10.0",
+            f"shards={n}, loops=1, standby=on, admission=off, down (ms)=10.0",
+        ): "at one loop the promotions leave no convoy, so admission defers nothing"
+        for n in (4, 8)
+    },
+    "placement ablations": {
+        (
+            "variant=dir limit 2048",
+            "variant=paper (hash, spread 8, limit 512)",
+        ): "the 512-entry directory limit never binds",
+    },
+    "mds sharding ablation": {
+        (
+            "variant=4 shards, subtree (hotspot)",
+            "variant=1 shard (paper, centralized)",
+        ): "every directory sits under /storm, so subtree keeps them on one shard",
+        ("variant=4 shards, elastic", "variant=4 shards, hash-by-parent"): NO_SPLIT,
+    },
+    "client-cache ablation": {
+        (
+            "workload=shared-dir (write sharing), cache ttl=10000ms",
+            "workload=shared-dir (write sharing), cache ttl=50ms",
+        ): "every lease is recalled before either TTL lapses",
+    },
+}
 
 failures = []
 
@@ -622,6 +698,39 @@ def check_cascade(report):
         )
 
 
+def config_label(headers, row):
+    """A row's configuration cells, as ``shards=2, policy=elastic``."""
+    return ", ".join(f"{h}={v}" for h, v in zip(headers, row) if h in CONFIG_COLUMNS)
+
+
+def audit_repeats(report):
+    print("repeated sweep rows:")
+    for sec in report["sections"]:
+        title, headers = sec["title"], sec["headers"]
+        declared = DECLARED_REPEATS.get(title, {})
+        first = {}
+        found = set()
+        for row in sec["rows"]:
+            cells = tuple(
+                (type(v), v) for h, v in zip(headers, row) if h not in CONFIG_COLUMNS
+            )
+            label = config_label(headers, row)
+            if cells not in first:
+                first[cells] = label
+                continue
+            pair = (label, first[cells])
+            found.add(pair)
+            reason = declared.get(pair)
+            check(
+                reason is not None,
+                f"{title!r}: {label} repeats {first[cells]}"
+                + (f" ({reason})" if reason else ", undeclared in DECLARED_REPEATS"),
+            )
+        for row, twin in declared:
+            if (row, twin) not in found:
+                check(False, f"{title!r}: declared repeat {row} = {twin} no longer repeats")
+
+
 def key_width(headers, *row_lists):
     """Shortest leading-cell count that keys every row list uniquely."""
     for width in range(1, len(headers) + 1):
@@ -721,15 +830,18 @@ def main():
         print(f"cannot read {path}: {e}")
         return 1
     print(f"checking {path} (bench={report.get('bench')!r}, smoke={report.get('smoke')})")
-    check_shard_monotonicity(report)
-    check_batching_monotonicity(report)
-    check_hot_stat_non_regression(report)
-    check_memoization(report)
-    check_write_behind(report)
-    check_read_priority(report)
-    check_elastic(report)
-    check_failover(report)
-    check_cascade(report)
+    if report.get("bench") == "scaling":
+        check_shard_monotonicity(report)
+        check_batching_monotonicity(report)
+        check_hot_stat_non_regression(report)
+        check_memoization(report)
+        check_write_behind(report)
+        check_read_priority(report)
+        check_elastic(report)
+        check_failover(report)
+        check_cascade(report)
+    if report.get("smoke") is False:
+        audit_repeats(report)
     if failures:
         print(f"\n{len(failures)} check(s) failed")
         return 1

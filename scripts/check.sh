@@ -25,13 +25,16 @@ if [ "$drifted" = 1 ]; then
     exit 1
 fi
 
-echo "==> bench_check.py gates the full-mode BENCH_scaling.json"
-# CI's smoke sweep reaches 2 shards; the 4- to 16-shard claims only
-# run against the full-mode golden, which the cmp above pins.
-if ! report="$(python3 scripts/bench_check.py BENCH_scaling.json)"; then
-    echo "$report" >&2
-    exit 1
-fi
+echo "==> bench_check.py gates the full-mode goldens"
+# CI's smoke sweep reaches 2 shards; the 4- to 16-shard claims and the
+# repeated-row audit only run against the full-mode goldens, which the
+# cmp above pins.
+for b in scaling ablation; do
+    if ! report="$(python3 scripts/bench_check.py "BENCH_$b.json")"; then
+        echo "$report" >&2
+        exit 1
+    fi
+done
 
 echo "==> cargo test -q"
 cargo test -q
@@ -67,6 +70,38 @@ if [ "$passed" = 1 ]; then
 fi
 if ! grep -qF "$expected" <<<"$report"; then
     echo "bench_check.py --golden did not name the edited cell:" >&2
+    echo "$report" >&2
+    exit 1
+fi
+
+echo "==> bench_check.py repeat-audit self-check (must name a repeated row)"
+repeated="$(mktemp)"
+# Gives the skewed-tenant section's second row the first row's measured
+# cells and prints the line the audit must report for it.
+expected="$(python3 - BENCH_scaling.json "$repeated" <<'EOF'
+import json, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, "scripts")
+from bench_check import CONFIG_COLUMNS, config_label
+report = json.load(open(sys.argv[1]))
+sec = next(s for s in report["sections"] if s["title"] == "skewed multi-tenant storm vs shard policy")
+first, second = sec["rows"][0], sec["rows"][1]
+for i, h in enumerate(sec["headers"]):
+    if h not in CONFIG_COLUMNS:
+        second[i] = first[i]
+headers = sec["headers"]
+print(f"{sec['title']!r}: {config_label(headers, second)} repeats {config_label(headers, first)}")
+json.dump(report, open(sys.argv[2], "w"), indent=2)
+EOF
+)"
+report="$(python3 scripts/bench_check.py "$repeated")" && passed=1 || passed=0
+rm -f "$repeated"
+if [ "$passed" = 1 ]; then
+    echo "bench_check.py passed a report with an undeclared repeated row" >&2
+    exit 1
+fi
+if ! grep -qF "$expected" <<<"$report"; then
+    echo "bench_check.py did not name the repeated row:" >&2
     echo "$report" >&2
     exit 1
 fi

@@ -25,7 +25,20 @@ use vfs::fs::{FileSystem, OpCtx};
 use vfs::memfs::MemFs;
 use vfs::path::vpath;
 use vfs::types::Mode;
-use workloads::scenarios::{CascadeStorm, FailoverStorm};
+use workloads::scenarios::SharedDirStorm;
+
+/// The storm shape of the failover and cascade sweeps at test scale,
+/// under `root`.
+fn fault_storm(root: &str) -> SharedDirStorm {
+    SharedDirStorm {
+        nodes: 4,
+        dirs: 8,
+        files_per_node: 8,
+        stats_per_create: 2,
+        root: vpath(root),
+        ..SharedDirStorm::default()
+    }
+}
 
 /// The storm stack of the failover sweep: sharded MDS plus the client
 /// cache (so fencing has leases to fence), with the given plan.
@@ -38,11 +51,7 @@ fn storm_cfg(plan: FaultPlan) -> CofsConfig {
 
 #[test]
 fn empty_fault_plan_is_bit_for_bit_at_storm_level() {
-    let storm = FailoverStorm {
-        nodes: 4,
-        files_per_node: 8,
-        ..FailoverStorm::default()
-    };
+    let storm = fault_storm("/failover");
     // Same stack twice: once with no fault field ever touched, once
     // with an explicitly-empty plan. The whole ScenarioResult — every
     // latency, every per-shard counter — must match byte for byte.
@@ -67,11 +76,7 @@ fn crashing_storm_replays_byte_identical() {
         SimTime::from_millis(5),
         SimDuration::from_millis(10),
     );
-    let storm = FailoverStorm {
-        nodes: 4,
-        files_per_node: 8,
-        ..FailoverStorm::default()
-    };
+    let storm = fault_storm("/failover");
     let a = storm.run(&mut cofs_over_memfs(storm_cfg(plan.clone())));
     let b = storm.run(&mut cofs_over_memfs(storm_cfg(plan)));
     assert_eq!(
@@ -178,11 +183,7 @@ fn empty_cascade_plan_is_bit_for_bit_even_with_knobs_on() {
     // admission act only inside fault processing), the storm must
     // still price byte-for-byte like a stack that never mentions
     // faults or knobs at all.
-    let storm = CascadeStorm {
-        nodes: 4,
-        files_per_node: 8,
-        ..CascadeStorm::default()
-    };
+    let storm = fault_storm("/cascade");
     let empty = FaultPlan::default()
         .rack(&[], SimTime::from_millis(2), SimDuration::from_millis(10))
         .crash_loop(
@@ -232,11 +233,7 @@ fn cascading_storm_replays_byte_identical_with_knobs_on() {
             SimTime::from_millis(4),
             SimDuration::from_millis(3),
         );
-    let storm = CascadeStorm {
-        nodes: 4,
-        files_per_node: 8,
-        ..CascadeStorm::default()
-    };
+    let storm = fault_storm("/cascade");
     let cfg = || {
         cascade_cfg()
             .with_standby()

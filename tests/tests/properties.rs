@@ -153,73 +153,6 @@ mod shard_policy_props {
     }
 }
 
-mod metadb_props {
-    use super::*;
-    use metadb::table::{Record, Table};
-
-    #[derive(Clone, Debug, PartialEq)]
-    struct Row {
-        k: u64,
-        v: u64,
-    }
-    impl Record for Row {
-        type Key = u64;
-        fn key(&self) -> u64 {
-            self.k
-        }
-    }
-
-    proptest! {
-        /// An aborted transaction leaves the table exactly as it was,
-        /// for any sequence of mutations inside the transaction.
-        #[test]
-        fn aborted_txn_restores_state(
-            initial in prop::collection::vec((0u64..32, 0u64..100), 0..20),
-            muts in prop::collection::vec((0u64..32, 0u64..100, 0u8..4), 1..20),
-        ) {
-            let mut t: Table<Row> = Table::new("t");
-            for (k, v) in &initial {
-                t.upsert(Row { k: *k, v: *v });
-            }
-            let snapshot: Vec<Row> = t.iter().cloned().collect();
-            let r: Result<(), ()> = t.txn(|view| {
-                for (k, v, kind) in &muts {
-                    match kind {
-                        0 => { let _ = view.insert(Row { k: *k, v: *v }); }
-                        1 => { view.upsert(Row { k: *k, v: *v }); }
-                        2 => { let _ = view.update(k, |r| r.v = *v); }
-                        _ => { let _ = view.delete(k); }
-                    }
-                }
-                Err(())
-            });
-            prop_assert!(r.is_err());
-            let after: Vec<Row> = t.iter().cloned().collect();
-            prop_assert_eq!(snapshot, after);
-        }
-
-        /// Committed transactions apply all mutations (spot check via
-        /// upserts: last writer wins).
-        #[test]
-        fn committed_txn_applies(writes in prop::collection::vec((0u64..16, 0u64..100), 1..20)) {
-            let mut t: Table<Row> = Table::new("t");
-            let r: Result<(), ()> = t.txn(|view| {
-                for (k, v) in &writes {
-                    view.upsert(Row { k: *k, v: *v });
-                }
-                Ok(())
-            });
-            prop_assert!(r.is_ok());
-            for (k, v) in writes.iter().rev() {
-                // The last write to key k must be visible.
-                let last = writes.iter().rev().find(|(k2, _)| k2 == k).unwrap().1;
-                prop_assert_eq!(t.get(k).unwrap().v, last);
-                let _ = v;
-            }
-        }
-    }
-}
-
 mod dlm_props {
     use super::*;
     use dlm::{TokenId, TokenManager, TokenMode};
