@@ -31,6 +31,19 @@ impl Registry {
     }
 }
 
+type FxHashMap<K, V> = HashMap<K, V>;
+
+struct Directories {
+    per_dir: Vec<FxHashMap<String, u64>>,
+}
+
+impl Directories {
+    fn names(&self, dir: usize) -> Vec<String> {
+        // D003: an aliased hash map, nested in a Vec, iterated through an index
+        self.per_dir[dir].keys().cloned().collect()
+    }
+}
+
 static mut GLOBAL: u64 = 0; // D004: unaudited global mutable state
 
 fn parallelism() {

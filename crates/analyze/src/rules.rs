@@ -185,6 +185,29 @@ fn in_regions(regions: &[(u32, u32)], line: u32) -> bool {
     regions.iter().any(|&(a, b)| a <= line && line <= b)
 }
 
+/// The token naming a method call's receiver that ends at `end`: `end`
+/// itself, or, when the receiver is indexed once (`name[…]`), the name
+/// before the brackets.
+fn indexed_name(toks: &[Tok], end: usize) -> Option<usize> {
+    if toks[end].text != "]" {
+        return Some(end);
+    }
+    let mut depth = 0i32;
+    for j in (0..=end).rev() {
+        match toks[j].text.as_str() {
+            "]" => depth += 1,
+            "[" => {
+                depth -= 1;
+                if depth == 0 {
+                    return j.checked_sub(1);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
 /// Methods whose iteration order follows the map's internal order.
 const ITER_METHODS: &[&str] = &[
     "iter",
@@ -207,9 +230,16 @@ pub fn hash_typed_names_in(src: &str) -> BTreeSet<String> {
     hash_typed_names(&lex(src).0)
 }
 
-/// D003 pass 1: names declared in this file with a `HashMap`/`HashSet`
-/// type (struct fields, lets, params) or initialized from one
-/// (`= HashMap::new()` and friends).
+/// A hash-table type name: `HashMap`, `HashSet`, or an alias whose
+/// name ends in one of them (`FxHashMap`, `FxHashSet`).
+fn is_hash_type(tok: &Tok) -> bool {
+    tok.is_ident && (tok.text.ends_with("HashMap") || tok.text.ends_with("HashSet"))
+}
+
+/// D003 pass 1: names declared in this file with a type that mentions
+/// a hash table anywhere inside (`m: HashMap<…>`, `m: Vec<FxHashMap<…>>`
+/// — struct fields, lets, params) or initialized from one
+/// (`= HashMap::new()`, `= FxHashMap::default()` and friends).
 fn hash_typed_names(toks: &[Tok]) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     let t = |i: usize| -> &str {
@@ -220,31 +250,57 @@ fn hash_typed_names(toks: &[Tok]) -> BTreeSet<String> {
         }
     };
     for i in 0..toks.len() {
-        if t(i) != "HashMap" && t(i) != "HashSet" {
+        // `name: Type` — a single colon, not a `::` path separator.
+        if toks[i].is_ident && t(i + 1) == ":" && t(i + 2) != ":" && (i == 0 || t(i - 1) != ":") {
+            if type_mentions_hash(toks, i + 2) {
+                names.insert(toks[i].text.clone());
+            }
             continue;
         }
-        // Walk back over a `std :: collections ::` path prefix.
+        if !is_hash_type(&toks[i]) {
+            continue;
+        }
+        // `let [mut] name = [path ::]HashMap::new()`: walk back over the
+        // path prefix to the `=`.
         let mut k = i;
-        while k >= 3
-            && t(k - 1) == ":"
-            && t(k - 2) == ":"
-            && (t(k - 3) == "collections" || t(k - 3) == "std")
-        {
+        while k >= 3 && t(k - 1) == ":" && t(k - 2) == ":" && toks[k - 3].is_ident {
             k -= 3;
         }
-        if k == 0 {
-            continue;
-        }
-        let prev = t(k - 1);
-        if prev == ":" && k >= 2 && toks[k - 2].is_ident {
-            // `name: HashMap<…>` — field, let-with-annotation, param.
-            names.insert(toks[k - 2].text.clone());
-        } else if prev == "=" && k >= 2 && toks[k - 2].is_ident && t(k - 2) != "=" {
-            // `let [mut] name = HashMap::new()` (or ::from, ::default).
+        if k >= 2 && t(k - 1) == "=" && toks[k - 2].is_ident {
             names.insert(toks[k - 2].text.clone());
         }
     }
     names
+}
+
+/// True when the type starting at token `start` mentions a hash table
+/// before it ends: at a `,`, `=` or `|` at its own nesting level, at a
+/// closing bracket it did not open, or at a token no type contains
+/// (`;`, braces, `!`, `.`), which also stops the scan of a struct
+/// literal's `field: value` at the first nested literal or call.
+fn type_mentions_hash(toks: &[Tok], start: usize) -> bool {
+    let mut depth = 0i32;
+    for j in start..toks.len().min(start + 64) {
+        let tok = &toks[j];
+        if is_hash_type(tok) {
+            return true;
+        }
+        match tok.text.as_str() {
+            "<" | "(" | "[" => depth += 1,
+            // The `>` of a `->` return arrow closes nothing.
+            ">" if j > 0 && toks[j - 1].text == "-" => {}
+            ">" | ")" | "]" => {
+                depth -= 1;
+                if depth < 0 {
+                    return false;
+                }
+            }
+            "," | "=" | "|" if depth == 0 => return false,
+            ";" | "{" | "}" | "!" | "." => return false,
+            _ => {}
+        }
+    }
+    false
 }
 
 /// Runs every applicable rule over one file's source. `crate_names`
@@ -366,22 +422,27 @@ pub fn analyze_source(
         }
         // ---- D003: unordered iteration ---------------------------------
         if policy.d003 && !in_regions(&test_regions, line) {
-            // `name.iter()` / `self.name.keys()` …
-            if toks[i].is_ident
-                && ITER_METHODS.contains(&t(i))
-                && t(i + 1) == "("
-                && i >= 2
-                && t(i - 1) == "."
-                && hash_names.contains(t(i - 2))
-            {
+            // `name.iter()` / `self.name.keys()` / `name[…].iter()` …
+            let receiver = if i >= 2 && t(i - 1) == "." {
+                indexed_name(&toks, i - 2)
+            } else {
+                None
+            };
+            if let Some(name) = receiver.filter(|&r| {
+                toks[i].is_ident
+                    && ITER_METHODS.contains(&t(i))
+                    && t(i + 1) == "("
+                    && hash_names.contains(t(r))
+            }) {
                 push(
                     &mut raw,
                     line,
                     "D003",
                     format!(
-                        "`{}.{}()` iterates a HashMap/HashSet — use BTreeMap/BTreeSet \
+                        "`{}{}.{}()` iterates a HashMap/HashSet — use BTreeMap/BTreeSet \
                          or a sorted collect",
-                        t(i - 2),
+                        t(name),
+                        if name + 1 < i - 1 { "[…]" } else { "" },
                         t(i)
                     ),
                 );
@@ -563,6 +624,73 @@ mod tests {
             }
         ";
         assert_eq!(rules_of(src), vec!["D003", "D003", "D003"]);
+    }
+
+    #[test]
+    fn d003_type_nesting_a_hash_map_is_recorded() {
+        let src = "
+            struct S { per_dir: Vec<Option<HashMap<String, u64>>> }
+            impl S { fn f(&self) -> usize { self.per_dir.iter().flatten().count() } }
+        ";
+        assert_eq!(rules_of(src), vec!["D003"]);
+    }
+
+    #[test]
+    fn d003_alias_named_like_a_hash_map_is_recorded() {
+        let src = "
+            type FxHashMap<K, V> = HashMap<K, V>;
+            struct S { m: FxHashMap<u64, u64> }
+            impl S { fn f(&self) -> u64 { self.m.values().sum() } }
+            fn g() -> usize {
+                let made = simcore::hash::FxHashSet::default();
+                made.iter().count()
+            }
+        ";
+        assert_eq!(rules_of(src), vec!["D003", "D003"]);
+    }
+
+    #[test]
+    fn d003_iteration_through_one_index_fires() {
+        let src = "
+            struct S { dirs: Vec<HashMap<String, u64>>, sizes: Vec<Vec<u64>> }
+            impl S {
+                fn f(&self, d: usize) -> usize { self.dirs[d as usize].keys().count() }
+                fn g(&self, d: usize) -> u64 { self.sizes[d].iter().sum() }
+            }
+        ";
+        let v = analyze_source("crates/core/src/x.rs", src, sim_policy(), &BTreeSet::new());
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 4);
+        assert!(
+            v[0].message.contains("`dirs[…].keys()`"),
+            "{}",
+            v[0].message
+        );
+    }
+
+    #[test]
+    fn d003_struct_literal_holding_a_hash_map_is_not_the_field() {
+        // `shards` holds literals with a hash map inside; it is not one.
+        let src = "
+            fn f() -> Net {
+                Net { shards: vec![Rtts { rtts: HashMap::new(), n: 1 }] }
+            }
+            fn g(net: &Net) -> usize { net.shards.iter().count() }
+        ";
+        assert!(rules_of(src).is_empty());
+    }
+
+    #[test]
+    fn seeded_fixture_trips_the_aliased_nested_map_behind_an_index() {
+        let path = "crates/analyze/fixtures/seeded.rs";
+        let src = include_str!("../fixtures/seeded.rs");
+        let policy = FilePolicy::for_path(path, true);
+        let v = analyze_source(path, src, policy, &BTreeSet::new());
+        assert!(
+            v.iter()
+                .any(|v| v.rule == "D003" && v.message.contains("`per_dir[…].keys()`")),
+            "{v:?}"
+        );
     }
 
     #[test]

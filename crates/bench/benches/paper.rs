@@ -171,6 +171,28 @@ fn bench_listing(c: &mut Criterion) {
     });
 }
 
+/// One `stat` in the `LISTED`-entry directory, of a different name on
+/// each iteration: the keyed lookups by name and path that every
+/// create, stat and open pays (the namespace's directory-entry probes
+/// and the client cache's lease probe). The `listing_` pair above is
+/// the one place that sorts names.
+fn bench_lookup(c: &mut Criterion) {
+    use vfs::fs::FileSystem;
+
+    c.bench_function("lookup_stat_2560", |b| {
+        let (mut fs, dir, ctx) = listing_dir();
+        let paths: Vec<_> = (0..LISTED).map(|i| dir.join(&format!("f{i}"))).collect();
+        // 977 is coprime with `LISTED`, so the stride visits every name
+        // before it repeats one. An untimed pass over half the names
+        // warms the path first.
+        let mut next = (0..).map(|turn| &paths[turn * 977 % LISTED]);
+        for path in next.by_ref().take(LISTED / 2) {
+            fs.stat(&ctx, path).unwrap();
+        }
+        b.iter(|| fs.stat(&ctx, next.next().unwrap()).unwrap().value.size)
+    });
+}
+
 /// A bursty create storm in the metadata-service limit, with and
 /// without the batch/pipeline layer — measures the simulator's
 /// wall-clock cost of the batching bookkeeping (the *virtual*-time win
@@ -489,6 +511,6 @@ fn bench_table1(c: &mut Criterion) {
 criterion_group! {
     name = paper;
     config = Criterion::default().sample_size(10);
-    targets = bench_fig1, bench_fig2, bench_fig4, bench_fig5, bench_fig6, bench_table1, bench_mds, bench_client_cache, bench_batching, bench_memoization, bench_write_behind, bench_read_priority, bench_elastic, bench_fault, bench_cascade, bench_listing
+    targets = bench_fig1, bench_fig2, bench_fig4, bench_fig5, bench_fig6, bench_table1, bench_mds, bench_client_cache, bench_batching, bench_memoization, bench_write_behind, bench_read_priority, bench_elastic, bench_fault, bench_cascade, bench_listing, bench_lookup
 }
 criterion_main!(paper);

@@ -35,6 +35,7 @@
 //!   leases self-defeating, and real systems relax it the same way).
 
 use netsim::ids::NodeId;
+use simcore::hash::FxHashMap;
 use simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use vfs::path::VPath;
@@ -155,19 +156,21 @@ struct Entry {
     last_use: u64,
 }
 
-/// Per-kind maps keyed by bare `VPath`, so the hot probe path never
-/// clones a path just to build a tuple key. Ordered maps keep the
-/// LRU scan and any future iteration deterministic (lint rule D003).
+/// Per-kind hash maps keyed by bare `VPath`, so the hot probe path is
+/// one hash probe and never clones a path just to build a tuple key.
+/// The only scan, the LRU victim search, takes a minimum over use
+/// counters that are unique per node, so it does not depend on the
+/// maps' order (lint rule D003).
 #[derive(Debug, Default)]
 struct NodeCache {
-    attrs: BTreeMap<VPath, Entry>,
-    dentries: BTreeMap<VPath, Entry>,
-    negatives: BTreeMap<VPath, Entry>,
+    attrs: FxHashMap<VPath, Entry>,
+    dentries: FxHashMap<VPath, Entry>,
+    negatives: FxHashMap<VPath, Entry>,
     use_seq: u64,
 }
 
 impl NodeCache {
-    fn map(&mut self, kind: EntryKind) -> &mut BTreeMap<VPath, Entry> {
+    fn map(&mut self, kind: EntryKind) -> &mut FxHashMap<VPath, Entry> {
         match kind {
             EntryKind::Attr => &mut self.attrs,
             EntryKind::Dentry => &mut self.dentries,
@@ -184,15 +187,18 @@ impl NodeCache {
     /// map order).
     fn lru_victim(&self) -> Option<LeaseKey> {
         self.attrs
+            // cofs-lint: allow(D003, minimum of use counters unique per node)
             .iter()
             .map(|(p, e)| (EntryKind::Attr, p, e.last_use))
             .chain(
                 self.dentries
+                    // cofs-lint: allow(D003, minimum of use counters unique per node)
                     .iter()
                     .map(|(p, e)| (EntryKind::Dentry, p, e.last_use)),
             )
             .chain(
                 self.negatives
+                    // cofs-lint: allow(D003, minimum of use counters unique per node)
                     .iter()
                     .map(|(p, e)| (EntryKind::Negative, p, e.last_use)),
             )

@@ -47,9 +47,9 @@
 //! [`ShardPolicy::Subtree`]: crate::mds_cluster::ShardPolicy::Subtree
 
 use crate::mds_cluster::{hash_shard, ShardId};
+use simcore::hash::FxHashMap;
 use simcore::rng::stable_hash;
 use simcore::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 use vfs::path::VPath;
 
 /// The radix hash a dentry name routes by: bucket `i` of a directory
@@ -245,7 +245,8 @@ struct DirState {
 pub struct ElasticPolicy {
     shards: usize,
     cfg: ElasticConfig,
-    dirs: BTreeMap<VPath, DirState>,
+    /// Observed directories, probed by path on every routed op.
+    dirs: FxHashMap<VPath, DirState>,
     /// How many buckets (homes and split siblings) each shard
     /// currently hosts. Sibling placement ranks shards
     /// least-occupied-first with measured coldness as the tiebreak:
@@ -270,7 +271,7 @@ impl ElasticPolicy {
         ElasticPolicy {
             shards,
             cfg,
-            dirs: BTreeMap::new(),
+            dirs: FxHashMap::default(),
             bucket_counts: vec![0; shards],
             split_events: 0,
             merge_events: 0,
@@ -462,6 +463,7 @@ impl ElasticPolicy {
     /// durable state, like sessions — but counts restart so the first
     /// post-reset window measures only post-reset load.
     pub fn reset_time(&mut self) {
+        // cofs-lint: allow(D003, resets each window alike; order-free)
         for st in self.dirs.values_mut() {
             st.window_start = SimTime::ZERO;
             st.ops = 0;

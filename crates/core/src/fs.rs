@@ -17,7 +17,7 @@ use crate::mds_cluster::{MdsCluster, Shape, ShardId, ShardUsage};
 use crate::placement::{HashedPlacement, PlacementPolicy};
 use netsim::ids::NodeId;
 use simcore::prelude::*;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use vfs::error::{Errno, FsError};
 use vfs::fs::{FileSystem, FsResult, OpCtx, Timed};
 use vfs::path::VPath;
@@ -88,7 +88,8 @@ pub struct CofsFs<U: FileSystem> {
     cache: ClientCache,
     batch: BatchPipeline,
     placement: Box<dyn PlacementPolicy>,
-    made_dirs: HashSet<VPath>,
+    /// Underlying directories already made, probed on every create.
+    made_dirs: FxHashSet<VPath>,
     // Ordered: rename re-roots open handles by iterating this map, and
     // the visit order must not depend on hasher state (lint rule D003).
     handles: BTreeMap<u64, CHandle>,
@@ -142,7 +143,7 @@ impl<U: FileSystem> CofsFs<U> {
             cache: ClientCache::new(cfg.client_cache.clone()),
             batch: BatchPipeline::new(cfg.batch.clone()),
             placement,
-            made_dirs: HashSet::new(),
+            made_dirs: FxHashSet::default(),
             handles: BTreeMap::new(),
             next_fh: 1,
             next_under_name: 1,
@@ -897,29 +898,31 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn close(&mut self, ctx: &OpCtx, fh: FileHandle) -> FsResult<()> {
-        let h = self
-            .handles
-            .remove(&fh.0)
-            .ok_or_else(|| FsError::new(Errno::EBADF, "close", fh.to_string()))?;
+        let h = self.handle(fh, "close")?;
+        // Writes never contact the service (paper §V: "there is no
+        // need to contact the COFS metadata server if a file is
+        // written or resized") — the release after a write reports the
+        // authoritative size instead. That update needs the shard, so
+        // the gate admits it before anything is released: a refused
+        // close keeps the handle open and changes nothing.
+        let publish = h.written && h.mapping.is_some();
         let mut t = self.fuse(ctx);
+        if publish {
+            let vpath = h.vpath.clone();
+            t = self.gate(ctx.node, "close", &vpath, t)?;
+        }
+        let h = self.handles.remove(&fh.0).expect("handle checked above");
         if let Some(ufh) = h.under_fh {
             let dctx = Self::daemon_ctx(ctx, t);
             t = self.under.close(&dctx, ufh)?.end;
         }
-        // Writes never contact the service (paper §V: "there is no
-        // need to contact the COFS metadata server if a file is
-        // written or resized") — the release after a write reports the
-        // authoritative size instead.
-        if h.written {
-            if let Some(mapping) = &h.mapping {
-                let dctx = Self::daemon_ctx(ctx, t);
-                let size = self.under.stat(&dctx, mapping)?.value.size;
-                t = t.max(dctx.now);
-                t = self.gate(ctx.node, "close", &h.vpath, t)?;
-                let ops = self.mds.namespace_mut().set_size(h.vino, size, ctx.now);
-                t = self.charge(ctx.node, Target::Write(&h.vpath, None), ops, t)?;
-                t = self.recall(ctx.node, || vec![(EntryKind::Attr, h.vpath.clone())], t);
-            }
+        if let Some(mapping) = h.mapping.as_ref().filter(|_| publish) {
+            let dctx = Self::daemon_ctx(ctx, t);
+            let size = self.under.stat(&dctx, mapping)?.value.size;
+            t = t.max(dctx.now);
+            let ops = self.mds.namespace_mut().set_size(h.vino, size, ctx.now);
+            t = self.charge(ctx.node, Target::Write(&h.vpath, None), ops, t)?;
+            t = self.recall(ctx.node, || vec![(EntryKind::Attr, h.vpath.clone())], t);
         }
         Ok(Timed::new((), t))
     }
@@ -1983,6 +1986,45 @@ mod tests {
         // once the shard recovers both the size and the bytes remain.
         assert_eq!(fs.under().open_handles(), 0);
         let after = ctx.at(SimTime::from_secs(2));
+        assert_eq!(fs.stat(&after, &vpath("/f")).unwrap().value.size, 4096);
+        let fh = fs
+            .open(&after, &vpath("/f"), OpenFlags::RDONLY)
+            .unwrap()
+            .value;
+        assert_eq!(fs.read(&after, fh, 0, 4096).unwrap().value, 4096);
+    }
+
+    #[test]
+    fn refused_close_keeps_the_handle_until_the_size_can_publish() {
+        let plan = crate::fault::FaultPlan::default().crash(
+            crate::mds_cluster::ShardId(0),
+            SimTime::from_millis(5),
+            SimDuration::from_millis(100),
+        );
+        let retry = crate::fault::RetryConfig {
+            max_retries: 0,
+            ..crate::fault::RetryConfig::default()
+        };
+        let mut fs = fault_fs(plan, retry);
+        let ctx = OpCtx::test(NodeId(0));
+        let fh = fs
+            .create(&ctx, &vpath("/f"), Mode::file_default())
+            .unwrap()
+            .value;
+        // Inside the crash window the write needs no shard, but the
+        // close must publish the size, and the gate refuses it.
+        let late = ctx.at(SimTime::from_millis(6));
+        fs.write(&late, fh, 0, 4096).unwrap();
+        let e = fs.close(&late, fh).unwrap_err();
+        assert!(e.is(Errno::EIO));
+        // The refused close had no effect: the handle and its
+        // underlying file stay open, and the size is still unpublished.
+        assert_eq!(fs.under().open_handles(), 1);
+        let after = ctx.at(SimTime::from_secs(2));
+        assert_eq!(fs.stat(&after, &vpath("/f")).unwrap().value.size, 0);
+        // After recovery the same handle closes and publishes.
+        fs.close(&after, fh).unwrap();
+        assert_eq!(fs.under().open_handles(), 0);
         assert_eq!(fs.stat(&after, &vpath("/f")).unwrap().value.size, 4096);
         let fh = fs
             .open(&after, &vpath("/f"), OpenFlags::RDONLY)

@@ -10,23 +10,27 @@
 //!
 //! Inode numbers are handed out sequentially and never reused, so the
 //! inode table is a dense vector indexed by number. The entry table is
-//! one ordered map per directory, kept in a second vector indexed the
-//! same way and keyed by name. Path resolution walks the path's text
-//! and probes each directory's map with the borrowed component, so a
-//! lookup allocates nothing; a name is copied only when it is inserted.
-//! Each entry carries its child's type, so listing a directory is one
-//! map iteration that reads no child inode, and a walk spots a symlink
-//! without reading its inode. Reads return borrowed records
-//! ([`Mds::getattr`], [`Mds::lookup`]); callers copy what they keep.
+//! one hash map per directory ([`simcore::hash::FxHashMap`], keyed by
+//! name), kept in a second vector indexed the same way — the shape of
+//! the paper's keyed reads of a `(parent, name)` row. Path resolution
+//! walks the path's text and probes each directory's map with the
+//! borrowed component, so a lookup is one hash probe per component and
+//! allocates nothing; a name is copied only when it is inserted. Name
+//! order is produced in one place, [`Mds::entries`], which sorts the
+//! listing it copies; counting a directory ([`Mds::entry_len`]) never
+//! sorts. Each entry carries its child's type, so listing a directory
+//! reads no child inode, and a walk spots a symlink without reading its
+//! inode. Reads return borrowed records ([`Mds::getattr`],
+//! [`Mds::lookup`]); callers copy what they keep.
 //!
 //! The service is deliberately *state only*: every operation returns
 //! the [`DbOps`] it performed (rows read, rows written) and the
 //! composite filesystem charges virtual time for them against the
 //! service's CPU queue and the network.
 
+use simcore::hash::FxHashMap;
 use simcore::rng::{stable_hash, stable_hash_combine};
 use simcore::time::SimTime;
-use std::collections::BTreeMap;
 use vfs::error::{Errno, FsError};
 use vfs::path::{splice_link, walk, VPath};
 use vfs::types::{DirEntry, FileAttr, FileType, Gid, Ino, Mode, SetAttr, Uid, MAX_NAME_LEN};
@@ -293,9 +297,9 @@ pub struct Mds {
     /// Inode rows indexed by inode number; `None` for number 0 and for
     /// freed inodes. The next number to hand out is the length.
     inodes: Vec<Option<InodeRec>>,
-    /// Directory-entry rows: one map per directory, indexed like
+    /// Directory-entry rows: one hash map per directory, indexed like
     /// `inodes` (empty for every other inode).
-    dentries: Vec<BTreeMap<String, Dentry>>,
+    dentries: Vec<FxHashMap<Box<str>, Dentry>>,
 }
 
 impl Mds {
@@ -319,7 +323,7 @@ impl Mds {
         };
         Mds {
             inodes: vec![None, Some(root)],
-            dentries: vec![BTreeMap::new(), BTreeMap::new()],
+            dentries: vec![FxHashMap::default(), FxHashMap::default()],
         }
     }
 
@@ -389,7 +393,7 @@ impl Mds {
             ino,
             ftype: self.get(ino).ftype,
         };
-        let prev = self.dentries[parent as usize].insert(name.to_string(), entry);
+        let prev = self.dentries[parent as usize].insert(name.into(), entry);
         debug_assert!(prev.is_none(), "caller checked the name was free");
     }
 
@@ -496,7 +500,7 @@ impl Mds {
         mapping: Option<VPath>,
     ) -> u64 {
         let ino = self.inodes.len() as u64;
-        self.dentries.push(BTreeMap::new());
+        self.dentries.push(FxHashMap::default());
         self.inodes.push(Some(InodeRec {
             ino,
             ftype,
@@ -783,12 +787,19 @@ impl Mds {
         Ok((ino, ops))
     }
 
-    /// The entries of directory `dir`, in name order.
+    /// The entries of directory `dir`, in name order — the only place
+    /// a listing is sorted.
     pub fn entries(&self, dir: u64) -> Vec<DirEntry> {
-        self.dentries[dir as usize]
+        let mut rows: Vec<(&str, Dentry)> = self.dentries[dir as usize]
+            // cofs-lint: allow(D003, sorted by name before it is copied)
             .iter()
+            .map(|(name, d)| (&**name, *d))
+            .collect();
+        // Names are unique within a directory, so the order is total.
+        rows.sort_unstable_by_key(|&(name, _)| name);
+        rows.into_iter()
             .map(|(name, d)| DirEntry {
-                name: name.clone(),
+                name: name.to_string(),
                 ino: Ino(d.ino),
                 ftype: d.ftype,
             })
@@ -976,6 +987,8 @@ impl Default for Mds {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::rng::SimRng;
+    use std::collections::BTreeSet;
     use vfs::path::vpath;
 
     fn cred() -> Cred {
@@ -1066,12 +1079,17 @@ mod tests {
         assert_eq!(mds.inode_count(), 1);
     }
 
+    /// A thousand names, created in a shuffled order and then thinned
+    /// and renamed in place, so a hash table cannot list them in name
+    /// order by chance.
     #[test]
     fn readdir_lists_virtual_view() {
         let mut mds = Mds::new();
         mds.mkdir(cred(), &vpath("/d"), Mode::dir_default(), t(1))
             .unwrap();
-        for name in ["c", "a", "b"] {
+        let mut names: Vec<String> = (0..1000).map(|i| format!("f{i:04}")).collect();
+        SimRng::seed_from(20).shuffle(&mut names);
+        for name in &names {
             mds.create(
                 cred(),
                 &vpath(&format!("/d/{name}")),
@@ -1081,15 +1099,32 @@ mod tests {
             )
             .unwrap();
         }
-        let (dir, ops) = mds.readdir(cred(), &vpath("/d"), t(3)).unwrap();
+        let mut want: BTreeSet<String> = names.iter().cloned().collect();
+        for (i, name) in names.iter().enumerate() {
+            let path = vpath(&format!("/d/{name}"));
+            if i % 7 == 0 {
+                mds.unlink(cred(), &path, t(3)).unwrap();
+                want.remove(name);
+            } else if i % 11 == 0 {
+                // The new name sorts right after the old one.
+                let moved = format!("{name}-moved");
+                mds.rename(cred(), &path, &vpath(&format!("/d/{moved}")), t(3))
+                    .unwrap();
+                want.remove(name);
+                want.insert(moved);
+            }
+        }
+        let (dir, ops) = mds.readdir(cred(), &vpath("/d"), t(4)).unwrap();
         let list = mds.entries(dir);
-        let names: Vec<&str> = list.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
-        assert_eq!(mds.entry_len(dir), 3);
-        assert!(ops.reads >= 4);
+        let listed: Vec<&str> = list.iter().map(|e| e.name.as_str()).collect();
+        let want: Vec<&str> = want.iter().map(String::as_str).collect();
+        assert_eq!(listed, want);
+        let n = want.len() as u64;
+        assert_eq!(mds.entry_len(dir), n);
+        assert!(ops.reads > n, "{ops:?}");
         // Directory size attr reflects entries.
         let (d, _) = mds.getattr(cred(), &vpath("/d")).unwrap();
-        assert_eq!(d.attr().size, 3 * 32);
+        assert_eq!(d.attr().size, n * 32);
     }
 
     #[test]

@@ -601,10 +601,13 @@ pub struct MdsCluster {
     sessions: Vec<Vec<bool>>,
     /// Outstanding client-cache leases: which nodes may answer which
     /// `(kind, path)` reads locally, and until when. The shard owning
-    /// the path recalls these on conflicting mutations. Ordered maps
-    /// so recall/revoke visit order is deterministic by construction
-    /// (lint rule D003).
-    leases: BTreeMap<LeaseKey, BTreeMap<NodeId, SimTime>>,
+    /// the path recalls these on conflicting mutations. Keys are hashed,
+    /// so every grant, release and recall is one probe; the scans over
+    /// keys (crash fencing, [`Self::lease_keys_under`]) sort what they
+    /// collect, and the sweep and holder count only count (lint rule
+    /// D003). Each key's holders stay ordered, so a recall messages
+    /// them in node order.
+    leases: FxHashMap<LeaseKey, BTreeMap<NodeId, SimTime>>,
     /// Last periodic lease-registry sweep (virtual time).
     last_sweep: SimTime,
     /// Sweeps run since the last [`Self::reset_time`].
@@ -633,7 +636,7 @@ impl MdsCluster {
             shards,
             sessions: vec![Vec::new(); policy.shard_count()],
             policy,
-            leases: BTreeMap::new(),
+            leases: FxHashMap::default(),
             last_sweep: SimTime::ZERO,
             lease_sweeps: 0,
             leases_swept: 0,
@@ -985,10 +988,11 @@ impl MdsCluster {
         self.fault_stats.fenced_sessions += evicted.iter().filter(|&&open| open).count() as u64;
         // Fence every lease this shard granted: the key routes to the
         // crashed shard, so its holders can no longer trust their grant
-        // and must revalidate. BTreeMap iteration keeps the order
-        // deterministic (lint rule D003).
-        let fenced_keys: Vec<LeaseKey> = self
+        // and must revalidate. Fenced in key order, so the pending
+        // notices do not depend on the registry's hash order.
+        let mut fenced_keys: Vec<LeaseKey> = self
             .leases
+            // cofs-lint: allow(D003, the fenced keys are sorted before use)
             .keys()
             .filter(|key| {
                 let owner = match key.0 {
@@ -999,6 +1003,7 @@ impl MdsCluster {
             })
             .cloned()
             .collect();
+        fenced_keys.sort_unstable();
         for key in fenced_keys {
             let Some(holders) = self.leases.remove(&key) else {
                 continue;
@@ -1292,6 +1297,7 @@ impl MdsCluster {
     pub fn lease_keys_under(&self, path: &VPath) -> Vec<LeaseKey> {
         let mut keys: Vec<LeaseKey> = self
             .leases
+            // cofs-lint: allow(D003, the keys are sorted before they are returned)
             .keys()
             .filter(|(_, p)| p.starts_with(path))
             .cloned()
@@ -1373,6 +1379,7 @@ impl MdsCluster {
     /// memory under churn (the ROADMAP's lease-table-growth item).
     pub fn sweep_expired_leases(&mut self, now: SimTime) -> u64 {
         let mut swept = 0u64;
+        // cofs-lint: allow(D003, prunes and counts; the result is order-free)
         self.leases.retain(|_, holders| {
             let before = holders.len();
             holders.retain(|_, &mut expires| expires > now);
@@ -1398,6 +1405,7 @@ impl MdsCluster {
     /// Outstanding lease holders currently tracked (over all keys) —
     /// the registry size the sweep bounds.
     pub fn lease_holder_count(&self) -> usize {
+        // cofs-lint: allow(D003, a sum does not depend on order)
         self.leases.values().map(|h| h.len()).sum()
     }
 

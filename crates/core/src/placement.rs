@@ -14,8 +14,8 @@
 //! > underlying directory size."
 
 use netsim::ids::{NodeId, Pid};
+use simcore::hash::FxHashMap;
 use simcore::rng::{stable_hash, stable_hash_combine, SimRng};
-use std::collections::HashMap;
 use vfs::path::VPath;
 
 /// Chooses the underlying directory for each newly created file.
@@ -65,11 +65,11 @@ pub struct HashedPlacement {
     rng: SimRng,
     /// Every slot directory opened so far, keyed by `(node, hash,
     /// slot)` — the three numbers its path spells out.
-    slot_dirs: HashMap<(u32, u64, u32), SlotDir>,
+    slot_dirs: FxHashMap<(u32, u64, u32), SlotDir>,
     /// Next fresh slot number per hash directory.
-    next_slot: HashMap<u64, u32>,
+    next_slot: FxHashMap<u64, u32>,
     /// Active slot per (hash dir, spread lane).
-    lanes: HashMap<(u64, u32), u32>,
+    lanes: FxHashMap<(u64, u32), u32>,
 }
 
 /// One underlying slot directory: its path, built once when the slot
@@ -94,9 +94,9 @@ impl HashedPlacement {
             dir_limit,
             spread,
             rng: SimRng::seed_from(seed),
-            slot_dirs: HashMap::new(),
-            next_slot: HashMap::new(),
-            lanes: HashMap::new(),
+            slot_dirs: FxHashMap::default(),
+            next_slot: FxHashMap::default(),
+            lanes: FxHashMap::default(),
         }
     }
 
@@ -208,6 +208,7 @@ impl PlacementPolicy for PassthroughPlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use vfs::path::vpath;
 
     fn policy() -> HashedPlacement {

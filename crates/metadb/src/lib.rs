@@ -15,7 +15,8 @@
 //!   and journal accounting.
 //!
 //! The COFS metadata service (`cofs::mds`) keeps its two tables itself
-//! (a dense inode vector and an ordered directory-entry map), counts
+//! (a dense inode vector and one hashed directory-entry map per
+//! directory, keyed by name; a listing sorts what it copies), counts
 //! the rows each operation reads and writes, and charges those counts
 //! through this cost model against a queueing resource, so the
 //! service's CPU is a proper bottleneck at scale.

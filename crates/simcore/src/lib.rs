@@ -10,6 +10,8 @@
 //!   queueing servers (metadata CPUs, disks, token managers);
 //! - [`bandwidth::BandwidthLink`] — capacity-limited links;
 //! - [`rng::SimRng`] — deterministic pseudo-randomness;
+//! - [`hash::FxHashMap`] / [`hash::FxHashSet`] — hash tables with one
+//!   fixed, unseeded hasher for keyed lookups by name or path;
 //! - [`stats::Summary`] / [`stats::Counters`] — measurement capture.
 //!
 //! The simulation style is the *min-clock* discipline: each simulated
@@ -40,6 +42,7 @@
 
 pub mod admission;
 pub mod bandwidth;
+pub mod hash;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -49,6 +52,7 @@ pub mod time;
 pub mod prelude {
     pub use crate::admission::{Admit, TokenBucket};
     pub use crate::bandwidth::{Bandwidth, BandwidthLink};
+    pub use crate::hash::{FxHashMap, FxHashSet};
     pub use crate::resource::{FifoResource, Grant, MultiResource, TwoLaneResource};
     pub use crate::rng::{stable_hash, stable_hash_combine, SimRng};
     pub use crate::stats::{Counters, Summary};

@@ -15,10 +15,13 @@
 //! - `chmod`/`chown` require ownership (or root).
 //!
 //! Inode numbers are handed out sequentially and never reused, so the
-//! inode table is a dense vector of boxed inodes indexed by number. Path resolution
-//! walks the path's text and probes each directory's ordered entry map
-//! with the borrowed component; a name is copied only when it is
-//! inserted.
+//! inode table is a dense vector of boxed inodes indexed by number.
+//! Each directory's entries are a hash map keyed by name
+//! ([`simcore::hash::FxHashMap`]), as are open handles. Path resolution
+//! walks the path's text and probes each directory's map with the
+//! borrowed component; a name is copied only when it is inserted.
+//! `readdir` sorts the listing it copies, the one place name order is
+//! produced.
 
 use crate::error::{Errno, FsError};
 use crate::fs::{FileSystem, FsResult, OpCtx, Timed};
@@ -27,8 +30,8 @@ use crate::types::{
     DirEntry, FileAttr, FileHandle, FileType, FsStats, Gid, Ino, Mode, OpenFlags, SetAttr, Uid,
     MAX_NAME_LEN,
 };
+use simcore::hash::FxHashMap;
 use simcore::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap};
 
 /// Maximum symlink indirections during resolution.
 const MAX_SYMLINK_DEPTH: u32 = 8;
@@ -39,7 +42,7 @@ const DIR_ENTRY_SIZE: u64 = 32;
 #[derive(Debug, Clone)]
 enum Payload {
     File { size: u64 },
-    Dir { entries: BTreeMap<String, Ino> },
+    Dir { entries: FxHashMap<Box<str>, Ino> },
     Symlink { target: String },
 }
 
@@ -65,14 +68,14 @@ impl Inode {
         }
     }
 
-    fn entries(&self) -> Option<&BTreeMap<String, Ino>> {
+    fn entries(&self) -> Option<&FxHashMap<Box<str>, Ino>> {
         match &self.payload {
             Payload::Dir { entries } => Some(entries),
             _ => None,
         }
     }
 
-    fn entries_mut(&mut self) -> Option<&mut BTreeMap<String, Ino>> {
+    fn entries_mut(&mut self) -> Option<&mut FxHashMap<Box<str>, Ino>> {
         match &mut self.payload {
             Payload::Dir { entries } => Some(entries),
             _ => None,
@@ -114,7 +117,7 @@ pub struct MemFs {
     /// Boxed, so growing the vector moves one pointer per number rather
     /// than whole inodes, which keeps peak memory flat on large runs.
     inodes: Vec<Option<Box<Inode>>>,
-    handles: HashMap<FileHandle, Handle>,
+    handles: FxHashMap<FileHandle, Handle>,
     next_fh: u64,
     /// Fixed cost charged per operation (local memory speed).
     op_cost: SimDuration,
@@ -137,13 +140,13 @@ impl MemFs {
             mtime: SimTime::ZERO,
             ctime: SimTime::ZERO,
             payload: Payload::Dir {
-                entries: BTreeMap::new(),
+                entries: FxHashMap::default(),
             },
         };
         MemFs {
             // Number 0 is never handed out; the root is `ROOT_INO`.
             inodes: vec![None, Some(Box::new(root))],
-            handles: HashMap::new(),
+            handles: FxHashMap::default(),
             next_fh: 1,
             op_cost: SimDuration::from_nanos(500),
         }
@@ -330,14 +333,14 @@ impl FileSystem for MemFs {
             mtime: ctx.now,
             ctime: ctx.now,
             payload: Payload::Dir {
-                entries: BTreeMap::new(),
+                entries: FxHashMap::default(),
             },
         });
         let parent = self.node_mut(pino);
         parent
             .entries_mut()
             .expect("parent is dir")
-            .insert(name.to_string(), ino);
+            .insert(name.into(), ino);
         parent.nlink += 1; // the child's ".." entry
         self.touch_parent(pino, ctx.now);
         self.done(ctx, ())
@@ -398,7 +401,7 @@ impl FileSystem for MemFs {
         self.node_mut(pino)
             .entries_mut()
             .expect("parent is dir")
-            .insert(name.to_string(), ino);
+            .insert(name.into(), ino);
         self.touch_parent(pino, ctx.now);
         let fh = self.alloc_fh();
         self.handles.insert(
@@ -545,14 +548,17 @@ impl FileSystem for MemFs {
         if !node.mode.allows_read(ctx.uid, ctx.gid, node.uid, node.gid) {
             return Err(FsError::new(Errno::EACCES, "readdir", path.as_str()));
         }
-        let list: Vec<DirEntry> = entries
+        let mut list: Vec<DirEntry> = entries
+            // cofs-lint: allow(D003, sorted by name before it is returned)
             .iter()
             .map(|(name, &ino)| DirEntry {
-                name: name.clone(),
+                name: name.to_string(),
                 ino,
                 ftype: self.node(ino).ftype,
             })
             .collect();
+        // Names are unique within a directory, so the order is total.
+        list.sort_unstable_by(|a, b| a.name.cmp(&b.name));
         self.node_mut(ino).atime = ctx.now;
         self.done(ctx, list)
     }
@@ -648,7 +654,7 @@ impl FileSystem for MemFs {
         self.node_mut(to_pino)
             .entries_mut()
             .expect("parent is dir")
-            .insert(to_name.to_string(), src_ino);
+            .insert(to_name.into(), src_ino);
         if src_is_dir && from_pino != to_pino {
             self.node_mut(from_pino).nlink -= 1;
             self.node_mut(to_pino).nlink += 1;
@@ -677,7 +683,7 @@ impl FileSystem for MemFs {
         self.node_mut(pino)
             .entries_mut()
             .expect("parent is dir")
-            .insert(name.to_string(), ino);
+            .insert(name.into(), ino);
         let n = self.node_mut(ino);
         n.nlink += 1;
         n.ctime = ctx.now;
@@ -712,7 +718,7 @@ impl FileSystem for MemFs {
         self.node_mut(pino)
             .entries_mut()
             .expect("parent is dir")
-            .insert(name.to_string(), ino);
+            .insert(name.into(), ino);
         self.touch_parent(pino, ctx.now);
         self.done(ctx, ())
     }
@@ -747,6 +753,8 @@ mod tests {
     use super::*;
     use crate::path::vpath;
     use netsim::ids::NodeId;
+    use simcore::rng::SimRng;
+    use std::collections::BTreeSet;
 
     fn fs_and_ctx() -> (MemFs, OpCtx) {
         (MemFs::new(), OpCtx::test(NodeId(0)))
@@ -912,24 +920,48 @@ mod tests {
             .is(Errno::EINVAL));
     }
 
+    /// A thousand names, created in a shuffled order and then thinned
+    /// and renamed in place, so a hash table cannot list them in name
+    /// order by chance.
     #[test]
     fn readdir_lists_sorted() {
         let (mut fs, ctx) = fs_and_ctx();
         fs.mkdir(&ctx, &vpath("/d"), Mode::dir_default()).unwrap();
-        for name in ["b", "a", "c"] {
+        let mut names: Vec<String> = (0..1000).map(|i| format!("f{i:04}")).collect();
+        SimRng::seed_from(20).shuffle(&mut names);
+        for name in &names {
             fs.create(&ctx, &vpath(&format!("/d/{name}")), Mode::file_default())
                 .unwrap();
         }
-        let names: Vec<String> = fs
+        let mut want: BTreeSet<String> = names.iter().cloned().collect();
+        for (i, name) in names.iter().enumerate() {
+            let path = vpath(&format!("/d/{name}"));
+            if i % 7 == 0 {
+                fs.unlink(&ctx, &path).unwrap();
+                want.remove(name);
+            } else if i % 11 == 0 {
+                // The new name sorts right after the old one.
+                let moved = format!("{name}-moved");
+                fs.rename(&ctx, &path, &vpath(&format!("/d/{moved}")))
+                    .unwrap();
+                want.remove(name);
+                want.insert(moved);
+            }
+        }
+        let listed: Vec<String> = fs
             .readdir(&ctx, &vpath("/d"))
             .unwrap()
             .value
             .into_iter()
             .map(|e| e.name)
             .collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
+        assert_eq!(listed, want.into_iter().collect::<Vec<_>>());
+        let counted = fs.readdir_count(&ctx, &vpath("/d")).unwrap().value;
+        assert_eq!(counted, listed.len() as u64);
+        let file = vpath(&format!("/d/{}", listed[0]));
+        assert!(fs.readdir(&ctx, &file).unwrap_err().is(Errno::ENOTDIR));
         assert!(fs
-            .readdir(&ctx, &vpath("/d/a"))
+            .readdir_count(&ctx, &file)
             .unwrap_err()
             .is(Errno::ENOTDIR));
     }
