@@ -51,3 +51,8 @@ fn parallelism() {
     let h = std::thread::spawn(move || *lock.lock().unwrap()); // D004
     let _ = h.join();
 }
+
+fn moved_away() -> u64 {
+    // cofs-lint: allow(D001, the wall-clock read this covered has moved)
+    7 // A002: the escape above suppresses nothing
+}

@@ -23,7 +23,8 @@
 //! ```
 //!
 //! Escape hatch: `// cofs-lint: allow(RULE, reason)` on or directly
-//! above the offending line. The reason is mandatory.
+//! above the offending line. The reason is mandatory (`A001`), and an
+//! escape that suppresses nothing is reported as stale (`A002`).
 
 mod config;
 mod lexer;

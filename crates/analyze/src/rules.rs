@@ -9,7 +9,9 @@
 //!
 //! Escapes: `// cofs-lint: allow(RULE, reason)` suppresses RULE on its
 //! own line and the next one. A reason is mandatory — an allow without
-//! one is itself reported (rule `A001`).
+//! one is itself reported (rule `A001`), and so is a well-formed allow
+//! that suppresses nothing (rule `A002`), so an escape left behind when
+//! code moves fails the gate.
 
 use crate::config::{FilePolicy, RULES};
 use crate::lexer::{lex, Comment, Tok};
@@ -22,7 +24,8 @@ pub struct Violation {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule identifier (`D001`…`D004`, or `A001` for a bad escape).
+    /// Rule identifier (`D001`…`D004`, `A001` for a bad escape, or
+    /// `A002` for a stale one).
     pub rule: String,
     /// Human-readable explanation.
     pub message: String,
@@ -498,10 +501,16 @@ pub fn analyze_source(
 
     // ---- apply escapes -----------------------------------------------
     let mut out: Vec<Violation> = Vec::new();
+    let mut used = vec![false; directives.len()];
     for v in raw {
-        let suppressed = directives.iter().any(|d| {
-            d.rule == v.rule && d.reason.is_some() && (d.line == v.line || d.line + 1 == v.line)
-        });
+        let mut suppressed = false;
+        for (d, used) in directives.iter().zip(used.iter_mut()) {
+            if d.rule == v.rule && d.reason.is_some() && (d.line == v.line || d.line + 1 == v.line)
+            {
+                *used = true;
+                suppressed = true;
+            }
+        }
         if !suppressed {
             out.push(v);
         }
@@ -523,6 +532,19 @@ pub fn analyze_source(
                 line: d.line,
                 rule: "A001".to_string(),
                 message: format!("cofs-lint allow({}) without a reason", d.rule),
+            });
+        }
+    }
+    for (d, used) in directives.iter().zip(&used) {
+        if d.reason.is_some() && RULES.contains(&d.rule.as_str()) && !used {
+            out.push(Violation {
+                file: rel_path.to_string(),
+                line: d.line,
+                rule: "A002".to_string(),
+                message: format!(
+                    "cofs-lint allow({}) suppresses nothing — remove the stale escape",
+                    d.rule
+                ),
             });
         }
     }
@@ -776,6 +798,29 @@ mod tests {
         // The violation stays AND the bad escape is reported.
         assert!(r.contains(&"D001".to_string()));
         assert!(r.contains(&"A001".to_string()));
+    }
+
+    #[test]
+    fn allow_that_suppresses_nothing_is_flagged_stale() {
+        // The code the escape covered moved away: only A002 remains.
+        let src = "// cofs-lint: allow(D001, calibration-only timestamp)\n\
+                   fn f() {}\n\
+                   fn g() { let t = Instant::now(); }";
+        assert_eq!(rules_of(src), vec!["A002", "D001"]);
+        // An escape for a rule the file's policy switches off is stale
+        // too: D003 does not apply outside the simulation crates.
+        let src = "struct S { m: HashMap<u64, u64> }\n\
+                   fn f(s: &S) -> usize {\n\
+                   // cofs-lint: allow(D003, counts only)\n\
+                   s.m.iter().count() }";
+        let policy = FilePolicy::for_path("crates/bench/src/lib.rs", false);
+        let found = analyze_source("crates/bench/src/lib.rs", src, policy, &BTreeSet::new());
+        let rules: Vec<String> = found.into_iter().map(|v| v.rule).collect();
+        assert_eq!(rules, vec!["A002"]);
+        assert!(
+            rules_of(src).is_empty(),
+            "under D003 the same escape is live"
+        );
     }
 
     #[test]

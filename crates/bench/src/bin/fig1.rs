@@ -7,12 +7,13 @@
 //! network rates beyond; create shows a steady increase above ~512
 //! entries.
 
-use cofs_bench::{fig1_dir_sizes, gpfs};
+use cofs_bench::{fig1_dir_sizes, gpfs, write_bench_json};
 use workloads::metarates::{run_phase, MetaOp, MetaratesConfig};
 use workloads::report::{ms, Table};
 
 fn main() {
     println!("== Fig 1: single-node GPFS op times vs files per directory ==\n");
+    let mut sections = Vec::new();
     for op in MetaOp::ALL {
         let mut table = Table::new(vec!["files/dir", "1 process (ms)", "2 processes (ms)"]);
         for &size in &fig1_dir_sizes() {
@@ -30,6 +31,12 @@ fn main() {
             }
             table.row(row);
         }
-        println!("avg. time per {}:\n{}", op.label(), table.render());
+        let title = format!("avg. time per {}", op.label());
+        println!("{title}:\n{}", table.render());
+        sections.push((title, table));
+    }
+    match write_bench_json("fig1", &sections) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_fig1.json: {e}"),
     }
 }

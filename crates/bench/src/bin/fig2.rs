@@ -7,7 +7,7 @@
 //! on the file count; stat/utime/open-close are elevated versus the
 //! single-node case, most strongly for the smaller directories.
 
-use cofs_bench::{gpfs, smoke_or};
+use cofs_bench::{gpfs, smoke_or, write_bench_json};
 use workloads::metarates::{run_phase, MetaOp, MetaratesConfig};
 use workloads::report::{ms, Table};
 
@@ -30,4 +30,9 @@ fn main() {
         }
     }
     println!("{}", table.render());
+    let sections = [("parallel GPFS op times", table)];
+    match write_bench_json("fig2", &sections) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_fig2.json: {e}"),
+    }
 }

@@ -6,12 +6,13 @@
 //! ≈ 30 ms (8 nodes); COFS cuts this to 2–5 ms and eliminates the
 //! 4→8-node degradation — speed-up factors of 5–10.
 
-use cofs_bench::{cofs_over_gpfs, files_per_node_sweep, gpfs};
+use cofs_bench::{cofs_over_gpfs, files_per_node_sweep, gpfs, write_bench_json};
 use workloads::metarates::{run_phase, MetaOp, MetaratesConfig};
 use workloads::report::{ms, Table};
 
 fn main() {
     println!("== Fig 4: create time, pure GPFS vs COFS over GPFS ==\n");
+    let mut sections = Vec::new();
     for nodes in [4usize, 8] {
         let mut table = Table::new(vec![
             "files/node",
@@ -37,6 +38,12 @@ fn main() {
                 format!("{speedup:.1}x"),
             ]);
         }
-        println!("{nodes} nodes:\n{}", table.render());
+        let title = format!("{nodes} nodes");
+        println!("{title}:\n{}", table.render());
+        sections.push((title, table));
+    }
+    match write_bench_json("fig4", &sections) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_fig4.json: {e}"),
     }
 }

@@ -7,12 +7,13 @@
 //! for very small per-node counts both systems are elevated, with
 //! COFS comparable or slightly better.
 
-use cofs_bench::{cofs_over_gpfs, files_per_node_sweep, gpfs};
+use cofs_bench::{cofs_over_gpfs, files_per_node_sweep, gpfs, write_bench_json};
 use workloads::metarates::{run_phase, MetaOp, MetaratesConfig};
 use workloads::report::{ms, Table};
 
 fn main() {
     println!("== Fig 5: stat/utime/open-close time, pure GPFS vs COFS over GPFS ==\n");
+    let mut sections = Vec::new();
     for op in [MetaOp::Stat, MetaOp::Utime, MetaOp::OpenClose] {
         for nodes in [4usize, 8] {
             let mut table = Table::new(vec!["files/node", "gpfs (ms)", "cofs (ms)", "speedup"]);
@@ -34,11 +35,13 @@ fn main() {
                     format!("{speedup:.1}x"),
                 ]);
             }
-            println!(
-                "avg. time per {} — {nodes} nodes:\n{}",
-                op.label(),
-                table.render()
-            );
+            let title = format!("avg. time per {} — {nodes} nodes", op.label());
+            println!("{title}:\n{}", table.render());
+            sections.push((title, table));
         }
+    }
+    match write_bench_json("fig5", &sections) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_fig5.json: {e}"),
     }
 }

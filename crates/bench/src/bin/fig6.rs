@@ -8,7 +8,7 @@
 //! directory, while COFS seems to be able to avoid such conflicts" —
 //! the virtualization benefit *increases* at larger scale.
 
-use cofs_bench::{cofs_over_gpfs_on, gpfs_on, smoke_files, smoke_nodes};
+use cofs_bench::{cofs_over_gpfs_on, gpfs_on, smoke_files, smoke_nodes, write_bench_json};
 use netsim::topology::Topology;
 use workloads::metarates::{run_phase, MetaOp, MetaratesConfig};
 use workloads::report::{ms, Table};
@@ -37,4 +37,9 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
+    let sections = [("operation times, shared dir, hierarchical network", table)];
+    match write_bench_json("fig6", &sections) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_fig6.json: {e}"),
+    }
 }

@@ -11,7 +11,7 @@
 //! serialization) and COFS does not; (c) single-node writes, where
 //! COFS pays the FUSE copy.
 
-use cofs_bench::{cofs_over_gpfs, gpfs, smoke_or};
+use cofs_bench::{cofs_over_gpfs, gpfs, smoke_or, write_bench_json};
 use workloads::ior::{run_ior_op, Access, FileMode, IoOp, IorConfig};
 use workloads::report::{mibs, Table};
 
@@ -24,6 +24,7 @@ fn main() {
         vec![(256 * MB, "256MB"), (1024 * MB, "1GB"), (4096 * MB, "4GB")],
     );
     let node_counts = smoke_or(vec![1, 4], vec![1, 4, 8]);
+    let mut sections = Vec::new();
     for (access, op) in [
         (Access::Sequential, IoOp::Read),
         (Access::Random, IoOp::Read),
@@ -57,13 +58,18 @@ fn main() {
                     ]);
                 }
             }
-            println!(
-                "{} {} / {} files:\n{}",
+            let title = format!(
+                "{} {} / {} files",
                 access.label(),
                 op.label(),
-                file_mode.label(),
-                table.render()
+                file_mode.label()
             );
+            println!("{title}:\n{}", table.render());
+            sections.push((title, table));
         }
+    }
+    match write_bench_json("table1", &sections) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_table1.json: {e}"),
     }
 }

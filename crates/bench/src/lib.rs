@@ -186,10 +186,14 @@ fn json_cell(cell: &str) -> String {
 /// # Errors
 ///
 /// Propagates the underlying filesystem write error.
-pub fn write_bench_json(
+pub fn write_bench_json<S, T>(
     name: &str,
-    sections: &[(&str, &workloads::report::Table)],
-) -> std::io::Result<std::path::PathBuf> {
+    sections: &[(S, T)],
+) -> std::io::Result<std::path::PathBuf>
+where
+    S: AsRef<str>,
+    T: std::borrow::Borrow<workloads::report::Table>,
+{
     let dir = std::env::var_os("COFS_BENCH_OUT")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("."));
@@ -201,8 +205,12 @@ pub fn write_bench_json(
     out.push_str(&format!("  \"smoke\": {},\n", smoke_mode()));
     out.push_str("  \"sections\": [\n");
     for (i, (title, table)) in sections.iter().enumerate() {
+        let table = table.borrow();
         out.push_str("    {\n");
-        out.push_str(&format!("      \"title\": \"{}\",\n", json_escape(title)));
+        out.push_str(&format!(
+            "      \"title\": \"{}\",\n",
+            json_escape(title.as_ref())
+        ));
         let headers: Vec<String> = table
             .headers()
             .iter()

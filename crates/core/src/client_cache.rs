@@ -22,6 +22,18 @@
 //! is bit-for-bit identical with the cache on or off — only simulated
 //! time and counters differ. The differential suite pins this.
 //!
+//! Lease state has one home, [`ClientCache`]: each `(node, kind, path)`
+//! entry stores its lease's expiry, and a holder index kept in step
+//! with the per-node maps answers which nodes to recall on a
+//! conflicting write and which entries a crash of the granting shard
+//! fences. The metadata service only prices that traffic
+//! ([`crate::mds_cluster::MdsCluster::price_recall`]). One rule covers
+//! every lapsed lease: **an expired lease is inert.** No recall messages
+//! or drops it, even the mutator's own, and no crash fences or counts
+//! it; its holder's next lookup drops it and counts an expiration. The
+//! index therefore never holds more than the per-node maps do, which
+//! the LRU capacity bounds, so nothing needs to prune it.
+//!
 //! Two deliberate fidelity limits, both conservative:
 //!
 //! - a lease on `/a/b/c` does not cover permission changes on the
@@ -37,7 +49,7 @@
 use netsim::ids::NodeId;
 use simcore::hash::FxHashMap;
 use simcore::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use vfs::path::VPath;
 
 /// What a cache entry (and its lease) covers.
@@ -103,7 +115,8 @@ pub struct CacheStats {
     /// Reads that went to the owning shard (and granted a lease).
     pub misses: u64,
     /// Entries dropped because a conflicting mutation recalled their
-    /// lease (local drops at the mutating node included).
+    /// lease (local drops at the mutating node included) or a crash of
+    /// the granting shard fenced it.
     pub invalidations: u64,
     /// Recall messages actually sent over the network (one per remote
     /// holder per recalled key — the RTT-costed coherence traffic).
@@ -116,6 +129,9 @@ pub struct CacheStats {
     /// The subset of `hits` served by negative (`ENOENT`) entries —
     /// repeated existence probes answered without a round trip.
     pub negative_hits: u64,
+    /// The subset of `invalidations` dropped by crash fences: live
+    /// leases whose granting shard crashed.
+    pub fenced: u64,
 }
 
 impl CacheStats {
@@ -135,11 +151,7 @@ impl CacheStats {
 pub enum Lookup {
     /// A live lease answered the read locally.
     Hit,
-    /// An entry existed but its lease had lapsed; the caller should
-    /// release the (now useless) lease with the cluster so the
-    /// shard-side registry stays bounded.
-    Expired,
-    /// Nothing cached.
+    /// Nothing live cached: the read goes to the owning shard.
     Miss,
 }
 
@@ -170,6 +182,14 @@ struct NodeCache {
 }
 
 impl NodeCache {
+    fn get(&self, kind: EntryKind) -> &FxHashMap<VPath, Entry> {
+        match kind {
+            EntryKind::Attr => &self.attrs,
+            EntryKind::Dentry => &self.dentries,
+            EntryKind::Negative => &self.negatives,
+        }
+    }
+
     fn map(&mut self, kind: EntryKind) -> &mut FxHashMap<VPath, Entry> {
         match kind {
             EntryKind::Attr => &mut self.attrs,
@@ -207,12 +227,14 @@ impl NodeCache {
     }
 }
 
-/// The per-node attribute/dentry cache of the whole client population.
+/// The per-node attribute/dentry cache of the whole client population,
+/// and the only home of its lease state.
 ///
 /// Owned by [`crate::fs::CofsFs`], which consults it before charging
-/// any metadata RPC and drops entries when the cluster's lease table
-/// reports a recall. The cache stores no filesystem *state* — see the
-/// module docs for the semantics/cost split.
+/// any metadata RPC, asks it which holders a mutation recalls, and
+/// fences it after each crash the cluster processes. The cache stores
+/// no filesystem *state* — see the module docs for the semantics/cost
+/// split.
 ///
 /// # Examples
 ///
@@ -233,6 +255,12 @@ impl NodeCache {
 pub struct ClientCache {
     cfg: ClientCacheConfig,
     nodes: BTreeMap<NodeId, NodeCache>,
+    /// The per-node maps inverted: which nodes hold an entry on each
+    /// key. Every insert and removal updates both in the same call, so
+    /// neither names an entry the other lacks. Holder sets are ordered,
+    /// so recalls and fences visit holders in node order; the one scan
+    /// over the keys sorts what it collects (lint rule D003).
+    holders: FxHashMap<LeaseKey, BTreeSet<NodeId>>,
     stats: CacheStats,
 }
 
@@ -242,6 +270,7 @@ impl ClientCache {
         ClientCache {
             cfg,
             nodes: BTreeMap::new(),
+            holders: FxHashMap::default(),
             stats: CacheStats::default(),
         }
     }
@@ -256,16 +285,9 @@ impl ClientCache {
         &self.cfg
     }
 
-    /// When a lease granted at `now` expires.
-    pub fn lease_expiry(&self, now: SimTime) -> SimTime {
-        now + self.cfg.lease_ttl
-    }
-
     /// Probes `node`'s entry for `(kind, path)` at time `now`,
-    /// recording a hit or a miss. Expired entries are dropped, count
-    /// as both an expiration and a miss, and are reported as
-    /// [`Lookup::Expired`] so the caller can release the dead lease
-    /// with the cluster.
+    /// recording a hit or a miss. This is the only place an expired
+    /// entry is dropped; it counts as both an expiration and a miss.
     pub fn lookup(&mut self, node: NodeId, kind: EntryKind, path: &VPath, now: SimTime) -> Lookup {
         if !self.cfg.enabled {
             return Lookup::Miss;
@@ -284,10 +306,11 @@ impl ClientCache {
                 Lookup::Hit
             }
             Some(_) => {
-                map.remove(path);
+                let (path, _) = map.remove_entry(path).expect("the entry was just probed");
+                unindex(&mut self.holders, node, &(kind, path));
                 self.stats.expirations += 1;
                 self.stats.misses += 1;
-                Lookup::Expired
+                Lookup::Miss
             }
             None => {
                 self.stats.misses += 1;
@@ -296,10 +319,12 @@ impl ClientCache {
         }
     }
 
-    /// Installs an entry for `node` with a lease granted at `now`,
-    /// evicting the least-recently-used entry when the node is at
-    /// capacity. Returns the evicted key (its lease should be released
-    /// with the cluster) if any. No-op when disabled.
+    /// Installs an entry for `node` with a lease granted at `now` (a
+    /// grant rides on the read that fetched it), or refreshes the
+    /// lease of an entry already there. A new entry on a node at
+    /// capacity first evicts the least-recently-used one, whose lease
+    /// goes with it at no cost; returns the evicted key, if any. No-op
+    /// when disabled.
     pub fn insert(
         &mut self,
         node: NodeId,
@@ -310,41 +335,115 @@ impl ClientCache {
         if !self.cfg.enabled {
             return None;
         }
-        let expires = now + self.cfg.lease_ttl;
         let cache = self.nodes.entry(node).or_default();
         cache.use_seq += 1;
-        let seq = cache.use_seq;
+        let entry = Entry {
+            expires: now + self.cfg.lease_ttl,
+            last_use: cache.use_seq,
+        };
+        if let Some(held) = cache.map(kind).get_mut(&path) {
+            *held = entry;
+            return None;
+        }
         let mut evicted = None;
-        if !cache.map(kind).contains_key(&path) && cache.len() >= self.cfg.capacity.max(1) {
+        if cache.len() >= self.cfg.capacity.max(1) {
             if let Some(victim) = cache.lru_victim() {
                 cache.map(victim.0).remove(&victim.1);
+                unindex(&mut self.holders, node, &victim);
                 self.stats.evictions += 1;
                 evicted = Some(victim);
             }
         }
-        cache.map(kind).insert(
-            path,
-            Entry {
-                expires,
-                last_use: seq,
-            },
-        );
+        cache.map(kind).insert(path.clone(), entry);
+        self.holders.entry((kind, path)).or_default().insert(node);
         evicted
     }
 
-    /// Drops `node`'s entry for `(kind, path)` after a lease recall
-    /// (or the mutating node's own, free, local invalidation).
-    pub fn invalidate(&mut self, node: NodeId, kind: EntryKind, path: &VPath) {
-        if let Some(cache) = self.nodes.get_mut(&node) {
-            if cache.map(kind).remove(path).is_some() {
-                self.stats.invalidations += 1;
+    /// Recalls every live lease on `keys` because `mutator` changed
+    /// what they cover at `t`. Each live holder's entry is dropped and
+    /// counted as an invalidation: the mutator's own locally and for
+    /// free, every other holder's by one recall message. Expired leases
+    /// are inert and stay where they are.
+    ///
+    /// Returns the messaged `(holder, key)` pairs, in key order and
+    /// then node order, for the owning shards to price
+    /// ([`crate::mds_cluster::MdsCluster::price_recall`]).
+    pub fn recall<'k>(
+        &mut self,
+        mutator: NodeId,
+        keys: &'k [LeaseKey],
+        t: SimTime,
+    ) -> Vec<(NodeId, &'k LeaseKey)> {
+        let mut messages = Vec::new();
+        for key in keys {
+            for node in self.drop_live(key, t) {
+                if node != mutator {
+                    self.stats.recall_messages += 1;
+                    messages.push((node, key));
+                }
             }
+        }
+        messages
+    }
+
+    /// Every key held on `path` or below it — the set a `rename` must
+    /// recall, since the whole subtree changes identity. Sorted.
+    pub fn keys_under(&self, path: &VPath) -> Vec<LeaseKey> {
+        self.sorted_keys(|(_, p)| p.starts_with(path))
+    }
+
+    /// Fences the leases of a shard that crashed at `at`: every entry
+    /// on a key `owned` accepts (one the crashed shard granted) whose
+    /// lease is live at `at` is dropped and counted as fenced, so its
+    /// holder's next read revalidates against the recovered shard.
+    /// Expired leases are inert and stay where they are.
+    pub fn fence(&mut self, at: SimTime, owned: impl Fn(&LeaseKey) -> bool) {
+        for key in self.sorted_keys(owned) {
+            self.stats.fenced += self.drop_live(&key, at).len() as u64;
         }
     }
 
-    /// Records `n` recall messages sent over the network.
-    pub fn note_recall_messages(&mut self, n: u64) {
-        self.stats.recall_messages += n;
+    /// The held keys `keep` accepts, sorted, so no caller depends on
+    /// the index's hash order.
+    fn sorted_keys(&self, keep: impl Fn(&LeaseKey) -> bool) -> Vec<LeaseKey> {
+        let mut keys: Vec<LeaseKey> = self
+            .holders
+            // cofs-lint: allow(D003, the keys are sorted before they are returned)
+            .keys()
+            .filter(|key| keep(key))
+            .cloned()
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Drops every entry on `key` whose lease is live at `t`, counting
+    /// each as an invalidation, and returns their holders in node
+    /// order. Expired entries are inert and stay.
+    fn drop_live(&mut self, key: &LeaseKey, t: SimTime) -> Vec<NodeId> {
+        let Some(nodes) = self.holders.get(key) else {
+            return Vec::new();
+        };
+        let live: Vec<NodeId> = nodes
+            .iter()
+            .copied()
+            .filter(|node| {
+                let entry = self
+                    .nodes
+                    .get(node)
+                    .and_then(|cache| cache.get(key.0).get(&key.1))
+                    .expect("the holder index names only held entries");
+                entry.expires > t
+            })
+            .collect();
+        for &node in &live {
+            if let Some(cache) = self.nodes.get_mut(&node) {
+                cache.map(key.0).remove(&key.1);
+            }
+            unindex(&mut self.holders, node, key);
+        }
+        self.stats.invalidations += live.len() as u64;
+        live
     }
 
     /// Total entries currently cached for `node`.
@@ -366,6 +465,16 @@ impl ClientCache {
     /// like sessions and token state across benchmark phases.
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
+    }
+}
+
+/// Removes `node` from `key`'s holders, and the key once none is left.
+fn unindex(holders: &mut FxHashMap<LeaseKey, BTreeSet<NodeId>>, node: NodeId, key: &LeaseKey) {
+    if let Some(set) = holders.get_mut(key) {
+        set.remove(&node);
+        if set.is_empty() {
+            holders.remove(key);
+        }
     }
 }
 
@@ -470,8 +579,12 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.negative_hits, 1);
         assert_eq!(s.hits, 1);
-        // The create that materializes the name invalidates it.
-        c.invalidate(NodeId(0), EntryKind::Negative, &p);
+        // The create that materializes the name recalls it.
+        c.recall(
+            NodeId(1),
+            &[(EntryKind::Negative, p.clone())],
+            SimTime::ZERO,
+        );
         assert!(!c
             .lookup(NodeId(0), EntryKind::Negative, &p, SimTime::ZERO)
             .is_hit());
@@ -492,11 +605,14 @@ mod tests {
     fn invalidate_drops_and_counts() {
         let mut c = on(16, 1000);
         let p = vpath("/f");
+        let key = [(EntryKind::Attr, p.clone())];
         c.insert(NodeId(0), EntryKind::Attr, p.clone(), SimTime::ZERO);
-        c.invalidate(NodeId(0), EntryKind::Attr, &p);
-        // A second invalidation of an absent entry is not counted.
-        c.invalidate(NodeId(0), EntryKind::Attr, &p);
+        // The mutator's own live lease drops locally, with no message.
+        assert!(c.recall(NodeId(0), &key, SimTime::ZERO).is_empty());
+        // A second recall of an absent entry is not counted.
+        c.recall(NodeId(0), &key, SimTime::ZERO);
         assert_eq!(c.stats().invalidations, 1);
+        assert_eq!(c.stats().recall_messages, 0);
         assert!(!c
             .lookup(NodeId(0), EntryKind::Attr, &p, SimTime::ZERO)
             .is_hit());
@@ -518,6 +634,67 @@ mod tests {
         assert!(c
             .lookup(NodeId(0), EntryKind::Attr, &p, SimTime::from_millis(15))
             .is_hit());
+    }
+
+    #[test]
+    fn release_and_subtree_key_scan() {
+        let mut c = on(4, 1000);
+        for p in ["/a/x", "/a/y/z", "/b/x"] {
+            c.insert(NodeId(0), EntryKind::Attr, vpath(p), SimTime::ZERO);
+        }
+        c.insert(NodeId(0), EntryKind::Dentry, vpath("/a"), SimTime::ZERO);
+        let under_a = c.keys_under(&vpath("/a"));
+        assert_eq!(
+            under_a,
+            vec![
+                (EntryKind::Attr, vpath("/a/x")),
+                (EntryKind::Attr, vpath("/a/y/z")),
+                (EntryKind::Dentry, vpath("/a")),
+            ]
+        );
+        // An eviction releases its lease: the LRU entry, /a/x, goes.
+        c.insert(NodeId(0), EntryKind::Attr, vpath("/c"), SimTime::ZERO);
+        assert_eq!(c.keys_under(&vpath("/a")).len(), 2);
+        // So does an expiry, at its holder's lookup.
+        let late = SimTime::from_secs(2);
+        assert!(!c
+            .lookup(NodeId(0), EntryKind::Dentry, &vpath("/a"), late)
+            .is_hit());
+        assert_eq!(c.keys_under(&vpath("/a")).len(), 1);
+        assert!(c.keys_under(&vpath("/nope")).is_empty());
+    }
+
+    #[test]
+    fn lease_table_stays_bounded_under_churn() {
+        // Every 2 ms for 20 s of virtual time, each of eight nodes
+        // re-reads its hot name and reads one new name, with 5 ms leases.
+        // Lapsed leases wait for their holder's next lookup or the LRU,
+        // so the capacity alone bounds the table.
+        let (nodes, capacity) = (8u32, 16usize);
+        let mut c = on(capacity, 5);
+        let mut t = SimTime::ZERO;
+        let mut name = 0u64;
+        while t < SimTime::from_secs(20) {
+            for n in 0..nodes {
+                let hot = vpath(&format!("/churn/hot{}", name % 4));
+                let cold = vpath(&format!("/churn/f{}", name % 1024));
+                name += 1;
+                for p in [hot, cold] {
+                    if !c.lookup(NodeId(n), EntryKind::Attr, &p, t).is_hit() {
+                        c.insert(NodeId(n), EntryKind::Attr, p, t);
+                    }
+                }
+            }
+            if name.is_multiple_of(96) {
+                let keys = [(EntryKind::Attr, vpath(&format!("/churn/f{}", name % 1024)))];
+                c.recall(NodeId(0), &keys, t);
+            }
+            let held: usize = c.holders.values().map(BTreeSet::len).sum();
+            assert!(held <= nodes as usize * capacity, "{held} at {t:?}");
+            assert_eq!(held, (0..nodes).map(|n| c.len(NodeId(n))).sum::<usize>());
+            t += SimDuration::from_millis(2);
+        }
+        assert!(c.stats().evictions > 0 && c.stats().expirations > 0);
     }
 
     #[test]

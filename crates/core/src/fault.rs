@@ -226,8 +226,6 @@ pub struct FaultStats {
     pub nacks: u64,
     /// Requests swallowed by scripted message drops.
     pub drops: u64,
-    /// Leases fenced at crash time (holders forced to revalidate).
-    pub fenced_leases: u64,
     /// Sessions evicted at crash time (survivors re-pay `session_cost`).
     pub fenced_sessions: u64,
     /// Journal-acked ops replayed during recovery.
@@ -292,7 +290,8 @@ pub struct FaultSummary {
     pub replayed_ops: u64,
     /// Journal-acked ops lost across a crash (gate: must be zero).
     pub lost_acked_ops: u64,
-    /// Leases fenced at crash time.
+    /// Live leases fenced at crash time
+    /// ([`crate::client_cache::CacheStats::fenced`]).
     pub fenced_leases: u64,
     /// Sessions evicted at crash time.
     pub fenced_sessions: u64,

@@ -248,7 +248,7 @@ impl<U: FileSystem> CofsFs<U> {
             exhausted: r.exhausted,
             replayed_ops: f.replayed_ops,
             lost_acked_ops: f.lost_acked_ops,
-            fenced_leases: f.fenced_leases,
+            fenced_leases: self.cache.stats().fenced,
             fenced_sessions: f.fenced_sessions,
             elastic_aborts: f.elastic_aborts,
             promotions: f.promotions,
@@ -329,8 +329,15 @@ impl<U: FileSystem> CofsFs<U> {
     /// policies; observation itself never charges time (see
     /// [`crate::mds_cluster::MdsCluster::observe_elastic`]).
     fn observe_parent(&mut self, path: &VPath, t: simcore::time::SimTime) {
-        let dir = path.parent_str().unwrap_or("/");
+        self.observe(path.parent_str().unwrap_or("/"), t);
+    }
+
+    /// Feeds one operation under directory `dir` into the elastic
+    /// policy, then fences the leases of any crash the policy's fault
+    /// check processed.
+    fn observe(&mut self, dir: &str, t: simcore::time::SimTime) {
         self.mds.observe_elastic(&self.cfg, dir, t);
+        self.fence_crashed();
     }
 
     /// Charges one metadata operation.
@@ -369,7 +376,7 @@ impl<U: FileSystem> CofsFs<U> {
                     }
                     EntryKind::Dentry => {
                         // A listing observes the listed directory itself.
-                        self.mds.observe_elastic(&self.cfg, path.as_str(), t);
+                        self.observe(path.as_str(), t);
                         self.mds.route_entries(path)
                     }
                 };
@@ -485,7 +492,7 @@ impl<U: FileSystem> CofsFs<U> {
         let mut attempt = 0u32;
         loop {
             let verdict = self.mds.admit(&self.cfg, &self.net, node, shard, now);
-            self.apply_fenced();
+            self.fence_crashed();
             let nack = match verdict {
                 Ok(()) => return Ok(now),
                 Err(nack) => nack,
@@ -537,16 +544,14 @@ impl<U: FileSystem> CofsFs<U> {
             .map_err(|nack| FsError::new(Errno::EIO, op, path.as_str()).with_end(nack.at))
     }
 
-    /// Drains lease-fence notices queued by crash processing into the
-    /// client cache: fenced entries vanish from their holders' caches,
-    /// so post-crash reads revalidate against the recovered shard.
-    fn apply_fenced(&mut self) {
-        let fenced = self.mds.take_fenced_cache_keys();
-        if !self.cache.enabled() {
-            return;
-        }
-        for (holder, (kind, path)) in &fenced {
-            self.cache.invalidate(*holder, *kind, path);
+    /// Fences, for every crash the cluster processed since the last
+    /// call, the live leases the crashed shard granted: they vanish
+    /// from their holders' caches, so post-crash reads revalidate
+    /// against the recovered shard.
+    fn fence_crashed(&mut self) {
+        for (shard, at) in self.mds.take_crashes() {
+            let mds = &self.mds;
+            self.cache.fence(at, |key| mds.lease_shard(key) == shard);
         }
     }
 
@@ -569,42 +574,26 @@ impl<U: FileSystem> CofsFs<U> {
         ops: DbOps,
         t: simcore::time::SimTime,
     ) -> Result<simcore::time::SimTime, FsError> {
-        match self.cache.lookup(ctx.node, kind, path, t) {
-            crate::client_cache::Lookup::Hit => {
-                // A live lease answers locally even while the owning
-                // shard is down — exactly the availability a cache
-                // buys through a fault window (fenced leases were
-                // already invalidated at crash time).
-                return Ok(t);
-            }
-            crate::client_cache::Lookup::Expired => {
-                // The lapsed lease is useless to everyone; telling the
-                // shard (for free, piggybacked on the refetch below)
-                // keeps its lease registry bounded.
-                self.mds.release_lease(ctx.node, &(kind, path.clone()));
-            }
-            crate::client_cache::Lookup::Miss => {}
+        if self.cache.lookup(ctx.node, kind, path, t).is_hit() {
+            // A live lease answers locally even while the owning shard
+            // is down — exactly the availability a cache buys through a
+            // fault window (fenced leases were already dropped when the
+            // crash was processed).
+            return Ok(t);
         }
         let done = self.charge(ctx.node, Target::Read { op, kind, path }, ops, t)?;
         if self.cache.enabled() {
-            if let Some(evicted) = self.cache.insert(ctx.node, kind, path.clone(), done) {
-                self.mds.release_lease(ctx.node, &evicted);
-            }
-            self.mds.grant_lease(
-                ctx.node,
-                (kind, path.clone()),
-                self.cache.lease_expiry(done),
-            );
+            self.cache.insert(ctx.node, kind, path.clone(), done);
         }
         Ok(done)
     }
 
-    /// Recalls every lease conflicting with a mutation that completed
-    /// at `t`: the owning shards message each remote holder (in
-    /// parallel, RTT-costed), the recalled entries leave the holders'
-    /// caches, and the mutator's own copies are dropped for free.
-    /// `keys` runs only with the client cache on; with it off there
-    /// are no leases, and building the keys would only clone paths.
+    /// Recalls every live lease conflicting with a mutation that
+    /// completed at `t`: the recalled entries leave the holders' caches,
+    /// the mutator's own copies for free, and the owning shards price a
+    /// message to each remote holder (in parallel, RTT-costed). `keys`
+    /// runs only with the client cache on; with it off there are no
+    /// leases, and building the keys would only clone paths.
     fn recall(
         &mut self,
         node: NodeId,
@@ -614,15 +603,9 @@ impl<U: FileSystem> CofsFs<U> {
         if !self.cache.enabled() {
             return t;
         }
-        let (done, dropped) = self.mds.recall_leases(&self.net, node, &keys(), t);
-        let msgs = dropped.iter().filter(|(h, _)| *h != node).count() as u64;
-        if msgs > 0 {
-            self.cache.note_recall_messages(msgs);
-        }
-        for (holder, (kind, path)) in &dropped {
-            self.cache.invalidate(*holder, *kind, path);
-        }
-        done
+        let keys = keys();
+        let messages = self.cache.recall(node, &keys, t);
+        self.mds.price_recall(&self.net, &messages, t)
     }
 
     /// The lease keys a namespace mutation under `path`'s parent
@@ -1078,8 +1061,8 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         // listing/attr leases — on top of the two-phase commit when
         // the names straddle shards.
         if self.cache.enabled() {
-            let mut keys = self.mds.lease_keys_under(from);
-            keys.extend(self.mds.lease_keys_under(to));
+            let mut keys = self.cache.keys_under(from);
+            keys.extend(self.cache.keys_under(to));
             keys.extend(Self::parent_keys(from));
             keys.extend(Self::parent_keys(to));
             t = self.recall(ctx.node, || keys, t);
@@ -1181,6 +1164,11 @@ mod tests {
             MdsNetwork::uniform(SimDuration::from_micros(250)),
             7,
         )
+    }
+
+    /// Recall messages the shards priced since the last reset.
+    fn shard_recalls(fs: &CofsFs<MemFs>) -> u64 {
+        fs.shard_usage().iter().map(|u| u.recalls).sum()
     }
 
     #[test]
@@ -1554,7 +1542,7 @@ mod tests {
             ..SetAttr::default()
         };
         let with_recall = fs.setattr(&b, &vpath("/f"), set).unwrap().end;
-        assert_eq!(fs.mds_cluster().recall_count(), 1);
+        assert_eq!(shard_recalls(&fs), 1);
         assert!(fs.cache_stats().invalidations >= 2);
         assert_eq!(fs.cache_stats().recall_messages, 1);
         // The same chmod with nobody holding a lease costs exactly one
@@ -1615,6 +1603,27 @@ mod tests {
     }
 
     #[test]
+    fn mutators_own_expired_lease_survives_its_recall() {
+        let mut fs = cached_fs(SimDuration::from_millis(1));
+        let ctx = OpCtx::test(NodeId(0));
+        fs.mkdir(&ctx, &vpath("/d"), Mode::dir_default()).unwrap();
+        fs.stat(&ctx, &vpath("/d")).unwrap();
+        // Long after its lease on /d lapsed, the node creates in /d,
+        // which recalls /d's attributes. The expired lease is inert:
+        // the recall neither drops it nor counts it.
+        let late = ctx.at(SimTime::from_millis(5));
+        let fh = fs
+            .create(&late, &vpath("/d/f"), Mode::file_default())
+            .unwrap()
+            .value;
+        fs.close(&late, fh).unwrap();
+        assert_eq!(fs.cache_stats().invalidations, 0);
+        // Its holder's next lookup drops it, as an expiration.
+        fs.stat(&late, &vpath("/d")).unwrap();
+        assert_eq!(fs.cache_stats().expirations, 1);
+    }
+
+    #[test]
     fn cache_disabled_charges_identical_times() {
         // The same op sequence, cache off vs. on-but-default-off
         // config, must produce bit-for-bit identical completion times.
@@ -1653,9 +1662,9 @@ mod tests {
         fs.close(&a, fh).unwrap();
         // Node 1 leases a path *inside* the renamed subtree.
         fs.stat(&b, &vpath("/src/f")).unwrap();
-        let recalls = fs.mds_cluster().recall_count();
+        let recalls = shard_recalls(&fs);
         fs.rename(&a, &vpath("/src"), &vpath("/moved")).unwrap();
-        assert!(fs.mds_cluster().recall_count() > recalls);
+        assert!(shard_recalls(&fs) > recalls);
         // Node 1 sees the move, at miss cost.
         let rpcs = fs.counters().get("mds_rpcs");
         assert!(fs.stat(&b, &vpath("/src/f")).is_err());
@@ -1816,14 +1825,14 @@ mod tests {
         fs.stat(&poller, &vpath("/out")).unwrap_err();
         fs.stat(&poller, &vpath("/out")).unwrap_err();
         assert_eq!(fs.cache_stats().negative_hits, 1);
-        let recalls = fs.mds_cluster().recall_count();
+        let recalls = shard_recalls(&fs);
         // Another node creating the name must recall that lease.
         let fh = fs
             .create(&writer, &vpath("/out"), Mode::file_default())
             .unwrap()
             .value;
         fs.close(&writer, fh).unwrap();
-        assert!(fs.mds_cluster().recall_count() > recalls);
+        assert!(shard_recalls(&fs) > recalls);
         // The poller now sees the file (at miss cost, not stale).
         assert_eq!(fs.stat(&poller, &vpath("/out")).unwrap().value.size, 0);
     }
@@ -2067,6 +2076,39 @@ mod tests {
         fs.stat(&after, &vpath("/f")).unwrap();
         assert_eq!(fs.cache_stats().misses, misses + 1);
         assert!(fs.cache_stats().invalidations >= 1);
+    }
+
+    #[test]
+    fn lease_expired_before_a_crash_is_neither_fenced_nor_counted() {
+        let plan = crate::fault::FaultPlan::default().crash(
+            crate::mds_cluster::ShardId(0),
+            SimTime::from_millis(5),
+            SimDuration::from_millis(2),
+        );
+        let mut fs = CofsFs::new(
+            MemFs::new(),
+            CofsConfig::default()
+                .with_client_cache(1024, SimDuration::from_millis(1))
+                .with_fault_plan(plan),
+            MdsNetwork::uniform(SimDuration::from_micros(250)),
+            7,
+        );
+        let ctx = OpCtx::test(NodeId(0));
+        let fh = fs
+            .create(&ctx, &vpath("/f"), Mode::file_default())
+            .unwrap()
+            .value;
+        fs.close(&ctx, fh).unwrap();
+        fs.stat(&ctx, &vpath("/f")).unwrap(); // a lease that lapses at ~1ms
+                                              // Ride an op through the crash window so the crash is processed.
+        let late = ctx.at(SimTime::from_millis(6));
+        fs.mkdir(&late, &vpath("/d"), Mode::dir_default()).unwrap();
+        assert_eq!(fs.fault_summary().unwrap().fenced_leases, 0);
+        assert_eq!(fs.cache_stats().invalidations, 0);
+        // The lapsed lease waited for its holder's next lookup.
+        let after = ctx.at(SimTime::from_millis(30));
+        fs.stat(&after, &vpath("/f")).unwrap();
+        assert_eq!(fs.cache_stats().expirations, 1);
     }
 
     #[test]

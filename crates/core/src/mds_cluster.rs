@@ -34,13 +34,8 @@ use crate::mds::{DbOps, Mds, RowSet};
 use metadb::cost::DbCostTracker;
 use netsim::ids::NodeId;
 use simcore::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use vfs::path::VPath;
-
-/// How often (virtual time) the cluster prunes expired entries from its
-/// lease registry, bounding its memory under churn. Sweeping is
-/// timing-neutral: expired leases are never messaged anyway.
-pub const LEASE_SWEEP_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
 /// Identifies one shard within an [`MdsCluster`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -317,7 +312,7 @@ struct FaultWindow {
 
 /// Armed fault script: events fire in `(at, shard)` order as virtual
 /// time passes them (processing piggybacks on the fault gate,
-/// [`MdsCluster::admit`], like the periodic lease sweep on requests).
+/// [`MdsCluster::admit`]).
 #[derive(Debug)]
 struct FaultState {
     crashes: Vec<ShardCrash>,
@@ -340,8 +335,8 @@ struct Shard {
     /// [`MdsCluster::usage`] fills them in.
     usage: ShardUsage,
     unapplied: Vec<UnappliedEntry>,
-    /// Fencing epoch: bumps on every crash; stale holders (leases,
-    /// in-flight rebalances) compare epochs and abort.
+    /// Fencing epoch: bumps on every crash; in-flight rebalances
+    /// compare epochs and abort.
     epoch: u64,
     windows: Vec<FaultWindow>,
     /// Journal appends shipped to the hot standby and not yet settled
@@ -599,28 +594,13 @@ pub struct MdsCluster {
     /// Open client sessions: one row per shard, indexed by node, grown
     /// on first contact. A crash takes its shard's row.
     sessions: Vec<Vec<bool>>,
-    /// Outstanding client-cache leases: which nodes may answer which
-    /// `(kind, path)` reads locally, and until when. The shard owning
-    /// the path recalls these on conflicting mutations. Keys are hashed,
-    /// so every grant, release and recall is one probe; the scans over
-    /// keys (crash fencing, [`Self::lease_keys_under`]) sort what they
-    /// collect, and the sweep and holder count only count (lint rule
-    /// D003). Each key's holders stay ordered, so a recall messages
-    /// them in node order.
-    leases: FxHashMap<LeaseKey, BTreeMap<NodeId, SimTime>>,
-    /// Last periodic lease-registry sweep (virtual time).
-    last_sweep: SimTime,
-    /// Sweeps run since the last [`Self::reset_time`].
-    lease_sweeps: u64,
-    /// Expired lease holders pruned by sweeps since the last
-    /// [`Self::reset_time`].
-    leases_swept: u64,
     /// Armed fault script, if any. `None` (the empty-plan case) makes
     /// the fault gate a no-op, keeping the calibrated path.
     faults: Option<FaultState>,
-    /// `(holder, key)` pairs fenced by crashes and not yet drained by
-    /// the client side ([`Self::take_fenced_cache_keys`]).
-    fenced_pending: Vec<(NodeId, LeaseKey)>,
+    /// `(shard, instant)` of each crash processed and not yet drained
+    /// by the client side ([`Self::take_crashes`]), which fences the
+    /// leases the shard granted.
+    crashes: Vec<(ShardId, SimTime)>,
     /// Fault and recovery accounting since the last
     /// [`Self::reset_time`], counted where each event happens.
     fault_stats: FaultStats,
@@ -636,12 +616,8 @@ impl MdsCluster {
             shards,
             sessions: vec![Vec::new(); policy.shard_count()],
             policy,
-            leases: FxHashMap::default(),
-            last_sweep: SimTime::ZERO,
-            lease_sweeps: 0,
-            leases_swept: 0,
             faults: None,
-            fenced_pending: Vec::new(),
+            crashes: Vec::new(),
             fault_stats: FaultStats::default(),
         }
     }
@@ -681,9 +657,9 @@ impl MdsCluster {
     /// Prices one metadata request from `node` issued at `t` and returns
     /// when the response reaches the client. Every shape shares one
     /// prologue: session establishment on first contact with each shard
-    /// involved, the periodic lease sweep, and the trip to the
-    /// (coordinating) shard. [`Shape::Sync`] and [`Shape::Batch`] are
-    /// then served by one service loop, so a one-op batch and a
+    /// involved, and the trip to the (coordinating) shard.
+    /// [`Shape::Sync`] and [`Shape::Batch`] are then served by one
+    /// service loop, so a one-op batch and a
     /// synchronous mutation cost the same: the per-request overhead
     /// once, each op's row reads (deduplicated across the batch when
     /// memoizing), and every op's writes folded into one group commit —
@@ -732,7 +708,6 @@ impl MdsCluster {
                 t += cfg.session_cost;
             }
         }
-        self.maybe_sweep_leases(t);
         let rtt = net.shard_rtt(node, a);
         let arrive = t + rtt / 2;
         let done = match b {
@@ -934,8 +909,8 @@ impl MdsCluster {
     }
 
     /// Processes every scripted crash due by `now`. Piggybacks on the
-    /// fault gate (like the periodic lease sweep on requests), so fault
-    /// processing needs no external timer and stays deterministic.
+    /// fault gate, so fault processing needs no external timer and
+    /// stays deterministic.
     fn advance_faults(&mut self, cfg: &CofsConfig, now: SimTime) {
         loop {
             let crash = match self.faults.as_mut() {
@@ -951,7 +926,8 @@ impl MdsCluster {
     }
 
     /// Executes one scripted crash: fence the epoch, evict sessions,
-    /// fence every lease the shard granted, and price recovery (boot +
+    /// queue the crash for lease fencing ([`Self::take_crashes`]), and
+    /// price recovery (boot +
     /// journal scan + replay of acked-but-unapplied rows) before the
     /// shard serves traffic again. Survivors re-pay `session_cost` on
     /// next contact, so session re-establishment is charged where it
@@ -986,35 +962,9 @@ impl MdsCluster {
         self.shards[shard.0].epoch += 1;
         let evicted = std::mem::take(&mut self.sessions[shard.0]);
         self.fault_stats.fenced_sessions += evicted.iter().filter(|&&open| open).count() as u64;
-        // Fence every lease this shard granted: the key routes to the
-        // crashed shard, so its holders can no longer trust their grant
-        // and must revalidate. Fenced in key order, so the pending
-        // notices do not depend on the registry's hash order.
-        let mut fenced_keys: Vec<LeaseKey> = self
-            .leases
-            // cofs-lint: allow(D003, the fenced keys are sorted before use)
-            .keys()
-            .filter(|key| {
-                let owner = match key.0 {
-                    EntryKind::Attr | EntryKind::Negative => self.policy.shard_of(&key.1),
-                    EntryKind::Dentry => self.policy.shard_of_entries(&key.1),
-                };
-                owner == shard
-            })
-            .cloned()
-            .collect();
-        fenced_keys.sort_unstable();
-        for key in fenced_keys {
-            let Some(holders) = self.leases.remove(&key) else {
-                continue;
-            };
-            let mut holder_list: Vec<NodeId> = holders.into_keys().collect();
-            holder_list.sort();
-            for holder in holder_list {
-                self.fault_stats.fenced_leases += 1;
-                self.fenced_pending.push((holder, key.clone()));
-            }
-        }
+        // Every lease this shard granted is now worthless: the client
+        // side fences them once it drains this entry.
+        self.crashes.push((shard, at));
         let promote = cfg.standby.enabled;
         let restart_at = if promote {
             at + cfg.standby.promotion_cost
@@ -1172,11 +1122,13 @@ impl MdsCluster {
         self.accept(cfg, node, shard, arrive, t + rtt)
     }
 
-    /// Drains the `(holder, key)` pairs fenced by crashes since the
-    /// last call — the client side drops these cache entries, exactly
-    /// like recall handling.
-    pub fn take_fenced_cache_keys(&mut self) -> Vec<(NodeId, LeaseKey)> {
-        std::mem::take(&mut self.fenced_pending)
+    /// Drains the `(shard, instant)` of every crash processed since the
+    /// last call. Only [`Self::admit`] and [`Self::observe_elastic`]
+    /// process crashes; the client side drains right after each and
+    /// fences the leases each shard granted
+    /// ([`crate::client_cache::ClientCache::fence`]).
+    pub fn take_crashes(&mut self) -> Vec<(ShardId, SimTime)> {
+        std::mem::take(&mut self.crashes)
     }
 
     /// Fault/recovery accounting over all shards since the last
@@ -1270,143 +1222,37 @@ impl MdsCluster {
         }
     }
 
-    // ---- client-cache lease tracking ---------------------------------
+    // ---- client-cache recalls ----------------------------------------
 
-    /// Records that `node` holds a lease on `key` until `expires`
-    /// (granted by the shard owning the path, alongside the read RPC
-    /// that populated the client's cache entry).
-    pub fn grant_lease(&mut self, node: NodeId, key: LeaseKey, expires: SimTime) {
-        self.leases.entry(key).or_default().insert(node, expires);
-    }
-
-    /// Voluntarily releases `node`'s lease on `key` (client-side LRU
-    /// eviction). Free of charge: the release piggybacks on later
-    /// traffic, and a recall that races a release is harmless here
-    /// because recalls only ever *remove* state.
-    pub fn release_lease(&mut self, node: NodeId, key: &LeaseKey) {
-        if let Some(holders) = self.leases.get_mut(key) {
-            holders.remove(&node);
-            if holders.is_empty() {
-                self.leases.remove(key);
-            }
+    /// The shard that grants and recalls a lease on `key`: the one
+    /// serving the read it covers.
+    pub fn lease_shard(&self, key: &LeaseKey) -> ShardId {
+        match key.0 {
+            EntryKind::Attr | EntryKind::Negative => self.route(&key.1),
+            EntryKind::Dentry => self.route_entries(&key.1),
         }
     }
 
-    /// Every outstanding lease key on `path` or below it — the set a
-    /// `rename` must recall, since the whole subtree changes identity.
-    pub fn lease_keys_under(&self, path: &VPath) -> Vec<LeaseKey> {
-        let mut keys: Vec<LeaseKey> = self
-            .leases
-            // cofs-lint: allow(D003, the keys are sorted before they are returned)
-            .keys()
-            .filter(|(_, p)| p.starts_with(path))
-            .cloned()
-            .collect();
-        // Deterministic recall order regardless of map iteration.
-        keys.sort();
-        keys
-    }
-
-    /// Recalls every live lease on `keys` because `mutator` performed
-    /// a conflicting operation at time `t`. Each *remote* holder is
-    /// sent one recall message from the shard owning the key's path;
-    /// recalls fan out in parallel, so the mutation completes at
-    /// `t + max(recall RTT)` once all acks are in. The mutator's own
-    /// leases are dropped locally at no cost, and leases already
-    /// expired at `t` are pruned without traffic.
-    ///
-    /// Returns the completion time and every `(holder, key)` pair
-    /// whose client-cache entry must now be dropped, in deterministic
-    /// order. With no live remote holders this is free: `t` unchanged.
-    pub fn recall_leases(
+    /// Prices the recall messages of a mutation that completed at `t`
+    /// (the `(holder, key)` pairs [`crate::client_cache::ClientCache::recall`]
+    /// returns). Each costs one round trip from the key's
+    /// [`Self::lease_shard`] to the holder and counts in that shard's
+    /// [`ShardUsage::recalls`]. Recalls fan out in parallel, so the
+    /// mutation completes once the slowest ack is in: `t` plus the
+    /// largest round trip, or `t` itself with nothing to recall.
+    pub fn price_recall(
         &mut self,
         net: &MdsNetwork,
-        mutator: NodeId,
-        keys: &[LeaseKey],
+        messages: &[(NodeId, &LeaseKey)],
         t: SimTime,
-    ) -> (SimTime, Vec<(NodeId, LeaseKey)>) {
-        let mut dropped = Vec::new();
+    ) -> SimTime {
         let mut done = t;
-        for key in keys {
-            let Some(holders) = self.leases.remove(key) else {
-                continue;
-            };
-            let shard = match key.0 {
-                EntryKind::Attr | EntryKind::Negative => self.route(&key.1),
-                EntryKind::Dentry => self.route_entries(&key.1),
-            };
-            let mut holder_list: Vec<(NodeId, SimTime)> = holders.into_iter().collect();
-            holder_list.sort();
-            for (holder, expires) in holder_list {
-                if holder == mutator || expires <= t {
-                    // Local drop / already lapsed: no message needed,
-                    // but the cache entry still goes away.
-                    if holder == mutator {
-                        dropped.push((holder, key.clone()));
-                    }
-                    continue;
-                }
-                self.shards[shard.0].usage.recalls += 1;
-                done = done.max(t + net.shard_rtt(holder, shard));
-                dropped.push((holder, key.clone()));
-            }
+        for &(holder, key) in messages {
+            let shard = self.lease_shard(key);
+            self.shards[shard.0].usage.recalls += 1;
+            done = done.max(t + net.shard_rtt(holder, shard));
         }
-        (done, dropped)
-    }
-
-    /// Total recall messages sent by all shards since the last
-    /// [`Self::reset_time`].
-    pub fn recall_count(&self) -> u64 {
-        self.shards.iter().map(|s| s.usage.recalls).sum()
-    }
-
-    /// Runs the periodic lease-registry sweep when
-    /// [`LEASE_SWEEP_INTERVAL`] has lapsed since the last one.
-    /// Invoked from every request, so a busy cluster prunes on
-    /// its own cadence without an external timer.
-    fn maybe_sweep_leases(&mut self, now: SimTime) {
-        if now < self.last_sweep + LEASE_SWEEP_INTERVAL {
-            return;
-        }
-        self.last_sweep = now;
-        self.sweep_expired_leases(now);
-    }
-
-    /// Prunes every lease holder whose grant expired by `now` from the
-    /// registry and returns how many were dropped. Timing-neutral by
-    /// construction: [`Self::recall_leases`] already skips expired
-    /// holders without traffic, so sweeping only bounds the registry's
-    /// memory under churn (the ROADMAP's lease-table-growth item).
-    pub fn sweep_expired_leases(&mut self, now: SimTime) -> u64 {
-        let mut swept = 0u64;
-        // cofs-lint: allow(D003, prunes and counts; the result is order-free)
-        self.leases.retain(|_, holders| {
-            let before = holders.len();
-            holders.retain(|_, &mut expires| expires > now);
-            swept += (before - holders.len()) as u64;
-            !holders.is_empty()
-        });
-        self.lease_sweeps += 1;
-        self.leases_swept += swept;
-        swept
-    }
-
-    /// Sweeps run since the last [`Self::reset_time`].
-    pub fn lease_sweep_count(&self) -> u64 {
-        self.lease_sweeps
-    }
-
-    /// Expired lease holders pruned by sweeps since the last
-    /// [`Self::reset_time`].
-    pub fn leases_swept(&self) -> u64 {
-        self.leases_swept
-    }
-
-    /// Outstanding lease holders currently tracked (over all keys) —
-    /// the registry size the sweep bounds.
-    pub fn lease_holder_count(&self) -> usize {
-        // cofs-lint: allow(D003, a sum does not depend on order)
-        self.leases.values().map(|h| h.len()).sum()
+        done
     }
 
     /// Per-shard load since the last [`Self::reset_time`].
@@ -1454,19 +1300,14 @@ impl MdsCluster {
     /// Rewinds every shard's queue and cost state to virtual time zero
     /// (between benchmark phases). Sessions survive, as in the
     /// single-MDS model: establishment is paid once per node per shard.
-    /// Outstanding leases survive too (they are client state, like
-    /// sessions); only the traffic counters rewind.
     pub fn reset_time(&mut self) {
         // Every `Shard` field is per-phase state, so each is rebuilt.
         for (i, s) in self.shards.iter_mut().enumerate() {
             *s = Shard::new(i);
         }
-        self.last_sweep = SimTime::ZERO;
-        self.lease_sweeps = 0;
-        self.leases_swept = 0;
         // The fault script is anchored in virtual time: re-arm it so
         // plans written against the measured phase replay from zero.
-        self.fenced_pending.clear();
+        self.crashes.clear();
         self.fault_stats = FaultStats::default();
         if let Some(f) = self.faults.as_mut() {
             f.next_crash = 0;
@@ -1476,7 +1317,7 @@ impl MdsCluster {
         }
         // The elastic policy's observation windows are anchored in
         // virtual time and must rewind with it; its bucket tables
-        // survive, like sessions and leases.
+        // survive, like sessions.
         if let ShardPolicy::Elastic(p) = &mut self.policy {
             p.reset_time();
         }
@@ -1486,6 +1327,7 @@ impl MdsCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client_cache::{ClientCache, ClientCacheConfig};
     use crate::mds::RowKey;
     use std::collections::HashSet;
     use vfs::path::vpath;
@@ -1725,48 +1567,38 @@ mod tests {
         assert_eq!(usage[1].two_phase, 1);
     }
 
-    #[test]
-    fn recalls_charge_remote_holders_only() {
-        let c = cfg();
-        let n = net();
-        let mut cluster = MdsCluster::new(ShardPolicy::hash(2));
-        let key = (EntryKind::Attr, vpath("/d/f"));
-        let far = SimTime::from_secs(10);
-        cluster.grant_lease(NodeId(0), key.clone(), far);
-        cluster.grant_lease(NodeId(1), key.clone(), far);
-        cluster.grant_lease(NodeId(2), key.clone(), SimTime::from_millis(1));
-        // Node 0 mutates at t=5ms: node 1 is messaged, node 2's lease
-        // already lapsed, node 0 drops locally.
-        let t = SimTime::from_millis(5);
-        let (done, dropped) = cluster.recall_leases(&n, NodeId(0), std::slice::from_ref(&key), t);
-        assert_eq!(done, t + SimDuration::from_micros(250));
-        assert_eq!(
-            dropped,
-            vec![(NodeId(0), key.clone()), (NodeId(1), key.clone())]
-        );
-        assert_eq!(cluster.recall_count(), 1);
-        // The registry forgot the key entirely; a second recall is free.
-        let (done2, dropped2) = cluster.recall_leases(&n, NodeId(0), &[key], t);
-        assert_eq!(done2, t);
-        assert!(dropped2.is_empty());
-        let _ = c;
+    /// A client cache holding leases that expire `ttl_ms` after their
+    /// grant.
+    fn cache(ttl_ms: u64) -> ClientCache {
+        ClientCache::new(ClientCacheConfig::enabled(
+            64,
+            SimDuration::from_millis(ttl_ms),
+        ))
     }
 
     #[test]
-    fn release_and_subtree_key_scan() {
-        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
-        let far = SimTime::from_secs(10);
-        for p in ["/a/x", "/a/y/z", "/b/x"] {
-            cluster.grant_lease(NodeId(0), (EntryKind::Attr, vpath(p)), far);
-        }
-        cluster.grant_lease(NodeId(0), (EntryKind::Dentry, vpath("/a")), far);
-        let under_a = cluster.lease_keys_under(&vpath("/a"));
-        assert_eq!(under_a.len(), 3);
-        assert!(under_a.iter().all(|(_, p)| p.starts_with(&vpath("/a"))));
-        cluster.release_lease(NodeId(0), &(EntryKind::Dentry, vpath("/a")));
-        assert_eq!(cluster.lease_keys_under(&vpath("/a")).len(), 2);
-        // Releasing an unknown lease is a no-op.
-        cluster.release_lease(NodeId(9), &(EntryKind::Attr, vpath("/nope")));
+    fn recalls_charge_remote_holders_only() {
+        let n = net();
+        let mut cluster = MdsCluster::new(ShardPolicy::hash(2));
+        let key = (EntryKind::Attr, vpath("/d/f"));
+        let mut leases = cache(4);
+        leases.insert(NodeId(2), key.0, key.1.clone(), SimTime::ZERO);
+        leases.insert(NodeId(0), key.0, key.1.clone(), SimTime::from_millis(3));
+        leases.insert(NodeId(1), key.0, key.1.clone(), SimTime::from_millis(3));
+        // Node 0 mutates at t=5ms: node 1 is messaged, node 2's lease
+        // already lapsed, node 0 drops locally.
+        let t = SimTime::from_millis(5);
+        let keys = [key];
+        let messages = leases.recall(NodeId(0), &keys, t);
+        assert_eq!(messages, vec![(NodeId(1), &keys[0])]);
+        let done = cluster.price_recall(&n, &messages, t);
+        assert_eq!(done, t + SimDuration::from_micros(250));
+        let shard = cluster.lease_shard(&keys[0]);
+        assert_eq!(cluster.usage()[shard.0].recalls, 1);
+        // Every live lease is gone; a second recall is free.
+        let messages = leases.recall(NodeId(0), &keys, t);
+        assert!(messages.is_empty());
+        assert_eq!(cluster.price_recall(&n, &messages, t), t);
     }
 
     #[test]
@@ -2155,102 +1987,6 @@ mod tests {
     }
 
     #[test]
-    fn lease_sweep_prunes_expired_holders_only() {
-        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
-        let live = SimTime::from_secs(100);
-        for i in 0..10u32 {
-            cluster.grant_lease(
-                NodeId(i),
-                (EntryKind::Attr, vpath(&format!("/f{i}"))),
-                SimTime::from_millis(u64::from(i)),
-            );
-        }
-        cluster.grant_lease(NodeId(0), (EntryKind::Attr, vpath("/keep")), live);
-        assert_eq!(cluster.lease_holder_count(), 11);
-        let swept = cluster.sweep_expired_leases(SimTime::from_millis(20));
-        assert_eq!(swept, 10);
-        assert_eq!(cluster.lease_holder_count(), 1);
-        assert_eq!(cluster.leases_swept(), 10);
-        assert_eq!(cluster.lease_sweep_count(), 1);
-        cluster.reset_time();
-        assert_eq!(cluster.leases_swept(), 0);
-        // The surviving lease is untouched.
-        assert_eq!(cluster.lease_holder_count(), 1);
-    }
-
-    #[test]
-    fn periodic_sweep_fires_on_rpc_cadence() {
-        let c = cfg(); // default: 10s sweep interval
-        let n = net();
-        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
-        for i in 0..50u32 {
-            cluster.grant_lease(
-                NodeId(i),
-                (EntryKind::Attr, vpath(&format!("/f{i}"))),
-                SimTime::from_secs(1),
-            );
-        }
-        let ops = DbOps {
-            reads: 1,
-            writes: 0,
-        };
-        // Before the interval lapses nothing is swept.
-        sync(
-            &mut cluster,
-            &c,
-            &n,
-            NodeId(0),
-            ShardId(0),
-            ops,
-            SimTime::from_secs(5),
-        );
-        assert_eq!(cluster.lease_holder_count(), 50);
-        // The first RPC past the interval prunes the lapsed grants.
-        sync(
-            &mut cluster,
-            &c,
-            &n,
-            NodeId(0),
-            ShardId(0),
-            ops,
-            SimTime::from_secs(11),
-        );
-        assert_eq!(cluster.lease_holder_count(), 0);
-        assert_eq!(cluster.leases_swept(), 50);
-        // Sweeping is timing-neutral: the same RPC on a sweep-free
-        // cluster completes at the identical virtual time.
-        let mut quiet = MdsCluster::new(ShardPolicy::hash(1));
-        sync(
-            &mut quiet,
-            &c,
-            &n,
-            NodeId(0),
-            ShardId(0),
-            ops,
-            SimTime::from_secs(5),
-        );
-        let a = sync(
-            &mut cluster,
-            &c,
-            &n,
-            NodeId(0),
-            ShardId(0),
-            ops,
-            SimTime::from_secs(12),
-        );
-        let b = sync(
-            &mut quiet,
-            &c,
-            &n,
-            NodeId(0),
-            ShardId(0),
-            ops,
-            SimTime::from_secs(12),
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn observe_elastic_is_a_no_op_under_static_policies() {
         let c = cfg();
         let mut cluster = MdsCluster::new(ShardPolicy::hash(4));
@@ -2442,28 +2178,28 @@ mod tests {
         }
         let p1 = on1.expect("some path routes to shard 1");
         let p0 = on0.expect("some path routes to shard 0");
-        let far = SimTime::from_secs(10);
-        cluster.grant_lease(NodeId(3), (EntryKind::Attr, p1.clone()), far);
-        cluster.grant_lease(NodeId(4), (EntryKind::Dentry, p1.parent().unwrap()), far);
-        cluster.grant_lease(NodeId(5), (EntryKind::Attr, p0.clone()), far);
-        assert_eq!(cluster.lease_holder_count(), 3);
-        // Any probe past the crash time processes the script.
+        let d1 = p1.parent().unwrap();
+        assert_eq!(cluster.route_entries(&d1), ShardId(1));
+        let mut leases = cache(10_000);
+        leases.insert(NodeId(3), EntryKind::Attr, p1.clone(), SimTime::ZERO);
+        leases.insert(NodeId(4), EntryKind::Dentry, d1.clone(), SimTime::ZERO);
+        leases.insert(NodeId(5), EntryKind::Attr, p0.clone(), SimTime::ZERO);
+        // Any probe past the crash time processes the script, which
+        // queues the crash once.
         assert!(cluster
             .admit(&c, &n, NodeId(0), ShardId(0), SimTime::from_millis(6))
             .is_ok());
-        let fenced = cluster.take_fenced_cache_keys();
-        assert_eq!(fenced.len(), 2, "both shard-1 leases fence: {fenced:?}");
-        assert!(fenced.iter().all(|(_, key)| {
-            let owner = match key.0 {
-                EntryKind::Attr | EntryKind::Negative => cluster.route(&key.1),
-                EntryKind::Dentry => cluster.route_entries(&key.1),
-            };
-            owner == ShardId(1)
-        }));
-        // The shard-0 lease survives; the fenced list drains once.
-        assert_eq!(cluster.lease_holder_count(), 1);
-        assert!(cluster.take_fenced_cache_keys().is_empty());
-        assert_eq!(cluster.fault_stats().fenced_leases, 2);
+        let crashes = cluster.take_crashes();
+        assert_eq!(crashes, vec![(ShardId(1), SimTime::from_millis(5))]);
+        assert!(cluster.take_crashes().is_empty());
+        for (shard, at) in crashes {
+            leases.fence(at, |key| cluster.lease_shard(key) == shard);
+        }
+        // Both shard-1 leases are fenced; the shard-0 lease survives.
+        assert_eq!(leases.stats().fenced, 2);
+        assert!(leases.is_empty(NodeId(3)) && leases.is_empty(NodeId(4)));
+        let t = SimTime::from_millis(7);
+        assert!(leases.lookup(NodeId(5), EntryKind::Attr, &p0, t).is_hit());
     }
 
     #[test]
@@ -2861,7 +2597,7 @@ mod tests {
         assert_eq!(f.nacks, 1);
         assert_eq!(f.crashes, 0);
         assert_eq!(f.fenced_sessions, 0);
-        assert_eq!(f.fenced_leases, 0);
+        assert!(cluster.take_crashes().is_empty(), "nothing to fence");
         assert_eq!(f.downtime, SimDuration::ZERO);
     }
 

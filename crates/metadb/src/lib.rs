@@ -14,15 +14,13 @@
 //!   periodic fsync deterministically, plus group-commit, memoization
 //!   and journal accounting.
 //!
+//! That price is all this crate holds: its one module is [`cost`].
 //! The COFS metadata service (`cofs::mds`) keeps its two tables itself
 //! (a dense inode vector and one hashed directory-entry map per
 //! directory, keyed by name; a listing sorts what it copies), counts
 //! the rows each operation reads and writes, and charges those counts
 //! through this cost model against a queueing resource, so the
 //! service's CPU is a proper bottleneck at scale.
-//!
-//! [`table::Table`], a typed record table, no longer backs the service
-//! and has no user in the workspace; it is kept only until its removal.
 //!
 //! # Examples
 //!
@@ -42,12 +40,8 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod error;
-pub mod table;
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
     pub use crate::cost::{DbCostModel, DbCostTracker};
-    pub use crate::error::{DbError, DbErrorKind};
-    pub use crate::table::{Record, Table};
 }

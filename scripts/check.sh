@@ -6,13 +6,16 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> full-mode scaling + ablation match the committed goldens"
+# The paper's figures and table, then the extension sweeps.
+BENCHES="fig1 fig2 fig4 fig5 fig6 table1 scaling ablation"
+
+echo "==> full-mode paper figures and sweeps match the committed goldens"
 fresh="$(mktemp -d)"
-for b in scaling ablation; do
+for b in $BENCHES; do
     env -u COFS_SMOKE COFS_BENCH_OUT="$fresh" cargo run -q --release -p cofs-bench --bin "$b" >/dev/null
 done
 drifted=0
-for b in scaling ablation; do
+for b in $BENCHES; do
     if ! cmp "$fresh/BENCH_$b.json" "BENCH_$b.json"; then
         # Name every cell that moved before failing.
         python3 scripts/bench_check.py --golden "BENCH_$b.json" "$fresh/BENCH_$b.json" || true
@@ -21,7 +24,7 @@ for b in scaling ablation; do
 done
 rm -rf "$fresh"
 if [ "$drifted" = 1 ]; then
-    echo "full-mode sweeps no longer match BENCH_scaling.json / BENCH_ablation.json" >&2
+    echo "full-mode runs no longer match the committed BENCH_*.json goldens" >&2
     exit 1
 fi
 
@@ -29,7 +32,7 @@ echo "==> bench_check.py gates the full-mode goldens"
 # CI's smoke sweep reaches 2 shards; the 4- to 16-shard claims and the
 # repeated-row audit only run against the full-mode goldens, which the
 # cmp above pins.
-for b in scaling ablation; do
+for b in $BENCHES; do
     if ! report="$(python3 scripts/bench_check.py "BENCH_$b.json")"; then
         echo "$report" >&2
         exit 1
