@@ -17,7 +17,6 @@ pub const SIM_CRATES: &[&str] = &[
     "crates/simcore",
     "crates/netsim",
     "crates/vfs",
-    "crates/metadb",
     "crates/dlm",
     "crates/pfs",
     "crates/core",

@@ -306,10 +306,38 @@ fn type_mentions_hash(toks: &[Tok], start: usize) -> bool {
     false
 }
 
+/// Whether the `let` at token `i` gives its name a type, or binds it
+/// to a constructor path (`BTreeSet::new()`), and if so whether that
+/// names a hash table. `None` for any other `let` (patterns, inferred
+/// initializers), which leaves the name's crate-wide reading alone.
+fn let_binding(toks: &[Tok], i: usize) -> Option<(usize, bool)> {
+    let t = |j: usize| toks.get(j).map_or("", |tok| tok.text.as_str());
+    let name = if t(i + 1) == "mut" { i + 2 } else { i + 1 };
+    if !toks.get(name)?.is_ident {
+        return None;
+    }
+    match t(name + 1) {
+        ":" if t(name + 2) != ":" => Some((name, type_mentions_hash(toks, name + 2))),
+        "=" if t(name + 2) != "=" => {
+            // `Seg :: Seg … :: ctor (` with at least one `::`.
+            let (mut j, mut hash) = (name + 2, false);
+            while toks.get(j)?.is_ident && t(j + 1) == ":" && t(j + 2) == ":" {
+                hash |= is_hash_type(&toks[j]);
+                j += 3;
+            }
+            (j > name + 2 && toks.get(j)?.is_ident && t(j + 1) == "(").then_some((name, hash))
+        }
+        _ => None,
+    }
+}
+
 /// Runs every applicable rule over one file's source. `crate_names`
 /// carries HashMap/HashSet-typed names declared elsewhere in the same
 /// crate (fields reached through accessors); pass an empty set to
-/// match on this file's declarations only.
+/// match on this file's declarations only. A `let` that types its
+/// name, or builds it with a constructor path, without a hash table
+/// shadows those names for bare uses (`name.iter()`, not
+/// `self.name.iter()`) until its block closes.
 pub fn analyze_source(
     rel_path: &str,
     src: &str,
@@ -343,9 +371,34 @@ pub fn analyze_source(
     } else {
         BTreeSet::new()
     };
+    // Typed `let` bindings in scope: name, brace depth, hash-typed.
+    let mut locals: Vec<(&str, u32, bool)> = Vec::new();
+    let mut depth = 0u32;
+    // Whether the name at token `k` is a hash table: a bare name by
+    // its innermost typed `let`, if any, else by the declared names.
+    let is_hash = |locals: &[(&str, u32, bool)], k: usize| -> bool {
+        let bare = k == 0 || t(k - 1) != ".";
+        let local = locals.iter().rev().find(|l| bare && l.0 == t(k));
+        local.map_or_else(|| hash_names.contains(t(k)), |l| l.2)
+    };
 
     for i in 0..toks.len() {
         let line = toks[i].line;
+        if policy.d003 {
+            match t(i) {
+                "{" => depth += 1,
+                "}" => {
+                    depth = depth.saturating_sub(1);
+                    locals.retain(|l| l.1 <= depth);
+                }
+                "let" => {
+                    if let Some((name, hash)) = let_binding(&toks, i) {
+                        locals.push((t(name), depth, hash));
+                    }
+                }
+                _ => {}
+            }
+        }
         // ---- D001: wall-clock ------------------------------------------
         if policy.d001 {
             if (t(i) == "Instant" || t(i) == "SystemTime")
@@ -435,7 +488,7 @@ pub fn analyze_source(
                 toks[i].is_ident
                     && ITER_METHODS.contains(&t(i))
                     && t(i + 1) == "("
-                    && hash_names.contains(t(r))
+                    && is_hash(&locals, r)
             }) {
                 push(
                     &mut raw,
@@ -476,7 +529,7 @@ pub fn analyze_source(
                     while k < toks.len() && t(k) != "{" && k < start + 12 {
                         // A name followed by `.` is a method call; the
                         // method-call check above owns that case.
-                        if toks[k].is_ident && hash_names.contains(t(k)) && t(k + 1) != "." {
+                        if toks[k].is_ident && is_hash(&locals, k) && t(k + 1) != "." {
                             // Iterating an iterator-returning call like
                             // `name.keys()` is caught above; a bare
                             // `for x in &name` lands here.
@@ -842,6 +895,61 @@ mod tests {
                    /// Mentions cofs-lint: allow(D001, prose) in docs.\n\
                    fn f() {}";
         assert!(rules_of(src).is_empty());
+    }
+
+    /// `holders` is a hash-map field declared in a sibling file.
+    fn holders_rules(body: &str) -> Vec<String> {
+        let names = BTreeSet::from(["holders".to_string()]);
+        let src = format!("fn f(&self) {{ {body} }}");
+        analyze_source("crates/core/src/x.rs", &src, sim_policy(), &names)
+            .into_iter()
+            .map(|v| v.rule)
+            .collect()
+    }
+
+    #[test]
+    fn d003_local_typed_without_a_hash_table_shadows_the_field_name() {
+        let typed = "let holders: BTreeSet<u64> = BTreeSet::new(); \
+                     for h in &holders {} holders.iter().count();";
+        assert!(holders_rules(typed).is_empty());
+        let built = "let mut holders = BTreeSet::new(); holders.iter().count();";
+        assert!(holders_rules(built).is_empty());
+    }
+
+    #[test]
+    fn d003_field_receiver_still_fires_beside_a_shadowing_local() {
+        let src = "let holders: Vec<u64> = Vec::new(); \
+                   holders.iter().count(); self.holders.keys().count();";
+        assert_eq!(holders_rules(src), vec!["D003"]);
+    }
+
+    #[test]
+    fn d003_local_declared_with_a_hash_type_still_fires() {
+        let typed = "let holders: FxHashSet<u64> = make(); holders.iter().count();";
+        assert_eq!(holders_rules(typed), vec!["D003"]);
+        // The innermost binding decides.
+        let nested = "let holders: Vec<u64> = Vec::new(); \
+                      { let holders = HashSet::new(); for h in &holders {} }";
+        assert_eq!(holders_rules(nested), vec!["D003"]);
+    }
+
+    #[test]
+    fn d003_shadow_ends_at_its_closing_brace() {
+        let src = "fn f() {\n\
+                   { let holders: Vec<u64> = Vec::new(); holders.iter().count(); }\n\
+                   holders.iter().count();\n\
+                   }";
+        let names = BTreeSet::from(["holders".to_string()]);
+        let v = analyze_source("crates/core/src/x.rs", src, sim_policy(), &names);
+        assert_eq!(
+            v.iter()
+                .map(|v| (v.line, v.rule.as_str()))
+                .collect::<Vec<_>>(),
+            [(3, "D003")]
+        );
+        // An inferred initializer shadows nothing.
+        let inferred = "let holders = snapshot(); holders.iter().count();";
+        assert_eq!(holders_rules(inferred), vec!["D003"]);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! trip and the shard's queueing leave the client's critical path. The
 //! shard half lives in [`crate::mds_cluster::MdsCluster::request`]:
 //! one RPC, one per-request CPU overhead, and one group-commit
-//! transaction for the whole batch's writes
-//! ([`metadb::cost::DbCostTracker::group_txn_cost`]).
+//! transaction for the whole batch's writes, priced at
+//! [`crate::config::DbCostModel`]'s rates.
 //!
 //! Semantics vs. cost: exactly like sharding and caching, batching is a
 //! *cost* model, never a *truth* model. Every mutation is applied to

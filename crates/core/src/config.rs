@@ -6,7 +6,6 @@ use crate::client_cache::ClientCacheConfig;
 use crate::elastic::{ElasticConfig, ElasticPolicy};
 use crate::fault::{FaultPlan, RetryConfig};
 use crate::mds_cluster::{ShardId, ShardPolicy};
-use metadb::cost::DbCostModel;
 use netsim::cluster::Cluster;
 use netsim::ids::NodeId;
 use simcore::time::SimDuration;
@@ -159,6 +158,77 @@ impl AdmissionConfig {
     }
 }
 
+/// Per-operation service demands of the metadata database
+/// ([`CofsConfig::db`]).
+///
+/// The paper keeps the metadata service's tables in Mnesia, backed by
+/// "a 25 GB disk locally attached to that node and formatted with the
+/// ext3 file system", with disc-copies semantics: reads are served from
+/// memory, writes append to a log that is periodically synced. Each
+/// shard of [`crate::mds_cluster::MdsCluster`] charges the rows an
+/// operation reads and writes at these prices against its CPU, and
+/// counts that row work in its [`crate::mds_cluster::ShardUsage`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DbCostModel {
+    /// In-memory lookup or range-scan step.
+    pub lookup: SimDuration,
+    /// In-memory mutation plus log-record append.
+    pub write: SimDuration,
+    /// Transaction commit bookkeeping.
+    pub commit: SimDuration,
+    /// Every `sync_every` commits, the log is fsynced to the local
+    /// disk (ext3 journal flush).
+    pub sync_every: u64,
+    /// Cost of that periodic fsync.
+    pub sync_cost: SimDuration,
+    /// Fixed cost of one sequential append to the write-behind dentry
+    /// journal (write-behind mode acks a whole batch on one append).
+    pub journal_append: SimDuration,
+    /// Per-row cost of serializing a mutation record into that append.
+    /// Much cheaper than [`DbCostModel::write`]: the journal is a
+    /// sequential log, not an indexed table update.
+    pub journal_record: SimDuration,
+}
+
+impl DbCostModel {
+    /// Service demand of replicating one journal append (carrying
+    /// `records` mutation records) onto a hot standby. The standby
+    /// replays the identical sequential append, so the cost reuses the
+    /// journal terms; what makes it cheap for clients is *where* it is
+    /// paid — off the ack path, after the primary's own append. A pure
+    /// function of the model (no shard count advances), so the
+    /// promotion path can re-derive a batch's ship-completion time at
+    /// crash time from the same inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `records` is zero — an empty append ships nothing.
+    pub fn standby_append_cost(&self, records: u64) -> SimDuration {
+        assert!(records > 0, "standby append of zero records");
+        self.journal_append + self.journal_record * records
+    }
+}
+
+impl Default for DbCostModel {
+    /// Defaults calibrated to Mnesia ram/disc-copies on a 2004-era
+    /// blade: single-digit-microsecond ETS lookups, log-append writes,
+    /// periodic fsync amortized over 64 commits. The journal terms
+    /// price one sequential log append (batch-fixed base plus a cheap
+    /// per-record serialization step); they are only charged when
+    /// write-behind journaling is enabled upstream.
+    fn default() -> Self {
+        DbCostModel {
+            lookup: SimDuration::from_micros(8),
+            write: SimDuration::from_micros(15),
+            commit: SimDuration::from_micros(10),
+            sync_every: 64,
+            sync_cost: SimDuration::from_micros(800),
+            journal_append: SimDuration::from_micros(12),
+            journal_record: SimDuration::from_micros(1),
+        }
+    }
+}
+
 /// Tunable parameters of the COFS virtualization layer.
 #[derive(Debug, Clone)]
 pub struct CofsConfig {
@@ -185,7 +255,8 @@ pub struct CofsConfig {
     pub under_root: VPath,
 
     // ---- metadata service ----
-    /// Database cost model (Mnesia disc-copies equivalent).
+    /// Database cost model (Mnesia disc-copies equivalent, see
+    /// [`DbCostModel`]).
     pub db: DbCostModel,
     /// Metadata-service CPU overhead per RPC beyond the DB work.
     pub mds_service: SimDuration,

@@ -18,9 +18,10 @@
 //!   directories;
 //! - the **metadata driver** forwards pure metadata operations
 //!   (stat, utime, chmod, readdir, rename, links, directories) to a
-//!   **metadata service** built on database tables ([`mds`],
-//!   [`metadb`] standing in for Erlang/Mnesia) — centralized in the
-//!   paper, and optionally *sharded* here ([`mds_cluster`]): the paper
+//!   **metadata service** built on database tables ([`mds`], priced
+//!   by [`config::DbCostModel`] in place of Erlang/Mnesia; each shard
+//!   counts its row work in [`mds_cluster::ShardUsage`]) — centralized
+//!   in the paper, and optionally *sharded* here ([`mds_cluster`]): the paper
 //!   frames the virtualization layer as the enabler for distributing
 //!   metadata across multiple servers, and [`mds_cluster::MdsCluster`]
 //!   models exactly that extension;
@@ -76,3 +77,6 @@ pub mod prelude {
     pub use crate::mds_cluster::{MdsCluster, Shape, ShardId, ShardPolicy, ShardUsage};
     pub use crate::placement::{HashedPlacement, PassthroughPlacement, PlacementPolicy};
 }
+
+#[cfg(test)]
+mod cost;

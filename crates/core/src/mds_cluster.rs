@@ -27,11 +27,10 @@
 
 use crate::batch::{coalesce_writes, BatchedOp};
 use crate::client_cache::{EntryKind, LeaseKey};
-use crate::config::{CofsConfig, MdsNetwork, WriteBehindConfig};
+use crate::config::{CofsConfig, DbCostModel, MdsNetwork, WriteBehindConfig};
 use crate::elastic::ElasticPolicy;
 use crate::fault::{FaultPlan, FaultStats, MessageDrop, Nack, ShardCrash, ShardPartition};
 use crate::mds::{DbOps, Mds, RowSet};
-use metadb::cost::DbCostTracker;
 use netsim::ids::NodeId;
 use simcore::prelude::*;
 use std::collections::BTreeSet;
@@ -218,19 +217,20 @@ pub struct ShardUsage {
     /// more of the `rpcs` logical operations and group-commits their
     /// writes). Zero with batching off.
     pub batches: u64,
-    /// Row reads actually charged against the shard's database
-    /// ([`DbCostTracker::reads_charged`]).
+    /// Row reads actually charged against the shard's database, counted
+    /// where they are priced: requests, recovery replay and migration
+    /// scans.
     pub reads_charged: u64,
-    /// Row reads absorbed by per-batch memoization
-    /// ([`DbCostTracker::reads_memoized`]); zero with memoization off.
+    /// Row reads absorbed by per-batch memoization; zero with
+    /// memoization off.
     pub reads_memoized: u64,
     /// Read RPCs that jumped the priority lane past queued batch lumps
     /// ([`simcore::resource::TwoLaneResource::priority_bypasses`]);
     /// zero with `read_priority` off.
     pub read_bypasses: u64,
-    /// Write-behind journal appends performed (one per acked mutation
-    /// batch, [`DbCostTracker::journal_appends`]); zero with
-    /// write-behind off.
+    /// Journal appends performed: one per acked write-behind mutation
+    /// batch and one per elastic migration transfer received. Zero with
+    /// write-behind off and a static policy.
     pub journal_appends: u64,
     /// Row applications absorbed by same-parent sibling coalescing
     /// ([`crate::batch::coalesce_writes`]); zero with write-behind off.
@@ -328,10 +328,11 @@ struct FaultState {
 #[derive(Debug)]
 struct Shard {
     cpu: TwoLaneResource,
-    tracker: DbCostTracker,
-    /// The shard's load counters. The figures the CPU and the tracker
-    /// own (`busy`, `mean_wait`, `read_bypasses`, `reads_charged`,
-    /// `reads_memoized`, `journal_appends`) stay zero here;
+    /// Transactions committed: the cadence the periodic fsync lands on
+    /// ([`Self::commit`]).
+    commits: u64,
+    /// The shard's load counters. The figures the CPU owns (`busy`,
+    /// `mean_wait`, `read_bypasses`) stay zero here;
     /// [`MdsCluster::usage`] fills them in.
     usage: ShardUsage,
     unapplied: Vec<UnappliedEntry>,
@@ -351,7 +352,7 @@ impl Shard {
     fn new(idx: usize) -> Self {
         Shard {
             cpu: TwoLaneResource::new(format!("cofs-mds-{idx}")),
-            tracker: DbCostTracker::new(),
+            commits: 0,
             usage: ShardUsage {
                 shard: idx,
                 ..ShardUsage::default()
@@ -410,21 +411,59 @@ impl Shard {
         t
     }
 
+    /// Service demand of reading `rows` rows, `memoized` of which an
+    /// earlier op of the same request already resolved. A read of no
+    /// rows still costs one lookup; each memoized row saves exactly one
+    /// lookup, and `memoized` is clamped to `rows`, so the demand never
+    /// goes negative and `memoized == 0` is the plain read. Counts the
+    /// charged and memoized rows.
+    fn read_rows(&mut self, db: &DbCostModel, rows: u64, memoized: u64) -> SimDuration {
+        let memoized = memoized.min(rows);
+        self.usage.reads_charged += rows - memoized;
+        self.usage.reads_memoized += memoized;
+        db.lookup * rows.max(1) - db.lookup * memoized
+    }
+
+    /// Service demand of one transaction writing `writes` rows: a whole
+    /// request's write set commits once (a group commit), and every
+    /// `sync_every`-th commit also pays the periodic fsync.
+    fn commit(&mut self, db: &DbCostModel, writes: u64) -> SimDuration {
+        self.commits += 1;
+        let mut d = db.commit + db.write * writes.max(1);
+        if db.sync_every > 0 && self.commits.is_multiple_of(db.sync_every) {
+            d += db.sync_cost;
+        }
+        d
+    }
+
+    /// Service demand of one sequential journal append carrying
+    /// `records` mutation records: the fixed append base plus one
+    /// serialization step per record. An append is not a commit, so the
+    /// fsync cadence stays put.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `records` is zero — there is nothing to journal.
+    fn journal_append(&mut self, db: &DbCostModel, records: u64) -> SimDuration {
+        assert!(records > 0, "journal append of zero records");
+        self.usage.journal_appends += 1;
+        db.journal_append + db.journal_record * records
+    }
+
     /// Serves `ops` as one request arriving at `arrive` and returns when
     /// the shard replies. The per-request CPU overhead is paid once,
     /// each operation's row reads are charged individually, and every
     /// operation's writes fold into one group commit
-    /// ([`DbCostTracker::group_txn_cost`]) — `txn_cost(writes = k)`
-    /// instead of `k` single-write transactions. A one-op request is
-    /// therefore exactly one transaction.
+    /// ([`Self::commit`]) instead of one transaction per op. A one-op
+    /// request is therefore exactly one transaction.
     ///
     /// With [`crate::batch::BatchConfig::memoize_reads`] on, reads are
     /// priced by the request's *deduplicated* read set: each distinct
     /// row key in the ops' [`BatchedOp::read_set`]s is charged once
-    /// ([`DbCostTracker::query_cost_dedup`]) — a batch of creates into
-    /// one directory resolves the shared parent chain once instead of k
-    /// times. Keyless reads (op-private probes) are always charged, and
-    /// a one-op read set memoizes nothing (its keys are distinct by
+    /// ([`Self::read_rows`]) — a batch of creates into one directory
+    /// resolves the shared parent chain once instead of k times.
+    /// Keyless reads (op-private probes) are always charged, and a
+    /// one-op read set memoizes nothing (its keys are distinct by
     /// construction).
     ///
     /// The shape decides the rest. Only a [`Shape::Batch`] counts in
@@ -448,7 +487,7 @@ impl Shard {
         let mut service = cfg.mds_service;
         for o in ops {
             let memoized = if memoize { seen.merge(&o.read_set) } else { 0 };
-            service += self.tracker.query_cost_dedup(&cfg.db, o.db.reads, memoized);
+            service += self.read_rows(&cfg.db, o.db.reads, memoized);
         }
         if let Shape::Batch(_) = shape {
             self.usage.batches += 1;
@@ -456,9 +495,8 @@ impl Shard {
                 return self.write_behind(cfg, ops, arrive, service, total_writes, ship_to_standby);
             }
         }
-        let writes: Vec<u64> = ops.iter().map(|o| o.db.writes).filter(|&w| w > 0).collect();
-        if !writes.is_empty() {
-            service += self.tracker.group_txn_cost(&cfg.db, &writes);
+        if total_writes > 0 {
+            service += self.commit(&cfg.db, total_writes);
         }
         if matches!(shape, Shape::Sync(_)) && cfg.read_priority && total_writes == 0 {
             self.cpu.acquire_priority(arrive, service).end
@@ -470,7 +508,7 @@ impl Shard {
     /// The write-behind ack path of a mutation batch whose reads cost
     /// `service`: the batch is *acked at journal append* — its ack-path
     /// service swaps the group commit for one sequential journal append
-    /// ([`DbCostTracker::journal_append_cost`]) — and its rows apply
+    /// ([`Self::journal_append`]) — and its rows apply
     /// right after the ack as deferred shard-CPU work: one group commit
     /// over the batch's *coalesced* write set
     /// ([`crate::batch::coalesce_writes`]: same-parent sibling rows fold
@@ -491,19 +529,18 @@ impl Shard {
         ship_to_standby: bool,
     ) -> SimTime {
         let arrive = self.durability_clamp(&cfg.write_behind, arrive, ops.len() as u64);
-        let service = service + self.tracker.journal_append_cost(&cfg.db, total_writes);
+        let service = service + self.journal_append(&cfg.db, total_writes);
         let acked = self.cpu.acquire(arrive, service).end;
         let cw = coalesce_writes(ops);
         self.usage.rows_coalesced += cw.rows_coalesced;
-        let applied: Vec<u64> = cw.writes_per_op.into_iter().filter(|&w| w > 0).collect();
-        let apply_done = if applied.is_empty() {
+        let rows: u64 = cw.writes_per_op.iter().sum();
+        let apply_done = if rows == 0 {
             acked
         } else {
-            let apply_service = self.tracker.group_txn_cost(&cfg.db, &applied);
+            let apply_service = self.commit(&cfg.db, rows);
             self.cpu.acquire(acked, apply_service).end
         };
         self.usage.apply_lag = self.usage.apply_lag.max(apply_done - acked);
-        let rows: u64 = applied.iter().sum();
         self.unapplied.push(UnappliedEntry {
             acked,
             apply_done,
@@ -972,7 +1009,7 @@ impl MdsCluster {
             at + crash.restart_after
         };
         let s = &mut self.shards[shard.0];
-        let (mut replay_ops, mut replay_rows): (u64, Vec<u64>) = (0, Vec::new());
+        let (mut replay_ops, mut replay_rows) = (0u64, 0u64);
         let mut acked_at_crash = 0u64;
         let mut covered_ops = 0u64;
         if promote {
@@ -988,9 +1025,7 @@ impl MdsCluster {
                 acked_at_crash += e.ops;
                 if e.ship_done > at {
                     replay_ops += e.ops;
-                    if e.rows > 0 {
-                        replay_rows.push(e.rows);
-                    }
+                    replay_rows += e.rows;
                 } else {
                     covered_ops += e.ops;
                 }
@@ -1005,18 +1040,16 @@ impl MdsCluster {
                 if e.acked <= at && e.apply_done > at {
                     acked_at_crash += e.ops;
                     replay_ops += e.ops;
-                    if e.rows > 0 {
-                        replay_rows.push(e.rows);
-                    }
+                    replay_rows += e.rows;
                 }
             }
         }
         // Recovery is real work: boot (or leader handoff), scan the
         // journal tail, re-apply the replay set as one group commit.
         // Only then does the shard resume service.
-        let mut service = cfg.mds_service + s.tracker.query_cost_dedup(&cfg.db, replay_ops, 0);
-        if !replay_rows.is_empty() {
-            service += s.tracker.group_txn_cost(&cfg.db, &replay_rows);
+        let mut service = cfg.mds_service + s.read_rows(&cfg.db, replay_ops, 0);
+        if replay_rows > 0 {
+            service += s.commit(&cfg.db, replay_rows);
         }
         let resume_at = s.cpu.acquire(restart_at, service).end;
         let f = &mut self.fault_stats;
@@ -1024,7 +1057,7 @@ impl MdsCluster {
         f.replayed_ops += replay_ops;
         if promote {
             f.promotions += 1;
-            f.lag_replayed_rows += replay_rows.iter().sum::<u64>();
+            f.lag_replayed_rows += replay_rows;
             // Every batch acked by the crash is either on the standby
             // (fully shipped, applied there) or replayed from the
             // durable journal tail — the canary stays structural.
@@ -1204,7 +1237,7 @@ impl MdsCluster {
                 let read_done = {
                     let s = &mut self.shards[tr.from.0];
                     s.usage.migrations += 1;
-                    let service = cfg.mds_service + s.tracker.query_cost_dedup(&cfg.db, tr.rows, 0);
+                    let service = cfg.mds_service + s.read_rows(&cfg.db, tr.rows, 0);
                     s.cpu.acquire(t, service).end
                 };
                 // Destination side: the rows cross the inter-shard link,
@@ -1215,8 +1248,8 @@ impl MdsCluster {
                 let s = &mut self.shards[tr.to.0];
                 s.usage.migrations += 1;
                 let service = cfg.mds_service
-                    + s.tracker.journal_append_cost(&cfg.db, tr.rows)
-                    + s.tracker.group_txn_cost(&cfg.db, &[tr.rows]);
+                    + s.journal_append(&cfg.db, tr.rows)
+                    + s.commit(&cfg.db, tr.rows);
                 let _ = s.cpu.acquire(arrive, service);
             }
         }
@@ -1263,9 +1296,6 @@ impl MdsCluster {
                 busy: s.cpu.busy_time(),
                 mean_wait: s.cpu.mean_wait(),
                 read_bypasses: s.cpu.priority_bypasses(),
-                reads_charged: s.tracker.reads_charged(),
-                reads_memoized: s.tracker.reads_memoized(),
-                journal_appends: s.tracker.journal_appends(),
                 ..s.usage.clone()
             })
             .collect()
@@ -1402,15 +1432,21 @@ mod tests {
             SimTime::ZERO,
         );
         let mut cpu = FifoResource::new("legacy");
-        let mut tracker = DbCostTracker::new();
         let t = SimTime::ZERO + c.session_cost;
         let rtt = SimDuration::from_micros(250);
         let arrive = t + rtt / 2;
-        let service = c.mds_service
-            + tracker.query_cost(&c.db, ops.reads)
-            + tracker.txn_cost(&c.db, ops.writes);
+        // The first commit, far from the fsync cadence.
+        assert!(c.db.sync_every > 1);
+        let service =
+            c.mds_service + c.db.lookup * ops.reads + c.db.commit + c.db.write * ops.writes;
         let expect = cpu.acquire(arrive, service).end + rtt / 2;
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "journal append of zero records")]
+    fn empty_journal_append_panics() {
+        Shard::new(0).journal_append(&DbCostModel::default(), 0);
     }
 
     #[test]
@@ -2021,7 +2057,9 @@ mod tests {
         let p = cluster.policy().as_elastic().unwrap();
         assert!(p.depth_of(&dir) > 0, "hot window must have split");
         let u = cluster.usage();
-        assert_eq!(u.iter().map(|s| s.splits).sum::<u64>(), p.split_events());
+        let splits: u64 = u.iter().map(|s| s.splits).sum();
+        let merges: u64 = u.iter().map(|s| s.merges).sum();
+        assert_eq!(splits - merges, u64::from(p.depth_of(&dir)));
         let movers: u64 = u.iter().map(|s| s.migrations).sum();
         assert!(movers > 0, "a split across shards must migrate rows");
         // Migration work landed on real shard CPUs — never free.

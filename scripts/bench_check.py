@@ -69,7 +69,8 @@ and fails when a structural performance claim regressed:
    replaces backoff overshoot).
 
 Claims 1-9 run on the ``scaling`` report only. Any full-mode report
-(``"smoke": false``, so also ``BENCH_ablation.json``) gets one more:
+(``"smoke": false``, so also ``BENCH_ablation.json`` and the six paper
+reports) gets one more:
 
 10. **No sweep row repeats another by accident** — when two rows of a
     section match in every cell outside CONFIG_COLUMNS, the setting
@@ -89,7 +90,7 @@ leading cells that tells the section's rows apart in both reports
 (``shards=2, policy=elastic``). Exit status 0 when the reports match,
 1 otherwise.
 
-Usage: bench_check.py [path/to/BENCH_scaling.json | path/to/BENCH_ablation.json]
+Usage: bench_check.py [path/to/BENCH_<name>.json]
        bench_check.py --golden <committed.json> <regenerated.json>
 """
 
@@ -129,12 +130,81 @@ CONFIG_COLUMNS = {
     "variant",
     "nodes",
     "shard",
+    "operation",
+    "files/dir",
+    "files/node",
+    "aggregate",
+    "per-node",
 }
 NO_SPLIT = "no split fires, so elastic places every directory as hash-by-parent does"
+FIG1_HITS = "up to 1024 files the node's 1024-entry stat cache still holds every inode, so each op hits"
+FIG1_SPLIT = (
+    "setup leaves the last 1024 inodes cached: the first process's scan misses on every file, "
+    "the second's hits on every file"
+)
+FIG1_MISSES = "from 2048 files the second process's range is evicted ahead of its scan too, so every op misses"
+FIG5_PLATEAU = (
+    "every GPFS op misses the stat cache at one contended server fetch, and a COFS op is one shard "
+    "request whose rows do not grow with the directory"
+)
+ONE_READER = "one node reading 256 MiB or more overflows its 64 MiB page pool, so every size streams alike"
+
+
+def plateau(first, later, reason, key="files/dir"):
+    """Declares each of `later` a repeat of `first` by one key column."""
+    return {(f"{key}={n}", f"{key}={first}"): reason for n in later}
+
+
 # Full-mode rows that repeat an earlier row of their section by
 # construction, by section title: (row, earlier row) by configuration
 # cells, with why.
 DECLARED_REPEATS = {
+    "avg. time per stat": {
+        **plateau(128, (256, 512, 768, 1024), FIG1_HITS),
+        **plateau(1280, (1536,), FIG1_SPLIT),
+        **plateau(2048, (2560,), FIG1_MISSES),
+    },
+    "avg. time per utime": {
+        **plateau(128, (256, 512, 768, 1024), FIG1_HITS),
+        **plateau(1280, (1536,), FIG1_SPLIT),
+    },
+    "avg. time per open_close": {
+        **plateau(128, (256, 512, 768, 1024), FIG1_HITS),
+        **plateau(1280, (1536,), FIG1_SPLIT),
+        **plateau(2048, (2560,), FIG1_MISSES),
+    },
+    "avg. time per stat — 4 nodes": plateau(1024, (2048, 4096, 8192), FIG5_PLATEAU, "files/node"),
+    "avg. time per stat — 8 nodes": plateau(1024, (2048, 4096, 8192), FIG5_PLATEAU, "files/node"),
+    "avg. time per open_close — 4 nodes": plateau(
+        512, (1024, 2048, 4096, 8192), FIG5_PLATEAU, "files/node"
+    ),
+    "avg. time per open_close — 8 nodes": plateau(
+        1024, (2048, 4096, 8192), FIG5_PLATEAU, "files/node"
+    ),
+    "operation times, shared dir, hierarchical network": {
+        ("operation=open_close", "operation=stat"): (
+            "64 clients saturate each stack's metadata server, and open+close puts the same demand "
+            "on it as stat (one attribute fetch on GPFS, one shard request on COFS), so one queue "
+            "sets both means"
+        ),
+    },
+    **{
+        f"{access} read / {files} files": {
+            (
+                f"aggregate={size}, nodes=1, per-node={mib}MB",
+                "aggregate=256MB, nodes=1, per-node=256MB",
+            ): ONE_READER
+            for size, mib in (("1GB", 1024), ("4GB", 4096))
+        }
+        for access in ("sequential", "random")
+        for files in ("separate", "shared")
+    },
+    "sequential write / shared files": {
+        (
+            "aggregate=4GB, nodes=8, per-node=512MB",
+            "aggregate=4GB, nodes=4, per-node=1024MB",
+        ): "writes to the one shared file run at one gigabit link's 110 MiB/s from 4 nodes on",
+    },
     "shared-directory storm vs shard count": {
         ("shards=1, policy=elastic", "shards=1, policy=single"): NO_SPLIT,
         ("shards=2, policy=elastic", "shards=2, policy=hash-parent"): NO_SPLIT,

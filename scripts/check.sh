@@ -78,36 +78,46 @@ if ! grep -qF "$expected" <<<"$report"; then
 fi
 
 echo "==> bench_check.py repeat-audit self-check (must name a repeated row)"
-repeated="$(mktemp)"
-# Gives the skewed-tenant section's second row the first row's measured
-# cells and prints the line the audit must report for it.
-expected="$(python3 - BENCH_scaling.json "$repeated" <<'EOF'
+# Gives row <to> of a golden's section row <from>'s measured cells and
+# checks that the audit fails naming the edited row.
+repeat_self_check() {
+    local golden="$1" title="$2" from="$3" to="$4" repeated expected report passed
+    repeated="$(mktemp)"
+    expected="$(python3 - "$golden" "$repeated" "$title" "$from" "$to" <<'EOF'
 import json, sys
 sys.dont_write_bytecode = True
 sys.path.insert(0, "scripts")
 from bench_check import CONFIG_COLUMNS, config_label
-report = json.load(open(sys.argv[1]))
-sec = next(s for s in report["sections"] if s["title"] == "skewed multi-tenant storm vs shard policy")
-first, second = sec["rows"][0], sec["rows"][1]
+golden, out, title, src, dst = sys.argv[1:]
+report = json.load(open(golden))
+sec = next(s for s in report["sections"] if s["title"] == title)
+first, second = sec["rows"][int(src)], sec["rows"][int(dst)]
 for i, h in enumerate(sec["headers"]):
     if h not in CONFIG_COLUMNS:
         second[i] = first[i]
 headers = sec["headers"]
+if config_label(headers, second) == config_label(headers, first):
+    sys.exit(f"{title!r}: no CONFIG_COLUMNS cell tells rows {src} and {dst} apart")
 print(f"{sec['title']!r}: {config_label(headers, second)} repeats {config_label(headers, first)}")
-json.dump(report, open(sys.argv[2], "w"), indent=2)
+json.dump(report, open(out, "w"), indent=2)
 EOF
 )"
-report="$(python3 scripts/bench_check.py "$repeated")" && passed=1 || passed=0
-rm -f "$repeated"
-if [ "$passed" = 1 ]; then
-    echo "bench_check.py passed a report with an undeclared repeated row" >&2
-    exit 1
-fi
-if ! grep -qF "$expected" <<<"$report"; then
-    echo "bench_check.py did not name the repeated row:" >&2
-    echo "$report" >&2
-    exit 1
-fi
+    report="$(python3 scripts/bench_check.py "$repeated")" && passed=1 || passed=0
+    rm -f "$repeated"
+    if [ "$passed" = 1 ]; then
+        echo "bench_check.py passed $golden with an undeclared repeated row" >&2
+        exit 1
+    fi
+    if ! grep -qF "$expected" <<<"$report"; then
+        echo "bench_check.py did not name the repeated row of $golden:" >&2
+        echo "$report" >&2
+        exit 1
+    fi
+}
+# A swept extension row, and a paper row keyed by its operation
+# (fig 6's utime row takes the stat row's cells).
+repeat_self_check BENCH_scaling.json "skewed multi-tenant storm vs shard policy" 0 1
+repeat_self_check BENCH_fig6.json "operation times, shared dir, hierarchical network" 1 2
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
