@@ -78,6 +78,28 @@ reports) gets one more:
     unless DECLARED_REPEATS names the pair with its reason, and a
     declared pair that no longer repeats fails too.
 
+The full-mode paper reports also carry the paper's own claims (smoke
+sweeps stop short of the knees, so only full mode is gated):
+
+11. **Fig 1 (``fig1``)** — with one process, stat, utime and open_close
+    take at most FIG1_HIT_MS through FIG1_KNEE files/dir (the stat
+    cache holds every inode) and at least FIG1_CLIFF times that beyond
+    it; create rises at every step from FIG1_GROWTH_FROM files/dir on,
+    for one process and for two.
+12. **Fig 4 (``fig4``)** — COFS create is below GPFS create at every
+    files/node, at 4 nodes and at 8.
+13. **Fig 5 (``fig5``)** — COFS is below GPFS in every row of the six
+    stat, utime and open_close sections, at 4 nodes and at 8.
+14. **Table I (``table1``)** — the orderings ``tests/tests/calibration.rs``
+    asserts at reduced scale, on sequential and random access: a
+    multi-node separate-file read that fits the GPFS page pool
+    (``per-node`` <= PAGEPOOL_MB) is a clear COFS loss (cofs/gpfs <
+    SMALL_READ_RATIO); every other read is comparable (>
+    COMPARABLE_RATIO); a one-node write shows the FUSE copy's moderate
+    drawback (WRITE_DRAWBACK); and on the 256MB separate-file writes
+    GPFS slows from 4 to 8 nodes while COFS stays above
+    WRITE_8_NODE_RATIO of it.
+
 Cells are printed at two decimals, so comparisons allow one unit of
 rounding slack (0.011 ms / 1 create/s). Stdlib only; exit status 0 on
 success, 1 on any failed check.
@@ -111,6 +133,19 @@ TAIL_GROWTH_CAP = 2.0
 # worst observed ratio is ~1.53 (no-journal, late crash, narrow
 # shards); 1.7 leaves ~10% headroom without re-admitting a wedge.
 FAILOVER_SLACK = 1.7
+# Fig 1: a stat-cache hit costs microseconds; past the 1024-entry
+# cache every op pays a server fetch, an order of magnitude more.
+FIG1_KNEE = 1024
+FIG1_HIT_MS = 0.1
+FIG1_CLIFF = 10.0
+# Fig 1: create grows with the directory above ~512 entries.
+FIG1_GROWTH_FROM = 512
+# Table I: GPFS's per-node page pool, and calibration.rs's bounds.
+PAGEPOOL_MB = 64
+SMALL_READ_RATIO = 0.6
+COMPARABLE_RATIO = 0.8
+WRITE_DRAWBACK = (0.5, 0.98)
+WRITE_8_NODE_RATIO = 0.65
 # Columns that configure a sweep row rather than measure it.
 CONFIG_COLUMNS = {
     "shards",
@@ -768,6 +803,149 @@ def check_cascade(report):
         )
 
 
+def row_name(sec, row):
+    """A row as its section title and configuration cells."""
+    return f"{sec['title']!r}, {config_label(sec['headers'], row)}"
+
+
+def check_fig1(report):
+    print("fig 1: stat-cache knee and create growth:")
+    for op in ("stat", "utime", "open_close"):
+        sec = section(report, f"avg. time per {op}")
+        if sec is None:
+            continue
+        dir_col = column(sec, "files/dir")
+        ms_col = column(sec, "1 process (ms)")
+        if dir_col is None or ms_col is None:
+            continue
+        below = [r for r in sec["rows"] if r[dir_col] <= FIG1_KNEE]
+        above = [r for r in sec["rows"] if r[dir_col] > FIG1_KNEE]
+        check(
+            bool(below) and bool(above),
+            f"{op}: rows on both sides of the {FIG1_KNEE}-entry knee "
+            f"({len(below)} and {len(above)})",
+        )
+        for r in below:
+            check(
+                r[ms_col] <= FIG1_HIT_MS,
+                f"{row_name(sec, r)}: 1 process {r[ms_col]} ms <= {FIG1_HIT_MS} ms (cache hit)",
+            )
+        floor = FIG1_CLIFF * FIG1_HIT_MS
+        for r in above:
+            check(
+                r[ms_col] >= floor,
+                f"{row_name(sec, r)}: 1 process {r[ms_col]} ms >= {floor:.1f} ms (past the cache)",
+            )
+    sec = section(report, "avg. time per create")
+    if sec is None:
+        return
+    dir_col = column(sec, "files/dir")
+    if dir_col is None:
+        return
+    rows = sorted(
+        (r for r in sec["rows"] if r[dir_col] >= FIG1_GROWTH_FROM), key=lambda r: r[dir_col]
+    )
+    check(len(rows) >= 2, f"create swept at >= 2 sizes from {FIG1_GROWTH_FROM} ({len(rows)})")
+    for name in ("1 process (ms)", "2 processes (ms)"):
+        col = column(sec, name)
+        if col is None:
+            continue
+        for prev, cur in zip(rows, rows[1:]):
+            check(
+                cur[col] > prev[col],
+                f"create {name[:-5]} rises {prev[dir_col]} -> {cur[dir_col]} files/dir "
+                f"({prev[col]} -> {cur[col]} ms)",
+            )
+
+
+def check_cofs_below_gpfs(report, titles, gpfs_name, cofs_name):
+    """Every row of each section in `titles` has COFS below GPFS."""
+    for title in titles:
+        sec = section(report, title)
+        if sec is None:
+            continue
+        g_col, c_col = column(sec, gpfs_name), column(sec, cofs_name)
+        if g_col is None or c_col is None:
+            continue
+        check(bool(sec["rows"]), f"{title!r} has rows")
+        for r in sec["rows"]:
+            g, c = float(r[g_col]), float(r[c_col])
+            check(
+                c < g,
+                f"{row_name(sec, r)}: cofs {c} ms below gpfs {g} ms"
+                + (f" ({g / c:.1f}x)" if c > 0 else ""),
+            )
+
+
+def check_fig4(report):
+    print("fig 4: COFS create beats GPFS at every point:")
+    titles = ("4 nodes", "8 nodes")
+    check_cofs_below_gpfs(report, titles, "gpfs create (ms)", "cofs create (ms)")
+
+
+def check_fig5(report):
+    print("fig 5: COFS stat, utime and open_close beat GPFS at every point:")
+    titles = [
+        f"avg. time per {op} — {n} nodes"
+        for op in ("stat", "utime", "open_close")
+        for n in (4, 8)
+    ]
+    check_cofs_below_gpfs(report, titles, "gpfs (ms)", "cofs (ms)")
+
+
+def check_table1(report):
+    print("table I: who wins which transfer:")
+
+    def mb(cell):
+        return int(cell.removesuffix("MB"))
+
+    for access in ("sequential", "random"):
+        for op in ("read", "write"):
+            for files in ("separate", "shared"):
+                sec = section(report, f"{access} {op} / {files} files")
+                if sec is None:
+                    continue
+                cols = [column(sec, h) for h in ("aggregate", "nodes", "per-node")]
+                g_col, c_col = column(sec, "gpfs (MiB/s)"), column(sec, "cofs (MiB/s)")
+                if None in cols or g_col is None or c_col is None:
+                    continue
+                agg_col, nodes_col, per_col = cols
+
+                def ratio(r):
+                    return float(r[c_col]) / float(r[g_col])
+
+                for r in sec["rows"]:
+                    name = f"{row_name(sec, r)}: cofs/gpfs {ratio(r):.3f}"
+                    if op == "read":
+                        pooled = files == "separate" and r[nodes_col] > 1
+                        if pooled and mb(r[per_col]) <= PAGEPOOL_MB:
+                            check(
+                                ratio(r) < SMALL_READ_RATIO,
+                                f"{name} < {SMALL_READ_RATIO} (GPFS page-pool hit)",
+                            )
+                        else:
+                            check(ratio(r) > COMPARABLE_RATIO, f"{name} > {COMPARABLE_RATIO}")
+                    elif r[nodes_col] == 1:
+                        lo, hi = WRITE_DRAWBACK
+                        check(lo <= ratio(r) < hi, f"{name} in [{lo}, {hi}) (FUSE copy)")
+                if op != "write" or files != "separate":
+                    continue
+                small = {r[nodes_col]: r for r in sec["rows"] if r[agg_col] == "256MB"}
+                if 4 not in small or 8 not in small:
+                    check(False, f"{sec['title']!r}: 256MB written from 4 and 8 nodes")
+                    continue
+                g4, g8 = float(small[4][g_col]), float(small[8][g_col])
+                check(g8 < g4, f"{sec['title']!r}: gpfs 256MB slows 4 -> 8 nodes ({g4} -> {g8})")
+                check(
+                    ratio(small[8]) > WRITE_8_NODE_RATIO,
+                    f"{row_name(sec, small[8])}: cofs/gpfs {ratio(small[8]):.3f} > "
+                    f"{WRITE_8_NODE_RATIO}",
+                )
+
+
+PAPER_CHECKS = {"fig1": check_fig1, "fig4": check_fig4, "fig5": check_fig5, "table1": check_table1}
+
+
 def config_label(headers, row):
     """A row's configuration cells, as ``shards=2, policy=elastic``."""
     return ", ".join(f"{h}={v}" for h, v in zip(headers, row) if h in CONFIG_COLUMNS)
@@ -911,6 +1089,9 @@ def main():
         check_failover(report)
         check_cascade(report)
     if report.get("smoke") is False:
+        paper = PAPER_CHECKS.get(report.get("bench"))
+        if paper is not None:
+            paper(report)
         audit_repeats(report)
     if failures:
         print(f"\n{len(failures)} check(s) failed")

@@ -119,6 +119,36 @@ EOF
 repeat_self_check BENCH_scaling.json "skewed multi-tenant storm vs shard policy" 0 1
 repeat_self_check BENCH_fig6.json "operation times, shared dir, hierarchical network" 1 2
 
+echo "==> bench_check.py paper-claim self-check (must name a Fig 4 row where COFS loses)"
+# Lets COFS lose one 8-node Fig 4 row by a millisecond and checks that
+# the claim gate fails naming that row.
+lost="$(mktemp)"
+expected="$(python3 - BENCH_fig4.json "$lost" <<'EOF'
+import json, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, "scripts")
+from bench_check import row_name
+report = json.load(open(sys.argv[1]))
+sec = next(s for s in report["sections"] if s["title"] == "8 nodes")
+row = sec["rows"][3]
+g, c = (sec["headers"].index(h) for h in ("gpfs create (ms)", "cofs create (ms)"))
+row[c] = round(row[g] + 1, 2)
+print(f"[FAIL] {row_name(sec, row)}: cofs {row[c]} ms below gpfs {row[g]} ms")
+json.dump(report, open(sys.argv[2], "w"), indent=2)
+EOF
+)"
+report="$(python3 scripts/bench_check.py "$lost")" && passed=1 || passed=0
+rm -f "$lost"
+if [ "$passed" = 1 ]; then
+    echo "bench_check.py passed a Fig 4 report where COFS loses a row" >&2
+    exit 1
+fi
+if ! grep -qF "$expected" <<<"$report"; then
+    echo "bench_check.py did not name the Fig 4 row where COFS loses:" >&2
+    echo "$report" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
