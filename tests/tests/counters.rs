@@ -1,11 +1,15 @@
 //! Golden pin of the layer counters `cofs-perf` reports on the
 //! paper's shared-directory workload.
 //!
-//! Runs the metarates create phase and then the stat phase
-//! (`MetaratesConfig::new(4, 64)`), each on a fresh stack, on bare GPFS
-//! and on COFS over GPFS. After each phase it records every GPFS
-//! protocol counter, the token manager's counts and, on COFS, the COFS
-//! layer counters and the per-shard usage. The text must match
+//! Runs metarates phases, each on a fresh stack, on bare GPFS and on
+//! COFS over GPFS: create and stat at `MetaratesConfig::new(4, 64)`,
+//! then create, stat and utime at `MetaratesConfig::new(2, 1280)`. The
+//! second case passes GPFS's 128-block dirty limit and 1,024-entry
+//! attribute cache, so the write-behind throttle, attribute eviction
+//! and inode-block revocation paths run. After each phase it records
+//! the phase's exact mean latency and makespan, every GPFS protocol
+//! counter, the token manager's counts and, on COFS, the COFS layer
+//! counters and the per-shard usage. The text must match
 //! `golden/counters.txt`.
 //!
 //! After an intended change to a count, regenerate the file with
@@ -15,7 +19,7 @@ use cofs_tests::{cofs_over_gpfs, gpfs};
 use pfs::fs::PfsFs;
 use simcore::stats::Counters;
 use std::fmt::Write as _;
-use workloads::metarates::{run_phase, MetaOp, MetaratesConfig};
+use workloads::metarates::{run_phase, MetaOp, MetaratesConfig, PhaseResult};
 
 /// The GPFS protocol counters.
 const PFS_KEYS: [&str; 11] = [
@@ -65,28 +69,46 @@ fn gpfs_lines(out: &mut String, label: &str, fs: &PfsFs) {
     line(out, &format!("{label} dlm"), fs.token_stats(), &DLM_KEYS);
 }
 
-fn render() -> String {
-    let cfg = MetaratesConfig::new(4, 64);
-    let mut out = String::new();
-    for op in [MetaOp::Create, MetaOp::Stat] {
-        let mut fs = gpfs(4);
-        run_phase(&mut fs, &cfg, op);
-        gpfs_lines(&mut out, &format!("gpfs {}", op.label()), &fs);
+/// The phase's op count, exact mean latency and makespan.
+fn latency_line(out: &mut String, label: &str, r: &PhaseResult) {
+    writeln!(
+        out,
+        "{label} latency: ops={} mean={:?} makespan={:?}",
+        r.summary.count(),
+        r.summary.mean(),
+        r.makespan
+    )
+    .unwrap();
+}
 
-        let mut fs = cofs_over_gpfs(4);
-        run_phase(&mut fs, &cfg, op);
-        let label = format!("cofs {}", op.label());
-        gpfs_lines(&mut out, &label, fs.under());
-        line(
-            &mut out,
-            &format!("{label} cofs"),
-            fs.counters(),
-            &COFS_KEYS,
-        );
+/// The lines of each phase of `ops` at `nodes` × `files` (each label
+/// starts with `prefix`).
+fn render_case(out: &mut String, prefix: &str, nodes: usize, files: usize, ops: &[MetaOp]) {
+    let cfg = MetaratesConfig::new(nodes, files);
+    for &op in ops {
+        let mut fs = gpfs(nodes);
+        let r = run_phase(&mut fs, &cfg, op);
+        let label = format!("{prefix}gpfs {}", op.label());
+        gpfs_lines(out, &label, &fs);
+        latency_line(out, &label, &r);
+
+        let mut fs = cofs_over_gpfs(nodes);
+        let r = run_phase(&mut fs, &cfg, op);
+        let label = format!("{prefix}cofs {}", op.label());
+        gpfs_lines(out, &label, fs.under());
+        line(out, &format!("{label} cofs"), fs.counters(), &COFS_KEYS);
         for u in fs.shard_usage() {
             writeln!(out, "{label} {u:?}").unwrap();
         }
+        latency_line(out, &label, &r);
     }
+}
+
+fn render() -> String {
+    let mut out = String::new();
+    render_case(&mut out, "", 4, 64, &[MetaOp::Create, MetaOp::Stat]);
+    let ops = [MetaOp::Create, MetaOp::Stat, MetaOp::Utime];
+    render_case(&mut out, "2x1280 ", 2, 1280, &ops);
     out
 }
 
