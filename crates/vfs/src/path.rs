@@ -86,13 +86,20 @@ impl VPath {
         self.0 == "/"
     }
 
+    /// The byte offset of the last `/` (a plain byte search: every
+    /// path is hashed, routed and split on the request path, and a
+    /// `char` searcher costs several times more).
+    fn last_slash(&self) -> Option<usize> {
+        self.0.as_bytes().iter().rposition(|&b| b == b'/')
+    }
+
     /// The final component, or `None` for the root.
     pub fn file_name(&self) -> Option<&str> {
         if self.is_root() {
-            None
-        } else {
-            self.0.rsplit('/').next()
+            return None;
         }
+        let start = self.last_slash().map_or(0, |i| i + 1);
+        Some(&self.0[start..])
     }
 
     /// The containing directory, or `None` for the root.
@@ -118,7 +125,7 @@ impl VPath {
         if self.is_root() {
             return None;
         }
-        match self.0.rfind('/') {
+        match self.last_slash() {
             Some(0) => Some("/"),
             Some(i) => Some(&self.0[..i]),
             None => None,
@@ -360,6 +367,27 @@ mod tests {
         assert_eq!(vpath("/a/b/c/d/e").parent_str(), Some("/a/b/c/d"));
         assert_eq!(VPath::root().parent_str(), None);
         assert_eq!(VPath::root().parent(), None);
+    }
+
+    #[test]
+    fn file_name_is_the_last_component() {
+        let cases = [
+            ("/", None),
+            ("/a", Some("a")),
+            ("/a/b", Some("b")),
+            ("/a/b/c/d/e", Some("e")),
+            ("/shared/f00042", Some("f00042")),
+            ("/dir.d/x.y.z", Some("x.y.z")),
+            ("/é/ü", Some("ü")),
+        ];
+        for (p, want) in cases {
+            let p = vpath(p);
+            assert_eq!(p.file_name(), want, "{p}");
+            // A path is its parent joined with its name.
+            if let (Some(parent), Some(name)) = (p.parent(), p.file_name()) {
+                assert_eq!(parent.join(name), p);
+            }
+        }
     }
 
     /// A borrowed-text probe must find exactly what a path probe finds,
