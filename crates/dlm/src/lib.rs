@@ -34,9 +34,9 @@
 #![warn(missing_docs)]
 
 use netsim::ids::NodeId;
+use simcore::hash::FxHashMap;
 use simcore::stats::Counters;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 
 /// Identifies one lockable object (a directory block, an inode block,
 /// a directory inode, an allocation region). Producers hash their
@@ -103,9 +103,35 @@ impl AcquireOutcome {
 
 #[derive(Debug, Clone, Default)]
 struct TokenState {
-    // Ordered so revocation plans visit holders in NodeId order on
-    // every platform — token handoff timing is replay-critical.
-    holders: BTreeMap<NodeId, TokenMode>,
+    // Sorted by NodeId, one entry per node, so revocation plans visit
+    // holders in NodeId order on every platform — token handoff timing
+    // is replay-critical. A token has few holders (at most one per
+    // client node), so a sorted Vec beats any tree.
+    holders: Vec<(NodeId, TokenMode)>,
+}
+
+impl TokenState {
+    fn position(&self, node: NodeId) -> Result<usize, usize> {
+        self.holders.binary_search_by_key(&node, |&(n, _)| n)
+    }
+
+    fn mode_of(&self, node: NodeId) -> Option<TokenMode> {
+        self.position(node).ok().map(|i| self.holders[i].1)
+    }
+
+    /// Makes `node` a holder in `mode` (replacing any mode it had).
+    fn set(&mut self, node: NodeId, mode: TokenMode) {
+        match self.position(node) {
+            Ok(i) => self.holders[i].1 = mode,
+            Err(i) => self.holders.insert(i, (node, mode)),
+        }
+    }
+
+    fn remove(&mut self, node: NodeId) {
+        if let Ok(i) = self.position(node) {
+            self.holders.remove(i);
+        }
+    }
 }
 
 /// The centralized token manager.
@@ -115,7 +141,9 @@ struct TokenState {
 /// on file server 0 and charges round trips accordingly.
 #[derive(Debug, Clone, Default)]
 pub struct TokenManager {
-    tokens: BTreeMap<TokenId, TokenState>,
+    /// Tokens with at least one holder. Probed by id only: nothing
+    /// depends on its iteration order.
+    tokens: FxHashMap<TokenId, TokenState>,
     stats: Counters,
 }
 
@@ -134,7 +162,7 @@ impl TokenManager {
         self.stats.bump("acquires");
         let state = self.tokens.entry(token).or_default();
 
-        if let Some(&held) = state.holders.get(&node) {
+        if let Some(held) = state.mode_of(node) {
             if held.covers(mode) {
                 self.stats.bump("local_hits");
                 return AcquireOutcome {
@@ -148,13 +176,13 @@ impl TokenManager {
         match mode {
             TokenMode::Exclusive => {
                 // Everyone else must fully release.
-                for (&holder, &had) in state.holders.iter() {
+                for &(holder, had) in &state.holders {
                     if holder != node {
                         revocations.push(Revocation { holder, had });
                     }
                 }
                 state.holders.clear();
-                state.holders.insert(node, TokenMode::Exclusive);
+                state.holders.push((node, TokenMode::Exclusive));
             }
             TokenMode::Shared => {
                 // Only an exclusive holder conflicts; it downgrades to
@@ -162,18 +190,18 @@ impl TokenManager {
                 let exclusive_holder = state
                     .holders
                     .iter()
-                    .find(|(_, &m)| m == TokenMode::Exclusive)
-                    .map(|(&h, _)| h);
+                    .find(|&&(_, m)| m == TokenMode::Exclusive)
+                    .map(|&(h, _)| h);
                 if let Some(holder) = exclusive_holder {
                     if holder != node {
                         revocations.push(Revocation {
                             holder,
                             had: TokenMode::Exclusive,
                         });
-                        state.holders.insert(holder, TokenMode::Shared);
+                        state.set(holder, TokenMode::Shared);
                     }
                 }
-                state.holders.insert(node, TokenMode::Shared);
+                state.set(node, TokenMode::Shared);
             }
         }
 
@@ -193,7 +221,7 @@ impl TokenManager {
     /// Unknown tokens or non-holders are ignored.
     pub fn release(&mut self, node: NodeId, token: TokenId) {
         if let Entry::Occupied(mut e) = self.tokens.entry(token) {
-            e.get_mut().holders.remove(&node);
+            e.get_mut().remove(node);
             if e.get().holders.is_empty() {
                 e.remove();
             }
@@ -207,7 +235,7 @@ impl TokenManager {
 
     /// The mode `node` currently holds on `token`, if any.
     pub fn held_mode(&self, node: NodeId, token: TokenId) -> Option<TokenMode> {
-        self.tokens.get(&token)?.holders.get(&node).copied()
+        self.tokens.get(&token)?.mode_of(node)
     }
 
     /// Number of nodes currently holding `token`.
@@ -233,8 +261,9 @@ impl TokenManager {
 
     /// Releases every token held by `node` (node shutdown / unmount).
     pub fn release_all(&mut self, node: NodeId) {
+        // cofs-lint: allow(D003, each token drops `node` on its own; no result depends on the visit order)
         self.tokens.retain(|_, state| {
-            state.holders.remove(&node);
+            state.remove(node);
             !state.holders.is_empty()
         });
     }

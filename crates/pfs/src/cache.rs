@@ -4,9 +4,40 @@
 //! by tokens; the capacity limits of these caches are what give the
 //! paper's Fig 1 its knees (512 entries for create, 1024 for
 //! stat/utime/open, page pool for data).
+//!
+//! Every per-operation step is constant-time or bounded by a small
+//! constant, so the model's host cost does not grow with the cache or
+//! the directory:
+//!
+//! - [`LruSet`] touches, removes, probes and evicts in O(1): a slab of
+//!   slots linked in recency order, indexed by a fixed-hash map. Only
+//!   [`LruSet::keys`] walks the list (least recently used first).
+//! - [`PagePool`] charges and invalidates in O(1); eviction takes the
+//!   LRU file (or the next one when that is the file being filled).
+//! - [`NodeCache`] indexes its dirty inodes by packed inode block. The
+//!   invariant: an inode is in the dirty set exactly when it is listed
+//!   under the block it was marked dirty in, and a block is listed only
+//!   while it holds a dirty inode. Cleaning one block therefore visits
+//!   at most that block's inodes (`inodes_per_block`), and the
+//!   write-behind throttle reads the dirty block count and its first
+//!   block in O(log blocks) without scanning inodes.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use simcore::hash::{FxHashMap, FxHashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;
+
+/// The end of a recency list.
+const NIL: usize = usize::MAX;
+
+/// One slab slot of an [`LruSet`]: a key and its recency neighbours.
+#[derive(Debug, Clone)]
+struct Slot<K> {
+    key: K,
+    /// The next older slot, or [`NIL`].
+    older: usize,
+    /// The next newer slot, or [`NIL`].
+    newer: usize,
+}
 
 /// A capacity-bounded LRU set of cache keys.
 ///
@@ -25,9 +56,14 @@ use std::hash::Hash;
 #[derive(Debug, Clone)]
 pub struct LruSet<K: Eq + Hash + Clone> {
     capacity: usize,
-    stamps: HashMap<K, u64>,
-    order: BTreeMap<u64, K>,
-    clock: u64,
+    /// Each cached key's slot.
+    index: FxHashMap<K, usize>,
+    /// Every slot ever allocated; freed ones are listed in `free`.
+    slots: Vec<Slot<K>>,
+    free: Vec<usize>,
+    /// The least and the most recently used slot ([`NIL`] when empty).
+    oldest: usize,
+    newest: usize,
 }
 
 impl<K: Eq + Hash + Clone> LruSet<K> {
@@ -40,26 +76,71 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
         assert!(capacity > 0, "cache capacity must be positive");
         LruSet {
             capacity,
-            stamps: HashMap::new(),
-            order: BTreeMap::new(),
-            clock: 0,
+            index: FxHashMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
         }
+    }
+
+    /// Takes slot `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let Slot { older, newer, .. } = self.slots[i];
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n].older = older,
+        }
+    }
+
+    /// Links slot `i` in as the most recently used.
+    fn push_newest(&mut self, i: usize) {
+        self.slots[i].older = self.newest;
+        self.slots[i].newer = NIL;
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.slots[n].newer = i,
+        }
+        self.newest = i;
     }
 
     /// Inserts or refreshes `key`; returns the evicted key, if any.
     pub fn touch(&mut self, key: K) -> Option<K> {
-        self.clock += 1;
-        if let Some(old) = self.stamps.insert(key.clone(), self.clock) {
-            self.order.remove(&old);
-            self.order.insert(self.clock, key);
+        if let Some(&i) = self.index.get(&key) {
+            if i != self.newest {
+                self.unlink(i);
+                self.push_newest(i);
+            }
             return None;
         }
-        self.order.insert(self.clock, key);
-        if self.stamps.len() > self.capacity {
-            let (&oldest, _) = self.order.iter().next().expect("non-empty");
-            let victim = self.order.remove(&oldest).expect("present");
-            self.stamps.remove(&victim);
-            Some(victim)
+        let slot = Slot {
+            key: key.clone(),
+            older: NIL,
+            newer: NIL,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i] = slot;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        };
+        self.push_newest(i);
+        self.index.insert(key, i);
+        if self.index.len() > self.capacity {
+            let victim = self.oldest;
+            self.unlink(victim);
+            self.free.push(victim);
+            let key = self.slots[victim].key.clone();
+            self.index.remove(&key);
+            Some(key)
         } else {
             None
         }
@@ -67,14 +148,15 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
 
     /// True if `key` is cached (does not refresh recency).
     pub fn contains(&self, key: &K) -> bool {
-        self.stamps.contains_key(key)
+        self.index.contains_key(key)
     }
 
     /// Removes `key` (e.g. on token revocation).
     pub fn remove(&mut self, key: &K) -> bool {
-        match self.stamps.remove(key) {
-            Some(stamp) => {
-                self.order.remove(&stamp);
+        match self.index.remove(key) {
+            Some(i) => {
+                self.unlink(i);
+                self.free.push(i);
                 true
             }
             None => false,
@@ -83,18 +165,21 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
 
     /// Number of cached keys.
     pub fn len(&self) -> usize {
-        self.stamps.len()
+        self.index.len()
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.stamps.is_empty()
+        self.index.is_empty()
     }
 
     /// Drops everything.
     pub fn clear(&mut self) {
-        self.stamps.clear();
-        self.order.clear();
+        self.index.clear();
+        self.slots.clear();
+        self.free.clear();
+        self.oldest = NIL;
+        self.newest = NIL;
     }
 
     /// Configured capacity.
@@ -104,7 +189,12 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
 
     /// Iterates over cached keys in least-recently-used-first order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.order.values()
+        let mut at = self.oldest;
+        std::iter::from_fn(move || {
+            let slot = self.slots.get(at)?;
+            at = slot.newer;
+            Some(&slot.key)
+        })
     }
 }
 
@@ -113,7 +203,7 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
 #[derive(Debug, Clone)]
 pub struct PagePool {
     capacity: u64,
-    bytes: HashMap<u64, u64>,
+    bytes: FxHashMap<u64, u64>,
     lru: LruSet<u64>,
     used: u64,
 }
@@ -123,7 +213,7 @@ impl PagePool {
     pub fn new(capacity: u64) -> Self {
         PagePool {
             capacity,
-            bytes: HashMap::new(),
+            bytes: FxHashMap::default(),
             lru: LruSet::new(1 << 20),
             used: 0,
         }
@@ -191,7 +281,7 @@ impl PagePool {
 impl LruSet<u64> {
     /// The least-recently-used key that is not `skip`, if any.
     fn oldest_other_than(&self, skip: u64) -> Option<u64> {
-        self.order.values().find(|&&k| k != skip).copied()
+        self.keys().find(|&&k| k != skip).copied()
     }
 }
 
@@ -201,15 +291,14 @@ pub struct NodeCache {
     /// Cached inode attributes (the stat cache), keyed by inode number.
     pub attr_entries: LruSet<u64>,
     /// Inodes with local dirty attributes (flushed on revoke).
-    /// Ordered: flushes iterate this set, and what they flush must not
-    /// depend on hasher state (lint rule D003). Changed only through
-    /// [`Self::mark_attr_dirty`] and [`Self::clean_attr`], which keep
-    /// `dirty_attr_blocks` in step.
-    dirty_attr: BTreeSet<u64>,
-    /// How many `dirty_attr` inodes each packed inode block holds
-    /// (blocks with none are absent). Ordered: the write-behind
-    /// throttle flushes the first block.
-    dirty_attr_blocks: BTreeMap<u64, usize>,
+    /// Changed only through [`Self::mark_attr_dirty`],
+    /// [`Self::clean_attr`] and [`Self::clean_attr_block`], which keep
+    /// `dirty_attr_blocks` in step (see the module docs).
+    dirty_attr: FxHashSet<u64>,
+    /// The `dirty_attr` inodes of each packed inode block (blocks with
+    /// none are absent). Ordered: the write-behind throttle flushes the
+    /// first block.
+    dirty_attr_blocks: BTreeMap<u64, Vec<u64>>,
     /// Cached directory entry blocks, keyed by (dir ino, block index,
     /// block-count generation).
     pub dir_blocks: LruSet<(u64, u64, u64)>,
@@ -231,7 +320,7 @@ pub struct NodeCache {
     pub dirty_data_total: u64,
     /// Directories this node has already attached to (first-touch
     /// lease cost paid).
-    pub attached_dirs: HashSet<u64>,
+    pub attached_dirs: FxHashSet<u64>,
 }
 
 impl NodeCache {
@@ -239,7 +328,7 @@ impl NodeCache {
     pub fn new(dir_cache_blocks: usize, attr_cache_entries: usize, pagepool_bytes: u64) -> Self {
         NodeCache {
             attr_entries: LruSet::new(attr_cache_entries),
-            dirty_attr: BTreeSet::new(),
+            dirty_attr: FxHashSet::default(),
             dirty_attr_blocks: BTreeMap::new(),
             dir_blocks: LruSet::new(dir_cache_blocks),
             dirty_dir: BTreeMap::new(),
@@ -248,7 +337,7 @@ impl NodeCache {
             pagepool: PagePool::new(pagepool_bytes),
             dirty_data: BTreeMap::new(),
             dirty_data_total: 0,
-            attached_dirs: HashSet::new(),
+            attached_dirs: FxHashSet::default(),
         }
     }
 
@@ -256,7 +345,7 @@ impl NodeCache {
     /// dirty attributes.
     pub fn mark_attr_dirty(&mut self, ino: u64, block: u64) {
         if self.dirty_attr.insert(ino) {
-            *self.dirty_attr_blocks.entry(block).or_insert(0) += 1;
+            self.dirty_attr_blocks.entry(block).or_default().push(ino);
         }
     }
 
@@ -270,24 +359,41 @@ impl NodeCache {
         if !self.dirty_attr.remove(&ino) {
             return false;
         }
-        let n = self
+        let inos = self
             .dirty_attr_blocks
             .get_mut(&block)
-            .expect("a dirty inode is counted in its packed block");
-        *n -= 1;
-        if *n == 0 {
+            .expect("a dirty inode is listed in its packed block");
+        let at = inos
+            .iter()
+            .position(|&i| i == ino)
+            .expect("a dirty inode is listed in its packed block");
+        inos.swap_remove(at);
+        if inos.is_empty() {
             self.dirty_attr_blocks.remove(&block);
         }
         true
     }
 
-    /// Inodes with dirty attributes, in inode order.
-    pub fn dirty_attrs(&self) -> &BTreeSet<u64> {
+    /// Cleans every dirty inode of packed inode block `block`; true if
+    /// it held one.
+    pub fn clean_attr_block(&mut self, block: u64) -> bool {
+        let Some(inos) = self.dirty_attr_blocks.remove(&block) else {
+            return false;
+        };
+        for ino in inos {
+            self.dirty_attr.remove(&ino);
+        }
+        true
+    }
+
+    /// Inodes with dirty attributes, in no particular order.
+    pub fn dirty_attrs(&self) -> &FxHashSet<u64> {
         &self.dirty_attr
     }
 
-    /// Dirty inodes per packed inode block, in block order.
-    pub fn dirty_attr_blocks(&self) -> &BTreeMap<u64, usize> {
+    /// The dirty inodes of each packed inode block, in block order
+    /// (inodes in no particular order).
+    pub fn dirty_attr_blocks(&self) -> &BTreeMap<u64, Vec<u64>> {
         &self.dirty_attr_blocks
     }
 

@@ -28,7 +28,6 @@ use netsim::cluster::Cluster;
 use netsim::ids::NodeId;
 use simcore::prelude::*;
 use simcore::rng::{stable_hash, stable_hash_combine};
-use std::collections::{BTreeMap, HashMap};
 use vfs::error::FsError;
 use vfs::fs::{FileSystem, FsResult, OpCtx, Timed};
 use vfs::memfs::MemFs;
@@ -80,6 +79,20 @@ impl Scope {
     }
 }
 
+/// What the model keeps per inode, indexed by inode number (`MemFs`
+/// numbers inodes densely and never reuses one).
+#[derive(Debug, Clone, Copy, Default)]
+struct InodeInfo {
+    /// The packed inode block its creating node allocated it in.
+    packed: Option<u64>,
+    /// Authoritative file size (needed for the whole-file cache-hit
+    /// test without consulting the reference namespace by handle).
+    size: u64,
+    /// For a directory, the node that created it (attaching to your
+    /// own directory is free; the lease is born with it).
+    dir_creator: Option<NodeId>,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct PHandle {
     ino: u64,
@@ -119,23 +132,17 @@ pub struct PfsFs {
     server_cpu: Vec<FifoResource>,
     server_media: Vec<MultiResource>,
     server_data: Vec<FifoResource>,
-    grant_done: HashMap<TokenId, SimTime>,
-    // Ordered: quiesce sweeps every node cache, and the visit order
-    // must not depend on hasher state (lint rule D003).
-    caches: BTreeMap<NodeId, NodeCache>,
-    handles: HashMap<u64, PHandle>,
+    grant_done: FxHashMap<TokenId, SimTime>,
+    /// Each node's caches, indexed by `NodeId` (grown on first use).
+    caches: Vec<NodeCache>,
+    handles: FxHashMap<u64, PHandle>,
+    /// Per-inode state, indexed by inode number (grown on first use).
+    inodes: Vec<InodeInfo>,
     /// GPFS allocates inodes from per-node segments, so files created
-    /// by one node pack into that node's inode blocks. `packed` maps
-    /// each inode to its packed block; `arena` is the per-node
-    /// allocation cursor (node index in the high bits).
-    packed: HashMap<u64, u64>,
-    arena: HashMap<NodeId, u64>,
-    /// Authoritative file sizes (needed for the whole-file cache-hit
-    /// test without consulting the reference namespace by handle).
-    sizes: HashMap<u64, u64>,
-    /// Which node created each directory (attaching to your own
-    /// directory is free; the lease is born with it).
-    dir_creator: HashMap<u64, NodeId>,
+    /// by one node pack into that node's inode blocks. `arena` is each
+    /// node's allocation cursor, indexed by `NodeId`; an inode's block
+    /// carries its node's index in the high bits.
+    arena: Vec<u64>,
     counters: Counters,
 }
 
@@ -168,13 +175,11 @@ impl PfsFs {
             cluster,
             ns: MemFs::new(),
             tm: TokenManager::new(),
-            grant_done: HashMap::new(),
-            caches: BTreeMap::new(),
-            handles: HashMap::new(),
-            packed: HashMap::new(),
-            arena: HashMap::new(),
-            sizes: HashMap::new(),
-            dir_creator: HashMap::new(),
+            grant_done: FxHashMap::default(),
+            caches: Vec::new(),
+            handles: FxHashMap::default(),
+            inodes: Vec::new(),
+            arena: Vec::new(),
             counters: Counters::new(),
             cfg,
         }
@@ -206,7 +211,7 @@ impl PfsFs {
     /// harnesses call this between phases: in the real testbed the gap
     /// between metarates phases lets the daemons drain.
     pub fn quiesce(&mut self) {
-        for cache in self.caches.values_mut() {
+        for cache in self.caches.iter_mut() {
             cache.clear_dirty();
         }
         self.reset_time();
@@ -233,25 +238,45 @@ impl PfsFs {
     // ---- internal helpers -------------------------------------------------
 
     fn cache_of(&mut self, node: NodeId) -> &mut NodeCache {
-        let cfg = &self.cfg;
-        self.caches.entry(node).or_insert_with(|| {
-            NodeCache::new(
-                cfg.dir_cache_blocks,
-                cfg.attr_cache_entries,
-                cfg.pagepool_bytes,
-            )
-        })
+        let i = node.index();
+        if i >= self.caches.len() {
+            let cfg = &self.cfg;
+            self.caches.resize_with(i + 1, || {
+                NodeCache::new(
+                    cfg.dir_cache_blocks,
+                    cfg.attr_cache_entries,
+                    cfg.pagepool_bytes,
+                )
+            });
+        }
+        &mut self.caches[i]
+    }
+
+    /// What the model knows of inode `ino` (defaults if nothing yet).
+    fn inode(&self, ino: u64) -> InodeInfo {
+        self.inodes.get(ino as usize).copied().unwrap_or_default()
+    }
+
+    fn inode_mut(&mut self, ino: u64) -> &mut InodeInfo {
+        let i = ino as usize;
+        if i >= self.inodes.len() {
+            self.inodes.resize(i + 1, InodeInfo::default());
+        }
+        &mut self.inodes[i]
     }
 
     /// Assigns a freshly created inode a slot in its creating node's
     /// allocation segment (per-node inode packing, as in GPFS).
     fn assign_packed_block(&mut self, node: NodeId, ino: u64) -> u64 {
         let per_block = self.cfg.inodes_per_block as u64;
-        let cursor = self.arena.entry(node).or_insert(0);
-        let slot = *cursor;
-        *cursor += 1;
-        let block = ((node.index() as u64) << 32) | (slot / per_block);
-        self.packed.insert(ino, block);
+        let n = node.index();
+        if n >= self.arena.len() {
+            self.arena.resize(n + 1, 0);
+        }
+        let slot = self.arena[n];
+        self.arena[n] += 1;
+        let block = ((n as u64) << 32) | (slot / per_block);
+        self.inode_mut(ino).packed = Some(block);
         block
     }
 
@@ -259,9 +284,8 @@ impl PfsFs {
     /// number-based packing for inodes predating the simulator, e.g.
     /// the root directory).
     fn packed_block_of(&self, ino: u64) -> u64 {
-        self.packed
-            .get(&ino)
-            .copied()
+        self.inode(ino)
+            .packed
             .unwrap_or(ino / self.cfg.inodes_per_block as u64)
     }
 
@@ -277,7 +301,7 @@ impl PfsFs {
     /// validation. Produces the elevated small-phase averages of the
     /// paper's Fig 4/5 left edges.
     fn attach(&mut self, node: NodeId, dir: u64, t: SimTime) -> SimTime {
-        if self.dir_creator.get(&dir) == Some(&node) {
+        if self.inode(dir).dir_creator == Some(node) {
             return t; // creating a directory establishes the lease
         }
         if self.cache_of(node).attached_dirs.insert(dir) {
@@ -369,7 +393,7 @@ impl PfsFs {
             Scope::InodeBlock(b) => {
                 // Flush every dirty inode the holder keeps in this
                 // packed block — the false-sharing cost.
-                if !self.clean_attr_block(holder, b) {
+                if !self.cache_of(holder).clean_attr_block(b) {
                     return t;
                 }
                 self.counters.bump("revoke_flushes");
@@ -549,21 +573,6 @@ impl PfsFs {
         }
     }
 
-    /// Cleans every inode `node` holds dirty in packed block `b`; true
-    /// if there was one.
-    fn clean_attr_block(&mut self, node: NodeId, b: u64) -> bool {
-        if !self.cache_of(node).dirty_attr_blocks().contains_key(&b) {
-            return false;
-        }
-        let inos: Vec<u64> = self.cache_of(node).dirty_attrs().iter().copied().collect();
-        for i in inos {
-            if self.packed_block_of(i) == b {
-                self.cache_of(node).clean_attr(i, b);
-            }
-        }
-        true
-    }
-
     /// Ensures the node has the directory-entry block for `name` in
     /// directory `dir` (with `entries` current entries) cached under a
     /// token of `mode`; marks it dirty when `dirty`.
@@ -647,7 +656,7 @@ impl PfsFs {
         // Flush one whole attribute block if any (the first, so the
         // victim is the same on every platform), else one dir block.
         if let Some(&b) = self.cache_of(node).dirty_attr_blocks().keys().next() {
-            self.clean_attr_block(node, b);
+            self.cache_of(node).clean_attr_block(b);
             return self.writeback_meta_async(node, b, t);
         }
         let victim = self
@@ -793,7 +802,7 @@ impl FileSystem for PfsFs {
         // New directory inode goes into this node's allocation segment.
         let ino = self.ns.stat(ctx, path)?.value.ino.0;
         self.assign_packed_block(ctx.node, ino);
-        self.dir_creator.insert(ino, ctx.node);
+        self.inode_mut(ino).dir_creator = Some(ctx.node);
         t = self.install_new_inode(ctx.node, ino, t);
         t = self.throttle_dirty_meta(ctx.node, t);
         Ok(Timed::new((), t))
@@ -816,7 +825,7 @@ impl FileSystem for PfsFs {
         let (pino, entries) = self.parent_info(ctx, path)?;
         let fh = self.ns.create(ctx, path, mode)?.value;
         let ino = self.ns.stat(ctx, path)?.value.ino.0;
-        self.sizes.insert(ino, 0);
+        self.inode_mut(ino).size = 0;
         let mut t = self.base(ctx);
         t = self.attach(ctx.node, pino, t);
         // Parent-directory serialization: the expensive token under
@@ -843,7 +852,7 @@ impl FileSystem for PfsFs {
         let attr = self.ns.stat(ctx, path)?;
         let ino = attr.value.ino.0;
         if flags.truncate {
-            self.sizes.insert(ino, 0);
+            self.inode_mut(ino).size = 0;
         }
         let mut t = self.base(ctx);
         t = self.attach(ctx.node, pino, t);
@@ -901,7 +910,7 @@ impl FileSystem for PfsFs {
         // is a hit only when the whole file is resident — files larger
         // than the pool always go to the servers (the "< 32 MB per
         // node" boundary of paper Table I).
-        let size = self.sizes.get(&h.ino).copied().unwrap_or(0);
+        let size = self.inode(h.ino).size;
         if size > 0 && cached >= size {
             // Fully cached: page-pool copy only (the GPFS fast path
             // that makes small-file rereads near-memory-speed).
@@ -942,7 +951,7 @@ impl FileSystem for PfsFs {
         // Into the page pool (write-behind), then drain if over limit.
         t += self.memcopy(wrote);
         let end = offset + wrote;
-        let sz = self.sizes.entry(h.ino).or_insert(0);
+        let sz = &mut self.inode_mut(h.ino).size;
         *sz = (*sz).max(end);
         self.cache_of(ctx.node).add_dirty_data(h.ino, wrote);
         self.cache_of(ctx.node).pagepool.insert(h.ino, wrote);
@@ -980,7 +989,7 @@ impl FileSystem for PfsFs {
     fn setattr(&mut self, ctx: &OpCtx, path: &VPath, set: SetAttr) -> FsResult<FileAttr> {
         let attr = self.ns.setattr(ctx, path, set)?.value;
         if let Some(sz) = set.size {
-            self.sizes.insert(attr.ino.0, sz);
+            self.inode_mut(attr.ino.0).size = sz;
         }
         let mut t = self.base(ctx);
         let (pino, _) = self.parent_info(ctx, path)?;
@@ -1023,7 +1032,7 @@ impl FileSystem for PfsFs {
         t = self.touch_inode_block(ctx.node, ino, TokenMode::Exclusive, true, t);
         t = self.throttle_dirty_meta(ctx.node, t);
         // Forget data state for the (possibly) deleted inode.
-        self.sizes.remove(&ino);
+        self.inode_mut(ino).size = 0;
         self.cache_of(ctx.node).pagepool.invalidate(ino);
         let dirty = self.cache_of(ctx.node).dirty_data_of(ino);
         if dirty > 0 {
@@ -1370,18 +1379,27 @@ mod tests {
         assert!(t < SimTime::from_millis(50));
     }
 
-    /// The throttle reads its dirty attribute block count from running
-    /// per-block counts; they must always equal the blocks recomputed
-    /// from the dirty inode set.
+    /// The throttle and inode-block revocations clean the dirty inodes
+    /// the per-block index lists; it must always list exactly the dirty
+    /// inode set, each inode once and under the block
+    /// `packed_block_of` gives it.
     #[test]
     fn dirty_attr_block_counts_match_the_dirty_set() {
+        use std::collections::{BTreeMap, BTreeSet};
         fn assert_counts(fs: &PfsFs) {
-            for cache in fs.caches.values() {
-                let mut want: BTreeMap<u64, usize> = BTreeMap::new();
+            for cache in &fs.caches {
+                let mut want: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
                 for &ino in cache.dirty_attrs() {
-                    *want.entry(fs.packed_block_of(ino)).or_insert(0) += 1;
+                    want.entry(fs.packed_block_of(ino)).or_default().insert(ino);
                 }
-                assert_eq!(cache.dirty_attr_blocks(), &want);
+                let got: BTreeMap<u64, BTreeSet<u64>> = cache
+                    .dirty_attr_blocks()
+                    .iter()
+                    .map(|(&b, inos)| (b, inos.iter().copied().collect()))
+                    .collect();
+                assert_eq!(got, want);
+                let listed: usize = cache.dirty_attr_blocks().values().map(Vec::len).sum();
+                assert_eq!(listed, cache.dirty_attrs().len(), "an inode listed twice");
             }
         }
         let cluster = ClusterBuilder::new().clients(3).servers(2).build();

@@ -1,5 +1,5 @@
 //! Property-based tests on core invariants: paths, placement, the
-//! metadata database, and the token manager.
+//! metadata database, the token manager and the GPFS model's LRU set.
 
 use proptest::prelude::*;
 
@@ -155,8 +155,9 @@ mod shard_policy_props {
 
 mod dlm_props {
     use super::*;
-    use dlm::{TokenId, TokenManager, TokenMode};
+    use dlm::{AcquireOutcome, Revocation, TokenId, TokenManager, TokenMode};
     use netsim::ids::NodeId;
+    use std::collections::BTreeMap;
 
     proptest! {
         /// Safety invariant: after any sequence of acquires/releases,
@@ -179,6 +180,166 @@ mod dlm_props {
                 if tm.held_mode(node, token) == Some(TokenMode::Exclusive) {
                     prop_assert_eq!(tm.holder_count(token), 1);
                 }
+            }
+        }
+
+        /// The token manager agrees with an ordered reference on every
+        /// outcome and every holder's mode, and plans revocations in
+        /// `NodeId` order.
+        #[test]
+        fn token_manager_matches_an_ordered_reference(
+            steps in prop::collection::vec((0u32..16, 0u32..4, 0u64..8), 1..300),
+        ) {
+            let mut tm = TokenManager::new();
+            let mut reference = Reference::default();
+            for (op, node, token) in steps {
+                let (n, t) = (NodeId(node), TokenId(token));
+                match op {
+                    0..=5 => {
+                        let got = tm.acquire(n, t, TokenMode::Shared);
+                        prop_assert_eq!(got, reference.acquire(n, t, TokenMode::Shared));
+                    }
+                    6..=11 => {
+                        let got = tm.acquire(n, t, TokenMode::Exclusive);
+                        let sorted = got.revocations.windows(2).all(|w| w[0].holder < w[1].holder);
+                        prop_assert!(sorted, "{:?}", got.revocations);
+                        prop_assert_eq!(got, reference.acquire(n, t, TokenMode::Exclusive));
+                    }
+                    12 | 13 => {
+                        tm.release(n, t);
+                        reference.release(n, t);
+                    }
+                    14 => {
+                        tm.drop_token(t);
+                        reference.tokens.remove(&t);
+                    }
+                    _ => {
+                        tm.release_all(n);
+                        reference.release_all(n);
+                    }
+                }
+                prop_assert_eq!(tm.live_tokens(), reference.tokens.len());
+                for t in (0..8).map(TokenId) {
+                    let holders = reference.tokens.get(&t);
+                    prop_assert_eq!(tm.holder_count(t), holders.map_or(0, BTreeMap::len));
+                    for n in (0..4).map(NodeId) {
+                        let want = holders.and_then(|h| h.get(&n).copied());
+                        prop_assert_eq!(tm.held_mode(n, t), want);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The token protocol over ordered maps: each token's holders by
+    /// node, tokens without holders absent.
+    #[derive(Default)]
+    struct Reference {
+        tokens: BTreeMap<TokenId, BTreeMap<NodeId, TokenMode>>,
+    }
+
+    impl Reference {
+        fn acquire(&mut self, node: NodeId, token: TokenId, mode: TokenMode) -> AcquireOutcome {
+            let holders = self.tokens.entry(token).or_default();
+            if holders.get(&node).is_some_and(|held| held.covers(mode)) {
+                return AcquireOutcome {
+                    already_held: true,
+                    revocations: Vec::new(),
+                };
+            }
+            let mut revocations = Vec::new();
+            match mode {
+                TokenMode::Exclusive => {
+                    for (&holder, &had) in holders.iter().filter(|(&h, _)| h != node) {
+                        revocations.push(Revocation { holder, had });
+                    }
+                    holders.clear();
+                }
+                TokenMode::Shared => {
+                    let writer = holders
+                        .iter()
+                        .find(|(_, &m)| m == TokenMode::Exclusive)
+                        .map(|(&h, _)| h);
+                    if let Some(holder) = writer.filter(|&h| h != node) {
+                        revocations.push(Revocation {
+                            holder,
+                            had: TokenMode::Exclusive,
+                        });
+                        holders.insert(holder, TokenMode::Shared);
+                    }
+                }
+            }
+            holders.insert(node, mode);
+            AcquireOutcome {
+                already_held: false,
+                revocations,
+            }
+        }
+
+        fn release(&mut self, node: NodeId, token: TokenId) {
+            if let Some(holders) = self.tokens.get_mut(&token) {
+                holders.remove(&node);
+                if holders.is_empty() {
+                    self.tokens.remove(&token);
+                }
+            }
+        }
+
+        fn release_all(&mut self, node: NodeId) {
+            self.tokens.retain(|_, holders| {
+                holders.remove(&node);
+                !holders.is_empty()
+            });
+        }
+    }
+}
+
+mod lru_props {
+    use super::*;
+    use pfs::cache::LruSet;
+
+    /// The reference: cached keys in recency order, least recent first.
+    struct Recency {
+        capacity: usize,
+        keys: Vec<u64>,
+    }
+
+    impl Recency {
+        fn remove(&mut self, key: u64) -> bool {
+            let at = self.keys.iter().position(|&k| k == key);
+            at.map(|i| self.keys.remove(i)).is_some()
+        }
+
+        fn touch(&mut self, key: u64) -> Option<u64> {
+            let known = self.remove(key);
+            self.keys.push(key);
+            (!known && self.keys.len() > self.capacity).then(|| self.keys.remove(0))
+        }
+    }
+
+    proptest! {
+        /// `LruSet` evicts the same victims as a plain recency list and
+        /// lists its keys in the same order after every step.
+        #[test]
+        fn lru_set_matches_a_recency_list(
+            capacity in 1usize..7,
+            steps in prop::collection::vec((0u32..20, 0u64..10), 1..300),
+        ) {
+            let mut lru = LruSet::new(capacity);
+            let mut reference = Recency { capacity, keys: Vec::new() };
+            for (op, key) in steps {
+                match op {
+                    0..=11 => prop_assert_eq!(lru.touch(key), reference.touch(key)),
+                    12..=15 => prop_assert_eq!(lru.remove(&key), reference.remove(key)),
+                    16..=18 => prop_assert_eq!(lru.contains(&key), reference.keys.contains(&key)),
+                    _ => {
+                        lru.clear();
+                        reference.keys.clear();
+                    }
+                }
+                prop_assert_eq!(lru.len(), reference.keys.len());
+                let keys: Vec<u64> = lru.keys().copied().collect();
+                prop_assert_eq!(&keys, &reference.keys);
             }
         }
     }
