@@ -5,9 +5,11 @@
 //! paper's Fig 1 its knees (512 entries for create, 1024 for
 //! stat/utime/open, page pool for data).
 //!
-//! Every per-operation step is constant-time or bounded by a small
-//! constant, so the model's host cost does not grow with the cache or
-//! the directory:
+//! No step of an ordinary operation scans a cache, so the model's host
+//! cost per operation does not grow with cache capacity or directory
+//! size. (Losing an inode-block token still scans the holder's
+//! attribute cache for the inodes packed in that block; revocations
+//! are rare next to operations.)
 //!
 //! - [`LruSet`] touches, removes, probes and evicts in O(1): a slab of
 //!   slots linked in recency order, indexed by a fixed-hash map. Only
@@ -15,12 +17,18 @@
 //! - [`PagePool`] charges and invalidates in O(1); eviction takes the
 //!   LRU file (or the next one when that is the file being filled).
 //! - [`NodeCache`] indexes its dirty inodes by packed inode block. The
-//!   invariant: an inode is in the dirty set exactly when it is listed
-//!   under the block it was marked dirty in, and a block is listed only
-//!   while it holds a dirty inode. Cleaning one block therefore visits
-//!   at most that block's inodes (`inodes_per_block`), and the
-//!   write-behind throttle reads the dirty block count and its first
-//!   block in O(log blocks) without scanning inodes.
+//!   invariant: an inode is in the dirty set exactly when it is listed,
+//!   once, under the block it was marked dirty in, and a block is
+//!   listed only while it holds a dirty inode. Marking is O(1) plus
+//!   O(log blocks); cleaning one inode or one whole block visits at
+//!   most that block's `inodes_per_block` inodes.
+//! - Dirty directory blocks and dirty data stay in ordered maps,
+//!   O(log n) per step: revocation flushes and throttle victims visit
+//!   them in key order, and that order sets virtual time. Directory
+//!   blocks keep a running count beside their map.
+//! - So the write-behind throttle on every mutation reads both dirty
+//!   block counts in O(1) and finds its victim, the first dirty block,
+//!   in O(log blocks).
 
 use simcore::hash::{FxHashMap, FxHashSet};
 use std::collections::{BTreeMap, BTreeSet};
@@ -302,9 +310,14 @@ pub struct NodeCache {
     /// Cached directory entry blocks, keyed by (dir ino, block index,
     /// block-count generation).
     pub dir_blocks: LruSet<(u64, u64, u64)>,
-    /// Dirty directory blocks per directory (ordered: revoke flushes
-    /// and throttle victims iterate these).
-    pub dirty_dir: BTreeMap<u64, BTreeSet<(u64, u64)>>,
+    /// Dirty `(block, generation)` directory blocks per directory
+    /// (directories with none are absent). Ordered: the throttle
+    /// flushes the first block. Changed only through
+    /// [`Self::mark_dir_dirty`] and [`Self::clean_dir_block`], which
+    /// keep `dirty_dir_blocks` in step.
+    dirty_dir: BTreeMap<u64, BTreeSet<(u64, u64)>>,
+    /// How many blocks `dirty_dir` holds.
+    dirty_dir_blocks: usize,
     /// Directory blocks dirtied since this node last took the
     /// directory-inode token (what a revocation must flush).
     pub recent_dir_dirty: BTreeMap<u64, BTreeSet<(u64, u64)>>,
@@ -332,6 +345,7 @@ impl NodeCache {
             dirty_attr_blocks: BTreeMap::new(),
             dir_blocks: LruSet::new(dir_cache_blocks),
             dirty_dir: BTreeMap::new(),
+            dirty_dir_blocks: 0,
             recent_dir_dirty: BTreeMap::new(),
             last_async_attr_block: None,
             pagepool: PagePool::new(pagepool_bytes),
@@ -397,19 +411,58 @@ impl NodeCache {
         &self.dirty_attr_blocks
     }
 
+    /// Marks block `blk` of generation `nb` of directory `dir` dirty.
+    pub fn mark_dir_dirty(&mut self, dir: u64, blk: u64, nb: u64) {
+        if self.dirty_dir.entry(dir).or_default().insert((blk, nb)) {
+            self.dirty_dir_blocks += 1;
+        }
+    }
+
+    /// Cleans block `blk` of generation `nb` of directory `dir`; true
+    /// if it was dirty.
+    pub fn clean_dir_block(&mut self, dir: u64, blk: u64, nb: u64) -> bool {
+        let Some(blocks) = self.dirty_dir.get_mut(&dir) else {
+            return false;
+        };
+        if !blocks.remove(&(blk, nb)) {
+            return false;
+        }
+        if blocks.is_empty() {
+            self.dirty_dir.remove(&dir);
+        }
+        self.dirty_dir_blocks -= 1;
+        true
+    }
+
+    /// The first dirty directory block as `(dir, block, generation)`,
+    /// in directory then block order.
+    pub fn first_dirty_dir_block(&self) -> Option<(u64, u64, u64)> {
+        let (&dir, blocks) = self.dirty_dir.iter().next()?;
+        let &(blk, nb) = blocks
+            .first()
+            .expect("a listed directory has a dirty block");
+        Some((dir, blk, nb))
+    }
+
+    /// Count of dirty directory blocks.
+    pub fn dirty_dir_blocks(&self) -> usize {
+        self.dirty_dir_blocks
+    }
+
     /// Forgets every dirty attribute, directory block and data byte
     /// (the background flushers have drained them).
     pub fn clear_dirty(&mut self) {
         self.dirty_attr.clear();
         self.dirty_attr_blocks.clear();
         self.dirty_dir.clear();
+        self.dirty_dir_blocks = 0;
         self.dirty_data.clear();
         self.dirty_data_total = 0;
     }
 
     /// Count of dirty metadata blocks (attr + dir).
     pub fn dirty_meta_blocks(&self) -> usize {
-        self.dirty_attr.len() + self.dirty_dir.values().map(|s| s.len()).sum::<usize>()
+        self.dirty_attr.len() + self.dirty_dir_blocks
     }
 
     /// Records dirty data for `ino`.
@@ -531,8 +584,15 @@ mod tests {
     fn node_cache_dirty_meta_count() {
         let mut nc = NodeCache::new(4, 4, 1000);
         nc.mark_attr_dirty(3, 0);
-        nc.dirty_dir.entry(1).or_default().insert((0, 1));
-        nc.dirty_dir.entry(1).or_default().insert((1, 1));
+        nc.mark_dir_dirty(1, 0, 1);
+        nc.mark_dir_dirty(1, 1, 1);
+        nc.mark_dir_dirty(1, 1, 1);
         assert_eq!(nc.dirty_meta_blocks(), 3);
+        assert_eq!(nc.first_dirty_dir_block(), Some((1, 0, 1)));
+        assert!(nc.clean_dir_block(1, 0, 1));
+        assert!(!nc.clean_dir_block(1, 0, 1));
+        assert!(nc.clean_dir_block(1, 1, 1));
+        assert_eq!(nc.first_dirty_dir_block(), None);
+        assert_eq!(nc.dirty_meta_blocks(), 1);
     }
 }

@@ -365,9 +365,7 @@ impl PfsFs {
                 for (blk, nb) in blocks {
                     now = self.writeback_meta(holder, stable_hash_combine(dir, blk), now);
                     self.counters.bump("revoke_flushes");
-                    if let Some(s) = self.cache_of(holder).dirty_dir.get_mut(&dir) {
-                        s.remove(&(blk, nb));
-                    }
+                    self.cache_of(holder).clean_dir_block(dir, blk, nb);
                 }
                 // The directory's own attributes may be dirty too.
                 let b = self.packed_block_of(dir);
@@ -378,12 +376,7 @@ impl PfsFs {
                 now
             }
             Scope::DirBlock { dir, blk, nb } => {
-                let was_dirty = self
-                    .cache_of(holder)
-                    .dirty_dir
-                    .get_mut(&dir)
-                    .is_some_and(|s| s.remove(&(blk, nb)));
-                if was_dirty {
+                if self.cache_of(holder).clean_dir_block(dir, blk, nb) {
                     self.counters.bump("revoke_flushes");
                     self.writeback_meta(holder, stable_hash_combine(dir, blk), t)
                 } else {
@@ -599,39 +592,23 @@ impl PfsFs {
                 now = self.fetch_meta(node, stable_hash_combine(dir, blk), now);
             }
             self.counters.bump("dir_misses");
-            if let Some(victim) = self.cache_of(node).dir_blocks.touch(key) {
-                let was_dirty = self
-                    .cache_of(node)
-                    .dirty_dir
-                    .get_mut(&victim.0)
-                    .is_some_and(|s| s.remove(&(victim.1, victim.2)));
-                if was_dirty {
-                    now = self.writeback_meta_async(
-                        node,
-                        stable_hash_combine(victim.0, victim.1),
-                        now,
-                    );
+            if let Some((vdir, vblk, vnb)) = self.cache_of(node).dir_blocks.touch(key) {
+                if self.cache_of(node).clean_dir_block(vdir, vblk, vnb) {
+                    now = self.writeback_meta_async(node, stable_hash_combine(vdir, vblk), now);
                 }
-                self.tm.release(
-                    node,
-                    Scope::DirBlock {
-                        dir: victim.0,
-                        blk: victim.1,
-                        nb: victim.2,
-                    }
-                    .token(),
-                );
+                let victim = Scope::DirBlock {
+                    dir: vdir,
+                    blk: vblk,
+                    nb: vnb,
+                };
+                self.tm.release(node, victim.token());
             }
         } else {
             self.cache_of(node).dir_blocks.touch(key);
             self.counters.bump("dir_hits");
         }
         if dirty {
-            self.cache_of(node)
-                .dirty_dir
-                .entry(dir)
-                .or_default()
-                .insert((blk, nb));
+            self.cache_of(node).mark_dir_dirty(dir, blk, nb);
             self.cache_of(node)
                 .recent_dir_dirty
                 .entry(dir)
@@ -648,8 +625,7 @@ impl PfsFs {
     fn throttle_dirty_meta(&mut self, node: NodeId, t: SimTime) -> SimTime {
         let limit = self.cfg.dirty_block_limit;
         let cache = self.cache_of(node);
-        let dirty_dir_blocks: usize = cache.dirty_dir.values().map(|s| s.len()).sum();
-        if cache.dirty_attr_blocks().len() + dirty_dir_blocks <= limit {
+        if cache.dirty_attr_blocks().len() + cache.dirty_dir_blocks() <= limit {
             return t;
         }
         self.counters.bump("dirty_throttle_flushes");
@@ -659,17 +635,8 @@ impl PfsFs {
             self.cache_of(node).clean_attr_block(b);
             return self.writeback_meta_async(node, b, t);
         }
-        let victim = self
-            .cache_of(node)
-            .dirty_dir
-            .iter_mut()
-            .find_map(|(dir, set)| set.iter().next().copied().map(|bk| (*dir, bk)));
-        if let Some((dir, (blk, nb))) = victim {
-            self.cache_of(node)
-                .dirty_dir
-                .get_mut(&dir)
-                .expect("present")
-                .remove(&(blk, nb));
+        if let Some((dir, blk, nb)) = self.cache_of(node).first_dirty_dir_block() {
+            self.cache_of(node).clean_dir_block(dir, blk, nb);
             return self.writeback_meta_async(node, stable_hash_combine(dir, blk), t);
         }
         t
