@@ -16,12 +16,12 @@
 //!   [`LruSet::keys`] walks the list (least recently used first).
 //! - [`PagePool`] charges and invalidates in O(1); eviction takes the
 //!   LRU file (or the next one when that is the file being filled).
-//! - [`NodeCache`] indexes its dirty inodes by packed inode block. The
-//!   invariant: an inode is in the dirty set exactly when it is listed,
-//!   once, under the block it was marked dirty in, and a block is
-//!   listed only while it holds a dirty inode. Marking is O(1) plus
-//!   O(log blocks); cleaning one inode or one whole block visits at
-//!   most that block's `inodes_per_block` inodes.
+//! - [`NodeCache`] keeps its dirty inodes by packed inode block. The
+//!   invariant: a dirty inode is listed once, under the block it was
+//!   marked dirty in, and a block is listed only while it holds a dirty
+//!   inode. Marking or cleaning one inode, or cleaning a whole block,
+//!   is O(log blocks) plus a pass over that block's list, which holds
+//!   at most its `inodes_per_block` inodes.
 //! - Dirty directory blocks and dirty data stay in ordered maps,
 //!   O(log n) per step: revocation flushes and throttle victims visit
 //!   them in key order, and that order sets virtual time. Directory
@@ -298,13 +298,9 @@ impl LruSet<u64> {
 pub struct NodeCache {
     /// Cached inode attributes (the stat cache), keyed by inode number.
     pub attr_entries: LruSet<u64>,
-    /// Inodes with local dirty attributes (flushed on revoke).
-    /// Changed only through [`Self::mark_attr_dirty`],
-    /// [`Self::clean_attr`] and [`Self::clean_attr_block`], which keep
-    /// `dirty_attr_blocks` in step (see the module docs).
-    dirty_attr: FxHashSet<u64>,
-    /// The `dirty_attr` inodes of each packed inode block (blocks with
-    /// none are absent). Ordered: the write-behind throttle flushes the
+    /// The inodes with local dirty attributes (flushed on revoke),
+    /// listed under the packed inode block each was marked in (see the
+    /// module docs). Ordered: the write-behind throttle flushes the
     /// first block.
     dirty_attr_blocks: BTreeMap<u64, Vec<u64>>,
     /// Cached directory entry blocks, keyed by (dir ino, block index,
@@ -341,7 +337,6 @@ impl NodeCache {
     pub fn new(dir_cache_blocks: usize, attr_cache_entries: usize, pagepool_bytes: u64) -> Self {
         NodeCache {
             attr_entries: LruSet::new(attr_cache_entries),
-            dirty_attr: FxHashSet::default(),
             dirty_attr_blocks: BTreeMap::new(),
             dir_blocks: LruSet::new(dir_cache_blocks),
             dirty_dir: BTreeMap::new(),
@@ -358,29 +353,21 @@ impl NodeCache {
     /// Marks inode `ino`, packed in inode block `block`, as holding
     /// dirty attributes.
     pub fn mark_attr_dirty(&mut self, ino: u64, block: u64) {
-        if self.dirty_attr.insert(ino) {
-            self.dirty_attr_blocks.entry(block).or_default().push(ino);
+        let inos = self.dirty_attr_blocks.entry(block).or_default();
+        if !inos.contains(&ino) {
+            inos.push(ino);
         }
     }
 
     /// Cleans inode `ino`, packed in inode block `block`; true if its
     /// attributes were dirty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ino` is dirty but was marked under another block.
     pub fn clean_attr(&mut self, ino: u64, block: u64) -> bool {
-        if !self.dirty_attr.remove(&ino) {
+        let Some(inos) = self.dirty_attr_blocks.get_mut(&block) else {
             return false;
-        }
-        let inos = self
-            .dirty_attr_blocks
-            .get_mut(&block)
-            .expect("a dirty inode is listed in its packed block");
-        let at = inos
-            .iter()
-            .position(|&i| i == ino)
-            .expect("a dirty inode is listed in its packed block");
+        };
+        let Some(at) = inos.iter().position(|&i| i == ino) else {
+            return false;
+        };
         inos.swap_remove(at);
         if inos.is_empty() {
             self.dirty_attr_blocks.remove(&block);
@@ -391,18 +378,7 @@ impl NodeCache {
     /// Cleans every dirty inode of packed inode block `block`; true if
     /// it held one.
     pub fn clean_attr_block(&mut self, block: u64) -> bool {
-        let Some(inos) = self.dirty_attr_blocks.remove(&block) else {
-            return false;
-        };
-        for ino in inos {
-            self.dirty_attr.remove(&ino);
-        }
-        true
-    }
-
-    /// Inodes with dirty attributes, in no particular order.
-    pub fn dirty_attrs(&self) -> &FxHashSet<u64> {
-        &self.dirty_attr
+        self.dirty_attr_blocks.remove(&block).is_some()
     }
 
     /// The dirty inodes of each packed inode block, in block order
@@ -452,7 +428,6 @@ impl NodeCache {
     /// Forgets every dirty attribute, directory block and data byte
     /// (the background flushers have drained them).
     pub fn clear_dirty(&mut self) {
-        self.dirty_attr.clear();
         self.dirty_attr_blocks.clear();
         self.dirty_dir.clear();
         self.dirty_dir_blocks = 0;
@@ -462,7 +437,7 @@ impl NodeCache {
 
     /// Count of dirty metadata blocks (attr + dir).
     pub fn dirty_meta_blocks(&self) -> usize {
-        self.dirty_attr.len() + self.dirty_dir_blocks
+        self.dirty_attr_blocks.len() + self.dirty_dir_blocks
     }
 
     /// Records dirty data for `ino`.
