@@ -14,10 +14,10 @@
 //! 6. *RPC batching*: batch size × burstiness under the create storm —
 //!    group commit and RTT amortization only pay when the workload
 //!    offers same-shard runs to coalesce.
-//! 7. *Memoization × priority*: each service-discipline knob alone and
-//!    both together on the mixed stat+create storm.
-//! 8. *Write-behind journal*: journal × memoization × batch size on
-//!    the bursty storm, including the singleton-batch non-win.
+//! 7. *Read priority*: FIFO vs the priority lane on the mixed
+//!    stat+create storm at 8-op batches.
+//! 8. *Write-behind journal*: journal × batch size on the bursty
+//!    storm, including the singleton-batch non-win.
 //! 9. *Elastic adaptation*: a shifting hotspot under the elastic shard
 //!    policy vs. its static starting point — splits while a directory
 //!    is hot, lazy merges back to home affinity after the hotspot
@@ -296,39 +296,33 @@ fn main() {
     }
     println!("{}", batch_table.render());
 
-    // ---- memoization × priority ablation: each knob alone and both
-    // together on the mixed stat+create storm ----
-    // Memoization attacks per-op row reads (batch service time);
-    // priority attacks head-of-line blocking (stat tail latency). They
-    // are orthogonal: memoization shrinks the lumps, priority routes
-    // reads around whatever lumps remain, and stacked they compose.
+    // ---- read-priority ablation: FIFO vs the priority lane on the
+    // mixed stat+create storm ----
+    // Batching shrinks the per-op row work (each batch resolves a
+    // shared parent chain once); priority attacks head-of-line blocking
+    // (stat tail latency) by routing reads around the lumps that remain.
     let mixed = workloads::scenarios::SharedDirStorm::mixed(smoke_nodes(8), smoke_files(32));
     println!(
-        "\n== Memoization x priority ablation (2 shards, 8-op batches; \
+        "\n== Read priority ablation (2 shards, 8-op batches; \
          mixed storm: {} nodes, {} files/node in bursts of {}, {} stats/create) ==\n",
         mixed.nodes, mixed.files_per_node, mixed.burst, mixed.stats_per_create
     );
-    let mut mp_table = Table::new(vec![
-        "memo",
+    let mut prio_table = Table::new(vec![
         "lane",
         "stat p99 (ms)",
         "makespan (ms)",
         "reads memoized",
         "bypasses",
     ]);
-    for (memo, priority) in [(false, false), (true, false), (false, true), (true, true)] {
+    for priority in [false, true] {
         let mut cfg = two_shards().with_batching(8, SWEEP_BATCH_DELAY, SWEEP_PIPELINE_DEPTH);
-        if memo {
-            cfg = cfg.with_read_memoization();
-        }
         if priority {
             cfg = cfg.with_read_priority();
         }
         let r = mixed.run(&mut mds_limit(cfg));
         let memoized: u64 = r.per_shard.iter().map(|u| u.reads_memoized).sum();
         let bypasses: u64 = r.per_shard.iter().map(|u| u.read_bypasses).sum();
-        mp_table.row(vec![
-            if memo { "on" } else { "off" }.to_string(),
+        prio_table.row(vec![
             if priority { "priority" } else { "fifo" }.to_string(),
             ms(r.stat_p50_p99_ms.map_or(0.0, |(_, p99)| p99)),
             ms(r.makespan.as_millis_f64()),
@@ -336,14 +330,13 @@ fn main() {
             bypasses.to_string(),
         ]);
     }
-    println!("{}", mp_table.render());
+    println!("{}", prio_table.render());
 
-    // ---- write-behind ablation: journal × memoization × batch size on
-    // the bursty create storm ----
+    // ---- write-behind ablation: journal × batch size on the bursty
+    // create storm ----
     // Write-behind attacks the ack-critical group commit (writes priced
-    // row by row before the client hears back); memoization attacks the
-    // read half of the same service time. Orthogonal, and both need
-    // multi-op batches: the 1-op rows show the journal's honest non-win
+    // row by row before the client hears back). It needs multi-op
+    // batches: the 1-op rows show the journal's honest non-win
     // — a singleton batch has no siblings to coalesce, so under CPU
     // saturation the append is pure tax and makespan *grows*.
     let wstorm = SharedDirStorm {
@@ -361,7 +354,6 @@ fn main() {
     );
     let mut wb_table = Table::new(vec![
         "batching",
-        "memo",
         "write-behind",
         "makespan (ms)",
         "journal",
@@ -369,18 +361,8 @@ fn main() {
         "apply lag (ms)",
         "apply tail (ms)",
     ]);
-    for (k, memo, behind) in [
-        (16, false, false),
-        (16, false, true),
-        (16, true, false),
-        (16, true, true),
-        (1, true, false),
-        (1, true, true),
-    ] {
+    for (k, behind) in [(16, false), (16, true), (1, false), (1, true)] {
         let mut cfg = two_shards().with_batching(k, SWEEP_BATCH_DELAY, SWEEP_PIPELINE_DEPTH);
-        if memo {
-            cfg = cfg.with_read_memoization();
-        }
         if behind {
             cfg = cfg.with_write_behind();
         }
@@ -395,7 +377,6 @@ fn main() {
             .unwrap_or(SimDuration::ZERO);
         wb_table.row(vec![
             k.to_string(),
-            if memo { "on" } else { "off" }.to_string(),
             if behind { "on" } else { "off" }.to_string(),
             ms(r.makespan.as_millis_f64()),
             appends.to_string(),
@@ -414,7 +395,7 @@ fn main() {
             ("elastic adaptation ablation", &elastic_table),
             ("client-cache ablation", &cache_table),
             ("rpc batching ablation", &batch_table),
-            ("memoization x priority ablation", &mp_table),
+            ("read priority ablation", &prio_table),
             ("write-behind ablation", &wb_table),
         ],
     ) {

@@ -280,7 +280,10 @@ fn main() {
     // saturates the shard CPUs, so RTT amortization and shard-side
     // group commit compound and the storm makespan must improve
     // monotonically 1 → 4 → 16 (`scripts/bench_check.py` enforces this
-    // on the JSON report).
+    // on the JSON report). A batch into one directory resolves the
+    // shared parent chain once: the shard charges each distinct chain
+    // row once per batch, so `reads memoized` grows with the batch
+    // size and must be positive at the largest.
     let bstorm = SharedDirStorm {
         nodes: cofs_bench::smoke_nodes(16),
         dirs: 8,
@@ -298,9 +301,12 @@ fn main() {
     let mut headers = vec!["batching", "create (ms)", "makespan (ms)"];
     headers.extend(READ_LAT_COLUMNS);
     headers.extend(BATCH_COLUMNS);
+    headers.extend(["reads charged", "reads memoized"]);
     let mut batch_table = Table::new(headers);
     for max_ops in [None, Some(1), Some(4), Some(16)] {
         let r = bstorm.run(&mut mds_limit(batched(hashed(2), max_ops)));
+        let charged: u64 = r.per_shard.iter().map(|u| u.reads_charged).sum();
+        let memoized: u64 = r.per_shard.iter().map(|u| u.reads_memoized).sum();
         let mut row = vec![
             max_ops.map_or("off".into(), |k| k.to_string()),
             ms(r.mean_create_ms),
@@ -308,51 +314,10 @@ fn main() {
         ];
         row.extend(read_latency_cells(r.stat_p50_p99_ms));
         row.extend(batch_cells(r.batch.as_ref()));
+        row.extend([charged.to_string(), memoized.to_string()]);
         batch_table.row(row);
     }
     println!("{}", batch_table.render());
-
-    // ---- memoization axis: the same bursty storm, batch pricing by
-    // deduplicated read set ----
-    // At 16-op batches >90% of a batch's service time is per-op row
-    // reads, and a batch into one directory resolves the same parent
-    // chain 16 times. Memoized pricing charges each distinct chain row
-    // once per batch, so every batch size must get strictly cheaper
-    // with memoization on and the 16-op memoized storm must beat PR 4's
-    // unmemoized ceiling (`scripts/bench_check.py` gates both).
-    println!(
-        "== Scaling: bursty storm vs per-batch read memoization \
-         ({} nodes, {} dirs, {} files/node in bursts of {}, 2 shards) ==\n",
-        bstorm.nodes, bstorm.dirs, bstorm.files_per_node, bstorm.burst
-    );
-    let mut headers = vec!["batching", "memo", "create (ms)", "makespan (ms)"];
-    headers.extend(READ_LAT_COLUMNS);
-    headers.extend(["reads charged", "reads memoized"]);
-    let mut memo_table = Table::new(headers);
-    for max_ops in [None, Some(1), Some(4), Some(16)] {
-        for memo in [false, true] {
-            if memo && max_ops.is_none() {
-                continue; // memoization dedupes within batches only
-            }
-            let mut cfg = batched(hashed(2), max_ops);
-            if memo {
-                cfg = cfg.with_read_memoization();
-            }
-            let r = bstorm.run(&mut mds_limit(cfg));
-            let charged: u64 = r.per_shard.iter().map(|u| u.reads_charged).sum();
-            let memoized: u64 = r.per_shard.iter().map(|u| u.reads_memoized).sum();
-            let mut row = vec![
-                max_ops.map_or("off".into(), |k| k.to_string()),
-                if memo { "on" } else { "off" }.to_string(),
-                ms(r.mean_create_ms),
-                ms(r.makespan.as_millis_f64()),
-            ];
-            row.extend(read_latency_cells(r.stat_p50_p99_ms));
-            row.extend([charged.to_string(), memoized.to_string()]);
-            memo_table.row(row);
-        }
-    }
-    println!("{}", memo_table.render());
 
     // ---- write-behind axis: the same bursty storm, acks at journal
     // append, sibling-coalesced deferred apply ----
@@ -704,7 +669,6 @@ fn main() {
             ("skewed multi-tenant storm vs shard policy", &skew_table),
             ("hot-stat storm vs client cache", &cache_table),
             ("shared-directory storm vs batching", &batch_table),
-            ("bursty storm vs read memoization", &memo_table),
             ("bursty storm vs write-behind journal", &wb_table),
             ("mixed stat+create storm vs read priority", &prio_table),
             ("batching non-wins", &nonwin_table),

@@ -203,7 +203,7 @@ impl BatchConfig {
             max_batch_ops,
             max_batch_delay,
             pipeline_depth: depth,
-            memoize_reads: false,
+            memoize_reads: true,
         }
     }
 
@@ -693,10 +693,9 @@ mod tests {
         assert!(!cfg.enabled);
         assert!(!cfg.memoize_reads);
         assert!(!BatchPipeline::new(cfg).enabled());
-        // Read memoization is opt-in on top of an enabled config.
+        // An enabled config memoizes its batches' reads.
         let on = BatchConfig::enabled(4, SimDuration::from_millis(1), 2);
-        assert!(!on.memoize_reads);
-        assert!(on.with_memoized_reads().memoize_reads);
+        assert!(on.memoize_reads);
     }
 
     #[test]

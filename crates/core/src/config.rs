@@ -608,9 +608,7 @@ mod tests {
         assert_eq!(b.batch.max_batch_ops, 16);
         assert_eq!(b.batch.max_batch_delay, SimDuration::from_millis(2));
         assert_eq!(b.batch.pipeline_depth, 4);
-        assert!(!b.batch.memoize_reads);
-        let m = b.with_read_memoization();
-        assert!(m.batch.memoize_reads);
+        assert!(b.batch.memoize_reads);
         let p = CofsConfig::default().with_read_priority();
         assert!(p.read_priority);
     }

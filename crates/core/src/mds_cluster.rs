@@ -1677,10 +1677,8 @@ mod tests {
 
     #[test]
     fn memoized_batch_charges_each_distinct_row_once() {
-        let c = cfg();
-        let memo_cfg = CofsConfig {
-            batch: crate::batch::BatchConfig::enabled(16, SimDuration::from_millis(5), 4)
-                .with_memoized_reads(),
+        let c = CofsConfig {
+            batch: crate::batch::BatchConfig::enabled(16, SimDuration::from_millis(5), 4),
             ..cfg()
         };
         let n = net();
@@ -1688,66 +1686,46 @@ mod tests {
         // of /d plus 3 private rows (5 reads total, 2 keyed).
         let chain = RowSet::resolution_chain(&vpath("/d/f"));
         assert_eq!(chain.len(), 2);
+        let db = DbOps {
+            reads: 5,
+            writes: 2,
+        };
         let op = BatchedOp {
-            db: DbOps {
-                reads: 5,
-                writes: 2,
-            },
+            db,
             read_set: chain,
             ..BatchedOp::default()
         };
         let batch = vec![op; 4];
-        let mut plain = MdsCluster::new(ShardPolicy::hash(1));
-        let mut memo = MdsCluster::new(ShardPolicy::hash(1));
-        let t_plain = batched(
-            &mut plain,
-            &c,
-            &n,
-            NodeId(0),
-            ShardId(0),
-            &batch,
-            SimTime::ZERO,
-        );
-        let t_memo = batched(
-            &mut memo,
-            &memo_cfg,
-            &n,
-            NodeId(0),
-            ShardId(0),
-            &batch,
-            SimTime::ZERO,
-        );
+        // The reference: the same batch with its read sets stripped.
+        let plain = vec![BatchedOp::opaque(db); 4];
+        let price = |ops: &[BatchedOp]| {
+            let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
+            let t = batched(
+                &mut cluster,
+                &c,
+                &n,
+                NodeId(0),
+                ShardId(0),
+                ops,
+                SimTime::ZERO,
+            );
+            (t, cluster.usage().remove(0))
+        };
+        let (t_plain, plain_usage) = price(&plain);
+        let (t_memo, memo_usage) = price(&batch);
         // Three repeat resolutions of the 2-row chain are absorbed.
         let saved = c.db.lookup * 2 * 3;
         assert_eq!(t_plain, t_memo + saved);
-        assert_eq!(memo.usage()[0].reads_memoized, 6);
-        assert_eq!(memo.usage()[0].reads_charged, 4 * 5 - 6);
-        assert_eq!(plain.usage()[0].reads_memoized, 0);
-        assert_eq!(plain.usage()[0].reads_charged, 20);
-        // A memoized batch of one reprices nothing: its keys are
-        // distinct by construction.
-        let mut one_memo = MdsCluster::new(ShardPolicy::hash(1));
-        let mut one_plain = MdsCluster::new(ShardPolicy::hash(1));
-        let a = batched(
-            &mut one_memo,
-            &memo_cfg,
-            &n,
-            NodeId(0),
-            ShardId(0),
-            &batch[..1],
-            SimTime::ZERO,
-        );
-        let b = batched(
-            &mut one_plain,
-            &c,
-            &n,
-            NodeId(0),
-            ShardId(0),
-            &batch[..1],
-            SimTime::ZERO,
-        );
+        assert_eq!(memo_usage.reads_memoized, 6);
+        assert_eq!(memo_usage.reads_charged, 4 * 5 - 6);
+        assert_eq!(plain_usage.reads_memoized, 0);
+        assert_eq!(plain_usage.reads_charged, 20);
+        // A batch of one reprices nothing: its keys are distinct by
+        // construction.
+        let (a, one) = price(&batch[..1]);
+        let (b, _) = price(&plain[..1]);
         assert_eq!(a, b);
-        assert_eq!(one_memo.usage()[0].reads_memoized, 0);
+        assert_eq!(one.reads_memoized, 0);
     }
 
     fn wb_cfg() -> CofsConfig {

@@ -13,25 +13,21 @@ and fails when a structural performance claim regressed:
    shards a wash).
 2. **Batching improves the bursty storm monotonically** — the
    "shared-directory storm vs batching" section's ``makespan (ms)``
-   must not increase along ``max_batch_ops`` 1 -> 4 -> 16, and the
-   largest batch size must beat batching off.
+   must not increase along ``max_batch_ops`` 1 -> 4 -> 16, the
+   largest batch size must beat batching off, and its batches must
+   share row reads (``reads memoized`` > 0): a batch resolves the
+   parent chain its ops share once.
 3. **Batching never regresses read-only work** — in the "batching
    non-wins" section, the hot-stat rows with batching on must match the
    batching-off makespan (reads never batch).
-4. **Read memoization never costs and pays at scale** — in the "bursty
-   storm vs read memoization" section, the memoized makespan must not
-   exceed the unmemoized one at *every* batch size (a batch of one
-   memoizes nothing, so that row is equality), and at the largest batch
-   size memoization must strictly beat both the unmemoized run and the
-   batching-off baseline — the post-PR-4 per-op-row-work ceiling.
-5. **Write-behind journaling never costs on the swept axis and pays at
-   scale** — in the "bursty storm vs write-behind journal" section
-   (memoization on throughout), the journaled makespan must not exceed
+4. **Write-behind journaling never costs on the swept axis and pays at
+   scale** — in the "bursty storm vs write-behind journal" section,
+   the journaled makespan must not exceed
    the journal-off one at *every* swept batch size, must strictly beat
    it at the largest, and the coalescing must be real: every
    journal-on row applies strictly fewer rows than it acked
    (``coalesced`` > 0) while journal-off rows coalesce nothing.
-6. **The read-priority lane decouples stat tails from batch size** —
+5. **The read-priority lane decouples stat tails from batch size** —
    in the "mixed stat+create storm vs read priority" section, the
    priority rows' stat p99 must not exceed the FIFO rows' at any batch
    size; the FIFO p99 at the largest batch must visibly exceed the
@@ -40,7 +36,7 @@ and fails when a structural performance claim regressed:
    TAIL_GROWTH_CAP of the priority batching-off p99 (bounded by the
    in-service lump, not the queue, so it no longer grows with
    ``max_batch_ops``).
-7. **The elastic policy adapts instead of saturating** — in the
+6. **The elastic policy adapts instead of saturating** — in the
    "shared-directory storm vs shard count" section, the elastic rows'
    ``creates/s`` must be *strictly* monotone across every swept shard
    count (the static claim stops at MAX_CLAIMED_SHARDS; load-adaptive
@@ -48,7 +44,7 @@ and fails when a structural performance claim regressed:
    the "skewed multi-tenant storm vs shard policy" section the elastic
    makespan must be at or below the best static policy's at every
    swept shard count.
-8. **Failover degrades boundedly and loses nothing** — in the
+7. **Failover degrades boundedly and loses nothing** — in the
    "failover storm vs crash timing" section, every crash row must
    report zero ``lost acked`` ops (journal-acked work survives
    recovery replay), a positive ``nacks`` count (the scripted crash
@@ -58,7 +54,7 @@ and fails when a structural performance claim regressed:
    fault-free baseline row plus the gap and the priced recovery work
    (the slack absorbs the post-recovery convoy when backlogged
    clients return together).
-9. **The correlated-failure survival knobs actually pay** — in the
+8. **The correlated-failure survival knobs actually pay** — in the
    "cascade storm vs correlated failures" section, every fault row
    must report zero ``lost acked`` ops; every standby-on row must
    strictly shrink the availability ``gap`` against its knobs-matched
@@ -68,11 +64,11 @@ and fails when a structural performance claim regressed:
    strictly shrink the post-recovery makespan (retry-after pacing
    replaces backoff overshoot).
 
-Claims 1-9 run on the ``scaling`` report only. Any full-mode report
+Claims 1-8 run on the ``scaling`` report only. Any full-mode report
 (``"smoke": false``, so also ``BENCH_ablation.json`` and the six paper
 reports) gets one more:
 
-10. **No sweep row repeats another by accident** — when two rows of a
+9. **No sweep row repeats another by accident** — when two rows of a
     section match in every cell outside CONFIG_COLUMNS, the setting
     that tells them apart changed nothing measured. Such a repeat fails
     unless DECLARED_REPEATS names the pair with its reason, and a
@@ -81,16 +77,16 @@ reports) gets one more:
 The full-mode paper reports also carry the paper's own claims (smoke
 sweeps stop short of the knees, so only full mode is gated):
 
-11. **Fig 1 (``fig1``)** — with one process, stat, utime and open_close
+10. **Fig 1 (``fig1``)** — with one process, stat, utime and open_close
     take at most FIG1_HIT_MS through FIG1_KNEE files/dir (the stat
     cache holds every inode) and at least FIG1_CLIFF times that beyond
     it; create rises at every step from FIG1_GROWTH_FROM files/dir on,
     for one process and for two.
-12. **Fig 4 (``fig4``)** — COFS create is below GPFS create at every
+11. **Fig 4 (``fig4``)** — COFS create is below GPFS create at every
     files/node, at 4 nodes and at 8.
-13. **Fig 5 (``fig5``)** — COFS is below GPFS in every row of the six
+12. **Fig 5 (``fig5``)** — COFS is below GPFS in every row of the six
     stat, utime and open_close sections, at 4 nodes and at 8.
-14. **Table I (``table1``)** — the orderings ``tests/tests/calibration.rs``
+13. **Table I (``table1``)** — the orderings ``tests/tests/calibration.rs``
     asserts at reduced scale, on sequential and random access: a
     multi-node separate-file read that fits the GPFS page pool
     (``per-node`` <= PAGEPOOL_MB) is a clear COFS loss (cofs/gpfs <
@@ -152,7 +148,6 @@ CONFIG_COLUMNS = {
     "policy",
     "cache ttl",
     "batching",
-    "memo",
     "write-behind",
     "lane",
     "workload",
@@ -251,9 +246,6 @@ DECLARED_REPEATS = {
             "shards=1, cache ttl=50ms",
             "shards=1, cache ttl=2ms",
         ): "on one shard a round outlasts both TTLs, so no lease lives into the next round",
-    },
-    "bursty storm vs read memoization": {
-        ("batching=1, memo=on", "batching=1, memo=off"): "a one-op batch memoizes nothing",
     },
     "cascade storm vs correlated failures": {
         (
@@ -370,6 +362,13 @@ def check_batching_monotonicity(report):
             f"largest batch ({best[batch_col]} ops, {best[make_col]} ms) beats "
             f"batching off ({off[0][make_col]} ms)",
         )
+        memo_col = column(sec, "reads memoized")
+        if memo_col is not None:
+            check(
+                float(best[memo_col]) > 0,
+                f"largest batch ({best[batch_col]} ops) shares row reads "
+                f"({best[memo_col]} reads memoized)",
+            )
 
 
 def check_hot_stat_non_regression(report):
@@ -395,56 +394,6 @@ def check_hot_stat_non_regression(report):
             f"batching {row[batch_col]} does not regress hot-stat makespan "
             f"({off[0][make_col]} -> {row[make_col]} ms)",
         )
-
-
-def check_memoization(report):
-    print("bursty storm vs read memoization:")
-    sec = section(report, "bursty storm vs read memoization")
-    if sec is None:
-        return
-    batch_col = column(sec, "batching")
-    memo_col = column(sec, "memo")
-    make_col = column(sec, "makespan (ms)")
-    if batch_col is None or memo_col is None or make_col is None:
-        return
-    off_baseline = [r for r in sec["rows"] if r[batch_col] == "off"]
-    check(len(off_baseline) == 1, "one batching-off baseline row")
-    sizes = sorted(
-        {int(r[batch_col]) for r in sec["rows"] if r[batch_col] != "off"}
-    )
-    check(len(sizes) >= 3, f"batch-size sweep has >= 3 points ({sizes})")
-
-    def row(size, memo):
-        for r in sec["rows"]:
-            if r[batch_col] != "off" and int(r[batch_col]) == size and r[memo_col] == memo:
-                return r
-        return None
-
-    for size in sizes:
-        plain, memo = row(size, "off"), row(size, "on")
-        if plain is None or memo is None:
-            check(False, f"batch size {size} measured with memo off and on")
-            continue
-        ok = float(memo[make_col]) <= float(plain[make_col]) + ROUNDING_MS
-        check(
-            ok,
-            f"memoized <= unmemoized at {size}-op batches "
-            f"({memo[make_col]} vs {plain[make_col]} ms)",
-        )
-    largest = sizes[-1]
-    plain, memo = row(largest, "off"), row(largest, "on")
-    if plain is not None and memo is not None:
-        check(
-            float(memo[make_col]) < float(plain[make_col]),
-            f"memoization strictly beats unmemoized at {largest}-op batches "
-            f"({memo[make_col]} vs {plain[make_col]} ms)",
-        )
-        if off_baseline:
-            check(
-                float(memo[make_col]) < float(off_baseline[0][make_col]),
-                f"memoized {largest}-op storm beats batching off "
-                f"({memo[make_col]} vs {off_baseline[0][make_col]} ms)",
-            )
 
 
 def check_write_behind(report):
@@ -493,7 +442,7 @@ def check_write_behind(report):
     if plain is not None and behind is not None:
         check(
             float(behind[make_col]) < float(plain[make_col]),
-            f"write-behind strictly beats the memoized-only storm at "
+            f"write-behind strictly beats the journal-off storm at "
             f"{largest}-op batches ({behind[make_col]} vs {plain[make_col]} ms)",
         )
 
@@ -1082,7 +1031,6 @@ def main():
         check_shard_monotonicity(report)
         check_batching_monotonicity(report)
         check_hot_stat_non_regression(report)
-        check_memoization(report)
         check_write_behind(report)
         check_read_priority(report)
         check_elastic(report)

@@ -1,34 +1,35 @@
 //! Integration tests for shard-side batch read memoization and the
-//! read-priority service lane: the calibration guards (every knob off
-//! — and a batch of one — is bit-for-bit the PR 4 path at RPC, fs, and
-//! storm level), the acceptance wins (the memoized bursty storm
-//! improves monotonically past the unmemoized ceiling; the mixed
-//! storm's stat p99 stops tracking `max_batch_ops` under the priority
-//! lane), and the pricing properties — memoized batch pricing never
-//! exceeds unmemoized and is invariant to op order within a batch.
+//! read-priority service lane: the calibration guards (disabled knobs,
+//! a batch of one, and an unused priority lane each reproduce the
+//! unbatched FIFO path bit for bit), the acceptance wins (the bursty
+//! storm's batches charge each shared ancestor row once, so the storm
+//! improves with batch size; the mixed storm's stat p99 stops tracking
+//! `max_batch_ops` under the priority lane), and the pricing
+//! properties — a batch never prices above the same batch with its
+//! read sets stripped, and is invariant to op order.
 
 use cofs::batch::BatchedOp;
 use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
 use cofs::fs::CofsFs;
-use cofs::mds::{DbOps, RowSet};
+use cofs::mds::{Cred, DbOps, Mds, RowSet};
 use cofs::mds_cluster::{MdsCluster, Shape, ShardId, ShardPolicy};
 use cofs_tests::cofs_over_memfs;
 use netsim::ids::NodeId;
 use simcore::time::{SimDuration, SimTime};
+use vfs::fs::OpCtx;
 use vfs::memfs::MemFs;
+use vfs::path::vpath;
+use vfs::types::Mode;
 use workloads::scenarios::{ScenarioResult, SharedDirStorm};
 
 fn net() -> MdsNetwork {
     MdsNetwork::uniform(SimDuration::from_micros(250))
 }
 
-fn stack(max_batch_ops: Option<usize>, memoize: bool, priority: bool) -> CofsFs<MemFs> {
+fn stack(max_batch_ops: Option<usize>, priority: bool) -> CofsFs<MemFs> {
     let mut cfg = CofsConfig::default().with_shards(2, ShardPolicyKind::HashByParent);
     if let Some(k) = max_batch_ops {
         cfg = cfg.with_batching(k, SimDuration::from_millis(5), 4);
-    }
-    if memoize {
-        cfg = cfg.with_read_memoization();
     }
     if priority {
         cfg = cfg.with_read_priority();
@@ -36,7 +37,63 @@ fn stack(max_batch_ops: Option<usize>, memoize: bool, priority: bool) -> CofsFs<
     cofs_over_memfs(cfg)
 }
 
-/// The bursty create storm of the scaling sweep's memoization axis
+/// A one-shard batching config for pricing batches by hand.
+fn batched_cfg() -> CofsConfig {
+    CofsConfig::default().with_batching(64, SimDuration::from_millis(5), 4)
+}
+
+/// Prices one batch on a fresh single-shard cluster and returns
+/// (client completion time, shard busy time).
+fn price(cfg: &CofsConfig, ops: &[BatchedOp]) -> (SimTime, SimDuration) {
+    let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
+    let done = cluster.request(
+        cfg,
+        &net(),
+        NodeId(0),
+        Shape::Batch(ShardId(0)),
+        ops,
+        SimTime::ZERO,
+    );
+    (done, cluster.usage()[0].busy)
+}
+
+/// The same batch with its read sets stripped: every row read charged,
+/// the unmemoized reference.
+fn stripped(ops: &[BatchedOp]) -> Vec<BatchedOp> {
+    ops.iter().map(|o| BatchedOp::opaque(o.db)).collect()
+}
+
+/// `k` creates into one of the bursty storm's directories, as the
+/// daemon buffers them: each op's row counts from a namespace holding
+/// the directory, and its resolution chain as its read set.
+fn create_train(k: usize) -> Vec<BatchedOp> {
+    let ctx = OpCtx::test(NodeId(0));
+    let cred = Cred {
+        uid: ctx.uid,
+        gid: ctx.gid,
+    };
+    let mut ns = Mds::new();
+    for dir in ["/storm", "/storm/d0"] {
+        ns.mkdir(cred, &vpath(dir), Mode::dir_default(), SimTime::ZERO)
+            .unwrap();
+    }
+    (0..k)
+        .map(|i| {
+            let path = vpath(&format!("/storm/d0/f{i}"));
+            let under = vpath(&format!("/.cofs/i{i}"));
+            let (_, db) = ns
+                .create(cred, &path, Mode::file_default(), under, SimTime::ZERO)
+                .unwrap();
+            BatchedOp {
+                db,
+                read_set: RowSet::resolution_chain(&path).truncated(db.reads),
+                ..BatchedOp::default()
+            }
+        })
+        .collect()
+}
+
+/// The bursty create storm of the scaling sweep's batching axis
 /// (shrunk), so the acceptance claim is pinned by an exact-virtual-time
 /// test and not only by the CI gate on the JSON report.
 fn burst_storm() -> SharedDirStorm {
@@ -50,61 +107,81 @@ fn burst_storm() -> SharedDirStorm {
     }
 }
 
+/// Row reads the shards charged and memoized over a run.
+fn reads(r: &ScenarioResult) -> (u64, u64) {
+    let charged = r.per_shard.iter().map(|u| u.reads_charged).sum();
+    let memoized = r.per_shard.iter().map(|u| u.reads_memoized).sum();
+    (charged, memoized)
+}
+
 #[test]
 fn memoized_storm_beats_unmemoized_at_every_batch_size_and_its_ceiling() {
-    let sizes = [4usize, 16];
-    let mut memo_makespans = Vec::new();
-    for k in sizes {
-        let plain = burst_storm().run(&mut stack(Some(k), false, false));
-        let memo = burst_storm().run(&mut stack(Some(k), true, false));
+    // A batch of one memoizes nothing, so the 1-op storm charges every
+    // row the storm reads.
+    let one = burst_storm().run(&mut stack(Some(1), false));
+    let (rows_read, none) = reads(&one);
+    assert_eq!(none, 0);
+    let mut makespans = Vec::new();
+    let mut absorbed = Vec::new();
+    for k in [4usize, 16] {
+        // The storm's batch shape prices strictly below the same batch
+        // with its read sets stripped.
+        let train = create_train(k);
+        let (memo_done, memo_busy) = price(&batched_cfg(), &train);
+        let (plain_done, plain_busy) = price(&batched_cfg(), &stripped(&train));
         assert!(
-            memo.makespan < plain.makespan,
-            "memoization must strictly win at {k}-op batches: {:?} vs {:?}",
-            memo.makespan,
-            plain.makespan
+            memo_done < plain_done && memo_busy < plain_busy,
+            "memoization must strictly win at {k}-op batches: {memo_done:?} vs {plain_done:?}"
         );
-        let memoized: u64 = memo.per_shard.iter().map(|u| u.reads_memoized).sum();
+        // The storm reads the same rows at every batch size; its
+        // batches only stop charging the repeats.
+        let r = burst_storm().run(&mut stack(Some(k), false));
+        let (charged, memoized) = reads(&r);
         assert!(memoized > 0, "the win must come from absorbed row reads");
-        assert!(
-            plain.per_shard.iter().all(|u| u.reads_memoized == 0),
-            "unmemoized runs absorb nothing"
-        );
-        memo_makespans.push(memo.makespan);
+        assert_eq!(charged + memoized, rows_read, "{k}-op batches");
+        makespans.push(r.makespan);
+        absorbed.push(memoized);
     }
-    // The memoized curve keeps improving with batch size: bigger
-    // batches share more of the parent chain.
+    // Bigger batches share more of the parent chain, and the storm
+    // keeps improving with batch size.
+    assert!(absorbed[1] > absorbed[0], "{absorbed:?}");
     assert!(
-        memo_makespans[1] < memo_makespans[0],
-        "memoized makespan must improve 4 -> 16: {memo_makespans:?}"
+        makespans[1] < makespans[0],
+        "makespan must improve 4 -> 16: {makespans:?}"
     );
-    // And the 16-op memoized storm beats the unmemoized 16-op ceiling
-    // (the post-PR-4 per-op-row-work bottleneck) *and* batching off.
-    let off = burst_storm().run(&mut stack(None, false, false));
-    assert!(memo_makespans[1] < off.makespan);
+    // The 16-op storm beats both per-op row-work ceilings: singleton
+    // batches and batching off.
+    let off = burst_storm().run(&mut stack(None, false));
+    assert!(makespans[1] < one.makespan);
+    assert!(makespans[1] < off.makespan);
 }
 
 #[test]
 fn memoized_batch_of_one_is_bit_for_bit_unmemoized() {
-    // Batch size 1: every batch is a singleton, so memoized pricing
-    // must reproduce the unmemoized storm exactly — at the makespan,
-    // the per-op means, and the shard counters.
-    let plain = burst_storm().run(&mut stack(Some(1), false, false));
-    let memo = burst_storm().run(&mut stack(Some(1), true, false));
-    assert_eq!(plain.makespan, memo.makespan);
-    assert_eq!(plain.mean_create_ms, memo.mean_create_ms);
-    let memoized: u64 = memo.per_shard.iter().map(|u| u.reads_memoized).sum();
-    assert_eq!(memoized, 0, "singleton batches have nothing to dedupe");
-    for (a, b) in plain.per_shard.iter().zip(memo.per_shard.iter()) {
+    // Batch size 1: every batch is a singleton, so it memoizes nothing
+    // and each op costs the shard exactly what its synchronous request
+    // does — the same rows for the same CPU time as batching off.
+    let off = burst_storm().run(&mut stack(None, false));
+    let one = burst_storm().run(&mut stack(Some(1), false));
+    assert_eq!(reads(&one).1, 0, "singleton batches have nothing to dedupe");
+    for (a, b) in off.per_shard.iter().zip(one.per_shard.iter()) {
         assert_eq!(a.busy, b.busy);
         assert_eq!(a.rpcs, b.rpcs);
+        assert_eq!(a.reads_charged, b.reads_charged);
     }
+    // A one-op batch prices as the same op with its read set stripped.
+    let train = create_train(1);
+    assert_eq!(
+        price(&batched_cfg(), &train),
+        price(&batched_cfg(), &stripped(&train))
+    );
 }
 
 #[test]
 fn all_defaults_off_reproduces_pr4_storm_bit_for_bit() {
-    // A config with every new knob representable but off must price
-    // the whole storm identically to the untouched default — the
-    // calibration guard at storm level for this PR's two axes.
+    // A config whose batch knobs are set but switched off, with the
+    // priority lane off, must price the whole storm identically to the
+    // untouched default — the calibration guard at storm level.
     let storm = SharedDirStorm {
         nodes: 4,
         dirs: 4,
@@ -117,8 +194,7 @@ fn all_defaults_off_reproduces_pr4_storm_bit_for_bit() {
         read_priority: false,
         batch: cofs::batch::BatchConfig {
             enabled: false,
-            memoize_reads: true,
-            ..cofs::batch::BatchConfig::default()
+            ..cofs::batch::BatchConfig::enabled(64, SimDuration::from_secs(1), 9)
         },
         ..CofsConfig::default()
     });
@@ -136,7 +212,7 @@ fn priority_off_mixed_storm_matches_default_bit_for_bit() {
     // the FIFO trajectory exactly — the calibration guard for the
     // two-lane resource swap.
     let storm = SharedDirStorm::mixed(4, 32);
-    let fifo = storm.run(&mut stack(Some(8), false, false));
+    let fifo = storm.run(&mut stack(Some(8), false));
     let default_cfg = storm.run(&mut cofs_over_memfs(
         CofsConfig::default()
             .with_shards(2, ShardPolicyKind::HashByParent)
@@ -152,7 +228,7 @@ fn priority_off_mixed_storm_matches_default_bit_for_bit() {
 fn priority_lane_decouples_stat_p99_from_batch_size() {
     let storm = SharedDirStorm::mixed(8, 32);
     let p99 = |r: &ScenarioResult| r.stat_p50_p99_ms.expect("storm measures stats").1;
-    let run = |k: Option<usize>, prio: bool| storm.run(&mut stack(k, false, prio));
+    let run = |k: Option<usize>, prio: bool| storm.run(&mut stack(k, prio));
     let fifo_off = run(None, false);
     let fifo_16 = run(Some(16), false);
     let prio_off = run(None, true);
@@ -193,18 +269,20 @@ fn priority_lane_decouples_stat_p99_from_batch_size() {
 fn memoization_and_priority_compose() {
     let storm = SharedDirStorm::mixed(8, 32);
     let p99 = |r: &ScenarioResult| r.stat_p50_p99_ms.expect("storm measures stats").1;
-    let base = storm.run(&mut stack(Some(8), false, false));
-    let both = storm.run(&mut stack(Some(8), true, true));
+    let base = storm.run(&mut stack(Some(8), false));
+    let both = storm.run(&mut stack(Some(8), true));
     assert!(
         both.makespan < base.makespan,
-        "memoized lumps + bypassing reads must beat plain batching: {:?} vs {:?}",
+        "memoized lumps + bypassing reads must beat FIFO batching: {:?} vs {:?}",
         both.makespan,
         base.makespan
     );
     assert!(p99(&both) < p99(&base));
-    let memoized: u64 = both.per_shard.iter().map(|u| u.reads_memoized).sum();
+    // Both runs' batches share row reads; only the priority run's
+    // reads bypass them.
+    assert!(reads(&base).1 > 0 && reads(&both).1 > 0);
     let bypasses: u64 = both.per_shard.iter().map(|u| u.read_bypasses).sum();
-    assert!(memoized > 0 && bypasses > 0, "{memoized} {bypasses}");
+    assert!(bypasses > 0, "{bypasses}");
 }
 
 /// Pricing properties of the memoized batch path, driven straight
@@ -212,29 +290,6 @@ fn memoization_and_priority_compose() {
 mod pricing_props {
     use super::*;
     use proptest::prelude::*;
-
-    fn memo_cfg() -> CofsConfig {
-        CofsConfig {
-            batch: cofs::batch::BatchConfig::enabled(64, SimDuration::from_millis(5), 4)
-                .with_memoized_reads(),
-            ..CofsConfig::default()
-        }
-    }
-
-    /// Prices one batch on a fresh single-shard cluster and returns
-    /// (client completion time, shard busy time).
-    fn price(cfg: &CofsConfig, ops: &[BatchedOp]) -> (SimTime, SimDuration) {
-        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
-        let done = cluster.request(
-            cfg,
-            &net(),
-            NodeId(0),
-            Shape::Batch(ShardId(0)),
-            ops,
-            SimTime::ZERO,
-        );
-        (done, cluster.usage()[0].busy)
-    }
 
     /// Builds a deterministic batch from a seed: each op draws reads,
     /// writes, and a key set no larger than its read count from a
@@ -267,17 +322,10 @@ mod pricing_props {
             seed in 0u64..10_000,
             len in 1usize..24,
         ) {
+            let cfg = batched_cfg();
             let batch = gen_batch(seed, len);
-            let plain_cfg = CofsConfig {
-                batch: cofs::batch::BatchConfig::enabled(
-                    64,
-                    SimDuration::from_millis(5),
-                    4,
-                ),
-                ..CofsConfig::default()
-            };
-            let (plain_done, plain_busy) = price(&plain_cfg, &batch);
-            let (memo_done, memo_busy) = price(&memo_cfg(), &batch);
+            let (plain_done, plain_busy) = price(&cfg, &stripped(&batch));
+            let (memo_done, memo_busy) = price(&cfg, &batch);
             prop_assert!(memo_done <= plain_done);
             prop_assert!(memo_busy <= plain_busy);
             // Any permutation of the ops prices identically: the
@@ -289,13 +337,13 @@ mod pricing_props {
                 let j = rng.below(i as u64 + 1) as usize;
                 shuffled.swap(i, j);
             }
-            let (shuffled_done, shuffled_busy) = price(&memo_cfg(), &shuffled);
+            let (shuffled_done, shuffled_busy) = price(&cfg, &shuffled);
             prop_assert_eq!(memo_done, shuffled_done);
             prop_assert_eq!(memo_busy, shuffled_busy);
             // A batch of one never memoizes: singleton pricing is
-            // bit-for-bit the unmemoized path.
-            let (one_plain, _) = price(&plain_cfg, &batch[..1]);
-            let (one_memo, _) = price(&memo_cfg(), &batch[..1]);
+            // bit-for-bit the stripped batch's.
+            let (one_plain, _) = price(&cfg, &stripped(&batch[..1]));
+            let (one_memo, _) = price(&cfg, &batch[..1]);
             prop_assert_eq!(one_plain, one_memo);
         }
     }
