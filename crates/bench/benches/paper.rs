@@ -223,34 +223,6 @@ fn bench_batching(c: &mut Criterion) {
     });
 }
 
-/// The bursty create storm on an 8-op batched stack, with and without
-/// per-batch read memoization — measures the simulator's wall-clock
-/// cost of the read-set plumbing and the per-batch key dedup (the
-/// *virtual*-time win is asserted by the integration tests).
-fn memo_storm(memoize: bool) {
-    use workloads::scenarios::SharedDirStorm;
-
-    let storm = SharedDirStorm {
-        nodes: 4,
-        dirs: 2,
-        files_per_node: 16,
-        stats_per_create: 0,
-        burst: 8,
-        ..SharedDirStorm::default()
-    };
-    let cfg = if memoize {
-        hashed_batched(2, 8).with_read_memoization()
-    } else {
-        hashed_batched(2, 8)
-    };
-    storm.run(&mut mds_limit(cfg));
-}
-
-fn bench_memoization(c: &mut Criterion) {
-    c.bench_function("memo_batched_storm_off", |b| b.iter(|| memo_storm(false)));
-    c.bench_function("memo_batched_storm_on", |b| b.iter(|| memo_storm(true)));
-}
-
 /// The mixed stat+create storm on an 8-op batched stack, FIFO vs the
 /// read-priority lane — measures the wall-clock cost of the two-lane
 /// segment bookkeeping (the stat-tail win is asserted by the
@@ -267,8 +239,8 @@ fn prio_storm(priority: bool) {
     storm.run(&mut mds_limit(cfg));
 }
 
-/// The bursty create storm on a memoized 8-op batched stack, with and
-/// without the write-behind journal — measures the simulator's
+/// The bursty create storm on an 8-op batched stack, with and without
+/// the write-behind journal — measures the simulator's
 /// wall-clock cost of the write-set plumbing, the per-batch sibling
 /// coalescing pass, and the unapplied-entry window bookkeeping (the
 /// *virtual*-time win is asserted by the integration tests).
@@ -283,11 +255,10 @@ fn journal_storm(write_behind: bool) {
         burst: 8,
         ..SharedDirStorm::default()
     };
-    let memoized = hashed_batched(2, 8).with_read_memoization();
     let cfg = if write_behind {
-        memoized.with_write_behind()
+        hashed_batched(2, 8).with_write_behind()
     } else {
-        memoized
+        hashed_batched(2, 8)
     };
     storm.run(&mut mds_limit(cfg));
 }
@@ -511,6 +482,6 @@ fn bench_table1(c: &mut Criterion) {
 criterion_group! {
     name = paper;
     config = Criterion::default().sample_size(10);
-    targets = bench_fig1, bench_fig2, bench_fig4, bench_fig5, bench_fig6, bench_table1, bench_mds, bench_client_cache, bench_batching, bench_memoization, bench_write_behind, bench_read_priority, bench_elastic, bench_fault, bench_cascade, bench_listing, bench_lookup
+    targets = bench_fig1, bench_fig2, bench_fig4, bench_fig5, bench_fig6, bench_table1, bench_mds, bench_client_cache, bench_batching, bench_write_behind, bench_read_priority, bench_elastic, bench_fault, bench_cascade, bench_listing, bench_lookup
 }
 criterion_main!(paper);

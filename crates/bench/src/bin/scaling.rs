@@ -321,13 +321,13 @@ fn main() {
 
     // ---- write-behind axis: the same bursty storm, acks at journal
     // append, sibling-coalesced deferred apply ----
-    // The memoized 16-op batch still pays a full group commit (writes
-    // priced row by row) before the ack. Write-behind acks after one
-    // sequential journal append and applies the rows behind the ack,
-    // coalescing same-parent sibling dentry updates so a 16-create
-    // burst into one directory touches the parent row once per batch.
-    // Every swept batch size must be no slower with the journal on,
-    // and the 16-op journaled storm must beat PR 6's memoized ceiling
+    // A 16-op batch still pays a full group commit (writes priced row
+    // by row) before the ack. Write-behind acks after one sequential
+    // journal append and applies the rows behind the ack, coalescing
+    // same-parent sibling dentry updates so a 16-create burst into one
+    // directory touches the parent row once per batch. Every swept
+    // batch size must be no slower with the journal on, and the 16-op
+    // journaled storm must beat the journal-off 16-op storm
     // (`scripts/bench_check.py` gates both, plus coalesced > 0). The
     // sweep starts at 4-op batches: a singleton batch has nothing to
     // coalesce, so under CPU saturation it pays the append as pure tax
@@ -339,7 +339,7 @@ fn main() {
         println!(
             "== Scaling: bursty storm vs write-behind journal \
              ({} nodes, {} dirs, {} files/node in bursts of {}, 2 shards, \
-             memoization on, durability window {} ops / {:.0} ms) ==\n",
+             durability window {} ops / {:.0} ms) ==\n",
             bstorm.nodes,
             bstorm.dirs,
             bstorm.files_per_node,
@@ -354,7 +354,7 @@ fn main() {
     let mut wb_table = Table::new(headers);
     for k in [4, 8, 16] {
         for behind in [false, true] {
-            let mut cfg = batched(hashed(2), Some(k)).with_read_memoization();
+            let mut cfg = batched(hashed(2), Some(k));
             if behind {
                 cfg = cfg.with_write_behind();
             }

@@ -299,13 +299,8 @@ mod tests {
 
     #[test]
     fn tuned_factory_sets_every_discipline_knob() {
-        let all = mds_limit(
-            two_shards_batched(8)
-                .with_read_memoization()
-                .with_read_priority(),
-        );
+        let all = mds_limit(two_shards_batched(8).with_read_priority());
         assert!(all.batch_pipeline().enabled());
-        assert!(all.batch_pipeline().config().memoize_reads);
         assert!(all.config().read_priority);
         let none = mds_limit(two_shards());
         assert!(!none.batch_pipeline().enabled());
@@ -314,15 +309,10 @@ mod tests {
 
     #[test]
     fn write_behind_factory_enables_journal_and_batching() {
-        let fs = mds_limit(
-            two_shards_batched(16)
-                .with_read_memoization()
-                .with_write_behind(),
-        );
+        let fs = mds_limit(two_shards_batched(16).with_write_behind());
         assert!(fs.batch_pipeline().enabled());
-        assert!(fs.batch_pipeline().config().memoize_reads);
         assert!(fs.config().write_behind.enabled);
-        let plain = mds_limit(two_shards_batched(16).with_read_memoization());
+        let plain = mds_limit(two_shards_batched(16));
         assert!(!plain.config().write_behind.enabled);
     }
 

@@ -19,9 +19,11 @@
 //! while every pipeline slot is occupied (flow control), so the round
 //! trip and the shard's queueing leave the client's critical path. The
 //! shard half lives in [`crate::mds_cluster::MdsCluster::request`]:
-//! one RPC, one per-request CPU overhead, and one group-commit
-//! transaction for the whole batch's writes, priced at
-//! [`crate::config::DbCostModel`]'s rates.
+//! one RPC, one per-request CPU overhead, one lookup per distinct
+//! ancestor-chain row the batch's ops resolve (read memoization: a
+//! batch of creates into one directory reads the shared chain once),
+//! and one group-commit transaction for the whole batch's writes,
+//! priced at [`crate::config::DbCostModel`]'s rates.
 //!
 //! Semantics vs. cost: exactly like sharding and caching, batching is a
 //! *cost* model, never a *truth* model. Every mutation is applied to
@@ -59,12 +61,11 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// One buffered mutation: its database work plus the row keys of the
 /// memoizable reads its resolution performed and the coalescable rows
-/// it writes. The read set rides along so the shard can price the batch
-/// by its *deduplicated* read set
-/// ([`crate::mds_cluster::MdsCluster::request`]) when
-/// [`BatchConfig::memoize_reads`] is on; the write set feeds
-/// [`coalesce_writes`] when write-behind journaling is on. With both
-/// knobs off the sets are carried but never consulted.
+/// it writes. The read set rides along so the shard prices the batch by
+/// its *deduplicated* read set
+/// ([`crate::mds_cluster::MdsCluster::request`]); the write set feeds
+/// [`coalesce_writes`] when write-behind journaling is on, and is empty
+/// otherwise.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchedOp {
     /// Rows read and written by the operation.
@@ -168,13 +169,6 @@ pub struct BatchConfig {
     /// full batch closing with every slot occupied blocks the client
     /// until the oldest batch completes (flow control).
     pub pipeline_depth: usize,
-    /// Price each batch by its *deduplicated* read set: the shard
-    /// charges one lookup per distinct ancestor-chain row per batch
-    /// instead of once per operation
-    /// ([`crate::mds_cluster::MdsCluster::request`]). Off by default
-    /// — with it off (or for a batch of one) pricing is bit-for-bit
-    /// the unmemoized path.
-    pub memoize_reads: bool,
 }
 
 impl Default for BatchConfig {
@@ -184,7 +178,6 @@ impl Default for BatchConfig {
             max_batch_ops: 8,
             max_batch_delay: SimDuration::from_millis(5),
             pipeline_depth: 4,
-            memoize_reads: false,
         }
     }
 }
@@ -203,15 +196,7 @@ impl BatchConfig {
             max_batch_ops,
             max_batch_delay,
             pipeline_depth: depth,
-            memoize_reads: true,
         }
-    }
-
-    /// A copy of this config with per-batch read memoization switched
-    /// on (meaningful only when batching itself is enabled).
-    pub fn with_memoized_reads(mut self) -> Self {
-        self.memoize_reads = true;
-        self
     }
 }
 
@@ -691,11 +676,7 @@ mod tests {
     fn default_config_is_off() {
         let cfg = BatchConfig::default();
         assert!(!cfg.enabled);
-        assert!(!cfg.memoize_reads);
         assert!(!BatchPipeline::new(cfg).enabled());
-        // An enabled config memoizes its batches' reads.
-        let on = BatchConfig::enabled(4, SimDuration::from_millis(1), 2);
-        assert!(on.memoize_reads);
     }
 
     #[test]

@@ -396,22 +396,20 @@ impl CofsConfig {
         self
     }
 
-    /// A copy of this config with per-batch read memoization switched
-    /// on: each distinct ancestor-chain row is charged once per batch
-    /// request instead of once per operation (see
-    /// [`crate::mds_cluster::MdsCluster::request`]).
+    /// This config unchanged. Read memoization is part of batching:
+    /// every batch charges each distinct ancestor-chain row once (see
+    /// [`crate::mds_cluster::MdsCluster::request`]). The builder stays
+    /// because `cofs-perf`'s `mixed_cached` workload calls it.
     ///
     /// # Panics
     ///
-    /// Panics if batching is not enabled — memoization dedupes *within
-    /// a batch*, so without batches there is nothing for it to do and
-    /// a silent no-op would mask a misconfigured sweep.
-    pub fn with_read_memoization(mut self) -> Self {
+    /// Panics if batching is not enabled: such a call names a stack
+    /// that memoizes nothing.
+    pub fn with_read_memoization(self) -> Self {
         assert!(
             self.batch.enabled,
             "read memoization requires batching; call with_batching first"
         );
-        self.batch = self.batch.with_memoized_reads();
         self
     }
 
@@ -560,11 +558,6 @@ impl MdsNetwork {
         MdsNetwork { shards }
     }
 
-    /// Number of distinct shard hosts configured.
-    pub fn shard_hosts(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Round trip from `node` to the host of `shard` (clamped to the
     /// last configured host).
     pub fn shard_rtt(&self, node: NodeId, shard: ShardId) -> SimDuration {
@@ -601,14 +594,14 @@ mod tests {
     fn batching_defaults_off_and_builder_enables() {
         let c = CofsConfig::default();
         assert!(!c.batch.enabled);
-        assert!(!c.batch.memoize_reads);
         assert!(!c.read_priority);
         let b = CofsConfig::default().with_batching(16, SimDuration::from_millis(2), 4);
         assert!(b.batch.enabled);
         assert_eq!(b.batch.max_batch_ops, 16);
         assert_eq!(b.batch.max_batch_delay, SimDuration::from_millis(2));
         assert_eq!(b.batch.pipeline_depth, 4);
-        assert!(b.batch.memoize_reads);
+        // Memoization is part of batching: its builder changes nothing.
+        assert_eq!(b.clone().with_read_memoization().batch, b.batch);
         let p = CofsConfig::default().with_read_priority();
         assert!(p.read_priority);
     }
@@ -797,7 +790,6 @@ mod tests {
         let hosts = cluster.metadata_hosts().to_vec();
         assert_eq!(hosts.len(), 3);
         let net = MdsNetwork::from_cluster_hosts(&cluster, &hosts);
-        assert_eq!(net.shard_hosts(), 3);
         let c0 = cluster.clients()[0];
         for (s, &host) in hosts.iter().enumerate() {
             assert_eq!(net.shard_rtt(c0, ShardId(s)), cluster.rtt(c0, host));

@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn dedup_query_cost_discounts_memoized_rows() {
         let m = DbCostModel::default();
-        let mut shard = OneShard::new(batching().with_read_memoization());
+        let mut shard = OneShard::new(batching());
         // A primer op reads rows 0..10 first, so each of the probe's
         // keys below 10 is a memoized row.
         let mut probe = |rows, keys| {
@@ -125,7 +125,7 @@ mod tests {
     fn dedup_never_exceeds_plain_query_cost() {
         let m = DbCostModel::default();
         let mut plain = OneShard::new(CofsConfig::default());
-        let mut memo = OneShard::new(batching().with_read_memoization());
+        let mut memo = OneShard::new(batching());
         for rows in 0..20u64 {
             for keys in 0..25u64 {
                 let batch = [keyed(25, 0..25), keyed(rows, 0..keys)];

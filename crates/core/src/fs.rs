@@ -398,18 +398,21 @@ impl<U: FileSystem> CofsFs<U> {
                 } else if self.batch.enabled() {
                     // Both names' rows, each shared row once, clamped to
                     // the rows the op touched.
-                    let rows = |on: bool, of: fn(&VPath) -> RowSet, max: u64| {
-                        let mut set = RowSet::empty();
-                        if on {
-                            set = of(a);
-                            if let Some(b) = b {
-                                set.merge(&of(b));
-                            }
+                    let rows = |of: fn(&VPath) -> RowSet, max: u64| {
+                        let mut set = of(a);
+                        if let Some(b) = b {
+                            set.merge(&of(b));
                         }
                         set.truncated(max)
                     };
-                    let read_set = rows(self.memoizing(), RowSet::resolution_chain, ops.reads);
-                    let write_set = rows(self.write_behind(), RowSet::parent_row, ops.writes);
+                    let read_set = rows(RowSet::resolution_chain, ops.reads);
+                    // Only the journal coalesces writes; without it the
+                    // write set stays empty and allocation-free.
+                    let write_set = if self.cfg.write_behind.enabled {
+                        rows(RowSet::parent_row, ops.writes)
+                    } else {
+                        RowSet::empty()
+                    };
                     self.counters.bump("mds_rpcs");
                     self.batch.enqueue(
                         node,
@@ -437,21 +440,6 @@ impl<U: FileSystem> CofsFs<U> {
             &[BatchedOp::opaque(ops)],
             t,
         ))
-    }
-
-    /// True when batched ops should carry their resolution chains:
-    /// with memoization off the shard never consults them, so the
-    /// unmemoized batched path stays allocation-free.
-    fn memoizing(&self) -> bool {
-        self.batch.enabled() && self.batch.config().memoize_reads
-    }
-
-    /// True when batched ops should carry their coalescable write rows:
-    /// with write-behind off the shard never consults them, so the
-    /// journal-off batched path stays allocation-free (and bit-for-bit
-    /// the calibrated path).
-    fn write_behind(&self) -> bool {
-        self.batch.enabled() && self.cfg.write_behind.enabled
     }
 
     /// Puts every closed batch of `node` due by `horizon` on the wire,
@@ -1770,7 +1758,6 @@ mod tests {
                     max_batch_ops: 64,
                     max_batch_delay: SimDuration::from_secs(1),
                     pipeline_depth: 9,
-                    memoize_reads: true,
                 },
                 ..CofsConfig::default()
             },

@@ -222,7 +222,7 @@ pub struct ShardUsage {
     /// scans.
     pub reads_charged: u64,
     /// Row reads absorbed by per-batch memoization; zero with
-    /// memoization off.
+    /// batching off.
     pub reads_memoized: u64,
     /// Read RPCs that jumped the priority lane past queued batch lumps
     /// ([`simcore::resource::TwoLaneResource::priority_bypasses`]);
@@ -457,14 +457,14 @@ impl Shard {
     /// ([`Self::commit`]) instead of one transaction per op. A one-op
     /// request is therefore exactly one transaction.
     ///
-    /// With [`crate::batch::BatchConfig::memoize_reads`] on, reads are
-    /// priced by the request's *deduplicated* read set: each distinct
-    /// row key in the ops' [`BatchedOp::read_set`]s is charged once
-    /// ([`Self::read_rows`]) — a batch of creates into one directory
-    /// resolves the shared parent chain once instead of k times.
-    /// Keyless reads (op-private probes) are always charged, and a
-    /// one-op read set memoizes nothing (its keys are distinct by
-    /// construction).
+    /// Reads are priced by the request's *deduplicated* read set: each
+    /// distinct row key in the ops' [`BatchedOp::read_set`]s is charged
+    /// once ([`Self::read_rows`]) — a batch of creates into one
+    /// directory resolves the shared parent chain once instead of k
+    /// times. Keyless reads (op-private probes) are always charged, and
+    /// a one-op read set memoizes nothing (its keys are distinct by
+    /// construction). Only batched ops carry read sets, so a
+    /// synchronous request charges every row.
     ///
     /// The shape decides the rest. Only a [`Shape::Batch`] counts in
     /// `batches` and can take the write-behind ack
@@ -482,11 +482,10 @@ impl Shard {
     ) -> SimTime {
         self.usage.rpcs += ops.len() as u64;
         let total_writes: u64 = ops.iter().map(|o| o.db.writes).sum();
-        let memoize = cfg.batch.memoize_reads;
         let mut seen = RowSet::empty();
         let mut service = cfg.mds_service;
         for o in ops {
-            let memoized = if memoize { seen.merge(&o.read_set) } else { 0 };
+            let memoized = seen.merge(&o.read_set);
             service += self.read_rows(&cfg.db, o.db.reads, memoized);
         }
         if let Shape::Batch(_) = shape {
@@ -698,9 +697,9 @@ impl MdsCluster {
     /// [`Shape::Sync`] and [`Shape::Batch`] are then served by one
     /// service loop, so a one-op batch and a
     /// synchronous mutation cost the same: the per-request overhead
-    /// once, each op's row reads (deduplicated across the batch when
-    /// memoizing), and every op's writes folded into one group commit —
-    /// or, for a write-behind batch, one journal append on the ack path.
+    /// once, each op's row reads (deduplicated across a batch), and
+    /// every op's writes folded into one group commit — or, for a
+    /// write-behind batch, one journal append on the ack path.
     ///
     /// A [`Shape::TwoPhase`] request spans shards `(a, b)` with `a` as
     /// coordinator: both shards prepare their half of the row work in

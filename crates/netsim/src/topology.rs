@@ -62,24 +62,6 @@ impl Topology {
         }
     }
 
-    /// Overrides the per-hop latency (builder style).
-    pub fn with_hop_latency(mut self, hop: SimDuration) -> Self {
-        self.hop_latency = hop;
-        self
-    }
-
-    /// Overrides the access-link bandwidth (builder style).
-    pub fn with_access_bandwidth(mut self, bw: Bandwidth) -> Self {
-        self.access_bandwidth = bw;
-        self
-    }
-
-    /// Overrides the uplink bandwidth (builder style).
-    pub fn with_uplink_bandwidth(mut self, bw: Bandwidth) -> Self {
-        self.uplink_bandwidth = bw;
-        self
-    }
-
     /// Which blade center a client of index `client_idx` (0-based among
     /// clients) lives in.
     pub fn center_of_client(&self, client_idx: usize) -> usize {
@@ -125,17 +107,6 @@ mod tests {
         assert_eq!(t.center_of_client(15), 0);
         assert_eq!(t.center_of_client(16), 1);
         assert_eq!(t.center_of_client(63), 3);
-    }
-
-    #[test]
-    fn builder_overrides() {
-        let t = Topology::flat()
-            .with_hop_latency(SimDuration::from_micros(10))
-            .with_access_bandwidth(Bandwidth::from_mib_per_sec(10))
-            .with_uplink_bandwidth(Bandwidth::from_mib_per_sec(20));
-        assert_eq!(t.hop_latency, SimDuration::from_micros(10));
-        assert_eq!(t.access_bandwidth, Bandwidth::from_mib_per_sec(10));
-        assert_eq!(t.uplink_bandwidth, Bandwidth::from_mib_per_sec(20));
     }
 
     #[test]

@@ -127,12 +127,6 @@ impl Default for PfsConfig {
 }
 
 impl PfsConfig {
-    /// Entries a directory can hold before the create-growth term
-    /// kicks in (alias for the threshold, named for readability).
-    pub fn fast_dir_limit(&self) -> u64 {
-        self.create_growth_threshold
-    }
-
     /// Number of directory blocks a directory with `entries` entries
     /// occupies (extensible hashing: powers of two).
     pub fn dir_blocks_for(&self, entries: u64) -> u64 {
@@ -162,7 +156,6 @@ mod tests {
         assert!(c.dir_cache_blocks >= 64);
         assert_eq!(c.attr_cache_entries, 1024, "stat knee");
         assert_eq!(c.pagepool_bytes, 64 * 1024 * 1024);
-        assert_eq!(c.fast_dir_limit(), 512);
     }
 
     #[test]

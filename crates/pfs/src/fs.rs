@@ -286,7 +286,7 @@ impl PfsFs {
     fn packed_block_of(&self, ino: u64) -> u64 {
         self.inode(ino)
             .packed
-            .unwrap_or(ino / self.cfg.inodes_per_block as u64)
+            .unwrap_or_else(|| self.cfg.inode_block_of(ino))
     }
 
     fn server_index_for(&self, key: u64) -> usize {

@@ -96,6 +96,16 @@ sweeps stop short of the knees, so only full mode is gated):
     GPFS slows from 4 to 8 nodes while COFS stays above
     WRITE_8_NODE_RATIO of it.
 
+The full-mode ``scaling`` and ``ablation`` reports also carry the knob
+audit:
+
+14. **Every default-off knob shows a row where it loses** — each
+    ``CofsConfig::with_*`` builder in CONFIG_RS is declared once: in
+    LOSING_KNOBS with the row pair where the knob makes its metric
+    worse (that row pair must still lose), in MODEL_LIMITED_KNOBS with
+    the model limit that keeps it from losing, in NO_OP_BUILDERS, or in
+    NON_KNOBS. A new builder without an entry fails.
+
 Cells are printed at two decimals, so comparisons allow one unit of
 rounding slack (0.011 ms / 1 create/s). Stdlib only; exit status 0 on
 success, 1 on any failed check.
@@ -113,7 +123,9 @@ Usage: bench_check.py [path/to/BENCH_<name>.json]
 """
 
 import json
+import re
 import sys
+from pathlib import Path
 
 ROUNDING_MS = 0.011
 ROUNDING_RATE = 1.0
@@ -273,6 +285,70 @@ DECLARED_REPEATS = {
             "workload=shared-dir (write sharing), cache ttl=50ms",
         ): "every lease is recalled before either TTL lapses",
     },
+}
+
+# The knob audit (claim 14). Every ``CofsConfig::with_*`` builder in
+# CONFIG_RS is declared in exactly one of the four tables below. A
+# builder that switches on a default-off knob names the full-mode row
+# pair where the knob loses, as (report, section, off row, on row,
+# metric); every metric here is a makespan, so the "on" row must be
+# higher. A knob with no such row is folded into the default, deleted,
+# or listed with the model limit that keeps it from losing.
+CONFIG_RS = Path(__file__).resolve().parent.parent / "crates" / "core" / "src" / "config.rs"
+LOSING_KNOBS = {
+    "with_batching": (
+        "scaling",
+        "batching non-wins",
+        "workload=sparse creates, batching=off",
+        "workload=sparse creates, batching=16",
+        "makespan (ms)",
+    ),
+    "with_read_priority": (
+        "scaling",
+        "mixed stat+create storm vs read priority",
+        "batching=off, lane=fifo",
+        "batching=off, lane=priority",
+        "makespan (ms)",
+    ),
+    "with_write_behind": (
+        "ablation",
+        "write-behind ablation",
+        "batching=1, write-behind=off",
+        "batching=1, write-behind=on",
+        "makespan (ms)",
+    ),
+    "with_admission": (
+        "scaling",
+        "cascade storm vs correlated failures",
+        "shards=4, loops=3, standby=on, admission=off",
+        "shards=4, loops=3, standby=on, admission=on",
+        "makespan (ms)",
+    ),
+}
+# Default-off knobs that cannot lose a swept row, with the model limit
+# the README states for each.
+MODEL_LIMITED_KNOBS = {
+    "with_client_cache": (
+        "a grant rides on the read RPC and a recall takes no shard or client CPU, "
+        "so a row can lose only the mutator's recall round trips"
+    ),
+    "with_elastic": (
+        "a split needs a measurably hotter shard and idle capacity, so every swept row "
+        "either routes as hash-by-parent does or spreads a hot directory"
+    ),
+    "with_standby": (
+        "the ship to the standby acquires no resource, so shipping never delays the primary"
+    ),
+}
+NO_OP_BUILDERS = {
+    "with_read_memoization": (
+        "memoization is part of batching; kept because cofs-perf's mixed_cached calls it"
+    ),
+}
+NON_KNOBS = {
+    "with_shards": "the shard layout a stack is measured on",
+    "with_fault_plan": "the failures a run is scripted to meet",
+    "with_retry": "the client's retry budget for those failures",
 }
 
 failures = []
@@ -928,6 +1004,57 @@ def audit_repeats(report):
                 check(False, f"{title!r}: declared repeat {row} = {twin} no longer repeats")
 
 
+def find_row(sec, label):
+    """The one row of `sec` whose cells match `label` (``h=v, ...``)."""
+    want = dict(part.split("=", 1) for part in label.split(", "))
+    cols = {h: i for i, h in enumerate(sec["headers"])}
+    rows = [
+        r
+        for r in sec["rows"]
+        if all(h in cols and str(r[cols[h]]) == v for h, v in want.items())
+    ]
+    return rows[0] if len(rows) == 1 else None
+
+
+def audit_knobs(report):
+    print("knob audit:")
+    builders = re.findall(r"pub fn (with_\w+)\(", CONFIG_RS.read_text(encoding="utf-8"))
+    tables = {
+        "losing knob": LOSING_KNOBS,
+        "model limit": MODEL_LIMITED_KNOBS,
+        "no-op": NO_OP_BUILDERS,
+        "non-knob": NON_KNOBS,
+    }
+    for name in builders:
+        kinds = [kind for kind, t in tables.items() if name in t]
+        if len(kinds) != 1:
+            check(False, f"{name} is declared in {len(kinds)} knob-audit tables, not one")
+            continue
+        entry = tables[kinds[0]][name]
+        why = entry if isinstance(entry, str) else f"its losing row is in {entry[1]!r}"
+        check(True, f"{name}: {kinds[0]}: {why}")
+    for table in tables.values():
+        for name in table:
+            if name not in builders:
+                check(False, f"declared builder {name} is not in {CONFIG_RS.name}")
+    for knob, (bench, title, off, on, metric) in LOSING_KNOBS.items():
+        if bench != report.get("bench"):
+            continue
+        sec = section(report, title)
+        if sec is None:
+            continue
+        col = column(sec, metric)
+        off_row, on_row = find_row(sec, off), find_row(sec, on)
+        if col is None or off_row is None or on_row is None:
+            check(False, f"{knob}: {title!r} has one row each for {off} and {on}")
+            continue
+        check(
+            float(on_row[col]) > float(off_row[col]),
+            f"{knob} loses in {title!r}: {metric} {off_row[col]} ({off}) -> "
+            f"{on_row[col]} ({on})",
+        )
+
+
 def key_width(headers, *row_lists):
     """Shortest leading-cell count that keys every row list uniquely."""
     for width in range(1, len(headers) + 1):
@@ -1041,6 +1168,8 @@ def main():
         if paper is not None:
             paper(report)
         audit_repeats(report)
+        if report.get("bench") in {k[0] for k in LOSING_KNOBS.values()}:
+            audit_knobs(report)
     if failures:
         print(f"\n{len(failures)} check(s) failed")
         return 1

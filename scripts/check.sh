@@ -149,6 +149,36 @@ if ! grep -qF "$expected" <<<"$report"; then
     exit 1
 fi
 
+echo "==> bench_check.py knob-audit self-check (must name a knob that stopped losing)"
+# Lets the ablation golden's batch-1 write-behind row tie its journal-off
+# twin and checks that the knob audit fails naming the knob.
+tied="$(mktemp)"
+expected="$(python3 - BENCH_ablation.json "$tied" <<'EOF'
+import json, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, "scripts")
+from bench_check import LOSING_KNOBS, find_row
+report = json.load(open(sys.argv[1]))
+_, title, off, on, metric = LOSING_KNOBS["with_write_behind"]
+sec = next(s for s in report["sections"] if s["title"] == title)
+col = sec["headers"].index(metric)
+find_row(sec, on)[col] = find_row(sec, off)[col]
+print(f"[FAIL] with_write_behind loses in {title!r}")
+json.dump(report, open(sys.argv[2], "w"), indent=2)
+EOF
+)"
+report="$(python3 scripts/bench_check.py "$tied")" && passed=1 || passed=0
+rm -f "$tied"
+if [ "$passed" = 1 ]; then
+    echo "bench_check.py passed an ablation report where write-behind no longer loses" >&2
+    exit 1
+fi
+if ! grep -qF "$expected" <<<"$report"; then
+    echo "bench_check.py did not name the knob that stopped losing:" >&2
+    echo "$report" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -119,7 +119,6 @@ fn default_config_reproduces_unbatched_times_bit_for_bit() {
             max_batch_ops: 32,
             max_batch_delay: SimDuration::from_secs(1),
             pipeline_depth: 8,
-            memoize_reads: true,
         },
         ..CofsConfig::default()
     });

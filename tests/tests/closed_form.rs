@@ -17,10 +17,22 @@
 //! A mutation adds a commit, `S_w = S + commit + write × max(writes, 1)`,
 //! and every `sync_every`-th commit adds `sync_cost`; the saturated
 //! `mkdir` grid checks `F + R + N·K·S_w + ⌊N·K / sync_every⌋ · sync_cost`.
+//!
+//! A batch prices its reads once per distinct ancestor row. One node's
+//! train of `k` creates into a batching stack that closes batches at
+//! `k` ops fills one batch, which goes on the wire when its `k`-th op
+//! is buffered at `t_k` and drains at `t_k + R/2 + S_b + R/2`, with
+//! `S_b = mds_service + lookup·(Σ reads − memoized) + commit +
+//! write·Σ writes`, plus `sync_cost` when the commit cadence lands. A
+//! directory at depth `d` has `c = 2d` ancestor rows (an inode and a
+//! dentry per level), so `k` creates into one directory memoize
+//! `(k − 1)·c` reads and `k` creates into `k` sibling directories
+//! memoize `(k − 1)·(c − 1)`: siblings differ in their last dentry.
+//!
 //! These forms pin the read and commit prices with arithmetic, not with
 //! the code that computes them.
 
-use cofs::config::CofsConfig;
+use cofs::config::{CofsConfig, DbCostModel};
 use cofs::fs::CofsFs;
 use cofs::mds::{Cred, DbOps, Mds};
 use cofs_tests::cofs_over_memfs;
@@ -171,5 +183,85 @@ fn saturated_mkdir_makespan_adds_commits_and_the_fsync_cadence() {
             Action::Mkdir(vpath(&format!("/c{i}/m{j}")), Mode::dir_default())
         });
         assert_eq!(got, expect, "N {n}, K {k}, S_w {sw:?}");
+    }
+}
+
+#[test]
+fn batched_create_train_drains_at_the_closed_form() {
+    let every_commit_syncs = CofsConfig {
+        db: DbCostModel {
+            sync_every: 1,
+            ..DbCostModel::default()
+        },
+        ..CofsConfig::default()
+    };
+    let (dir, file) = (Mode::dir_default(), Mode::file_default());
+    // `/p/d` and its siblings sit at depth 2.
+    let c = 2 * 2;
+    for cfg in [CofsConfig::default(), every_commit_syncs] {
+        let db = &cfg.db;
+        for k in [1u64, 2, 3, 8, 16] {
+            for siblings in [false, true] {
+                let dirs: Vec<String> = if siblings {
+                    (0..k).map(|j| format!("/p/d{j}")).collect()
+                } else {
+                    vec!["/p/d".into()]
+                };
+                let made: Vec<_> = std::iter::once("/p")
+                    .chain(dirs.iter().map(String::as_str))
+                    .map(vpath)
+                    .collect();
+                let files: Vec<_> = (0..k as usize)
+                    .map(|j| vpath(&format!("{}/f{j}", dirs[j % dirs.len()])))
+                    .collect();
+                // The train's rows, counted by a namespace holding what
+                // the stack's does.
+                let mut probe = Mds::new();
+                for d in &made {
+                    probe.mkdir(cred(), d, dir, SimTime::ZERO).unwrap();
+                }
+                let mut rows = DbOps::default();
+                for f in &files {
+                    let under = vpath("/.cofs/f");
+                    let (_, ops) = probe.create(cred(), f, file, under, SimTime::ZERO).unwrap();
+                    assert!(ops.reads > c, "a create reads its chain and more");
+                    rows.merge(ops);
+                }
+                let memoized = (k - 1) * if siblings { c - 1 } else { c };
+                let mut s_b = cfg.mds_service
+                    + db.lookup * (rows.reads - memoized)
+                    + db.commit
+                    + db.write * rows.writes;
+                // The batch's commit is the measured phase's first.
+                if db.sync_every == 1 {
+                    s_b += db.sync_cost;
+                }
+
+                let mut fs = cofs_over_memfs(cfg.clone().with_batching(
+                    k as usize,
+                    SimDuration::from_secs(1),
+                    1,
+                ));
+                for d in &made {
+                    fs.mkdir(&ctx(0), d, dir).unwrap();
+                }
+                // Sessions survive the reset; the clocks and commit
+                // counts do not.
+                fs.reset_time();
+                let mut now = SimTime::ZERO;
+                let mut t_k = now;
+                for f in &files {
+                    t_k = now + cfg.fuse_dispatch;
+                    let op = OpCtx { now, ..ctx(0) };
+                    now = fs.create(&op, f, file).unwrap().end;
+                }
+                let drained = fs.drain_batches().expect("the train filled a batch");
+                let case = format!("k {k}, siblings {siblings}, sync_every {}", db.sync_every);
+                assert_eq!(drained, t_k + R / 2 + s_b + R / 2, "{case}");
+                let usage = &fs.mds_cluster().usage()[0];
+                assert_eq!((usage.batches, usage.rpcs), (1, k), "{case}");
+                assert_eq!(usage.reads_memoized, memoized, "{case}");
+            }
+        }
     }
 }

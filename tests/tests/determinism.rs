@@ -32,7 +32,6 @@ fn full_stack() -> CofsConfig {
         .with_shards(4, ShardPolicyKind::HashByParent)
         .with_client_cache(256, SimDuration::from_millis(50))
         .with_batching(8, SimDuration::from_millis(5), 4)
-        .with_read_memoization()
         .with_read_priority()
 }
 

@@ -49,7 +49,6 @@ fn run_differential(seed: u64, n_ops: usize) {
     // journaled namespace, so read-your-writes is exact.
     let mut journal = hashed(2)
         .with_batching(16, SimDuration::from_millis(5), 4)
-        .with_read_memoization()
         .with_write_behind();
     journal.write_behind.max_unapplied_ops = 2;
     journal.write_behind.max_unapplied_window = SimDuration::from_micros(50);
@@ -97,11 +96,7 @@ fn run_differential(seed: u64, n_ops: usize) {
         // never leak into outcomes.
         (
             "cofs/memfs memoized 2 shards",
-            memfs(
-                hashed(2)
-                    .with_batching(16, SimDuration::from_millis(5), 4)
-                    .with_read_memoization(),
-            ),
+            memfs(hashed(2).with_batching(16, SimDuration::from_millis(5), 4)),
         ),
         ("cofs/memfs write-behind tiny window", memfs(journal)),
         // The complete cost-model tower: every performance knob at once.
@@ -110,7 +105,6 @@ fn run_differential(seed: u64, n_ops: usize) {
             memfs(
                 hashed(4)
                     .with_batching(8, SimDuration::from_millis(1), 2)
-                    .with_read_memoization()
                     .with_read_priority()
                     .with_write_behind()
                     .with_client_cache(4096, SimDuration::from_secs(60)),

@@ -260,7 +260,6 @@ fn stacks() -> Vec<(&'static str, CofsFs<MemFs>)> {
             cofs_over_memfs(
                 hash4()
                     .with_batching(16, SimDuration::from_millis(5), 4)
-                    .with_read_memoization()
                     .with_write_behind()
                     .with_read_priority()
                     .with_client_cache(4096, SimDuration::from_secs(10)),

@@ -28,8 +28,7 @@ fn net() -> MdsNetwork {
 fn stack(max_batch_ops: usize, write_behind: bool) -> CofsFs<MemFs> {
     let mut cfg = CofsConfig::default()
         .with_shards(2, ShardPolicyKind::HashByParent)
-        .with_batching(max_batch_ops, SimDuration::from_millis(5), 4)
-        .with_read_memoization();
+        .with_batching(max_batch_ops, SimDuration::from_millis(5), 4);
     if write_behind {
         cfg = cfg.with_write_behind();
     }
@@ -60,8 +59,7 @@ fn journal_knobbed_but_off_is_bit_for_bit_the_seed_storm() {
     let seed = storm.run(&mut stack(16, false));
     let mut cfg = CofsConfig::default()
         .with_shards(2, ShardPolicyKind::HashByParent)
-        .with_batching(16, SimDuration::from_millis(5), 4)
-        .with_read_memoization();
+        .with_batching(16, SimDuration::from_millis(5), 4);
     cfg.write_behind = WriteBehindConfig {
         enabled: false,
         max_unapplied_ops: 1,
@@ -198,7 +196,6 @@ fn degenerate_durability_window_backpressures_but_completes() {
     let mut cfg = CofsConfig::default()
         .with_shards(2, ShardPolicyKind::HashByParent)
         .with_batching(16, SimDuration::from_millis(5), 4)
-        .with_read_memoization()
         .with_write_behind();
     cfg.write_behind.max_unapplied_ops = 2;
     cfg.write_behind.max_unapplied_window = SimDuration::from_micros(50);
