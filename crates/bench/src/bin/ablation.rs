@@ -1,4 +1,5 @@
-//! Ablation experiments for the design choices DESIGN.md calls out:
+//! Ablation experiments for the design choices the README's "Paper
+//! mapping" section and its extension axes describe:
 //!
 //! 1. *Placement policy*: the paper's hashed policy vs. passthrough
 //!    (metadata service only, shared underlying directory) — isolates

@@ -9,7 +9,6 @@ use crate::mds_cluster::{ShardId, ShardPolicy};
 use netsim::cluster::Cluster;
 use netsim::ids::NodeId;
 use simcore::time::SimDuration;
-use std::collections::HashMap;
 use vfs::path::{vpath, VPath};
 
 /// The partitioning [`CofsConfig::with_shards`] builds a
@@ -510,9 +509,11 @@ pub struct MdsNetwork {
     shards: Vec<ShardRtts>,
 }
 
+/// One shard's round trips, indexed by `NodeId`; nodes past the end
+/// (and gaps, which hold it) see `default_rtt`.
 #[derive(Debug, Clone)]
 struct ShardRtts {
-    rtts: HashMap<NodeId, SimDuration>,
+    rtts: Vec<SimDuration>,
     default_rtt: SimDuration,
 }
 
@@ -522,7 +523,7 @@ impl MdsNetwork {
     pub fn uniform(rtt: SimDuration) -> Self {
         MdsNetwork {
             shards: vec![ShardRtts {
-                rtts: HashMap::new(),
+                rtts: Vec::new(),
                 default_rtt: rtt,
             }],
         }
@@ -545,14 +546,15 @@ impl MdsNetwork {
         let shards = hosts
             .iter()
             .map(|&host| {
-                let mut rtts = HashMap::new();
+                let default_rtt = cluster.rtt(cluster.clients()[0], host);
+                let mut rtts = Vec::new();
                 for &c in cluster.clients() {
-                    rtts.insert(c, cluster.rtt(c, host));
+                    if c.index() >= rtts.len() {
+                        rtts.resize(c.index() + 1, default_rtt);
+                    }
+                    rtts[c.index()] = cluster.rtt(c, host);
                 }
-                ShardRtts {
-                    default_rtt: cluster.rtt(cluster.clients()[0], host),
-                    rtts,
-                }
+                ShardRtts { rtts, default_rtt }
             })
             .collect();
         MdsNetwork { shards }
@@ -565,7 +567,7 @@ impl MdsNetwork {
             .shards
             .get(shard.0)
             .unwrap_or_else(|| self.shards.last().expect("at least one shard"));
-        s.rtts.get(&node).copied().unwrap_or(s.default_rtt)
+        s.rtts.get(node.index()).copied().unwrap_or(s.default_rtt)
     }
 
     /// Round trip from `node` to shard 0 (the single-MDS convenience).

@@ -11,11 +11,12 @@
 //! Inode numbers are handed out sequentially and never reused, so the
 //! inode table is a dense vector indexed by number. The entry table is
 //! one hash map per directory ([`simcore::hash::FxHashMap`], keyed by
-//! name), kept in a second vector indexed the same way — the shape of
-//! the paper's keyed reads of a `(parent, name)` row. Path resolution
-//! walks the path's text and probes each directory's map with the
-//! borrowed component, so a lookup is one hash probe per component and
-//! allocates nothing; a name is copied only when it is inserted. Name
+//! [`Name`], which keeps short names inline in the bucket), kept in a
+//! second vector indexed the same way — the shape of the paper's keyed
+//! reads of a `(parent, name)` row. Path resolution walks the path's
+//! text and probes each directory's map with the borrowed component's
+//! bytes, so a lookup is one hash probe per component and allocates
+//! nothing; a name is copied only when it is inserted. Name
 //! order is produced in one place, [`Mds::entries`], which sorts the
 //! listing it copies; counting a directory ([`Mds::entry_len`]) never
 //! sorts. Each entry carries its child's type, so listing a directory
@@ -32,7 +33,7 @@ use simcore::hash::FxHashMap;
 use simcore::rng::{stable_hash, stable_hash_combine};
 use simcore::time::SimTime;
 use vfs::error::{Errno, FsError};
-use vfs::path::{splice_link, walk, VPath};
+use vfs::path::{splice_link, walk, Name, VPath};
 use vfs::types::{DirEntry, FileAttr, FileType, Gid, Ino, Mode, SetAttr, Uid, MAX_NAME_LEN};
 
 /// Maximum symlink indirections during resolution (matches `MemFs`).
@@ -299,7 +300,7 @@ pub struct Mds {
     inodes: Vec<Option<InodeRec>>,
     /// Directory-entry rows: one hash map per directory, indexed like
     /// `inodes` (empty for every other inode).
-    dentries: Vec<FxHashMap<Box<str>, Dentry>>,
+    dentries: Vec<FxHashMap<Name, Dentry>>,
 }
 
 impl Mds {
@@ -351,7 +352,7 @@ impl Mds {
     pub fn entry_count(&self, dir: &str) -> u64 {
         let mut cur = ROOT_INO;
         for (_, comp, _) in walk(dir) {
-            match self.dentries[cur as usize].get(comp) {
+            match self.dentries[cur as usize].get(comp.as_bytes()) {
                 Some(d) => cur = d.ino,
                 None => return 0,
             }
@@ -384,7 +385,7 @@ impl Mds {
 
     /// The entry `name` in directory `parent`, if any.
     fn entry(&self, parent: u64, name: &str) -> Option<Dentry> {
-        self.dentries[parent as usize].get(name).copied()
+        self.dentries[parent as usize].get(name.as_bytes()).copied()
     }
 
     /// Inserts the `(parent, name)` entry for `ino`, copying its type.
@@ -393,13 +394,13 @@ impl Mds {
             ino,
             ftype: self.get(ino).ftype,
         };
-        let prev = self.dentries[parent as usize].insert(name.into(), entry);
+        let prev = self.dentries[parent as usize].insert(Name::from(name), entry);
         debug_assert!(prev.is_none(), "caller checked the name was free");
     }
 
     fn unlink_entry(&mut self, parent: u64, name: &str) {
         self.dentries[parent as usize]
-            .remove(name)
+            .remove(name.as_bytes())
             .expect("entry existed");
     }
 
@@ -790,16 +791,16 @@ impl Mds {
     /// The entries of directory `dir`, in name order — the only place
     /// a listing is sorted.
     pub fn entries(&self, dir: u64) -> Vec<DirEntry> {
-        let mut rows: Vec<(&str, Dentry)> = self.dentries[dir as usize]
+        let mut rows: Vec<(&Name, Dentry)> = self.dentries[dir as usize]
             // cofs-lint: allow(D003, sorted by name before it is copied)
             .iter()
-            .map(|(name, d)| (&**name, *d))
+            .map(|(name, d)| (name, *d))
             .collect();
         // Names are unique within a directory, so the order is total.
         rows.sort_unstable_by_key(|&(name, _)| name);
         rows.into_iter()
             .map(|(name, d)| DirEntry {
-                name: name.to_string(),
+                name: name.as_str().to_string(),
                 ino: Ino(d.ino),
                 ftype: d.ftype,
             })
@@ -1079,15 +1080,25 @@ mod tests {
         assert_eq!(mds.inode_count(), 1);
     }
 
-    /// A thousand names, created in a shuffled order and then thinned
-    /// and renamed in place, so a hash table cannot list them in name
-    /// order by chance.
+    /// A thousand names of 1 to 40 bytes, on both sides of `Name`'s
+    /// inline limit, created in a shuffled order and then thinned and
+    /// renamed in place, so a hash table cannot list them in name order
+    /// by chance.
     #[test]
     fn readdir_lists_virtual_view() {
         let mut mds = Mds::new();
         mds.mkdir(cred(), &vpath("/d"), Mode::dir_default(), t(1))
             .unwrap();
-        let mut names: Vec<String> = (0..1000).map(|i| format!("f{i:04}")).collect();
+        let mut names: Vec<String> = (0..1000usize)
+            .map(|i| {
+                let id = format!("{i:x}");
+                let pad = if i % 3 == 0 { "é" } else { "x" };
+                let fill = (i % 40 + 1).saturating_sub(id.len()) / pad.len();
+                format!("{}{id}", pad.repeat(fill))
+            })
+            .collect();
+        assert_eq!(names.iter().map(String::len).min(), Some(1));
+        assert_eq!(names.iter().map(String::len).max(), Some(40));
         SimRng::seed_from(20).shuffle(&mut names);
         for name in &names {
             mds.create(

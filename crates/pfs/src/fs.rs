@@ -3,7 +3,11 @@
 //! [`PfsFs`] is *functional* — it maintains a real POSIX namespace by
 //! delegating semantics to [`vfs::memfs::MemFs`] — and *timed*: every
 //! operation's completion time is computed from the GPFS-style
-//! protocol mechanisms the paper's observations hinge on:
+//! protocol mechanisms the paper's observations hinge on. Each call
+//! walks the reference namespace once, and takes the directory, entry
+//! count and inode it prices from that call's [`vfs::memfs::Site`], so
+//! a symlinked parent or a followed trailing link is priced as its
+//! target:
 //!
 //! 1. **Token delegation** (`dlm`): a node that already holds the
 //!    right token operates on its local cache at microsecond cost.
@@ -33,10 +37,6 @@ use vfs::fs::{FileSystem, FsResult, OpCtx, Timed};
 use vfs::memfs::MemFs;
 use vfs::path::VPath;
 use vfs::types::{DirEntry, FileAttr, FileHandle, FsStats, Mode, OpenFlags, SetAttr};
-
-/// Nominal bytes per directory entry in directory `size` attributes
-/// (must match `MemFs`, which defines the semantics).
-const DIR_ENTRY_SIZE: u64 = 32;
 
 /// What a token protects; hashed into a [`TokenId`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -653,14 +653,6 @@ impl PfsFs {
         self.cfg.create_growth_cost.mul_f64(factor)
     }
 
-    /// Stats the parent directory of `path` via the reference
-    /// namespace, returning `(parent_ino, entries)`.
-    fn parent_info(&mut self, ctx: &OpCtx, path: &VPath) -> Result<(u64, u64), FsError> {
-        let parent = path.parent().unwrap_or_else(VPath::root);
-        let attr = self.ns.stat(ctx, &parent)?.value;
-        Ok((attr.ino.0, attr.size / DIR_ENTRY_SIZE))
-    }
-
     /// Transfers `len` bytes of file data between `node` and the
     /// striped servers, chunk by chunk. `write` selects direction and
     /// media cost; `seek` charges the non-sequential penalty on the
@@ -759,15 +751,14 @@ impl PfsFs {
 
 impl FileSystem for PfsFs {
     fn mkdir(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<()> {
-        let (pino, entries) = self.parent_info(ctx, path)?;
-        self.ns.mkdir(ctx, path, mode)?;
+        let site = self.ns.mkdir_at(ctx, path, mode)?;
+        let (pino, entries, ino) = (site.dir.0, site.entries, site.ino.0);
         let mut t = self.base(ctx);
         t = self.attach(ctx.node, pino, t);
         t = self.acquire(ctx.node, Scope::DirInode(pino), TokenMode::Exclusive, t);
         let name = path.file_name().expect("mkdir target has a name");
         t = self.touch_dir_block(ctx.node, pino, name, entries, TokenMode::Exclusive, true, t);
         // New directory inode goes into this node's allocation segment.
-        let ino = self.ns.stat(ctx, path)?.value.ino.0;
         self.assign_packed_block(ctx.node, ino);
         self.inode_mut(ino).dir_creator = Some(ctx.node);
         t = self.install_new_inode(ctx.node, ino, t);
@@ -776,9 +767,8 @@ impl FileSystem for PfsFs {
     }
 
     fn rmdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<()> {
-        let (pino, entries) = self.parent_info(ctx, path)?;
-        let ino = self.ns.stat(ctx, path)?.value.ino.0;
-        self.ns.rmdir(ctx, path)?;
+        let site = self.ns.rmdir_at(ctx, path)?;
+        let (pino, entries, ino) = (site.dir.0, site.entries, site.ino.0);
         let mut t = self.base(ctx);
         t = self.acquire(ctx.node, Scope::DirInode(pino), TokenMode::Exclusive, t);
         let name = path.file_name().expect("rmdir target has a name");
@@ -789,9 +779,8 @@ impl FileSystem for PfsFs {
     }
 
     fn create(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<FileHandle> {
-        let (pino, entries) = self.parent_info(ctx, path)?;
-        let fh = self.ns.create(ctx, path, mode)?.value;
-        let ino = self.ns.stat(ctx, path)?.value.ino.0;
+        let (fh, site) = self.ns.create_at(ctx, path, mode)?;
+        let (pino, entries, ino) = (site.dir.0, site.entries, site.ino.0);
         self.inode_mut(ino).size = 0;
         let mut t = self.base(ctx);
         t = self.attach(ctx.node, pino, t);
@@ -814,15 +803,13 @@ impl FileSystem for PfsFs {
     }
 
     fn open(&mut self, ctx: &OpCtx, path: &VPath, flags: OpenFlags) -> FsResult<FileHandle> {
-        let (pino, _) = self.parent_info(ctx, path)?;
-        let fh = self.ns.open(ctx, path, flags)?.value;
-        let attr = self.ns.stat(ctx, path)?;
-        let ino = attr.value.ino.0;
+        let (fh, site) = self.ns.open_at(ctx, path, flags)?;
+        let ino = site.ino.0;
         if flags.truncate {
             self.inode_mut(ino).size = 0;
         }
         let mut t = self.base(ctx);
-        t = self.attach(ctx.node, pino, t);
+        t = self.attach(ctx.node, site.dir.0, t);
         // Opening checks permissions: the inode's attributes must be
         // current (shared token + cached block).
         let mode = if flags.write || flags.truncate {
@@ -945,22 +932,20 @@ impl FileSystem for PfsFs {
     }
 
     fn stat(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<FileAttr> {
-        let attr = self.ns.stat(ctx, path)?.value;
+        let (attr, site) = self.ns.stat_at(ctx, path)?;
         let mut t = self.base(ctx);
-        let (pino, _) = self.parent_info(ctx, path)?;
-        t = self.attach(ctx.node, pino, t);
+        t = self.attach(ctx.node, site.dir.0, t);
         t = self.touch_inode_block(ctx.node, attr.ino.0, TokenMode::Shared, false, t);
         Ok(Timed::new(attr, t))
     }
 
     fn setattr(&mut self, ctx: &OpCtx, path: &VPath, set: SetAttr) -> FsResult<FileAttr> {
-        let attr = self.ns.setattr(ctx, path, set)?.value;
+        let (attr, site) = self.ns.setattr_at(ctx, path, set)?;
         if let Some(sz) = set.size {
             self.inode_mut(attr.ino.0).size = sz;
         }
         let mut t = self.base(ctx);
-        let (pino, _) = self.parent_info(ctx, path)?;
-        t = self.attach(ctx.node, pino, t);
+        t = self.attach(ctx.node, site.dir.0, t);
         // Attribute updates dirty the packed inode block under an
         // exclusive token — the false-sharing path for parallel utime.
         t = self.touch_inode_block(ctx.node, attr.ino.0, TokenMode::Exclusive, true, t);
@@ -969,9 +954,8 @@ impl FileSystem for PfsFs {
     }
 
     fn readdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<Vec<DirEntry>> {
-        let entries = self.ns.readdir(ctx, path)?.value;
-        let dattr = self.ns.stat(ctx, path)?.value;
-        let dir = dattr.ino.0;
+        let (entries, site) = self.ns.readdir_at(ctx, path)?;
+        let dir = site.ino.0;
         let mut t = self.base(ctx);
         t = self.attach(ctx.node, dir, t);
         t = self.acquire(ctx.node, Scope::DirInode(dir), TokenMode::Shared, t);
@@ -989,9 +973,8 @@ impl FileSystem for PfsFs {
     }
 
     fn unlink(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<()> {
-        let (pino, entries) = self.parent_info(ctx, path)?;
-        let ino = self.ns.stat(ctx, path)?.value.ino.0;
-        self.ns.unlink(ctx, path)?;
+        let site = self.ns.unlink_at(ctx, path)?;
+        let (pino, entries, ino) = (site.dir.0, site.entries, site.ino.0);
         let mut t = self.base(ctx);
         t = self.acquire(ctx.node, Scope::DirInode(pino), TokenMode::Exclusive, t);
         let name = path.file_name().expect("unlink target has a name");
@@ -1009,9 +992,9 @@ impl FileSystem for PfsFs {
     }
 
     fn rename(&mut self, ctx: &OpCtx, from: &VPath, to: &VPath) -> FsResult<()> {
-        let (from_pino, from_entries) = self.parent_info(ctx, from)?;
-        let (to_pino, to_entries) = self.parent_info(ctx, to)?;
-        self.ns.rename(ctx, from, to)?;
+        let (src, dst) = self.ns.rename_at(ctx, from, to)?;
+        let (from_pino, from_entries) = (src.dir.0, src.entries);
+        let (to_pino, to_entries) = (dst.dir.0, dst.entries);
         let mut t = self.base(ctx);
         t = self.acquire(
             ctx.node,
@@ -1047,9 +1030,8 @@ impl FileSystem for PfsFs {
     }
 
     fn link(&mut self, ctx: &OpCtx, existing: &VPath, new: &VPath) -> FsResult<()> {
-        let (pino, entries) = self.parent_info(ctx, new)?;
-        let ino = self.ns.stat(ctx, existing)?.value.ino.0;
-        self.ns.link(ctx, existing, new)?;
+        let site = self.ns.link_at(ctx, existing, new)?;
+        let (pino, entries, ino) = (site.dir.0, site.entries, site.ino.0);
         let mut t = self.base(ctx);
         t = self.acquire(ctx.node, Scope::DirInode(pino), TokenMode::Exclusive, t);
         let name = new.file_name().expect("link target has a name");
@@ -1059,9 +1041,8 @@ impl FileSystem for PfsFs {
     }
 
     fn symlink(&mut self, ctx: &OpCtx, target: &str, new: &VPath) -> FsResult<()> {
-        let (pino, entries) = self.parent_info(ctx, new)?;
-        self.ns.symlink(ctx, target, new)?;
-        let ino = self.ns.stat(ctx, new)?.value.ino.0;
+        let site = self.ns.symlink_at(ctx, target, new)?;
+        let (pino, entries, ino) = (site.dir.0, site.entries, site.ino.0);
         self.assign_packed_block(ctx.node, ino);
         let mut t = self.base(ctx);
         t = self.acquire(ctx.node, Scope::DirInode(pino), TokenMode::Exclusive, t);
@@ -1072,10 +1053,9 @@ impl FileSystem for PfsFs {
     }
 
     fn readlink(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<String> {
-        let target = self.ns.readlink(ctx, path)?.value;
-        let attr = self.ns.stat(ctx, path)?.value;
+        let (target, site) = self.ns.readlink_at(ctx, path)?;
         let mut t = self.base(ctx);
-        t = self.touch_inode_block(ctx.node, attr.ino.0, TokenMode::Shared, false, t);
+        t = self.touch_inode_block(ctx.node, site.ino.0, TokenMode::Shared, false, t);
         Ok(Timed::new(target, t))
     }
 
@@ -1455,6 +1435,44 @@ mod tests {
         assert_eq!(fs.readlink(&ctx, &vpath("/a/s")).unwrap().value, "/b/f");
         let stats = fs.statfs(&ctx).unwrap().value;
         assert!(stats.inodes >= 4);
+    }
+
+    /// The model charges the directory and inode a call resolves to, so
+    /// working through a symlinked parent, or opening through a trailing
+    /// link, costs exactly what working on the link's target costs.
+    #[test]
+    fn symlinks_are_charged_as_their_targets() {
+        let run = |dir: &str, link: &str| {
+            let cluster = ClusterBuilder::new().clients(2).servers(2).build();
+            let mut fs = PfsFs::new(cluster, PfsConfig::default());
+            let (a, b) = (OpCtx::test(NodeId(0)), OpCtx::test(NodeId(1)));
+            fs.mkdir(&a, &vpath("/real"), Mode::dir_default()).unwrap();
+            fs.symlink(&a, "/real", &vpath("/alias")).unwrap();
+            let mut ends = Vec::new();
+            let mut now = SimTime::ZERO;
+            for i in 0..4 {
+                let ctx = if i % 2 == 0 { a.at(now) } else { b.at(now) };
+                let t = fs
+                    .create(&ctx, &vpath(&format!("{dir}/f{i}")), Mode::file_default())
+                    .unwrap();
+                now = fs.close(&ctx.at(t.end), t.value).unwrap().end;
+                ends.push(now);
+            }
+            fs.symlink(&a.at(now), "/real/f0", &vpath("/lnk")).unwrap();
+            let fh = fs
+                .open(&b.at(now), &vpath(link), OpenFlags::RDONLY)
+                .unwrap();
+            ends.push(fs.close(&b.at(fh.end), fh.value).unwrap().end);
+            let t = fs.stat(&b.at(now), &vpath(&format!("{dir}/f1"))).unwrap();
+            ends.push(t.end);
+            let t = fs
+                .unlink(&a.at(t.end), &vpath(&format!("{dir}/f2")))
+                .unwrap();
+            ends.push(t.end);
+            let counts = |c: &Counters| c.iter().collect::<Vec<_>>();
+            (ends, counts(fs.counters()), counts(fs.token_stats()))
+        };
+        assert_eq!(run("/alias", "/lnk"), run("/real", "/real/f0"));
     }
 
     #[test]

@@ -55,8 +55,9 @@ impl Hasher for FxHasher {
         // fixed-size (overlapping) loads instead of a copy: a name is
         // often shorter than one word, and a variable-length copy into
         // a buffer costs more than the rest of the hash. `str` hashes
-        // append a 0xff terminator, so zero padding never makes two
-        // distinct strings feed the same words.
+        // append a 0xff terminator and byte-slice hashes write the
+        // length first, so zero padding never makes two distinct
+        // strings feed the same words.
         let tail = words.remainder();
         let n = tail.len();
         let last = match n {

@@ -6,7 +6,6 @@
 //! quantiles can be computed after the run.
 
 use crate::time::SimDuration;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A collection of duration samples with summary statistics.
@@ -167,9 +166,15 @@ impl fmt::Display for Summary {
 /// A named bag of counters for protocol-level events (token revocations,
 /// cache misses, flushes, …). Keys are static strings so recording is
 /// allocation-free after first use of each key.
+///
+/// A bag holds a handful of keys, so it is a short vector of slots kept
+/// in key order. Recording finds its slot by the key's address first (a
+/// call site passes the same literal every time) and only then by its
+/// text, so keys with equal text share a slot wherever they come from.
 #[derive(Debug, Clone, Default)]
 pub struct Counters {
-    counts: BTreeMap<&'static str, u64>,
+    /// One `(key, count)` slot per key text, sorted by key.
+    slots: Vec<(&'static str, u64)>,
 }
 
 impl Counters {
@@ -180,7 +185,19 @@ impl Counters {
 
     /// Adds `n` to counter `key`.
     pub fn add(&mut self, key: &'static str, n: u64) {
-        *self.counts.entry(key).or_insert(0) += n;
+        let slot = match self.slots.iter().position(|&(k, _)| std::ptr::eq(k, key)) {
+            Some(i) => i,
+            None => self.find(key).unwrap_or_else(|i| {
+                self.slots.insert(i, (key, 0));
+                i
+            }),
+        };
+        self.slots[slot].1 += n;
+    }
+
+    /// The slot holding `key`'s text, or where it would be inserted.
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.slots.binary_search_by(|&(k, _)| k.cmp(key))
     }
 
     /// Increments counter `key` by one.
@@ -190,17 +207,17 @@ impl Counters {
 
     /// Current value of counter `key` (zero if never touched).
     pub fn get(&self, key: &str) -> u64 {
-        self.counts.get(key).copied().unwrap_or(0)
+        self.find(key).map_or(0, |i| self.slots[i].1)
     }
 
     /// Iterates over `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counts.iter().map(|(k, v)| (*k, *v))
+        self.slots.iter().copied()
     }
 
     /// Resets every counter to zero (removes all keys).
     pub fn reset(&mut self) {
-        self.counts.clear();
+        self.slots.clear();
     }
 
     /// Merges another bag into this one by summing matching keys.

@@ -16,16 +16,24 @@
 //!
 //! Inode numbers are handed out sequentially and never reused, so the
 //! inode table is a dense vector of boxed inodes indexed by number.
-//! Each directory's entries are a hash map keyed by name
+//! Each directory's entries are a hash map keyed by [`Name`]
 //! ([`simcore::hash::FxHashMap`]), as are open handles. Path resolution
 //! walks the path's text and probes each directory's map with the
-//! borrowed component; a name is copied only when it is inserted.
-//! `readdir` sorts the listing it copies, the one place name order is
-//! produced.
+//! borrowed component's bytes; a name is copied only when it is
+//! inserted. `readdir` sorts the listing it copies, the one place name
+//! order is produced.
+//!
+//! Each namespace call resolves its path once and then acts where the
+//! walk ended. The `*_at` methods ([`MemFs::create_at`] and its
+//! siblings) are those calls: besides the call's value they return its
+//! [`Site`], the directory, entry count and inode the walk found, which
+//! a model that prices calls by inode (the GPFS model in `pfs`) would
+//! otherwise have to resolve again. The [`FileSystem`] methods are the
+//! same calls without the site.
 
 use crate::error::{Errno, FsError};
 use crate::fs::{FileSystem, FsResult, OpCtx, Timed};
-use crate::path::{splice_link, walk, VPath};
+use crate::path::{splice_link, walk, Name, VPath};
 use crate::types::{
     DirEntry, FileAttr, FileHandle, FileType, FsStats, Gid, Ino, Mode, OpenFlags, SetAttr, Uid,
     MAX_NAME_LEN,
@@ -42,7 +50,7 @@ const DIR_ENTRY_SIZE: u64 = 32;
 #[derive(Debug, Clone)]
 enum Payload {
     File { size: u64 },
-    Dir { entries: FxHashMap<Box<str>, Ino> },
+    Dir { entries: FxHashMap<Name, Ino> },
     Symlink { target: String },
 }
 
@@ -68,14 +76,14 @@ impl Inode {
         }
     }
 
-    fn entries(&self) -> Option<&FxHashMap<Box<str>, Ino>> {
+    fn entries(&self) -> Option<&FxHashMap<Name, Ino>> {
         match &self.payload {
             Payload::Dir { entries } => Some(entries),
             _ => None,
         }
     }
 
-    fn entries_mut(&mut self) -> Option<&mut FxHashMap<Box<str>, Ino>> {
+    fn entries_mut(&mut self) -> Option<&mut FxHashMap<Name, Ino>> {
         match &mut self.payload {
             Payload::Dir { entries } => Some(entries),
             _ => None,
@@ -87,6 +95,23 @@ impl Inode {
 struct Handle {
     ino: Ino,
     flags: OpenFlags,
+}
+
+/// Where a namespace call acted: the directory whose entry it resolved,
+/// created or removed, that directory's entry count before the call,
+/// and the entry's inode. A trailing symlink that `open`, `setattr` or
+/// `readdir` follows is followed here too, so `dir` and `ino` are its
+/// target's; the root is its own `dir`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Site {
+    /// The directory holding the entry.
+    pub dir: Ino,
+    /// How many entries `dir` held before the call.
+    pub entries: u64,
+    /// The entry's inode: the one made, removed, opened or read (for
+    /// `link`, the existing file, its trailing link followed; for
+    /// `rename`, the moved one).
+    pub ino: Ino,
 }
 
 /// The reference in-memory filesystem.
@@ -107,6 +132,11 @@ struct Handle {
 /// fs.write(&ctx, fh, 0, 100)?;
 /// fs.close(&ctx, fh)?;
 /// assert_eq!(fs.stat(&ctx, &vpath("/data/out"))?.value.size, 100);
+/// // The same call with its site: where the walk ended.
+/// let (_, site) = fs.create_at(&ctx, &vpath("/data/log"), Mode::file_default())?;
+/// assert_eq!(site.entries, 1);
+/// assert_eq!(site.dir, fs.stat(&ctx, &vpath("/data"))?.value.ino);
+/// assert_eq!(site.ino, fs.stat(&ctx, &vpath("/data/log"))?.value.ino);
 /// # Ok::<(), vfs::error::FsError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -183,9 +213,30 @@ impl MemFs {
             .expect("dangling inode reference")
     }
 
-    /// Resolves normalized path text to an inode. `follow_last`
-    /// controls trailing symlink behaviour (true for open, false for
-    /// stat/unlink).
+    /// The entries of a directory the caller resolved as one.
+    fn dir(&self, ino: Ino) -> &FxHashMap<Name, Ino> {
+        self.node(ino).entries().expect("resolved as a directory")
+    }
+
+    fn dir_mut(&mut self, ino: Ino) -> &mut FxHashMap<Name, Ino> {
+        self.node_mut(ino)
+            .entries_mut()
+            .expect("resolved as a directory")
+    }
+
+    /// The site of inode `ino` under directory `dir`, as `dir` stands.
+    fn site(&self, dir: Ino, ino: Ino) -> Site {
+        Site {
+            dir,
+            entries: self.dir(dir).len() as u64,
+            ino,
+        }
+    }
+
+    /// Resolves normalized path text to `(dir, ino)`: the inode the
+    /// path names and the directory whose entry named it (the root for
+    /// the root itself). `follow_last` controls trailing symlink
+    /// behaviour (true for open, false for stat/unlink).
     fn resolve(
         &self,
         ctx: &OpCtx,
@@ -193,9 +244,9 @@ impl MemFs {
         op: &'static str,
         follow_last: bool,
         depth: u32,
-    ) -> Result<Ino, FsError> {
-        let mut cur = ROOT_INO;
-        for (dir, comp, rest) in walk(path) {
+    ) -> Result<(Ino, Ino), FsError> {
+        let (mut dir, mut cur) = (ROOT_INO, ROOT_INO);
+        for (dir_text, comp, rest) in walk(path) {
             let node = self.node(cur);
             let entries = node
                 .entries()
@@ -204,7 +255,7 @@ impl MemFs {
                 return Err(FsError::new(Errno::EACCES, op, path));
             }
             let next = *entries
-                .get(comp)
+                .get(comp.as_bytes())
                 .ok_or_else(|| FsError::new(Errno::ENOENT, op, path))?;
             if let Payload::Symlink { target } = &self.node(next).payload {
                 if !rest.is_empty() || follow_last {
@@ -213,13 +264,13 @@ impl MemFs {
                     }
                     // Continue on the link target (absolute, or relative
                     // to the link's directory) plus what is left.
-                    let full = splice_link(dir, target, rest)?;
+                    let full = splice_link(dir_text, target, rest)?;
                     return self.resolve(ctx, full.as_str(), op, follow_last, depth + 1);
                 }
             }
-            cur = next;
+            (dir, cur) = (cur, next);
         }
-        Ok(cur)
+        Ok((dir, cur))
     }
 
     /// Resolves the parent directory of `path` and returns
@@ -237,10 +288,27 @@ impl MemFs {
         if name.len() > MAX_NAME_LEN {
             return Err(FsError::new(Errno::ENAMETOOLONG, op, path.as_str()));
         }
-        let pino = self.resolve(ctx, parent, op, true, 0)?;
+        let (_, pino) = self.resolve(ctx, parent, op, true, 0)?;
         let pnode = self.node(pino);
         if pnode.ftype != FileType::Directory {
             return Err(FsError::new(Errno::ENOTDIR, op, path.as_str()));
+        }
+        Ok((pino, name))
+    }
+
+    /// Resolves the parent of a name to be made and checks that the
+    /// caller may write there and that the name is free; returns the
+    /// parent and the name.
+    fn resolve_free<'p>(
+        &self,
+        ctx: &OpCtx,
+        path: &'p VPath,
+        op: &'static str,
+    ) -> Result<(Ino, &'p str), FsError> {
+        let (pino, name) = self.resolve_parent(ctx, path, op)?;
+        self.check_parent_write(ctx, pino, op, path)?;
+        if self.dir(pino).contains_key(name.as_bytes()) {
+            return Err(FsError::new(Errno::EEXIST, op, path.as_str()));
         }
         Ok((pino, name))
     }
@@ -259,6 +327,35 @@ impl MemFs {
             return Err(FsError::new(Errno::EACCES, op, path.as_str()));
         }
         Ok(())
+    }
+
+    /// Makes a new inode of `payload`'s type, owned by the caller, under
+    /// the free name `name` of directory `pino`, and returns its site.
+    fn make(&mut self, ctx: &OpCtx, pino: Ino, name: &str, mode: Mode, payload: Payload) -> Site {
+        let (ftype, nlink) = match payload {
+            Payload::Dir { .. } => (FileType::Directory, 2),
+            Payload::File { .. } => (FileType::Regular, 1),
+            Payload::Symlink { .. } => (FileType::Symlink, 1),
+        };
+        let entries = self.dir(pino).len() as u64;
+        let ino = self.insert_inode(Inode {
+            ftype,
+            mode,
+            uid: ctx.uid,
+            gid: ctx.gid,
+            nlink,
+            atime: ctx.now,
+            mtime: ctx.now,
+            ctime: ctx.now,
+            payload,
+        });
+        self.dir_mut(pino).insert(Name::from(name), ino);
+        self.touch_parent(pino, ctx.now);
+        Site {
+            dir: pino,
+            entries,
+            ino,
+        }
     }
 
     fn attr_of(&self, ino: Ino) -> FileAttr {
@@ -303,119 +400,90 @@ impl MemFs {
     pub fn open_handles(&self) -> usize {
         self.handles.len()
     }
-}
 
-impl Default for MemFs {
-    fn default() -> Self {
-        MemFs::new()
-    }
-}
+    // ---- namespace calls with their sites ---------------------------------
 
-impl FileSystem for MemFs {
-    fn mkdir(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<()> {
-        let (pino, name) = self.resolve_parent(ctx, path, "mkdir")?;
-        self.check_parent_write(ctx, pino, "mkdir", path)?;
-        if self
-            .node(pino)
-            .entries()
-            .expect("parent is dir")
-            .contains_key(name)
-        {
-            return Err(FsError::new(Errno::EEXIST, "mkdir", path.as_str()));
-        }
-        let ino = self.insert_inode(Inode {
-            ftype: FileType::Directory,
-            mode,
-            uid: ctx.uid,
-            gid: ctx.gid,
-            nlink: 2,
-            atime: ctx.now,
-            mtime: ctx.now,
-            ctime: ctx.now,
-            payload: Payload::Dir {
-                entries: FxHashMap::default(),
-            },
-        });
-        let parent = self.node_mut(pino);
-        parent
-            .entries_mut()
-            .expect("parent is dir")
-            .insert(name.into(), ino);
-        parent.nlink += 1; // the child's ".." entry
-        self.touch_parent(pino, ctx.now);
-        self.done(ctx, ())
+    /// [`FileSystem::mkdir`], reporting the new directory's site.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileSystem::mkdir`].
+    pub fn mkdir_at(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> Result<Site, FsError> {
+        let (pino, name) = self.resolve_free(ctx, path, "mkdir")?;
+        let dir = Payload::Dir {
+            entries: FxHashMap::default(),
+        };
+        let site = self.make(ctx, pino, name, mode, dir);
+        self.node_mut(pino).nlink += 1; // the child's ".." entry
+        Ok(site)
     }
 
-    fn rmdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<()> {
+    /// [`FileSystem::rmdir`], reporting the removed directory's site.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileSystem::rmdir`].
+    pub fn rmdir_at(&mut self, ctx: &OpCtx, path: &VPath) -> Result<Site, FsError> {
         if path.is_root() {
             return Err(FsError::new(Errno::EINVAL, "rmdir", path.as_str()));
         }
         let (pino, name) = self.resolve_parent(ctx, path, "rmdir")?;
         self.check_parent_write(ctx, pino, "rmdir", path)?;
         let ino = *self
-            .node(pino)
-            .entries()
-            .expect("parent is dir")
-            .get(name)
+            .dir(pino)
+            .get(name.as_bytes())
             .ok_or_else(|| FsError::new(Errno::ENOENT, "rmdir", path.as_str()))?;
-        let node = self.node(ino);
-        match node.entries() {
+        match self.node(ino).entries() {
             None => return Err(FsError::new(Errno::ENOTDIR, "rmdir", path.as_str())),
             Some(e) if !e.is_empty() => {
                 return Err(FsError::new(Errno::ENOTEMPTY, "rmdir", path.as_str()))
             }
             Some(_) => {}
         }
-        self.node_mut(pino)
-            .entries_mut()
-            .expect("parent is dir")
-            .remove(name);
+        let site = self.site(pino, ino);
+        self.dir_mut(pino).remove(name.as_bytes());
         self.node_mut(pino).nlink -= 1;
         self.free_inode(ino);
         self.touch_parent(pino, ctx.now);
-        self.done(ctx, ())
+        Ok(site)
     }
 
-    fn create(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<FileHandle> {
-        let (pino, name) = self.resolve_parent(ctx, path, "create")?;
-        self.check_parent_write(ctx, pino, "create", path)?;
-        if self
-            .node(pino)
-            .entries()
-            .expect("parent is dir")
-            .contains_key(name)
-        {
-            return Err(FsError::new(Errno::EEXIST, "create", path.as_str()));
-        }
-        let ino = self.insert_inode(Inode {
-            ftype: FileType::Regular,
-            mode,
-            uid: ctx.uid,
-            gid: ctx.gid,
-            nlink: 1,
-            atime: ctx.now,
-            mtime: ctx.now,
-            ctime: ctx.now,
-            payload: Payload::File { size: 0 },
-        });
-        self.node_mut(pino)
-            .entries_mut()
-            .expect("parent is dir")
-            .insert(name.into(), ino);
-        self.touch_parent(pino, ctx.now);
+    /// [`FileSystem::create`], reporting the new file's site.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileSystem::create`].
+    pub fn create_at(
+        &mut self,
+        ctx: &OpCtx,
+        path: &VPath,
+        mode: Mode,
+    ) -> Result<(FileHandle, Site), FsError> {
+        let (pino, name) = self.resolve_free(ctx, path, "create")?;
+        let site = self.make(ctx, pino, name, mode, Payload::File { size: 0 });
         let fh = self.alloc_fh();
         self.handles.insert(
             fh,
             Handle {
-                ino,
+                ino: site.ino,
                 flags: OpenFlags::RDWR,
             },
         );
-        self.done(ctx, fh)
+        Ok((fh, site))
     }
 
-    fn open(&mut self, ctx: &OpCtx, path: &VPath, flags: OpenFlags) -> FsResult<FileHandle> {
-        let ino = self.resolve(ctx, path.as_str(), "open", true, 0)?;
+    /// [`FileSystem::open`], reporting the opened file's site.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileSystem::open`].
+    pub fn open_at(
+        &mut self,
+        ctx: &OpCtx,
+        path: &VPath,
+        flags: OpenFlags,
+    ) -> Result<(FileHandle, Site), FsError> {
+        let (dir, ino) = self.resolve(ctx, path.as_str(), "open", true, 0)?;
         let node = self.node(ino);
         if node.ftype == FileType::Directory && (flags.write || flags.truncate) {
             return Err(FsError::new(Errno::EISDIR, "open", path.as_str()));
@@ -427,15 +495,290 @@ impl FileSystem for MemFs {
             return Err(FsError::new(Errno::EACCES, "open", path.as_str()));
         }
         if flags.truncate {
-            if let Payload::File { size } = &mut self.node_mut(ino).payload {
+            let n = self.node_mut(ino);
+            if let Payload::File { size } = &mut n.payload {
                 *size = 0;
             }
-            let n = self.node_mut(ino);
             n.mtime = ctx.now;
             n.ctime = ctx.now;
         }
         let fh = self.alloc_fh();
         self.handles.insert(fh, Handle { ino, flags });
+        Ok((fh, self.site(dir, ino)))
+    }
+
+    /// [`FileSystem::stat`], reporting the site of what it named.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileSystem::stat`].
+    pub fn stat_at(&self, ctx: &OpCtx, path: &VPath) -> Result<(FileAttr, Site), FsError> {
+        let (dir, ino) = self.resolve(ctx, path.as_str(), "stat", false, 0)?;
+        Ok((self.attr_of(ino), self.site(dir, ino)))
+    }
+
+    /// [`FileSystem::setattr`], reporting the changed inode's site.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileSystem::setattr`].
+    pub fn setattr_at(
+        &mut self,
+        ctx: &OpCtx,
+        path: &VPath,
+        set: SetAttr,
+    ) -> Result<(FileAttr, Site), FsError> {
+        let (dir, ino) = self.resolve(ctx, path.as_str(), "setattr", true, 0)?;
+        let node = self.node(ino);
+        let is_owner = ctx.uid == Uid(0) || ctx.uid == node.uid;
+        if (set.mode.is_some() || set.uid.is_some() || set.gid.is_some()) && !is_owner {
+            return Err(FsError::new(Errno::EPERM, "setattr", path.as_str()));
+        }
+        if (set.atime.is_some() || set.mtime.is_some())
+            && !is_owner
+            && !node.mode.allows_write(ctx.uid, ctx.gid, node.uid, node.gid)
+        {
+            return Err(FsError::new(Errno::EPERM, "setattr", path.as_str()));
+        }
+        if set.size.is_some()
+            && !is_owner
+            && !node.mode.allows_write(ctx.uid, ctx.gid, node.uid, node.gid)
+        {
+            return Err(FsError::new(Errno::EACCES, "setattr", path.as_str()));
+        }
+        if set.size.is_some() && node.ftype != FileType::Regular {
+            return Err(FsError::new(Errno::EISDIR, "setattr", path.as_str()));
+        }
+        let node = self.node_mut(ino);
+        if let Some(m) = set.mode {
+            node.mode = m;
+        }
+        if let Some(u) = set.uid {
+            node.uid = u;
+        }
+        if let Some(g) = set.gid {
+            node.gid = g;
+        }
+        if let Some(s) = set.size {
+            if let Payload::File { size } = &mut node.payload {
+                *size = s;
+            }
+            node.mtime = ctx.now;
+        }
+        if let Some(t) = set.atime {
+            node.atime = t;
+        }
+        if let Some(t) = set.mtime {
+            node.mtime = t;
+        }
+        node.ctime = ctx.now;
+        Ok((self.attr_of(ino), self.site(dir, ino)))
+    }
+
+    /// [`FileSystem::readdir`], reporting the listed directory's site.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileSystem::readdir`].
+    pub fn readdir_at(
+        &mut self,
+        ctx: &OpCtx,
+        path: &VPath,
+    ) -> Result<(Vec<DirEntry>, Site), FsError> {
+        let (dir, ino) = self.resolve(ctx, path.as_str(), "readdir", true, 0)?;
+        let node = self.node(ino);
+        // The type is checked before the permission, as Linux's
+        // `open(O_DIRECTORY)` does: an unreadable file is `ENOTDIR`.
+        let entries = node
+            .entries()
+            .ok_or_else(|| FsError::new(Errno::ENOTDIR, "readdir", path.as_str()))?;
+        if !node.mode.allows_read(ctx.uid, ctx.gid, node.uid, node.gid) {
+            return Err(FsError::new(Errno::EACCES, "readdir", path.as_str()));
+        }
+        let mut list: Vec<DirEntry> = entries
+            // cofs-lint: allow(D003, sorted by name before it is returned)
+            .iter()
+            .map(|(name, &ino)| DirEntry {
+                name: name.as_str().to_string(),
+                ino,
+                ftype: self.node(ino).ftype,
+            })
+            .collect();
+        // Names are unique within a directory, so the order is total.
+        list.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        self.node_mut(ino).atime = ctx.now;
+        Ok((list, self.site(dir, ino)))
+    }
+
+    /// [`FileSystem::unlink`], reporting the removed name's site.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileSystem::unlink`].
+    pub fn unlink_at(&mut self, ctx: &OpCtx, path: &VPath) -> Result<Site, FsError> {
+        let (pino, name) = self.resolve_parent(ctx, path, "unlink")?;
+        self.check_parent_write(ctx, pino, "unlink", path)?;
+        let ino = *self
+            .dir(pino)
+            .get(name.as_bytes())
+            .ok_or_else(|| FsError::new(Errno::ENOENT, "unlink", path.as_str()))?;
+        if self.node(ino).ftype == FileType::Directory {
+            return Err(FsError::new(Errno::EISDIR, "unlink", path.as_str()));
+        }
+        let site = self.site(pino, ino);
+        self.dir_mut(pino).remove(name.as_bytes());
+        let n = self.node_mut(ino);
+        n.nlink -= 1;
+        n.ctime = ctx.now;
+        self.maybe_free(ino);
+        self.touch_parent(pino, ctx.now);
+        Ok(site)
+    }
+
+    /// [`FileSystem::rename`], reporting the source's and the target's
+    /// sites, both as they stood before the call.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileSystem::rename`].
+    pub fn rename_at(
+        &mut self,
+        ctx: &OpCtx,
+        from: &VPath,
+        to: &VPath,
+    ) -> Result<(Site, Site), FsError> {
+        if from == to {
+            // POSIX: renaming a name onto itself succeeds only if it
+            // exists (resolution errors still apply).
+            let (dir, ino) = self.resolve(ctx, from.as_str(), "rename", false, 0)?;
+            let site = self.site(dir, ino);
+            return Ok((site, site));
+        }
+        if to.starts_with(from) {
+            return Err(FsError::new(Errno::EINVAL, "rename", to.as_str()));
+        }
+        let (from_pino, from_name) = self.resolve_parent(ctx, from, "rename")?;
+        self.check_parent_write(ctx, from_pino, "rename", from)?;
+        let (to_pino, to_name) = self.resolve_parent(ctx, to, "rename")?;
+        self.check_parent_write(ctx, to_pino, "rename", to)?;
+        let src_ino = *self
+            .dir(from_pino)
+            .get(from_name.as_bytes())
+            .ok_or_else(|| FsError::new(Errno::ENOENT, "rename", from.as_str()))?;
+        let sites = (self.site(from_pino, src_ino), self.site(to_pino, src_ino));
+        let src_is_dir = self.node(src_ino).ftype == FileType::Directory;
+        // Handle an existing target.
+        if let Some(&dst_ino) = self.dir(to_pino).get(to_name.as_bytes()) {
+            if dst_ino == src_ino {
+                // POSIX: both names link the same file, so the rename
+                // succeeds and changes nothing.
+                return Ok(sites);
+            }
+            let dst = self.node(dst_ino);
+            match (src_is_dir, dst.ftype == FileType::Directory) {
+                (true, false) => return Err(FsError::new(Errno::ENOTDIR, "rename", to.as_str())),
+                (false, true) => return Err(FsError::new(Errno::EISDIR, "rename", to.as_str())),
+                (true, true) => {
+                    if !dst.entries().expect("dst is dir").is_empty() {
+                        return Err(FsError::new(Errno::ENOTEMPTY, "rename", to.as_str()));
+                    }
+                    self.dir_mut(to_pino).remove(to_name.as_bytes());
+                    self.node_mut(to_pino).nlink -= 1;
+                    self.free_inode(dst_ino);
+                }
+                (false, false) => {
+                    self.dir_mut(to_pino).remove(to_name.as_bytes());
+                    let d = self.node_mut(dst_ino);
+                    d.nlink -= 1;
+                    d.ctime = ctx.now;
+                    self.maybe_free(dst_ino);
+                }
+            }
+        }
+        self.dir_mut(from_pino).remove(from_name.as_bytes());
+        self.dir_mut(to_pino).insert(Name::from(to_name), src_ino);
+        if src_is_dir && from_pino != to_pino {
+            self.node_mut(from_pino).nlink -= 1;
+            self.node_mut(to_pino).nlink += 1;
+        }
+        self.touch_parent(from_pino, ctx.now);
+        self.touch_parent(to_pino, ctx.now);
+        self.node_mut(src_ino).ctime = ctx.now;
+        Ok(sites)
+    }
+
+    /// [`FileSystem::link`], reporting the new name's site; its inode is
+    /// the existing file's.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileSystem::link`].
+    pub fn link_at(&mut self, ctx: &OpCtx, existing: &VPath, new: &VPath) -> Result<Site, FsError> {
+        let (_, ino) = self.resolve(ctx, existing.as_str(), "link", true, 0)?;
+        if self.node(ino).ftype == FileType::Directory {
+            return Err(FsError::new(Errno::EPERM, "link", existing.as_str()));
+        }
+        let (pino, name) = self.resolve_free(ctx, new, "link")?;
+        let site = self.site(pino, ino);
+        self.dir_mut(pino).insert(Name::from(name), ino);
+        let n = self.node_mut(ino);
+        n.nlink += 1;
+        n.ctime = ctx.now;
+        self.touch_parent(pino, ctx.now);
+        Ok(site)
+    }
+
+    /// [`FileSystem::symlink`], reporting the new link's site.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileSystem::symlink`].
+    pub fn symlink_at(&mut self, ctx: &OpCtx, target: &str, new: &VPath) -> Result<Site, FsError> {
+        let (pino, name) = self.resolve_free(ctx, new, "symlink")?;
+        let link = Payload::Symlink {
+            target: target.to_string(),
+        };
+        Ok(self.make(ctx, pino, name, Mode::new(0o777), link))
+    }
+
+    /// [`FileSystem::readlink`], reporting the link's site.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileSystem::readlink`].
+    pub fn readlink_at(&self, ctx: &OpCtx, path: &VPath) -> Result<(String, Site), FsError> {
+        let (dir, ino) = self.resolve(ctx, path.as_str(), "readlink", false, 0)?;
+        match &self.node(ino).payload {
+            Payload::Symlink { target } => Ok((target.clone(), self.site(dir, ino))),
+            _ => Err(FsError::new(Errno::EINVAL, "readlink", path.as_str())),
+        }
+    }
+}
+
+impl Default for MemFs {
+    fn default() -> Self {
+        MemFs::new()
+    }
+}
+
+impl FileSystem for MemFs {
+    fn mkdir(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<()> {
+        self.mkdir_at(ctx, path, mode)?;
+        self.done(ctx, ())
+    }
+
+    fn rmdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<()> {
+        self.rmdir_at(ctx, path)?;
+        self.done(ctx, ())
+    }
+
+    fn create(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<FileHandle> {
+        let (fh, _) = self.create_at(ctx, path, mode)?;
+        self.done(ctx, fh)
+    }
+
+    fn open(&mut self, ctx: &OpCtx, path: &VPath, flags: OpenFlags) -> FsResult<FileHandle> {
+        let (fh, _) = self.open_at(ctx, path, flags)?;
         self.done(ctx, fh)
     }
 
@@ -483,255 +826,43 @@ impl FileSystem for MemFs {
     }
 
     fn stat(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<FileAttr> {
-        let ino = self.resolve(ctx, path.as_str(), "stat", false, 0)?;
-        let attr = self.attr_of(ino);
+        let (attr, _) = self.stat_at(ctx, path)?;
         self.done(ctx, attr)
     }
 
     fn setattr(&mut self, ctx: &OpCtx, path: &VPath, set: SetAttr) -> FsResult<FileAttr> {
-        let ino = self.resolve(ctx, path.as_str(), "setattr", true, 0)?;
-        let node = self.node(ino);
-        let is_owner = ctx.uid == Uid(0) || ctx.uid == node.uid;
-        if (set.mode.is_some() || set.uid.is_some() || set.gid.is_some()) && !is_owner {
-            return Err(FsError::new(Errno::EPERM, "setattr", path.as_str()));
-        }
-        if (set.atime.is_some() || set.mtime.is_some())
-            && !is_owner
-            && !node.mode.allows_write(ctx.uid, ctx.gid, node.uid, node.gid)
-        {
-            return Err(FsError::new(Errno::EPERM, "setattr", path.as_str()));
-        }
-        if set.size.is_some()
-            && !is_owner
-            && !node.mode.allows_write(ctx.uid, ctx.gid, node.uid, node.gid)
-        {
-            return Err(FsError::new(Errno::EACCES, "setattr", path.as_str()));
-        }
-        if set.size.is_some() && node.ftype != FileType::Regular {
-            return Err(FsError::new(Errno::EISDIR, "setattr", path.as_str()));
-        }
-        let node = self.node_mut(ino);
-        if let Some(m) = set.mode {
-            node.mode = m;
-        }
-        if let Some(u) = set.uid {
-            node.uid = u;
-        }
-        if let Some(g) = set.gid {
-            node.gid = g;
-        }
-        if let Some(s) = set.size {
-            if let Payload::File { size } = &mut node.payload {
-                *size = s;
-            }
-            node.mtime = ctx.now;
-        }
-        if let Some(t) = set.atime {
-            node.atime = t;
-        }
-        if let Some(t) = set.mtime {
-            node.mtime = t;
-        }
-        node.ctime = ctx.now;
-        let attr = self.attr_of(ino);
+        let (attr, _) = self.setattr_at(ctx, path, set)?;
         self.done(ctx, attr)
     }
 
     fn readdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<Vec<DirEntry>> {
-        let ino = self.resolve(ctx, path.as_str(), "readdir", true, 0)?;
-        let node = self.node(ino);
-        // The type is checked before the permission, as Linux's
-        // `open(O_DIRECTORY)` does: an unreadable file is `ENOTDIR`.
-        let entries = node
-            .entries()
-            .ok_or_else(|| FsError::new(Errno::ENOTDIR, "readdir", path.as_str()))?;
-        if !node.mode.allows_read(ctx.uid, ctx.gid, node.uid, node.gid) {
-            return Err(FsError::new(Errno::EACCES, "readdir", path.as_str()));
-        }
-        let mut list: Vec<DirEntry> = entries
-            // cofs-lint: allow(D003, sorted by name before it is returned)
-            .iter()
-            .map(|(name, &ino)| DirEntry {
-                name: name.to_string(),
-                ino,
-                ftype: self.node(ino).ftype,
-            })
-            .collect();
-        // Names are unique within a directory, so the order is total.
-        list.sort_unstable_by(|a, b| a.name.cmp(&b.name));
-        self.node_mut(ino).atime = ctx.now;
+        let (list, _) = self.readdir_at(ctx, path)?;
         self.done(ctx, list)
     }
 
     fn unlink(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<()> {
-        let (pino, name) = self.resolve_parent(ctx, path, "unlink")?;
-        self.check_parent_write(ctx, pino, "unlink", path)?;
-        let ino = *self
-            .node(pino)
-            .entries()
-            .expect("parent is dir")
-            .get(name)
-            .ok_or_else(|| FsError::new(Errno::ENOENT, "unlink", path.as_str()))?;
-        if self.node(ino).ftype == FileType::Directory {
-            return Err(FsError::new(Errno::EISDIR, "unlink", path.as_str()));
-        }
-        self.node_mut(pino)
-            .entries_mut()
-            .expect("parent is dir")
-            .remove(name);
-        let n = self.node_mut(ino);
-        n.nlink -= 1;
-        n.ctime = ctx.now;
-        self.maybe_free(ino);
-        self.touch_parent(pino, ctx.now);
+        self.unlink_at(ctx, path)?;
         self.done(ctx, ())
     }
 
     fn rename(&mut self, ctx: &OpCtx, from: &VPath, to: &VPath) -> FsResult<()> {
-        if from == to {
-            // POSIX: renaming a name onto itself succeeds only if it
-            // exists (resolution errors still apply).
-            self.resolve(ctx, from.as_str(), "rename", false, 0)?;
-            return self.done(ctx, ());
-        }
-        if to.starts_with(from) {
-            return Err(FsError::new(Errno::EINVAL, "rename", to.as_str()));
-        }
-        let (from_pino, from_name) = self.resolve_parent(ctx, from, "rename")?;
-        self.check_parent_write(ctx, from_pino, "rename", from)?;
-        let (to_pino, to_name) = self.resolve_parent(ctx, to, "rename")?;
-        self.check_parent_write(ctx, to_pino, "rename", to)?;
-        let src_ino = *self
-            .node(from_pino)
-            .entries()
-            .expect("parent is dir")
-            .get(from_name)
-            .ok_or_else(|| FsError::new(Errno::ENOENT, "rename", from.as_str()))?;
-        let src_is_dir = self.node(src_ino).ftype == FileType::Directory;
-        // Handle an existing target.
-        if let Some(&dst_ino) = self
-            .node(to_pino)
-            .entries()
-            .expect("parent is dir")
-            .get(to_name)
-        {
-            if dst_ino == src_ino {
-                // POSIX: both names link the same file, so the rename
-                // succeeds and changes nothing.
-                return self.done(ctx, ());
-            }
-            let dst = self.node(dst_ino);
-            match (src_is_dir, dst.ftype == FileType::Directory) {
-                (true, false) => return Err(FsError::new(Errno::ENOTDIR, "rename", to.as_str())),
-                (false, true) => return Err(FsError::new(Errno::EISDIR, "rename", to.as_str())),
-                (true, true) => {
-                    if !dst.entries().expect("dst is dir").is_empty() {
-                        return Err(FsError::new(Errno::ENOTEMPTY, "rename", to.as_str()));
-                    }
-                    self.node_mut(to_pino)
-                        .entries_mut()
-                        .expect("parent is dir")
-                        .remove(to_name);
-                    self.node_mut(to_pino).nlink -= 1;
-                    self.free_inode(dst_ino);
-                }
-                (false, false) => {
-                    self.node_mut(to_pino)
-                        .entries_mut()
-                        .expect("parent is dir")
-                        .remove(to_name);
-                    let d = self.node_mut(dst_ino);
-                    d.nlink -= 1;
-                    d.ctime = ctx.now;
-                    self.maybe_free(dst_ino);
-                }
-            }
-        }
-        self.node_mut(from_pino)
-            .entries_mut()
-            .expect("parent is dir")
-            .remove(from_name);
-        self.node_mut(to_pino)
-            .entries_mut()
-            .expect("parent is dir")
-            .insert(to_name.into(), src_ino);
-        if src_is_dir && from_pino != to_pino {
-            self.node_mut(from_pino).nlink -= 1;
-            self.node_mut(to_pino).nlink += 1;
-        }
-        self.touch_parent(from_pino, ctx.now);
-        self.touch_parent(to_pino, ctx.now);
-        self.node_mut(src_ino).ctime = ctx.now;
+        self.rename_at(ctx, from, to)?;
         self.done(ctx, ())
     }
 
     fn link(&mut self, ctx: &OpCtx, existing: &VPath, new: &VPath) -> FsResult<()> {
-        let ino = self.resolve(ctx, existing.as_str(), "link", true, 0)?;
-        if self.node(ino).ftype == FileType::Directory {
-            return Err(FsError::new(Errno::EPERM, "link", existing.as_str()));
-        }
-        let (pino, name) = self.resolve_parent(ctx, new, "link")?;
-        self.check_parent_write(ctx, pino, "link", new)?;
-        if self
-            .node(pino)
-            .entries()
-            .expect("parent is dir")
-            .contains_key(name)
-        {
-            return Err(FsError::new(Errno::EEXIST, "link", new.as_str()));
-        }
-        self.node_mut(pino)
-            .entries_mut()
-            .expect("parent is dir")
-            .insert(name.into(), ino);
-        let n = self.node_mut(ino);
-        n.nlink += 1;
-        n.ctime = ctx.now;
-        self.touch_parent(pino, ctx.now);
+        self.link_at(ctx, existing, new)?;
         self.done(ctx, ())
     }
 
     fn symlink(&mut self, ctx: &OpCtx, target: &str, new: &VPath) -> FsResult<()> {
-        let (pino, name) = self.resolve_parent(ctx, new, "symlink")?;
-        self.check_parent_write(ctx, pino, "symlink", new)?;
-        if self
-            .node(pino)
-            .entries()
-            .expect("parent is dir")
-            .contains_key(name)
-        {
-            return Err(FsError::new(Errno::EEXIST, "symlink", new.as_str()));
-        }
-        let ino = self.insert_inode(Inode {
-            ftype: FileType::Symlink,
-            mode: Mode::new(0o777),
-            uid: ctx.uid,
-            gid: ctx.gid,
-            nlink: 1,
-            atime: ctx.now,
-            mtime: ctx.now,
-            ctime: ctx.now,
-            payload: Payload::Symlink {
-                target: target.to_string(),
-            },
-        });
-        self.node_mut(pino)
-            .entries_mut()
-            .expect("parent is dir")
-            .insert(name.into(), ino);
-        self.touch_parent(pino, ctx.now);
+        self.symlink_at(ctx, target, new)?;
         self.done(ctx, ())
     }
 
     fn readlink(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<String> {
-        let ino = self.resolve(ctx, path.as_str(), "readlink", false, 0)?;
-        match &self.node(ino).payload {
-            Payload::Symlink { target } => {
-                let t = target.clone();
-                self.done(ctx, t)
-            }
-            _ => Err(FsError::new(Errno::EINVAL, "readlink", path.as_str())),
-        }
+        let (target, _) = self.readlink_at(ctx, path)?;
+        self.done(ctx, target)
     }
 
     fn statfs(&mut self, ctx: &OpCtx) -> FsResult<FsStats> {
@@ -920,14 +1051,24 @@ mod tests {
             .is(Errno::EINVAL));
     }
 
-    /// A thousand names, created in a shuffled order and then thinned
-    /// and renamed in place, so a hash table cannot list them in name
-    /// order by chance.
+    /// A thousand names of 1 to 40 bytes, on both sides of `Name`'s
+    /// inline limit, created in a shuffled order and then thinned and
+    /// renamed in place, so a hash table cannot list them in name order
+    /// by chance.
     #[test]
     fn readdir_lists_sorted() {
         let (mut fs, ctx) = fs_and_ctx();
         fs.mkdir(&ctx, &vpath("/d"), Mode::dir_default()).unwrap();
-        let mut names: Vec<String> = (0..1000).map(|i| format!("f{i:04}")).collect();
+        let mut names: Vec<String> = (0..1000usize)
+            .map(|i| {
+                let id = format!("{i:x}");
+                let pad = if i % 3 == 0 { "é" } else { "x" };
+                let fill = (i % 40 + 1).saturating_sub(id.len()) / pad.len();
+                format!("{}{id}", pad.repeat(fill))
+            })
+            .collect();
+        assert_eq!(names.iter().map(String::len).min(), Some(1));
+        assert_eq!(names.iter().map(String::len).max(), Some(40));
         SimRng::seed_from(20).shuffle(&mut names);
         for name in &names {
             fs.create(&ctx, &vpath(&format!("/d/{name}")), Mode::file_default())

@@ -12,10 +12,15 @@
 //! [`VPath::parent_str`], the parent's text without building a parent
 //! path. Every constructor and [`VPath::join`] keep the text
 //! normalized; a probe with non-normalized text simply finds nothing.
+//!
+//! [`Name`] makes the same contract with bytes: a directory entry's
+//! name hashes, compares and orders like its bytes, so entry tables are
+//! probed with the borrowed bytes of a component that [`walk`] yields.
 
 use crate::error::{Errno, FsError};
 use std::borrow::Borrow;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// An absolute, normalized path in a virtual filesystem.
 ///
@@ -225,6 +230,115 @@ impl Borrow<str> for VPath {
     }
 }
 
+/// Longest name a [`Name`] keeps inline: with its length byte and the
+/// variant tag, a [`Name`] takes 24 bytes, a `String`'s size on a
+/// 64-bit host.
+const INLINE_NAME: usize = 22;
+
+/// A directory entry's name, as the key of an entry table (`MemFs` and
+/// COFS's metadata service key each directory's entries by it).
+///
+/// Names of up to 22 bytes sit inline, so a probe compares them in the
+/// table's own bucket without following a pointer; longer ones are
+/// boxed. A name hashes, compares and orders exactly like its bytes, so
+/// `impl Borrow<[u8]> for Name` is sound: a table keyed by `Name` is
+/// probed with a path component's borrowed bytes, which never has its
+/// UTF-8 validated again. Byte order is `str` order, so a listing sorted
+/// by `Name` is sorted by name.
+///
+/// # Examples
+///
+/// ```
+/// use simcore::hash::FxHashMap;
+/// use vfs::path::Name;
+///
+/// let mut entries: FxHashMap<Name, u64> = FxHashMap::default();
+/// entries.insert(Name::from("f.0.17"), 42);
+/// assert_eq!(entries.get("f.0.17".as_bytes()), Some(&42));
+/// assert_eq!(Name::from("f.0.17").as_str(), "f.0.17");
+/// ```
+#[derive(Clone)]
+pub struct Name(NameRepr);
+
+#[derive(Clone)]
+enum NameRepr {
+    /// The first `len` bytes of `bytes`; the rest are zero.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_NAME],
+    },
+    Boxed(Box<[u8]>),
+}
+
+impl Name {
+    /// The name's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            NameRepr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            NameRepr::Boxed(bytes) => bytes,
+        }
+    }
+
+    /// The name's text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("a name is built from a str")
+    }
+}
+
+impl From<&str> for Name {
+    fn from(name: &str) -> Name {
+        let text = name.as_bytes();
+        if text.len() > INLINE_NAME {
+            return Name(NameRepr::Boxed(text.into()));
+        }
+        let mut bytes = [0; INLINE_NAME];
+        bytes[..text.len()].copy_from_slice(text);
+        Name(NameRepr::Inline {
+            len: text.len() as u8,
+            bytes,
+        })
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Name) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Name) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+/// Sound because `Name`'s `Eq`, `Ord` and `Hash` are its bytes'.
+impl Borrow<[u8]> for Name {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 /// Walks normalized path text (a [`VPath`]'s, or a
 /// [`VPath::parent_str`]) one component at a time without allocating.
 /// Each step yields `(dir, name, rest)`: the text of the directory that
@@ -246,7 +360,11 @@ pub fn walk(path: &str) -> impl Iterator<Item = (&str, &str, &str)> {
         if start >= path.len() {
             return None;
         }
-        let end = path[start..].find('/').map_or(path.len(), |i| start + i);
+        // A byte search for the separator, as in `VPath::last_slash`.
+        let end = path.as_bytes()[start..]
+            .iter()
+            .position(|&b| b == b'/')
+            .map_or(path.len(), |i| start + i);
         let dir = if start == 1 { "/" } else { &path[..start - 1] };
         let step = (dir, &path[start..end], &path[end..]);
         start = end + 1;
@@ -388,6 +506,89 @@ mod tests {
                 assert_eq!(parent.join(name), p);
             }
         }
+    }
+
+    #[test]
+    fn walk_yields_each_component_with_its_directory_and_rest() {
+        type Steps = &'static [(&'static str, &'static str, &'static str)];
+        let cases: [(&str, Steps); 6] = [
+            ("/", &[]),
+            ("/a", &[("/", "a", "")]),
+            ("/a/b", &[("/", "a", "/b"), ("/a", "b", "")]),
+            (
+                "/shared/f.0.17",
+                &[("/", "shared", "/f.0.17"), ("/shared", "f.0.17", "")],
+            ),
+            (
+                "/.cofs/n0/d.x",
+                &[
+                    ("/", ".cofs", "/n0/d.x"),
+                    ("/.cofs", "n0", "/d.x"),
+                    ("/.cofs/n0", "d.x", ""),
+                ],
+            ),
+            ("/é/ü", &[("/", "é", "/ü"), ("/é", "ü", "")]),
+        ];
+        for (path, want) in cases {
+            assert_eq!(walk(path).collect::<Vec<_>>(), want, "{path}");
+            // Every step's directory joined with its name is the text
+            // walked so far.
+            for (dir, name, rest) in walk(path) {
+                let walked = &path[..path.len() - rest.len()];
+                assert_eq!(vpath(dir).join(name).as_str(), walked, "{path}");
+            }
+        }
+        // A parent's borrowed text walks like the parent path.
+        let p = vpath("/a/b/c");
+        let parent = p.parent().unwrap();
+        assert!(walk(p.parent_str().unwrap()).eq(walk(parent.as_str())));
+    }
+
+    /// Names of 1 to 42 bytes straddle the inline limit; each must hash,
+    /// compare, order and borrow exactly like its bytes.
+    #[test]
+    fn names_behave_like_their_bytes_on_both_sides_of_the_inline_limit() {
+        use simcore::hash::{FxBuildHasher, FxHashMap};
+        use std::hash::BuildHasher;
+        assert_eq!(std::mem::size_of::<Name>(), 24);
+        let text: Vec<String> = (1..=40)
+            .flat_map(|n| [("x", n), ("é", n / 2 + 1)])
+            .map(|(c, n)| c.repeat(n))
+            .chain(
+                [
+                    "f.0.17",
+                    "abcdefghijklmnopqrstuv",
+                    "abcdefghijklmnopqrstuvw",
+                ]
+                .map(String::from),
+            )
+            .collect();
+        for a in &text {
+            let name = Name::from(a.as_str());
+            assert_eq!(name.as_bytes(), a.as_bytes());
+            assert_eq!(name.as_str(), a);
+            assert_eq!(format!("{name:?}"), format!("{a:?}"));
+            let hasher = FxBuildHasher::default();
+            assert_eq!(hasher.hash_one(&name), hasher.hash_one(a.as_bytes()), "{a}");
+            assert_eq!(Borrow::<[u8]>::borrow(&name), a.as_bytes());
+            for b in &text {
+                let other = Name::from(b.as_str());
+                assert_eq!(name == other, a == b, "{a} == {b}");
+                assert_eq!(name.cmp(&other), a.as_str().cmp(b), "{a} vs {b}");
+                assert_eq!(name.partial_cmp(&other), a.partial_cmp(b));
+            }
+        }
+        // A table keyed by names finds each one by its borrowed bytes.
+        let table: FxHashMap<Name, usize> = text
+            .iter()
+            .enumerate()
+            .map(|(i, a)| (Name::from(a.as_str()), i))
+            .collect();
+        for a in &text {
+            assert_eq!(table.get(a.as_bytes()).map(|&j| &text[j]), Some(a));
+        }
+        assert_eq!(table.get("y".as_bytes()), None);
+        assert_eq!(table.get("x".repeat(41).as_bytes()), None);
     }
 
     /// A borrowed-text probe must find exactly what a path probe finds,

@@ -212,7 +212,7 @@ fn table1_write_patterns() {
     // COFS stays within a moderate factor of GPFS at 8 nodes (the
     // paper reports COFS overtaking GPFS here; our network model gives
     // each blade a full-rate access link, which attenuates the effect
-    // to rough parity — see EXPERIMENTS.md, known deviation 3).
+    // to rough parity — see the README, "Sweep goldens", Table I).
     let c8 = run_ior_op(&mut cofs_over_gpfs(8), &cfg8, IoOp::Write);
     let r8 = c8.aggregate_mib_s / g8.aggregate_mib_s;
     assert!(

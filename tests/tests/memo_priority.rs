@@ -1,12 +1,12 @@
 //! Integration tests for shard-side batch read memoization and the
-//! read-priority service lane: the calibration guards (disabled knobs,
-//! a batch of one, and an unused priority lane each reproduce the
-//! unbatched FIFO path bit for bit), the acceptance wins (the bursty
-//! storm's batches charge each shared ancestor row once, so the storm
-//! improves with batch size; the mixed storm's stat p99 stops tracking
-//! `max_batch_ops` under the priority lane), and the pricing
-//! properties — a batch never prices above the same batch with its
-//! read sets stripped, and is invariant to op order.
+//! read-priority service lane: the calibration guards (a batch of one
+//! and an unused priority lane each reproduce the unbatched FIFO path
+//! bit for bit; `batching.rs` guards disabled knobs), the acceptance
+//! wins (the bursty storm's batches charge each shared ancestor row
+//! once, so the storm improves with batch size; the mixed storm's stat
+//! p99 stops tracking `max_batch_ops` under the priority lane), and the
+//! pricing properties — a batch never prices above the same batch with
+//! its read sets stripped, and is invariant to op order.
 
 use cofs::batch::BatchedOp;
 use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
@@ -175,35 +175,6 @@ fn memoized_batch_of_one_is_bit_for_bit_unmemoized() {
         price(&batched_cfg(), &train),
         price(&batched_cfg(), &stripped(&train))
     );
-}
-
-#[test]
-fn all_defaults_off_reproduces_pr4_storm_bit_for_bit() {
-    // A config whose batch knobs are set but switched off, with the
-    // priority lane off, must price the whole storm identically to the
-    // untouched default — the calibration guard at storm level.
-    let storm = SharedDirStorm {
-        nodes: 4,
-        dirs: 4,
-        files_per_node: 8,
-        stats_per_create: 2,
-        ..SharedDirStorm::default()
-    };
-    let mut default_fs = cofs_over_memfs(CofsConfig::default());
-    let mut knobbed = cofs_over_memfs(CofsConfig {
-        read_priority: false,
-        batch: cofs::batch::BatchConfig {
-            enabled: false,
-            ..cofs::batch::BatchConfig::enabled(64, SimDuration::from_secs(1), 9)
-        },
-        ..CofsConfig::default()
-    });
-    let a = storm.run(&mut default_fs);
-    let b = storm.run(&mut knobbed);
-    assert_eq!(a.makespan, b.makespan);
-    assert_eq!(a.mean_create_ms, b.mean_create_ms);
-    assert_eq!(a.mean_stat_ms, b.mean_stat_ms);
-    assert_eq!(a.stat_p50_p99_ms, b.stat_p50_p99_ms);
 }
 
 #[test]

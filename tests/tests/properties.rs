@@ -1,5 +1,6 @@
 //! Property-based tests on core invariants: paths, placement, the
-//! metadata database, the token manager and the GPFS model's LRU set.
+//! metadata database, the token manager, the GPFS model's LRU set and
+//! the counter bags.
 
 use proptest::prelude::*;
 
@@ -340,6 +341,67 @@ mod lru_props {
                 prop_assert_eq!(lru.len(), reference.keys.len());
                 let keys: Vec<u64> = lru.keys().copied().collect();
                 prop_assert_eq!(&keys, &reference.keys);
+            }
+        }
+    }
+}
+
+mod counters_props {
+    use super::*;
+    use simcore::stats::Counters;
+    use std::collections::BTreeMap;
+
+    /// Each key text twice, at two addresses: the literal and a leaked
+    /// copy, so slots must merge keys that are equal only by text.
+    fn keys() -> Vec<&'static str> {
+        let literals = ["revocations", "acquires", "attr_hits", "a", "", "zz"];
+        literals
+            .iter()
+            .flat_map(|&k| [k, &*Box::leak(k.to_string().into_boxed_str())])
+            .collect()
+    }
+
+    proptest! {
+        /// `Counters` agrees with a `BTreeMap` reference on every count
+        /// and lists its keys in the same order after every step.
+        #[test]
+        fn counters_match_an_ordered_reference(
+            steps in prop::collection::vec((0u32..12, 0usize..12, 0u64..5), 1..200),
+        ) {
+            let keys = keys();
+            let mut counters = Counters::new();
+            let mut reference: BTreeMap<&str, u64> = BTreeMap::new();
+            for (op, k, n) in steps {
+                let key = keys[k];
+                match op {
+                    0..=5 => {
+                        counters.add(key, n);
+                        *reference.entry(key).or_insert(0) += n;
+                    }
+                    6..=8 => {
+                        counters.bump(key);
+                        *reference.entry(key).or_insert(0) += 1;
+                    }
+                    9 | 10 => {
+                        let mut other = Counters::new();
+                        other.add(keys[(k + 1) % keys.len()], n);
+                        other.bump(key);
+                        counters.merge(&other);
+                        for (k, v) in other.iter() {
+                            *reference.entry(k).or_insert(0) += v;
+                        }
+                    }
+                    _ => {
+                        counters.reset();
+                        reference.clear();
+                    }
+                }
+                for key in &keys {
+                    prop_assert_eq!(counters.get(key), reference.get(key).copied().unwrap_or(0));
+                }
+                let listed: Vec<(&str, u64)> = counters.iter().collect();
+                let want: Vec<(&str, u64)> = reference.iter().map(|(&k, &v)| (k, v)).collect();
+                prop_assert_eq!(listed, want);
             }
         }
     }
