@@ -11,7 +11,7 @@ use cofs::config::{CofsConfig, ShardPolicyKind};
 use cofs::fs::CofsFs;
 use cofs::mds::DbOps;
 use cofs::mds_cluster::ShardPolicy;
-use cofs_tests::cofs_over_memfs;
+use cofs_tests::{assert_disabled_knobs_reproduce_default, cofs_over_memfs};
 use netsim::ids::NodeId;
 use simcore::time::{SimDuration, SimTime};
 use vfs::fs::{FileSystem, OpCtx};
@@ -103,51 +103,19 @@ fn batched_storm_outcomes_are_bit_for_bit_identical() {
 
 #[test]
 fn default_config_reproduces_unbatched_times_bit_for_bit() {
-    // A config whose batch knobs are set but *disabled*, with the
-    // priority lane off, must price the whole storm identically to the
-    // untouched default — the calibration guard at storm level, with
-    // and without a stat-heavy mix.
-    let knobbed = |batch| {
-        cofs_over_memfs(CofsConfig {
-            read_priority: false,
-            batch,
-            ..CofsConfig::default()
-        })
-    };
-    let cases = [
-        (
-            8,
-            BatchConfig {
-                enabled: false,
-                max_batch_ops: 32,
-                max_batch_delay: SimDuration::from_secs(1),
-                pipeline_depth: 8,
-            },
-        ),
-        (
-            2,
-            BatchConfig {
-                enabled: false,
-                ..BatchConfig::enabled(64, SimDuration::from_secs(1), 9)
-            },
-        ),
-    ];
-    for (stats_per_create, batch) in cases {
-        let storm = SharedDirStorm {
-            nodes: 4,
-            dirs: 4,
-            files_per_node: 8,
-            stats_per_create,
-            ..SharedDirStorm::default()
-        };
-        let a = storm.run(&mut cofs_over_memfs(CofsConfig::default()));
-        let b = storm.run(&mut knobbed(batch));
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.mean_create_ms, b.mean_create_ms);
-        assert_eq!(a.mean_stat_ms, b.mean_stat_ms);
-        assert_eq!(a.stat_p50_p99_ms, b.stat_p50_p99_ms);
-        assert!(a.batch.is_none() && b.batch.is_none());
-    }
+    // A config whose batch knobs are set but *disabled* must price the
+    // whole storm identically to the untouched default — the
+    // calibration guard at storm level, on a stat-heavy mix.
+    // `memo_priority.rs` runs the same guard on a lighter mix.
+    assert_disabled_knobs_reproduce_default(
+        8,
+        BatchConfig {
+            enabled: false,
+            max_batch_ops: 32,
+            max_batch_delay: SimDuration::from_secs(1),
+            pipeline_depth: 8,
+        },
+    );
 }
 
 #[test]

@@ -1,19 +1,19 @@
 //! Integration tests for shard-side batch read memoization and the
-//! read-priority service lane: the calibration guards (a batch of one
-//! and an unused priority lane each reproduce the unbatched FIFO path
-//! bit for bit; `batching.rs` guards disabled knobs), the acceptance
-//! wins (the bursty storm's batches charge each shared ancestor row
-//! once, so the storm improves with batch size; the mixed storm's stat
-//! p99 stops tracking `max_batch_ops` under the priority lane), and the
-//! pricing properties — a batch never prices above the same batch with
-//! its read sets stripped, and is invariant to op order.
+//! read-priority service lane: the calibration guards (disabled knobs,
+//! a batch of one, and an unused priority lane each reproduce the
+//! unbatched FIFO path bit for bit), the acceptance wins (the bursty
+//! storm's batches charge each shared ancestor row once, so the storm
+//! improves with batch size; the mixed storm's stat p99 stops tracking
+//! `max_batch_ops` under the priority lane), and the pricing
+//! properties — a batch never prices above the same batch with its
+//! read sets stripped, and is invariant to op order.
 
-use cofs::batch::BatchedOp;
+use cofs::batch::{BatchConfig, BatchedOp};
 use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
 use cofs::fs::CofsFs;
 use cofs::mds::{Cred, DbOps, Mds, RowSet};
 use cofs::mds_cluster::{MdsCluster, Shape, ShardId, ShardPolicy};
-use cofs_tests::cofs_over_memfs;
+use cofs_tests::{assert_disabled_knobs_reproduce_default, cofs_over_memfs};
 use netsim::ids::NodeId;
 use simcore::time::{SimDuration, SimTime};
 use vfs::fs::OpCtx;
@@ -174,6 +174,21 @@ fn memoized_batch_of_one_is_bit_for_bit_unmemoized() {
     assert_eq!(
         price(&batched_cfg(), &train),
         price(&batched_cfg(), &stripped(&train))
+    );
+}
+
+#[test]
+fn all_defaults_off_reproduces_pr4_storm_bit_for_bit() {
+    // A config whose batch knobs are set but switched off, with the
+    // priority lane off, must price the whole storm identically to the
+    // untouched default — the guard `batching.rs` runs on a stat-heavy
+    // mix, here with 2 stats per create.
+    assert_disabled_knobs_reproduce_default(
+        2,
+        BatchConfig {
+            enabled: false,
+            ..BatchConfig::enabled(64, SimDuration::from_secs(1), 9)
+        },
     );
 }
 
