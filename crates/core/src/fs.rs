@@ -25,16 +25,74 @@ use vfs::types::{
     DirEntry, FileAttr, FileHandle, FileType, FsStats, Gid, Mode, OpenFlags, SetAttr, Uid,
 };
 
+/// One FUSE request on its way through the daemon: the caller's
+/// context, the op's name (its errors carry it) and its virtual clock,
+/// which starts once FUSE has dispatched the request and moves only
+/// forward, through [`Op::advance`].
+struct Op<'c> {
+    ctx: &'c OpCtx,
+    name: &'static str,
+    t: SimTime,
+}
+
+impl<'c> Op<'c> {
+    /// `ctx`'s request `name`, delivered to the daemon `dispatch` after
+    /// its issue.
+    fn new(ctx: &'c OpCtx, name: &'static str, dispatch: SimDuration) -> Self {
+        let t = ctx.now + dispatch;
+        Op { ctx, name, t }
+    }
+
+    /// The caller's credentials, checked by the metadata service
+    /// against the virtual attributes.
+    fn cred(&self) -> Cred {
+        Cred {
+            uid: self.ctx.uid,
+            gid: self.ctx.gid,
+        }
+    }
+
+    /// The daemon performs underlying I/O with its own (root)
+    /// credentials, at the op's current time.
+    fn daemon(&self) -> OpCtx {
+        OpCtx {
+            uid: Uid(0),
+            gid: Gid(0),
+            now: self.t,
+            ..*self.ctx
+        }
+    }
+
+    /// Moves the clock to `to`; it never moves back.
+    fn advance(&mut self, to: SimTime) {
+        debug_assert!(
+            to >= self.t,
+            "{} moved its clock back from {:?} to {to:?}",
+            self.name,
+            self.t
+        );
+        self.t = to;
+    }
+
+    /// The `EIO` that the refusal `nack` fails this op with, on `what`.
+    /// A refusal that predates the op (a stale batch its submission
+    /// pumped) still ends no earlier than the op has got to.
+    fn refused(&self, what: &str, nack: &Nack) -> FsError {
+        FsError::new(Errno::EIO, self.name, what).with_end(nack.at.max(self.t))
+    }
+
+    /// The op's reply: `v`, at the current time.
+    fn done<T>(self, v: T) -> FsResult<T> {
+        Ok(Timed::new(v, self.t))
+    }
+}
+
 /// What a metadata operation charged by `CofsFs::charge` touches.
 #[derive(Debug, Clone, Copy)]
 enum Target<'a> {
-    /// A read of `path`'s attributes (for [`EntryKind::Dentry`], of its
-    /// entry list); `op` names it in errors.
-    Read {
-        op: &'static str,
-        kind: EntryKind,
-        path: &'a VPath,
-    },
+    /// A read of a path's attributes (for [`EntryKind::Dentry`], of its
+    /// entry list).
+    Read(EntryKind, &'a VPath),
     /// A mutation of one name, or of two (`rename`, `link`).
     Write(&'a VPath, Option<&'a VPath>),
 }
@@ -303,40 +361,20 @@ impl<U: FileSystem> CofsFs<U> {
         self.exhausted_by_node.clear();
     }
 
-    fn cred(ctx: &OpCtx) -> Cred {
-        Cred {
-            uid: ctx.uid,
-            gid: ctx.gid,
-        }
-    }
-
-    /// The FUSE daemon performs underlying I/O with its own (root)
-    /// credentials; permission checks happen in the metadata service
-    /// against the virtual attributes.
-    fn daemon_ctx(ctx: &OpCtx, now: simcore::time::SimTime) -> OpCtx {
-        OpCtx {
-            node: ctx.node,
-            pid: ctx.pid,
-            uid: Uid(0),
-            gid: Gid(0),
-            now,
-        }
-    }
-
     /// Feeds one operation on `path` into the elastic policy's
     /// per-directory load window (the *parent* is the observed
     /// directory, passed as borrowed text). A no-op under static
     /// policies; observation itself never charges time (see
     /// [`crate::mds_cluster::MdsCluster::observe_elastic`]).
-    fn observe_parent(&mut self, path: &VPath, t: simcore::time::SimTime) {
-        self.observe(path.parent_str().unwrap_or("/"), t);
+    fn observe_parent(&mut self, op: &Op, path: &VPath) {
+        self.observe(op, path.parent_str().unwrap_or("/"));
     }
 
     /// Feeds one operation under directory `dir` into the elastic
     /// policy, then fences the leases of any crash the policy's fault
     /// check processed.
-    fn observe(&mut self, dir: &str, t: simcore::time::SimTime) {
-        self.mds.observe_elastic(&self.cfg, dir, t);
+    fn observe(&mut self, op: &Op, dir: &str) {
+        self.mds.observe_elastic(&self.cfg, dir, op.t);
         self.fence_crashed();
     }
 
@@ -360,41 +398,37 @@ impl<U: FileSystem> CofsFs<U> {
     /// (pure size publication) advertise nothing; the shard then prices
     /// the batch by its deduplicated read set. It also carries its
     /// parents' rows for write-behind coalescing.
-    fn charge(
-        &mut self,
-        node: NodeId,
-        target: Target<'_>,
-        ops: DbOps,
-        t: SimTime,
-    ) -> Result<SimTime, FsError> {
-        let (shape, t) = match target {
-            Target::Read { op, kind, path } => {
+    fn charge(&mut self, op: &mut Op, target: Target<'_>, ops: DbOps) -> Result<(), FsError> {
+        let node = op.ctx.node;
+        let shape = match target {
+            Target::Read(kind, path) => {
                 let shard = match kind {
                     EntryKind::Attr | EntryKind::Negative => {
-                        self.observe_parent(path, t);
+                        self.observe_parent(op, path);
                         self.mds.route(path)
                     }
                     EntryKind::Dentry => {
                         // A listing observes the listed directory itself.
-                        self.observe(path.as_str(), t);
+                        self.observe(op, path.as_str());
                         self.mds.route_entries(path)
                     }
                 };
-                let t = self.admit(node, shard, t).map_err(|nack| {
-                    FsError::new(Errno::EIO, op, path.as_str()).with_end(nack.at)
-                })?;
-                (Shape::Sync(shard), t)
+                let t = self
+                    .admit(node, shard, op.t)
+                    .map_err(|nack| op.refused(path.as_str(), &nack))?;
+                op.advance(t);
+                Shape::Sync(shard)
             }
             Target::Write(a, b) => {
-                self.observe_parent(a, t);
+                self.observe_parent(op, a);
                 if let Some(b) = b {
-                    self.observe_parent(b, t);
+                    self.observe_parent(op, b);
                 }
                 let sa = self.mds.route(a);
                 let sb = b.map_or(sa, |b| self.mds.route(b));
                 if sa != sb {
                     self.counters.bump("mds_two_phase");
-                    (Shape::TwoPhase(sa, sb), t)
+                    Shape::TwoPhase(sa, sb)
                 } else if self.batch.enabled() {
                     // Both names' rows, each shared row once, clamped to
                     // the rows the op touched.
@@ -422,32 +456,38 @@ impl<U: FileSystem> CofsFs<U> {
                             read_set,
                             write_set,
                         },
-                        t,
+                        op.t,
                     );
-                    self.pump(node, t)?;
-                    return Ok(self.batch.ack_time(node, t));
+                    // A batch this submission puts on the wire and the
+                    // retry driver gives up on fails this op.
+                    self.pump(node, op.t)
+                        .map_err(|nack| op.refused(a.as_str(), &nack))?;
+                    op.advance(self.batch.ack_time(node, op.t));
+                    return Ok(());
                 } else {
-                    (Shape::Sync(sa), t)
+                    Shape::Sync(sa)
                 }
             }
         };
         self.counters.bump("mds_rpcs");
-        Ok(self.mds.request(
+        let done = self.mds.request(
             &self.cfg,
             &self.net,
             node,
             shape,
             &[BatchedOp::opaque(ops)],
-            t,
-        ))
+            op.t,
+        );
+        op.advance(done);
+        Ok(())
     }
 
     /// Puts every closed batch of `node` due by `horizon` on the wire,
     /// in close order, feeding each completion back into the pipeline's
     /// slot accounting. A batch the retry driver gives up on records
     /// the failure time as its completion (the slot frees — the
-    /// pipeline never wedges) and surfaces `EIO`.
-    fn pump(&mut self, node: NodeId, horizon: SimTime) -> Result<(), FsError> {
+    /// pipeline never wedges) and returns the refusal.
+    fn pump(&mut self, node: NodeId, horizon: SimTime) -> Result<(), Nack> {
         while let Some(b) = self.batch.take_due(node, horizon) {
             self.counters.bump("mds_batches");
             let done = match self.admit(node, b.shard, b.issue_at) {
@@ -458,9 +498,7 @@ impl<U: FileSystem> CofsFs<U> {
                 Err(nack) => {
                     self.retry.exhausted_ops += b.ops.len() as u64;
                     self.batch.record_completion(node, nack.at);
-                    return Err(
-                        FsError::new(Errno::EIO, "batch", b.shard.to_string()).with_end(nack.at)
-                    );
+                    return Err(nack);
                 }
             };
             self.batch.record_completion(node, done);
@@ -517,19 +555,16 @@ impl<U: FileSystem> CofsFs<U> {
     /// retry-exhausted `EIO` can never leave the namespace changed —
     /// an op either completes (possibly via retries) or fails without
     /// effect, never both.
-    fn gate(
-        &mut self,
-        node: NodeId,
-        op: &'static str,
-        path: &VPath,
-        t: SimTime,
-    ) -> Result<SimTime, FsError> {
+    fn gate(&mut self, op: &mut Op, path: &VPath) -> Result<(), FsError> {
         if !self.mds.fault_active() {
-            return Ok(t);
+            return Ok(());
         }
         let shard = self.mds.route(path);
-        self.admit(node, shard, t)
-            .map_err(|nack| FsError::new(Errno::EIO, op, path.as_str()).with_end(nack.at))
+        let t = self
+            .admit(op.ctx.node, shard, op.t)
+            .map_err(|nack| op.refused(path.as_str(), &nack))?;
+        op.advance(t);
+        Ok(())
     }
 
     /// Fences, for every crash the cluster processed since the last
@@ -543,11 +578,6 @@ impl<U: FileSystem> CofsFs<U> {
         }
     }
 
-    /// FUSE interposition cost for one request.
-    fn fuse(&self, ctx: &OpCtx) -> simcore::time::SimTime {
-        ctx.now + self.cfg.fuse_dispatch
-    }
-
     /// Charges a lease-eligible metadata read. A live cached lease
     /// answers locally — no RPC, no shard contact, ~0 RTT. A miss pays
     /// the full shard RPC and installs a fresh lease for the caller.
@@ -555,45 +585,38 @@ impl<U: FileSystem> CofsFs<U> {
     /// way; only the charged time differs (see [`crate::client_cache`]).
     fn cached_read(
         &mut self,
-        ctx: &OpCtx,
+        op: &mut Op,
         kind: EntryKind,
-        op: &'static str,
         path: &VPath,
         ops: DbOps,
-        t: simcore::time::SimTime,
-    ) -> Result<simcore::time::SimTime, FsError> {
-        if self.cache.lookup(ctx.node, kind, path, t).is_hit() {
+    ) -> Result<(), FsError> {
+        if self.cache.lookup(op.ctx.node, kind, path, op.t).is_hit() {
             // A live lease answers locally even while the owning shard
             // is down — exactly the availability a cache buys through a
             // fault window (fenced leases were already dropped when the
             // crash was processed).
-            return Ok(t);
+            return Ok(());
         }
-        let done = self.charge(ctx.node, Target::Read { op, kind, path }, ops, t)?;
+        self.charge(op, Target::Read(kind, path), ops)?;
         if self.cache.enabled() {
-            self.cache.insert(ctx.node, kind, path.clone(), done);
+            self.cache.insert(op.ctx.node, kind, path.clone(), op.t);
         }
-        Ok(done)
+        Ok(())
     }
 
-    /// Recalls every live lease conflicting with a mutation that
-    /// completed at `t`: the recalled entries leave the holders' caches,
-    /// the mutator's own copies for free, and the owning shards price a
+    /// Recalls every live lease conflicting with a mutation that has
+    /// completed: the recalled entries leave the holders' caches, the
+    /// mutator's own copies for free, and the owning shards price a
     /// message to each remote holder (in parallel, RTT-costed). `keys`
     /// runs only with the client cache on; with it off there are no
     /// leases, and building the keys would only clone paths.
-    fn recall(
-        &mut self,
-        node: NodeId,
-        keys: impl FnOnce() -> Vec<LeaseKey>,
-        t: simcore::time::SimTime,
-    ) -> simcore::time::SimTime {
+    fn recall(&mut self, op: &mut Op, keys: impl FnOnce() -> Vec<LeaseKey>) {
         if !self.cache.enabled() {
-            return t;
+            return;
         }
         let keys = keys();
-        let messages = self.cache.recall(node, &keys, t);
-        self.mds.price_recall(&self.net, &messages, t)
+        let messages = self.cache.recall(op.ctx.node, &keys, op.t);
+        op.advance(self.mds.price_recall(&self.net, &messages, op.t));
     }
 
     /// The lease keys a namespace mutation under `path`'s parent
@@ -617,39 +640,11 @@ impl<U: FileSystem> CofsFs<U> {
         keys
     }
 
-    /// A `stat` probe of a missing name still pays the round trip the
-    /// service needed to fail the lookup (the shard resolves the path
-    /// before it can say `ENOENT`). With the client cache on, the miss
-    /// installs a lease-backed *negative* entry so repeat probes — the
-    /// lock-file-polling pattern — answer locally until the name is
-    /// created (recall) or the lease lapses. Only `stat` probes are
-    /// negatively cached; `open`'s failure path stays uncharged, as
-    /// polling loops stat before they open.
-    fn negative_probe(
-        &mut self,
-        ctx: &OpCtx,
-        path: &VPath,
-        t: simcore::time::SimTime,
-    ) -> Result<simcore::time::SimTime, FsError> {
-        // Nominal resolution scan: one row per component plus the
-        // missing dentry probe itself.
-        let ops = DbOps {
-            reads: path.depth() as u64 + 1,
-            writes: 0,
-        };
-        self.cached_read(ctx, EntryKind::Negative, "stat", path, ops, t)
-    }
-
     /// Ensures the underlying directory chain for `dir` exists,
     /// creating missing ancestors through the underlying filesystem.
-    fn ensure_under_dir(
-        &mut self,
-        ctx: &OpCtx,
-        dir: &VPath,
-        mut t: simcore::time::SimTime,
-    ) -> Result<simcore::time::SimTime, FsError> {
+    fn ensure_under_dir(&mut self, op: &mut Op, dir: &VPath) -> Result<(), FsError> {
         if self.made_dirs.contains(dir) {
-            return Ok(t);
+            return Ok(());
         }
         // Build ancestors root-down.
         let mut chain = Vec::new();
@@ -662,10 +657,9 @@ impl<U: FileSystem> CofsFs<U> {
             cur = d.parent();
         }
         for d in chain.into_iter().rev() {
-            let dctx = Self::daemon_ctx(ctx, t);
-            match self.under.mkdir(&dctx, &d, Mode::new(0o755)) {
+            match self.under.mkdir(&op.daemon(), &d, Mode::new(0o755)) {
                 Ok(done) => {
-                    t = done.end;
+                    op.advance(done.end);
                     self.counters.bump("under_dirs_made");
                 }
                 Err(e) if e.is(Errno::EEXIST) => {}
@@ -673,36 +667,28 @@ impl<U: FileSystem> CofsFs<U> {
             }
             self.made_dirs.insert(d);
         }
-        Ok(t)
+        Ok(())
     }
 
-    /// Performs the deferred underlying open for a lazy handle and
-    /// returns the underlying handle plus the time it became ready.
-    fn materialize(
-        &mut self,
-        ctx: &OpCtx,
-        fh: FileHandle,
-        t: simcore::time::SimTime,
-    ) -> Result<(FileHandle, simcore::time::SimTime), FsError> {
+    /// The underlying handle behind `fh`, performing the deferred
+    /// underlying open first if the handle is lazy.
+    fn materialize(&mut self, op: &mut Op, fh: FileHandle) -> Result<FileHandle, FsError> {
         let h = self
             .handles
-            .get(&fh.0)
-            .ok_or_else(|| FsError::new(Errno::EBADF, "io", fh.to_string()))?
-            .clone();
+            .get_mut(&fh.0)
+            .ok_or_else(|| FsError::new(Errno::EBADF, op.name, fh.to_string()))?;
         if let Some(ufh) = h.under_fh {
-            return Ok((ufh, t));
+            return Ok(ufh);
         }
         let mapping = h
             .mapping
-            .clone()
-            .ok_or_else(|| FsError::new(Errno::EISDIR, "io", fh.to_string()))?;
-        let dctx = Self::daemon_ctx(ctx, t);
-        let under = self.under.open(&dctx, &mapping, h.flags)?;
+            .as_ref()
+            .ok_or_else(|| FsError::new(Errno::EISDIR, op.name, fh.to_string()))?;
+        let under = self.under.open(&op.daemon(), mapping, h.flags)?;
         self.counters.bump("under_opens");
-        if let Some(hm) = self.handles.get_mut(&fh.0) {
-            hm.under_fh = Some(under.value);
-        }
-        Ok((under.value, under.end))
+        h.under_fh = Some(under.value);
+        op.advance(under.end);
+        Ok(under.value)
     }
 
     /// The one listing path behind `readdir` and `readdir_count`: the
@@ -711,21 +697,18 @@ impl<U: FileSystem> CofsFs<U> {
     /// Returns the listed directory's inode number; only `readdir` goes
     /// on to copy its names.
     fn list(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<u64> {
-        let t = self.fuse(ctx);
-        let (dir, ops) = self
-            .mds
-            .namespace_mut()
-            .readdir(Self::cred(ctx), path, ctx.now)?;
+        let mut op = Op::new(ctx, "readdir", self.cfg.fuse_dispatch);
+        let (dir, ops) = self.mds.namespace_mut().readdir(op.cred(), path, ctx.now)?;
         // The entry list lives with the children, not with the
         // directory's own dentry; a live dentry lease lists locally.
-        let t = self.cached_read(ctx, EntryKind::Dentry, "readdir", path, ops, t)?;
-        Ok(Timed::new(dir, t))
+        self.cached_read(&mut op, EntryKind::Dentry, path, ops)?;
+        op.done(dir)
     }
 
-    fn handle(&self, fh: FileHandle, op: &'static str) -> Result<&CHandle, FsError> {
+    fn handle(&self, op: &Op, fh: FileHandle) -> Result<&CHandle, FsError> {
         self.handles
             .get(&fh.0)
-            .ok_or_else(|| FsError::new(Errno::EBADF, op, fh.to_string()))
+            .ok_or_else(|| FsError::new(Errno::EBADF, op.name, fh.to_string()))
     }
 
     fn alloc_fh(&mut self, h: CHandle) -> FileHandle {
@@ -738,27 +721,24 @@ impl<U: FileSystem> CofsFs<U> {
 
 impl<U: FileSystem> FileSystem for CofsFs<U> {
     fn mkdir(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<()> {
-        let t = self.fuse(ctx);
-        let t = self.gate(ctx.node, "mkdir", path, t)?;
+        let mut op = Op::new(ctx, "mkdir", self.cfg.fuse_dispatch);
+        self.gate(&mut op, path)?;
         // Directories are pure metadata: one service transaction, no
         // underlying filesystem involvement whatsoever.
         let ops = self
             .mds
             .namespace_mut()
-            .mkdir(Self::cred(ctx), path, mode, ctx.now)?;
-        let t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
-        let t = self.recall(ctx.node, || Self::creation_keys(path), t);
-        Ok(Timed::new((), t))
+            .mkdir(op.cred(), path, mode, ctx.now)?;
+        self.charge(&mut op, Target::Write(path, None), ops)?;
+        self.recall(&mut op, || Self::creation_keys(path));
+        op.done(())
     }
 
     fn rmdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<()> {
-        let t = self.fuse(ctx);
-        let t = self.gate(ctx.node, "rmdir", path, t)?;
-        let ops = self
-            .mds
-            .namespace_mut()
-            .rmdir(Self::cred(ctx), path, ctx.now)?;
-        let t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
+        let mut op = Op::new(ctx, "rmdir", self.cfg.fuse_dispatch);
+        self.gate(&mut op, path)?;
+        let ops = self.mds.namespace_mut().rmdir(op.cred(), path, ctx.now)?;
+        self.charge(&mut op, Target::Write(path, None), ops)?;
         let keys = || {
             let mut keys = vec![
                 (EntryKind::Attr, path.clone()),
@@ -767,42 +747,41 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             keys.extend(Self::parent_keys(path));
             keys
         };
-        let t = self.recall(ctx.node, keys, t);
-        Ok(Timed::new((), t))
+        self.recall(&mut op, keys);
+        op.done(())
     }
 
     fn create(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<FileHandle> {
-        let t = self.fuse(ctx);
-        let t = self.gate(ctx.node, "create", path, t)?;
+        let mut op = Op::new(ctx, "create", self.cfg.fuse_dispatch);
+        self.gate(&mut op, path)?;
         // Placement decides where the bits will really live.
         let parent = path.parent().unwrap_or_else(VPath::root);
         let name = path
             .file_name()
-            .ok_or_else(|| FsError::new(Errno::EINVAL, "create", path.as_str()))?;
+            .ok_or_else(|| FsError::new(Errno::EINVAL, op.name, path.as_str()))?;
         let dir = self.placement.place(ctx.node, ctx.pid, &parent, name);
         let uname = format!("i{}", self.next_under_name);
         self.next_under_name += 1;
         let mapping = dir.join(&uname);
         // Register in the metadata service (validates permissions and
         // uniqueness in the *virtual* namespace).
-        let (rec, ops) = self.mds.namespace_mut().create(
-            Self::cred(ctx),
-            path,
-            mode,
-            mapping.clone(),
-            ctx.now,
-        )?;
+        let (rec, ops) =
+            self.mds
+                .namespace_mut()
+                .create(op.cred(), path, mode, mapping.clone(), ctx.now)?;
         let vino = rec.ino;
-        let mut t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
+        self.charge(&mut op, Target::Write(path, None), ops)?;
         // Other clients caching the parent's listing (or its attrs)
         // must give their leases back before the create is done, and
         // pollers holding a negative lease on the name learn it exists.
-        t = self.recall(ctx.node, || Self::creation_keys(path), t);
+        self.recall(&mut op, || Self::creation_keys(path));
         // Materialize the underlying file in its private directory.
-        t = self.ensure_under_dir(ctx, &dir, t)?;
-        let dctx = Self::daemon_ctx(ctx, t);
-        let under = self.under.create(&dctx, &mapping, Mode::new(0o644))?;
+        self.ensure_under_dir(&mut op, &dir)?;
+        let under = self
+            .under
+            .create(&op.daemon(), &mapping, Mode::new(0o644))?;
         self.counters.bump("under_creates");
+        op.advance(under.end);
         let fh = self.alloc_fh(CHandle {
             vino,
             vpath: path.clone(),
@@ -812,24 +791,24 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             written: false,
             lazy: false,
         });
-        Ok(Timed::new(fh, under.end))
+        op.done(fh)
     }
 
     fn open(&mut self, ctx: &OpCtx, path: &VPath, flags: OpenFlags) -> FsResult<FileHandle> {
-        let t = self.fuse(ctx);
-        let (rec, ops) = self.mds.namespace().lookup(Self::cred(ctx), path)?;
+        let mut op = Op::new(ctx, "open", self.cfg.fuse_dispatch);
+        let (rec, ops) = self.mds.namespace().lookup(op.cred(), path)?;
         // Virtual permission checks (the service stores the truth).
         if rec.ftype == FileType::Directory && (flags.write || flags.truncate) {
-            return Err(FsError::new(Errno::EISDIR, "open", path.as_str()));
+            return Err(FsError::new(Errno::EISDIR, op.name, path.as_str()));
         }
         if flags.read && !rec.mode.allows_read(ctx.uid, ctx.gid, rec.uid, rec.gid) {
-            return Err(FsError::new(Errno::EACCES, "open", path.as_str()));
+            return Err(FsError::new(Errno::EACCES, op.name, path.as_str()));
         }
         if flags.write && !rec.mode.allows_write(ctx.uid, ctx.gid, rec.uid, rec.gid) {
-            return Err(FsError::new(Errno::EACCES, "open", path.as_str()));
+            return Err(FsError::new(Errno::EACCES, op.name, path.as_str()));
         }
         let (vino, ftype, mapping) = (rec.ino, rec.ftype, rec.mapping.clone());
-        let mut t = self.cached_read(ctx, EntryKind::Attr, "open", path, ops, t)?;
+        self.cached_read(&mut op, EntryKind::Attr, path, ops)?;
         let mut under_fh = None;
         let mut lazy = false;
         if ftype == FileType::Regular {
@@ -839,16 +818,15 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
                 // file whole.
                 let under_path = mapping
                     .as_ref()
-                    .ok_or_else(|| FsError::new(Errno::EINVAL, "open", path.as_str()))?;
-                t = self.gate(ctx.node, "open", path, t)?;
-                let dctx = Self::daemon_ctx(ctx, t);
-                let under = self.under.open(&dctx, under_path, flags)?;
+                    .ok_or_else(|| FsError::new(Errno::EINVAL, op.name, path.as_str()))?;
+                self.gate(&mut op, path)?;
+                let under = self.under.open(&op.daemon(), under_path, flags)?;
                 self.counters.bump("under_opens");
                 under_fh = Some(under.value);
-                t = under.end;
+                op.advance(under.end);
                 let ops = self.mds.namespace_mut().set_size(vino, 0, ctx.now);
-                t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
-                t = self.recall(ctx.node, || vec![(EntryKind::Attr, path.clone())], t);
+                self.charge(&mut op, Target::Write(path, None), ops)?;
+                self.recall(&mut op, || vec![(EntryKind::Attr, path.clone())]);
             } else {
                 // The daemon defers the underlying open until the
                 // first read/write; an open/close cycle with no I/O
@@ -865,11 +843,12 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             written: false,
             lazy,
         });
-        Ok(Timed::new(fh, t))
+        op.done(fh)
     }
 
     fn close(&mut self, ctx: &OpCtx, fh: FileHandle) -> FsResult<()> {
-        let h = self.handle(fh, "close")?;
+        let mut op = Op::new(ctx, "close", self.cfg.fuse_dispatch);
+        let h = self.handle(&op, fh)?;
         // Writes never contact the service (paper §V: "there is no
         // need to contact the COFS metadata server if a file is
         // written or resized") — the release after a write reports the
@@ -877,109 +856,109 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         // the gate admits it before anything is released: a refused
         // close keeps the handle open and changes nothing.
         let publish = h.written && h.mapping.is_some();
-        let mut t = self.fuse(ctx);
         if publish {
             let vpath = h.vpath.clone();
-            t = self.gate(ctx.node, "close", &vpath, t)?;
+            self.gate(&mut op, &vpath)?;
         }
         let h = self.handles.remove(&fh.0).expect("handle checked above");
         if let Some(ufh) = h.under_fh {
-            let dctx = Self::daemon_ctx(ctx, t);
-            t = self.under.close(&dctx, ufh)?.end;
+            op.advance(self.under.close(&op.daemon(), ufh)?.end);
         }
         if let Some(mapping) = h.mapping.as_ref().filter(|_| publish) {
-            let dctx = Self::daemon_ctx(ctx, t);
-            let size = self.under.stat(&dctx, mapping)?.value.size;
-            t = t.max(dctx.now);
+            // The daemon reads the size back without waiting on it.
+            let size = self.under.stat(&op.daemon(), mapping)?.value.size;
             let ops = self.mds.namespace_mut().set_size(h.vino, size, ctx.now);
-            t = self.charge(ctx.node, Target::Write(&h.vpath, None), ops, t)?;
-            t = self.recall(ctx.node, || vec![(EntryKind::Attr, h.vpath.clone())], t);
+            self.charge(&mut op, Target::Write(&h.vpath, None), ops)?;
+            self.recall(&mut op, || vec![(EntryKind::Attr, h.vpath.clone())]);
         }
-        Ok(Timed::new((), t))
+        op.done(())
     }
 
     fn read(&mut self, ctx: &OpCtx, fh: FileHandle, offset: u64, len: u64) -> FsResult<u64> {
-        let h = self.handle(fh, "read")?.clone();
+        let mut op = Op::new(ctx, "read", self.cfg.fuse_dispatch);
+        let h = self.handle(&op, fh)?;
         if !h.flags.read {
-            return Err(FsError::new(Errno::EBADF, "read", fh.to_string()));
+            return Err(FsError::new(Errno::EBADF, op.name, fh.to_string()));
         }
         if h.under_fh.is_none() && !h.lazy {
-            return Err(FsError::new(Errno::EISDIR, "read", fh.to_string()));
+            return Err(FsError::new(Errno::EISDIR, op.name, fh.to_string()));
         }
-        // FUSE dispatch + double buffer copy, then the underlying read.
-        let mut t = self.fuse(ctx);
-        let (ufh, ready) = self.materialize(ctx, fh, t)?;
-        t = ready;
-        let dctx = Self::daemon_ctx(ctx, t);
-        let got = self.under.read(&dctx, ufh, offset, len)?;
-        t = got.end + self.cfg.fuse_copy(got.value);
-        Ok(Timed::new(got.value, t))
+        // FUSE dispatch, the underlying read, then the double buffer
+        // copy of what it returned.
+        let ufh = self.materialize(&mut op, fh)?;
+        let got = self.under.read(&op.daemon(), ufh, offset, len)?;
+        op.advance(got.end + self.cfg.fuse_copy(got.value));
+        op.done(got.value)
     }
 
     fn write(&mut self, ctx: &OpCtx, fh: FileHandle, offset: u64, len: u64) -> FsResult<u64> {
-        let h = self.handle(fh, "write")?.clone();
-        if !h.flags.write && (h.under_fh.is_some() || h.lazy) {
-            // `create` handles are RDWR; plain opens need the flag.
-            return Err(FsError::new(Errno::EBADF, "write", fh.to_string()));
+        let mut op = Op::new(ctx, "write", self.cfg.fuse_dispatch);
+        let h = self.handle(&op, fh)?;
+        // `create` handles are RDWR; plain opens need the flag, and a
+        // directory handle has nothing to write to.
+        if !h.flags.write || (h.under_fh.is_none() && !h.lazy) {
+            return Err(FsError::new(Errno::EBADF, op.name, fh.to_string()));
         }
-        if h.under_fh.is_none() && !h.lazy {
-            return Err(FsError::new(Errno::EBADF, "write", fh.to_string()));
-        }
-        let mut t = self.fuse(ctx) + self.cfg.fuse_copy(len);
-        let (ufh, ready) = self.materialize(ctx, fh, t)?;
-        t = ready;
-        let dctx = Self::daemon_ctx(ctx, t);
-        let wrote = self.under.write(&dctx, ufh, offset, len)?;
-        t = wrote.end;
+        // FUSE dispatch and the double buffer copy come first.
+        op.advance(op.t + self.cfg.fuse_copy(len));
+        let ufh = self.materialize(&mut op, fh)?;
+        let wrote = self.under.write(&op.daemon(), ufh, offset, len)?;
+        op.advance(wrote.end);
         if let Some(hm) = self.handles.get_mut(&fh.0) {
             hm.written = true;
         }
-        Ok(Timed::new(wrote.value, t))
+        op.done(wrote.value)
     }
 
     fn stat(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<FileAttr> {
-        let t = self.fuse(ctx);
+        let mut op = Op::new(ctx, "stat", self.cfg.fuse_dispatch);
         // Pure metadata: answered entirely from the service's tables.
         // No underlying-filesystem tokens are touched at all. With the
-        // client cache on, a live attribute lease answers locally —
-        // and a missing name is a *negative* probe: the failure still
-        // costs the resolution round trip (carried on the error), but
-        // repeats hit a lease-covered negative entry.
-        match self.mds.namespace().getattr(Self::cred(ctx), path) {
+        // client cache on, a live attribute lease answers locally.
+        match self.mds.namespace().getattr(op.cred(), path) {
             Ok((rec, ops)) => {
                 let attr = rec.attr();
-                let t = self.cached_read(ctx, EntryKind::Attr, "stat", path, ops, t)?;
-                Ok(Timed::new(attr, t))
+                self.cached_read(&mut op, EntryKind::Attr, path, ops)?;
+                op.done(attr)
             }
             Err(e) if e.is(Errno::ENOENT) => {
-                let t = self.negative_probe(ctx, path, t)?;
-                Err(e.with_end(t))
+                // A probe of a missing name still pays the round trip
+                // the service needed to fail the lookup: a nominal
+                // scan of one row per component plus the missing
+                // dentry. With the client cache on, the miss installs
+                // a lease-backed *negative* entry, so repeat probes —
+                // the lock-file-polling pattern — answer locally until
+                // the name is created (recall) or the lease lapses.
+                // Only `stat` probes are negatively cached; `open`'s
+                // failure path stays uncharged, as polling loops stat
+                // before they open.
+                let ops = DbOps {
+                    reads: path.depth() as u64 + 1,
+                    writes: 0,
+                };
+                self.cached_read(&mut op, EntryKind::Negative, path, ops)?;
+                Err(e.with_end(op.t))
             }
             Err(e) => Err(e),
         }
     }
 
     fn setattr(&mut self, ctx: &OpCtx, path: &VPath, set: SetAttr) -> FsResult<FileAttr> {
-        let t = self.fuse(ctx);
-        let t = self.gate(ctx.node, "setattr", path, t)?;
+        let mut op = Op::new(ctx, "setattr", self.cfg.fuse_dispatch);
+        self.gate(&mut op, path)?;
         let (rec, ops) = self
             .mds
             .namespace_mut()
-            .setattr(Self::cred(ctx), path, set, ctx.now)?;
+            .setattr(op.cred(), path, set, ctx.now)?;
         let attr = rec.attr();
-        let resize = match (set.size, &rec.mapping) {
-            (Some(size), Some(mapping)) => Some((size, mapping.clone())),
-            _ => None,
-        };
-        let mut t = t;
+        let resize = set.size.and_then(|size| Some((size, rec.mapping.clone()?)));
         if let Some((size, mapping)) = resize {
             // A size change must reach the real bits, like `open(O_TRUNC)`.
-            let dctx = Self::daemon_ctx(ctx, t);
-            t = self.under.truncate(&dctx, &mapping, size)?.end;
+            op.advance(self.under.truncate(&op.daemon(), &mapping, size)?.end);
         }
-        let t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
-        let t = self.recall(ctx.node, || vec![(EntryKind::Attr, path.clone())], t);
-        Ok(Timed::new(attr, t))
+        self.charge(&mut op, Target::Write(path, None), ops)?;
+        self.recall(&mut op, || vec![(EntryKind::Attr, path.clone())]);
+        op.done(attr)
     }
 
     fn readdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<Vec<DirEntry>> {
@@ -993,37 +972,33 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
     }
 
     fn unlink(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<()> {
-        let t = self.fuse(ctx);
-        let t = self.gate(ctx.node, "unlink", path, t)?;
-        let (gone, ops) = self
-            .mds
-            .namespace_mut()
-            .unlink(Self::cred(ctx), path, ctx.now)?;
-        let mut t = self.charge(ctx.node, Target::Write(path, None), ops, t)?;
+        let mut op = Op::new(ctx, "unlink", self.cfg.fuse_dispatch);
+        self.gate(&mut op, path)?;
+        let (gone, ops) = self.mds.namespace_mut().unlink(op.cred(), path, ctx.now)?;
+        self.charge(&mut op, Target::Write(path, None), ops)?;
         let keys = || {
             let mut keys = vec![(EntryKind::Attr, path.clone())];
             keys.extend(Self::parent_keys(path));
             keys
         };
-        t = self.recall(ctx.node, keys, t);
+        self.recall(&mut op, keys);
         if let Some(mapping) = gone {
             // Last link went away: remove the real bits.
-            let dctx = Self::daemon_ctx(ctx, t);
-            t = self.under.unlink(&dctx, &mapping)?.end;
+            op.advance(self.under.unlink(&op.daemon(), &mapping)?.end);
             self.counters.bump("under_unlinks");
         }
-        Ok(Timed::new((), t))
+        op.done(())
     }
 
     fn rename(&mut self, ctx: &OpCtx, from: &VPath, to: &VPath) -> FsResult<()> {
-        let t = self.fuse(ctx);
+        let mut op = Op::new(ctx, "rename", self.cfg.fuse_dispatch);
         // Both ends' shards must admit the rename before the namespace
         // changes (a cross-shard rename is a two-phase commit).
-        let t = self.gate(ctx.node, "rename", from, t)?;
-        let t = self.gate(ctx.node, "rename", to, t)?;
+        self.gate(&mut op, from)?;
+        self.gate(&mut op, to)?;
         // If the rename will replace the last link of a regular file,
         // remember its mapping for underlying cleanup.
-        let doomed = match self.mds.namespace().getattr(Self::cred(ctx), to) {
+        let doomed = match self.mds.namespace().getattr(op.cred(), to) {
             Ok((rec, _)) if rec.ftype == FileType::Regular && rec.nlink == 1 && from != to => {
                 rec.mapping.clone()
             }
@@ -1032,7 +1007,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         let ops = self
             .mds
             .namespace_mut()
-            .rename(Self::cred(ctx), from, to, ctx.now)?;
+            .rename(op.cred(), from, to, ctx.now)?;
         // Open handles keep routing by their virtual path; re-root the
         // ones the rename moved so later size publication charges the
         // shard that now owns them.
@@ -1043,7 +1018,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         }
         // Source and destination may live on different shards; the
         // cluster then charges an explicit two-phase commit.
-        let mut t = self.charge(ctx.node, Target::Write(from, Some(to)), ops, t)?;
+        self.charge(&mut op, Target::Write(from, Some(to)), ops)?;
         // The whole moved subtree changes identity, so every lease on
         // or below either name must come back, plus both parents'
         // listing/attr leases — on top of the two-phase commit when
@@ -1053,20 +1028,19 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             keys.extend(self.cache.keys_under(to));
             keys.extend(Self::parent_keys(from));
             keys.extend(Self::parent_keys(to));
-            t = self.recall(ctx.node, || keys, t);
+            self.recall(&mut op, || keys);
         }
         if let Some(mapping) = doomed {
-            let dctx = Self::daemon_ctx(ctx, t);
-            t = self.under.unlink(&dctx, &mapping)?.end;
+            op.advance(self.under.unlink(&op.daemon(), &mapping)?.end);
             self.counters.bump("under_unlinks");
         }
-        Ok(Timed::new((), t))
+        op.done(())
     }
 
     fn link(&mut self, ctx: &OpCtx, existing: &VPath, new: &VPath) -> FsResult<()> {
-        let t = self.fuse(ctx);
-        let t = self.gate(ctx.node, "link", existing, t)?;
-        let t = self.gate(ctx.node, "link", new, t)?;
+        let mut op = Op::new(ctx, "link", self.cfg.fuse_dispatch);
+        self.gate(&mut op, existing)?;
+        self.gate(&mut op, new)?;
         // Hard links are pure metadata in COFS — the underlying file
         // is untouched no matter which virtual directories share it.
         // The inode record and the new name may live on different
@@ -1074,8 +1048,8 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         let ops = self
             .mds
             .namespace_mut()
-            .link(Self::cred(ctx), existing, new, ctx.now)?;
-        let t = self.charge(ctx.node, Target::Write(existing, Some(new)), ops, t)?;
+            .link(op.cred(), existing, new, ctx.now)?;
+        self.charge(&mut op, Target::Write(existing, Some(new)), ops)?;
         // The linked inode's nlink changed, the new parent gained an
         // entry, and the new name stopped being absent.
         let keys = || {
@@ -1083,38 +1057,33 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
             keys.extend(Self::creation_keys(new));
             keys
         };
-        let t = self.recall(ctx.node, keys, t);
-        Ok(Timed::new((), t))
+        self.recall(&mut op, keys);
+        op.done(())
     }
 
     fn symlink(&mut self, ctx: &OpCtx, target: &str, new: &VPath) -> FsResult<()> {
-        let t = self.fuse(ctx);
-        let t = self.gate(ctx.node, "symlink", new, t)?;
+        let mut op = Op::new(ctx, "symlink", self.cfg.fuse_dispatch);
+        self.gate(&mut op, new)?;
         let ops = self
             .mds
             .namespace_mut()
-            .symlink(Self::cred(ctx), target, new, ctx.now)?;
-        let t = self.charge(ctx.node, Target::Write(new, None), ops, t)?;
-        let t = self.recall(ctx.node, || Self::creation_keys(new), t);
-        Ok(Timed::new((), t))
+            .symlink(op.cred(), target, new, ctx.now)?;
+        self.charge(&mut op, Target::Write(new, None), ops)?;
+        self.recall(&mut op, || Self::creation_keys(new));
+        op.done(())
     }
 
     fn readlink(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<String> {
-        let t = self.fuse(ctx);
-        let (target, ops) = self.mds.namespace().readlink(Self::cred(ctx), path)?;
-        let read = Target::Read {
-            op: "readlink",
-            kind: EntryKind::Attr,
-            path,
-        };
-        let t = self.charge(ctx.node, read, ops, t)?;
-        Ok(Timed::new(target, t))
+        let mut op = Op::new(ctx, "readlink", self.cfg.fuse_dispatch);
+        let (target, ops) = self.mds.namespace().readlink(op.cred(), path)?;
+        self.charge(&mut op, Target::Read(EntryKind::Attr, path), ops)?;
+        op.done(target)
     }
 
     fn statfs(&mut self, ctx: &OpCtx) -> FsResult<FsStats> {
-        let t = self.fuse(ctx);
-        let dctx = Self::daemon_ctx(ctx, t);
-        let under = self.under.statfs(&dctx)?;
+        let mut op = Op::new(ctx, "statfs", self.cfg.fuse_dispatch);
+        let under = self.under.statfs(&op.daemon())?;
+        op.advance(under.end);
         let namespace = self.mds.namespace();
         let stats = FsStats {
             inodes: namespace.inode_count(),
@@ -1123,17 +1092,12 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         };
         // Inode and directory counts come from the virtual namespace
         // (charged against the root's shard).
-        let read = Target::Read {
-            op: "statfs",
-            kind: EntryKind::Attr,
-            path: &VPath::root(),
-        };
         let ops = DbOps {
             reads: 2,
             writes: 0,
         };
-        let t = self.charge(ctx.node, read, ops, under.end)?;
-        Ok(Timed::new(stats, t))
+        self.charge(&mut op, Target::Read(EntryKind::Attr, &VPath::root()), ops)?;
+        op.done(stats)
     }
 }
 
@@ -1217,12 +1181,24 @@ mod tests {
         let (rx, _) = fs
             .mds
             .namespace()
-            .getattr(CofsFs::<MemFs>::cred(&a), &vpath("/d/x"))
+            .getattr(
+                Cred {
+                    uid: a.uid,
+                    gid: a.gid,
+                },
+                &vpath("/d/x"),
+            )
             .unwrap();
         let (ry, _) = fs
             .mds
             .namespace()
-            .getattr(CofsFs::<MemFs>::cred(&b), &vpath("/d/y"))
+            .getattr(
+                Cred {
+                    uid: b.uid,
+                    gid: b.gid,
+                },
+                &vpath("/d/y"),
+            )
             .unwrap();
         let (rx, ry) = (rx.clone(), ry.clone());
         let hx = rx.mapping.unwrap().parent().unwrap().parent().unwrap();

@@ -167,6 +167,44 @@ fn scripted_drops_reach_unbatched_requests() {
     assert_eq!(f.exhausted, 0);
 }
 
+#[test]
+fn a_stale_batch_refusal_names_the_op_it_fails() {
+    // `/a`'s batch falls due at 5 ms, inside the crash window, and is
+    // still buffered when `create /b` arrives at 7 ms: the pump that
+    // create triggers is refused with no retry budget. The refusal is
+    // the create's, so it names `create /b` and ends no earlier than
+    // the create was issued. (Whether `/b` still exists is the open
+    // fault-contract question, so nothing is asserted about it.)
+    let plan = FaultPlan::default().crash(
+        ShardId(0),
+        SimTime::from_millis(4),
+        SimDuration::from_millis(2),
+    );
+    let cfg = CofsConfig::default()
+        .with_batching(16, SimDuration::from_millis(5), 4)
+        .with_retry(RetryConfig {
+            max_retries: 0,
+            ..RetryConfig::default()
+        })
+        .with_fault_plan(plan);
+    let mut fs = cofs_over_memfs(cfg);
+    let ctx = OpCtx::test(NodeId(0));
+    let fh = fs
+        .create(&ctx, &vpath("/a"), Mode::file_default())
+        .expect("create /a before the crash")
+        .value;
+    fs.close(&ctx, fh).expect("close /a");
+    let issued = SimTime::from_millis(7);
+    let e = fs
+        .create(&ctx.at(issued), &vpath("/b"), Mode::file_default())
+        .expect_err("the stale batch's refusal fails the create");
+    assert!(e.is(Errno::EIO), "{e}");
+    assert_eq!(e.op(), "create", "{e}");
+    assert_eq!(e.subject(), "/b", "{e}");
+    let end = e.end().expect("a refusal carries its end");
+    assert!(end >= issued, "the error ends at {end:?}, before its issue");
+}
+
 /// The write-behind storm stack of the cascade sweep, with both
 /// survival knobs off.
 fn cascade_cfg() -> CofsConfig {
