@@ -366,7 +366,9 @@ pub fn run<F: FileSystem>(fs: &mut F, scripts: Vec<ClientScript>) -> RunReport {
                 // ENOENT that cost a real round trip) advances the
                 // clock honestly; otherwise the nominal penalty keeps a
                 // broken script from spinning forever.
-                c.clock = error.end().unwrap_or(now + ERROR_COST).max(now);
+                let end = error.end().unwrap_or(now + ERROR_COST);
+                debug_assert!(end >= now, "operations never fail in the past");
+                c.clock = end;
                 errors.push(RunError {
                     client: idx,
                     step: step_idx,
