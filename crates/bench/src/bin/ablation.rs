@@ -357,7 +357,7 @@ fn main() {
         "batching",
         "write-behind",
         "makespan (ms)",
-        "journal",
+        "appends",
         "coalesced",
         "apply lag (ms)",
         "apply tail (ms)",

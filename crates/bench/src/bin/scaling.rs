@@ -299,7 +299,6 @@ fn main() {
         bstorm.nodes, bstorm.dirs, bstorm.files_per_node, bstorm.burst
     );
     let mut headers = vec!["batching", "create (ms)", "makespan (ms)"];
-    headers.extend(READ_LAT_COLUMNS);
     headers.extend(BATCH_COLUMNS);
     headers.extend(["reads charged", "reads memoized"]);
     let mut batch_table = Table::new(headers);
@@ -312,7 +311,6 @@ fn main() {
             ms(r.mean_create_ms),
             ms(r.makespan.as_millis_f64()),
         ];
-        row.extend(read_latency_cells(r.stat_p50_p99_ms));
         row.extend(batch_cells(r.batch.as_ref()));
         row.extend([charged.to_string(), memoized.to_string()]);
         batch_table.row(row);
@@ -348,10 +346,16 @@ fn main() {
             wb.max_unapplied_window.as_millis_f64()
         );
     }
-    let mut headers = vec!["batching", "write-behind", "create (ms)", "makespan (ms)"];
-    headers.extend(READ_LAT_COLUMNS);
-    headers.extend(["journal", "coalesced", "apply lag (ms)", "apply tail (ms)"]);
-    let mut wb_table = Table::new(headers);
+    let mut wb_table = Table::new(vec![
+        "batching",
+        "write-behind",
+        "create (ms)",
+        "makespan (ms)",
+        "appends",
+        "coalesced",
+        "apply lag (ms)",
+        "apply tail (ms)",
+    ]);
     for k in [4, 8, 16] {
         for behind in [false, true] {
             let mut cfg = batched(hashed(2), Some(k));
@@ -367,20 +371,16 @@ fn main() {
                 .map(|u| u.apply_lag)
                 .max()
                 .unwrap_or(SimDuration::ZERO);
-            let mut row = vec![
+            wb_table.row(vec![
                 k.to_string(),
                 if behind { "on" } else { "off" }.to_string(),
                 ms(r.mean_create_ms),
                 ms(r.makespan.as_millis_f64()),
-            ];
-            row.extend(read_latency_cells(r.stat_p50_p99_ms));
-            row.extend([
                 appends.to_string(),
                 coalesced.to_string(),
                 ms(lag.as_millis_f64()),
                 ms(r.apply_tail_ms),
             ]);
-            wb_table.row(row);
         }
     }
     println!("{}", wb_table.render());

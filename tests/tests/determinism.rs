@@ -90,8 +90,8 @@ fn storm_scripts(order: &[usize], files: usize) -> Vec<ClientScript> {
 }
 
 /// One full run on a fresh stack, rendered to a canonical string:
-/// makespan, every client's final clock, every latency summary, and
-/// the shard table.
+/// makespan, every client's final clock, every latency summary, every
+/// per-shard counter, and the shard table.
 fn run_once(order: &[usize]) -> String {
     let mut fs = cofs_over_memfs(full_stack());
     let setup = OpCtx::test(NodeId(0));
@@ -106,7 +106,7 @@ fn run_once(order: &[usize]) -> String {
     report.expect_clean();
     let usage = fs.shard_usage();
     format!(
-        "{:?} {:?} {:?}\n{}",
+        "{:?} {:?} {:?}\n{usage:?}\n{}",
         report.makespan,
         report.client_end,
         report.per_label,
