@@ -106,6 +106,14 @@ audit:
     the model limit that keeps it from losing, in NO_OP_BUILDERS, or in
     NON_KNOBS. A new builder without an entry fails.
 
+Every full-mode report also gets the column audit:
+
+15. **No column is dead by accident** — a column whose every cell is a
+    numeric zero (``0``, ``0.00``, ``0.0%``) or ``-`` carries nothing.
+    It fails unless DECLARED_DEAD names it, by section and header, with
+    the reason its storm cannot move it; a declared column that comes
+    alive (or goes away) fails too.
+
 Cells are printed at two decimals, so comparisons allow one unit of
 rounding slack (0.011 ms / 1 create/s). Stdlib only; exit status 0 on
 success, 1 on any failed check.
@@ -284,6 +292,85 @@ DECLARED_REPEATS = {
             "workload=shared-dir (write sharing), cache ttl=10000ms",
             "workload=shared-dir (write sharing), cache ttl=50ms",
         ): "every lease is recalled before either TTL lapses",
+    },
+}
+
+FAILOVER_NO_EIO = (
+    "12 retries backing off from 0.5 ms to a 20 ms cap outlast every swept outage, "
+    "so no op runs out of retries"
+)
+CASCADE_NO_EIO = (
+    "12 retries backing off from 0.5 ms to a 20 ms cap outlast every 10 ms outage, "
+    "and a quoted retry-after costs no retry, so no op runs out of retries"
+)
+NO_LOSS = (
+    "lost acked is acked-at-crash minus covered minus replayed, and the crash handler adds "
+    "every acked batch to acked-at-crash and to one of the other two, so it is 0 by construction"
+)
+NO_PARTITION = "the plans script crashes, never a partition"
+# Full-mode columns that read zero or "-" in every row of their
+# section, by (section title, header), with why their storm cannot
+# move them (claim 15).
+DECLARED_DEAD = {
+    ("per-shard load at largest shard count", "merges"): (
+        "the 64 clients on each hot directory close every 4 ms window with more than the "
+        "2 ops a merge needs, so no split is undone"
+    ),
+    ("hot-stat storm vs client cache", "invald"): (
+        "the storm only stats a tree made in setup, so no mutation invalidates a lease"
+    ),
+    ("hot-stat storm vs client cache", "recalls"): (
+        "the storm only stats a tree made in setup, so no mutation recalls a lease"
+    ),
+    ("shared-directory storm vs batching", "timed"): (
+        "each node's 16-create bursts run back to back into one directory and fill every "
+        "1-, 4- or 16-op batch well inside the 5 ms window, and 64 files leave no partial batch"
+    ),
+    ("batching non-wins", "full"): (
+        "a sparse node sends 2 lone creates, never 16 to one shard, and the hot-stat "
+        "storm only reads, so no batch fills"
+    ),
+    ("rpc batching ablation", "full"): (
+        "two synchronous stats follow every create, so fewer than 8 creates reach one "
+        "shard inside the 5 ms window and every batch closes on its timer"
+    ),
+    **{
+        ("failover storm vs crash timing", column): reason
+        for column, reason in (
+            ("errors", FAILOVER_NO_EIO),
+            ("eio nodes", FAILOVER_NO_EIO),
+            (
+                "replayed",
+                "no crash instant (2 or 5 ms) falls between a batch's ack and its apply, "
+                "so recovery replays nothing",
+            ),
+            ("lost acked", NO_LOSS),
+            ("fenced", "the failover stacks run without the client cache, so no lease exists"),
+            ("promoted", "standby is off in the failover sweep"),
+            ("lag rows", "only a standby promotion replays lag rows, and standby is off"),
+            ("deferred", "admission control is off in the failover sweep"),
+            ("cut off", NO_PARTITION),
+        )
+    },
+    **{
+        ("cascade storm vs correlated failures", column): reason
+        for column, reason in (
+            ("errors", CASCADE_NO_EIO),
+            ("eio nodes", CASCADE_NO_EIO),
+            (
+                "replayed",
+                "no crash instant (2, 16 or 30 ms) falls between a batch's ack and its apply "
+                "or its arrival at the standby, so neither a restart nor a promotion replays",
+            ),
+            ("lost acked", NO_LOSS),
+            ("fenced", "the cascade stacks run without the client cache, so no lease exists"),
+            (
+                "lag rows",
+                "a promotion replays only appends still shipping to the standby, and no crash "
+                "instant (2, 16 or 30 ms) falls inside a ship",
+            ),
+            ("cut off", NO_PARTITION),
+        )
     },
 }
 
@@ -1004,6 +1091,38 @@ def audit_repeats(report):
                 check(False, f"{title!r}: declared repeat {row} = {twin} no longer repeats")
 
 
+def dead_cell(cell):
+    """A cell that carries nothing: ``-`` or a numeric zero."""
+    if isinstance(cell, str):
+        cell = cell.removesuffix("%")
+        if cell == "-":
+            return True
+    try:
+        return float(cell) == 0
+    except ValueError:
+        return False
+
+
+def audit_columns(report):
+    print("dead columns:")
+    for sec in report["sections"]:
+        title, rows = sec["title"], sec["rows"]
+        for i, h in enumerate(sec["headers"]):
+            dead = bool(rows) and all(dead_cell(r[i]) for r in rows)
+            reason = DECLARED_DEAD.get((title, h))
+            if dead:
+                check(
+                    reason is not None,
+                    f"{title!r}: column {h!r} is zero or '-' in every row"
+                    + (f" ({reason})" if reason else ", undeclared in DECLARED_DEAD"),
+                )
+            elif reason is not None:
+                check(False, f"{title!r}: declared dead column {h!r} came alive")
+        for t, h in DECLARED_DEAD:
+            if t == title and h not in sec["headers"]:
+                check(False, f"{title!r}: declared dead column {h!r} is gone")
+
+
 def find_row(sec, label):
     """The one row of `sec` whose cells match `label` (``h=v, ...``)."""
     want = dict(part.split("=", 1) for part in label.split(", "))
@@ -1168,6 +1287,7 @@ def main():
         if paper is not None:
             paper(report)
         audit_repeats(report)
+        audit_columns(report)
         if report.get("bench") in {k[0] for k in LOSING_KNOBS.values()}:
             audit_knobs(report)
     if failures:

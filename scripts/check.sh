@@ -119,6 +119,33 @@ EOF
 repeat_self_check BENCH_scaling.json "skewed multi-tenant storm vs shard policy" 0 1
 repeat_self_check BENCH_fig6.json "operation times, shared dir, hierarchical network" 1 2
 
+echo "==> bench_check.py column-audit self-check (must name a zeroed column)"
+# Zeroes a live column of the scaling golden and checks that the audit
+# fails naming the column and its section.
+zeroed="$(mktemp)"
+expected="$(python3 - BENCH_scaling.json "$zeroed" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+sec = next(s for s in report["sections"] if s["title"] == "per-shard load at largest shard count")
+col = sec["headers"].index("splits")
+for row in sec["rows"]:
+    row[col] = 0
+print(f"{sec['title']!r}: column 'splits' is zero or '-' in every row, undeclared in DECLARED_DEAD")
+json.dump(report, open(sys.argv[2], "w"), indent=2)
+EOF
+)"
+report="$(python3 scripts/bench_check.py "$zeroed")" && passed=1 || passed=0
+rm -f "$zeroed"
+if [ "$passed" = 1 ]; then
+    echo "bench_check.py passed a scaling report with an undeclared dead column" >&2
+    exit 1
+fi
+if ! grep -qF "$expected" <<<"$report"; then
+    echo "bench_check.py did not name the zeroed column:" >&2
+    echo "$report" >&2
+    exit 1
+fi
+
 echo "==> bench_check.py paper-claim self-check (must name a Fig 4 row where COFS loses)"
 # Lets COFS lose one 8-node Fig 4 row by a millisecond and checks that
 # the claim gate fails naming that row.
