@@ -36,8 +36,10 @@
 //!    `lag rows`, `fenced`, `errors`, `cut off` and `eio nodes`, so
 //!    recovery is a boot plus an empty journal-tail scan and the
 //!    journal rows measure the retry traffic under batching, not
-//!    replay cost. Rows that reach replay, fencing and retry exhaustion
-//!    are ROADMAP item 2.
+//!    replay cost. `scripts/bench_check.py` declares each such column
+//!    dead with its reason; rows that reach replay, fencing and retry
+//!    exhaustion are ROADMAP items 1 (the fault contract) and 5 (every
+//!    column carries information).
 //! 8. Cascade axis: correlated failures (a crash-loop on one shard
 //!    plus a simultaneous rack-partner crash) against the survival
 //!    knobs — hot-standby promotion × post-recovery admission control
@@ -475,9 +477,10 @@ fn main() {
     // unapplied rows and these stacks cache nothing, so `replayed`,
     // `lag rows`, `fenced`, `errors`, `cut off` and `eio nodes` read 0
     // on every row: the journal rows measure retries and the stat tail
-    // under batching, not replay cost (ROADMAP item 2 adds rows that
-    // reach it). `scripts/bench_check.py` gates lost-acked at zero on
-    // every row, nacks > 0 on every crash row, and the crashed makespan
+    // under batching, not replay cost (`scripts/bench_check.py`
+    // declares each such column dead; ROADMAP items 1 and 5 add rows
+    // that reach them). The script gates lost-acked at zero on every
+    // row, nacks > 0 on every crash row, and the crashed makespan
     // against baseline + gap + recovery slack. The apply-lag/tail
     // columns make the post-crash durability window machine-checkable
     // alongside the write-behind axis above.
