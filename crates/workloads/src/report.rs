@@ -153,9 +153,10 @@ pub fn pct(v: f64) -> String {
 /// Renders per-shard metadata-service load as a table, so skewed
 /// namespace partitions are visible at a glance in scenario reports.
 /// `makespan` is the phase wall time the utilization column is
-/// computed against. The batching, two-phase, recall, memoization,
-/// bypass and coalescing counts stay in [`ShardUsage`] and are printed
-/// by the sweeps whose storms exercise them.
+/// computed against. It prints the load every storm puts on a shard;
+/// the batching, two-phase, recall, memoization, bypass, coalescing and
+/// apply-lag counts stay in [`ShardUsage`] for the reports of storms
+/// that exercise them.
 ///
 /// # Examples
 ///
