@@ -7,7 +7,9 @@
 //! walks the reference namespace once, and takes the directory, entry
 //! count and inode it prices from that call's [`vfs::memfs::Site`], so
 //! a symlinked parent or a followed trailing link is priced as its
-//! target:
+//! target. `create_in` and `mkdir_in` hand their parent hint (see
+//! [`vfs::fs`]) to that call, which then skips the walk to the parent;
+//! the price comes from the same site either way:
 //!
 //! 1. **Token delegation** (`dlm`): a node that already holds the
 //!    right token operates on its local cache at microsecond cost.
@@ -36,7 +38,7 @@ use vfs::error::FsError;
 use vfs::fs::{FileSystem, FsResult, OpCtx, Timed};
 use vfs::memfs::MemFs;
 use vfs::path::VPath;
-use vfs::types::{DirEntry, FileAttr, FileHandle, FsStats, Mode, OpenFlags, SetAttr};
+use vfs::types::{DirEntry, FileAttr, FileHandle, FsStats, Ino, Mode, OpenFlags, SetAttr};
 
 /// What a token protects; hashed into a [`TokenId`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -751,7 +753,17 @@ impl PfsFs {
 
 impl FileSystem for PfsFs {
     fn mkdir(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<()> {
-        let site = self.ns.mkdir_at(ctx, path, mode)?;
+        self.mkdir_in(ctx, path, None, mode).map(|t| t.map(|_| ()))
+    }
+
+    fn mkdir_in(
+        &mut self,
+        ctx: &OpCtx,
+        path: &VPath,
+        parent: Option<Ino>,
+        mode: Mode,
+    ) -> FsResult<Option<Ino>> {
+        let site = self.ns.mkdir_at(ctx, path, parent, mode)?;
         let (pino, entries, ino) = (site.dir.0, site.entries, site.ino.0);
         let mut t = self.base(ctx);
         t = self.attach(ctx.node, pino, t);
@@ -763,7 +775,7 @@ impl FileSystem for PfsFs {
         self.inode_mut(ino).dir_creator = Some(ctx.node);
         t = self.install_new_inode(ctx.node, ino, t);
         t = self.throttle_dirty_meta(ctx.node, t);
-        Ok(Timed::new((), t))
+        Ok(Timed::new(Some(site.ino), t))
     }
 
     fn rmdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<()> {
@@ -779,7 +791,17 @@ impl FileSystem for PfsFs {
     }
 
     fn create(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<FileHandle> {
-        let (fh, site) = self.ns.create_at(ctx, path, mode)?;
+        self.create_in(ctx, path, None, mode)
+    }
+
+    fn create_in(
+        &mut self,
+        ctx: &OpCtx,
+        path: &VPath,
+        parent: Option<Ino>,
+        mode: Mode,
+    ) -> FsResult<FileHandle> {
+        let (fh, site) = self.ns.create_at(ctx, path, parent, mode)?;
         let (pino, entries, ino) = (site.dir.0, site.entries, site.ino.0);
         self.inode_mut(ino).size = 0;
         let mut t = self.base(ctx);
@@ -1497,5 +1519,116 @@ mod tests {
         fs.stat(&other, &vpath("/d/f")).unwrap();
         fs.stat(&other, &vpath("/d/f")).unwrap();
         assert_eq!(fs.counters().get("dir_attaches"), attaches_after + 1);
+    }
+
+    /// Runs a script of mkdirs and creates from three nodes, through
+    /// `mkdir_in`/`create_in` naming each parent's inode when `hinted`,
+    /// else through `mkdir`/`create`. Returns each step's handle (for a
+    /// create) and end, or its errno; the counters and token stats
+    /// after the script; and the inode of every path made, by `stat`
+    /// after those.
+    #[allow(clippy::type_complexity)]
+    fn run_hint_script(
+        hinted: bool,
+    ) -> (
+        Vec<Result<(Option<FileHandle>, SimTime), vfs::error::Errno>>,
+        String,
+        Vec<(VPath, Option<Ino>, Ino)>,
+    ) {
+        let mut fs = small_fs();
+        let ctx = OpCtx::test(NodeId(0));
+        let root = fs.stat(&ctx, &VPath::root()).unwrap();
+        let mut dirs = std::collections::HashMap::from([(VPath::root(), root.value.ino)]);
+        let mut script = vec![(true, vpath("/a")), (true, vpath("/a/b"))];
+        for i in 0..60 {
+            script.push((false, vpath(&format!("/a/b/f{i}"))));
+            if i % 20 == 0 {
+                script.push((true, vpath(&format!("/a/d{i}"))));
+                script.push((false, vpath(&format!("/a/d{i}/g"))));
+            }
+        }
+        script.push((false, vpath("/a/b/f7")));
+        let mut steps = Vec::new();
+        let mut made = Vec::new();
+        let mut t = root.end;
+        for (i, (is_dir, path)) in script.into_iter().enumerate() {
+            let ctx = OpCtx::test(NodeId(i as u32 % 3)).at(t);
+            let parent = path.parent().unwrap();
+            let hint = dirs.get(&parent).copied().filter(|_| hinted);
+            let step = if is_dir {
+                let done = if hinted {
+                    fs.mkdir_in(&ctx, &path, hint, Mode::dir_default())
+                } else {
+                    fs.mkdir(&ctx, &path, Mode::dir_default())
+                        .map(|t| t.map(|()| None))
+                };
+                if let Ok(done) = &done {
+                    if let Some(ino) = done.value {
+                        dirs.insert(path.clone(), ino);
+                    }
+                    made.push((path, done.value));
+                }
+                done.map(|t| (None, t.end))
+            } else {
+                let done = if hinted {
+                    fs.create_in(&ctx, &path, hint, Mode::file_default())
+                } else {
+                    fs.create(&ctx, &path, Mode::file_default())
+                };
+                if done.is_ok() {
+                    made.push((path, None));
+                }
+                done.map(|t| (Some(t.value), t.end))
+            };
+            if let Ok((_, end)) = step {
+                t = end;
+            }
+            steps.push(step.map_err(|e| e.errno()));
+        }
+        let stats = format!("{:?} {:?}", fs.counters(), fs.token_stats());
+        let inodes = made
+            .into_iter()
+            .map(|(path, reported)| {
+                let ino = fs.stat(&ctx.at(t), &path).unwrap().value.ino;
+                (path, reported, ino)
+            })
+            .collect();
+        (steps, stats, inodes)
+    }
+
+    #[test]
+    fn a_parent_hint_changes_no_price() {
+        let (walked, walked_stats, walked_inodes) = run_hint_script(false);
+        let (hinted, hinted_stats, hinted_inodes) = run_hint_script(true);
+        assert_eq!(hinted, walked);
+        assert_eq!(hinted_stats, walked_stats);
+        // The same inodes, and `mkdir_in` reported each directory's.
+        for ((path, reported, ino), (_, unreported, walked_ino)) in
+            hinted_inodes.iter().zip(&walked_inodes)
+        {
+            assert_eq!(ino, walked_ino, "{path}");
+            assert_eq!(*unreported, None, "{path}");
+            if reported.is_some() {
+                assert_eq!(*reported, Some(*ino), "{path}");
+            }
+        }
+        assert_eq!(hinted_inodes.len(), walked_inodes.len());
+        // The script contends for tokens and fails a create.
+        assert!(hinted_stats.contains("revoke"), "{hinted_stats}");
+        assert!(hinted.contains(&Err(vfs::error::Errno::EEXIST)));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the parent hint names another directory")]
+    fn a_wrong_parent_hint_is_caught() {
+        let mut fs = small_fs();
+        let ctx = OpCtx::test(NodeId(0));
+        fs.mkdir(&ctx, &vpath("/a"), Mode::dir_default()).unwrap();
+        let b = fs
+            .mkdir_in(&ctx, &vpath("/b"), None, Mode::dir_default())
+            .unwrap()
+            .value;
+        let _ = fs.mkdir_in(&ctx, &vpath("/a/c"), b, Mode::dir_default());
     }
 }

@@ -3,10 +3,25 @@
 //! Operations are *functional* (they mutate a real namespace and return
 //! real results) and *timed* (they report the virtual time at which the
 //! operation completed, given the issuing context's current time).
+//!
+//! # Parent hints
+//!
+//! [`FileSystem::create_in`] and [`FileSystem::mkdir_in`] take, besides
+//! the path, the inode of its parent directory when the caller knows it
+//! (a caller that made that directory through `mkdir_in` does). The
+//! hint is a promise: it names the directory a walk of the path's
+//! parent would find now. It changes nothing but the host time a call
+//! takes. The value, the errors, the completion time and every side
+//! effect are those of the same call without the hint. So an
+//! implementation may ignore it, as the provided defaults do, or skip
+//! the parent walk with it, as [`crate::memfs::MemFs`] and the GPFS
+//! model do. Debug builds of `MemFs` assert the promise.
 
 use crate::error::FsError;
 use crate::path::VPath;
-use crate::types::{DirEntry, FileAttr, FileHandle, FsStats, Gid, Mode, OpenFlags, SetAttr, Uid};
+use crate::types::{
+    DirEntry, FileAttr, FileHandle, FsStats, Gid, Ino, Mode, OpenFlags, SetAttr, Uid,
+};
 use netsim::ids::{NodeId, Pid};
 use simcore::time::SimTime;
 
@@ -112,6 +127,45 @@ pub trait FileSystem {
     ///
     /// `EEXIST` if the name is taken, plus the usual lookup errors.
     fn create(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<FileHandle>;
+
+    /// [`FileSystem::create`] in the directory whose inode is `parent`,
+    /// if the caller knows it (see "Parent hints" in the module docs).
+    /// The default ignores the hint.
+    ///
+    /// # Errors
+    ///
+    /// As for `create`.
+    fn create_in(
+        &mut self,
+        ctx: &OpCtx,
+        path: &VPath,
+        parent: Option<Ino>,
+        mode: Mode,
+    ) -> FsResult<FileHandle> {
+        let _ = parent;
+        self.create(ctx, path, mode)
+    }
+
+    /// [`FileSystem::mkdir`] in the directory whose inode is `parent`,
+    /// if the caller knows it (see "Parent hints" in the module docs).
+    /// Returns the new directory's inode when the implementation
+    /// reports one, so a caller making a chain of directories can hint
+    /// each at the next. The default ignores the hint and reports no
+    /// inode.
+    ///
+    /// # Errors
+    ///
+    /// As for `mkdir`.
+    fn mkdir_in(
+        &mut self,
+        ctx: &OpCtx,
+        path: &VPath,
+        parent: Option<Ino>,
+        mode: Mode,
+    ) -> FsResult<Option<Ino>> {
+        let _ = parent;
+        self.mkdir(ctx, path, mode).map(|t| t.map(|()| None))
+    }
 
     /// Opens an existing regular file.
     ///

@@ -30,6 +30,13 @@
 //! a model that prices calls by inode (the GPFS model in `pfs`) would
 //! otherwise have to resolve again. The [`FileSystem`] methods are the
 //! same calls without the site.
+//!
+//! `create_at` and `mkdir_at` take the parent hint of
+//! [`FileSystem::create_in`] and [`FileSystem::mkdir_in`]: given the
+//! parent directory's inode, they skip the walk to it, and still check
+//! the name, the parent's type, the caller's write permission there
+//! and that the name is free. Debug builds walk anyway and assert that
+//! the walk ends at the hinted directory.
 
 use crate::error::{Errno, FsError};
 use crate::fs::{FileSystem, FsResult, OpCtx, Timed};
@@ -133,10 +140,14 @@ pub struct Site {
 /// fs.close(&ctx, fh)?;
 /// assert_eq!(fs.stat(&ctx, &vpath("/data/out"))?.value.size, 100);
 /// // The same call with its site: where the walk ended.
-/// let (_, site) = fs.create_at(&ctx, &vpath("/data/log"), Mode::file_default())?;
+/// let (_, site) = fs.create_at(&ctx, &vpath("/data/log"), None, Mode::file_default())?;
 /// assert_eq!(site.entries, 1);
 /// assert_eq!(site.dir, fs.stat(&ctx, &vpath("/data"))?.value.ino);
 /// assert_eq!(site.ino, fs.stat(&ctx, &vpath("/data/log"))?.value.ino);
+/// // Naming the parent's inode skips the walk to it.
+/// let err = vpath("/data/err");
+/// let (_, hinted) = fs.create_at(&ctx, &err, Some(site.dir), Mode::file_default())?;
+/// assert_eq!((hinted.dir, hinted.entries), (site.dir, 2));
 /// # Ok::<(), vfs::error::FsError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -275,11 +286,13 @@ impl MemFs {
 
     /// Resolves the parent directory of `path` and returns
     /// `(parent_ino, final_name)`, validating the name length. The name
-    /// is borrowed from `path`.
+    /// is borrowed from `path`. A `hint` (see "Parent hints" in
+    /// [`crate::fs`]) is taken for the parent instead of walking to it.
     fn resolve_parent<'p>(
         &self,
         ctx: &OpCtx,
         path: &'p VPath,
+        hint: Option<Ino>,
         op: &'static str,
     ) -> Result<(Ino, &'p str), FsError> {
         let (Some(parent), Some(name)) = (path.parent_str(), path.file_name()) else {
@@ -288,7 +301,17 @@ impl MemFs {
         if name.len() > MAX_NAME_LEN {
             return Err(FsError::new(Errno::ENAMETOOLONG, op, path.as_str()));
         }
-        let (_, pino) = self.resolve(ctx, parent, op, true, 0)?;
+        let pino = match hint {
+            Some(pino) => {
+                debug_assert_eq!(
+                    self.resolve(ctx, parent, op, true, 0).ok().map(|(_, p)| p),
+                    Some(pino),
+                    "{op} {path}: the parent hint names another directory"
+                );
+                pino
+            }
+            None => self.resolve(ctx, parent, op, true, 0)?.1,
+        };
         let pnode = self.node(pino);
         if pnode.ftype != FileType::Directory {
             return Err(FsError::new(Errno::ENOTDIR, op, path.as_str()));
@@ -296,16 +319,18 @@ impl MemFs {
         Ok((pino, name))
     }
 
-    /// Resolves the parent of a name to be made and checks that the
+    /// Resolves the parent of a name to be made (or takes it from
+    /// `hint`, as [`Self::resolve_parent`] does) and checks that the
     /// caller may write there and that the name is free; returns the
     /// parent and the name.
     fn resolve_free<'p>(
         &self,
         ctx: &OpCtx,
         path: &'p VPath,
+        hint: Option<Ino>,
         op: &'static str,
     ) -> Result<(Ino, &'p str), FsError> {
-        let (pino, name) = self.resolve_parent(ctx, path, op)?;
+        let (pino, name) = self.resolve_parent(ctx, path, hint, op)?;
         self.check_parent_write(ctx, pino, op, path)?;
         if self.dir(pino).contains_key(name.as_bytes()) {
             return Err(FsError::new(Errno::EEXIST, op, path.as_str()));
@@ -403,13 +428,19 @@ impl MemFs {
 
     // ---- namespace calls with their sites ---------------------------------
 
-    /// [`FileSystem::mkdir`], reporting the new directory's site.
+    /// [`FileSystem::mkdir_in`], reporting the new directory's site.
     ///
     /// # Errors
     ///
     /// As [`FileSystem::mkdir`].
-    pub fn mkdir_at(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> Result<Site, FsError> {
-        let (pino, name) = self.resolve_free(ctx, path, "mkdir")?;
+    pub fn mkdir_at(
+        &mut self,
+        ctx: &OpCtx,
+        path: &VPath,
+        parent: Option<Ino>,
+        mode: Mode,
+    ) -> Result<Site, FsError> {
+        let (pino, name) = self.resolve_free(ctx, path, parent, "mkdir")?;
         let dir = Payload::Dir {
             entries: FxHashMap::default(),
         };
@@ -427,7 +458,7 @@ impl MemFs {
         if path.is_root() {
             return Err(FsError::new(Errno::EINVAL, "rmdir", path.as_str()));
         }
-        let (pino, name) = self.resolve_parent(ctx, path, "rmdir")?;
+        let (pino, name) = self.resolve_parent(ctx, path, None, "rmdir")?;
         self.check_parent_write(ctx, pino, "rmdir", path)?;
         let ino = *self
             .dir(pino)
@@ -448,7 +479,7 @@ impl MemFs {
         Ok(site)
     }
 
-    /// [`FileSystem::create`], reporting the new file's site.
+    /// [`FileSystem::create_in`], reporting the new file's site.
     ///
     /// # Errors
     ///
@@ -457,9 +488,10 @@ impl MemFs {
         &mut self,
         ctx: &OpCtx,
         path: &VPath,
+        parent: Option<Ino>,
         mode: Mode,
     ) -> Result<(FileHandle, Site), FsError> {
-        let (pino, name) = self.resolve_free(ctx, path, "create")?;
+        let (pino, name) = self.resolve_free(ctx, path, parent, "create")?;
         let site = self.make(ctx, pino, name, mode, Payload::File { size: 0 });
         let fh = self.alloc_fh();
         self.handles.insert(
@@ -616,7 +648,7 @@ impl MemFs {
     ///
     /// As [`FileSystem::unlink`].
     pub fn unlink_at(&mut self, ctx: &OpCtx, path: &VPath) -> Result<Site, FsError> {
-        let (pino, name) = self.resolve_parent(ctx, path, "unlink")?;
+        let (pino, name) = self.resolve_parent(ctx, path, None, "unlink")?;
         self.check_parent_write(ctx, pino, "unlink", path)?;
         let ino = *self
             .dir(pino)
@@ -657,9 +689,9 @@ impl MemFs {
         if to.starts_with(from) {
             return Err(FsError::new(Errno::EINVAL, "rename", to.as_str()));
         }
-        let (from_pino, from_name) = self.resolve_parent(ctx, from, "rename")?;
+        let (from_pino, from_name) = self.resolve_parent(ctx, from, None, "rename")?;
         self.check_parent_write(ctx, from_pino, "rename", from)?;
-        let (to_pino, to_name) = self.resolve_parent(ctx, to, "rename")?;
+        let (to_pino, to_name) = self.resolve_parent(ctx, to, None, "rename")?;
         self.check_parent_write(ctx, to_pino, "rename", to)?;
         let src_ino = *self
             .dir(from_pino)
@@ -718,7 +750,7 @@ impl MemFs {
         if self.node(ino).ftype == FileType::Directory {
             return Err(FsError::new(Errno::EPERM, "link", existing.as_str()));
         }
-        let (pino, name) = self.resolve_free(ctx, new, "link")?;
+        let (pino, name) = self.resolve_free(ctx, new, None, "link")?;
         let site = self.site(pino, ino);
         self.dir_mut(pino).insert(Name::from(name), ino);
         let n = self.node_mut(ino);
@@ -734,7 +766,7 @@ impl MemFs {
     ///
     /// As [`FileSystem::symlink`].
     pub fn symlink_at(&mut self, ctx: &OpCtx, target: &str, new: &VPath) -> Result<Site, FsError> {
-        let (pino, name) = self.resolve_free(ctx, new, "symlink")?;
+        let (pino, name) = self.resolve_free(ctx, new, None, "symlink")?;
         let link = Payload::Symlink {
             target: target.to_string(),
         };
@@ -763,8 +795,19 @@ impl Default for MemFs {
 
 impl FileSystem for MemFs {
     fn mkdir(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<()> {
-        self.mkdir_at(ctx, path, mode)?;
+        self.mkdir_at(ctx, path, None, mode)?;
         self.done(ctx, ())
+    }
+
+    fn mkdir_in(
+        &mut self,
+        ctx: &OpCtx,
+        path: &VPath,
+        parent: Option<Ino>,
+        mode: Mode,
+    ) -> FsResult<Option<Ino>> {
+        let site = self.mkdir_at(ctx, path, parent, mode)?;
+        self.done(ctx, Some(site.ino))
     }
 
     fn rmdir(&mut self, ctx: &OpCtx, path: &VPath) -> FsResult<()> {
@@ -773,7 +816,17 @@ impl FileSystem for MemFs {
     }
 
     fn create(&mut self, ctx: &OpCtx, path: &VPath, mode: Mode) -> FsResult<FileHandle> {
-        let (fh, _) = self.create_at(ctx, path, mode)?;
+        self.create_in(ctx, path, None, mode)
+    }
+
+    fn create_in(
+        &mut self,
+        ctx: &OpCtx,
+        path: &VPath,
+        parent: Option<Ino>,
+        mode: Mode,
+    ) -> FsResult<FileHandle> {
+        let (fh, _) = self.create_at(ctx, path, parent, mode)?;
         self.done(ctx, fh)
     }
 
@@ -1348,5 +1401,101 @@ mod tests {
             .truncate(&ctx, &VPath::root(), 0)
             .unwrap_err()
             .is(Errno::EISDIR));
+    }
+
+    /// A script of mkdirs and creates, deep and wide, with a repeated
+    /// name: `(is_dir, path)`.
+    fn hint_script() -> Vec<(bool, VPath)> {
+        let mut script = vec![(true, vpath("/a")), (true, vpath("/a/b"))];
+        script.push((true, vpath("/a/b/c")));
+        for i in 0..40 {
+            script.push((false, vpath(&format!("/a/b/f{i}"))));
+        }
+        script.push((false, vpath("/a/b/c/g")));
+        script.push((false, vpath("/top")));
+        script.push((true, vpath("/a/b/d")));
+        script.push((false, vpath("/a/b/f3")));
+        script.push((true, vpath("/a/b/c")));
+        script
+    }
+
+    /// What one scripted step gave: the `*_at` call's handle and site,
+    /// and the trait call's handle and end.
+    type Step = (
+        Result<(Option<FileHandle>, Site), Errno>,
+        Result<(Option<FileHandle>, SimTime), Errno>,
+    );
+
+    /// Runs `hint_script` on two filesystems in lockstep, one through
+    /// the `*_at` calls and one through the trait's; with `hinted`, each
+    /// call names its parent's inode, as learned from earlier steps, and
+    /// `mkdir_in` must report the inode the site names.
+    fn run_hint_script(hinted: bool) -> Vec<Step> {
+        let (mut at, ctx) = fs_and_ctx();
+        let mut via_trait = MemFs::new();
+        let mut dirs = std::collections::HashMap::from([(VPath::root(), ROOT_INO)]);
+        let mut steps = Vec::new();
+        for (i, (is_dir, path)) in hint_script().into_iter().enumerate() {
+            let ctx = ctx.at(SimTime::from_micros(i as u64));
+            let parent = path.parent().expect("not the root");
+            let hint = dirs.get(&parent).copied().filter(|_| hinted);
+            let mode = if is_dir {
+                Mode::dir_default()
+            } else {
+                Mode::file_default()
+            };
+            let (site, timed) = if is_dir {
+                let site = at.mkdir_at(&ctx, &path, hint, mode);
+                let timed = if hinted {
+                    let made = via_trait.mkdir_in(&ctx, &path, hint, mode);
+                    if let (Ok(made), Ok(site)) = (&made, &site) {
+                        assert_eq!(made.value, Some(site.ino), "{path}");
+                    }
+                    made.map(|t| t.end)
+                } else {
+                    via_trait.mkdir(&ctx, &path, mode).map(|t| t.end)
+                };
+                (site.map(|s| (None, s)), timed.map(|end| (None, end)))
+            } else {
+                let site = at
+                    .create_at(&ctx, &path, hint, mode)
+                    .map(|(fh, s)| (Some(fh), s));
+                let timed = if hinted {
+                    via_trait.create_in(&ctx, &path, hint, mode)
+                } else {
+                    via_trait.create(&ctx, &path, mode)
+                };
+                (site, timed.map(|t| (Some(t.value), t.end)))
+            };
+            if let (true, Ok((_, site))) = (is_dir, &site) {
+                dirs.insert(path, site.ino);
+            }
+            steps.push((site.map_err(|e| e.errno()), timed.map_err(|e| e.errno())));
+        }
+        steps
+    }
+
+    #[test]
+    fn a_parent_hint_changes_no_result() {
+        let walked = run_hint_script(false);
+        let hinted = run_hint_script(true);
+        assert_eq!(hinted, walked);
+        // The script makes, fails and reports what it claims to.
+        assert!(hinted.iter().any(|(s, _)| s == &Err(Errno::EEXIST)));
+        assert!(hinted
+            .iter()
+            .any(|(s, _)| matches!(s, Ok((_, site)) if site.entries >= 40)));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the parent hint names another directory")]
+    fn a_wrong_parent_hint_is_caught() {
+        let (mut fs, ctx) = fs_and_ctx();
+        fs.mkdir(&ctx, &vpath("/a"), Mode::dir_default()).unwrap();
+        let b = fs
+            .mkdir_at(&ctx, &vpath("/b"), None, Mode::dir_default())
+            .unwrap();
+        let _ = fs.create_at(&ctx, &vpath("/a/f"), Some(b.ino), Mode::file_default());
     }
 }
