@@ -14,7 +14,7 @@ use crate::config::{CofsConfig, MdsNetwork};
 use crate::fault::{FaultSummary, Nack, RetryStats};
 use crate::mds::{Cred, DbOps, Mds, RowSet};
 use crate::mds_cluster::{MdsCluster, Shape, ShardId, ShardUsage};
-use crate::placement::{HashedPlacement, PlacementPolicy};
+use crate::placement::{format_name, HashedPlacement, PlacementPolicy, NAME_BUF};
 use netsim::ids::NodeId;
 use simcore::prelude::*;
 use std::collections::BTreeMap;
@@ -22,7 +22,7 @@ use vfs::error::{Errno, FsError};
 use vfs::fs::{FileSystem, FsResult, OpCtx, Timed};
 use vfs::path::VPath;
 use vfs::types::{
-    DirEntry, FileAttr, FileHandle, FileType, FsStats, Gid, Mode, OpenFlags, SetAttr, Uid,
+    DirEntry, FileAttr, FileHandle, FileType, FsStats, Gid, Ino, Mode, OpenFlags, SetAttr, Uid,
 };
 
 /// One FUSE request on its way through the daemon: the caller's
@@ -145,12 +145,10 @@ pub struct CofsFs<U: FileSystem> {
     mds: MdsCluster,
     cache: ClientCache,
     batch: BatchPipeline,
+    /// Chooses each file's underlying directory and knows which of
+    /// those directories are made.
     placement: Box<dyn PlacementPolicy>,
-    /// Underlying directories already made, probed on every create.
-    made_dirs: FxHashSet<VPath>,
-    // Ordered: rename re-roots open handles by iterating this map, and
-    // the visit order must not depend on hasher state (lint rule D003).
-    handles: BTreeMap<u64, CHandle>,
+    handles: FxHashMap<u64, CHandle>,
     next_fh: u64,
     next_under_name: u64,
     counters: Counters,
@@ -201,8 +199,7 @@ impl<U: FileSystem> CofsFs<U> {
             cache: ClientCache::new(cfg.client_cache.clone()),
             batch: BatchPipeline::new(cfg.batch.clone()),
             placement,
-            made_dirs: FxHashSet::default(),
-            handles: BTreeMap::new(),
+            handles: FxHashMap::default(),
             next_fh: 1,
             next_under_name: 1,
             counters: Counters::new(),
@@ -640,34 +637,42 @@ impl<U: FileSystem> CofsFs<U> {
         keys
     }
 
-    /// Ensures the underlying directory chain for `dir` exists,
-    /// creating missing ancestors through the underlying filesystem.
-    fn ensure_under_dir(&mut self, op: &mut Op, dir: &VPath) -> Result<(), FsError> {
-        if self.made_dirs.contains(dir) {
-            return Ok(());
-        }
-        // Build ancestors root-down.
-        let mut chain = Vec::new();
-        let mut cur = Some(dir.clone());
-        while let Some(d) = cur {
-            if d.is_root() || self.made_dirs.contains(&d) {
-                break;
-            }
-            chain.push(d.clone());
-            cur = d.parent();
-        }
-        for d in chain.into_iter().rev() {
-            match self.under.mkdir(&op.daemon(), &d, Mode::new(0o755)) {
+    /// Makes the `missing` trailing levels of `mapping`'s directory
+    /// through the underlying filesystem, root-down, hinting the first
+    /// at `ino` (the deepest made level's inode) and each later one at
+    /// the level made before it, then reports the chain to placement.
+    /// Returns the directory's inode if the underlying filesystem
+    /// reported it. A level that already exists counts as made; any
+    /// other failure fails the op and reports nothing, so the next
+    /// create that needs the chain makes it again.
+    fn make_levels(
+        &mut self,
+        op: &mut Op,
+        mapping: &VPath,
+        missing: usize,
+        mut ino: Option<Ino>,
+    ) -> Result<Option<Ino>, FsError> {
+        let levels: Vec<VPath> = std::iter::successors(mapping.parent(), VPath::parent)
+            .take(missing)
+            .collect();
+        let mut inos = Vec::with_capacity(missing);
+        for level in levels.iter().rev() {
+            ino = match self
+                .under
+                .mkdir_in(&op.daemon(), level, ino, Mode::new(0o755))
+            {
                 Ok(done) => {
                     op.advance(done.end);
                     self.counters.bump("under_dirs_made");
+                    done.value
                 }
-                Err(e) if e.is(Errno::EEXIST) => {}
+                Err(e) if e.is(Errno::EEXIST) => None,
                 Err(e) => return Err(e),
-            }
-            self.made_dirs.insert(d);
+            };
+            inos.push(ino);
         }
-        Ok(())
+        self.placement.made(&inos);
+        Ok(ino)
     }
 
     /// The underlying handle behind `fh`, performing the deferred
@@ -755,14 +760,16 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         let mut op = Op::new(ctx, "create", self.cfg.fuse_dispatch);
         self.gate(&mut op, path)?;
         // Placement decides where the bits will really live.
-        let parent = path.parent().unwrap_or_else(VPath::root);
-        let name = path
-            .file_name()
-            .ok_or_else(|| FsError::new(Errno::EINVAL, op.name, path.as_str()))?;
-        let dir = self.placement.place(ctx.node, ctx.pid, &parent, name);
-        let uname = format!("i{}", self.next_under_name);
+        let (Some(vparent), Some(name)) = (path.parent_str(), path.file_name()) else {
+            return Err(FsError::new(Errno::EINVAL, op.name, path.as_str()));
+        };
+        let placed = self.placement.place(ctx.node, ctx.pid, vparent, name);
+        // The underlying name, `i<n>`, is unique across the layout.
+        let mut buf = [0; NAME_BUF];
+        let uname = format_name(&mut buf, format_args!("i{}", self.next_under_name));
+        let mapping = placed.dir.join(uname);
+        let (missing, mut ino) = (placed.missing, placed.ino);
         self.next_under_name += 1;
-        let mapping = dir.join(&uname);
         // Register in the metadata service (validates permissions and
         // uniqueness in the *virtual* namespace).
         let (rec, ops) =
@@ -775,11 +782,14 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         // must give their leases back before the create is done, and
         // pollers holding a negative lease on the name learn it exists.
         self.recall(&mut op, || Self::creation_keys(path));
-        // Materialize the underlying file in its private directory.
-        self.ensure_under_dir(&mut op, &dir)?;
+        // Materialize the underlying file in its private directory,
+        // making the directory first if no create has yet.
+        if missing > 0 {
+            ino = self.make_levels(&mut op, &mapping, missing, ino)?;
+        }
         let under = self
             .under
-            .create(&op.daemon(), &mapping, Mode::new(0o644))?;
+            .create_in(&op.daemon(), &mapping, ino, Mode::new(0o644))?;
         self.counters.bump("under_creates");
         op.advance(under.end);
         let fh = self.alloc_fh(CHandle {
@@ -1011,6 +1021,7 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         // Open handles keep routing by their virtual path; re-root the
         // ones the rename moved so later size publication charges the
         // shard that now owns them.
+        // cofs-lint: allow(D003, each handle is re-rooted on its own, so the visit order has no effect)
         for h in self.handles.values_mut() {
             if let Some(moved) = h.vpath.rebase(from, to) {
                 h.vpath = moved;
@@ -1157,6 +1168,48 @@ mod tests {
             .unwrap()
             .value;
         assert!(!under_root.is_empty());
+    }
+
+    #[test]
+    fn a_failed_placement_mkdir_is_made_again_by_the_next_create() {
+        // A regular file where placement's root directory goes: its
+        // mkdir fails with `EEXIST`, which counts as made, and the
+        // mkdir of the node directory under it with `ENOTDIR`.
+        let daemon = OpCtx {
+            uid: Uid(0),
+            gid: Gid(0),
+            ..OpCtx::test(NodeId(0))
+        };
+        let mut under = MemFs::new();
+        let fh = under
+            .create(&daemon, &vpath("/.cofs"), Mode::file_default())
+            .unwrap()
+            .value;
+        under.close(&daemon, fh).unwrap();
+        let net = MdsNetwork::uniform(SimDuration::from_micros(250));
+        let mut fs = CofsFs::new(under, CofsConfig::default(), net, 7);
+        let ctx = OpCtx::test(NodeId(0));
+        fs.mkdir(&ctx, &vpath("/d"), Mode::dir_default()).unwrap();
+        for name in ["/d/a", "/d/b"] {
+            let err = fs
+                .create(&ctx, &vpath(name), Mode::file_default())
+                .unwrap_err();
+            assert!(err.is(Errno::ENOTDIR), "{err}");
+            // Only a successful mkdir counts.
+            assert_eq!(fs.counters().get("under_dirs_made"), 0);
+        }
+        // The failed chain recorded no level, the root's included: once
+        // the file is gone, the next create makes all four.
+        fs.under_mut().unlink(&daemon, &vpath("/.cofs")).unwrap();
+        let fh = fs
+            .create(&ctx, &vpath("/d/c"), Mode::file_default())
+            .unwrap()
+            .value;
+        fs.close(&ctx, fh).unwrap();
+        assert_eq!(fs.counters().get("under_dirs_made"), 4);
+        assert_eq!(fs.counters().get("under_creates"), 1);
+        let nodes = fs.under_mut().readdir(&daemon, &vpath("/.cofs")).unwrap();
+        assert_eq!(nodes.value.len(), 1);
     }
 
     #[test]

@@ -59,7 +59,10 @@ fn hashed_line(
         let node = NodeId(draw.below(u64::from(nodes)) as u32);
         let pid = Pid(draw.below(u64::from(pids)) as u32 + 1);
         let parent = &parents[draw.below(used as u64) as usize];
-        let dir = policy.place(node, pid, parent, &format!("f{i}"));
+        let dir = policy
+            .place(node, pid, parent.as_str(), &format!("f{i}"))
+            .dir
+            .clone();
         writeln!(paths, "{dir}").unwrap();
         *tally.entry(dir).or_insert(0) += 1;
     }
@@ -97,7 +100,10 @@ fn passthrough_line(out: &mut String, root: &str) {
     let mut policy = PassthroughPlacement::new(vpath(root));
     let mut paths = String::new();
     for (i, parent) in parents().iter().enumerate() {
-        let dir = policy.place(NodeId(i as u32), Pid(1), parent, "f");
+        let dir = policy
+            .place(NodeId(i as u32), Pid(1), parent.as_str(), "f")
+            .dir
+            .clone();
         writeln!(paths, "{dir}").unwrap();
     }
     writeln!(

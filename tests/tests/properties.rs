@@ -42,12 +42,80 @@ mod path_props {
 
 mod placement_props {
     use super::*;
-    use cofs::placement::{HashedPlacement, PlacementPolicy};
+    use cofs::placement::{HashedPlacement, PassthroughPlacement, PlacementPolicy};
     use netsim::ids::{NodeId, Pid};
+    use simcore::rng::SimRng;
     use std::collections::HashMap;
     use vfs::path::{vpath, VPath};
+    use vfs::types::Ino;
+
+    /// Virtual parents the placement sequences draw from.
+    const PARENTS: [&str; 5] = ["/", "/v", "/a/b/c", "/v/w", "/r0"];
 
     proptest! {
+        /// A placement's missing-level count and its deepest made
+        /// level's inode are what a path-keyed set of made directories
+        /// gives: walk up from the returned directory to the first
+        /// directory in the set (or to `/`). The set fills as chains
+        /// are reported made; some creates fail before their chain is
+        /// made, and some levels come back without an inode.
+        #[test]
+        fn missing_levels_follow_a_made_set(
+            seed in 0u64..1000,
+            limit in 1u32..9,
+            spread in 1u32..5,
+            root in 0usize..3,
+            places in 1usize..300,
+        ) {
+            let root = vpath(["/", "/.u", "/under/deep"][root]);
+            let policies: [Box<dyn PlacementPolicy>; 2] = [
+                Box::new(HashedPlacement::new(root.clone(), limit, spread, seed)),
+                Box::new(PassthroughPlacement::new(root.clone())),
+            ];
+            for mut policy in policies {
+                let mut draw = SimRng::seed_from(seed ^ 0x5eed);
+                let mut made: HashMap<VPath, Option<Ino>> = HashMap::new();
+                let mut next_ino = 1;
+                for i in 0..places {
+                    let node = NodeId(draw.below(4) as u32);
+                    let pid = Pid(draw.below(3) as u32 + 1);
+                    let parent = PARENTS[draw.below(PARENTS.len() as u64) as usize];
+                    let placed = policy.place(node, pid, parent, &format!("f{i}"));
+                    let (dir, missing, ino) = (placed.dir.clone(), placed.missing, placed.ino);
+                    let mut chain = Vec::new();
+                    let mut deepest = None;
+                    let mut up = Some(dir.clone());
+                    while let Some(d) = up.filter(|d| !d.is_root()) {
+                        if let Some(&ino) = made.get(&d) {
+                            deepest = ino;
+                            break;
+                        }
+                        up = d.parent();
+                        chain.push(d);
+                    }
+                    prop_assert!(
+                        missing == chain.len() && ino == deepest,
+                        "{}: {dir} placed missing {missing} at {ino:?}, the set gives {} at {deepest:?}",
+                        policy.label(),
+                        chain.len()
+                    );
+                    if chain.is_empty() || draw.below(4) == 0 {
+                        continue;
+                    }
+                    chain.reverse();
+                    let inos: Vec<Option<Ino>> = chain
+                        .iter()
+                        .map(|_| {
+                            next_ino += 1;
+                            (draw.below(5) > 0).then_some(Ino(next_ino))
+                        })
+                        .collect();
+                    policy.made(&inos);
+                    made.extend(chain.into_iter().zip(inos));
+                }
+            }
+        }
+
         /// The underlying-directory limit is never exceeded, for any
         /// limit, spread, and operation count.
         #[test]
@@ -60,7 +128,7 @@ mod placement_props {
             let mut p = HashedPlacement::new(vpath("/.u"), limit, spread, seed);
             let mut counts: HashMap<VPath, u32> = HashMap::new();
             for i in 0..n {
-                let d = p.place(NodeId(0), Pid(1), &vpath("/v"), &format!("f{i}"));
+                let d = p.place(NodeId(0), Pid(1), "/v", &format!("f{i}")).dir.clone();
                 let c = counts.entry(d).or_insert(0);
                 *c += 1;
                 prop_assert!(*c <= limit);
@@ -72,8 +140,8 @@ mod placement_props {
         fn placement_stays_under_root(seed in 0u64..1000, n in 1usize..100) {
             let mut p = HashedPlacement::new(vpath("/.u"), 512, 4, seed);
             for i in 0..n {
-                let d = p.place(NodeId((i % 5) as u32), Pid(1), &vpath("/v"), &format!("f{i}"));
-                prop_assert!(d.starts_with(&vpath("/.u")));
+                let d = p.place(NodeId((i % 5) as u32), Pid(1), "/v", &format!("f{i}"));
+                prop_assert!(d.dir.starts_with(&vpath("/.u")));
             }
         }
     }
