@@ -335,7 +335,7 @@ fn main() {
     // crash-consistency cost is explicit: "apply tail" is how long
     // after the last ack the final rows land.
     {
-        let wb = cofs::config::WriteBehindConfig::enabled();
+        let wb = cofs::config::WriteBehindConfig::default();
         println!(
             "== Scaling: bursty storm vs write-behind journal \
              ({} nodes, {} dirs, {} files/node in bursts of {}, 2 shards, \

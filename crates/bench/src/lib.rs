@@ -282,15 +282,14 @@ mod tests {
     #[test]
     fn cached_factory_enables_the_cache() {
         let fs = mds_limit(two_shards().with_client_cache(4096, SimDuration::from_secs(1)));
-        assert!(fs.client_cache().enabled());
+        assert!(fs.client_cache().is_some());
         assert_eq!(fs.mds_cluster().shard_count(), 2);
     }
 
     #[test]
     fn batched_factory_enables_batching() {
         let fs = mds_limit(two_shards_batched(16));
-        assert!(fs.batch_pipeline().enabled());
-        let batch = fs.batch_pipeline().config();
+        let batch = fs.batch_pipeline().expect("batching on").config();
         assert_eq!(batch.max_batch_ops, 16);
         assert_eq!(batch.max_batch_delay, SWEEP_BATCH_DELAY);
         assert_eq!(batch.pipeline_depth, SWEEP_PIPELINE_DEPTH);
@@ -300,20 +299,20 @@ mod tests {
     #[test]
     fn tuned_factory_sets_every_discipline_knob() {
         let all = mds_limit(two_shards_batched(8).with_read_priority());
-        assert!(all.batch_pipeline().enabled());
+        assert!(all.batch_pipeline().is_some());
         assert!(all.config().read_priority);
         let none = mds_limit(two_shards());
-        assert!(!none.batch_pipeline().enabled());
+        assert!(none.batch_pipeline().is_none());
         assert!(!none.config().read_priority);
     }
 
     #[test]
     fn write_behind_factory_enables_journal_and_batching() {
         let fs = mds_limit(two_shards_batched(16).with_write_behind());
-        assert!(fs.batch_pipeline().enabled());
-        assert!(fs.config().write_behind.enabled);
+        assert!(fs.batch_pipeline().is_some());
+        assert!(fs.config().write_behind.is_some());
         let plain = mds_limit(two_shards_batched(16));
-        assert!(!plain.config().write_behind.enabled);
+        assert!(plain.config().write_behind.is_none());
     }
 
     #[test]
@@ -342,7 +341,7 @@ mod tests {
             off.fault_summary().is_none(),
             "empty plan must stay disarmed"
         );
-        assert!(!off.batch_pipeline().enabled());
+        assert!(off.batch_pipeline().is_none());
         let plan = FaultPlan::default().crash(
             ShardId(0),
             SimTime::from_millis(1),
@@ -354,8 +353,8 @@ mod tests {
                 .with_fault_plan(plan),
         );
         assert!(on.fault_summary().is_some());
-        assert!(on.batch_pipeline().enabled());
-        assert!(on.config().write_behind.enabled);
+        assert!(on.batch_pipeline().is_some());
+        assert!(on.config().write_behind.is_some());
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //! batch size, delay, and depth the user-visible outcome of any
 //! operation sequence is bit-for-bit identical with batching on or off
 //! — only simulated time and counters change. The differential suite
-//! pins this. The default is **off**, so the paper-calibrated numbers
-//! are reproduced exactly.
+//! pins this. By default no pipeline is built
+//! ([`crate::config::CofsConfig::batch`] is `None`), so the
+//! paper-calibrated numbers are reproduced exactly.
 //!
 //! Ordering: operations to one shard from one node always append to
 //! that node's open batch for the shard, batches close in FIFO order,
@@ -89,14 +90,13 @@ impl BatchedOp {
 }
 
 /// Result of same-parent sibling coalescing over one batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoalescedWrites {
-    /// Rows each op actually applies after coalescing, in batch order
-    /// (an op whose coalescable rows were all absorbed may reach 0).
-    pub writes_per_op: Vec<u64>,
+    /// Rows the batch actually applies after coalescing.
+    pub rows_applied: u64,
     /// Rows absorbed: duplicate write-set keys folded into the first
-    /// op that touches them. `sum(writes_per_op) + rows_coalesced`
-    /// always equals the batch's raw write count.
+    /// op that touches them. `rows_applied + rows_coalesced` always
+    /// equals the batch's raw write count.
     pub rows_coalesced: u64,
 }
 
@@ -107,9 +107,9 @@ pub struct CoalescedWrites {
 ///
 /// Only keys named in each op's [`BatchedOp::write_set`] participate;
 /// op-private rows (child inodes, new dentries) carry no key and are
-/// always applied. The *total* applied row count is invariant to batch
-/// order (first-toucher attribution moves rows between ops but never
-/// creates or destroys one), so deferred-apply pricing built on it is
+/// always applied. The applied row count is invariant to batch order
+/// (which op absorbs a shared row depends on the order, how many rows
+/// are absorbed does not), so deferred-apply pricing built on it is
 /// order-stable.
 ///
 /// # Examples
@@ -126,36 +126,31 @@ pub struct CoalescedWrites {
 /// };
 /// let batch = [creat("/shared/a"), creat("/shared/b"), creat("/shared/c")];
 /// let cw = coalesce_writes(&batch);
-/// // First create applies all 3 rows; siblings skip the parent row.
-/// assert_eq!(cw.writes_per_op, [3, 2, 2]);
+/// // The first create applies all 3 rows; its siblings skip the
+/// // parent row, so 9 raw writes apply as 7.
+/// assert_eq!(cw.rows_applied, 7);
 /// assert_eq!(cw.rows_coalesced, 2);
 /// ```
 pub fn coalesce_writes(ops: &[BatchedOp]) -> CoalescedWrites {
     let mut seen = RowSet::empty();
-    let mut writes_per_op = Vec::with_capacity(ops.len());
-    let mut rows_coalesced = 0u64;
+    let mut cw = CoalescedWrites {
+        rows_applied: 0,
+        rows_coalesced: 0,
+    };
     for o in ops {
-        let dups = seen.merge(&o.write_set);
-        // The RowSet invariant (len <= db.writes) makes this
-        // subtraction safe; min() keeps hand-built harness ops sane.
-        let applied = o.db.writes - dups.min(o.db.writes);
-        rows_coalesced += o.db.writes - applied;
-        writes_per_op.push(applied);
+        // The RowSet invariant (len <= db.writes) bounds the repeats;
+        // min() keeps hand-built harness ops sane.
+        let dups = seen.merge(&o.write_set).min(o.db.writes);
+        cw.rows_applied += o.db.writes - dups;
+        cw.rows_coalesced += dups;
     }
-    CoalescedWrites {
-        writes_per_op,
-        rows_coalesced,
-    }
+    cw
 }
 
-/// Batching knobs on [`crate::config::CofsConfig`].
-///
-/// The default is **disabled**, so existing calibration numbers are
-/// reproduced bit-for-bit unless a harness opts in.
+/// Batching knobs on [`crate::config::CofsConfig`]. A config without
+/// them (the default) builds no pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Master switch. Off by default.
-    pub enabled: bool,
     /// A batch closes (and goes on the wire) when it holds this many
     /// operations. `1` degenerates to per-op RPCs that are still
     /// pipelined.
@@ -171,28 +166,16 @@ pub struct BatchConfig {
     pub pipeline_depth: usize,
 }
 
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            enabled: false,
-            max_batch_ops: 8,
-            max_batch_delay: SimDuration::from_millis(5),
-            pipeline_depth: 4,
-        }
-    }
-}
-
 impl BatchConfig {
-    /// An enabled batching layer with the given knobs.
+    /// A batching layer with the given knobs.
     ///
     /// # Panics
     ///
     /// Panics if `max_batch_ops` or `pipeline_depth` is zero.
-    pub fn enabled(max_batch_ops: usize, max_batch_delay: SimDuration, depth: usize) -> Self {
+    pub fn new(max_batch_ops: usize, max_batch_delay: SimDuration, depth: usize) -> Self {
         assert!(max_batch_ops > 0, "a batch holds at least one op");
         assert!(depth > 0, "the pipeline needs at least one slot");
         BatchConfig {
-            enabled: true,
             max_batch_ops,
             max_batch_delay,
             pipeline_depth: depth,
@@ -311,7 +294,7 @@ struct NodeState {
 /// use netsim::ids::NodeId;
 /// use simcore::time::{SimDuration, SimTime};
 ///
-/// let cfg = BatchConfig::enabled(2, SimDuration::from_millis(1), 2);
+/// let cfg = BatchConfig::new(2, SimDuration::from_millis(1), 2);
 /// let mut p = BatchPipeline::new(cfg);
 /// let (n, s) = (NodeId(0), ShardId(0));
 /// let w = BatchedOp::opaque(DbOps { reads: 1, writes: 1 });
@@ -341,11 +324,6 @@ impl BatchPipeline {
             seq: 0,
             stats: BatchStats::default(),
         }
-    }
-
-    /// True when batching is switched on.
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
     }
 
     /// The configured knobs.
@@ -389,12 +367,7 @@ impl BatchPipeline {
     /// their deadlines) and, if this op fills its batch, that batch (at
     /// `now`). Follow with [`Self::take_due`] until empty, then read
     /// the op's acknowledgement time via [`Self::ack_time`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if batching is disabled.
     pub fn enqueue(&mut self, node: NodeId, shard: ShardId, ops: BatchedOp, now: SimTime) -> u64 {
-        assert!(self.cfg.enabled, "enqueue on a disabled batch pipeline");
         let seq = self.seq;
         self.seq += 1;
         self.stats.ops_enqueued += 1;
@@ -591,7 +564,7 @@ mod tests {
     use crate::mds::RowKey;
 
     fn on(max_ops: usize, delay_us: u64, depth: usize) -> BatchPipeline {
-        BatchPipeline::new(BatchConfig::enabled(
+        BatchPipeline::new(BatchConfig::new(
             max_ops,
             SimDuration::from_micros(delay_us),
             depth,
@@ -619,11 +592,10 @@ mod tests {
         // parent row — the canonical bursty-storm batch.
         let batch: Vec<BatchedOp> = (0..16).map(|_| keyed(3, &[42])).collect();
         let cw = coalesce_writes(&batch);
-        assert_eq!(cw.writes_per_op[0], 3);
-        assert!(cw.writes_per_op[1..].iter().all(|&w| w == 2));
+        // The first create applies all 3 rows, the 15 others 2 each.
+        assert_eq!(cw.rows_applied, 3 + 15 * 2);
         assert_eq!(cw.rows_coalesced, 15);
-        let total: u64 = cw.writes_per_op.iter().sum();
-        assert_eq!(total + cw.rows_coalesced, 48, "rows conserved");
+        assert_eq!(cw.rows_applied + cw.rows_coalesced, 48, "rows conserved");
     }
 
     #[test]
@@ -638,29 +610,26 @@ mod tests {
             }),
         ];
         let cw = coalesce_writes(&batch);
-        assert_eq!(cw.writes_per_op, [3, 2, 4]);
+        assert_eq!(cw.rows_applied, 3 + 2 + 4);
         assert_eq!(cw.rows_coalesced, 0);
         // Batch of one never coalesces, whatever it carries.
         let one = coalesce_writes(&[keyed(3, &[42])]);
-        assert_eq!(one.writes_per_op, [3]);
+        assert_eq!(one.rows_applied, 3);
         assert_eq!(one.rows_coalesced, 0);
     }
 
     #[test]
     fn coalesce_total_is_order_invariant() {
         // Rename-style ops carrying two keys, interleaved with creates:
-        // per-op attribution shifts with order, totals never do.
+        // which op absorbs a shared row shifts with order, the totals
+        // never do.
         let a = keyed(1, &[7]);
         let b = keyed(2, &[7, 8]);
         let c = keyed(3, &[8]);
         let fwd = coalesce_writes(&[a.clone(), b.clone(), c.clone()]);
         let rev = coalesce_writes(&[c, b, a]);
-        assert_eq!(fwd.rows_coalesced, rev.rows_coalesced);
-        assert_eq!(
-            fwd.writes_per_op.iter().sum::<u64>(),
-            rev.writes_per_op.iter().sum::<u64>()
-        );
-        assert_ne!(fwd.writes_per_op, rev.writes_per_op, "attribution moves");
+        assert_eq!(fwd, rev);
+        assert_eq!(fwd.rows_applied + fwd.rows_coalesced, 6, "rows conserved");
     }
 
     #[test]
@@ -668,15 +637,8 @@ mod tests {
         // A harness op naming more keys than writes cannot go negative.
         let odd = keyed(1, &[5, 6]);
         let cw = coalesce_writes(&[odd.clone(), odd]);
-        assert_eq!(cw.writes_per_op, [1, 0]);
+        assert_eq!(cw.rows_applied, 1);
         assert_eq!(cw.rows_coalesced, 1);
-    }
-
-    #[test]
-    fn default_config_is_off() {
-        let cfg = BatchConfig::default();
-        assert!(!cfg.enabled);
-        assert!(!BatchPipeline::new(cfg).enabled());
     }
 
     #[test]
@@ -793,17 +755,6 @@ mod tests {
         assert_eq!(st.batches_issued, 2);
         assert!((st.mean_batch_ops() - 4.0).abs() < 1e-9);
         assert_eq!(BatchStats::default().mean_batch_ops(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "disabled batch pipeline")]
-    fn enqueue_on_disabled_pipeline_panics() {
-        BatchPipeline::new(BatchConfig::default()).enqueue(
-            NodeId(0),
-            ShardId(0),
-            BatchedOp::default(),
-            SimTime::ZERO,
-        );
     }
 
     #[test]

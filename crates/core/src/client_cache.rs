@@ -19,7 +19,7 @@
 //! *cost* model, never a *truth* model. Every operation is still
 //! answered by the unified [`crate::mds::Mds`] namespace, so for any
 //! TTL and capacity the user-visible outcome of any operation sequence
-//! is bit-for-bit identical with the cache on or off — only simulated
+//! is bit-for-bit identical with or without the cache — only simulated
 //! time and counters differ. The differential suite pins this.
 //!
 //! Lease state has one home, [`ClientCache`]: each `(node, kind, path)`
@@ -70,41 +70,16 @@ pub enum EntryKind {
 /// One lease key: which kind of state, on which virtual path.
 pub type LeaseKey = (EntryKind, VPath);
 
-/// Client-cache knobs on [`crate::config::CofsConfig`].
-///
-/// The default is **disabled**, so existing calibration numbers are
-/// reproduced bit-for-bit unless a harness opts in.
+/// Client-cache knobs on [`crate::config::CofsConfig`]. A config
+/// without them (the default) builds no cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientCacheConfig {
-    /// Master switch. Off by default.
-    pub enabled: bool,
     /// Maximum cached entries per client node (LRU eviction beyond
     /// this; eviction releases the lease voluntarily, at no cost).
     pub capacity: usize,
     /// Lease lifetime in *virtual* time. A hit on an expired entry is
     /// a miss that re-fetches and re-leases.
     pub lease_ttl: SimDuration,
-}
-
-impl Default for ClientCacheConfig {
-    fn default() -> Self {
-        ClientCacheConfig {
-            enabled: false,
-            capacity: 4096,
-            lease_ttl: SimDuration::from_secs(5),
-        }
-    }
-}
-
-impl ClientCacheConfig {
-    /// An enabled cache with the given per-node capacity and TTL.
-    pub fn enabled(capacity: usize, lease_ttl: SimDuration) -> Self {
-        ClientCacheConfig {
-            enabled: true,
-            capacity,
-            lease_ttl,
-        }
-    }
 }
 
 /// Aggregate cache/coherence counters across all client nodes.
@@ -244,7 +219,10 @@ impl NodeCache {
 /// use simcore::time::{SimDuration, SimTime};
 /// use vfs::path::vpath;
 ///
-/// let cfg = ClientCacheConfig::enabled(64, SimDuration::from_secs(1));
+/// let cfg = ClientCacheConfig {
+///     capacity: 64,
+///     lease_ttl: SimDuration::from_secs(1),
+/// };
 /// let mut cache = ClientCache::new(cfg);
 /// let (n, p) = (NodeId(0), vpath("/f"));
 /// assert!(!cache.lookup(n, EntryKind::Attr, &p, SimTime::ZERO).is_hit());
@@ -275,11 +253,6 @@ impl ClientCache {
         }
     }
 
-    /// True when caching is switched on.
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
     /// The configured knobs.
     pub fn config(&self) -> &ClientCacheConfig {
         &self.cfg
@@ -289,9 +262,6 @@ impl ClientCache {
     /// recording a hit or a miss. This is the only place an expired
     /// entry is dropped; it counts as both an expiration and a miss.
     pub fn lookup(&mut self, node: NodeId, kind: EntryKind, path: &VPath, now: SimTime) -> Lookup {
-        if !self.cfg.enabled {
-            return Lookup::Miss;
-        }
         let cache = self.nodes.entry(node).or_default();
         cache.use_seq += 1;
         let seq = cache.use_seq;
@@ -323,8 +293,7 @@ impl ClientCache {
     /// grant rides on the read that fetched it), or refreshes the
     /// lease of an entry already there. A new entry on a node at
     /// capacity first evicts the least-recently-used one, whose lease
-    /// goes with it at no cost; returns the evicted key, if any. No-op
-    /// when disabled.
+    /// goes with it at no cost; returns the evicted key, if any.
     pub fn insert(
         &mut self,
         node: NodeId,
@@ -332,9 +301,6 @@ impl ClientCache {
         path: VPath,
         now: SimTime,
     ) -> Option<LeaseKey> {
-        if !self.cfg.enabled {
-            return None;
-        }
         let cache = self.nodes.entry(node).or_default();
         cache.use_seq += 1;
         let entry = Entry {
@@ -484,24 +450,10 @@ mod tests {
     use vfs::path::vpath;
 
     fn on(capacity: usize, ttl_ms: u64) -> ClientCache {
-        ClientCache::new(ClientCacheConfig::enabled(
+        ClientCache::new(ClientCacheConfig {
             capacity,
-            SimDuration::from_millis(ttl_ms),
-        ))
-    }
-
-    #[test]
-    fn disabled_cache_never_hits_or_stores() {
-        let mut c = ClientCache::new(ClientCacheConfig::default());
-        assert!(!c.enabled());
-        let p = vpath("/f");
-        assert!(c
-            .insert(NodeId(0), EntryKind::Attr, p.clone(), SimTime::ZERO)
-            .is_none());
-        assert!(!c
-            .lookup(NodeId(0), EntryKind::Attr, &p, SimTime::ZERO)
-            .is_hit());
-        assert_eq!(c.stats(), CacheStats::default());
+            lease_ttl: SimDuration::from_millis(ttl_ms),
+        })
     }
 
     #[test]

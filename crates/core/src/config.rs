@@ -38,12 +38,12 @@ pub enum ShardPolicyKind {
 /// `pipeline_depth` slot backpressure. Acked-but-unapplied work is the
 /// *crash-consistency window* — what a shard crash could lose.
 ///
-/// The default is **disabled**, so existing calibration numbers are
-/// reproduced bit-for-bit unless a harness opts in.
+/// [`CofsConfig::write_behind`] is `None` by default: no journal, so
+/// existing calibration numbers are reproduced bit-for-bit unless a
+/// harness opts in. The `Default` value is the default durability
+/// window [`CofsConfig::with_write_behind`] installs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteBehindConfig {
-    /// Master switch. Off by default.
-    pub enabled: bool,
     /// Maximum acked-but-unapplied operations per shard before new
     /// mutation batches are held back.
     pub max_unapplied_ops: u64,
@@ -55,19 +55,8 @@ pub struct WriteBehindConfig {
 impl Default for WriteBehindConfig {
     fn default() -> Self {
         WriteBehindConfig {
-            enabled: false,
             max_unapplied_ops: 256,
             max_unapplied_window: SimDuration::from_millis(20),
-        }
-    }
-}
-
-impl WriteBehindConfig {
-    /// An enabled config with the default durability window.
-    pub fn enabled() -> Self {
-        WriteBehindConfig {
-            enabled: true,
-            ..WriteBehindConfig::default()
         }
     }
 }
@@ -84,12 +73,11 @@ impl WriteBehindConfig {
 /// appends still in flight to the standby at crash time), not the
 /// scripted downtime.
 ///
-/// The default is **disabled**, so the PR-9 crash path is reproduced
-/// bit-for-bit unless a harness opts in.
+/// [`CofsConfig::standby`] is `None` by default: a crash then waits out
+/// its scripted downtime. The `Default` value is the promotion cost
+/// [`CofsConfig::with_standby`] installs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StandbyConfig {
-    /// Master switch. Off by default.
-    pub enabled: bool,
     /// Fixed cost of failing over to the standby: leader handoff,
     /// fencing broadcast, and opening the standby for traffic.
     pub promotion_cost: SimDuration,
@@ -98,18 +86,7 @@ pub struct StandbyConfig {
 impl Default for StandbyConfig {
     fn default() -> Self {
         StandbyConfig {
-            enabled: false,
             promotion_cost: SimDuration::from_micros(500),
-        }
-    }
-}
-
-impl StandbyConfig {
-    /// An enabled config with the default promotion cost.
-    pub fn enabled() -> Self {
-        StandbyConfig {
-            enabled: true,
-            ..StandbyConfig::default()
         }
     }
 }
@@ -125,12 +102,12 @@ impl StandbyConfig {
 /// clients honoring the hint arrive paced instead of stampeding, which
 /// converts the post-recovery convoy into a bounded ramp.
 ///
-/// The default is **disabled**: refusals then carry no hint and clients
-/// climb the plain exponential-backoff ladder, bit-for-bit the PR-9 path.
+/// [`CofsConfig::admission`] is `None` by default: refusals then carry
+/// no hint and clients climb the plain exponential-backoff ladder. The
+/// `Default` value is the ramp rate [`CofsConfig::with_admission`]
+/// installs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionConfig {
-    /// Master switch. Off by default.
-    pub enabled: bool,
     /// Session re-establishments granted per window.
     pub sessions_per_window: u64,
     /// Width of one admission window.
@@ -140,19 +117,8 @@ pub struct AdmissionConfig {
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
-            enabled: false,
             sessions_per_window: 2,
             window: SimDuration::from_micros(250),
-        }
-    }
-}
-
-impl AdmissionConfig {
-    /// An enabled config with the default ramp rate.
-    pub fn enabled() -> Self {
-        AdmissionConfig {
-            enabled: true,
-            ..AdmissionConfig::default()
         }
     }
 }
@@ -276,23 +242,23 @@ pub struct CofsConfig {
 
     // ---- client-side metadata cache ----
     /// Per-client attribute/dentry caching with lease-based coherence
-    /// (see [`crate::client_cache`]). Disabled by default so the
-    /// paper-calibrated numbers are reproduced bit-for-bit.
-    pub client_cache: ClientCacheConfig,
+    /// (see [`crate::client_cache`]). `None` by default: no cache is
+    /// built, so the paper-calibrated numbers are reproduced
+    /// bit-for-bit.
+    pub client_cache: Option<ClientCacheConfig>,
 
     // ---- metadata RPC batching ----
     /// Client-side batching/pipelining of metadata mutations with
-    /// shard-side group commit (see [`crate::batch`]). Disabled by
-    /// default so the paper-calibrated numbers are reproduced
-    /// bit-for-bit.
-    pub batch: BatchConfig,
+    /// shard-side group commit (see [`crate::batch`]). `None` by
+    /// default: no pipeline is built, and every mutation is one
+    /// synchronous request.
+    pub batch: Option<BatchConfig>,
 
     // ---- write-behind journaling ----
     /// Shard-side write-behind dentry journaling with same-parent
-    /// sibling coalescing (see [`WriteBehindConfig`]). Disabled by
-    /// default so the paper-calibrated numbers are reproduced
-    /// bit-for-bit.
-    pub write_behind: WriteBehindConfig,
+    /// sibling coalescing (see [`WriteBehindConfig`]). `None` by
+    /// default; only batches journal, so it needs [`Self::batch`].
+    pub write_behind: Option<WriteBehindConfig>,
 
     // ---- shard service discipline ----
     /// Serve read RPCs from a priority lane on each shard CPU: reads
@@ -311,12 +277,13 @@ pub struct CofsConfig {
     /// Client retry/timeout/backoff policy, consulted only while a
     /// fault plan is armed.
     pub retry: RetryConfig,
-    /// Hot-standby promotion (see [`StandbyConfig`]). Disabled by
-    /// default so the PR-9 crash path stays bit-for-bit.
-    pub standby: StandbyConfig,
+    /// Hot-standby promotion (see [`StandbyConfig`]). `None` by
+    /// default; the standby ships journal appends, so it needs
+    /// [`Self::write_behind`].
+    pub standby: Option<StandbyConfig>,
     /// Post-recovery admission control (see [`AdmissionConfig`]).
-    /// Disabled by default so the PR-9 retry path stays bit-for-bit.
-    pub admission: AdmissionConfig,
+    /// `None` by default.
+    pub admission: Option<AdmissionConfig>,
 }
 
 impl Default for CofsConfig {
@@ -332,14 +299,14 @@ impl Default for CofsConfig {
             session_cost: SimDuration::from_millis(2),
             shard_policy: ShardPolicy::hash(1),
             cross_shard_rtt: SimDuration::from_micros(220),
-            client_cache: ClientCacheConfig::default(),
-            batch: BatchConfig::default(),
-            write_behind: WriteBehindConfig::default(),
+            client_cache: None,
+            batch: None,
+            write_behind: None,
             read_priority: false,
             fault: FaultPlan::default(),
             retry: RetryConfig::default(),
-            standby: StandbyConfig::default(),
-            admission: AdmissionConfig::default(),
+            standby: None,
+            admission: None,
         }
     }
 }
@@ -373,7 +340,10 @@ impl CofsConfig {
     /// A copy of this config with the client-side metadata cache
     /// switched on with the given per-node capacity and lease TTL.
     pub fn with_client_cache(mut self, capacity: usize, lease_ttl: SimDuration) -> Self {
-        self.client_cache = ClientCacheConfig::enabled(capacity, lease_ttl);
+        self.client_cache = Some(ClientCacheConfig {
+            capacity,
+            lease_ttl,
+        });
         self
     }
 
@@ -391,7 +361,11 @@ impl CofsConfig {
         max_batch_delay: SimDuration,
         pipeline_depth: usize,
     ) -> Self {
-        self.batch = BatchConfig::enabled(max_batch_ops, max_batch_delay, pipeline_depth);
+        self.batch = Some(BatchConfig::new(
+            max_batch_ops,
+            max_batch_delay,
+            pipeline_depth,
+        ));
         self
     }
 
@@ -406,7 +380,7 @@ impl CofsConfig {
     /// that memoizes nothing.
     pub fn with_read_memoization(self) -> Self {
         assert!(
-            self.batch.enabled,
+            self.batch.is_some(),
             "read memoization requires batching; call with_batching first"
         );
         self
@@ -416,8 +390,7 @@ impl CofsConfig {
     /// under the default durability window: mutation batches ack at
     /// journal append, rows apply off the critical path with
     /// same-parent siblings coalesced (see [`WriteBehindConfig`]).
-    /// Tune the window by assigning [`Self::write_behind`] fields
-    /// afterwards.
+    /// Tune the window by replacing [`Self::write_behind`] afterwards.
     ///
     /// # Panics
     ///
@@ -426,10 +399,10 @@ impl CofsConfig {
     /// would mask a misconfigured sweep.
     pub fn with_write_behind(mut self) -> Self {
         assert!(
-            self.batch.enabled,
+            self.batch.is_some(),
             "write-behind journaling requires batching; call with_batching first"
         );
-        self.write_behind = WriteBehindConfig::enabled();
+        self.write_behind = Some(WriteBehindConfig::default());
         self
     }
 
@@ -456,7 +429,7 @@ impl CofsConfig {
 
     /// A copy of this config with hot-standby promotion switched on at
     /// the default promotion cost (see [`StandbyConfig`]). Tune by
-    /// assigning [`Self::standby`] fields afterwards.
+    /// replacing [`Self::standby`] afterwards.
     ///
     /// # Panics
     ///
@@ -466,18 +439,18 @@ impl CofsConfig {
     /// sweep.
     pub fn with_standby(mut self) -> Self {
         assert!(
-            self.write_behind.enabled,
+            self.write_behind.is_some(),
             "standby promotion requires write-behind journaling; call with_write_behind first"
         );
-        self.standby = StandbyConfig::enabled();
+        self.standby = Some(StandbyConfig::default());
         self
     }
 
     /// A copy of this config with post-recovery admission control
     /// switched on at the default ramp rate (see [`AdmissionConfig`]).
-    /// Tune by assigning [`Self::admission`] fields afterwards.
+    /// Tune by replacing [`Self::admission`] afterwards.
     pub fn with_admission(mut self) -> Self {
-        self.admission = AdmissionConfig::enabled();
+        self.admission = Some(AdmissionConfig::default());
         self
     }
 
@@ -595,13 +568,13 @@ mod tests {
     #[test]
     fn batching_defaults_off_and_builder_enables() {
         let c = CofsConfig::default();
-        assert!(!c.batch.enabled);
+        assert!(c.batch.is_none());
         assert!(!c.read_priority);
         let b = CofsConfig::default().with_batching(16, SimDuration::from_millis(2), 4);
-        assert!(b.batch.enabled);
-        assert_eq!(b.batch.max_batch_ops, 16);
-        assert_eq!(b.batch.max_batch_delay, SimDuration::from_millis(2));
-        assert_eq!(b.batch.pipeline_depth, 4);
+        let batch = b.batch.as_ref().expect("batching on");
+        assert_eq!(batch.max_batch_ops, 16);
+        assert_eq!(batch.max_batch_delay, SimDuration::from_millis(2));
+        assert_eq!(batch.pipeline_depth, 4);
         // Memoization is part of batching: its builder changes nothing.
         assert_eq!(b.clone().with_read_memoization().batch, b.batch);
         let p = CofsConfig::default().with_read_priority();
@@ -616,18 +589,14 @@ mod tests {
 
     #[test]
     fn write_behind_defaults_off_and_builder_enables() {
-        let c = CofsConfig::default();
-        assert!(!c.write_behind.enabled);
-        assert!(c.write_behind.max_unapplied_ops > 0);
-        assert!(!c.write_behind.max_unapplied_window.is_zero());
+        assert!(CofsConfig::default().write_behind.is_none());
+        let window = WriteBehindConfig::default();
+        assert!(window.max_unapplied_ops > 0);
+        assert!(!window.max_unapplied_window.is_zero());
         let w = CofsConfig::default()
             .with_batching(16, SimDuration::from_millis(2), 4)
             .with_write_behind();
-        assert!(w.write_behind.enabled);
-        assert_eq!(
-            w.write_behind.max_unapplied_ops,
-            WriteBehindConfig::default().max_unapplied_ops
-        );
+        assert_eq!(w.write_behind, Some(window));
     }
 
     #[test]
@@ -719,18 +688,13 @@ mod tests {
 
     #[test]
     fn standby_defaults_off_and_builder_enables() {
-        let c = CofsConfig::default();
-        assert!(!c.standby.enabled);
-        assert!(!c.standby.promotion_cost.is_zero());
+        assert!(CofsConfig::default().standby.is_none());
+        assert!(!StandbyConfig::default().promotion_cost.is_zero());
         let s = CofsConfig::default()
             .with_batching(16, SimDuration::from_millis(2), 4)
             .with_write_behind()
             .with_standby();
-        assert!(s.standby.enabled);
-        assert_eq!(
-            s.standby.promotion_cost,
-            StandbyConfig::default().promotion_cost
-        );
+        assert_eq!(s.standby, Some(StandbyConfig::default()));
     }
 
     #[test]
@@ -743,16 +707,12 @@ mod tests {
 
     #[test]
     fn admission_defaults_off_and_builder_enables() {
-        let c = CofsConfig::default();
-        assert!(!c.admission.enabled);
-        assert!(c.admission.sessions_per_window >= 1);
-        assert!(!c.admission.window.is_zero());
+        assert!(CofsConfig::default().admission.is_none());
+        let ramp = AdmissionConfig::default();
+        assert!(ramp.sessions_per_window >= 1);
+        assert!(!ramp.window.is_zero());
         let a = CofsConfig::default().with_admission();
-        assert!(a.admission.enabled);
-        assert_eq!(
-            a.admission.sessions_per_window,
-            AdmissionConfig::default().sessions_per_window
-        );
+        assert_eq!(a.admission, Some(ramp));
     }
 
     #[test]

@@ -143,8 +143,8 @@ pub struct CofsFs<U: FileSystem> {
     cfg: CofsConfig,
     net: MdsNetwork,
     mds: MdsCluster,
-    cache: ClientCache,
-    batch: BatchPipeline,
+    cache: Option<ClientCache>,
+    batch: Option<BatchPipeline>,
     /// Chooses each file's underlying directory and knows which of
     /// those directories are made.
     placement: Box<dyn PlacementPolicy>,
@@ -196,8 +196,8 @@ impl<U: FileSystem> CofsFs<U> {
             under,
             net,
             mds,
-            cache: ClientCache::new(cfg.client_cache.clone()),
-            batch: BatchPipeline::new(cfg.batch.clone()),
+            cache: cfg.client_cache.clone().map(ClientCache::new),
+            batch: cfg.batch.clone().map(BatchPipeline::new),
             placement,
             handles: FxHashMap::default(),
             next_fh: 1,
@@ -257,26 +257,34 @@ impl<U: FileSystem> CofsFs<U> {
         self.mds.apply_horizon(horizon)
     }
 
-    /// The per-client metadata cache (lease state and knobs).
-    pub fn client_cache(&self) -> &ClientCache {
-        &self.cache
+    /// The per-client metadata cache (lease state and knobs), if the
+    /// config has one.
+    pub fn client_cache(&self) -> Option<&ClientCache> {
+        self.cache.as_ref()
     }
 
     /// Aggregate client-cache counters since the last
-    /// [`Self::reset_time`] (all zero with the cache disabled).
+    /// [`Self::reset_time`] (all zero without a cache).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.cache
+            .as_ref()
+            .map(ClientCache::stats)
+            .unwrap_or_default()
     }
 
-    /// The per-node batch pipeline (knobs and buffered state).
-    pub fn batch_pipeline(&self) -> &BatchPipeline {
-        &self.batch
+    /// The per-node batch pipeline (knobs and buffered state), if the
+    /// config has one.
+    pub fn batch_pipeline(&self) -> Option<&BatchPipeline> {
+        self.batch.as_ref()
     }
 
     /// Aggregate batching counters since the last [`Self::reset_time`]
-    /// (all zero with batching disabled).
+    /// (all zero without a pipeline).
     pub fn batch_stats(&self) -> BatchStats {
-        self.batch.stats()
+        self.batch
+            .as_ref()
+            .map(BatchPipeline::stats)
+            .unwrap_or_default()
     }
 
     /// Client-side retry accounting since the last [`Self::reset_time`]
@@ -303,7 +311,7 @@ impl<U: FileSystem> CofsFs<U> {
             exhausted: r.exhausted,
             replayed_ops: f.replayed_ops,
             lost_acked_ops: f.lost_acked_ops,
-            fenced_leases: self.cache.stats().fenced,
+            fenced_leases: self.cache_stats().fenced,
             fenced_sessions: f.fenced_sessions,
             elastic_aborts: f.elastic_aborts,
             promotions: f.promotions,
@@ -321,22 +329,19 @@ impl<U: FileSystem> CofsFs<U> {
 
     /// Flushes every buffered batch — each at its natural delay-window
     /// deadline, exactly as its flush timer would have — and returns
-    /// the latest batch completion across all nodes, if batching is on
-    /// and anything was ever issued. An end-of-phase makespan must fold
-    /// this tail in: the last acknowledgements precede the last wire
-    /// completions by design.
+    /// the latest batch completion across all nodes, if the config has
+    /// a pipeline and anything was ever issued. An end-of-phase
+    /// makespan must fold this tail in: the last acknowledgements
+    /// precede the last wire completions by design.
     pub fn drain_batches(&mut self) -> Option<SimTime> {
-        if !self.batch.enabled() {
-            return None;
-        }
-        for node in self.batch.nodes_with_work() {
-            self.batch.close_all(node);
+        for node in self.batch.as_ref()?.nodes_with_work() {
+            self.batch.as_mut()?.close_all(node);
             // A batch that exhausts its retries during a drain has
             // already recorded its failure (counters + completion);
             // keep draining the rest of the pipeline.
             while self.pump(node, SimTime::MAX).is_err() {}
         }
-        self.batch.last_completion()
+        self.batch.as_ref()?.last_completion()
     }
 
     /// Rewinds every metadata shard's queue to virtual time zero (used
@@ -347,12 +352,14 @@ impl<U: FileSystem> CofsFs<U> {
     /// Buffered batches are drained first (their cost lands in the
     /// phase that buffered them), then the pipeline rewinds too.
     pub fn reset_time(&mut self) {
-        if self.batch.enabled() {
-            self.drain_batches();
-            self.batch.reset_time();
+        self.drain_batches();
+        if let Some(batch) = self.batch.as_mut() {
+            batch.reset_time();
         }
         self.mds.reset_time();
-        self.cache.reset_stats();
+        if let Some(cache) = self.cache.as_mut() {
+            cache.reset_stats();
+        }
         self.retry = RetryStats::default();
         self.retry_seq = 0;
         self.exhausted_by_node.clear();
@@ -384,10 +391,10 @@ impl<U: FileSystem> CofsFs<U> {
     /// names live on different shards (two-phase operations never batch:
     /// distributed agreement needs both shards engaged synchronously),
     /// otherwise buffered into the node's open batch for the shard when
-    /// batching is on — acknowledged as soon as the daemon accepts it,
-    /// the caller's clock advancing past the round trip only when flow
-    /// control makes it wait (see [`crate::batch`]) — and one
-    /// synchronous request when it is off.
+    /// the config has a pipeline — acknowledged as soon as the daemon
+    /// accepts it, the caller's clock advancing past the round trip
+    /// only when flow control makes it wait (see [`crate::batch`]) —
+    /// and one synchronous request otherwise.
     ///
     /// A batched op carries the row keys of its names' resolution
     /// chains (deduped, so shared prefixes count once), clamped to the
@@ -426,7 +433,7 @@ impl<U: FileSystem> CofsFs<U> {
                 if sa != sb {
                     self.counters.bump("mds_two_phase");
                     Shape::TwoPhase(sa, sb)
-                } else if self.batch.enabled() {
+                } else if let Some(batch) = self.batch.as_mut() {
                     // Both names' rows, each shared row once, clamped to
                     // the rows the op touched.
                     let rows = |of: fn(&VPath) -> RowSet, max: u64| {
@@ -439,13 +446,13 @@ impl<U: FileSystem> CofsFs<U> {
                     let read_set = rows(RowSet::resolution_chain, ops.reads);
                     // Only the journal coalesces writes; without it the
                     // write set stays empty and allocation-free.
-                    let write_set = if self.cfg.write_behind.enabled {
+                    let write_set = if self.cfg.write_behind.is_some() {
                         rows(RowSet::parent_row, ops.writes)
                     } else {
                         RowSet::empty()
                     };
                     self.counters.bump("mds_rpcs");
-                    self.batch.enqueue(
+                    batch.enqueue(
                         node,
                         sa,
                         BatchedOp {
@@ -459,7 +466,8 @@ impl<U: FileSystem> CofsFs<U> {
                     // retry driver gives up on fails this op.
                     self.pump(node, op.t)
                         .map_err(|nack| op.refused(a.as_str(), &nack))?;
-                    op.advance(self.batch.ack_time(node, op.t));
+                    let batch = self.batch.as_ref().expect("this arm holds a pipeline");
+                    op.advance(batch.ack_time(node, op.t));
                     return Ok(());
                 } else {
                     Shape::Sync(sa)
@@ -483,22 +491,25 @@ impl<U: FileSystem> CofsFs<U> {
     /// in close order, feeding each completion back into the pipeline's
     /// slot accounting. A batch the retry driver gives up on records
     /// the failure time as its completion (the slot frees — the
-    /// pipeline never wedges) and returns the refusal.
+    /// pipeline never wedges) and returns the refusal. Nothing is due
+    /// without a pipeline.
     fn pump(&mut self, node: NodeId, horizon: SimTime) -> Result<(), Nack> {
-        while let Some(b) = self.batch.take_due(node, horizon) {
+        while let Some(b) = self.batch.as_mut().and_then(|p| p.take_due(node, horizon)) {
             self.counters.bump("mds_batches");
-            let done = match self.admit(node, b.shard, b.issue_at) {
+            let admitted = self.admit(node, b.shard, b.issue_at);
+            let done = match admitted {
                 Ok(t) => {
                     self.mds
                         .request(&self.cfg, &self.net, node, Shape::Batch(b.shard), &b.ops, t)
                 }
                 Err(nack) => {
                     self.retry.exhausted_ops += b.ops.len() as u64;
-                    self.batch.record_completion(node, nack.at);
-                    return Err(nack);
+                    nack.at
                 }
             };
-            self.batch.record_completion(node, done);
+            let batch = self.batch.as_mut().expect("batches come from a pipeline");
+            batch.record_completion(node, done);
+            admitted?;
         }
         Ok(())
     }
@@ -570,8 +581,10 @@ impl<U: FileSystem> CofsFs<U> {
     /// against the recovered shard.
     fn fence_crashed(&mut self) {
         for (shard, at) in self.mds.take_crashes() {
-            let mds = &self.mds;
-            self.cache.fence(at, |key| mds.lease_shard(key) == shard);
+            if let Some(cache) = self.cache.as_mut() {
+                let mds = &self.mds;
+                cache.fence(at, |key| mds.lease_shard(key) == shard);
+            }
         }
     }
 
@@ -580,6 +593,7 @@ impl<U: FileSystem> CofsFs<U> {
     /// the full shard RPC and installs a fresh lease for the caller.
     /// The *answer* always comes from the unified namespace either
     /// way; only the charged time differs (see [`crate::client_cache`]).
+    /// Without a cache every read is charged.
     fn cached_read(
         &mut self,
         op: &mut Op,
@@ -587,7 +601,12 @@ impl<U: FileSystem> CofsFs<U> {
         path: &VPath,
         ops: DbOps,
     ) -> Result<(), FsError> {
-        if self.cache.lookup(op.ctx.node, kind, path, op.t).is_hit() {
+        let (node, t) = (op.ctx.node, op.t);
+        if self
+            .cache
+            .as_mut()
+            .is_some_and(|cache| cache.lookup(node, kind, path, t).is_hit())
+        {
             // A live lease answers locally even while the owning shard
             // is down — exactly the availability a cache buys through a
             // fault window (fenced leases were already dropped when the
@@ -595,8 +614,8 @@ impl<U: FileSystem> CofsFs<U> {
             return Ok(());
         }
         self.charge(op, Target::Read(kind, path), ops)?;
-        if self.cache.enabled() {
-            self.cache.insert(op.ctx.node, kind, path.clone(), op.t);
+        if let Some(cache) = self.cache.as_mut() {
+            cache.insert(node, kind, path.clone(), op.t);
         }
         Ok(())
     }
@@ -605,14 +624,14 @@ impl<U: FileSystem> CofsFs<U> {
     /// completed: the recalled entries leave the holders' caches, the
     /// mutator's own copies for free, and the owning shards price a
     /// message to each remote holder (in parallel, RTT-costed). `keys`
-    /// runs only with the client cache on; with it off there are no
-    /// leases, and building the keys would only clone paths.
+    /// runs only with a client cache; without one there are no leases,
+    /// and building the keys would only clone paths.
     fn recall(&mut self, op: &mut Op, keys: impl FnOnce() -> Vec<LeaseKey>) {
-        if !self.cache.enabled() {
+        let Some(cache) = self.cache.as_mut() else {
             return;
-        }
+        };
         let keys = keys();
-        let messages = self.cache.recall(op.ctx.node, &keys, op.t);
+        let messages = cache.recall(op.ctx.node, &keys, op.t);
         op.advance(self.mds.price_recall(&self.net, &messages, op.t));
     }
 
@@ -1034,9 +1053,9 @@ impl<U: FileSystem> FileSystem for CofsFs<U> {
         // or below either name must come back, plus both parents'
         // listing/attr leases — on top of the two-phase commit when
         // the names straddle shards.
-        if self.cache.enabled() {
-            let mut keys = self.cache.keys_under(from);
-            keys.extend(self.cache.keys_under(to));
+        if let Some(cache) = &self.cache {
+            let mut keys = cache.keys_under(from);
+            keys.extend(cache.keys_under(to));
             keys.extend(Self::parent_keys(from));
             keys.extend(Self::parent_keys(to));
             self.recall(&mut op, || keys);
@@ -1641,31 +1660,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_disabled_charges_identical_times() {
-        // The same op sequence, cache off vs. on-but-default-off
-        // config, must produce bit-for-bit identical completion times.
-        let mut plain = new_fs();
-        let mut defaulted = CofsFs::new(
-            MemFs::new(),
-            CofsConfig::default(),
-            MdsNetwork::uniform(SimDuration::from_micros(250)),
-            7,
-        );
-        for fs in [&mut plain, &mut defaulted] {
-            assert!(!fs.client_cache().enabled());
-        }
-        let ctx = OpCtx::test(NodeId(0));
-        for fs in [&mut plain, &mut defaulted] {
-            fs.mkdir(&ctx, &vpath("/d"), Mode::dir_default()).unwrap();
-        }
-        let a = plain.stat(&ctx, &vpath("/d")).unwrap().end;
-        let b = defaulted.stat(&ctx, &vpath("/d")).unwrap().end;
-        assert_eq!(a, b);
-        assert_eq!(plain.cache_stats(), defaulted.cache_stats());
-        assert_eq!(plain.cache_stats().hits + plain.cache_stats().misses, 0);
-    }
-
-    #[test]
     fn rename_recalls_whole_subtree_leases() {
         let mut fs = cached_fs(SimDuration::from_secs(5));
         let a = OpCtx::test(NodeId(0));
@@ -1719,13 +1713,16 @@ mod tests {
         assert_eq!(st.batches_issued, 1);
         assert_eq!(st.flush_full, 1);
         assert_eq!(st.largest_batch, 4);
-        // The unbatched path pays the round trip synchronously.
+        // The unbatched path pays the round trip synchronously, and
+        // has no pipeline to drain.
         let mut plain = new_fs();
         let t = plain
             .mkdir(&ctx, &vpath("/d0"), Mode::dir_default())
             .unwrap()
             .end;
         assert!(t > ctx.now + plain.config().fuse_dispatch + SimDuration::from_micros(250));
+        assert_eq!(plain.counters().get("mds_batches"), 0);
+        assert_eq!(plain.drain_batches(), None);
     }
 
     #[test]
@@ -1752,6 +1749,7 @@ mod tests {
     #[test]
     fn drain_returns_the_wire_tail_and_empties_the_pipeline() {
         let mut fs = batched_fs(8, SimDuration::from_millis(5), 4);
+        let buffered = |fs: &CofsFs<MemFs>| fs.batch_pipeline().unwrap().buffered_ops(NodeId(0));
         let ctx = OpCtx::test(NodeId(0));
         let ack = fs
             .mkdir(&ctx, &vpath("/d"), Mode::dir_default())
@@ -1759,58 +1757,19 @@ mod tests {
             .end;
         // One op buffered, nothing on the wire yet.
         assert_eq!(fs.counters().get("mds_batches"), 0);
-        assert_eq!(fs.batch_pipeline().buffered_ops(NodeId(0)), 1);
+        assert_eq!(buffered(&fs), 1);
         let tail = fs.drain_batches().expect("one batch outstanding");
         // The drained batch flushed at its window deadline and then
         // paid the round trip.
         assert!(tail > ack + SimDuration::from_millis(5));
         assert_eq!(fs.counters().get("mds_batches"), 1);
         assert_eq!(fs.batch_stats().flush_drain, 1);
-        assert_eq!(fs.batch_pipeline().buffered_ops(NodeId(0)), 0);
+        assert_eq!(buffered(&fs), 0);
         // reset_time drains implicitly, so phases never leak work.
         fs.mkdir(&ctx, &vpath("/e"), Mode::dir_default()).unwrap();
         fs.reset_time();
-        assert_eq!(fs.batch_pipeline().buffered_ops(NodeId(0)), 0);
+        assert_eq!(buffered(&fs), 0);
         assert_eq!(fs.batch_stats(), crate::batch::BatchStats::default());
-    }
-
-    #[test]
-    fn batching_disabled_is_bit_for_bit_whatever_the_knobs() {
-        // Two configs that differ only in *disabled* batch knobs must
-        // price every operation identically — the calibration guard.
-        let mut a = new_fs();
-        let mut b = CofsFs::new(
-            MemFs::new(),
-            CofsConfig {
-                batch: crate::batch::BatchConfig {
-                    enabled: false,
-                    max_batch_ops: 64,
-                    max_batch_delay: SimDuration::from_secs(1),
-                    pipeline_depth: 9,
-                },
-                ..CofsConfig::default()
-            },
-            MdsNetwork::uniform(SimDuration::from_micros(250)),
-            7,
-        );
-        let ctx = OpCtx::test(NodeId(0));
-        for fs in [&mut a, &mut b] {
-            assert!(!fs.batch_pipeline().enabled());
-        }
-        let ta = a
-            .mkdir(&ctx, &vpath("/d"), Mode::dir_default())
-            .unwrap()
-            .end;
-        let tb = b
-            .mkdir(&ctx, &vpath("/d"), Mode::dir_default())
-            .unwrap()
-            .end;
-        assert_eq!(ta, tb);
-        let sa = a.stat(&ctx, &vpath("/d")).unwrap().end;
-        let sb = b.stat(&ctx, &vpath("/d")).unwrap().end;
-        assert_eq!(sa, sb);
-        assert_eq!(a.counters().get("mds_batches"), 0);
-        assert_eq!(a.drain_batches(), None);
     }
 
     #[test]
@@ -1863,7 +1822,9 @@ mod tests {
             assert!(e.end().expect("probes are timed") > ctx.now);
         }
         assert_eq!(fs.counters().get("mds_rpcs"), before + 3);
-        assert_eq!(fs.cache_stats().negative_hits, 0);
+        // No cache is built, and its stats read zero.
+        assert!(fs.client_cache().is_none());
+        assert_eq!(fs.cache_stats(), CacheStats::default());
     }
 
     #[test]

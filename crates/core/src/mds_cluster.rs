@@ -289,7 +289,7 @@ struct ShipEntry {
 }
 
 /// Post-recovery admission state, created when a shard resumes (or is
-/// promoted) with [`crate::config::AdmissionConfig`] enabled. Gates
+/// promoted) with an [`crate::config::AdmissionConfig`] configured. Gates
 /// *session re-establishment* only: nodes already re-admitted (or never
 /// evicted) pass untouched, so steady-state traffic sees no gate.
 #[derive(Debug)]
@@ -336,15 +336,14 @@ struct Shard {
     /// [`MdsCluster::usage`] fills them in.
     usage: ShardUsage,
     unapplied: Vec<UnappliedEntry>,
-    /// Fencing epoch: bumps on every crash; in-flight rebalances
-    /// compare epochs and abort.
-    epoch: u64,
+    /// One window per crash, in fire order; the fencing epoch
+    /// ([`MdsCluster::epoch`]) counts them.
     windows: Vec<FaultWindow>,
     /// Journal appends shipped to the hot standby and not yet settled
     /// by a crash (standby mode only; empty otherwise).
     ship_tail: Vec<ShipEntry>,
     /// Post-recovery admission gate; `None` until a crash resumes with
-    /// admission control enabled.
+    /// admission control configured.
     admission: Option<ShardAdmission>,
 }
 
@@ -358,7 +357,6 @@ impl Shard {
                 ..ShardUsage::default()
             },
             unapplied: Vec::new(),
-            epoch: 1,
             windows: Vec::new(),
             ship_tail: Vec::new(),
             admission: None,
@@ -490,7 +488,8 @@ impl Shard {
         }
         if let Shape::Batch(_) = shape {
             self.usage.batches += 1;
-            if cfg.write_behind.enabled && total_writes > 0 {
+            if let Some(wb) = cfg.write_behind.as_ref().filter(|_| total_writes > 0) {
+                let arrive = self.durability_clamp(wb, arrive, ops.len() as u64);
                 return self.write_behind(cfg, ops, arrive, service, total_writes, ship_to_standby);
             }
         }
@@ -505,7 +504,9 @@ impl Shard {
     }
 
     /// The write-behind ack path of a mutation batch whose reads cost
-    /// `service`: the batch is *acked at journal append* — its ack-path
+    /// `service`, arriving at `arrive` once the durability window
+    /// ([`Self::durability_clamp`]) admits it: the batch is *acked at
+    /// journal append* — its ack-path
     /// service swaps the group commit for one sequential journal append
     /// ([`Self::journal_append`]) — and its rows apply
     /// right after the ack as deferred shard-CPU work: one group commit
@@ -513,9 +514,7 @@ impl Shard {
     /// ([`crate::batch::coalesce_writes`]: same-parent sibling rows fold
     /// into one application per batch). Deferred applies still consume
     /// shard CPU (later batches queue behind them), but no batch waits
-    /// for its own rows. Admission is bounded by the durability window
-    /// ([`Self::durability_clamp`]), exactly like `pipeline_depth` slot
-    /// backpressure. Read-your-writes stays exact for free: outcomes
+    /// for its own rows. Read-your-writes stays exact for free: outcomes
     /// always come from the unified namespace, so a read hitting a
     /// not-yet-applied row is served from the journal at unchanged cost.
     fn write_behind(
@@ -527,12 +526,11 @@ impl Shard {
         total_writes: u64,
         ship_to_standby: bool,
     ) -> SimTime {
-        let arrive = self.durability_clamp(&cfg.write_behind, arrive, ops.len() as u64);
         let service = service + self.journal_append(&cfg.db, total_writes);
         let acked = self.cpu.acquire(arrive, service).end;
         let cw = coalesce_writes(ops);
         self.usage.rows_coalesced += cw.rows_coalesced;
-        let rows: u64 = cw.writes_per_op.iter().sum();
+        let rows = cw.rows_applied;
         let apply_done = if rows == 0 {
             acked
         } else {
@@ -580,7 +578,7 @@ pub enum Shape {
     /// One synchronous operation on one shard.
     Sync(ShardId),
     /// A client daemon's batch of same-shard operations in one round
-    /// trip (group commit; write-behind when enabled).
+    /// trip (group commit; write-behind when the config journals).
     Batch(ShardId),
     /// One cross-shard operation committed with two-phase agreement;
     /// the first shard coordinates.
@@ -752,7 +750,7 @@ impl MdsCluster {
                 // Ship bookkeeping only matters when a crash could
                 // consult it; gating on an armed plan keeps fault-free
                 // runs allocation-flat.
-                let ship = cfg.standby.enabled && self.faults.is_some();
+                let ship = cfg.standby.is_some() && self.faults.is_some();
                 self.shards[a.0].serve(cfg, shape, ops, arrive, ship)
             }
         };
@@ -844,9 +842,10 @@ impl MdsCluster {
         self.faults.is_some()
     }
 
-    /// Current fencing epoch of `shard` (starts at 1; bumps on crash).
+    /// Current fencing epoch of `shard`: 1, plus one per crash since
+    /// the last [`Self::reset_time`].
     pub fn epoch(&self, shard: ShardId) -> u64 {
-        self.shards[shard.0].epoch
+        1 + self.shards[shard.0].windows.len() as u64
     }
 
     /// True when `shard` is inside a crash window at `t`: it refuses
@@ -887,7 +886,7 @@ impl MdsCluster {
     /// at `arrive` (refusals become known to the client at `reply_at`).
     /// Order matters: a crashed shard refuses before its partition state
     /// is even reachable, and admission gates only requests that made it
-    /// to a live, connected shard. With admission control enabled a
+    /// to a live, connected shard. With admission control configured a
     /// down-shard refusal quotes the scheduled resume as retry-after
     /// (the supervisor knows the restart schedule); a partition refusal
     /// never quotes one — no supervisor answers across a severed link.
@@ -900,10 +899,9 @@ impl MdsCluster {
         reply_at: SimTime,
     ) -> Result<(), Nack> {
         if self.is_down(shard, arrive) {
-            let retry_after = if cfg.admission.enabled {
-                self.resume_of(shard, arrive)
-            } else {
-                None
+            let retry_after = match cfg.admission {
+                Some(_) => self.resume_of(shard, arrive),
+                None => None,
             };
             self.fault_stats.nacks += 1;
             return Err(Nack {
@@ -969,7 +967,7 @@ impl MdsCluster {
     /// next contact, so session re-establishment is charged where it
     /// happens.
     ///
-    /// With [`crate::config::StandbyConfig`] enabled the crash is
+    /// With a [`crate::config::StandbyConfig`] configured the crash is
     /// absorbed by *promoting* the hot standby instead: same fencing
     /// (epoch bump, evictions, lease fences — the old primary's grants
     /// are worthless either way), but service resumes after the fixed
@@ -995,18 +993,14 @@ impl MdsCluster {
             .last()
             .map_or(crash.at, |w| crash.at.max(w.resume_at));
         self.fault_stats.crashes += 1;
-        self.shards[shard.0].epoch += 1;
         let evicted = std::mem::take(&mut self.sessions[shard.0]);
         self.fault_stats.fenced_sessions += evicted.iter().filter(|&&open| open).count() as u64;
         // Every lease this shard granted is now worthless: the client
         // side fences them once it drains this entry.
         self.crashes.push((shard, at));
-        let promote = cfg.standby.enabled;
-        let restart_at = if promote {
-            at + cfg.standby.promotion_cost
-        } else {
-            at + crash.restart_after
-        };
+        let promotion = cfg.standby.as_ref().map(|sb| sb.promotion_cost);
+        let promote = promotion.is_some();
+        let restart_at = at + promotion.unwrap_or(crash.restart_after);
         let s = &mut self.shards[shard.0];
         let (mut replay_ops, mut replay_rows) = (0u64, 0u64);
         let mut acked_at_crash = 0u64;
@@ -1085,18 +1079,14 @@ impl MdsCluster {
             crashed_at: at,
             resume_at,
         });
-        if cfg.admission.enabled {
+        if let Some(adm) = &cfg.admission {
             // Re-admit evicted sessions through a fresh token bucket
             // anchored at the resume: `sessions_per_window` grants per
             // window, overflow deferred to the next window start. A
             // repeat crash replaces the gate wholesale — the new outage
             // re-evicts everyone anyway.
             s.admission = Some(ShardAdmission {
-                bucket: TokenBucket::new(
-                    resume_at,
-                    cfg.admission.sessions_per_window,
-                    cfg.admission.window,
-                ),
+                bucket: TokenBucket::new(resume_at, adm.sessions_per_window, adm.window),
                 admitted: BTreeSet::new(),
             });
         }
@@ -1200,10 +1190,10 @@ impl MdsCluster {
         // `rebalance`, so the next observed op after recovery
         // re-triggers the decision — abort really is re-enqueue.
         if self.faults.is_some() {
-            let pre: Vec<u64> = self.shards.iter().map(|s| s.epoch).collect();
+            let crashes = self.fault_stats.crashes;
             self.advance_faults(cfg, t);
-            let blocked = (0..self.shards.len())
-                .any(|i| self.shards[i].epoch != pre[i] || self.is_down(ShardId(i), t));
+            let blocked = self.fault_stats.crashes != crashes
+                || (0..self.shards.len()).any(|i| self.is_down(ShardId(i), t));
             if blocked {
                 self.fault_stats.elastic_aborts += 1;
                 return;
@@ -1357,6 +1347,7 @@ impl MdsCluster {
 mod tests {
     use super::*;
     use crate::client_cache::{ClientCache, ClientCacheConfig};
+    use crate::config::{AdmissionConfig, StandbyConfig};
     use crate::mds::RowKey;
     use std::collections::HashSet;
     use vfs::path::vpath;
@@ -1605,10 +1596,10 @@ mod tests {
     /// A client cache holding leases that expire `ttl_ms` after their
     /// grant.
     fn cache(ttl_ms: u64) -> ClientCache {
-        ClientCache::new(ClientCacheConfig::enabled(
-            64,
-            SimDuration::from_millis(ttl_ms),
-        ))
+        ClientCache::new(ClientCacheConfig {
+            capacity: 64,
+            lease_ttl: SimDuration::from_millis(ttl_ms),
+        })
     }
 
     #[test]
@@ -1676,10 +1667,7 @@ mod tests {
 
     #[test]
     fn memoized_batch_charges_each_distinct_row_once() {
-        let c = CofsConfig {
-            batch: crate::batch::BatchConfig::enabled(16, SimDuration::from_millis(5), 4),
-            ..cfg()
-        };
+        let c = cfg().with_batching(16, SimDuration::from_millis(5), 4);
         let n = net();
         // Four creates into the same parent: each reads the 2-row chain
         // of /d plus 3 private rows (5 reads total, 2 keyed).
@@ -1728,12 +1716,20 @@ mod tests {
     }
 
     fn wb_cfg() -> CofsConfig {
-        let mut c = CofsConfig {
-            batch: crate::batch::BatchConfig::enabled(16, SimDuration::from_millis(5), 4),
-            ..cfg()
-        };
-        c.write_behind = WriteBehindConfig::enabled();
-        c
+        cfg()
+            .with_batching(16, SimDuration::from_millis(5), 4)
+            .with_write_behind()
+    }
+
+    /// [`wb_cfg`] with a durability window of `max_unapplied_ops`.
+    fn wb_cfg_bounded(max_unapplied_ops: u64) -> CofsConfig {
+        CofsConfig {
+            write_behind: Some(WriteBehindConfig {
+                max_unapplied_ops,
+                ..WriteBehindConfig::default()
+            }),
+            ..wb_cfg()
+        }
     }
 
     /// A create-like batched op: `reads` keyless reads, 3 writes of
@@ -1846,8 +1842,7 @@ mod tests {
 
     #[test]
     fn durability_window_bounds_acked_but_unapplied_work() {
-        let mut c = wb_cfg();
-        c.write_behind.max_unapplied_ops = 4; // exactly one batch
+        let c = wb_cfg_bounded(4); // exactly one batch
         let n = net();
         let batch: Vec<BatchedOp> = (0..4).map(|_| create_op(7)).collect();
         let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
@@ -1858,7 +1853,7 @@ mod tests {
             acks.push(t);
             let acked_at = t - SimDuration::from_micros(125);
             assert!(
-                cluster.unapplied_ops_at(acked_at) <= c.write_behind.max_unapplied_ops,
+                cluster.unapplied_ops_at(acked_at) <= 4,
                 "outstanding work exceeds the durability window at {acked_at:?}"
             );
         }
@@ -1882,8 +1877,7 @@ mod tests {
     fn oversized_batch_is_admitted_not_deadlocked() {
         // A single batch larger than the op budget must still be
         // served: the window bounds accumulation, not one batch.
-        let mut c = wb_cfg();
-        c.write_behind.max_unapplied_ops = 2;
+        let c = wb_cfg_bounded(2);
         let n = net();
         let batch: Vec<BatchedOp> = (0..8).map(|_| create_op(9)).collect();
         let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
@@ -2449,7 +2443,7 @@ mod tests {
         assert_eq!(f.lag_replayed_rows, 17, "the coalesced write set replays");
         assert_eq!(f.lost_acked_ops, 0, "acked work survives the promotion");
         assert!(
-            f.downtime >= c.standby.promotion_cost && f.downtime < restart,
+            f.downtime >= StandbyConfig::default().promotion_cost && f.downtime < restart,
             "promotion beats the scripted restart: {:?}",
             f.downtime
         );
@@ -2500,7 +2494,7 @@ mod tests {
         // Downtime is exactly promotion + the empty journal-tail scan.
         assert_eq!(
             f.downtime,
-            c.standby.promotion_cost + c.mds_service + c.db.lookup
+            StandbyConfig::default().promotion_cost + c.mds_service + c.db.lookup
         );
     }
 
@@ -2533,7 +2527,7 @@ mod tests {
         let after = deferred
             .retry_after
             .expect("admission quotes the next window");
-        assert_eq!(after, resume + c.admission.window);
+        assert_eq!(after, resume + AdmissionConfig::default().window);
         // A probe-granted node re-probes without burning a second
         // token: node 0 stays admitted while node 3 is still deferred.
         assert!(cluster.admit(&c, &n, NodeId(0), ShardId(0), resume).is_ok());

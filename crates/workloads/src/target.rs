@@ -7,8 +7,8 @@
 //! time zero so the next phase's driver run starts clean, while cache
 //! and token state (deliberately) survive.
 
-use cofs::batch::BatchStats;
-use cofs::client_cache::CacheStats;
+use cofs::batch::{BatchPipeline, BatchStats};
+use cofs::client_cache::{CacheStats, ClientCache};
 use cofs::fault::FaultSummary;
 use cofs::fs::CofsFs;
 use cofs::mds_cluster::ShardUsage;
@@ -34,8 +34,8 @@ pub trait BenchTarget: FileSystem {
     }
 
     /// Client-side metadata-cache counters since the last reset —
-    /// `None` for targets without a client cache (or with it off), so
-    /// reports can distinguish "no cache" from "cache saw no traffic".
+    /// `None` for targets without a client cache, so reports can
+    /// distinguish "no cache" from "cache saw no traffic".
     fn cache_stats(&self) -> Option<CacheStats> {
         None
     }
@@ -49,7 +49,7 @@ pub trait BenchTarget: FileSystem {
     }
 
     /// Batching counters since the last reset — `None` for targets
-    /// without a batch pipeline (or with it off).
+    /// without a batch pipeline.
     fn batch_stats(&self) -> Option<BatchStats> {
         None
     }
@@ -102,11 +102,7 @@ impl<U: BenchTarget> BenchTarget for CofsFs<U> {
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
-        if self.client_cache().enabled() {
-            Some(CofsFs::cache_stats(self))
-        } else {
-            None
-        }
+        self.client_cache().map(ClientCache::stats)
     }
 
     fn drain_outstanding(&mut self) -> Option<SimTime> {
@@ -114,11 +110,7 @@ impl<U: BenchTarget> BenchTarget for CofsFs<U> {
     }
 
     fn batch_stats(&self) -> Option<BatchStats> {
-        if self.batch_pipeline().enabled() {
-            Some(CofsFs::batch_stats(self))
-        } else {
-            None
-        }
+        self.batch_pipeline().map(BatchPipeline::stats)
     }
 
     fn apply_horizon(&self, horizon: SimTime) -> SimTime {

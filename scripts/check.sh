@@ -218,4 +218,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo bench -p cofs-bench --no-run"
 cargo bench -p cofs-bench --no-run
 
+# Reported, not gated: lines of crates/ before each file's first
+# #[cfg(test)].
+echo "==> production line count: $(python3 scripts/loc.py)"
+
 echo "All checks passed."

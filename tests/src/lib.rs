@@ -5,10 +5,9 @@
 //! helpers: building the GPFS and COFS-over-GPFS stacks the same way
 //! the benchmark binaries do, [`cofs_over_memfs`], the one
 //! COFS-over-MemFs stack every test configures through a
-//! [`CofsConfig`], the storm-level disabled-knob guard, and a
-//! deterministic random-operation generator for differential testing.
+//! [`CofsConfig`], and a deterministic random-operation generator for
+//! differential testing.
 
-use cofs::batch::BatchConfig;
 use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind};
 use cofs::elastic::{ElasticConfig, ElasticPolicy};
 use cofs::fs::CofsFs;
@@ -23,7 +22,6 @@ use vfs::fs::{FileSystem, OpCtx};
 use vfs::memfs::MemFs;
 use vfs::path::{vpath, VPath};
 use vfs::types::{Mode, OpenFlags};
-use workloads::scenarios::SharedDirStorm;
 
 /// Bare GPFS on the paper's flat testbed.
 pub fn gpfs(nodes: usize) -> PfsFs {
@@ -58,34 +56,6 @@ pub fn cofs_over_memfs(cfg: CofsConfig) -> CofsFs<MemFs> {
         MdsNetwork::uniform(SimDuration::from_micros(250)),
         7,
     )
-}
-
-/// The calibration guard at storm level: a small shared-directory
-/// storm with `stats_per_create` stats after each create must price
-/// identically on the untouched default and on a config whose batch
-/// knobs are set but switched off (`batch`), with the priority lane
-/// off — makespan, create and stat means, stat p50/p99, and no batch
-/// report on either side.
-pub fn assert_disabled_knobs_reproduce_default(stats_per_create: usize, batch: BatchConfig) {
-    assert!(!batch.enabled, "the guard prices switched-off batch knobs");
-    let storm = SharedDirStorm {
-        nodes: 4,
-        dirs: 4,
-        files_per_node: 8,
-        stats_per_create,
-        ..SharedDirStorm::default()
-    };
-    let a = storm.run(&mut cofs_over_memfs(CofsConfig::default()));
-    let b = storm.run(&mut cofs_over_memfs(CofsConfig {
-        read_priority: false,
-        batch,
-        ..CofsConfig::default()
-    }));
-    assert_eq!(a.makespan, b.makespan);
-    assert_eq!(a.mean_create_ms, b.mean_create_ms);
-    assert_eq!(a.mean_stat_ms, b.mean_stat_ms);
-    assert_eq!(a.stat_p50_p99_ms, b.stat_p50_p99_ms);
-    assert!(a.batch.is_none() && b.batch.is_none());
 }
 
 /// `shards` shards under the elastic policy at a deliberately

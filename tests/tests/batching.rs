@@ -1,6 +1,5 @@
 //! Integration tests for the metadata-RPC batching/pipelining layer:
-//! the calibration guard (default off is bit-for-bit the old path), the
-//! acceptance win (storm makespan improves monotonically with
+//! the acceptance win (storm makespan improves monotonically with
 //! `max_batch_ops` 1 → 4 → 16), honest non-wins (sparse mutators pay
 //! the delay window; read-only storms are untouched), outcome
 //! invariance at the namespace level, and the ordering property —
@@ -11,7 +10,7 @@ use cofs::config::{CofsConfig, ShardPolicyKind};
 use cofs::fs::CofsFs;
 use cofs::mds::DbOps;
 use cofs::mds_cluster::ShardPolicy;
-use cofs_tests::{assert_disabled_knobs_reproduce_default, cofs_over_memfs};
+use cofs_tests::cofs_over_memfs;
 use netsim::ids::NodeId;
 use simcore::time::{SimDuration, SimTime};
 use vfs::fs::{FileSystem, OpCtx};
@@ -54,6 +53,8 @@ fn storm_makespan_improves_monotonically_with_batch_size() {
             runs.iter().map(|r| r.makespan).collect::<Vec<_>>()
         );
     }
+    // Without a pipeline the storm reports no batch stats.
+    assert!(runs[0].batch.is_none());
     // The coalescing is real, not incidental: at 16 the batches fill.
     let st = runs[3].batch.expect("batching on");
     assert_eq!(st.largest_batch, 16);
@@ -98,23 +99,6 @@ fn batched_storm_outcomes_are_bit_for_bit_identical() {
         plain.mds().inode_count(),
         batched.mds().inode_count(),
         "same namespace size"
-    );
-}
-
-#[test]
-fn default_config_reproduces_unbatched_times_bit_for_bit() {
-    // A config whose batch knobs are set but *disabled* must price the
-    // whole storm identically to the untouched default — the
-    // calibration guard at storm level, on a stat-heavy mix.
-    // `memo_priority.rs` runs the same guard on a lighter mix.
-    assert_disabled_knobs_reproduce_default(
-        8,
-        BatchConfig {
-            enabled: false,
-            max_batch_ops: 32,
-            max_batch_delay: SimDuration::from_secs(1),
-            pipeline_depth: 8,
-        },
     );
 }
 
@@ -186,7 +170,7 @@ mod order_props {
         ) {
             let mut rng = simcore::rng::SimRng::seed_from(seed);
             let policy = ShardPolicy::hash(4);
-            let mut p = BatchPipeline::new(BatchConfig::enabled(
+            let mut p = BatchPipeline::new(BatchConfig::new(
                 max_ops,
                 SimDuration::from_micros(delay_us),
                 depth,

@@ -21,7 +21,7 @@
 //! Shard counts, cache settings, and batch knobs are distinguishable
 //! only by simulated time, never by outcome.
 
-use cofs::config::{CofsConfig, ShardPolicyKind};
+use cofs::config::{CofsConfig, ShardPolicyKind, WriteBehindConfig};
 use cofs_tests::{
     apply_at, cofs_over_gpfs, cofs_over_gpfs_sharded, cofs_over_memfs, gen_ops, gpfs,
     hair_trigger_elastic,
@@ -50,8 +50,10 @@ fn run_differential(seed: u64, n_ops: usize) {
     let mut journal = hashed(2)
         .with_batching(16, SimDuration::from_millis(5), 4)
         .with_write_behind();
-    journal.write_behind.max_unapplied_ops = 2;
-    journal.write_behind.max_unapplied_window = SimDuration::from_micros(50);
+    journal.write_behind = Some(WriteBehindConfig {
+        max_unapplied_ops: 2,
+        max_unapplied_window: SimDuration::from_micros(50),
+    });
     let memfs = |cfg| Box::new(cofs_over_memfs(cfg)) as Box<dyn FileSystem>;
     let mut boxed: Vec<(&str, Box<dyn FileSystem>)> = vec![
         ("cofs/memfs", memfs(CofsConfig::default())),

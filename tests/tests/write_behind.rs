@@ -1,8 +1,8 @@
 //! Integration tests for the write-behind dentry journal and
-//! same-parent sibling coalescing: the calibration guards (the journal
-//! knobbed-but-off is bit-for-bit the seed path at RPC, fs, and storm
-//! level), the acceptance win (the journaled bursty storm beats the
-//! memoized-only ceiling at every swept batch size), the durability
+//! same-parent sibling coalescing: the acceptance win (the journaled
+//! bursty storm beats the memoized-only ceiling at every swept batch
+//! size, while the stack without a journal appends, coalesces and lags
+//! nothing), the durability
 //! window (acked-but-unapplied work never exceeds it, at the RPC level
 //! and under a storm with a degenerate window), and the pricing
 //! properties — journaled acks never arrive later than synchronous
@@ -14,7 +14,7 @@ use cofs::batch::BatchedOp;
 use cofs::config::{CofsConfig, MdsNetwork, ShardPolicyKind, WriteBehindConfig};
 use cofs::fs::CofsFs;
 use cofs::mds::{DbOps, RowSet};
-use cofs::mds_cluster::{MdsCluster, Shape, ShardId, ShardPolicy};
+use cofs::mds_cluster::{MdsCluster, Shape, ShardId, ShardPolicy, ShardUsage};
 use cofs_tests::cofs_over_memfs;
 use netsim::ids::NodeId;
 use simcore::time::{SimDuration, SimTime};
@@ -50,85 +50,6 @@ fn burst_storm() -> SharedDirStorm {
 }
 
 #[test]
-fn journal_knobbed_but_off_is_bit_for_bit_the_seed_storm() {
-    // A config with the write-behind knobs representable — at weird
-    // values, even — but disabled must price the whole storm
-    // identically to the untouched batched+memoized stack: the
-    // calibration guard at storm level.
-    let storm = burst_storm();
-    let seed = storm.run(&mut stack(16, false));
-    let mut cfg = CofsConfig::default()
-        .with_shards(2, ShardPolicyKind::HashByParent)
-        .with_batching(16, SimDuration::from_millis(5), 4);
-    cfg.write_behind = WriteBehindConfig {
-        enabled: false,
-        max_unapplied_ops: 1,
-        max_unapplied_window: SimDuration::from_micros(1),
-    };
-    let knobbed = storm.run(&mut cofs_over_memfs(cfg));
-    assert_eq!(seed.makespan, knobbed.makespan);
-    assert_eq!(seed.mean_create_ms, knobbed.mean_create_ms);
-    assert_eq!(seed.apply_tail_ms, knobbed.apply_tail_ms);
-    assert_eq!(knobbed.apply_tail_ms, 0.0, "no journal, no apply tail");
-    for (a, b) in seed.per_shard.iter().zip(knobbed.per_shard.iter()) {
-        assert_eq!(a.busy, b.busy);
-        assert_eq!(a.rpcs, b.rpcs);
-        assert_eq!(b.journal_appends, 0);
-        assert_eq!(b.rows_coalesced, 0);
-        assert_eq!(b.apply_lag, SimDuration::ZERO);
-    }
-}
-
-#[test]
-fn journal_off_rpc_is_bit_for_bit_the_seed_rpc() {
-    // The same calibration guard one layer down: a mutation batch
-    // priced with the journal knobbed-but-off must reproduce the seed
-    // batch pricing exactly, ack and busy time both.
-    let ops: Vec<BatchedOp> = (0..4)
-        .map(|_| BatchedOp {
-            db: DbOps {
-                reads: 2,
-                writes: 3,
-            },
-            read_set: RowSet::from_keys(vec![1, 2]),
-            write_set: RowSet::from_keys(vec![77]),
-        })
-        .collect();
-    let seed_cfg = CofsConfig {
-        batch: cofs::batch::BatchConfig::enabled(16, SimDuration::from_millis(5), 4),
-        ..CofsConfig::default()
-    };
-    let mut knobbed_cfg = seed_cfg.clone();
-    knobbed_cfg.write_behind = WriteBehindConfig {
-        enabled: false,
-        max_unapplied_ops: 1,
-        max_unapplied_window: SimDuration::from_micros(1),
-    };
-    let price = |cfg: &CofsConfig| {
-        let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
-        let done = cluster.request(
-            cfg,
-            &net(),
-            NodeId(0),
-            Shape::Batch(ShardId(0)),
-            &ops,
-            SimTime::ZERO,
-        );
-        (
-            done,
-            cluster.usage()[0].busy,
-            cluster.usage()[0].journal_appends,
-        )
-    };
-    let (seed_done, seed_busy, seed_appends) = price(&seed_cfg);
-    let (knob_done, knob_busy, knob_appends) = price(&knobbed_cfg);
-    assert_eq!(seed_done, knob_done);
-    assert_eq!(seed_busy, knob_busy);
-    assert_eq!(seed_appends, 0);
-    assert_eq!(knob_appends, 0);
-}
-
-#[test]
 fn journaled_storm_beats_memoized_only_at_every_batch_size() {
     let mut journaled_makespans = Vec::new();
     for k in [4usize, 16] {
@@ -145,16 +66,15 @@ fn journaled_storm_beats_memoized_only_at_every_batch_size() {
         assert!(appends > 0, "acks must come from journal appends");
         assert!(coalesced > 0, "sibling dentry updates must coalesce");
         assert!(
-            plain
-                .per_shard
-                .iter()
-                .all(|u| u.journal_appends == 0 && u.rows_coalesced == 0),
-            "journal-off runs append and coalesce nothing"
+            plain.per_shard.iter().all(|u| u.journal_appends == 0
+                && u.rows_coalesced == 0
+                && u.apply_lag == SimDuration::ZERO),
+            "runs without a journal append, coalesce and lag nothing"
         );
         // The crash-consistency cost is visible, not hidden: rows are
         // still landing after the last ack.
         assert!(journaled.apply_tail_ms > 0.0);
-        assert_eq!(plain.apply_tail_ms, 0.0);
+        assert_eq!(plain.apply_tail_ms, 0.0, "no journal, no apply tail");
         journaled_makespans.push(journaled.makespan);
     }
     // Bigger batches coalesce more siblings per append.
@@ -197,8 +117,10 @@ fn degenerate_durability_window_backpressures_but_completes() {
         .with_shards(2, ShardPolicyKind::HashByParent)
         .with_batching(16, SimDuration::from_millis(5), 4)
         .with_write_behind();
-    cfg.write_behind.max_unapplied_ops = 2;
-    cfg.write_behind.max_unapplied_window = SimDuration::from_micros(50);
+    cfg.write_behind = Some(WriteBehindConfig {
+        max_unapplied_ops: 2,
+        max_unapplied_window: SimDuration::from_micros(50),
+    });
     let tight = storm.run(&mut cofs_over_memfs(cfg));
     assert!(tight.makespan >= open.makespan);
     let appends: u64 = tight.per_shard.iter().map(|u| u.journal_appends).sum();
@@ -211,13 +133,13 @@ mod pricing_props {
     use super::*;
     use proptest::prelude::*;
 
+    /// One shard batching up to 64 ops, without a journal.
+    fn plain_cfg() -> CofsConfig {
+        CofsConfig::default().with_batching(64, SimDuration::from_millis(5), 4)
+    }
+
     fn wb_cfg() -> CofsConfig {
-        let mut cfg = CofsConfig {
-            batch: cofs::batch::BatchConfig::enabled(64, SimDuration::from_millis(5), 4),
-            ..CofsConfig::default()
-        };
-        cfg.write_behind = WriteBehindConfig::enabled();
-        cfg
+        plain_cfg().with_write_behind()
     }
 
     /// Builds a deterministic batch from a seed: each op draws reads,
@@ -246,8 +168,8 @@ mod pricing_props {
     }
 
     /// Prices one batch on a fresh single-shard cluster and returns
-    /// (client completion time, shard busy time, rows coalesced).
-    fn price(cfg: &CofsConfig, ops: &[BatchedOp]) -> (SimTime, SimDuration, u64) {
+    /// the client completion time and the shard's usage.
+    fn price(cfg: &CofsConfig, ops: &[BatchedOp]) -> (SimTime, ShardUsage) {
         let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
         let done = cluster.request(
             cfg,
@@ -257,8 +179,7 @@ mod pricing_props {
             ops,
             SimTime::ZERO,
         );
-        let u = &cluster.usage()[0];
-        (done, u.busy, u.rows_coalesced)
+        (done, cluster.usage().remove(0))
     }
 
     proptest! {
@@ -269,21 +190,15 @@ mod pricing_props {
             len in 1usize..24,
         ) {
             let batch = gen_batch(seed, len);
-            let plain_cfg = CofsConfig {
-                batch: cofs::batch::BatchConfig::enabled(
-                    64,
-                    SimDuration::from_millis(5),
-                    4,
-                ),
-                ..CofsConfig::default()
-            };
-            let (plain_done, _, plain_coalesced) = price(&plain_cfg, &batch);
-            let (wb_done, wb_busy, wb_coalesced) = price(&wb_cfg(), &batch);
+            let (plain_done, plain) = price(&plain_cfg(), &batch);
+            let (wb_done, wb) = price(&wb_cfg(), &batch);
             // One sequential append is always durable no later than the
             // synchronous group commit, so the journaled client never
             // hears back later.
             prop_assert!(wb_done <= plain_done);
-            prop_assert_eq!(plain_coalesced, 0);
+            // Without a journal a batch appends and coalesces nothing.
+            prop_assert_eq!(plain.journal_appends, 0);
+            prop_assert_eq!(plain.rows_coalesced, 0);
             // Any permutation of the ops prices identically: which op
             // is charged a shared row is order-dependent attribution,
             // but the coalesced total, the ack, and the shard busy
@@ -295,10 +210,10 @@ mod pricing_props {
                 let j = rng.below(i as u64 + 1) as usize;
                 shuffled.swap(i, j);
             }
-            let (shuf_done, shuf_busy, shuf_coalesced) = price(&wb_cfg(), &shuffled);
+            let (shuf_done, shuf) = price(&wb_cfg(), &shuffled);
             prop_assert_eq!(wb_done, shuf_done);
-            prop_assert_eq!(wb_busy, shuf_busy);
-            prop_assert_eq!(wb_coalesced, shuf_coalesced);
+            prop_assert_eq!(wb.busy, shuf.busy);
+            prop_assert_eq!(wb.rows_coalesced, shuf.rows_coalesced);
         }
 
         #[test]
@@ -306,9 +221,14 @@ mod pricing_props {
             seed in 0u64..10_000,
             rounds in 1usize..12,
         ) {
-            let mut cfg = wb_cfg();
-            cfg.write_behind.max_unapplied_ops = 6;
-            cfg.write_behind.max_unapplied_window = SimDuration::from_micros(200);
+            let window = WriteBehindConfig {
+                max_unapplied_ops: 6,
+                max_unapplied_window: SimDuration::from_micros(200),
+            };
+            let cfg = CofsConfig {
+                write_behind: Some(window.clone()),
+                ..wb_cfg()
+            };
             let mut cluster = MdsCluster::new(ShardPolicy::hash(1));
             let mut now = SimTime::ZERO;
             for r in 0..rounds {
@@ -319,11 +239,11 @@ mod pricing_props {
                 // from outside (the cluster's debug_assert checks it
                 // from inside on every clamp).
                 prop_assert!(
-                    cluster.unapplied_ops_at(acked) <= cfg.write_behind.max_unapplied_ops
-                        || batch.len() as u64 > cfg.write_behind.max_unapplied_ops,
+                    cluster.unapplied_ops_at(acked) <= window.max_unapplied_ops
+                        || batch.len() as u64 > window.max_unapplied_ops,
                     "round {r}: outstanding {} > window {}",
                     cluster.unapplied_ops_at(acked),
-                    cfg.write_behind.max_unapplied_ops
+                    window.max_unapplied_ops
                 );
                 prop_assert!(acked > now);
                 now = acked;
